@@ -248,8 +248,8 @@ func (l *rankLink) kill() {
 // accept loop and timers feed the coordinator's state machine.
 type event struct {
 	rank int
-	gen  int    // connection generation, for ignoring stale reports
-	kind byte   // frame kind, 0 for non-frame events
+	gen  int  // connection generation, for ignoring stale reports
+	kind byte // frame kind, 0 for non-frame events
 	body []byte
 	err  error
 
@@ -309,25 +309,49 @@ func (cd *coord) route(l *rankLink, kind byte, body []byte) {
 	}
 }
 
+// flushEvery bounds how many queued frames a rank's writer coalesces
+// into one flush, so the first frame of a long burst is not held back
+// behind an ever-refilling queue.
+const flushEvery = 64
+
 // writeLoop drains one rank's outbound queue. Dedicated writers are
 // what removed the head-of-line blocking of the reader-routes-
 // synchronously design: a slow destination socket stalls only its own
-// queue, never the source rank's reader.
+// queue, never the source rank's reader. Frames already queued behind
+// the one just taken leave in the same socket write; the writer flushes
+// the moment the queue is empty and never waits for more, so batching
+// adds no latency.
 func (cd *coord) writeLoop(l *rankLink) {
 	for {
 		select {
 		case f := <-l.out:
-			cd.deliver(l, f)
+			pending := cd.deliver(l, f) // the conn holding unflushed frames
+		drain:
+			for n := 1; n < flushEvery; n++ {
+				select {
+				case f = <-l.out:
+					c := cd.deliver(l, f)
+					if c != pending { // the link was replaced mid-batch
+						cd.flush(l, pending)
+						pending = c
+					}
+				default:
+					break drain
+				}
+			}
+			cd.flush(l, pending)
 		case <-cd.stop:
 			return
 		}
 	}
 }
 
-// deliver sends one queued frame, waiting out a reconnect if the link
-// is down. Sequenced frames enter the retransmit buffer before the
-// write, so a mid-flight break is healed by the install-time replay.
-func (cd *coord) deliver(l *rankLink, f outFrame) {
+// deliver buffers one queued frame on the rank's live conn, waiting out
+// a reconnect if the link is down, and returns that conn for the caller
+// to flush (nil when the frame was dropped). Sequenced frames enter the
+// retransmit buffer before they are buffered, so a break before or
+// during the flush is healed by the install-time replay.
+func (cd *coord) deliver(l *rankLink, f outFrame) *conn {
 	l.mu.Lock()
 	for l.c == nil && !l.dead {
 		l.cond.Wait()
@@ -340,7 +364,7 @@ func (cd *coord) deliver(l *rankLink, f outFrame) {
 				cd.mDrops.Inc()
 			}
 		}
-		return
+		return nil
 	}
 	c := l.c
 	var seq uint32
@@ -351,20 +375,27 @@ func (cd *coord) deliver(l *rankLink, f outFrame) {
 		if len(l.unacked) > cd.depth {
 			l.mu.Unlock()
 			cd.emit(event{rank: l.rank, backpressure: true})
-			return
+			return nil
 		}
 	}
 	l.mu.Unlock()
-	if err := c.write(f.kind, seq, f.body); err != nil {
-		// The reader on this conn reports the break; the frame sits in
-		// the retransmit buffer for the reconnect replay.
-		l.mu.Lock()
-		if l.c == c {
-			l.c = nil
-		}
-		l.mu.Unlock()
-		c.Close()
+	_ = c.queue(f.kind, seq, f.body) // sticky: the flush reports it
+	return c
+}
+
+// flush writes out what deliver buffered on c. A failure is a broken
+// link: the reader on this conn reports the break, and the frames sit
+// in the retransmit buffer for the reconnect replay.
+func (cd *coord) flush(l *rankLink, c *conn) {
+	if c == nil || c.flush() == nil {
+		return
 	}
+	l.mu.Lock()
+	if l.c == c {
+		l.c = nil
+	}
+	l.mu.Unlock()
+	c.Close()
 }
 
 // readLoop pumps one connection generation of one rank: data frames
@@ -913,15 +944,11 @@ func (cd *coord) resumeRank(l *rankLink, c *conn, helloRecv uint32) bool {
 		old.Close()
 	}
 	l.unacked = trimAcked(l.unacked, helloRecv)
-	werr := c.write(frameWelcome, 0, encodeSeq(l.lastRecv))
-	if werr == nil {
-		for _, sf := range l.unacked {
-			if werr = c.write(sf.kind, sf.seq, sf.body); werr != nil {
-				break
-			}
-		}
+	_ = c.queue(frameWelcome, 0, encodeSeq(l.lastRecv)) // sticky: the flush reports it
+	for _, sf := range l.unacked {
+		_ = c.queue(sf.kind, sf.seq, sf.body)
 	}
-	if werr != nil {
+	if werr := c.flush(); werr != nil {
 		l.mu.Unlock()
 		c.Close()
 		return false

@@ -113,38 +113,78 @@ const maxFrame = 1 << 30
 // frameHeaderLen is the post-length fixed prefix: kind byte + seq u32.
 const frameHeaderLen = 1 + 4
 
+// connBufSize sizes each conn's read and write buffers: big enough
+// that a burst of small frames, or any one ordinary frame with its
+// header, leaves in a single write.
+const connBufSize = 1 << 16
+
 // conn is one framed cluster connection: buffered reads on the caller's
-// goroutine, mutex-serialised writes from any goroutine.
+// goroutine, mutex-serialised buffered writes from any goroutine. Only
+// whole frames enter the write buffer, so a flush by any writer puts
+// only whole frames on the socket.
 type conn struct {
 	rw io.ReadWriteCloser
 	br *bufio.Reader
-	wm sync.Mutex
+	wm sync.Mutex // guards bw
+	bw *bufio.Writer
 }
 
 func newConn(rw io.ReadWriteCloser) *conn {
-	return &conn{rw: rw, br: bufio.NewReaderSize(rw, 1<<16)}
+	return &conn{
+		rw: rw,
+		br: bufio.NewReaderSize(rw, connBufSize),
+		bw: bufio.NewWriterSize(rw, connBufSize),
+	}
 }
 
 func (c *conn) Close() error { return c.rw.Close() }
 
-// write sends one frame; safe for concurrent use.
+// write sends one frame, header and body in one socket write; safe for
+// concurrent use.
 func (c *conn) write(kind byte, seq uint32, body []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
+	if err := c.put(kind, seq, body); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// queue buffers one frame for a later flush (or an earlier one: any
+// write on this conn flushes what is queued, in order). An error is
+// sticky — every later queue, write or flush on the conn fails too —
+// so a caller batching frames may check only the flush.
+func (c *conn) queue(kind byte, seq uint32, body []byte) error {
+	c.wm.Lock()
+	defer c.wm.Unlock()
+	return c.put(kind, seq, body)
+}
+
+// flush writes out every queued frame.
+func (c *conn) flush() error {
+	c.wm.Lock()
+	defer c.wm.Unlock()
+	return c.bw.Flush()
+}
+
+// put appends one frame to the write buffer; the caller holds wm.
+func (c *conn) put(kind byte, seq uint32, body []byte) error {
 	var hdr [4 + frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(frameHeaderLen+len(body)))
 	hdr[4] = kind
 	binary.LittleEndian.PutUint32(hdr[5:9], seq)
-	if _, err := c.rw.Write(hdr[:]); err != nil {
+	if _, err := c.bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	if len(body) > 0 {
-		if _, err := c.rw.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := c.bw.Write(body)
+	return err
 }
+
+// readStep caps the first allocation for an incoming frame: the length
+// prefix is four untrusted bytes, so the body buffer starts here and
+// doubles only as bytes actually arrive. A truncated frame claiming a
+// gigabyte costs one readStep.
+const readStep = 1 << 16
 
 // read returns the next frame. Only the owning reader goroutine calls
 // it. A malformed length fails structurally — callers treat any error
@@ -154,13 +194,22 @@ func (c *conn) read() (byte, uint32, []byte, error) {
 	if _, err := io.ReadFull(c.br, lenb[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := int(binary.LittleEndian.Uint32(lenb[:]))
 	if n < frameHeaderLen || n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("cluster: frame length %d outside [%d,%d]", n, frameHeaderLen, maxFrame)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return 0, 0, nil, err
+	buf := make([]byte, min(n, readStep))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(c.br, buf[filled:]); err != nil {
+			return 0, 0, nil, err
+		}
+		if len(buf) == n {
+			break
+		}
+		filled = len(buf)
+		grown := make([]byte, min(n, 2*filled))
+		copy(grown, buf)
+		buf = grown
 	}
 	return buf[0], binary.LittleEndian.Uint32(buf[1:5]), buf[frameHeaderLen:], nil
 }
@@ -173,7 +222,8 @@ type savedFrame struct {
 	body []byte
 }
 
-// trimAcked drops the prefix of buf cumulatively acked by seq.
+// trimAcked drops the prefix of buf cumulatively acked by seq, zeroing
+// the vacated tail so the backing array stops pinning acked bodies.
 func trimAcked(buf []savedFrame, seq uint32) []savedFrame {
 	i := 0
 	for i < len(buf) && buf[i].seq <= seq {
@@ -182,7 +232,9 @@ func trimAcked(buf []savedFrame, seq uint32) []savedFrame {
 	if i == 0 {
 		return buf
 	}
-	return append(buf[:0], buf[i:]...)
+	n := copy(buf, buf[i:])
+	clear(buf[n:])
+	return buf[:n]
 }
 
 // encodeHello builds a HELLO body.

@@ -50,13 +50,12 @@ const killExitCode = 3
 // the retransmit-buffer cap (outgrowing it means the coordinator has
 // stopped acking — a wedged star, not a slow one).
 const (
-	redialWindow      = 15 * time.Second
-	redialBackoffMin  = 25 * time.Millisecond
-	redialBackoffMax  = time.Second
-	workerMaxUnacked  = 4096
-	welcomeDeadline   = 5 * time.Second
-	byeAckLinger      = 5 * time.Second
-	byeAckPollEvery   = 2 * time.Millisecond
+	redialWindow     = 15 * time.Second
+	redialBackoffMin = 25 * time.Millisecond
+	redialBackoffMax = time.Second
+	workerMaxUnacked = 4096
+	welcomeDeadline  = 5 * time.Second
+	byeAckLinger     = 5 * time.Second
 )
 
 // MaybeWorker must be the first call in main() of every binary that
@@ -346,11 +345,12 @@ func (l *wlink) resume(nc net.Conn) (*conn, error) {
 	l.mu.Lock()
 	l.unacked = trimAcked(l.unacked, coordRecv)
 	for _, f := range l.unacked {
-		if werr := c.write(f.kind, f.seq, f.body); werr != nil {
-			l.mu.Unlock()
-			nc.Close()
-			return nil, werr
-		}
+		_ = c.queue(f.kind, f.seq, f.body) // sticky: the flush reports it
+	}
+	if werr := c.flush(); werr != nil {
+		l.mu.Unlock()
+		nc.Close()
+		return nil, werr
 	}
 	l.c = c
 	l.reconnects++
@@ -379,10 +379,14 @@ func (l *wlink) accept(seq uint32) (process, ackNow bool, err error) {
 	return true, l.lastRecv%ackEvery == 0, nil
 }
 
-// ackSent trims the retransmit buffer by the peer's cumulative ack.
+// ackSent trims the retransmit buffer by the peer's cumulative ack and
+// wakes awaitAcked once nothing is left outstanding.
 func (l *wlink) ackSent(seq uint32) {
 	l.mu.Lock()
 	l.unacked = trimAcked(l.unacked, seq)
+	if len(l.unacked) == 0 {
+		l.cond.Broadcast()
+	}
 	l.mu.Unlock()
 }
 
@@ -398,15 +402,19 @@ func (l *wlink) recvCursor() uint32 {
 // Exiting with the report unacked risks the coordinator reading a
 // death instead of a result.
 func (l *wlink) awaitAcked(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	timedOut := false
+	timer := time.AfterFunc(timeout, func() {
 		l.mu.Lock()
-		n, dead := len(l.unacked), l.err != nil
+		timedOut = true
+		l.cond.Broadcast()
 		l.mu.Unlock()
-		if n == 0 || dead || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(byeAckPollEvery)
+	})
+	defer timer.Stop()
+	// ackSent and every terminal-error path broadcast on the cond.
+	for len(l.unacked) > 0 && l.err == nil && !timedOut {
+		l.cond.Wait()
 	}
 }
 
@@ -432,6 +440,17 @@ func envInt(key string) (int, error) {
 // condemned to the identical death forever.
 func seedRotate(seed uint64, attempt int) uint64 {
 	return seed + uint64(attempt)*0x9e3779b97f4a7c15
+}
+
+// reportFailed is the error a worker exits with when it cannot tell the
+// coordinator that its run failed. A run that failed because the link
+// is gone fails the report with that same cause, which is then named
+// once, not twice.
+func reportFailed(rank int, runErr, werr error) error {
+	if errors.Is(runErr, werr) {
+		return runErr
+	}
+	return fmt.Errorf("cluster: rank %d reporting failure %v: %w", rank, runErr, werr)
 }
 
 func workerMain() error {
@@ -611,7 +630,7 @@ func workerMain() error {
 	if runErr != nil && !drained {
 		rep.Err = runErr.Error()
 		if werr := l.write(frameError, encodeWorkerError(runErr)); werr != nil {
-			return fmt.Errorf("cluster: rank %d reporting failure %v: %w", rank, runErr, werr)
+			return reportFailed(rank, runErr, werr)
 		}
 	} else if rank == 0 {
 		payload, eerr := wire.Encode(res.Value)

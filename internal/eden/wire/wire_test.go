@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -239,4 +240,48 @@ func TestDecodeHugeCountRejected(t *testing.T) {
 	if _, err := wire.Decode(b); err == nil {
 		t.Fatal("huge count must be rejected")
 	}
+}
+
+// FuzzWireDecode: arbitrary bytes never panic the decoder and fail only
+// with a *wire.DecodeError; whatever does decode re-encodes to exactly
+// the packing model's byte count and round-trips to itself. Seeded
+// from the fixed corpus, whole and truncated.
+func FuzzWireDecode(f *testing.F) {
+	for _, v := range corpus() {
+		b, err := wire.Encode(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := wire.Decode(data)
+		if err != nil {
+			var de *wire.DecodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("decode error is %T (%v), want *wire.DecodeError", err, err)
+			}
+			return
+		}
+		enc, err := wire.Encode(v)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-encode: %v", v, err)
+		}
+		size, err := eden.SizeOfChecked(v)
+		if err != nil || int64(len(enc)) != size {
+			t.Fatalf("len(Encode(%#v)) = %d, SizeOfChecked = %d, %v", v, len(enc), size, err)
+		}
+		back, err := wire.Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode(Encode(%#v)): %v", v, err)
+		}
+		if reflect.DeepEqual(back, v) {
+			return
+		}
+		// A NaN anywhere defeats DeepEqual; bit-exact bytes still decide.
+		if again, err := wire.Encode(back); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("round trip of %#v (%T) gave %#v (%T)", v, v, back, back)
+		}
+	})
 }

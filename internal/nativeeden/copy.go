@@ -26,6 +26,9 @@ func copyForSend(v graph.Value) (graph.Value, error) {
 	case *graph.Thunk:
 		return copyThunk(x)
 	case []graph.Value:
+		// The one typed slice case BenchmarkCopyForSend justifies: boxed
+		// elements cannot be moved in bulk, and walking them through
+		// reflect costs about five times this loop (values128).
 		out := make([]graph.Value, len(x))
 		for i, e := range x {
 			c, err := copyForSend(e)
@@ -35,31 +38,34 @@ func copyForSend(v graph.Value) (graph.Value, error) {
 			out[i] = c
 		}
 		return out, nil
-	case []int:
-		return append([]int(nil), x...), nil
-	case []int64:
-		return append([]int64(nil), x...), nil
-	case []float64:
-		return append([]float64(nil), x...), nil
-	case [][]float64:
-		out := make([][]float64, len(x))
-		for i, row := range x {
-			out[i] = append([]float64(nil), row...)
-		}
-		return out, nil
-	case [][]int:
-		out := make([][]int, len(x))
-		for i, row := range x {
-			out[i] = append([]int(nil), row...)
-		}
-		return out, nil
-	default:
-		rv, err := reflectCopy(reflect.ValueOf(v))
-		if err != nil {
+	}
+	src := reflect.ValueOf(v)
+	t := src.Type()
+	if t.Kind() == reflect.Slice && !src.IsNil() {
+		// MakeSlice's result boxes without the second header copy an
+		// addressable reflect.New slot costs.
+		out := reflect.MakeSlice(t, src.Len(), src.Len())
+		if err := copyElems(out, src); err != nil {
 			return nil, err
 		}
-		return rv.Interface(), nil
+		return out.Interface(), nil
 	}
+	out, err := copyValue(src)
+	if err != nil {
+		return nil, err
+	}
+	return out.Interface(), nil
+}
+
+// copyValue returns a copy of src in a fresh slot — or src itself when
+// its type holds no indirection and sharing is already a copy.
+func copyValue(src reflect.Value) (reflect.Value, error) {
+	t := src.Type()
+	if pureValue(t) {
+		return src, nil
+	}
+	out := reflect.New(t).Elem()
+	return out, copyInto(out, src)
 }
 
 // copyThunk copies an evaluated thunk into a fresh node; unevaluated
@@ -78,104 +84,110 @@ func copyThunk(t *graph.Thunk) (graph.Value, error) {
 
 var thunkType = reflect.TypeOf((*graph.Thunk)(nil))
 
-// reflectCopy clones arbitrary message types (workload structs like the
-// master-worker result packet) field by field. It refuses — with a
-// diagnosable error, not silent sharing — anything it cannot prove
-// copied: unexported fields in indirect types, channels, funcs.
-func reflectCopy(rv reflect.Value) (reflect.Value, error) {
-	t := rv.Type()
-	if pureValue(t) {
-		return rv, nil
-	}
+// copyInto clones src into dst, a zero, settable slot of the same type,
+// writing in place so no intermediate value is built per field or
+// element. It handles arbitrary message types (workload structs like
+// the master-worker result packet) and refuses — with a diagnosable
+// error, not silent sharing — anything it cannot prove copied:
+// unexported fields in indirect types, channels, funcs.
+func copyInto(dst, src reflect.Value) error {
+	t := src.Type()
 	switch t.Kind() {
 	case reflect.Slice:
-		if rv.IsNil() {
-			return rv, nil
+		if src.IsNil() {
+			return nil
 		}
-		out := reflect.MakeSlice(t, rv.Len(), rv.Len())
-		for i := 0; i < rv.Len(); i++ {
-			c, err := reflectCopy(rv.Index(i))
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			out.Index(i).Set(c)
+		n := src.Len()
+		if n == 0 {
+			dst.Set(reflect.MakeSlice(t, 0, 0)) // empty, not nil
+			return nil
 		}
-		return out, nil
+		dst.Grow(n) // allocates straight into the slot: one allocation
+		dst.SetLen(n)
+		return copyElems(dst, src)
 	case reflect.Array:
-		out := reflect.New(t).Elem()
-		for i := 0; i < rv.Len(); i++ {
-			c, err := reflectCopy(rv.Index(i))
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			out.Index(i).Set(c)
-		}
-		return out, nil
+		return copyElems(dst, src)
 	case reflect.Map:
-		if rv.IsNil() {
-			return rv, nil
+		if src.IsNil() {
+			return nil
 		}
-		out := reflect.MakeMapWithSize(t, rv.Len())
-		iter := rv.MapRange()
+		dst.Set(reflect.MakeMapWithSize(t, src.Len()))
+		iter := src.MapRange()
 		for iter.Next() {
-			k, err := reflectCopy(iter.Key())
+			k, err := copyValue(iter.Key())
 			if err != nil {
-				return reflect.Value{}, err
+				return err
 			}
-			v, err := reflectCopy(iter.Value())
+			v, err := copyValue(iter.Value())
 			if err != nil {
-				return reflect.Value{}, err
+				return err
 			}
-			out.SetMapIndex(k, v)
+			dst.SetMapIndex(k, v)
 		}
-		return out, nil
+		return nil
 	case reflect.Interface:
-		if rv.IsNil() {
-			return rv, nil
+		if src.IsNil() {
+			return nil
 		}
-		c, err := copyForSend(rv.Interface())
+		c, err := copyForSend(src.Interface())
 		if err != nil {
-			return reflect.Value{}, err
+			return err
 		}
-		out := reflect.New(t).Elem()
 		if c != nil {
-			out.Set(reflect.ValueOf(c))
+			dst.Set(reflect.ValueOf(c))
 		}
-		return out, nil
+		return nil
 	case reflect.Pointer:
-		if rv.IsNil() {
-			return rv, nil
+		if src.IsNil() {
+			return nil
 		}
 		if t == thunkType {
-			c, err := copyThunk(rv.Interface().(*graph.Thunk))
+			c, err := copyThunk(src.Interface().(*graph.Thunk))
 			if err != nil {
-				return reflect.Value{}, err
+				return err
 			}
-			return reflect.ValueOf(c), nil
+			dst.Set(reflect.ValueOf(c))
+			return nil
 		}
-		out := reflect.New(t.Elem())
-		c, err := reflectCopy(rv.Elem())
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		out.Elem().Set(c)
-		return out, nil
+		dst.Set(reflect.New(t.Elem()))
+		return copyInto(dst.Elem(), src.Elem())
 	case reflect.Struct:
-		out := reflect.New(t).Elem()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				return reflect.Value{}, fmt.Errorf("cannot copy %s across heaps: unexported field %s", t, t.Field(i).Name)
+		for i, n := 0, src.NumField(); i < n; i++ {
+			f := src.Field(i)
+			if !f.CanInterface() { // unexported: cannot be set field by field
+				if pureValue(t) {
+					dst.Set(src)
+					return nil
+				}
+				return fmt.Errorf("cannot copy %s across heaps: unexported field %s", t, t.Field(i).Name)
 			}
-			c, err := reflectCopy(rv.Field(i))
-			if err != nil {
-				return reflect.Value{}, err
+			if err := copyInto(dst.Field(i), f); err != nil {
+				return err
 			}
-			out.Field(i).Set(c)
 		}
-		return out, nil
-	default:
-		return reflect.Value{}, fmt.Errorf("cannot copy %s across heaps", t)
+		return nil
+	case reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return fmt.Errorf("cannot copy %s across heaps", t)
+	default: // scalars and strings
+		dst.Set(src)
+		return nil
 	}
+}
+
+// copyElems fills dst, a slice or array of src's type and length, with
+// copies of src's elements: one bulk move when the element type holds
+// no indirection, element by element otherwise.
+func copyElems(dst, src reflect.Value) error {
+	if pureValue(src.Type().Elem()) {
+		reflect.Copy(dst, src)
+		return nil
+	}
+	for i, n := 0, src.Len(); i < n; i++ {
+		if err := copyInto(dst.Index(i), src.Index(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // pureValue reports whether t contains no indirection at any depth —
