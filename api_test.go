@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 func TestFacadeClusterSupervised(t *testing.T) {
 	cfg := parhask.ClusterConfig{
 		Procs: 2, PerProc: 1, Transport: "tcp",
-		Spec:     "sumeuler?n=2000&chunks=4",
+		Spec:     "sumeuler?n=2000&pechunks=4",
 		Faults:   "kill-rank=1:20ms",
 		Restart:  &parhask.ClusterRestart{Max: 2, Backoff: 20 * time.Millisecond},
 		Deadline: 60 * time.Second,

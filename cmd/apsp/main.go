@@ -1,325 +1,14 @@
 // Command apsp runs the paper's third benchmark — all-pairs shortest
-// paths — on a chosen runtime configuration:
+// paths, a GpH thunk lattice or an Eden process ring — on any of the
+// runtimes:
 //
-//	apsp -n 400 -cores 8 -rts eden            # ring of 8 processes
-//	apsp -n 400 -cores 8 -rts steal -eager    # GpH, eager black-holing
-//	apsp -n 400 -cores 8 -rts steal           # lazy BH: watch it crawl
-//	apsp -n 400 -runtime native -workers 8    # real goroutines
-//	apsp -runtime eden -cluster 3 -pes 1 -transport unix  # multi-process ring
+//	apsp -n 400 -cores 8 -rts eden              # ring of 8 processes
+//	apsp -n 400 -cores 8 -rts steal [-eager]    # lazy black-holing crawls
+//	apsp -n 400 -runtime native -workers 8
 //
-// Results are always verified against a sequential Floyd–Warshall.
-// With -runtime native the thunk-lattice program runs on the real
-// work-stealing runtime: -eager selects the CAS claim policy, and the
-// duplicate-entry count measures what lazy black-holing costs on real
-// hardware. -trace then enables the eventlog and renders a per-worker
-// wall-clock timeline (watch the red blocked bands grow under lazy
-// black-holing), and -stats json emits only the machine-readable
-// per-worker counter report on stdout.
+// The flags and the report are internal/driver's; -h lists them.
 package main
 
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"time"
+import "parhask/internal/driver"
 
-	"parhask/internal/cluster"
-	"parhask/internal/eden"
-	"parhask/internal/faults"
-	"parhask/internal/gph"
-	"parhask/internal/native"
-	"parhask/internal/nativeeden"
-	"parhask/internal/trace"
-	"parhask/internal/tune"
-	"parhask/internal/workloads/apsp"
-)
-
-func main() {
-	cluster.MaybeWorker()
-	n := flag.Int("n", 400, "number of graph nodes")
-	cores := flag.Int("cores", 8, "simulated physical cores")
-	ring := flag.Int("ring", 0, "Eden ring size (default: cores / PEs)")
-	pes := flag.Int("pes", 0, "native Eden processing elements (default: GOMAXPROCS)")
-	rts := flag.String("rts", "eden", "runtime: plain | bigalloc | sync | steal | eden")
-	eager := flag.Bool("eager", false, "eager black-holing (GpH)")
-	seed := flag.Uint64("seed", 105, "graph generator seed")
-	showTrace := flag.Bool("trace", false, "print the activity timeline")
-	width := flag.Int("width", 100, "trace width")
-	rtKind := flag.String("runtime", "sim", "execution runtime: sim (virtual time) | native (real goroutines) | eden (distributed-heap PEs on real goroutines)")
-	workers := flag.Int("workers", 0, "native worker goroutines (default: GOMAXPROCS)")
-	statsFmt := flag.String("stats", "text", "native stats format: text | json (per-worker counters, machine-readable, json output only)")
-	faultSpec := flag.String("faults", "", "fault-injection spec for the native runtimes (internal/faults grammar)")
-	deadline := flag.Duration("deadline", 0, "native deadlock-watchdog deadline, e.g. 10s (0 = disabled)")
-	autotune := flag.Bool("autotune", false, "native runtime: run the online controller (dynamic row chunking, adaptive backoff, GOGC, parking)")
-	backoffSpec := flag.String("backoff", "", "native runtime: idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
-	clusterN := flag.Int("cluster", 0, "run -runtime eden as N separate worker OS processes, -pes PEs each (0 = single process)")
-	transport := flag.String("transport", "tcp", "cluster transport: tcp | unix")
-	restarts := flag.Int("restarts", 0, "cluster restart budget: respawn the workers and retry the run up to N times after a process death (0 = fail on the first death)")
-	reconnect := flag.Bool("reconnect", true, "cluster: let a worker whose link breaks redial and resume in place")
-	flag.Parse()
-
-	if err := cluster.CheckFlags(*rtKind, *clusterN, *transport, *restarts); err != nil {
-		fmt.Fprintln(os.Stderr, "apsp:", err)
-		os.Exit(2)
-	}
-	inj, ferr := faults.CLIInjector(*faultSpec, *deadline, *rtKind)
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "apsp:", ferr)
-		os.Exit(2)
-	}
-	if (*autotune || *backoffSpec != "") && *rtKind != "native" {
-		fmt.Fprintf(os.Stderr, "apsp: -autotune/-backoff require -runtime native (got %q)\n", *rtKind)
-		os.Exit(2)
-	}
-	var backoff *tune.Backoff
-	if *backoffSpec != "" {
-		var berr error
-		if backoff, berr = tune.ParseBackoff(*backoffSpec); berr != nil {
-			fmt.Fprintln(os.Stderr, "apsp: -backoff:", berr)
-			os.Exit(2)
-		}
-	}
-
-	g := apsp.RandomGraph(*n, *seed, 9, 25)
-	want := apsp.FloydWarshall(g)
-
-	verify := func(v any) {
-		if !apsp.Equal(v.(apsp.Graph), want) {
-			fmt.Fprintln(os.Stderr, "apsp: RESULT MISMATCH vs Floyd–Warshall oracle")
-			os.Exit(1)
-		}
-	}
-
-	if *rtKind == "native" {
-		ncfg := native.NewConfig(*workers)
-		ncfg.EagerBlackholing = *eager
-		ncfg.EventLog = *showTrace
-		ncfg.Faults = inj
-		ncfg.Deadline = *deadline
-		ncfg.Backoff = backoff
-		prog := apsp.Program(g, 0)
-		if *autotune {
-			sp := tune.NewSplitter("apsp", 1, 1, *n)
-			ncfg.Autotune = &native.AutotuneConfig{Splitters: []*tune.Splitter{sp}}
-			prog = apsp.AutoProgram(g, sp, 0)
-		}
-		res, err := native.Run(ncfg, prog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apsp:", err)
-			if res != nil && *showTrace {
-				if tl := res.Trace(); tl != nil {
-					fmt.Printf("partial timeline of the failed run:\n")
-					fmt.Print(tl.Render(*width))
-					fmt.Print(tl.Summary())
-				}
-			}
-			os.Exit(1)
-		}
-		verify(res.Value)
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res.Report(), "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "apsp:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		bh := "lazy"
-		if *eager {
-			bh = "eager"
-		}
-		fmt.Printf("apsp %d nodes on native runtime, %d workers (%s blackholing)\n",
-			*n, res.Workers, bh)
-		fmt.Println("result   = verified against Floyd–Warshall")
-		scfg := gph.WorkStealingConfig(*cores)
-		scfg.EagerBlackholing = *eager
-		scfg.ResidentBytes = 2 * apsp.Bytes(*n)
-		sres, serr := gph.Run(scfg, apsp.GpHProgram(g, scfg.Costs.MinPlus))
-		if serr == nil {
-			fmt.Printf("runtime  = %v (wall clock)   vs %s (virtual, steal/%d cores)\n",
-				res.Wall(), trace.FmtDur(sres.Elapsed), *cores)
-		} else {
-			fmt.Printf("runtime  = %v (wall clock)\n", res.Wall())
-		}
-		fmt.Printf("stats    = %+v (duplicate thunk entries: %d)\n", res.Stats, res.Stats.DupEntries)
-		if at := res.Autotune; at != nil {
-			fmt.Printf("autotune = %d decisions, grains=%v, backoff level %d (park=%d), gogc=%d\n",
-				len(at.Decisions), at.Grains, at.BackoffLevel, at.ParkAfter, at.GOGC)
-		}
-		if *showTrace {
-			tl := res.Trace()
-			fmt.Print(tl.Render(*width))
-			fmt.Print(tl.Summary())
-		}
-		return
-	}
-	if *clusterN > 0 {
-		perProc := *pes
-		if perProc <= 0 {
-			perProc = 2
-		}
-		r := *ring
-		if r == 0 {
-			r = *clusterN * perProc
-		}
-		// In cluster mode the workload registry owns the graph: workers
-		// and coordinator rebuild the same instance from the spec string,
-		// and the coordinator's oracle checks the folded result.
-		ccfg := cluster.Config{
-			Procs: *clusterN, PerProc: perProc, Transport: *transport,
-			Spec:   fmt.Sprintf("apsp?n=%d&ring=%d&seed=%d", *n, r, *seed),
-			Faults: *faultSpec, EventLog: *showTrace, Deadline: *deadline,
-		}
-		if *restarts > 0 {
-			ccfg.Restart = &cluster.Restart{Max: *restarts}
-		}
-		if !*reconnect {
-			ccfg.ReconnectWindow = -1
-		}
-		res, err := cluster.RunSupervised(ccfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apsp:", err)
-			os.Exit(1)
-		}
-		_, oracle, berr := cluster.BuildProgram(ccfg.Spec)
-		if berr == nil {
-			berr = oracle(res.Value)
-		}
-		if berr != nil {
-			fmt.Fprintln(os.Stderr, "apsp:", berr)
-			os.Exit(1)
-		}
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res, "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "apsp:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Printf("apsp %d nodes on a %d-process Eden cluster (%s), ring of %d, %d PEs per process\n",
-			*n, res.Procs, *transport, r, res.PerProc)
-		fmt.Println("result   = verified against Floyd–Warshall")
-		fmt.Printf("runtime  = %v (root wall clock; %v including launch and drain)\n",
-			time.Duration(res.WallNS), time.Duration(res.CoordNS))
-		fmt.Printf("stats    = %+v\n", res.Total)
-		if s := res.RecoverySummary(); s != "" {
-			fmt.Print(s)
-		}
-		if *showTrace {
-			if tl, terr := res.TraceLog(); terr == nil && tl != nil {
-				fmt.Print(tl.Render(*width))
-				fmt.Print(tl.Summary())
-			}
-		}
-		return
-	}
-	if *rtKind == "eden" {
-		ecfg := nativeeden.NewConfig(*pes)
-		ecfg.EventLog = *showTrace
-		r := *ring
-		if r == 0 {
-			r = ecfg.PEs
-		}
-		ecfg.Faults = inj
-		ecfg.Deadline = *deadline
-		res, err := nativeeden.Run(ecfg, apsp.EdenRingProgram(g, r, 0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apsp:", err)
-			if res != nil && *showTrace {
-				if tl := res.Trace(); tl != nil {
-					fmt.Printf("partial timeline of the failed run:\n")
-					fmt.Print(tl.Render(*width))
-					fmt.Print(tl.Summary())
-				}
-			}
-			os.Exit(1)
-		}
-		verify(res.Value)
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res.Report(), "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "apsp:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Printf("apsp %d nodes on native Eden ring of %d, %d PEs (distributed heaps)\n",
-			*n, r, res.PEs)
-		fmt.Println("result   = verified against Floyd–Warshall")
-		fmt.Printf("runtime  = %v (wall clock)\n", res.Wall())
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if *showTrace {
-			tl := res.Trace()
-			fmt.Print(tl.Render(*width))
-			fmt.Print(tl.Summary())
-		}
-		return
-	}
-	if *rtKind != "sim" {
-		fmt.Fprintf(os.Stderr, "apsp: unknown -runtime %q\n", *rtKind)
-		os.Exit(2)
-	}
-
-	if *rts == "eden" {
-		r := *ring
-		if r == 0 {
-			r = *cores
-		}
-		cfg := eden.NewConfig(r+1, *cores)
-		res, err := eden.Run(cfg, apsp.EdenRingProgram(g, r, cfg.Costs.MinPlus))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apsp:", err)
-			os.Exit(1)
-		}
-		verify(res.Value)
-		fmt.Printf("apsp %d nodes on Eden ring of %d, %d cores\n", *n, r, *cores)
-		fmt.Println("result   = verified against Floyd–Warshall")
-		fmt.Printf("runtime  = %s (virtual)\n", trace.FmtDur(res.Elapsed))
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if *showTrace {
-			fmt.Print(res.Trace.Render(*width))
-			fmt.Print(res.Trace.Summary())
-		}
-		return
-	}
-
-	var cfg gph.Config
-	switch *rts {
-	case "plain":
-		cfg = gph.PlainGHC69(*cores)
-	case "bigalloc":
-		cfg = gph.BigAllocArea(*cores)
-	case "sync":
-		cfg = gph.ImprovedSync(*cores)
-	case "steal":
-		cfg = gph.WorkStealingConfig(*cores)
-	default:
-		fmt.Fprintf(os.Stderr, "apsp: unknown -rts %q\n", *rts)
-		os.Exit(2)
-	}
-	cfg.EagerBlackholing = *eager
-	cfg.ResidentBytes = 2 * apsp.Bytes(*n)
-	res, err := gph.Run(cfg, apsp.GpHProgram(g, cfg.Costs.MinPlus))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "apsp:", err)
-		os.Exit(1)
-	}
-	verify(res.Value)
-	bh := "lazy"
-	if *eager {
-		bh = "eager"
-	}
-	fmt.Printf("apsp %d nodes on GpH (%s, %s blackholing), %d cores\n", *n, *rts, bh, *cores)
-	fmt.Println("result   = verified against Floyd–Warshall")
-	fmt.Printf("runtime  = %s (virtual)\n", trace.FmtDur(res.Elapsed))
-	fmt.Printf("stats    = %+v (duplicate thunk entries: %d)\n", res.Stats, res.Stats.DupEntries)
-	if *showTrace {
-		fmt.Print(res.Trace.Render(*width))
-		fmt.Print(res.Trace.Summary())
-	}
-}
+func main() { driver.Main("apsp") }

@@ -1,324 +1,14 @@
 // Command matmul runs the paper's second benchmark — dense matrix
-// multiplication — on a chosen runtime configuration:
+// multiplication, GpH result blocks or an Eden Cannon torus — on any of
+// the runtimes:
 //
 //	matmul -n 396 -cores 8 -rts steal -block 33
 //	matmul -n 396 -cores 8 -rts eden -q 4 -pes 17    # Fig. 4 e)
-//	matmul -n 1008 -block 72 -rts plain -trace       # paper-size
-//	matmul -n 396 -runtime native -workers 8         # real goroutines
-//	matmul -runtime eden -cluster 4 -q 2 -pes 2      # multi-process torus
+//	matmul -runtime eden -cluster 4 -q 2 -pes 2
 //
-// The GpH versions spark result blocks; the Eden version runs Cannon's
-// algorithm on a q×q torus. Results are verified against a sequential
-// oracle for n ≤ 512. With -runtime native the block program runs on
-// the real work-stealing runtime and the wall-clock time is printed
-// next to the simulated virtual time; -trace then enables the eventlog
-// and renders a per-worker wall-clock timeline, and -stats json emits
-// only the machine-readable per-worker counter report on stdout.
+// The flags and the report are internal/driver's; -h lists them.
 package main
 
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"time"
+import "parhask/internal/driver"
 
-	"parhask/internal/cluster"
-	"parhask/internal/eden"
-	"parhask/internal/faults"
-	"parhask/internal/gph"
-	"parhask/internal/native"
-	"parhask/internal/nativeeden"
-	"parhask/internal/trace"
-	"parhask/internal/tune"
-	"parhask/internal/workloads/matmul"
-)
-
-func main() {
-	cluster.MaybeWorker()
-	n := flag.Int("n", 396, "matrix dimension")
-	block := flag.Int("block", 33, "GpH block size (spark granularity)")
-	q := flag.Int("q", 3, "Eden torus dimension (q x q processes)")
-	cores := flag.Int("cores", 8, "simulated physical cores")
-	pes := flag.Int("pes", 0, "Eden virtual PEs (default: q*q+1)")
-	rts := flag.String("rts", "steal", "runtime: plain | bigalloc | sync | steal | rows | eden")
-	showTrace := flag.Bool("trace", false, "print the activity timeline")
-	width := flag.Int("width", 100, "trace width")
-	rtKind := flag.String("runtime", "sim", "execution runtime: sim (virtual time) | native (real goroutines) | eden (distributed-heap PEs on real goroutines)")
-	workers := flag.Int("workers", 0, "native worker goroutines (default: GOMAXPROCS)")
-	statsFmt := flag.String("stats", "text", "native stats format: text | json (per-worker counters, machine-readable, json output only)")
-	faultSpec := flag.String("faults", "", "fault-injection spec for the native runtimes (internal/faults grammar)")
-	deadline := flag.Duration("deadline", 0, "native deadlock-watchdog deadline, e.g. 10s (0 = disabled)")
-	autotune := flag.Bool("autotune", false, "native runtime: run the online controller (dynamic block size, adaptive backoff, GOGC, parking); -block is ignored")
-	backoffSpec := flag.String("backoff", "", "native runtime: idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
-	clusterN := flag.Int("cluster", 0, "run -runtime eden as N separate worker OS processes, -pes PEs each (0 = single process)")
-	transport := flag.String("transport", "tcp", "cluster transport: tcp | unix")
-	restarts := flag.Int("restarts", 0, "cluster restart budget: respawn the workers and retry the run up to N times after a process death (0 = fail on the first death)")
-	reconnect := flag.Bool("reconnect", true, "cluster: let a worker whose link breaks redial and resume in place")
-	flag.Parse()
-
-	if err := cluster.CheckFlags(*rtKind, *clusterN, *transport, *restarts); err != nil {
-		fmt.Fprintln(os.Stderr, "matmul:", err)
-		os.Exit(2)
-	}
-	inj, ferr := faults.CLIInjector(*faultSpec, *deadline, *rtKind)
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "matmul:", ferr)
-		os.Exit(2)
-	}
-	if (*autotune || *backoffSpec != "") && *rtKind != "native" {
-		fmt.Fprintf(os.Stderr, "matmul: -autotune/-backoff require -runtime native (got %q)\n", *rtKind)
-		os.Exit(2)
-	}
-	var backoff *tune.Backoff
-	if *backoffSpec != "" {
-		var berr error
-		if backoff, berr = tune.ParseBackoff(*backoffSpec); berr != nil {
-			fmt.Fprintln(os.Stderr, "matmul: -backoff:", berr)
-			os.Exit(2)
-		}
-	}
-
-	a := matmul.Random(*n, 103)
-	b := matmul.Random(*n, 104)
-	var oracle matmul.Mat
-	if *n <= 512 {
-		oracle = matmul.MulOracle(a, b)
-	}
-
-	if *rtKind == "native" {
-		ncfg := native.NewConfig(*workers)
-		ncfg.EventLog = *showTrace
-		ncfg.Faults = inj
-		ncfg.Deadline = *deadline
-		ncfg.Backoff = backoff
-		prog := matmul.BlockProgram(a, b, *block, 0)
-		if *autotune {
-			sp := tune.NewSplitter("matmul", (*block)*(*block), 1, (*n)*(*n))
-			ncfg.Autotune = &native.AutotuneConfig{Splitters: []*tune.Splitter{sp}}
-			prog = matmul.AutoBlockProgram(a, b, sp, 0)
-		}
-		res, err := native.Run(ncfg, prog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "matmul:", err)
-			if res != nil && *showTrace {
-				if tl := res.Trace(); tl != nil {
-					fmt.Printf("partial timeline of the failed run:\n")
-					fmt.Print(tl.Render(*width))
-					fmt.Print(tl.Summary())
-				}
-			}
-			os.Exit(1)
-		}
-		got := res.Value.(matmul.Mat)
-		if oracle != nil && !matmul.Equal(got, oracle, 1e-6) {
-			fmt.Fprintln(os.Stderr, "matmul: RESULT MISMATCH vs sequential oracle")
-			os.Exit(1)
-		}
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res.Report(), "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "matmul:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Printf("matmul %dx%d on native runtime, %d workers, %dx%d blocks\n",
-			*n, *n, res.Workers, *block, *block)
-		if oracle != nil {
-			fmt.Println("result   = verified against sequential oracle")
-		} else {
-			fmt.Printf("checksum = %.6g\n", matmul.Checksum(got))
-		}
-		scfg := gph.WorkStealingConfig(*cores)
-		scfg.ResidentBytes = 3 * matmul.Bytes(*n)
-		sres, serr := gph.Run(scfg, matmul.GpHBlockProgram(a, b, *block, scfg.Costs.MulAdd))
-		if serr == nil {
-			fmt.Printf("runtime  = %v (wall clock)   vs %s (virtual, steal/%d cores)\n",
-				res.Wall(), trace.FmtDur(sres.Elapsed), *cores)
-		} else {
-			fmt.Printf("runtime  = %v (wall clock)\n", res.Wall())
-		}
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if at := res.Autotune; at != nil {
-			fmt.Printf("autotune = %d decisions, grains=%v, backoff level %d (park=%d), gogc=%d\n",
-				len(at.Decisions), at.Grains, at.BackoffLevel, at.ParkAfter, at.GOGC)
-		}
-		if *showTrace {
-			tl := res.Trace()
-			fmt.Print(tl.Render(*width))
-			fmt.Print(tl.Summary())
-		}
-		return
-	}
-	if *clusterN > 0 {
-		perProc := *pes
-		if perProc <= 0 {
-			perProc = 2
-		}
-		ccfg := cluster.Config{
-			Procs: *clusterN, PerProc: perProc, Transport: *transport,
-			Spec:   fmt.Sprintf("matmul?n=%d&q=%d&seed=103", *n, *q),
-			Faults: *faultSpec, EventLog: *showTrace, Deadline: *deadline,
-		}
-		if *restarts > 0 {
-			ccfg.Restart = &cluster.Restart{Max: *restarts}
-		}
-		if !*reconnect {
-			ccfg.ReconnectWindow = -1
-		}
-		res, err := cluster.RunSupervised(ccfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "matmul:", err)
-			os.Exit(1)
-		}
-		_, cOracle, berr := cluster.BuildProgram(ccfg.Spec)
-		if berr == nil {
-			berr = cOracle(res.Value)
-		}
-		if berr != nil {
-			fmt.Fprintln(os.Stderr, "matmul:", berr)
-			os.Exit(1)
-		}
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res, "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "matmul:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Printf("matmul %dx%d on a %d-process Eden cluster (%s), Cannon %dx%d torus, %d PEs per process\n",
-			*n, *n, res.Procs, *transport, *q, *q, res.PerProc)
-		fmt.Println("result   = verified against sequential oracle")
-		fmt.Printf("runtime  = %v (root wall clock; %v including launch and drain)\n",
-			time.Duration(res.WallNS), time.Duration(res.CoordNS))
-		fmt.Printf("stats    = %+v\n", res.Total)
-		if s := res.RecoverySummary(); s != "" {
-			fmt.Print(s)
-		}
-		if *showTrace {
-			if tl, terr := res.TraceLog(); terr == nil && tl != nil {
-				fmt.Print(tl.Render(*width))
-				fmt.Print(tl.Summary())
-			}
-		}
-		return
-	}
-	if *rtKind == "eden" {
-		ecfg := nativeeden.NewConfig(*pes)
-		ecfg.EventLog = *showTrace
-		ecfg.Faults = inj
-		ecfg.Deadline = *deadline
-		res, err := nativeeden.Run(ecfg, matmul.EdenCannonProgram(a, b, *q, 0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "matmul:", err)
-			if res != nil && *showTrace {
-				if tl := res.Trace(); tl != nil {
-					fmt.Printf("partial timeline of the failed run:\n")
-					fmt.Print(tl.Render(*width))
-					fmt.Print(tl.Summary())
-				}
-			}
-			os.Exit(1)
-		}
-		got := res.Value.(matmul.Mat)
-		if oracle != nil && !matmul.Equal(got, oracle, 1e-6) {
-			fmt.Fprintln(os.Stderr, "matmul: RESULT MISMATCH vs sequential oracle")
-			os.Exit(1)
-		}
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res.Report(), "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "matmul:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Printf("matmul %dx%d on native Eden Cannon %dx%d torus, %d PEs (distributed heaps)\n",
-			*n, *n, *q, *q, res.PEs)
-		if oracle != nil {
-			fmt.Println("result   = verified against sequential oracle")
-		} else {
-			fmt.Printf("checksum = %.6g\n", matmul.Checksum(got))
-		}
-		fmt.Printf("runtime  = %v (wall clock)\n", res.Wall())
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if *showTrace {
-			tl := res.Trace()
-			fmt.Print(tl.Render(*width))
-			fmt.Print(tl.Summary())
-		}
-		return
-	}
-	if *rtKind != "sim" {
-		fmt.Fprintf(os.Stderr, "matmul: unknown -runtime %q\n", *rtKind)
-		os.Exit(2)
-	}
-
-	report := func(kind string, elapsed int64, value any, tr *trace.Log, stats any) {
-		fmt.Printf("matmul %dx%d on %s, %d cores\n", *n, *n, kind, *cores)
-		got := value.(matmul.Mat)
-		if oracle != nil {
-			if !matmul.Equal(got, oracle, 1e-6) {
-				fmt.Fprintln(os.Stderr, "matmul: RESULT MISMATCH vs sequential oracle")
-				os.Exit(1)
-			}
-			fmt.Println("result   = verified against sequential oracle")
-		} else {
-			fmt.Printf("checksum = %.6g\n", matmul.Checksum(got))
-		}
-		fmt.Printf("runtime  = %s (virtual)\n", trace.FmtDur(elapsed))
-		fmt.Printf("stats    = %+v\n", stats)
-		if *showTrace {
-			fmt.Print(tr.Render(*width))
-			fmt.Print(tr.Summary())
-		}
-	}
-
-	if *rts == "eden" {
-		np := *pes
-		if np == 0 {
-			np = *q**q + 1
-		}
-		cfg := eden.NewConfig(np, *cores)
-		res, err := eden.Run(cfg, matmul.EdenCannonProgram(a, b, *q, cfg.Costs.MulAdd))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "matmul:", err)
-			os.Exit(1)
-		}
-		report(fmt.Sprintf("Eden Cannon %dx%d torus, %d PEs", *q, *q, np), res.Elapsed, res.Value, res.Trace, res.Stats)
-		return
-	}
-
-	var cfg gph.Config
-	switch *rts {
-	case "plain":
-		cfg = gph.PlainGHC69(*cores)
-	case "bigalloc":
-		cfg = gph.BigAllocArea(*cores)
-	case "sync":
-		cfg = gph.ImprovedSync(*cores)
-	case "steal", "rows":
-		cfg = gph.WorkStealingConfig(*cores)
-	default:
-		fmt.Fprintf(os.Stderr, "matmul: unknown -rts %q\n", *rts)
-		os.Exit(2)
-	}
-	cfg.ResidentBytes = 3 * matmul.Bytes(*n)
-	prog := matmul.GpHBlockProgram(a, b, *block, cfg.Costs.MulAdd)
-	kind := fmt.Sprintf("GpH (%s), %dx%d blocks", *rts, *block, *block)
-	if *rts == "rows" {
-		prog = matmul.GpHRowProgram(a, b, cfg.Costs.MulAdd)
-		kind = "GpH (steal), row-parallel"
-	}
-	res, err := gph.Run(cfg, prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "matmul:", err)
-		os.Exit(1)
-	}
-	report(kind, res.Elapsed, res.Value, res.Trace, res.Stats)
-}
+func main() { driver.Main("matmul") }

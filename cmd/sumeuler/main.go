@@ -1,345 +1,13 @@
 // Command sumeuler runs the paper's first benchmark — the sum of Euler
-// totients φ(k) for k ≤ n — on a chosen runtime configuration:
+// totients φ(k) for k ≤ n — on any of the runtimes:
 //
 //	sumeuler -n 15000 -cores 8 -rts steal
-//	sumeuler -n 15000 -cores 8 -rts eden -pes 8
-//	sumeuler -n 15000 -rts plain -trace
-//	sumeuler -n 15000 -runtime native -workers 8   # real goroutines
-//	sumeuler -n 15000 -runtime native -workers 8 -trace       # wall-clock timeline
-//	sumeuler -n 15000 -runtime native -workers 8 -stats json  # machine-readable
-//	sumeuler -n 15000 -runtime eden -pes 8         # distributed-heap PEs
-//	sumeuler -n 15000 -runtime eden -pes 17 -trace # virtual PEs, per-PE timeline
-//	sumeuler -runtime eden -faults "seed=7,drop=0.4" -deadline 10s  # chaos replay
-//	sumeuler -runtime eden -cluster 3 -pes 2 -transport tcp  # 3 worker processes
+//	sumeuler -n 15000 -runtime native -workers 8
+//	sumeuler -n 15000 -runtime eden -cluster 3 -pes 2
 //
-// -faults injects a deterministic seeded fault plan (internal/faults
-// grammar) into the native runtimes, and -deadline arms their deadlock
-// watchdog; a failed run prints the structured error and, with -trace,
-// the partial timeline up to the failure.
-//
-// It prints the virtual runtime, runtime statistics and (with -trace)
-// an EdenTV-style per-capability timeline. With -runtime native the
-// same program body runs on the real work-stealing runtime and the
-// wall-clock time is printed next to the simulated virtual time;
-// -trace then enables the eventlog and renders a per-worker wall-clock
-// timeline, and -stats json emits only the machine-readable per-worker
-// counter report on stdout. With -runtime eden the Eden program runs on
-// the native distributed-heap backend (one isolated heap per PE, real
-// goroutines, copy-on-send channels); -pes may exceed GOMAXPROCS, and
-// the same -trace/-stats flags apply. Adding -cluster N runs that same
-// Eden program as N separate worker OS processes (-pes PEs each) over
-// a real -transport tcp|unix wire: every cross-process message is
-// wire-codec bytes whose count equals the charged eden.SizeOfChecked
-// size, and a worker killed mid-run surfaces as a structured
-// process-death error instead of a hang.
+// The flags and the report are internal/driver's; -h lists them.
 package main
 
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"time"
+import "parhask/internal/driver"
 
-	"parhask/internal/cluster"
-	"parhask/internal/eden"
-	"parhask/internal/faults"
-	"parhask/internal/gph"
-	"parhask/internal/gum"
-	"parhask/internal/native"
-	"parhask/internal/nativeeden"
-	"parhask/internal/trace"
-	"parhask/internal/tune"
-	"parhask/internal/workloads/euler"
-)
-
-func main() {
-	cluster.MaybeWorker()
-	n := flag.Int("n", 15000, "sum φ(k) for k in [1..n]")
-	cores := flag.Int("cores", 8, "simulated physical cores")
-	rts := flag.String("rts", "steal", "runtime: plain | bigalloc | sync | steal | localheaps | gum | eden")
-	pes := flag.Int("pes", 0, "Eden PEs (default: cores)")
-	chunks := flag.Int("chunks", 300, "GpH chunk count / Eden chunks are 8 per PE")
-	eager := flag.Bool("eager", false, "eager black-holing (GpH)")
-	showTrace := flag.Bool("trace", false, "print the activity timeline")
-	profile := flag.Bool("profile", false, "print the thread-granularity profile (GpH runtimes)")
-	width := flag.Int("width", 100, "trace width")
-	rtKind := flag.String("runtime", "sim", "execution runtime: sim (virtual time) | native (real goroutines) | eden (distributed-heap PEs on real goroutines)")
-	workers := flag.Int("workers", 0, "native worker goroutines (default: GOMAXPROCS)")
-	statsFmt := flag.String("stats", "text", "native stats format: text | json (per-worker counters, machine-readable, json output only)")
-	faultSpec := flag.String("faults", "", "fault-injection spec for the native runtimes (internal/faults grammar), e.g. \"seed=7,panic-spark=3\"")
-	deadline := flag.Duration("deadline", 0, "native deadlock-watchdog deadline, e.g. 10s (0 = disabled)")
-	autotune := flag.Bool("autotune", false, "native runtime: run the online controller (dynamic chunking, adaptive backoff, GOGC, parking); -chunks is ignored")
-	backoffSpec := flag.String("backoff", "", "native runtime: idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
-	clusterN := flag.Int("cluster", 0, "run -runtime eden as N separate worker OS processes, -pes PEs each (0 = single process)")
-	transport := flag.String("transport", "tcp", "cluster transport: tcp | unix")
-	restarts := flag.Int("restarts", 0, "cluster restart budget: respawn the workers and retry the run up to N times after a process death (0 = fail on the first death)")
-	reconnect := flag.Bool("reconnect", true, "cluster: let a worker whose link breaks redial and resume in place")
-	flag.Parse()
-
-	if err := cluster.CheckFlags(*rtKind, *clusterN, *transport, *restarts); err != nil {
-		fmt.Fprintln(os.Stderr, "sumeuler:", err)
-		os.Exit(2)
-	}
-	inj, ferr := faults.CLIInjector(*faultSpec, *deadline, *rtKind)
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "sumeuler:", ferr)
-		os.Exit(2)
-	}
-	// Fail fast: the tuning flags only mean something on the native
-	// work-stealing runtime, and a bad -backoff spec must not start a run.
-	if (*autotune || *backoffSpec != "") && *rtKind != "native" {
-		fmt.Fprintf(os.Stderr, "sumeuler: -autotune/-backoff require -runtime native (got %q)\n", *rtKind)
-		os.Exit(2)
-	}
-	var backoff *tune.Backoff
-	if *backoffSpec != "" {
-		var berr error
-		if backoff, berr = tune.ParseBackoff(*backoffSpec); berr != nil {
-			fmt.Fprintln(os.Stderr, "sumeuler: -backoff:", berr)
-			os.Exit(2)
-		}
-	}
-
-	if *rtKind == "native" {
-		ncfg := native.NewConfig(*workers)
-		ncfg.EagerBlackholing = *eager
-		ncfg.EventLog = *showTrace
-		ncfg.Faults = inj
-		ncfg.Deadline = *deadline
-		ncfg.Backoff = backoff
-		prog := euler.Program(*n, *chunks, 0, true)
-		if *autotune {
-			sp := tune.NewSplitter("sumeuler", *n / *chunks, 1, *n)
-			ncfg.Autotune = &native.AutotuneConfig{Splitters: []*tune.Splitter{sp}}
-			prog = euler.AutoProgram(*n, sp)
-		}
-		res, err := native.Run(ncfg, prog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sumeuler:", err)
-			if res != nil && *showTrace {
-				if tl := res.Trace(); tl != nil {
-					fmt.Printf("partial timeline of the failed run:\n")
-					fmt.Print(tl.Render(*width))
-					fmt.Print(tl.Summary())
-				}
-			}
-			os.Exit(1)
-		}
-		if want := euler.SumTotientSieve(*n); res.Value.(int64) != want {
-			fmt.Fprintf(os.Stderr, "sumeuler: native result %v != sieve oracle %d\n", res.Value, want)
-			os.Exit(1)
-		}
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res.Report(), "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "sumeuler:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		bh := "lazy"
-		if *eager {
-			bh = "eager"
-		}
-		fmt.Printf("sumEuler [1..%d] on native runtime, %d workers, %d chunks (%s blackholing)\n",
-			*n, res.Workers, *chunks, bh)
-		fmt.Printf("result   = %v (verified against sieve oracle)\n", res.Value)
-		scfg := gph.WorkStealingConfig(*cores)
-		scfg.EagerBlackholing = *eager
-		sres, serr := gph.Run(scfg, euler.GpHProgram(*n, *chunks, scfg.Costs.GCDIter))
-		if serr == nil {
-			fmt.Printf("runtime  = %v (wall clock)   vs %s (virtual, steal/%d cores)\n",
-				res.Wall(), trace.FmtDur(sres.Elapsed), *cores)
-		} else {
-			fmt.Printf("runtime  = %v (wall clock)\n", res.Wall())
-		}
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if at := res.Autotune; at != nil {
-			fmt.Printf("autotune = %d decisions, grains=%v, backoff level %d (park=%d), gogc=%d\n",
-				len(at.Decisions), at.Grains, at.BackoffLevel, at.ParkAfter, at.GOGC)
-		}
-		if *showTrace {
-			tl := res.Trace()
-			fmt.Print(tl.Render(*width))
-			fmt.Print(tl.Summary())
-		}
-		return
-	}
-	if *clusterN > 0 {
-		perProc := *pes
-		if perProc <= 0 {
-			perProc = 2
-		}
-		ccfg := cluster.Config{
-			Procs: *clusterN, PerProc: perProc, Transport: *transport,
-			Spec:   fmt.Sprintf("sumeuler?n=%d&chunks=8", *n),
-			Faults: *faultSpec, EventLog: *showTrace, Deadline: *deadline,
-		}
-		if *restarts > 0 {
-			ccfg.Restart = &cluster.Restart{Max: *restarts}
-		}
-		if !*reconnect {
-			ccfg.ReconnectWindow = -1
-		}
-		res, err := cluster.RunSupervised(ccfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sumeuler:", err)
-			os.Exit(1)
-		}
-		if want := euler.SumTotientSieve(*n); res.Value.(int64) != want {
-			fmt.Fprintf(os.Stderr, "sumeuler: cluster result %v != sieve oracle %d\n", res.Value, want)
-			os.Exit(1)
-		}
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res, "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "sumeuler:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Printf("sumEuler [1..%d] on a %d-process Eden cluster (%s), %d PEs per process\n",
-			*n, res.Procs, *transport, res.PerProc)
-		fmt.Printf("result   = %v (verified against sieve oracle)\n", res.Value)
-		fmt.Printf("runtime  = %v (root wall clock; %v including launch and drain)\n",
-			time.Duration(res.WallNS), time.Duration(res.CoordNS))
-		fmt.Printf("stats    = %+v\n", res.Total)
-		if s := res.RecoverySummary(); s != "" {
-			fmt.Print(s)
-		}
-		if *showTrace {
-			if tl, terr := res.TraceLog(); terr == nil && tl != nil {
-				fmt.Print(tl.Render(*width))
-				fmt.Print(tl.Summary())
-			}
-		}
-		return
-	}
-	if *rtKind == "eden" {
-		ecfg := nativeeden.NewConfig(*pes)
-		ecfg.EventLog = *showTrace
-		ecfg.Faults = inj
-		ecfg.Deadline = *deadline
-		res, err := nativeeden.Run(ecfg, euler.EdenProgram(*n, 8, 0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sumeuler:", err)
-			if res != nil && *showTrace {
-				if tl := res.Trace(); tl != nil {
-					fmt.Printf("partial timeline of the failed run:\n")
-					fmt.Print(tl.Render(*width))
-					fmt.Print(tl.Summary())
-				}
-			}
-			os.Exit(1)
-		}
-		if want := euler.SumTotientSieve(*n); res.Value.(int64) != want {
-			fmt.Fprintf(os.Stderr, "sumeuler: eden-native result %v != sieve oracle %d\n", res.Value, want)
-			os.Exit(1)
-		}
-		if *statsFmt == "json" {
-			out, jerr := json.MarshalIndent(res.Report(), "", "  ")
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "sumeuler:", jerr)
-				os.Exit(1)
-			}
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Printf("sumEuler [1..%d] on native Eden, %d PEs (distributed heaps, real goroutines)\n",
-			*n, res.PEs)
-		fmt.Printf("result   = %v (verified against sieve oracle)\n", res.Value)
-		fmt.Printf("runtime  = %v (wall clock)\n", res.Wall())
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if *showTrace {
-			tl := res.Trace()
-			fmt.Print(tl.Render(*width))
-			fmt.Print(tl.Summary())
-		}
-		return
-	}
-	if *rtKind != "sim" {
-		fmt.Fprintf(os.Stderr, "sumeuler: unknown -runtime %q\n", *rtKind)
-		os.Exit(2)
-	}
-
-	if *rts == "eden" {
-		np := *pes
-		if np == 0 {
-			np = *cores
-		}
-		cfg := eden.NewConfig(np, *cores)
-		res, err := eden.Run(cfg, euler.EdenProgram(*n, 8, cfg.Costs.GCDIter))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sumeuler:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("sumEuler [1..%d] on Eden, %d PEs / %d cores\n", *n, np, *cores)
-		fmt.Printf("result   = %v\n", res.Value)
-		fmt.Printf("runtime  = %s (virtual)\n", trace.FmtDur(res.Elapsed))
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if *showTrace {
-			fmt.Print(res.Trace.Render(*width))
-			fmt.Print(res.Trace.Summary())
-		}
-		return
-	}
-
-	if *rts == "gum" {
-		np := *pes
-		if np == 0 {
-			np = *cores
-		}
-		cfg := gum.NewConfig(np, *cores)
-		res, err := gum.Run(cfg, euler.GpHProgram(*n, *chunks, cfg.Costs.GCDIter))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sumeuler:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("sumEuler [1..%d] on GUM (distributed GpH), %d PEs / %d cores\n", *n, np, *cores)
-		fmt.Printf("result   = %v\n", res.Value)
-		fmt.Printf("runtime  = %s (virtual)\n", trace.FmtDur(res.Elapsed))
-		fmt.Printf("stats    = %+v\n", res.Stats)
-		if *showTrace {
-			fmt.Print(res.Trace.Render(*width))
-			fmt.Print(res.Trace.Summary())
-		}
-		return
-	}
-
-	var cfg gph.Config
-	switch *rts {
-	case "plain":
-		cfg = gph.PlainGHC69(*cores)
-	case "bigalloc":
-		cfg = gph.BigAllocArea(*cores)
-	case "sync":
-		cfg = gph.ImprovedSync(*cores)
-	case "steal":
-		cfg = gph.WorkStealingConfig(*cores)
-	case "localheaps":
-		cfg = gph.LocalHeapsConfig(*cores)
-	default:
-		fmt.Fprintf(os.Stderr, "sumeuler: unknown -rts %q\n", *rts)
-		os.Exit(2)
-	}
-	cfg.EagerBlackholing = *eager
-	res, err := gph.Run(cfg, euler.GpHProgram(*n, *chunks, cfg.Costs.GCDIter))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sumeuler:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("sumEuler [1..%d] on GpH (%s), %d cores, %d chunks\n", *n, *rts, *cores, *chunks)
-	fmt.Printf("result   = %v\n", res.Value)
-	fmt.Printf("runtime  = %s (virtual)\n", trace.FmtDur(res.Elapsed))
-	fmt.Printf("stats    = %+v\n", res.Stats)
-	if *profile {
-		fmt.Print(res.GranularityProfile().String())
-	}
-	if *showTrace {
-		fmt.Print(res.Trace.Render(*width))
-		fmt.Print(res.Trace.Summary())
-	}
-}
+func main() { driver.Main("sumeuler") }

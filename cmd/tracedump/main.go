@@ -150,15 +150,15 @@ func main() {
 		entries = []experiments.TraceEntry{e}
 		rendered = fmt.Sprintf("%s\n%s\n%s", e.Name, e.Rendered, e.Summary)
 	} else if *edenWl != "" {
-		ge, _, err := experiments.NativeTimeline(p, *edenWl, *workers, *eager)
+		ge, err := experiments.NativeTimeline(p, *edenWl, *workers, *eager)
 		ge = keepPartial(ge, err)
-		ee, _, err := experiments.EdenNativeTimeline(p, *edenWl, *pes)
+		ee, err := experiments.EdenNativeTimeline(p, *edenWl, *pes)
 		ee = keepPartial(ee, err)
 		entries = []experiments.TraceEntry{ge, ee}
 		rendered = fmt.Sprintf("%s\n%s\n%s\n\n%s\n%s\n%s",
 			ge.Name, ge.Rendered, ge.Summary, ee.Name, ee.Rendered, ee.Summary)
 	} else if *nativeWl != "" {
-		e, _, err := experiments.NativeTimeline(p, *nativeWl, *workers, *eager)
+		e, err := experiments.NativeTimeline(p, *nativeWl, *workers, *eager)
 		e = keepPartial(e, err)
 		entries = []experiments.TraceEntry{e}
 		rendered = fmt.Sprintf("%s\n%s\n%s", e.Name, e.Rendered, e.Summary)

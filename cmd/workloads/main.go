@@ -1,157 +1,13 @@
-// Command workloads runs the extended workload programs (beyond the
-// paper's three benchmarks) on a chosen runtime:
+// Command workloads runs any entry of the workload table
+// (internal/workloads) on any of the runtimes, chosen with -run:
 //
 //	workloads -run parfib -n 30 -cutoff 18 -rts steal -cores 8
 //	workloads -run queens -n 12 -rts eden
-//	workloads -run mandel -n 256 -rts gum
+//	workloads -run apsp -runtime eden -cluster 2 -n 48
 //
-// Every run verifies its result against an oracle and reports the
-// virtual runtime and runtime statistics.
+// The flags and the report are internal/driver's; -run X -h lists them.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"os"
+import "parhask/internal/driver"
 
-	"parhask/internal/eden"
-	"parhask/internal/gph"
-	"parhask/internal/graph"
-	"parhask/internal/pe"
-	"parhask/internal/gum"
-	"parhask/internal/rts"
-	"parhask/internal/trace"
-	"parhask/internal/workloads/mandel"
-	"parhask/internal/workloads/parfib"
-	"parhask/internal/workloads/queens"
-)
-
-func main() {
-	which := flag.String("run", "parfib", "workload: parfib | queens | mandel")
-	n := flag.Int("n", 0, "problem size (parfib: n, queens: board, mandel: width)")
-	cutoff := flag.Int("cutoff", 16, "parfib sequential threshold / queens split depth")
-	cores := flag.Int("cores", 8, "simulated physical cores")
-	rtsKind := flag.String("rts", "steal", "runtime: steal | plain | localheaps | gum | eden")
-	showTrace := flag.Bool("trace", false, "print the activity timeline")
-	width := flag.Int("width", 100, "trace width")
-	flag.Parse()
-
-	var gphMain func(*rts.Ctx) graph.Value
-	var edenMain pe.Program
-	var verify func(v graph.Value) error
-
-	switch *which {
-	case "parfib":
-		if *n == 0 {
-			*n = 30
-		}
-		want := parfib.Fib(*n)
-		gphMain = parfib.Program(*n, *cutoff)
-		verify = func(v graph.Value) error {
-			if v != want {
-				return fmt.Errorf("got %v, want %d", v, want)
-			}
-			return nil
-		}
-	case "queens":
-		if *n == 0 {
-			*n = 12
-		}
-		want, known := queens.Known[*n]
-		gphMain = queens.GpHProgram(*n, *cutoff/8+2)
-		edenMain = queens.EdenProgram(*n, *cores-1, 2, *cutoff/8+2)
-		verify = func(v graph.Value) error {
-			if known && v != want {
-				return fmt.Errorf("got %v, want %d", v, want)
-			}
-			return nil
-		}
-	case "mandel":
-		if *n == 0 {
-			*n = 256
-		}
-		p := mandel.DefaultParams(*n, *n*3/4)
-		oracle := mandel.Checksum(mandel.Render(nopCtx{}, p))
-		gphMain = mandel.GpHProgram(p)
-		edenMain = mandel.EdenProgram(p, *cores-1, 2)
-		verify = func(v graph.Value) error {
-			if got := mandel.Checksum(v.([][]int32)); got != oracle {
-				return fmt.Errorf("checksum %v, want %v", got, oracle)
-			}
-			return nil
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "workloads: unknown -run %q\n", *which)
-		os.Exit(2)
-	}
-
-	report := func(kind string, elapsed int64, value graph.Value, tr *trace.Log, stats any) {
-		if err := verify(value); err != nil {
-			fmt.Fprintln(os.Stderr, "workloads: RESULT MISMATCH:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s %s (n=%d) on %s, %d cores\n", *which, "verified", *n, kind, *cores)
-		fmt.Printf("runtime  = %s (virtual)\n", trace.FmtDur(elapsed))
-		fmt.Printf("stats    = %+v\n", stats)
-		if *showTrace {
-			fmt.Print(tr.Render(*width))
-			fmt.Print(tr.Summary())
-		}
-	}
-
-	switch *rtsKind {
-	case "steal", "plain", "localheaps":
-		if gphMain == nil {
-			fmt.Fprintf(os.Stderr, "workloads: %s has no GpH version\n", *which)
-			os.Exit(2)
-		}
-		var cfg gph.Config
-		switch *rtsKind {
-		case "steal":
-			cfg = gph.WorkStealingConfig(*cores)
-		case "plain":
-			cfg = gph.PlainGHC69(*cores)
-		case "localheaps":
-			cfg = gph.LocalHeapsConfig(*cores)
-		}
-		res, err := gph.Run(cfg, gphMain)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "workloads:", err)
-			os.Exit(1)
-		}
-		report("GpH ("+*rtsKind+")", res.Elapsed, res.Value, res.Trace, res.Stats)
-	case "gum":
-		if gphMain == nil {
-			fmt.Fprintf(os.Stderr, "workloads: %s has no GpH version\n", *which)
-			os.Exit(2)
-		}
-		cfg := gum.NewConfig(*cores, *cores)
-		res, err := gum.Run(cfg, gphMain)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "workloads:", err)
-			os.Exit(1)
-		}
-		report("GUM", res.Elapsed, res.Value, res.Trace, res.Stats)
-	case "eden":
-		if edenMain == nil {
-			fmt.Fprintf(os.Stderr, "workloads: %s has no Eden version\n", *which)
-			os.Exit(2)
-		}
-		cfg := eden.NewConfig(*cores, *cores)
-		res, err := eden.Run(cfg, edenMain)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "workloads:", err)
-			os.Exit(1)
-		}
-		report("Eden", res.Elapsed, res.Value, res.Trace, res.Stats)
-	default:
-		fmt.Fprintf(os.Stderr, "workloads: unknown -rts %q\n", *rtsKind)
-		os.Exit(2)
-	}
-}
-
-// nopCtx is a cost-free context for oracle computation.
-type nopCtx struct{}
-
-func (nopCtx) Burn(int64)  {}
-func (nopCtx) Alloc(int64) {}
+func main() { driver.Main("") }

@@ -41,7 +41,7 @@ func runOK(t *testing.T, cfg Config) *Result {
 func TestClusterSumEulerTCP(t *testing.T) {
 	res := runOK(t, Config{
 		Procs: 3, PerProc: 2, Transport: "tcp",
-		Spec: "sumeuler?n=1500&chunks=2", EventLog: true,
+		Spec: "sumeuler?n=1500&pechunks=2", EventLog: true,
 	})
 	if res.Total.Messages == 0 || res.Total.BytesSent == 0 {
 		t.Fatalf("no cross-PE traffic counted: %+v", res.Total)
@@ -91,7 +91,7 @@ func TestClusterKillRank(t *testing.T) {
 	start := time.Now()
 	_, err := Run(Config{
 		Procs: 3, PerProc: 2, Transport: "tcp",
-		Spec:     "sumeuler?n=4000&chunks=4",
+		Spec:     "sumeuler?n=4000&pechunks=4",
 		Faults:   "kill-rank=1:30ms",
 		Deadline: 60 * time.Second,
 	})
@@ -121,7 +121,7 @@ func TestClusterSeverRank(t *testing.T) {
 	// sees the closed connection and reports the same fault class.
 	_, err := Run(Config{
 		Procs: 3, PerProc: 1, Transport: "unix",
-		Spec:     "sumeuler?n=4000&chunks=4",
+		Spec:     "sumeuler?n=4000&pechunks=4",
 		Faults:   "sever-rank=2:30ms",
 		Deadline: 60 * time.Second,
 	})
@@ -145,7 +145,7 @@ func TestClusterSingleProcess(t *testing.T) {
 	// cross-process traffic, same protocol.
 	res := runOK(t, Config{
 		Procs: 1, PerProc: 4, Transport: "tcp",
-		Spec: "sumeuler?n=1000&chunks=2",
+		Spec: "sumeuler?n=1000&pechunks=2",
 	})
 	if len(res.PerPE) != 4 {
 		t.Fatalf("PerPE has %d slots, want 4", len(res.PerPE))
@@ -189,5 +189,54 @@ func TestBuildProgramSpecs(t *testing.T) {
 	}
 	if _, _, err := BuildProgram("unknown?x=1"); err == nil || !strings.Contains(err.Error(), "unknown workload") {
 		t.Fatalf("unknown workload error = %v", err)
+	}
+}
+
+// TestSpecValidation: a spec that does not say what it means is
+// rejected with an error naming the offending key, by Validate, before
+// anything is generated or launched — never run at the defaults, never
+// a panic.
+func TestSpecValidation(t *testing.T) {
+	bad := []struct{ spec, names string }{
+		{"apsp?n=abc", "n"},        // not an integer (ran n=32)
+		{"apsp?nodes=64", "nodes"}, // unknown key (ran n=32)
+		{"apsp?n=-1", "n"},         // makeslice panic inside Validate
+		{"sumeuler?n=-5", "n"},     // accepted
+		{"matmul?n=0&q=2", "n"},    // accepted
+		{"sumeuler?pechunks=0", "pechunks"},
+		{"sumeuler?chunks=0", "chunks"}, // accepted
+		{"apsp?n=8&n=9", "n"},           // repeated key
+		{"mandel?n=8", "mandel"},        // in the table, not cluster-built
+	}
+	for _, c := range bad {
+		cfg := Config{Procs: 1, PerProc: 1, Transport: "unix", Spec: c.spec}
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("Validate(%q) = %v, want an error naming %q", c.spec, err, c.names)
+		}
+		if _, _, berr := BuildProgram(c.spec); berr == nil {
+			t.Errorf("BuildProgram(%q) accepted a bad spec", c.spec)
+		}
+	}
+	for _, spec := range []string{"sumeuler?n=500&chunks=3", "apsp?n=12&ring=2&seed=3", "matmul?n=8&q=2"} {
+		cfg := Config{Procs: 1, PerProc: 1, Transport: "unix", Spec: spec}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%q): %v", spec, err)
+		}
+	}
+}
+
+// TestGoldenClusterRingInput pins the graph the benchmark's
+// cluster_ring workload runs: the hash was computed at the parent of
+// the workload-table refactor from apsp.RandomGraph(128, 1, 40, 4), the
+// call the old registry made for this spec, so the instance cannot
+// drift without this test saying so.
+func TestGoldenClusterRingInput(t *testing.T) {
+	inst, err := specInstance("apsp?n=128&ring=32&seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := inst.InputHash(), uint64(0xd2ab9cc0bb317c64); got != want {
+		t.Fatalf("cluster_ring input hash = %#x, want %#x", got, want)
 	}
 }

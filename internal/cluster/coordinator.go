@@ -77,8 +77,9 @@ const (
 
 // Validate is the fail-fast check the CLIs run on flag parse: it
 // rejects a nonsensical topology, an unknown transport, a workload
-// spec that does not build, and an unparseable fault plan — before any
-// process is launched.
+// spec that does not parse or whose Eden topology does not fit, and an
+// unparseable fault plan — before any process is launched or any input
+// generated.
 func (cfg *Config) Validate() error {
 	if cfg.Procs < 1 {
 		return fmt.Errorf("cluster: need at least 1 process, have %d", cfg.Procs)
@@ -95,7 +96,7 @@ func (cfg *Config) Validate() error {
 	if cfg.Restart != nil && cfg.Restart.Max < 0 {
 		return fmt.Errorf("cluster: negative restart budget %d", cfg.Restart.Max)
 	}
-	if _, _, err := BuildProgram(cfg.Spec); err != nil {
+	if _, err := specInstance(cfg.Spec); err != nil {
 		return err
 	}
 	if _, err := faults.Parse(cfg.Faults); err != nil {

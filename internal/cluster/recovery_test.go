@@ -41,7 +41,7 @@ func TestClusterRespawnAfterKill(t *testing.T) {
 			reg := metrics.New()
 			res := superviseOK(t, Config{
 				Procs: 3, PerProc: 2, Transport: transport,
-				Spec:    "sumeuler?n=4000&chunks=4",
+				Spec:    "sumeuler?n=4000&pechunks=4",
 				Faults:  "kill-rank=1:30ms",
 				Restart: &Restart{Max: 2, Backoff: 30 * time.Millisecond},
 				Metrics: reg,
@@ -79,7 +79,7 @@ func TestClusterReconnectAfterFlap(t *testing.T) {
 			reg := metrics.New()
 			res := runOK(t, Config{
 				Procs: 3, PerProc: 2, Transport: transport,
-				Spec:     "sumeuler?n=8000&chunks=8",
+				Spec:     "sumeuler?n=8000&pechunks=8",
 				Faults:   "flap-rank=1:20ms:80ms",
 				EventLog: true,
 				Metrics:  reg,
@@ -123,7 +123,7 @@ func TestClusterRestartBudgetExhausted(t *testing.T) {
 	// still expose the underlying structured death.
 	_, err := RunSupervised(Config{
 		Procs: 3, PerProc: 1, Transport: "tcp",
-		Spec:     "sumeuler?n=4000&chunks=4",
+		Spec:     "sumeuler?n=4000&pechunks=4",
 		Faults:   "kill-rank=1:30ms,rank-faults=every",
 		Restart:  &Restart{Max: 1, Backoff: 20 * time.Millisecond},
 		Deadline: 60 * time.Second,
@@ -159,7 +159,7 @@ func TestClusterWedgeHeartbeat(t *testing.T) {
 	start := time.Now()
 	_, err := Run(Config{
 		Procs: 3, PerProc: 1, Transport: "tcp",
-		Spec:      "sumeuler?n=4000&chunks=4",
+		Spec:      "sumeuler?n=4000&pechunks=4",
 		Faults:    "wedge-rank=1:30ms",
 		Heartbeat: 100 * time.Millisecond,
 		Deadline:  60 * time.Second,
@@ -187,7 +187,7 @@ func TestClusterWedgeSupervisedRecovers(t *testing.T) {
 	// is one-shot, so the respawned attempt completes oracle-equal.
 	res := superviseOK(t, Config{
 		Procs: 3, PerProc: 1, Transport: "tcp",
-		Spec:      "sumeuler?n=4000&chunks=4",
+		Spec:      "sumeuler?n=4000&pechunks=4",
 		Faults:    "wedge-rank=1:30ms",
 		Heartbeat: 100 * time.Millisecond,
 		Restart:   &Restart{Max: 2, Backoff: 30 * time.Millisecond},
@@ -206,7 +206,7 @@ func TestClusterStructuredErrorAcrossFrames(t *testing.T) {
 	// envelope carries the type across the process boundary.
 	_, err := Run(Config{
 		Procs: 2, PerProc: 2, Transport: "tcp",
-		Spec:     "sumeuler?n=2000&chunks=4",
+		Spec:     "sumeuler?n=2000&pechunks=4",
 		Faults:   "seed=7,panic-proc=0",
 		Deadline: 60 * time.Second,
 	})

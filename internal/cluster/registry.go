@@ -2,90 +2,74 @@ package cluster
 
 import (
 	"fmt"
-	"net/url"
-	"strconv"
-	"strings"
 
+	"parhask/internal/cost"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
-	"parhask/internal/workloads/apsp"
-	"parhask/internal/workloads/euler"
-	"parhask/internal/workloads/matmul"
+	"parhask/internal/workloads"
 )
 
-// A workload spec names an Eden program plus its parameters in URL
-// query form: "sumeuler?n=2000&chunks=2". Both the coordinator and the
-// workers build the program from the same spec string — the cluster's
-// SPMD contract is that every process runs the same main — and the
-// coordinator additionally gets an oracle to check the root's result
-// against the sequential reference.
+// A workload spec names an Eden program of the workload table plus its
+// parameters: "apsp?n=128&ring=32&seed=1" (the grammar is
+// workloads.ParseSpec's, and strict: unknown keys, non-integers,
+// repeated keys and out-of-range values are errors). Both the
+// coordinator and the workers build the program from the same spec
+// string — the cluster's SPMD contract is that every process runs the
+// same main.
 //
-// Specs:
+// specDefaults lists the workloads a cluster builds and, for each, the
+// values a spec may leave out. They are the cluster's own (test-sized
+// problems, a sparse graph so the ring messages stay small), not the
+// command lines': a CLI sends every parameter, so its cluster run is
+// the instance its other runtimes run.
 //
-//	sumeuler?n=N&chunks=C    — sum of totients 1..N, C chunks per PE
-//	apsp?n=N&ring=R&seed=S   — all-pairs shortest paths, R ring nodes
-//	matmul?n=N&q=Q&seed=S    — Cannon q×q torus on N×N matrices
-func BuildProgram(spec string) (pe.Program, func(graph.Value) error, error) {
-	name, rawq, _ := strings.Cut(spec, "?")
-	q, err := url.ParseQuery(rawq)
+//	sumeuler?n=N&pechunks=C          — sum of totients 1..N, C chunks per PE
+//	apsp?n=N&ring=R&seed=S           — all-pairs shortest paths, R ring nodes
+//	                                   (&maxw=W&density=D: the graph generator's)
+//	matmul?n=N&q=Q&seed=S            — Cannon q×q torus on N×N matrices
+var specDefaults = map[string]workloads.Args{
+	"sumeuler": workloads.Args{}.With("n", 2000).With("pechunks", 2),
+	"apsp":     workloads.Args{}.With("n", 32).With("ring", 4).With("seed", 7).With("maxw", 40).With("density", 4),
+	"matmul":   workloads.Args{}.With("n", 32).With("q", 2).With("seed", 1),
+}
+
+// specInstance parses and validates a spec down to the Eden topology
+// fitting its arguments. No input is generated.
+func specInstance(spec string) (*workloads.Instance, error) {
+	e, args, err := workloads.ParseSpec(spec)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: workload spec %q: %w", spec, err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	getInt := func(key string, def int) int {
-		if s := q.Get(key); s != "" {
-			if v, err := strconv.Atoi(s); err == nil {
-				return v
-			}
-		}
-		return def
+	def, ok := specDefaults[e.Name]
+	if !ok {
+		return nil, fmt.Errorf("cluster: %s is not a workload the cluster builds (see specDefaults)", e.Name)
 	}
-	switch name {
-	// The oracles are computed lazily, inside the returned check: every
-	// worker calls BuildProgram at startup (the SPMD contract), and only
-	// the coordinator ever runs the check — the workers must not each
-	// pay for a sequential O(n^3) reference run.
-	case "sumeuler":
-		n, chunks := getInt("n", 2000), getInt("chunks", 2)
-		return euler.EdenProgram(n, chunks, 0), func(v graph.Value) error {
-			want := euler.SumTotientSieve(n)
-			got, ok := v.(int64)
-			if !ok || got != want {
-				return fmt.Errorf("sumeuler(%d) = %v, want %d", n, v, want)
-			}
-			return nil
-		}, nil
-	case "apsp":
-		n, ring, seed := getInt("n", 32), getInt("ring", 4), getInt("seed", 7)
-		if ring < 1 {
-			return nil, nil, fmt.Errorf("cluster: spec %q: ring size %d must be positive", spec, ring)
-		}
-		g := apsp.RandomGraph(n, uint64(seed), 40, 4)
-		return apsp.EdenRingProgram(apsp.Clone(g), ring, 0), func(v graph.Value) error {
-			want := apsp.FloydWarshall(apsp.Clone(g))
-			got, ok := v.(apsp.Graph)
-			if !ok || !apsp.Equal(got, want) {
-				return fmt.Errorf("apsp(n=%d) differs from the Floyd-Warshall oracle", n)
-			}
-			return nil
-		}, nil
-	case "matmul":
-		n, tq, seed := getInt("n", 32), getInt("q", 2), getInt("seed", 1)
-		// EdenCannonProgram panics on a torus that does not tile the
-		// matrix; this runs inside Config.Validate, so turn the bad
-		// geometry into a fail-fast error instead.
-		if tq < 1 || n%tq != 0 {
-			return nil, nil, fmt.Errorf("cluster: spec %q: torus dimension %d must divide matrix size %d", spec, tq, n)
-		}
-		a, b := matmul.Random(n, uint64(seed)), matmul.Random(n, uint64(seed)+1)
-		return matmul.EdenCannonProgram(a, b, tq, 0), func(v graph.Value) error {
-			want := matmul.MulOracle(a, b)
-			got, ok := v.(matmul.Mat)
-			if !ok || !matmul.Equal(got, want, 1e-6) {
-				return fmt.Errorf("matmul(n=%d,q=%d) differs from the sequential oracle", n, tq)
-			}
-			return nil
-		}, nil
-	default:
-		return nil, nil, fmt.Errorf("cluster: unknown workload %q (want sumeuler, apsp or matmul)", name)
+	inst, err := e.New(args.WithDefaults(def))
+	if err == nil {
+		err = inst.CanEden()
 	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: spec %q: %w", spec, err)
+	}
+	return inst, nil
+}
+
+// BuildProgram builds the spec's Eden program and the check of the
+// root's result against the sequential reference. The reference is
+// computed inside the check, on its first call: every worker calls
+// BuildProgram at startup and only the coordinator's side ever runs the
+// check, so the workers never pay for a sequential O(n^3) run.
+func BuildProgram(spec string) (pe.Program, func(graph.Value) error, error) {
+	inst, err := specInstance(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	prog, err := inst.Eden(cost.Model{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, func(v graph.Value) error {
+		_, err := inst.Check(v)
+		return err
+	}, nil
 }

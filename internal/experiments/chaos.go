@@ -8,12 +8,14 @@ import (
 	"strings"
 	"time"
 
+	"parhask/internal/cost"
 	"parhask/internal/eden"
 	"parhask/internal/faults"
 	"parhask/internal/graph"
 	"parhask/internal/native"
 	"parhask/internal/nativeeden"
 	"parhask/internal/stats"
+	"parhask/internal/workloads"
 	"parhask/internal/workloads/euler"
 )
 
@@ -29,8 +31,9 @@ const (
 )
 
 // ChaosRow is one soak iteration: which backend ran, under which fault
-// spec (the replay key — feeding the same spec back reproduces the
-// same failure), and how it ended.
+// spec (the replay key — feeding the same spec back injects the same
+// fault plan; see RunChaosSoak for which outcomes that pins), and how
+// it ended.
 type ChaosRow struct {
 	Iter    int    `json:"iter"`
 	Backend string `json:"backend"` // "native" | "nativeeden"
@@ -132,8 +135,10 @@ func classifyChaos(err error) (string, string) {
 }
 
 // Chaos runs use fixed small backend shapes so the Repro command lines
-// (which pin them as flags) replay byte-for-byte the same schedule space.
-// The Eden runs use 8 chunks per PE, matching cmd/sumeuler's eden path.
+// (which pin them as flags) replay the same schedule space. The program
+// is the workload table's sumeuler entry at (N, Chunks) — the entry
+// cmd/sumeuler runs — so a row and its Repro line are the same program
+// by construction, Eden chunking included.
 const (
 	chaosGpHWorkers = 4
 	chaosEdenPEs    = 3
@@ -142,24 +147,23 @@ const (
 // runChaosIter executes one fault-injected sumEuler run on the given
 // backend and classifies the outcome. The spec must parse (callers
 // validate or derive it).
-func runChaosIter(p Params, backend, spec string, eulerWant int64) (outcome, detail string, wallNS int64) {
+func runChaosIter(inst *workloads.Instance, deadline time.Duration, backend, spec string) (outcome, detail string, wallNS int64) {
 	plan, err := faults.Parse(spec)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: chaos spec %q failed to parse: %v", spec, err))
 	}
-	deadline := p.Deadline
 	if deadline == 0 {
 		deadline = 10 * time.Second
 	}
 	start := time.Now()
 	var runErr error
-	var value any
+	var value graph.Value
 	if backend == "native" {
 		cfg := native.NewConfig(chaosGpHWorkers)
 		cfg.Faults = faults.NewInjector(plan)
 		cfg.Deadline = deadline
 		var res *native.Result
-		res, runErr = native.Run(cfg, euler.Program(p.SumEulerN, p.SumEulerChunks, 0, true))
+		res, runErr = native.Run(cfg, must(inst.GpH()))
 		if res != nil {
 			value = res.Value
 		}
@@ -168,7 +172,7 @@ func runChaosIter(p Params, backend, spec string, eulerWant int64) (outcome, det
 		cfg.Faults = faults.NewInjector(plan)
 		cfg.Deadline = deadline
 		var res *nativeeden.Result
-		res, runErr = nativeeden.Run(cfg, euler.EdenProgram(p.SumEulerN, 8, 0))
+		res, runErr = nativeeden.Run(cfg, must(inst.Eden(cost.Model{})))
 		if res != nil {
 			value = res.Value
 		}
@@ -176,12 +180,23 @@ func runChaosIter(p Params, backend, spec string, eulerWant int64) (outcome, det
 	wallNS = time.Since(start).Nanoseconds()
 	outcome, detail = classifyChaos(runErr)
 	if outcome == ChaosOK {
-		if v, ok := value.(int64); !ok || v != eulerWant {
-			outcome = ChaosViolation
-			detail = fmt.Sprintf("result %v differs from the sequential oracle %d", value, eulerWant)
+		if _, err := inst.Check(value); err != nil {
+			outcome, detail = ChaosViolation, err.Error()
 		}
 	}
 	return outcome, detail, wallNS
+}
+
+// chaosInstance is the soak's program: sumEuler at p's scale.
+func chaosInstance(p Params) *workloads.Instance { return must(p.instance("sumeuler", 0)) }
+
+// must unwraps what cannot fail here: the table has a sumeuler entry
+// with both forms, and the soak's scale is inside its ranges.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // ReplayFault re-runs one fault-injected sumEuler iteration from
@@ -190,7 +205,7 @@ func runChaosIter(p Params, backend, spec string, eulerWant int64) (outcome, det
 // the spec first (benchall does so fail-fast, before any figure runs).
 func ReplayFault(p Params, backend string) ChaosRow {
 	row := ChaosRow{Backend: backend, Spec: p.FaultSpec, N: p.SumEulerN, Chunks: p.SumEulerChunks}
-	row.Outcome, row.Detail, row.WallNS = runChaosIter(p, backend, p.FaultSpec, euler.SumTotientSieve(p.SumEulerN))
+	row.Outcome, row.Detail, row.WallNS = runChaosIter(chaosInstance(p), p.Deadline, backend, p.FaultSpec)
 	return row
 }
 
@@ -199,11 +214,16 @@ func ReplayFault(p Params, backend string) ChaosRow {
 // must terminate (the per-run deadline turns hangs into structured
 // deadlock errors) and must end in a correct result, a structured
 // failure, or a deadlock report with diagnostics; anything else is a
-// violation. Sub-seeds derive from seed alone, so a failing iteration
-// replays exactly from its row's Spec.
+// violation. Sub-seeds derive from seed alone, so an iteration's fault
+// plan replays exactly from its row's Spec. The outcome class replays
+// with it for plans indexed by what the program fixes (per-edge message
+// sequence, process spawn order, PE stalls). A panic-spark=K plan is
+// indexed by the order workers convert sparks, which is the schedule:
+// on more than one core such a row lands in ok or structured from run
+// to run (TestChaosSoakDeterministic asserts exactly this split).
 func RunChaosSoak(p Params, iters int, seed uint64) *ChaosSoak {
 	s := &ChaosSoak{Iterations: iters, Seed: seed}
-	eulerWant := euler.SumTotientSieve(p.SumEulerN)
+	inst := chaosInstance(p) // one instance: the sieve oracle runs once per soak
 	for i := 0; i < iters; i++ {
 		sub := splitmix64(seed + uint64(i))
 		backend := "native"
@@ -212,7 +232,7 @@ func RunChaosSoak(p Params, iters int, seed uint64) *ChaosSoak {
 		}
 		row := ChaosRow{Iter: i, Backend: backend, Spec: chaosSpec(backend, sub),
 			N: p.SumEulerN, Chunks: p.SumEulerChunks}
-		row.Outcome, row.Detail, row.WallNS = runChaosIter(p, backend, row.Spec, eulerWant)
+		row.Outcome, row.Detail, row.WallNS = runChaosIter(inst, p.Deadline, backend, row.Spec)
 		switch row.Outcome {
 		case ChaosOK:
 			s.OK++

@@ -35,13 +35,32 @@ func TestChaosSoakInvariant(t *testing.T) {
 }
 
 func TestChaosSoakDeterministic(t *testing.T) {
-	// Same seed → same specs and same outcomes, the replay property the
-	// repro commands rely on.
+	// The replay property the repro commands rely on, as far as a real
+	// scheduler lets it hold. Same seed → same fault plans, always. Same
+	// outcome for every plan whose faults are indexed by something the
+	// program fixes: messages (per-edge sequence), process spawns, PE
+	// stalls. panic-spark=K is not such a plan: it counts sparks in the
+	// order workers convert them, and how many of sumEuler's sparks are
+	// converted rather than fizzled by the spine is the schedule — so
+	// such a row may fire (structured) in one run and find no K-th
+	// conversion (ok) in the next, and only that pair of classes.
 	a := RunChaosSoak(chaosParams(), 10, 7)
 	b := RunChaosSoak(chaosParams(), 10, 7)
 	for i := range a.Rows {
-		if a.Rows[i].Spec != b.Rows[i].Spec || a.Rows[i].Outcome != b.Rows[i].Outcome {
-			t.Fatalf("iter %d diverged: %+v vs %+v", i, a.Rows[i], b.Rows[i])
+		ra, rb := a.Rows[i], b.Rows[i]
+		if ra.Spec != rb.Spec || ra.Backend != rb.Backend {
+			t.Fatalf("iter %d: plans diverged: %+v vs %+v", i, ra, rb)
+		}
+		if !strings.Contains(ra.Spec, "panic-spark") {
+			if ra.Outcome != rb.Outcome {
+				t.Fatalf("iter %d diverged: %+v vs %+v", i, ra, rb)
+			}
+			continue
+		}
+		for _, r := range []ChaosRow{ra, rb} {
+			if r.Outcome != ChaosOK && r.Outcome != ChaosStructured {
+				t.Fatalf("iter %d: panic-spark row ended %q, want ok or structured: %+v", i, r.Outcome, r)
+			}
 		}
 	}
 }
@@ -70,9 +89,6 @@ func TestMeasureFaultOverheadShape(t *testing.T) {
 	if b.DisabledNS <= 0 || b.ArmedNS <= 0 {
 		t.Fatalf("bench fields: %+v", b)
 	}
-	// The bound is deliberately loose (CI machines are noisy); the
-	// tight ≤2% claim is checked by BenchmarkNativeFaultOverhead.
-	if b.OverheadPct > 25 {
-		t.Fatalf("armed-empty fault plane cost %+.2f%%, expected noise-level", b.OverheadPct)
-	}
+	// No percentage bound here: a test must not assert wall-clock time.
+	// The number is the benchmark's faults.armed_overhead_x row.
 }

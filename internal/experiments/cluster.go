@@ -59,7 +59,7 @@ func RunClusterSweep(p Params, transport string) *ClusterSweep {
 	s := &ClusterSweep{Transport: transport, PerProc: perProc}
 	for _, procs := range clusterProcCounts {
 		specs := []struct{ workload, spec string }{
-			{"sumEuler", fmt.Sprintf("sumeuler?n=%d&chunks=8", p.SumEulerN)},
+			{"sumEuler", fmt.Sprintf("sumeuler?n=%d&pechunks=8", p.SumEulerN)},
 			{"apsp", fmt.Sprintf("apsp?n=%d&ring=%d", p.APSPNodes, procs*perProc)},
 			{"matmul", fmt.Sprintf("matmul?n=%d&q=2", p.MatMulN)},
 		}
@@ -214,7 +214,7 @@ func clusterChaosSpec(sub uint64) (mode, spec string) {
 func RunClusterChaos(p Params, iters int, seed uint64, transport string, restarts int, reconnect bool) *ClusterChaos {
 	n := p.SumEulerN
 	s := &ClusterChaos{Iterations: iters, Seed: seed, Transport: transport, Budget: restarts, N: n}
-	spec := fmt.Sprintf("sumeuler?n=%d&chunks=8", n)
+	spec := fmt.Sprintf("sumeuler?n=%d&pechunks=8", n)
 	_, oracle, err := cluster.BuildProgram(spec)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: cluster chaos spec %q: %v", spec, err))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"parhask/internal/faults"
 	"parhask/internal/native"
 	"parhask/internal/nativeeden"
 	"parhask/internal/stats"
@@ -200,76 +199,4 @@ func (s *EdenNativeSweep) String() string {
 		out += "shape: OK (both runtimes exact; Eden rows carry real message traffic)\n"
 	}
 	return out
-}
-
-// EdenNativeTimeline runs one workload on the native Eden backend with
-// the eventlog enabled and reduces it to a per-PE wall-clock trace —
-// the EdenTV diagram of the real run, with communication rendered as
-// the Comm activity the simulator's figures use.
-func EdenNativeTimeline(p Params, workload string, pes int) (TraceEntry, *nativeeden.Result, error) {
-	cfg := nativeeden.NewConfig(pes)
-	cfg.EventLog = true
-	if p.FaultSpec != "" {
-		plan, perr := faults.Parse(p.FaultSpec)
-		if perr != nil {
-			return TraceEntry{}, nil, perr
-		}
-		cfg.Faults = faults.NewInjector(plan)
-	}
-	cfg.Deadline = p.Deadline
-
-	var (
-		res *nativeeden.Result
-		err error
-		ok  bool
-	)
-	switch workload {
-	case "sumeuler":
-		res, err = nativeeden.Run(cfg, euler.EdenProgram(p.SumEulerN, 8, 0))
-		if err == nil {
-			ok = res.Value.(int64) == euler.SumTotientSieve(p.SumEulerN)
-		}
-	case "matmul":
-		a, b := matmul.Random(p.MatMulN, 1), matmul.Random(p.MatMulN, 2)
-		res, err = nativeeden.Run(cfg, matmul.EdenCannonProgram(a, b, 3, 0))
-		if err == nil {
-			ok = matmul.Equal(res.Value.(matmul.Mat), matmul.MulOracle(a, b), 1e-9)
-		}
-	case "apsp":
-		g := apsp.RandomGraph(p.APSPNodes, 42, 100, 60)
-		res, err = nativeeden.Run(cfg, apsp.EdenRingProgram(g, cfg.PEs, 0))
-		if err == nil {
-			ok = apsp.Equal(res.Value.(apsp.Graph), apsp.FloydWarshall(g))
-		}
-	default:
-		return TraceEntry{}, nil, fmt.Errorf("experiments: unknown eden-native workload %q (want sumeuler, matmul or apsp)", workload)
-	}
-	if err != nil {
-		// Failed runs keep their flushed event rings: return the partial
-		// per-PE timeline with the error so tracedump can render what
-		// each PE was doing up to the failure.
-		if res != nil && res.Events != nil {
-			tl := res.Trace()
-			return TraceEntry{
-				Name:     fmt.Sprintf("eden-native %s (FAILED, partial timeline): %v", workload, err),
-				Elapsed:  res.WallNS,
-				Trace:    tl,
-				Rendered: tl.Render(p.TraceWidth),
-				Summary:  tl.Summary(),
-			}, res, err
-		}
-		return TraceEntry{}, nil, err
-	}
-	if !ok {
-		return TraceEntry{}, nil, fmt.Errorf("experiments: eden-native %s result differs from the sequential oracle", workload)
-	}
-
-	tl := res.Trace()
-	return TraceEntry{
-		Name:     fmt.Sprintf("eden-native %s, %d PEs (wall clock)", workload, res.PEs),
-		Elapsed:  res.WallNS,
-		Trace:    tl,
-		Rendered: tl.Render(p.TraceWidth),
-		Summary:  tl.Summary(),
-	}, res, nil
 }

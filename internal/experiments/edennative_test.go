@@ -20,11 +20,11 @@ func TestEdenNativeSweepSmoke(t *testing.T) {
 }
 
 func TestEdenNativeTimelineSmoke(t *testing.T) {
-	e, res, err := EdenNativeTimeline(Quick(), "sumeuler", 3)
+	e, err := EdenNativeTimeline(Quick(), "sumeuler", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events == nil {
+	if e.Trace == nil {
 		t.Fatal("timeline run did not record events")
 	}
 	if len(e.Trace.Agents()) != 3 {

@@ -3,88 +3,128 @@ package experiments
 import (
 	"fmt"
 
+	"parhask/internal/cost"
 	"parhask/internal/faults"
+	"parhask/internal/graph"
 	"parhask/internal/native"
-	"parhask/internal/workloads/apsp"
-	"parhask/internal/workloads/euler"
-	"parhask/internal/workloads/matmul"
+	"parhask/internal/nativeeden"
+	"parhask/internal/trace"
+	"parhask/internal/workloads"
 )
+
+// instance builds one of the paper's three workloads at the experiment
+// scale from the workload table — the entry the command lines run, so a
+// timeline or a chaos row and the command that reproduces it are the
+// same program. ring sizes the APSP Eden ring (0 where no Eden form
+// will run).
+func (p Params) instance(workload string, ring int) (*workloads.Instance, error) {
+	args, ok := map[string]workloads.Args{
+		"sumeuler": workloads.Args{}.With("n", uint64(p.SumEulerN)).With("chunks", uint64(p.SumEulerChunks)),
+		"matmul":   workloads.Args{}.With("n", uint64(p.MatMulN)).With("block", uint64(p.MatMulBlock)).With("q", 3).With("seed", 1),
+		"apsp": workloads.Args{}.With("n", uint64(p.APSPNodes)).With("ring", uint64(ring)).
+			With("seed", 42).With("maxw", 100).With("density", 60),
+	}[workload]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown workload %q (want sumeuler, matmul or apsp)", workload)
+	}
+	e, err := workloads.Lookup(workload)
+	if err != nil {
+		return nil, err
+	}
+	return e.New(args)
+}
+
+// injector arms p's fault plan (nil without one).
+func (p Params) injector() (*faults.Injector, error) {
+	if p.FaultSpec == "" {
+		return nil, nil
+	}
+	plan, err := faults.Parse(p.FaultSpec)
+	if err != nil {
+		return nil, err
+	}
+	return faults.NewInjector(plan), nil
+}
+
+// timeline turns one finished native run into the entry the renderers
+// print. A successful run is verified against the workload's oracle
+// first. A failed run still carries its flushed event rings: its
+// partial timeline is returned alongside the error, so post-mortems
+// (tracedump under fault injection) can see what happened up to the
+// failure; without a timeline only the error comes back.
+func (p Params) timeline(label, shape string, inst *workloads.Instance,
+	value graph.Value, wallNS int64, tl *trace.Log, runErr error) (TraceEntry, error) {
+	name := fmt.Sprintf("%s, %s (wall clock)", label, shape)
+	if runErr != nil {
+		if tl == nil {
+			return TraceEntry{}, runErr
+		}
+		name = fmt.Sprintf("%s (FAILED, partial timeline): %v", label, runErr)
+	} else if _, err := inst.Check(value); err != nil {
+		return TraceEntry{}, fmt.Errorf("experiments: %s: %w", label, err)
+	}
+	return TraceEntry{
+		Name: name, Elapsed: wallNS, Trace: tl,
+		Rendered: tl.Render(p.TraceWidth), Summary: tl.Summary(),
+	}, runErr
+}
 
 // NativeTimeline runs one workload on the native runtime with the
 // wall-clock eventlog enabled and reduces it to a trace — the real-
-// hardware counterpart of the Fig. 2 / Fig. 4 EdenTV diagrams. The
-// result is verified against the workload's sequential oracle before
-// the trace is returned; unlike the simulated figures the timeline's
-// shape is machine-dependent (see results/README.md).
-func NativeTimeline(p Params, workload string, workers int, eager bool) (TraceEntry, *native.Result, error) {
+// hardware counterpart of the Fig. 2 / Fig. 4 EdenTV diagrams. Unlike
+// the simulated figures the timeline's shape is machine-dependent (see
+// results/README.md).
+func NativeTimeline(p Params, workload string, workers int, eager bool) (TraceEntry, error) {
+	inst, err := p.instance(workload, 0)
+	if err != nil {
+		return TraceEntry{}, err
+	}
+	prog, err := inst.GpH()
+	if err != nil {
+		return TraceEntry{}, err
+	}
 	cfg := native.NewConfig(workers)
 	cfg.EagerBlackholing = eager
 	cfg.EventLog = true
-	if p.FaultSpec != "" {
-		plan, perr := faults.Parse(p.FaultSpec)
-		if perr != nil {
-			return TraceEntry{}, nil, perr
-		}
-		cfg.Faults = faults.NewInjector(plan)
-	}
 	cfg.Deadline = p.Deadline
-
-	var (
-		res *native.Result
-		err error
-		ok  bool
-	)
-	switch workload {
-	case "sumeuler":
-		res, err = native.Run(cfg, euler.Program(p.SumEulerN, p.SumEulerChunks, 0, true))
-		if err == nil {
-			ok = res.Value.(int64) == euler.SumTotientSieve(p.SumEulerN)
-		}
-	case "matmul":
-		a, b := matmul.Random(p.MatMulN, 1), matmul.Random(p.MatMulN, 2)
-		res, err = native.Run(cfg, matmul.BlockProgram(a, b, p.MatMulBlock, 0))
-		if err == nil {
-			ok = matmul.Equal(res.Value.(matmul.Mat), matmul.MulOracle(a, b), 1e-9)
-		}
-	case "apsp":
-		g := apsp.RandomGraph(p.APSPNodes, 42, 100, 60)
-		res, err = native.Run(cfg, apsp.Program(g, 0))
-		if err == nil {
-			ok = apsp.Equal(res.Value.(apsp.Graph), apsp.FloydWarshall(g))
-		}
-	default:
-		return TraceEntry{}, nil, fmt.Errorf("experiments: unknown native workload %q (want sumeuler, matmul or apsp)", workload)
+	if cfg.Faults, err = p.injector(); err != nil {
+		return TraceEntry{}, err
 	}
-	if err != nil {
-		// A failed run still carries its flushed event rings: render the
-		// partial timeline alongside the error so post-mortems (tracedump
-		// under fault injection) can see what happened up to the failure.
-		if res != nil && res.Events != nil {
-			tl := res.Trace()
-			return TraceEntry{
-				Name:     fmt.Sprintf("native %s (FAILED, partial timeline): %v", workload, err),
-				Elapsed:  res.WallNS,
-				Trace:    tl,
-				Rendered: tl.Render(p.TraceWidth),
-				Summary:  tl.Summary(),
-			}, res, err
-		}
-		return TraceEntry{}, nil, err
+	res, runErr := native.Run(cfg, prog)
+	if res == nil {
+		return TraceEntry{}, runErr
 	}
-	if !ok {
-		return TraceEntry{}, nil, fmt.Errorf("experiments: native %s result differs from the sequential oracle", workload)
-	}
-
 	bh := "lazy"
 	if eager {
 		bh = "eager"
 	}
-	tl := res.Trace()
-	return TraceEntry{
-		Name:     fmt.Sprintf("native %s, %d workers, %s blackholing (wall clock)", workload, res.Workers, bh),
-		Elapsed:  res.WallNS,
-		Trace:    tl,
-		Rendered: tl.Render(p.TraceWidth),
-		Summary:  tl.Summary(),
-	}, res, nil
+	return p.timeline("native "+workload, fmt.Sprintf("%d workers, %s blackholing", res.Workers, bh),
+		inst, res.Value, res.WallNS, res.Trace(), runErr)
+}
+
+// EdenNativeTimeline runs one workload on the native Eden backend with
+// the eventlog enabled and reduces it to a per-PE wall-clock trace —
+// the EdenTV diagram of the real run, with communication rendered as
+// the Comm activity the simulator's figures use.
+func EdenNativeTimeline(p Params, workload string, pes int) (TraceEntry, error) {
+	cfg := nativeeden.NewConfig(pes)
+	cfg.EventLog = true
+	cfg.Deadline = p.Deadline
+	inst, err := p.instance(workload, cfg.PEs)
+	if err != nil {
+		return TraceEntry{}, err
+	}
+	prog, err := inst.Eden(cost.Model{})
+	if err != nil {
+		return TraceEntry{}, err
+	}
+	if cfg.Faults, err = p.injector(); err != nil {
+		return TraceEntry{}, err
+	}
+	res, runErr := nativeeden.Run(cfg, prog)
+	if res == nil {
+		return TraceEntry{}, runErr
+	}
+	return p.timeline("eden-native "+workload, fmt.Sprintf("%d PEs", res.PEs),
+		inst, res.Value, res.WallNS, res.Trace(), runErr)
 }

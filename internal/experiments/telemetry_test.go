@@ -2,9 +2,10 @@ package experiments
 
 import "testing"
 
-// TestMeasureMetricsOverheadShape: the comparison runs, produces sane
-// fields, and the enabled plane stays in the noise band. The tight
-// claim is BenchmarkMetricsOverhead's; this is the CI smoke bound.
+// TestMeasureMetricsOverheadShape: the comparison runs and produces
+// sane fields. It asserts no percentage — a test must not assert
+// wall-clock time; the number is the benchmark's
+// metrics.enabled_overhead_x row.
 func TestMeasureMetricsOverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock benchmark")
@@ -12,9 +13,6 @@ func TestMeasureMetricsOverheadShape(t *testing.T) {
 	b := MeasureMetricsOverhead()
 	if b.DisabledNS <= 0 || b.EnabledNS <= 0 {
 		t.Fatalf("bench fields: %+v", b)
-	}
-	if b.OverheadPct > 25 {
-		t.Fatalf("live metrics plane cost %+.2f%%, expected noise-level", b.OverheadPct)
 	}
 }
 

@@ -150,7 +150,10 @@ type Server struct {
 	// auto holds the shared per-workload splitters when Config.Autotune
 	// is on (nil otherwise); buildJob picks the auto program variants
 	// from it.
-	auto *autoSplitters
+	auto autoSplitters
+	// oracles memoises the sequential reference results the response
+	// gate compares against.
+	oracles oracleCache
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -192,10 +195,10 @@ func New(cfg Config) *Server {
 	nc := native.NewConfig(cfg.Workers)
 	nc.Metrics = reg
 	nc.Backoff = cfg.Backoff
-	var auto *autoSplitters
+	var auto autoSplitters
 	if cfg.Autotune {
 		auto = newAutoSplitters()
-		nc.Autotune = &native.AutotuneConfig{Splitters: auto.all()}
+		nc.Autotune = &native.AutotuneConfig{Splitters: auto}
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -385,7 +388,7 @@ func (s *Server) execute(t *task) {
 		s.lanes <- lane
 	}
 	if err == nil {
-		value, err = t.built.check(value) // oracle gate: wrong answers are failures
+		value, err = s.oracles.check(t.built.inst, value) // oracle gate: wrong answers are failures
 	}
 	resp.RunNS = time.Since(started).Nanoseconds()
 	resp.TotalNS = time.Since(t.admitted).Nanoseconds()

@@ -1,20 +1,19 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
+	"parhask/internal/cost"
 	"parhask/internal/exec"
 	"parhask/internal/faults"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
 	"parhask/internal/tune"
-	"parhask/internal/workloads/apsp"
-	"parhask/internal/workloads/euler"
-	"parhask/internal/workloads/fuzz"
-	"parhask/internal/workloads/mandel"
-	"parhask/internal/workloads/matmul"
+	"parhask/internal/workloads"
 )
 
 // JobRequest is one job submission: which workload, on which backend,
@@ -22,8 +21,8 @@ import (
 // workload's defaults; every knob is capped so a single request cannot
 // monopolise the resident runtimes.
 type JobRequest struct {
-	// Workload names a registry entry: sumeuler | matmul | apsp | fuzz
-	// | mandel.
+	// Workload names an admitted entry of the workload table: sumeuler |
+	// matmul | apsp | fuzz | mandel.
 	Workload string `json:"workload"`
 	// Backend picks the runtime: "gph" (default; the work-stealing
 	// pool) or "eden" (a resident Eden lane).
@@ -53,14 +52,14 @@ type JobRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// builtJob is a validated, runnable form of one request: the program
-// for the chosen backend plus the oracle check that turns the raw
-// result value into a small JSON-able summary.
+// builtJob is a validated, runnable form of one request: the table
+// instance, its program for the chosen backend, and the job's fault
+// plan and deadline.
 type builtJob struct {
 	backend  string // "gph" | "eden"
+	inst     *workloads.Instance
 	gph      exec.Program
 	eden     pe.Program
-	check    func(graph.Value) (any, error)
 	injector *faults.Injector
 	deadline time.Duration
 }
@@ -76,67 +75,115 @@ const (
 	maxMandelArea = 256 * 256
 )
 
-// oracleCache memoises sequential-oracle results by workload/params
-// key, so sustained load pays each oracle once instead of per request.
-var oracleCache = struct {
-	sync.Mutex
-	m map[string]any
-}{m: map[string]any{}}
+// admitted is the service's admission table: for each workload it runs,
+// the function that turns a request into the table entry's arguments or
+// rejects it. The programs, inputs and oracles are the table's; the
+// defaults for knobs left zero, the caps, the generator constants and
+// the Eden shapes (pes is the lanes' PE count) are the service's own.
+var admitted = map[string]func(r JobRequest, pes int) (workloads.Args, error){
+	"sumeuler": func(r JobRequest, _ int) (workloads.Args, error) {
+		n, err := knob(r, "n", r.N, 1000, 1, maxSumEulerN)
+		chunks, cerr := knob(r, "chunks", r.Chunks, 16, 1, 512)
+		return workloads.Args{}.With("n", n).With("chunks", chunks).With("pechunks", 2), errors.Join(err, cerr)
+	},
+	"matmul": func(r JobRequest, _ int) (workloads.Args, error) {
+		n, err := knob(r, "n", r.N, 48, 4, maxMatMulN)
+		if n%4 != 0 {
+			err = badReq("matmul n=%d out of range (want multiple of 4 in [4,%d])", n, maxMatMulN)
+		}
+		// A quarter-size block grid on the pool, a 2×2 torus on a lane.
+		return workloads.Args{}.With("n", n).With("block", n/4).With("q", 2).With("seed", seedOr(r, 1)), err
+	},
+	"apsp": func(r JobRequest, pes int) (workloads.Args, error) {
+		n, err := knob(r, "n", r.N, 32, 2, maxAPSPNodes)
+		ring := uint64(max(1, pes-1)) // PE 0 keeps the root
+		return workloads.Args{}.With("n", n).With("ring", ring).With("seed", seedOr(r, 7)).With("maxw", 100).With("density", 50), err
+	},
+	"fuzz": func(r JobRequest, _ int) (workloads.Args, error) {
+		n, err := knob(r, "n", r.N, 200, 1, maxFuzzNodes)
+		return workloads.Args{}.With("n", n).With("seed", seedOr(r, 1)), err
+	},
+	"mandel": func(r JobRequest, _ int) (workloads.Args, error) {
+		w, h := r.Width, r.Height
+		if w == 0 && h == 0 {
+			w, h = 64, 48
+		}
+		if w < 1 || h < 1 || w > maxMandelArea || h > maxMandelArea || w*h > maxMandelArea {
+			return workloads.Args{}, badReq("mandel %dx%d out of range (area cap %d)", w, h, maxMandelArea)
+		}
+		return workloads.Args{}.With("n", uint64(w)).With("height", uint64(h)), nil
+	},
+}
 
-func cachedOracle(key string, compute func() any) any {
-	oracleCache.Lock()
-	defer oracleCache.Unlock()
-	if v, ok := oracleCache.m[key]; ok {
-		return v
+// knob applies the service's default and range to one size knob.
+func knob(r JobRequest, param string, v, def, lo, hi int) (uint64, error) {
+	if v == 0 {
+		v = def
 	}
-	v := compute()
-	oracleCache.m[key] = v
-	return v
+	if v < lo || v > hi {
+		return 0, badReq("%s %s=%d out of range [%d,%d]", r.Workload, param, v, lo, hi)
+	}
+	return uint64(v), nil
+}
+
+func seedOr(r JobRequest, def uint64) uint64 {
+	if r.Seed != 0 {
+		return r.Seed
+	}
+	return def
 }
 
 func badReq(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 }
 
-// Workloads lists the registered workload names (for diagnostics).
+// Workloads lists the admitted workload names (for diagnostics).
 func Workloads() []string {
-	return []string{"sumeuler", "matmul", "apsp", "fuzz", "mandel"}
+	names := make([]string, 0, len(admitted))
+	for name := range admitted {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // autoSplitters are the service's shared granularity levers, one per
-// gph workload family with a tunable decomposition. Every job of a
-// family reads the same splitter, so the controller's grain survives
-// across requests — sustained traffic converges instead of each job
-// restarting the search.
-type autoSplitters struct {
-	euler  *tune.Splitter
-	matmul *tune.Splitter
-	apsp   *tune.Splitter
-}
+// gph workload family with a tunable decomposition, named after the
+// workload. Every job of a family reads the same splitter, so the
+// controller's grain survives across requests — sustained traffic
+// converges instead of each job restarting the search.
+type autoSplitters []*tune.Splitter
 
-func newAutoSplitters() *autoSplitters {
-	return &autoSplitters{
+func newAutoSplitters() autoSplitters {
+	return autoSplitters{
 		// Grains are items per spark in each family's own unit:
 		// sumeuler counts φ evaluations, matmul result cells, apsp
 		// final rows.
-		euler:  tune.NewSplitter("sumeuler", 64, 4, 4096),
-		matmul: tune.NewSplitter("matmul", 256, 16, 1<<16),
-		apsp:   tune.NewSplitter("apsp", 8, 1, 256),
+		tune.NewSplitter("sumeuler", 64, 4, 4096),
+		tune.NewSplitter("matmul", 256, 16, 1<<16),
+		tune.NewSplitter("apsp", 8, 1, 256),
 	}
 }
 
-func (a *autoSplitters) all() []*tune.Splitter {
-	return []*tune.Splitter{a.euler, a.matmul, a.apsp}
+// of returns the workload's splitter, nil when it has none (or when
+// autotuning is off and a is nil).
+func (a autoSplitters) of(workload string) *tune.Splitter {
+	for _, sp := range a {
+		if sp.Name() == workload {
+			return sp
+		}
+	}
+	return nil
 }
 
-// buildJob validates a request against the registry and assembles its
-// programs. pes is the Eden lanes' PE count (the eden-side programs
-// size their process topology from it). auto, when non-nil, swaps the
-// gph programs with tunable decompositions (sumeuler, matmul, apsp)
-// for their splitter-driven variants; validation and oracles are
-// identical either way. All validation failures wrap ErrBadRequest or
+// buildJob validates a request against the service's admission table
+// and builds its program from the workload table. pes is the Eden
+// lanes' PE count (the eden-side topologies are sized from it). auto,
+// when non-nil, swaps the gph programs with tunable decompositions for
+// their splitter-driven forms; validation and oracles are identical
+// either way. All validation failures wrap ErrBadRequest or
 // ErrUnknownWorkload, so they classify before any queueing happens.
-func buildJob(req JobRequest, pes int, auto *autoSplitters) (*builtJob, error) {
+func buildJob(req JobRequest, pes int, auto autoSplitters) (*builtJob, error) {
 	b := &builtJob{backend: req.Backend}
 	switch b.backend {
 	case "":
@@ -157,161 +204,65 @@ func buildJob(req JobRequest, pes int, auto *autoSplitters) (*builtJob, error) {
 	}
 	b.deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 
-	switch req.Workload {
-	case "sumeuler":
-		n, chunks := req.N, req.Chunks
-		if n == 0 {
-			n = 1000
-		}
-		if n < 1 || n > maxSumEulerN {
-			return nil, badReq("sumeuler n=%d out of range [1,%d]", n, maxSumEulerN)
-		}
-		if chunks == 0 {
-			chunks = 16
-		}
-		if chunks < 1 || chunks > 512 {
-			return nil, badReq("sumeuler chunks=%d out of range [1,512]", chunks)
-		}
-		if auto != nil {
-			b.gph = euler.AutoProgram(n, auto.euler)
-		} else {
-			b.gph = euler.Program(n, chunks, 0, true)
-		}
-		b.eden = euler.EdenProgram(n, 2, 0)
-		key := fmt.Sprintf("sumeuler/%d", n)
-		b.check = func(v graph.Value) (any, error) {
-			want := cachedOracle(key, func() any { return euler.SumTotientSieve(n) }).(int64)
-			got, ok := v.(int64)
-			if !ok || got != want {
-				return nil, &integrityError{workload: "sumeuler"}
-			}
-			return got, nil
-		}
-
-	case "matmul":
-		n := req.N
-		if n == 0 {
-			n = 48
-		}
-		if n < 4 || n > maxMatMulN || n%4 != 0 {
-			return nil, badReq("matmul n=%d out of range (want multiple of 4 in [4,%d])", n, maxMatMulN)
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		a, bm := matmul.Random(n, seed), matmul.Random(n, seed+1)
-		if auto != nil {
-			b.gph = matmul.AutoBlockProgram(a, bm, auto.matmul, 0)
-		} else {
-			b.gph = matmul.BlockProgram(a, bm, n/4, 0)
-		}
-		b.eden = matmul.EdenCannonProgram(a, bm, 2, 0)
-		key := fmt.Sprintf("matmul/%d/%d", n, seed)
-		b.check = func(v graph.Value) (any, error) {
-			want := cachedOracle(key, func() any { return matmul.MulOracle(a, bm) }).(matmul.Mat)
-			got, ok := v.(matmul.Mat)
-			if !ok || !matmul.Equal(got, want, 1e-9) {
-				return nil, &integrityError{workload: "matmul"}
-			}
-			return matmul.Checksum(got), nil
-		}
-
-	case "apsp":
-		n := req.N
-		if n == 0 {
-			n = 32
-		}
-		if n < 2 || n > maxAPSPNodes {
-			return nil, badReq("apsp n=%d out of range [2,%d]", n, maxAPSPNodes)
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 7
-		}
-		g := apsp.RandomGraph(n, seed, 100, 50)
-		ring := pes - 1
-		if ring < 1 {
-			ring = 1
-		}
-		if auto != nil {
-			b.gph = apsp.AutoProgram(g, auto.apsp, 0)
-		} else {
-			b.gph = apsp.Program(g, 0)
-		}
-		b.eden = apsp.EdenRingProgram(g, ring, 0)
-		key := fmt.Sprintf("apsp/%d/%d", n, seed)
-		b.check = func(v graph.Value) (any, error) {
-			want := cachedOracle(key, func() any { return apsp.FloydWarshall(g) }).(apsp.Graph)
-			got, ok := v.(apsp.Graph)
-			if !ok || !apsp.Equal(got, want) {
-				return nil, &integrityError{workload: "apsp"}
-			}
-			return apsp.Checksum(got), nil
-		}
-
-	case "fuzz":
-		n := req.N
-		if n == 0 {
-			n = 200
-		}
-		if n < 1 || n > maxFuzzNodes {
-			return nil, badReq("fuzz n=%d out of range [1,%d]", n, maxFuzzNodes)
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		if b.backend == "eden" {
-			return nil, badReq("fuzz has no eden form (thunk DAGs are shared-heap)")
-		}
-		prog := fuzz.Generate(seed, n)
-		b.gph = prog.Body()
-		key := fmt.Sprintf("fuzz/%d/%d", n, seed)
-		b.check = func(v graph.Value) (any, error) {
-			want := cachedOracle(key, func() any { return prog.Expected() }).(int64)
-			got, ok := v.(int64)
-			if !ok || got != want {
-				return nil, &integrityError{workload: "fuzz"}
-			}
-			return got, nil
-		}
-
-	case "mandel":
-		w, h := req.Width, req.Height
-		if w == 0 && h == 0 {
-			w, h = 64, 48
-		}
-		if w < 1 || h < 1 || w*h > maxMandelArea {
-			return nil, badReq("mandel %dx%d out of range (area cap %d)", w, h, maxMandelArea)
-		}
-		p := mandel.DefaultParams(w, h)
-		workers := pes - 1
-		if workers < 1 {
-			workers = 1
-		}
-		b.gph = mandel.Program(p)
-		b.eden = mandel.EdenProgram(p, workers, 2)
-		key := fmt.Sprintf("mandel/%d/%d", w, h)
-		b.check = func(v graph.Value) (any, error) {
-			want := cachedOracle(key, func() any {
-				return mandel.Render(nopMandelCtx{}, p)
-			}).([][]int32)
-			got, ok := v.([][]int32)
-			if !ok || !mandel.Equal(got, want) {
-				return nil, &integrityError{workload: "mandel"}
-			}
-			return mandel.Checksum(got), nil
-		}
-
-	default:
+	admit, ok := admitted[req.Workload]
+	if !ok {
 		return nil, fmt.Errorf("%w: %q (have %v)", ErrUnknownWorkload, req.Workload, Workloads())
+	}
+	args, err := admit(req, pes)
+	if err != nil {
+		return nil, err
+	}
+	e, err := workloads.Lookup(req.Workload)
+	if err != nil {
+		return nil, err // an admitted name missing from the table is our bug, not the client's
+	}
+	if b.inst, err = e.New(args); err != nil {
+		return nil, badReq("%v", err)
+	}
+	if sp := auto.of(e.Name); b.backend == "eden" {
+		b.eden, err = b.inst.Eden(cost.Model{})
+	} else if sp != nil {
+		b.gph, err = b.inst.Auto(sp)
+	} else {
+		b.gph, err = b.inst.GpH()
+	}
+	if err != nil {
+		return nil, badReq("%v", err)
 	}
 	return b, nil
 }
 
-// nopMandelCtx satisfies mandel.Ctx for the oracle render.
-type nopMandelCtx struct{}
+// oracleCacheCap bounds the oracle cache. A reference result can be
+// half a megabyte (a 256×256 matrix), and the key space is whatever
+// clients send, so the cache must not grow with it.
+const oracleCacheCap = 32
 
-func (nopMandelCtx) Burn(int64)  {}
-func (nopMandelCtx) Alloc(int64) {}
+// oracleCache memoises sequential-oracle results by instance, so
+// sustained load over a working set of instances pays each oracle once
+// instead of per request. A cache that fills up starts over: a working
+// set within the bound never notices, a stream of distinct instances
+// was never going to hit.
+type oracleCache struct {
+	mu sync.Mutex
+	m  map[workloads.Key]graph.Value
+}
+
+// check verifies a job's result against its instance's reference
+// result, computing that at most once while it stays cached.
+func (c *oracleCache) check(inst *workloads.Instance, got graph.Value) (any, error) {
+	key := inst.Key()
+	c.mu.Lock()
+	want, ok := c.m[key]
+	if !ok {
+		if c.m == nil || len(c.m) >= oracleCacheCap {
+			c.m = make(map[workloads.Key]graph.Value, oracleCacheCap)
+		}
+		want = inst.Reference()
+		c.m[key] = want
+	}
+	c.mu.Unlock()
+	if summary, err := inst.Verify(got, want); err == nil {
+		return summary, nil
+	}
+	return nil, &integrityError{workload: inst.Entry.Name}
+}
