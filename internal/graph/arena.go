@@ -13,9 +13,11 @@ package graph
 // An Arena is intentionally NOT safe for concurrent use: exactly one
 // goroutine (the owning worker) allocates from it. The thunks it hands
 // out are ordinary shared heap nodes — any worker may claim, force and
-// update them; only the *allocation* is owner-local. Chunks are kept
-// alive by the arena until Reset, so a handed-out thunk can never be
-// collected under a still-running program.
+// update them; only the *allocation* is owner-local. The arena holds
+// only the chunk it is filling: a handed-out *Thunk is an interior
+// pointer and pins its own chunk for as long as anything can reach it,
+// and a filled chunk nothing reaches is garbage — a resident worker's
+// arena, which is never Reset, must not keep every job's thunks alive.
 type Arena struct {
 	chunk []Thunk
 	pos   int
@@ -23,11 +25,8 @@ type Arena struct {
 	// chunkThunks is the chunk capacity in thunks.
 	chunkThunks int
 
-	// retired keeps completed chunks reachable until Reset. Without it
-	// the GC could not free any chunk early anyway (live thunks pin it),
-	// but holding them makes the lifetime rule explicit and gives Stats
-	// an exact chunk count.
-	retired [][]Thunk
+	// filled counts the chunks completed since the last Reset, for Stats.
+	filled int64
 }
 
 // DefaultArenaChunk is the default chunk capacity, in thunks. At ~96
@@ -49,7 +48,7 @@ func NewArena(chunkThunks int) *Arena {
 func (a *Arena) alloc() *Thunk {
 	if a.pos == len(a.chunk) {
 		if a.chunk != nil {
-			a.retired = append(a.retired, a.chunk)
+			a.filled++
 		}
 		a.chunk = make([]Thunk, a.chunkThunks)
 		a.pos = 0
@@ -87,24 +86,24 @@ func (a *Arena) NewThunkAdapted(adapt AdaptFn, payload any) *Thunk {
 	return t
 }
 
-// Stats reports the arena's footprint: chunks allocated and thunks
-// handed out.
+// Stats reports the arena's traffic since the last Reset: chunks
+// allocated and thunks handed out.
 func (a *Arena) Stats() (chunks, thunks int64) {
+	chunks = a.filled
 	if a.chunk != nil {
-		chunks = 1
+		chunks++
 	}
-	chunks += int64(len(a.retired))
-	thunks = int64(len(a.retired))*int64(a.chunkThunks) + int64(a.pos)
+	thunks = a.filled*int64(a.chunkThunks) + int64(a.pos)
 	return chunks, thunks
 }
 
 // Reset recycles the arena for a new run: the current chunk is rewound
-// and retired chunks are dropped. The caller must guarantee that no
+// and the counts start over. The caller must guarantee that no
 // thunk handed out before the Reset is still reachable — the rewound
 // chunk's slots are reused, so a stale reference would observe a
 // different computation's node.
 func (a *Arena) Reset() {
-	a.retired = nil
+	a.filled = 0
 	a.pos = 0
 	clear(a.chunk)
 }

@@ -95,9 +95,9 @@ func newPoolMetrics(reg *metrics.Registry, p *Pool) *poolMetrics {
 			return 0
 		}))
 
-	// Arena footprint from the workers' published atomics (the arena's
+	// Arena traffic from the workers' published atomics (the arena's
 	// own counters are owner-written plain fields — racy to read live).
-	reg.GaugeFunc("native_pool_arena_chunks", "thunk-arena chunks currently allocated across workers", func() float64 {
+	reg.GaugeFunc("native_pool_arena_chunks", "thunk-arena chunks allocated by the workers since the pool started (filled chunks are not retained)", func() float64 {
 		var n int64
 		for _, w := range p.rt.workers {
 			n += w.pubArenaChunks.Load()

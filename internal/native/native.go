@@ -876,7 +876,10 @@ const injectCompactAt = 32
 // (inject = inject[1:]) would keep every run thunk reachable through
 // the backing array for the rest of the run — and once the dead prefix
 // passes injectCompactAt and outweighs the live tail, the tail is
-// copied down so the array itself shrinks back.
+// copied down so the array itself shrinks back. The slots the tail
+// vacated are zeroed too: a copy left beyond len would pin its spark,
+// and through the spark's closure a whole finished job, in a resident
+// pool until later pushes happened to overwrite it.
 func (r *rt) popInject() (*graph.Thunk, *Job) {
 	r.injectMu.Lock()
 	defer r.injectMu.Unlock()
@@ -896,6 +899,7 @@ func (r *rt) popInject() (*graph.Thunk, *Job) {
 	}
 	if r.injectHead >= injectCompactAt && r.injectHead*2 >= len(r.inject) {
 		n := copy(r.inject, r.inject[r.injectHead:])
+		clear(r.inject[n:])
 		r.inject = r.inject[:n]
 		r.injectHead = 0
 	}

@@ -70,22 +70,24 @@ func Clone(g Graph) Graph {
 	return out
 }
 
+// minPlusRow writes out[j] = min(row[j], rik+pivot[j]) for every j in
+// row — the one min-plus loop in the package (out may be row itself).
+// Both other operands are resliced to len(row) first, so the loop body
+// compiles without bounds checks.
+func minPlusRow(out, row, pivot []int32, rik int32) {
+	out, pivot = out[:len(row)], pivot[:len(row)]
+	for j, r := range row {
+		out[j] = min(r, rik+pivot[j])
+	}
+}
+
 // FloydWarshall is the sequential oracle (no cost accounting).
 func FloydWarshall(g Graph) Graph {
 	d := Clone(g)
-	n := len(d)
-	for k := 0; k < n; k++ {
-		dk := d[k]
-		for i := 0; i < n; i++ {
-			di := d[i]
-			dik := di[k]
-			if dik >= Inf {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if alt := dik + dk[j]; alt < di[j] {
-					di[j] = alt
-				}
+	for k, dk := range d {
+		for _, di := range d {
+			if dik := di[k]; dik < Inf {
+				minPlusRow(di, di, dk, dik)
 			}
 		}
 	}
@@ -99,17 +101,10 @@ func FloydWarshall(g Graph) Graph {
 func UpdateRow(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) []int32 {
 	n := len(row)
 	out := make([]int32, n)
-	rik := row[k]
-	if rik >= Inf {
-		copy(out, row)
+	if rik := row[k]; rik < Inf {
+		minPlusRow(out, row, pivot, rik)
 	} else {
-		for j := 0; j < n; j++ {
-			if alt := rik + pivot[j]; alt < row[j] {
-				out[j] = alt
-			} else {
-				out[j] = row[j]
-			}
-		}
+		copy(out, row)
 	}
 	ctx.Burn(int64(n) * minPlusCost)
 	ctx.Alloc(int64(n)*AllocPerElem + 24)
@@ -119,16 +114,10 @@ func UpdateRow(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) []int32 {
 // UpdateRowInPlace is UpdateRow without the copy, for block-owning
 // versions (Eden ring nodes mutate their private rows).
 func UpdateRowInPlace(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) {
-	n := len(row)
-	rik := row[k]
-	if rik < Inf {
-		for j := 0; j < n; j++ {
-			if alt := rik + pivot[j]; alt < row[j] {
-				row[j] = alt
-			}
-		}
+	if rik := row[k]; rik < Inf {
+		minPlusRow(row, row, pivot, rik)
 	}
-	ctx.Burn(int64(n) * minPlusCost)
+	ctx.Burn(int64(len(row)) * minPlusCost)
 	ctx.Alloc(24)
 }
 

@@ -55,6 +55,69 @@ func TestUpdateRowMatchesOracleStage(t *testing.T) {
 	}
 }
 
+// naiveStage is one Floyd–Warshall row update written out longhand, so
+// the checks below share no code with minPlusRow.
+func naiveStage(row, pivot []int32, k int) []int32 {
+	out := append([]int32(nil), row...)
+	if row[k] >= Inf {
+		return out
+	}
+	for j := 0; j < len(row); j++ {
+		if alt := row[k] + pivot[j]; alt < row[j] {
+			out[j] = alt
+		}
+	}
+	return out
+}
+
+// TestRowUpdatesMatchNaiveLoops checks all three entry points against
+// naiveStage on random graphs that also hold what the kernel's guard
+// is for: rows with no edge at all, and pivot distances at and past Inf.
+func TestRowUpdatesMatchNaiveLoops(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		const n = 37
+		g := RandomGraph(n, seed, 9, 15)
+		for j := range g[5] {
+			g[5][j], g[20][j] = Inf, Inf
+		}
+		g[7][3], g[8][3] = Inf, Inf+3
+
+		want := Clone(g)
+		for k := 0; k < n; k++ {
+			pivot := append([]int32(nil), want[k]...)
+			for i := 0; i < n; i++ {
+				row := append([]int32(nil), want[i]...)
+				stage := naiveStage(row, pivot, k)
+
+				ctx := &nopCtx{}
+				got := UpdateRow(ctx, 1, row, pivot, k)
+				if !Equal(Graph{got}, Graph{stage}) {
+					t.Fatalf("seed %d stage %d row %d: UpdateRow = %v, want %v", seed, k, i, got, stage)
+				}
+				if !Equal(Graph{row}, want[i:i+1]) {
+					t.Fatalf("seed %d stage %d row %d: UpdateRow wrote to its input", seed, k, i)
+				}
+				if ctx.burned != n || ctx.alloced != n*AllocPerElem+24 {
+					t.Fatalf("UpdateRow charged burn %d alloc %d for %d elements", ctx.burned, ctx.alloced, n)
+				}
+
+				ctx = &nopCtx{}
+				UpdateRowInPlace(ctx, 1, row, pivot, k)
+				if !Equal(Graph{row}, Graph{stage}) {
+					t.Fatalf("seed %d stage %d row %d: UpdateRowInPlace = %v, want %v", seed, k, i, row, stage)
+				}
+				if ctx.burned != n || ctx.alloced != 24 {
+					t.Fatalf("UpdateRowInPlace charged burn %d alloc %d for %d elements", ctx.burned, ctx.alloced, n)
+				}
+				copy(want[i], stage)
+			}
+		}
+		if got := FloydWarshall(g); !Equal(got, want) {
+			t.Fatalf("seed %d: FloydWarshall differs from %d naive stages", seed, n)
+		}
+	}
+}
+
 func TestSeqProgramMatchesOracle(t *testing.T) {
 	g := RandomGraph(24, 5, 9, 30)
 	want := FloydWarshall(g)

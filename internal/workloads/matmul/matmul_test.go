@@ -1,17 +1,116 @@
 package matmul
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"parhask/internal/eden"
 	"parhask/internal/gph"
+	"parhask/internal/sim"
 )
 
 type nopCtx struct{ burned, alloced int64 }
 
 func (n *nopCtx) Burn(ns int64) { n.burned += ns }
 func (n *nopCtx) Alloc(b int64) { n.alloced += b }
+
+// naiveMulAdd is the textbook triple loop, written here so the checks
+// below share no code with mulAddRow: dst[i][j] += Σ_k a[i][k]·b[k][c0+j]
+// with k ascending, one rounding per term.
+func naiveMulAdd(dst, a, b Mat, c0 int) {
+	for i := range dst {
+		for j := range dst[i] {
+			for k := range b {
+				dst[i][j] += a[i][k] * b[k][c0+j]
+			}
+		}
+	}
+}
+
+// randRect is an n×m matrix of signed values with exact zeros mixed in.
+func randRect(n, m int, seed uint64) Mat {
+	rng := sim.NewPRNG(seed)
+	out := New(n, m)
+	for i := range out {
+		for j := range out[i] {
+			if v := rng.Uint64() % 2_000_001; v%7 != 0 {
+				out[i][j] = float64(v)/1_000_000 - 1
+			}
+		}
+	}
+	return out
+}
+
+// identical is Equal with no tolerance: the same bits, not a close sum.
+func identical(t *testing.T, what string, got, want Mat) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d has %d columns, want %d", what, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("%s: [%d][%d] = %v, want %v", what, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestKernelsMatchNaiveLoopExactly pins all three entry points to the
+// naive loop bit for bit, at inner dimensions that hit every tail
+// length of the four-way unrolled kernel and at windows with c0 != 0.
+func TestKernelsMatchNaiveLoopExactly(t *testing.T) {
+	const n, m = 9, 13
+	for _, p := range []int{1, 3, 4, 5, 7, 96, 97} {
+		a, b := randRect(n, p, uint64(p)), randRect(p, m, uint64(p)+100)
+
+		want := New(n, m)
+		naiveMulAdd(want, a, b, 0)
+		identical(t, fmt.Sprintf("MulOracle p=%d", p), MulOracle(a, b), want)
+
+		for _, w := range [][4]int{{0, n, 0, m}, {2, 7, 0, m}, {0, n, 5, 11}, {3, 4, 12, 13}, {1, 8, 1, 1}} {
+			r0, r1, c0, c1 := w[0], w[1], w[2], w[3]
+			want := New(r1-r0, c1-c0)
+			naiveMulAdd(want, a[r0:r1], b, c0)
+			ctx := &nopCtx{}
+			got := MulRange(ctx, 1, a, b, r0, r1, c0, c1)
+			identical(t, fmt.Sprintf("MulRange p=%d rows [%d,%d) cols [%d,%d)", p, r0, r1, c0, c1), got, want)
+			if ops := int64((r1 - r0) * p * (c1 - c0)); ctx.burned != ops {
+				t.Fatalf("MulRange p=%d window %v: burned = %d, want %d", p, w, ctx.burned, ops)
+			}
+		}
+
+		acc, wantAcc := randRect(n, m, uint64(p)+200), randRect(n, m, uint64(p)+200)
+		naiveMulAdd(wantAcc, a, b, 0)
+		ctx := &nopCtx{}
+		MulAddInto(ctx, 1, acc, a, b)
+		identical(t, fmt.Sprintf("MulAddInto p=%d", p), acc, wantAcc)
+		if ops := int64(n * p * m); ctx.burned != ops || ctx.alloced != ops*AllocPerMulAdd+n*m*AllocPerElem {
+			t.Fatalf("MulAddInto p=%d: burned %d alloced %d for %d multiply-adds", p, ctx.burned, ctx.alloced, ops)
+		}
+	}
+}
+
+// TestShortRowPanics: a row of b shorter than the column window is a
+// caller bug and must panic — its spare capacity is not readable data.
+func TestShortRowPanics(t *testing.T) {
+	for _, short := range []int{1, 6} { // one in a four-row step, one in the scalar tail
+		a, b := randRect(4, 7, 1), randRect(7, 8, 2)
+		b[short] = b[short][:5]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("b[%d] has 5 of 8 columns: MulRange over columns [2,8) did not panic", short)
+				}
+			}()
+			MulRange(&nopCtx{}, 1, a, b, 0, 4, 2, 8)
+		}()
+	}
+}
 
 func TestMulRangeMatchesOracle(t *testing.T) {
 	a, b := Random(16, 1), Random(16, 2)
