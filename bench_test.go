@@ -7,6 +7,9 @@
 // plot. Benchmarks default to reduced problem sizes so `go test
 // -bench=.` completes in minutes; set PARHASK_FULL=1 to run them at
 // full paper scale (cmd/benchall always uses full scale).
+//
+// Everything here is virtual time. The native runtimes' wall-clock
+// numbers have one writer, `go run ./benchmark` (BENCHMARK.json).
 package parhask_test
 
 import (
@@ -14,16 +17,12 @@ import (
 	"os"
 	"testing"
 
-	"parhask/internal/deque"
 	"parhask/internal/eden"
 	"parhask/internal/experiments"
-	"parhask/internal/faults"
 	"parhask/internal/gph"
 	"parhask/internal/graph"
 	"parhask/internal/gum"
 	"parhask/internal/machine"
-	"parhask/internal/metrics"
-	"parhask/internal/native"
 	"parhask/internal/pe"
 	"parhask/internal/rts"
 	"parhask/internal/sim"
@@ -489,34 +488,6 @@ func BenchmarkAblationRowVsBlock(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
-func BenchmarkDequeOwnerPushPop(b *testing.B) {
-	d := deque.New[int]()
-	v := 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.PushBottom(&v)
-		d.PopBottom()
-	}
-}
-
-func BenchmarkDequeSteal(b *testing.B) {
-	d := deque.New[int]()
-	vals := make([]int, 1024)
-	for i := range vals {
-		d.PushBottom(&vals[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := d.Steal(); !ok {
-			b.StopTimer()
-			for j := range vals {
-				d.PushBottom(&vals[j])
-			}
-			b.StartTimer()
-		}
-	}
-}
-
 func BenchmarkSimEventThroughput(b *testing.B) {
 	s := sim.New(1)
 	s.Spawn("ticker", func(t *sim.Task) {
@@ -802,249 +773,6 @@ func BenchmarkQueens(b *testing.B) {
 		}
 		reportVirt(b, virt)
 	})
-}
-
-// --- Native backend: real wall-clock on real goroutines ---
-//
-// Unlike every benchmark above, the ns/op of the BenchmarkNative*
-// benchmarks IS the quantity of interest: the same GpH program bodies
-// executed by the native work-stealing runtime on actual cores. The
-// worker-count sub-benchmarks sweep the paper's x-axis in real time.
-
-// BenchmarkNativeSumEuler sweeps worker counts on the uncached sumEuler
-// kernel (the wall-clock analogue of Fig. 3's speedup curve).
-func BenchmarkNativeSumEuler(b *testing.B) {
-	p := benchParams()
-	n, chunks := p.SumEulerN, p.SumEulerChunks
-	want := euler.SumTotientSieve(n)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := native.Run(native.NewConfig(workers), euler.Program(n, chunks, 0, true))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Value.(int64) != want {
-					b.Fatalf("wrong sum: %v", res.Value)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkNativeMatMul sweeps worker counts on the blockwise matrix
-// multiplication.
-func BenchmarkNativeMatMul(b *testing.B) {
-	p := benchParams()
-	a := matmul.Random(p.MatMulN, 103)
-	bm := matmul.Random(p.MatMulN, 104)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := native.Run(native.NewConfig(workers), matmul.BlockProgram(a, bm, p.MatMulBlock, 0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Value.(matmul.Mat)) != p.MatMulN {
-					b.Fatal("wrong result shape")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkNativeAPSP compares the black-holing policies on the shared-
-// thunk shortest-paths lattice in real time, reporting the measured
-// duplicate-entry count (the paper's §IV-A.3 effect on actual cores).
-func BenchmarkNativeAPSP(b *testing.B) {
-	p := benchParams()
-	g := apsp.RandomGraph(p.APSPNodes, 105, 9, 25)
-	for _, eager := range []bool{false, true} {
-		name := "lazy_bh"
-		if eager {
-			name = "eager_bh"
-		}
-		b.Run(name, func(b *testing.B) {
-			var dups int64
-			for i := 0; i < b.N; i++ {
-				cfg := native.NewConfig(0)
-				cfg.EagerBlackholing = eager
-				res, err := native.Run(cfg, apsp.Program(g, 0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				dups += res.Stats.DupEntries
-			}
-			b.ReportMetric(float64(dups)/float64(b.N), "dup-entries/op")
-		})
-	}
-}
-
-// BenchmarkNativeEventlogOverhead measures what the wall-clock eventlog
-// costs on the native runtime's hot paths. "disabled" is the baseline
-// every production run pays: nil-checked hooks and per-worker counter
-// bumps only, no event allocation. "enabled" additionally timestamps
-// and records every spark/steal/thunk/block event into the per-worker
-// rings. Acceptance bound: disabled must stay within 5% of the
-// pre-eventlog runtime (compare against a checkout before this change);
-// enabled is expected to cost a few percent more.
-func BenchmarkNativeEventlogOverhead(b *testing.B) {
-	p := benchParams()
-	n, chunks := p.SumEulerN, p.SumEulerChunks
-	want := euler.SumTotientSieve(n)
-	for _, enabled := range []bool{false, true} {
-		name := "disabled"
-		if enabled {
-			name = "enabled"
-		}
-		b.Run(name, func(b *testing.B) {
-			var logged int64
-			for i := 0; i < b.N; i++ {
-				cfg := native.NewConfig(4)
-				cfg.EventLog = enabled
-				res, err := native.Run(cfg, euler.Program(n, chunks, 0, true))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Value.(int64) != want {
-					b.Fatalf("wrong sum: %v", res.Value)
-				}
-				if enabled {
-					logged += int64(res.Report().EventsLogged)
-				}
-			}
-			if enabled {
-				b.ReportMetric(float64(logged)/float64(b.N), "events/op")
-			}
-		})
-	}
-}
-
-// BenchmarkNativeFaultOverhead proves the fault-injection hooks are
-// nil-check-only when no injector is configured: "disabled" (nil
-// Config.Faults) is the baseline every production run pays; "armed"
-// carries an injector with an empty plan, so every hook runs its cold
-// path without ever firing. Acceptance bound: disabled must stay
-// within 2% of the pre-faults runtime — the same bar as the eventlog.
-func BenchmarkNativeFaultOverhead(b *testing.B) {
-	p := benchParams()
-	n, chunks := p.SumEulerN, p.SumEulerChunks
-	want := euler.SumTotientSieve(n)
-	for _, armed := range []bool{false, true} {
-		name := "disabled"
-		if armed {
-			name = "armed_empty"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := native.NewConfig(4)
-				if armed {
-					cfg.Faults = faults.NewInjector(nil)
-				}
-				res, err := native.Run(cfg, euler.Program(n, chunks, 0, true))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Value.(int64) != want {
-					b.Fatalf("wrong sum: %v", res.Value)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMetricsOverhead proves the metrics plane follows the same
-// contract as the eventlog and fault hooks: "disabled" (nil
-// Config.Metrics) is a nil check on the resident pool's hot paths and
-// must stay within noise of the pre-metrics runtime; "enabled" records
-// per-job latency histograms and sharded counters and is expected to
-// cost low single digits. The measured figures land in
-// results/BENCH_native.json (metrics_overhead, via benchall -serve).
-func BenchmarkMetricsOverhead(b *testing.B) {
-	p := benchParams()
-	n, chunks := p.SumEulerN, p.SumEulerChunks
-	want := euler.SumTotientSieve(n)
-	for _, enabled := range []bool{false, true} {
-		name := "disabled"
-		if enabled {
-			name = "enabled"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := native.NewConfig(4)
-			if enabled {
-				cfg.Metrics = metrics.New()
-			}
-			pool := native.NewPool(cfg)
-			defer pool.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h, err := pool.Submit(native.JobConfig{}, euler.Program(n, chunks, 0, true))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := h.Wait()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Value.(int64) != want {
-					b.Fatalf("wrong sum: %v", res.Value)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkNativeSparkHotPath measures the allocation cost of the
-// spark hot path: 512 thunks built through the per-worker arenas,
-// sparked and forced. The allocs/op this reports is the PR's headline
-// number — the pre-arena runtime paid 1989 allocs/op at 4 workers on
-// this exact shape (one wrapper closure + one heap Thunk per spark);
-// arenas and the closure-free representation cut it to ~half. The
-// measured figure is recorded in results/BENCH_native.json (hot_path).
-func BenchmarkNativeSparkHotPath(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := native.Run(native.NewConfig(workers),
-					experiments.HotPathProgram(512)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkNativeGOGC sweeps the GC target on the allocation-heavy
-// sumEuler body — the wall-clock analogue of BenchmarkAblationAllocArea
-// (§IV-A.1): a larger target is a larger allocation area, hence fewer
-// collections per run.
-func BenchmarkNativeGOGC(b *testing.B) {
-	p := benchParams()
-	n, chunks := p.SumEulerN, p.SumEulerChunks
-	want := euler.SumTotientSieve(n)
-	for _, gogc := range []int{50, 100, 400, native.GCOff} {
-		name := fmt.Sprintf("gogc_%d", gogc)
-		if gogc == native.GCOff {
-			name = "gogc_off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var gcs int64
-			for i := 0; i < b.N; i++ {
-				cfg := native.NewConfig(4)
-				cfg.GCPercent = gogc
-				res, err := native.Run(cfg, euler.Program(n, chunks, 0, true))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Value.(int64) != want {
-					b.Fatalf("wrong sum: %v", res.Value)
-				}
-				gcs += res.GC.Cycles
-			}
-			b.ReportMetric(float64(gcs)/float64(b.N), "gcs/op")
-		})
-	}
 }
 
 // BenchmarkHierarchicalMasterWorker compares a flat farm against the

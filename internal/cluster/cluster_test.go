@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -66,14 +67,17 @@ func TestClusterSumEulerTCP(t *testing.T) {
 }
 
 func TestClusterAPSPUnix(t *testing.T) {
-	res := runOK(t, Config{
-		Procs: 3, PerProc: 1, Transport: "unix",
-		Spec: "apsp?n=24&ring=3&seed=7",
-	})
-	// The ring sends row blocks around every process boundary; silence
-	// would mean the run never left one process.
-	if res.Total.Messages == 0 {
-		t.Fatal("APSP ring moved no messages between processes")
+	// Four processes is the widest cluster any test spawns.
+	for _, procs := range []int{3, 4} {
+		res := runOK(t, Config{
+			Procs: procs, PerProc: 1, Transport: "unix",
+			Spec: fmt.Sprintf("apsp?n=24&ring=%d&seed=7", procs),
+		})
+		// The ring sends row blocks around every process boundary; silence
+		// would mean the run never left one process.
+		if res.Total.Messages == 0 {
+			t.Fatalf("%d-process APSP ring moved no messages between processes", procs)
+		}
 	}
 }
 

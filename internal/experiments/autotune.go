@@ -19,28 +19,24 @@ import (
 // workload at a worker count, run either with the paper's hand-tuned
 // granularity ("hand") or under the online controller ("auto"). Auto
 // rows carry the controller's full report — the decision trace and the
-// final position of every lever — so a tuned run is reproducible from
-// the JSON alone.
+// final position of every lever — which CheckShape holds to its form.
 type AutotuneRow struct {
-	Workload        string `json:"workload"`
-	Workers         int    `json:"workers"`
-	Mode            string `json:"mode"` // "hand" | "auto"
-	WallNS          int64  `json:"wall_ns"`
-	Steals          int64  `json:"steals"`
-	StealAttempts   int64  `json:"steal_attempts"`
-	SparksConverted int64  `json:"sparks_converted"`
-	BackoffSleeps   int64  `json:"backoff_sleeps"`
-	Parks           int64  `json:"parks"`
-	ParkedNS        int64  `json:"parked_ns"`
-	ResultOK        bool   `json:"result_ok"`
+	Workload        string
+	Workers         int
+	Mode            string // "hand" | "auto"
+	WallNS          int64
+	Steals          int64
+	SparksConverted int64
+	Parks           int64
+	ResultOK        bool
 	// GrainMin/GrainMax are the splitter bounds the controller was
 	// given (auto rows only) — CheckShape asserts the final grain
 	// stayed inside them.
-	GrainMin int `json:"grain_min,omitempty"`
-	GrainMax int `json:"grain_max,omitempty"`
+	GrainMin int
+	GrainMax int
 	// Report is the controller's account: decision trace plus final
 	// lever positions (auto rows only).
-	Report *native.AutotuneReport `json:"report,omitempty"`
+	Report *native.AutotuneReport
 }
 
 // AutotuneSweep is the self-tuning experiment (benchall -autotune):
@@ -50,9 +46,9 @@ type AutotuneRow struct {
 // the controller lands in the same ballpark as hand-tuning without
 // being told the chunk size, and the decision trace shows how.
 type AutotuneSweep struct {
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Rows       []AutotuneRow `json:"rows"`
+	GOMAXPROCS int
+	NumCPU     int
+	Rows       []AutotuneRow
 }
 
 // autotuneWorkerCounts is the sweep's x-axis: the serial baseline and
@@ -143,11 +139,8 @@ func autotuneRow(name string, workers int, mode string, res *native.Result,
 		Mode:            mode,
 		WallNS:          res.WallNS,
 		Steals:          res.Stats.Steals,
-		StealAttempts:   res.Stats.StealAttempts,
 		SparksConverted: res.Stats.SparksConverted,
-		BackoffSleeps:   res.Stats.BackoffSleeps,
 		Parks:           res.Stats.Parks,
-		ParkedNS:        res.Stats.ParkedNS,
 		ResultOK:        check(res.Value),
 		Report:          res.Autotune,
 	}

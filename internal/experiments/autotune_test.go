@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestAutotuneSweepSmoke runs the self-tuning sweep at quick scale and
 // checks its machine-independent shape: exact results, grains inside
@@ -18,39 +15,4 @@ func TestAutotuneSweepSmoke(t *testing.T) {
 			autotuneWorkerCounts, len(s.Rows))
 	}
 	t.Log("\n" + s.String())
-}
-
-// TestAutotuneSweepJSON checks the sweep embeds in the native sweep's
-// JSON with the decision trace intact.
-func TestAutotuneSweepJSON(t *testing.T) {
-	p := Quick()
-	p.SumEulerN, p.SumEulerChunks = 400, 8
-	p.MatMulN, p.MatMulBlock = 48, 12
-	p.APSPNodes = 32
-	s := &NativeSweep{Params: p, Autotune: RunAutotuneSweep(p)}
-	data, err := s.JSON()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var back struct {
-		Autotune *AutotuneSweep `json:"autotune"`
-	}
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if back.Autotune == nil || len(back.Autotune.Rows) == 0 {
-		t.Fatal("autotune section missing from the JSON round trip")
-	}
-	autoSeen := false
-	for _, r := range back.Autotune.Rows {
-		if r.Mode == "auto" {
-			autoSeen = true
-			if r.Report == nil {
-				t.Fatalf("auto row %s/%d lost its controller report in JSON", r.Workload, r.Workers)
-			}
-		}
-	}
-	if !autoSeen {
-		t.Fatal("no auto rows in the round-tripped sweep")
-	}
 }

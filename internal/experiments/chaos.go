@@ -305,53 +305,3 @@ func (s *ChaosSoak) HTML() []byte {
 	sb.WriteString("</table></body></html>\n")
 	return []byte(sb.String())
 }
-
-// FaultOverheadBench measures what an idle fault plane costs: the same
-// workload with Config.Faults nil versus armed with an empty plan. The
-// hooks are a nil check on the hot path, so the armed run must stay
-// within noise (the acceptance bar is 2%).
-type FaultOverheadBench struct {
-	Reps        int     `json:"reps"`
-	DisabledNS  int64   `json:"disabled_ns"`
-	ArmedNS     int64   `json:"armed_ns"`
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// MeasureFaultOverhead runs the interleaved disabled/armed comparison
-// on the native GpH runtime (best-of-reps to shed scheduler noise).
-func MeasureFaultOverhead() *FaultOverheadBench {
-	const reps = 5
-	const n, chunks = 3000, 96
-	want := euler.SumTotientSieve(n)
-	run := func(armed bool) int64 {
-		cfg := native.NewConfig(4)
-		if armed {
-			cfg.Faults = faults.NewInjector(nil)
-		}
-		res, err := native.Run(cfg, euler.Program(n, chunks, 0, true))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: fault-overhead run failed: %v", err))
-		}
-		if res.Value.(int64) != want {
-			panic("experiments: fault-overhead run computed a wrong result")
-		}
-		return res.WallNS
-	}
-	b := &FaultOverheadBench{Reps: reps, DisabledNS: 1<<62 - 1, ArmedNS: 1<<62 - 1}
-	for i := 0; i < reps; i++ {
-		if t := run(false); t < b.DisabledNS {
-			b.DisabledNS = t
-		}
-		if t := run(true); t < b.ArmedNS {
-			b.ArmedNS = t
-		}
-	}
-	b.OverheadPct = 100 * (float64(b.ArmedNS) - float64(b.DisabledNS)) / float64(b.DisabledNS)
-	return b
-}
-
-// String renders the overhead comparison.
-func (b *FaultOverheadBench) String() string {
-	return fmt.Sprintf("Fault-plane overhead (disabled vs armed-empty, best of %d):\n  disabled %s | armed %s | overhead %+.2f%%\n",
-		b.Reps, stats.Seconds(b.DisabledNS), stats.Seconds(b.ArmedNS), b.OverheadPct)
-}

@@ -80,15 +80,3 @@ func TestChaosSoakHTML(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMeasureFaultOverheadShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock benchmark")
-	}
-	b := MeasureFaultOverhead()
-	if b.DisabledNS <= 0 || b.ArmedNS <= 0 {
-		t.Fatalf("bench fields: %+v", b)
-	}
-	// No percentage bound here: a test must not assert wall-clock time.
-	// The number is the benchmark's faults.armed_overhead_x row.
-}

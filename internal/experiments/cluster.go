@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -12,120 +11,6 @@ import (
 	"parhask/internal/faults"
 	"parhask/internal/graph"
 )
-
-// ClusterRow is one multi-process cluster run: the workload at a given
-// process count, with the coordinator's folded statistics. WallNS is
-// the root process's own wall time; CoordNS adds process launch, the
-// handshake and the drain — the cluster's real end-to-end cost, and
-// the number to compare against the single-process eden-native rows.
-type ClusterRow struct {
-	Workload  string `json:"workload"`
-	Spec      string `json:"spec"`
-	Procs     int    `json:"procs"`
-	PerProc   int    `json:"per_proc"`
-	Transport string `json:"transport"`
-	WallNS    int64  `json:"wall_ns"`
-	CoordNS   int64  `json:"coord_ns"`
-	Messages  int64  `json:"messages"`
-	BytesSent int64  `json:"bytes_sent"`
-	ResultOK  bool   `json:"result_ok"`
-}
-
-// ClusterSweep is the multi-process Eden experiment (benchall
-// -cluster): the three Eden workloads run as real worker OS processes
-// over a socket transport, swept over process counts at a fixed number
-// of PEs per process. Every cross-process message is wire-codec bytes,
-// so the BytesSent column is literally bytes on the wire.
-type ClusterSweep struct {
-	Transport string       `json:"transport"`
-	PerProc   int          `json:"per_proc"`
-	Rows      []ClusterRow `json:"rows"`
-	// Chaos is the chaos-under-cluster soak (benchall -chaos -cluster):
-	// supervised runs with ranks killed, flapped, severed and wedged
-	// under a restart budget.
-	Chaos *ClusterChaos `json:"chaos,omitempty"`
-}
-
-// clusterProcCounts is the sweep's x-axis: one process (the protocol
-// overhead baseline) up to four.
-var clusterProcCounts = []int{1, 2, 4}
-
-// RunClusterSweep runs the cluster sweep with transport "tcp" or
-// "unix". Failures become rows with ResultOK=false rather than
-// panics: a cluster run involves real processes and real sockets, and
-// one misbehaving environment should not sink the whole sweep.
-func RunClusterSweep(p Params, transport string) *ClusterSweep {
-	const perProc = 2
-	s := &ClusterSweep{Transport: transport, PerProc: perProc}
-	for _, procs := range clusterProcCounts {
-		specs := []struct{ workload, spec string }{
-			{"sumEuler", fmt.Sprintf("sumeuler?n=%d&pechunks=8", p.SumEulerN)},
-			{"apsp", fmt.Sprintf("apsp?n=%d&ring=%d", p.APSPNodes, procs*perProc)},
-			{"matmul", fmt.Sprintf("matmul?n=%d&q=2", p.MatMulN)},
-		}
-		for _, w := range specs {
-			row := ClusterRow{
-				Workload: w.workload, Spec: w.spec,
-				Procs: procs, PerProc: perProc, Transport: transport,
-			}
-			res, err := cluster.Run(cluster.Config{
-				Procs: procs, PerProc: perProc, Transport: transport,
-				Spec: w.spec, Deadline: 2 * time.Minute,
-			})
-			if err == nil {
-				_, oracle, berr := cluster.BuildProgram(w.spec)
-				row.ResultOK = berr == nil && oracle(res.Value) == nil
-				row.WallNS = res.WallNS
-				row.CoordNS = res.CoordNS
-				row.Messages = res.Total.Messages
-				row.BytesSent = res.Total.BytesSent
-			}
-			s.Rows = append(s.Rows, row)
-		}
-	}
-	return s
-}
-
-// String implements fmt.Stringer.
-func (s *ClusterSweep) String() string {
-	out := fmt.Sprintf("Multi-process Eden cluster sweep (%s transport, %d PEs per process)\n", s.Transport, s.PerProc)
-	out += fmt.Sprintf("%-10s %6s %8s %12s %12s %10s %12s  %s\n",
-		"workload", "procs", "PEs", "root wall", "end-to-end", "messages", "wire bytes", "result")
-	for _, r := range s.Rows {
-		ok := "FAIL"
-		if r.ResultOK {
-			ok = "ok"
-		}
-		out += fmt.Sprintf("%-10s %6d %8d %12v %12v %10d %12d  %s\n",
-			r.Workload, r.Procs, r.Procs*r.PerProc,
-			time.Duration(r.WallNS).Round(time.Microsecond),
-			time.Duration(r.CoordNS).Round(time.Microsecond),
-			r.Messages, r.BytesSent, ok)
-	}
-	return out
-}
-
-// CheckShape verifies the sweep's qualitative claims: every run's
-// result matches its oracle, multi-process runs actually moved bytes
-// over the wire, and (when a chaos soak rode along) no iteration
-// violated the recovery invariant.
-func (s *ClusterSweep) CheckShape() []string {
-	var bad []string
-	for _, r := range s.Rows {
-		if !r.ResultOK {
-			bad = append(bad, fmt.Sprintf("cluster %s procs=%d: result not oracle-equal (or run failed)", r.Workload, r.Procs))
-		}
-		if r.Procs > 1 && r.BytesSent == 0 {
-			bad = append(bad, fmt.Sprintf("cluster %s procs=%d: no bytes crossed the wire", r.Workload, r.Procs))
-		}
-	}
-	if s.Chaos != nil {
-		for _, r := range s.Chaos.Violating() {
-			bad = append(bad, fmt.Sprintf("cluster chaos iter %d (%s): %s", r.Iter, r.Mode, r.Detail))
-		}
-	}
-	return bad
-}
 
 // Cluster chaos outcome classes. "ok" — the fault never bit (or was
 // absorbed invisibly); "recovered" — the run failed or lost a link and
@@ -327,38 +212,4 @@ func (s *ClusterChaos) String() string {
 // (every row carries its attempt history and latency).
 func (s *ClusterChaos) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// MergeClusterChaos folds a chaos-under-cluster soak into the
-// results/BENCH_native.json artifact at path without disturbing the
-// sections other benchall modes wrote: the file is read as a generic
-// map, the soak lands under cluster.chaos, and everything else
-// survives byte-for-byte as JSON values. A missing or unreadable file
-// starts fresh.
-func MergeClusterChaos(path string, c *ClusterChaos) error {
-	m := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if jerr := json.Unmarshal(data, &m); jerr != nil {
-			return fmt.Errorf("experiments: %s exists but is not JSON: %w", path, jerr)
-		}
-	}
-	sect, _ := m["cluster"].(map[string]any)
-	if sect == nil {
-		sect = map[string]any{}
-	}
-	blob, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	var chaos any
-	if err := json.Unmarshal(blob, &chaos); err != nil {
-		return err
-	}
-	sect["chaos"] = chaos
-	m["cluster"] = sect
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"parhask/internal/cluster"
@@ -40,52 +38,5 @@ func TestClusterChaosSmall(t *testing.T) {
 		if r.Mode == "" || r.Spec == "" || r.WallNS <= 0 {
 			t.Fatalf("row missing telemetry: %+v", r)
 		}
-	}
-}
-
-func TestMergeClusterChaos(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_native.json")
-	c := &ClusterChaos{Iterations: 2, Seed: 9, Transport: "unix", Budget: 1, OK: 2}
-
-	// Into a fresh file.
-	if err := MergeClusterChaos(path, c); err != nil {
-		t.Fatal(err)
-	}
-	// Into an existing sweep file: the other sections and the cluster
-	// section's own keys must survive.
-	prior := []byte(`{"rows":[{"workload":"x"}],"cluster":{"transport":"tcp","rows":[]}}`)
-	if err := os.WriteFile(path, prior, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeClusterChaos(path, c); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["rows"]; !ok {
-		t.Fatal("merge dropped the sweep rows")
-	}
-	sect, _ := m["cluster"].(map[string]any)
-	if sect == nil || sect["transport"] != "tcp" {
-		t.Fatalf("merge disturbed the cluster section: %v", m["cluster"])
-	}
-	chaos, _ := sect["chaos"].(map[string]any)
-	if chaos == nil || chaos["iterations"] != float64(2) || chaos["seed"] != float64(9) {
-		t.Fatalf("soak not merged under cluster.chaos: %v", sect["chaos"])
-	}
-
-	// A present-but-corrupt artifact is an error, not a silent overwrite.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeClusterChaos(path, c); err == nil {
-		t.Fatal("merging over a corrupt artifact should fail")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"testing"
 
 	"parhask/internal/exec"
 	"parhask/internal/graph"
@@ -19,15 +18,15 @@ import (
 // workload, a GOGC setting (the Go analogue of GHC's nursery size), a
 // worker count, and what the GC did while the run executed.
 type GOGCRow struct {
-	Workload   string  `json:"workload"`
-	GOGC       string  `json:"gogc"` // "50".."400", or "off"
-	Workers    int     `json:"workers"`
-	WallNS     int64   `json:"wall_ns"`
-	GCCycles   int64   `json:"gc_cycles"`
-	GCPauseNS  int64   `json:"gc_pause_ns"`
-	BytesAlloc int64   `json:"bytes_alloc"`
-	Speedup    float64 `json:"speedup"` // vs 1 worker at the same GOGC
-	ResultOK   bool    `json:"result_ok"`
+	Workload   string
+	GOGC       string // "50".."400", or "off"
+	Workers    int
+	WallNS     int64
+	GCCycles   int64
+	GCPauseNS  int64
+	BytesAlloc int64
+	Speedup    float64 // vs 1 worker at the same GOGC
+	ResultOK   bool
 }
 
 // GOGCSweep reproduces the paper's §IV-A.1 allocation-area-size
@@ -37,10 +36,9 @@ type GOGCRow struct {
 // collections, so sweeping it turns GC frequency into the independent
 // variable and wall-clock speedup into the measured one.
 type GOGCSweep struct {
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	Settings   []string `json:"settings"`
-	Rows       []GOGCRow `json:"rows"`
+	GOMAXPROCS int
+	NumCPU     int
+	Rows       []GOGCRow
 }
 
 // ParseGOGCList parses a benchall-style -gogc list such as
@@ -68,7 +66,7 @@ func ParseGOGCList(list string) ([]int, error) {
 	return out, nil
 }
 
-// gogcName renders a SetGCPercent value for tables and JSON.
+// gogcName renders a SetGCPercent value for the table.
 func gogcName(v int) string {
 	if v == native.GCOff {
 		return "off"
@@ -84,9 +82,6 @@ var gogcWorkerCounts = []int{1, 8}
 // cycles, pause time and the wall-clock speedup per setting.
 func RunGOGCSweep(p Params, settings []int) *GOGCSweep {
 	s := &GOGCSweep{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
-	for _, v := range settings {
-		s.Settings = append(s.Settings, gogcName(v))
-	}
 
 	eulerWant := euler.SumTotientSieve(p.SumEulerN)
 	a, b := matmul.Random(p.MatMulN, 1), matmul.Random(p.MatMulN, 2)
@@ -209,81 +204,4 @@ func (s *GOGCSweep) String() string {
 		out += "shape: OK (all results exact; GC off collects least)\n"
 	}
 	return out
-}
-
-// HotPathBench is the measured allocation cost of the native Par+Force
-// spark hot path: a program that builds, sparks and forces
-// hotPathSparks thunks through the context allocator. AllocsPerOp
-// counts every heap allocation of one whole run (workers, deques,
-// arenas, result assembly included); AllocsPerSpark divides by the
-// spark count. The PR 2 baseline (one wrapper closure + one heap Thunk
-// per spark, atomic counters) measured 1989 allocs/op on this
-// benchmark shape; per-worker arenas and the closure-free thunk
-// representation cut it roughly in half.
-type HotPathBench struct {
-	Sparks              int     `json:"sparks"`
-	Workers             int     `json:"workers"`
-	AllocsPerOp         float64 `json:"allocs_per_op"`
-	AllocsPerSpark      float64 `json:"allocs_per_spark"`
-	BaselineAllocsPerOp float64 `json:"pr2_baseline_allocs_per_op"`
-}
-
-// hotPathSparks is the spark count of the hot-path measurement (and of
-// BenchmarkNativeSparkHotPath, which must match for the recorded
-// baseline to be comparable).
-const hotPathSparks = 512
-
-// hotPathBaselineAllocs is the PR 2 measurement of hotPathProgram's
-// allocs/op (recorded before arenas landed, workers=4).
-const hotPathBaselineAllocs = 1989
-
-// HotPathProgram returns the standard hot-path measurement body:
-// sparks thunks, each with a small captured loop, and forces them all.
-func HotPathProgram(sparks int) exec.Program {
-	return func(ctx exec.Ctx) graph.Value {
-		ts := make([]*graph.Thunk, sparks)
-		for j := range ts {
-			j := j
-			ts[j] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-				s := 0
-				for k := 0; k < 2000; k++ {
-					s += (j * k) % 7
-				}
-				return int64(s)
-			})
-		}
-		for _, t := range ts {
-			ctx.Par(t)
-		}
-		var sum int64
-		for _, t := range ts {
-			sum += ctx.Force(t).(int64)
-		}
-		return sum
-	}
-}
-
-// MeasureSparkHotPath measures the hot path's allocs/op with
-// testing.AllocsPerRun and packages it for results/BENCH_native.json.
-func MeasureSparkHotPath() *HotPathBench {
-	const workers = 4
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := native.Run(native.NewConfig(workers), HotPathProgram(hotPathSparks)); err != nil {
-			panic(err)
-		}
-	})
-	return &HotPathBench{
-		Sparks:              hotPathSparks,
-		Workers:             workers,
-		AllocsPerOp:         allocs,
-		AllocsPerSpark:      allocs / hotPathSparks,
-		BaselineAllocsPerOp: hotPathBaselineAllocs,
-	}
-}
-
-// String renders the hot-path measurement.
-func (h *HotPathBench) String() string {
-	return fmt.Sprintf(
-		"Native spark hot path: %.0f allocs/op (%.2f per spark, %d sparks, %d workers; PR 2 baseline %.0f allocs/op)\n",
-		h.AllocsPerOp, h.AllocsPerSpark, h.Sparks, h.Workers, h.BaselineAllocsPerOp)
 }

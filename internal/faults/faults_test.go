@@ -59,20 +59,20 @@ func TestParseErrors(t *testing.T) {
 		"drop=1.5",
 		"drop=0.1@0",
 		"drop=0.1@a-b",
-		"delay=0.5",         // missing duration
-		"delay=banana:0.5",  // bad duration
-		"delay=-1ms:0.5",    // non-positive duration
-		"stall=1",           // missing duration
-		"stall=x:1ms",       // bad PE
-		"stall=1:0s",        // non-positive duration
-		"frob=1",            // unknown clause
-		"kill-rank=1",       // missing duration
-		"kill-rank=x:1ms",   // bad rank
-		"kill-rank=-1:1ms",  // negative rank
-		"kill-rank=1:0s",    // non-positive duration
-		"sever-rank=2",      // missing duration
-		"sever-rank=a:5ms",  // bad rank
-		"sever-rank=0:-1ms", // non-positive duration
+		"delay=0.5",             // missing duration
+		"delay=banana:0.5",      // bad duration
+		"delay=-1ms:0.5",        // non-positive duration
+		"stall=1",               // missing duration
+		"stall=x:1ms",           // bad PE
+		"stall=1:0s",            // non-positive duration
+		"frob=1",                // unknown clause
+		"kill-rank=1",           // missing duration
+		"kill-rank=x:1ms",       // bad rank
+		"kill-rank=-1:1ms",      // negative rank
+		"kill-rank=1:0s",        // non-positive duration
+		"sever-rank=2",          // missing duration
+		"sever-rank=a:5ms",      // bad rank
+		"sever-rank=0:-1ms",     // non-positive duration
 		"flap-rank=1:5ms",       // missing outage
 		"flap-rank=x:5ms:5ms",   // bad rank
 		"flap-rank=1:0s:5ms",    // non-positive onset

@@ -108,7 +108,7 @@ type Config struct {
 	// Faults, if non-nil, arms the deterministic fault-injection plane
 	// (internal/faults): spark-indexed panics, process-indexed fork
 	// panics, and per-worker stalls. When nil every injection hook is a
-	// single predictable nil check (see BenchmarkNativeFaultOverhead).
+	// single predictable nil check (the benchmark's faults.armed_overhead_x row).
 	Faults *faults.Injector
 	// Deadline, if non-zero, bounds the run's wall-clock time: a run
 	// still in flight when it elapses is aborted with a structured

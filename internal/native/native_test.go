@@ -208,7 +208,7 @@ func TestNativeDefaultsToGOMAXPROCS(t *testing.T) {
 }
 
 func TestNativeSumEulerSpeedup(t *testing.T) {
-	// Acceptance: BenchmarkNativeSumEuler-style speedup check — with >=4
+	// Acceptance: a wall-clock speedup check — with >=4
 	// workers the wall clock must beat 1 worker by >1.5x on a multicore
 	// machine. Skip (not fail) where the hardware cannot show it.
 	if testing.Short() {

@@ -635,8 +635,8 @@ func (w *worker) runSpark(t *graph.Thunk, j *Job) {
 	}
 	if inj != nil {
 		// The whole fault plane costs exactly this one nil check when
-		// disabled (BenchmarkNativeFaultOverhead holds it to the same
-		// ≤2% bar as the eventlog hooks).
+		// disabled; armed-but-empty is priced by the benchmark's
+		// faults.armed_overhead_x row.
 		w.injectSparkFaults(inj)
 	}
 	if w.ev != nil {

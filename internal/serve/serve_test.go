@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -10,6 +11,22 @@ import (
 func smallConfig() Config {
 	return Config{Workers: 4, PEs: 2, Lanes: 2, QueueCap: 64,
 		MaxInflight: 8, DefaultDeadline: 30 * time.Second}
+}
+
+// requestMix is the nine request shapes: every served workload, on both
+// backends where both exist.
+func requestMix() []JobRequest {
+	return []JobRequest{
+		{Workload: "sumeuler", N: 500, Chunks: 8},
+		{Workload: "sumeuler", N: 300, Backend: "eden"},
+		{Workload: "matmul", N: 16},
+		{Workload: "matmul", N: 16, Backend: "eden"},
+		{Workload: "apsp", N: 16},
+		{Workload: "apsp", N: 16, Backend: "eden"},
+		{Workload: "fuzz", N: 150, Seed: 9},
+		{Workload: "mandel", Width: 32, Height: 24},
+		{Workload: "mandel", Width: 32, Height: 24, Backend: "eden"},
+	}
 }
 
 // TestServeMixedWorkloadsConcurrently is the acceptance-shaped core
@@ -21,17 +38,7 @@ func TestServeMixedWorkloadsConcurrently(t *testing.T) {
 	s := New(smallConfig())
 	defer s.Close()
 
-	mix := []JobRequest{
-		{Workload: "sumeuler", N: 500, Chunks: 8},
-		{Workload: "sumeuler", N: 300, Backend: "eden"},
-		{Workload: "matmul", N: 16},
-		{Workload: "matmul", N: 16, Backend: "eden"},
-		{Workload: "apsp", N: 16},
-		{Workload: "apsp", N: 16, Backend: "eden"},
-		{Workload: "fuzz", N: 150, Seed: 9},
-		{Workload: "mandel", Width: 32, Height: 24},
-		{Workload: "mandel", Width: 32, Height: 24, Backend: "eden"},
-	}
+	mix := requestMix()
 	const rounds = 13 // 9 * 13 = 117 concurrent jobs
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -201,10 +208,24 @@ func TestServeTenantFairness(t *testing.T) {
 
 // TestServeFaultScopedToJob: a request carrying its own fault plan
 // fails with a structured code; concurrent clean jobs and the server
-// survive untouched.
+// survive untouched. First one plan on one shape among clean
+// neighbours, then four plans over all nine request shapes with clean
+// traffic alongside — the only place every plan meets every shape.
 func TestServeFaultScopedToJob(t *testing.T) {
 	s := New(smallConfig())
 	defer s.Close()
+
+	// Nothing is injected yet: a poisoned claim here would be the
+	// runtime's own doing.
+	mix := requestMix()
+	for _, req := range mix {
+		if resp := s.Do(req); !resp.OK {
+			t.Fatalf("clean %s/%s failed: %+v", req.Workload, req.Backend, resp.Error)
+		}
+	}
+	if n := s.Metrics().Counters()["native_pool_poisoned_claims_total"]; n != 0 {
+		t.Fatalf("%v poisoned claims on a fault-free server", n)
+	}
 
 	var wg sync.WaitGroup
 	clean := make([]*JobResponse, 6)
@@ -232,9 +253,60 @@ func TestServeFaultScopedToJob(t *testing.T) {
 			t.Errorf("clean neighbour %d failed: %+v", i, resp.Error)
 		}
 	}
-	// The server keeps serving after absorbing the fault.
-	if resp := s.Do(JobRequest{Workload: "sumeuler", N: 300, Backend: "eden"}); !resp.OK {
-		t.Fatalf("post-fault job failed: %+v", resp.Error)
+
+	// Faults under traffic: every client sends three requests, one of
+	// them faulted. Client c's faulted shape is a bijection of c mod 9
+	// and its plan is c mod 4, so 36 clients are exactly plans × shapes.
+	// Stalls are left out of the plans: a stalled PE sleeps
+	// uninterruptibly, so it would hold its lane past the deadline.
+	plans := []string{
+		"seed=3,panic-spark=0",
+		"seed=5,panic-proc=0",
+		"seed=9,panic-proc=1",
+		"seed=11,delay=5ms:0.5",
+	}
+	clients := len(plans) * len(mix)
+	var okCount atomic.Int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				req := mix[(c+k)%len(mix)]
+				req.Tenant = []string{"alice", "bob", "carol", "dave"}[c%4]
+				isFaulted := k == c%3
+				if isFaulted {
+					req.Faults = plans[c%len(plans)]
+					req.DeadlineMS = 10_000
+				}
+				resp := s.Do(req)
+				if resp.OK {
+					okCount.Add(1)
+					continue
+				}
+				switch resp.Error.Code {
+				case CodeInternal:
+					t.Errorf("unstructured failure for %s/%s (faults %q): %s",
+						req.Workload, req.Backend, req.Faults, resp.Error.Message)
+				case CodeInjectedPanic, CodePoisoned, CodeDeadlock:
+					if !isFaulted {
+						t.Errorf("clean %s/%s request failed with %s: %s",
+							req.Workload, req.Backend, resp.Error.Code, resp.Error.Message)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if okCount.Load() == 0 {
+		t.Error("no request completed while faults were injected")
+	}
+
+	// The server keeps serving after absorbing the faults.
+	for _, backend := range []string{"gph", "eden"} {
+		if resp := s.Do(JobRequest{Workload: "sumeuler", N: 300, Backend: backend}); !resp.OK {
+			t.Fatalf("post-fault %s job failed: %+v", backend, resp.Error)
+		}
 	}
 }
 
