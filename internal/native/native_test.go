@@ -81,17 +81,42 @@ func TestNativeAPSPBothPoliciesCorrect(t *testing.T) {
 	// Correctness first: under both black-holing policies the APSP result
 	// must equal Floyd–Warshall exactly — lazy duplication wastes work
 	// but can never corrupt a value (referential transparency + atomic
-	// publish).
+	// publish). Under eager claims the lattice nodes update their rows in
+	// place, so the input graph must also come back untouched; at 2 and 4
+	// workers a node writing a row another node still reads is a race
+	// `go test -race` reports.
 	g := apsp.RandomGraph(48, 7, 100, 50)
+	in := apsp.Clone(g)
 	want := apsp.FloydWarshall(g)
-	for _, eager := range []bool{true, false} {
-		res := run(t, Config{Workers: 4, EagerBlackholing: eager}, apsp.Program(g, 0))
-		if !apsp.Equal(res.Value.(apsp.Graph), want) {
-			t.Fatalf("eager=%v: native APSP disagrees with Floyd–Warshall", eager)
+	for _, workers := range []int{1, 2, 4} {
+		for _, eager := range []bool{true, false} {
+			res := run(t, Config{Workers: workers, EagerBlackholing: eager}, apsp.Program(g, 0))
+			if !apsp.Equal(res.Value.(apsp.Graph), want) {
+				t.Fatalf("workers=%d eager=%v: native APSP disagrees with Floyd–Warshall", workers, eager)
+			}
+			if !apsp.Equal(g, in) {
+				t.Fatalf("workers=%d eager=%v: the run wrote to its input graph", workers, eager)
+			}
+			if eager && res.Stats.DupEntries != 0 {
+				t.Fatalf("eager black-holing must prevent duplicate entries, got %d", res.Stats.DupEntries)
+			}
 		}
-		if eager && res.Stats.DupEntries != 0 {
-			t.Fatalf("eager black-holing must prevent duplicate entries, got %d", res.Stats.DupEntries)
-		}
+	}
+}
+
+// TestNativeAPSPEagerAllocGuard counts what one eager APSP job
+// allocates: with nodes updating their rows in place, an n = 128 job
+// holds n² thunks and closures but only 2n rows — about 3.3 MB, where a
+// fresh row per node was about 11.4 MB. The bound is a byte count, not
+// a time; the lazy policy copies every row and gets none.
+func TestNativeAPSPEagerAllocGuard(t *testing.T) {
+	const n = 128
+	res := run(t, Config{Workers: 1, EagerBlackholing: true}, apsp.Program(apsp.RandomGraph(n, 7, 100, 50), 0))
+	if res.GC.Shared {
+		t.Fatal("another run overlapped this one; its allocation count is not its own")
+	}
+	if limit := int64(320 * n * n); res.GC.BytesAlloc > limit {
+		t.Fatalf("one eager n=%d APSP job allocated %d bytes, want <= %d (320 B a lattice node)", n, res.GC.BytesAlloc, limit)
 	}
 }
 

@@ -72,8 +72,11 @@ func TestPoolInjectQueueRetainsNothing(t *testing.T) {
 }
 
 // TestPoolHeapFlatAcrossJobs is the black-box half: the live heap after
-// each round stays within half a megabyte of where it started (one
-// leaked lattice is three).
+// each round stays within half a megabyte of where it started. One
+// leaked n = 96 lattice is about 1.6 MB: 9 216 thunks with their
+// closures and boxed row headers (≈ 160 B a node), plus 2 × 96 rows —
+// eager nodes update their rows in place, so a lattice holds 2n rows,
+// not n².
 func TestPoolHeapFlatAcrossJobs(t *testing.T) {
 	p := NewPool(NewConfig(2))
 	defer p.Close()

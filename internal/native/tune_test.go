@@ -263,6 +263,7 @@ func TestNativeAutoProgramsMatchOracles(t *testing.T) {
 	a, b := matmul.Random(64, 1), matmul.Random(64, 2)
 	wantMat := matmul.MulOracle(a, b)
 	g := apsp.RandomGraph(48, 7, 100, 50)
+	in := apsp.Clone(g)
 	wantGraph := apsp.FloydWarshall(g)
 	wantSum := euler.SumTotientSieve(1200)
 
@@ -282,9 +283,16 @@ func TestNativeAutoProgramsMatchOracles(t *testing.T) {
 		if !matmul.Equal(res.Value.(matmul.Mat), wantMat, 1e-9) {
 			t.Fatalf("grain=%d: matmul auto product diverged from oracle", grain)
 		}
-		res = run(t, cfg, apsp.AutoProgram(g, spA, 0))
-		if !apsp.Equal(res.Value.(apsp.Graph), wantGraph) {
-			t.Fatalf("grain=%d: apsp auto distances diverged from oracle", grain)
+		// Both policies: eager claims switch the lattice to in-place rows.
+		for _, eager := range []bool{false, true} {
+			cfg.EagerBlackholing = eager
+			res = run(t, cfg, apsp.AutoProgram(g, spA, 0))
+			if !apsp.Equal(res.Value.(apsp.Graph), wantGraph) {
+				t.Fatalf("grain=%d eager=%v: apsp auto distances diverged from oracle", grain, eager)
+			}
+			if !apsp.Equal(g, in) {
+				t.Fatalf("grain=%d eager=%v: apsp auto wrote to its input graph", grain, eager)
+			}
 		}
 	}
 }

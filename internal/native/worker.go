@@ -415,10 +415,13 @@ func (c *Ctx) NoteDuplicateResult(t *graph.Thunk) {
 	}
 }
 
-// BlockOnThunk waits for t to become Evaluated. Instead of parking, the
-// worker leapfrogs: it keeps taking and running other sparks, which is
+// BlockOnThunk waits for t to become Evaluated. A worker with no open
+// claim leapfrogs: it keeps taking and running other sparks, which is
 // both deadlock-free (the DAG is acyclic and the evaluator of t runs
-// preemptively on another goroutine) and productive.
+// preemptively on another goroutine) and productive. Helping fires only
+// with an empty claim stack, though — a spark helped under an open claim
+// could depend on it — so a nested force (every APSP force, inside its
+// row thunk's claim) polls t on the backoff ladder instead.
 func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 	if c.w != nil {
 		c.w.ctr.blockedForces++

@@ -99,8 +99,14 @@ func FloydWarshall(g Graph) Graph {
 // stage k, charging one min-plus operation per element. This is the
 // mutator kernel of both parallel versions.
 func UpdateRow(ctx Ctx, minPlusCost int64, row, pivot []int32, k int) []int32 {
+	return updateRow(ctx, minPlusCost, make([]int32, len(row)), row, pivot, k)
+}
+
+// updateRow is UpdateRow writing into out, which may be row itself (a
+// lattice node that owns its input row); the charges are UpdateRow's
+// either way.
+func updateRow(ctx Ctx, minPlusCost int64, out, row, pivot []int32, k int) []int32 {
 	n := len(row)
-	out := make([]int32, n)
 	if rik := row[k]; rik < Inf {
 		minPlusRow(out, row, pivot, rik)
 	} else {

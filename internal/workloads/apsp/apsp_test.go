@@ -131,21 +131,42 @@ func TestSeqProgramMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestGpHProgramCorrectBothPolicies also pins the simulator's charges:
+// the elapsed virtual time and duplicate entries below are what the
+// lattice produced when every node copied its row, so a node that
+// updates in place must still charge exactly UpdateRow's cost (Fig. 5
+// models GHC's immutable rows).
 func TestGpHProgramCorrectBothPolicies(t *testing.T) {
 	g := RandomGraph(24, 7, 9, 30)
+	in := Clone(g)
 	want := FloydWarshall(g)
-	for _, eager := range []bool{false, true} {
-		for _, cores := range []int{1, 4} {
-			cfg := gph.WorkStealingConfig(cores)
-			cfg.EagerBlackholing = eager
-			cfg.ResidentBytes = 2 * Bytes(24)
-			res, err := gph.Run(cfg, GpHProgram(g, cfg.Costs.MinPlus))
-			if err != nil {
-				t.Fatalf("eager=%v cores=%d: %v", eager, cores, err)
-			}
-			if !Equal(res.Value.(Graph), want) {
-				t.Fatalf("eager=%v cores=%d: wrong distances", eager, cores)
-			}
+	for _, c := range []struct {
+		eager   bool
+		cores   int
+		elapsed int64
+		dups    int
+	}{
+		{false, 1, 69936, 0},
+		{false, 4, 47256, 913},
+		{true, 1, 90096, 0},
+		{true, 4, 68832, 0},
+	} {
+		cfg := gph.WorkStealingConfig(c.cores)
+		cfg.EagerBlackholing = c.eager
+		cfg.ResidentBytes = 2 * Bytes(24)
+		res, err := gph.Run(cfg, GpHProgram(g, cfg.Costs.MinPlus))
+		if err != nil {
+			t.Fatalf("eager=%v cores=%d: %v", c.eager, c.cores, err)
+		}
+		if !Equal(res.Value.(Graph), want) {
+			t.Fatalf("eager=%v cores=%d: wrong distances", c.eager, c.cores)
+		}
+		if !Equal(g, in) {
+			t.Fatalf("eager=%v cores=%d: the run wrote to its input graph", c.eager, c.cores)
+		}
+		if res.Elapsed != c.elapsed || res.Stats.DupEntries != c.dups {
+			t.Fatalf("eager=%v cores=%d: elapsed %d, %d duplicate entries; want %d, %d",
+				c.eager, c.cores, res.Elapsed, res.Stats.DupEntries, c.elapsed, c.dups)
 		}
 	}
 }

@@ -17,27 +17,7 @@ import (
 func AutoProgram(g Graph, sp *tune.Splitter, minPlusCost int64) exec.Program {
 	n := len(g)
 	return func(ctx exec.Ctx) graph.Value {
-		ctx.Alloc(Bytes(n)) // the input adjacency matrix
-		rows := make([]*graph.Thunk, n)
-		for i := range rows {
-			row := append([]int32(nil), g[i]...)
-			rows[i] = graph.NewValue(row)
-		}
-		for k := 0; k < n; k++ {
-			k := k
-			pivot := rows[k]
-			next := make([]*graph.Thunk, n)
-			for i := 0; i < n; i++ {
-				ri := rows[i]
-				next[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-					pk := c.Force(pivot).([]int32)
-					r := c.Force(ri).([]int32)
-					return UpdateRow(c, minPlusCost, r, pk, k)
-				})
-			}
-			ctx.Alloc(int64(n) * thunkBuildAlloc)
-			rows = next
-		}
+		rows := lattice(ctx, g, minPlusCost)
 		out := make(Graph, n)
 		// Leaves only force their row bands — pure graph work, so a
 		// duplicate entry under lazy black-holing recomputes a value

@@ -26,36 +26,55 @@ const thunkBuildAlloc = 40
 // and a pipeline forms. The shared pivots make this the showcase for the
 // two policies, in virtual time and on real cores alike.
 func Program(g Graph, minPlusCost int64) exec.Program {
-	n := len(g)
 	return func(ctx exec.Ctx) graph.Value {
-		ctx.Alloc(Bytes(n)) // the input adjacency matrix
-		rows := make([]*graph.Thunk, n)
-		for i := range rows {
-			row := append([]int32(nil), g[i]...)
-			rows[i] = graph.NewValue(row)
-		}
-		for k := 0; k < n; k++ {
-			k := k
-			pivot := rows[k]
-			next := make([]*graph.Thunk, n)
-			for i := 0; i < n; i++ {
-				ri := rows[i]
-				next[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-					pk := c.Force(pivot).([]int32)
-					r := c.Force(ri).([]int32)
-					return UpdateRow(c, minPlusCost, r, pk, k)
-				})
-			}
-			ctx.Alloc(int64(n) * thunkBuildAlloc)
-			rows = next
-		}
+		rows := lattice(ctx, g, minPlusCost)
 		strategies.ParListWHNF(ctx, rows)
-		out := make(Graph, n)
+		out := make(Graph, len(rows))
 		for i, t := range rows {
 			out[i] = ctx.Force(t).([]int32)
 		}
 		return out
 	}
+}
+
+// lattice builds Program's thunk lattice over a per-job copy of g and
+// returns the final rows.
+//
+// Each node owns the row it reads unless that row is a pivot: row k
+// after stage k-1 is read by all n nodes of stage k, every other row by
+// exactly one node (the same row at the next stage), and the final rows
+// only by the caller. So when the forcing context claims eagerly — one
+// evaluator per thunk — node (i, k), i ≠ k, updates its row in place
+// and returns it, and a job allocates 2n rows instead of n². Node (k, k)
+// copies, because stage k still reads the pivot it was given; under
+// lazy black-holing every node copies, because duplicate evaluators
+// would race on a shared row. The charges are UpdateRow's either way:
+// the simulator models GHC's immutable rows.
+func lattice(ctx exec.Ctx, g Graph, minPlusCost int64) []*graph.Thunk {
+	n := len(g)
+	ctx.Alloc(Bytes(n)) // the input adjacency matrix
+	rows := make([]*graph.Thunk, n)
+	for i := range rows {
+		rows[i] = graph.NewValue(append([]int32(nil), g[i]...))
+	}
+	for k := 0; k < n; k++ {
+		pivot := rows[k]
+		next := make([]*graph.Thunk, n)
+		for i, ri := range rows {
+			owns := i != k
+			next[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
+				pk := c.Force(pivot).([]int32)
+				r := c.Force(ri).([]int32)
+				if gc, ok := c.(graph.Context); ok && owns && gc.EagerBlackholing() {
+					return updateRow(c, minPlusCost, r, r, pk, k)
+				}
+				return UpdateRow(c, minPlusCost, r, pk, k)
+			})
+		}
+		ctx.Alloc(int64(n) * thunkBuildAlloc)
+		rows = next
+	}
+	return rows
 }
 
 // GpHProgram is Program specialised to the simulated runtime, kept for
