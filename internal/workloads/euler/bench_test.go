@@ -43,3 +43,19 @@ func BenchmarkPhiParallelSameKey(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSumRangeDirect times the native φ kernel over k ∈ [1, 4000]
+// and reports ns/gcdstep: wall time over the Euclid steps phiCounted
+// counts for the same range (the step the cost model's GCDIter prices).
+func BenchmarkSumRangeDirect(b *testing.B) {
+	const n = 4000
+	var steps int64
+	for k := 1; k <= n; k++ {
+		steps += phiCounted(k).iters
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SumRangeDirect(1, n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*steps), "ns/gcdstep")
+}

@@ -9,9 +9,15 @@
 //
 //	sum (map phi [1..n])
 //	  where phi k = length (filter (relprime k) [1..k-1])
+//
+// The native kernel (PhiDirect) runs those gcds in uint32, four
+// independent Euclid chains interleaved, so k must fit in a uint32; the
+// simulator still charges each gcd's steps as the paper's gcd takes them.
 package euler
 
 import (
+	"fmt"
+	"math"
 	"sync"
 
 	"parhask/internal/graph"
@@ -114,21 +120,55 @@ func SumRange(ctx Ctx, gcdIterCost int64, lo, hi int) int64 {
 	return sum
 }
 
+// gcd32 is Euclid's gcd, started at (a, b) with a ≥ b.
+func gcd32(a, b uint32) uint32 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
 // PhiDirect computes φ(k) by trial gcd with no memoisation and no
 // virtual-cost accounting: the kernel the native runtime times for real.
 // (The memo cache in Phi would turn repeated wall-clock runs into map
 // lookups and destroy the measurement.)
+//
+// Every j < k still gets a full Euclid gcd(k, j) with the remainder
+// sequence of the paper's gcd, but in uint32 and four j at a time: the
+// four chains advance in lock step until one reaches zero, then each is
+// finished alone by gcd32. The chains are independent, so their
+// divides overlap instead of each waiting on the last one's latency.
+// k must fit in a uint32 (ParseSpec caps n at 1<<24); PhiDirect panics
+// above that rather than truncate.
 func PhiDirect(k int) int {
 	if k == 1 {
 		return 1 // φ(1) = 1 by convention
 	}
+	if uint64(k) > math.MaxUint32 {
+		panic(fmt.Sprintf("euler: PhiDirect(%d): k exceeds uint32", k))
+	}
+	kk := uint32(k)
 	phi := 0
-	for j := 1; j < k; j++ {
-		a, b := j, k
-		for b != 0 {
-			a, b = b, a%b
+	j := uint32(1)
+	for ; kk-j >= 4; j += 4 {
+		a0, b0 := kk, j
+		a1, b1 := kk, j+1
+		a2, b2 := kk, j+2
+		a3, b3 := kk, j+3
+		for b0 != 0 && b1 != 0 && b2 != 0 && b3 != 0 {
+			a0, b0 = b0, a0%b0
+			a1, b1 = b1, a1%b1
+			a2, b2 = b2, a2%b2
+			a3, b3 = b3, a3%b3
 		}
-		if a == 1 {
+		for _, g := range [4]uint32{gcd32(a0, b0), gcd32(a1, b1), gcd32(a2, b2), gcd32(a3, b3)} {
+			if g == 1 {
+				phi++
+			}
+		}
+	}
+	for ; j < kk; j++ {
+		if gcd32(kk, j) == 1 {
 			phi++
 		}
 	}
@@ -161,11 +201,7 @@ func PhiList(k int) int {
 	}
 	rel := js[:0:0] // filter (relprime k)
 	for _, j := range js {
-		a, b := j, k
-		for b != 0 {
-			a, b = b, a%b
-		}
-		if a == 1 {
+		if gcd32(uint32(k), uint32(j)) == 1 {
 			rel = append(rel, j)
 		}
 	}

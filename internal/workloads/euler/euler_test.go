@@ -1,6 +1,7 @@
 package euler
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -30,9 +31,10 @@ func TestPhiSmallValues(t *testing.T) {
 func TestPhiKernelsAgree(t *testing.T) {
 	// The three φ kernels — memoised (Phi), allocation-free (PhiDirect)
 	// and list-allocating (PhiList, the GOGC-experiment kernel) — must
-	// compute the same function.
+	// compute the same function. k ≤ 2000 covers every (k−1) mod 4, so
+	// every tail length of PhiDirect's four-chain loop.
 	ctx := &nopCtx{}
-	for k := 1; k <= 400; k++ {
+	for k := 1; k <= 2000; k++ {
 		d, l, m := PhiDirect(k), PhiList(k), Phi(ctx, 1, k)
 		if d != l || d != m {
 			t.Fatalf("phi(%d): direct %d, list %d, memo %d", k, d, l, m)
@@ -40,6 +42,45 @@ func TestPhiKernelsAgree(t *testing.T) {
 	}
 	if got, want := SumRangeList(1, 600), SumTotientSieve(600); got != want {
 		t.Fatalf("SumRangeList(1,600) = %d, want %d", got, want)
+	}
+	if got, want := SumRangeDirect(1, 5000), SumTotientSieve(5000); got != want {
+		t.Fatalf("SumRangeDirect(1,5000) = %d, want %d", got, want)
+	}
+	// The largest k a spec can ask for (the n Param's max).
+	if got := PhiDirect(1 << 24); got != 1<<23 {
+		t.Fatalf("PhiDirect(1<<24) = %d, want %d", got, 1<<23)
+	}
+}
+
+func TestPhiDirectPanicsAboveUint32(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed uint32")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PhiDirect(1<<32) did not panic")
+		}
+	}()
+	PhiDirect(1 << 32)
+}
+
+func TestSimulatedChargesPinned(t *testing.T) {
+	// The simulator charges the paper's gcd: Euclid started at (j, k),
+	// so each j's first step is the swap. The native kernel's (k, j)
+	// start must not leak into this count: a counter that drifts from
+	// these values moves Fig. 1.
+	var iters int64
+	for k := 1; k <= 2000; k++ {
+		iters += phiCounted(k).iters
+	}
+	if iters != 13947788 {
+		t.Fatalf("Σ phiCounted(k ≤ 2000).iters = %d, want 13947788", iters)
+	}
+	ctx := &nopCtx{}
+	SumRange(ctx, 18, 1, 2000)
+	if ctx.burned != 251058184 || ctx.alloced != 48024000 {
+		t.Fatalf("SumRange(18, 1, 2000) charged Burn %d Alloc %d, want 251058184 and 48024000",
+			ctx.burned, ctx.alloced)
 	}
 }
 

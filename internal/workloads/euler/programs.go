@@ -39,22 +39,12 @@ func (e *CheckError) Error() string {
 // kernel the simulation needs.
 func Program(n, chunks int, gcdIterCost int64, direct bool) exec.Program {
 	return func(ctx exec.Ctx) graph.Value {
-		rs := Ranges(n, chunks)
-		ts := make([]*graph.Thunk, len(rs))
-		for i, r := range rs {
-			r := r
-			ts[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-				if direct {
-					return SumRangeDirect(r.Lo, r.Hi)
-				}
-				return SumRange(c, gcdIterCost, r.Lo, r.Hi)
-			})
-		}
-		strategies.ParListWHNF(ctx, ts)
-		var sum int64
-		for _, t := range ts {
-			sum += ctx.Force(t).(int64)
-		}
+		sum := sparkSums(ctx, n, chunks, func(c exec.Ctx, r Range) int64 {
+			if direct {
+				return SumRangeDirect(r.Lo, r.Hi)
+			}
+			return SumRange(c, gcdIterCost, r.Lo, r.Hi)
+		})
 		if check := SequentialCheck(ctx, n); check != sum {
 			panic(&CheckError{Sum: sum, Want: check})
 		}
@@ -71,21 +61,24 @@ func Program(n, chunks int, gcdIterCost int64, direct bool) exec.Program {
 // mutator.
 func AllocProgram(n, chunks int) exec.Program {
 	return func(ctx exec.Ctx) graph.Value {
-		rs := Ranges(n, chunks)
-		ts := make([]*graph.Thunk, len(rs))
-		for i, r := range rs {
-			r := r
-			ts[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-				return SumRangeList(r.Lo, r.Hi)
-			})
-		}
-		strategies.ParListWHNF(ctx, ts)
-		var sum int64
-		for _, t := range ts {
-			sum += ctx.Force(t).(int64)
-		}
-		return sum
+		return sparkSums(ctx, n, chunks, func(_ exec.Ctx, r Range) int64 { return SumRangeList(r.Lo, r.Hi) })
 	}
+}
+
+// sparkSums splits [1..n] into chunks, sparks the sum of each chunk
+// (parList rwhnf over sublists) and folds the partial sums.
+func sparkSums(ctx exec.Ctx, n, chunks int, sum func(exec.Ctx, Range) int64) int64 {
+	rs := Ranges(n, chunks)
+	ts := make([]*graph.Thunk, len(rs))
+	for i, r := range rs {
+		ts[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value { return sum(c, r) })
+	}
+	strategies.ParListWHNF(ctx, ts)
+	var total int64
+	for _, t := range ts {
+		total += ctx.Force(t).(int64)
+	}
+	return total
 }
 
 // GpHProgram is Program specialised to the simulated runtime (memoised,
@@ -120,18 +113,6 @@ func EdenProgram(n, chunksPerPE int, gcdIterCost int64) pe.Program {
 		sum := kvs[0].Val.(int64)
 		if check := SequentialCheck(p, n); check != sum {
 			panic(&CheckError{Sum: sum, Want: check})
-		}
-		return sum
-	}
-}
-
-// SeqProgram is the sequential reference program (for relative-speedup
-// baselines).
-func SeqProgram(n int, gcdIterCost int64) func(*rts.Ctx) graph.Value {
-	return func(ctx *rts.Ctx) graph.Value {
-		sum := SumRange(ctx, gcdIterCost, 1, n)
-		if check := SequentialCheck(ctx, n); check != sum {
-			panic(fmt.Sprintf("euler: sum %d != check %d", sum, check))
 		}
 		return sum
 	}

@@ -174,12 +174,3 @@ func EdenCannonProgram(a, b Mat, q int, mulAddCost int64) pe.Program {
 		return out
 	}
 }
-
-// SeqProgram is the sequential reference with cost accounting.
-func SeqProgram(a, b Mat, mulAddCost int64) func(*rts.Ctx) graph.Value {
-	n := len(a)
-	return func(ctx *rts.Ctx) graph.Value {
-		ctx.Alloc(2 * Bytes(n))
-		return MulRange(ctx, mulAddCost, a, b, 0, n, 0, n)
-	}
-}
