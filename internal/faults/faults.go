@@ -129,9 +129,6 @@ func (p *Plan) String() string {
 		return ""
 	}
 	var parts []string
-	if p.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
-	}
 	for _, k := range sortedKeys(p.PanicSparks) {
 		parts = append(parts, fmt.Sprintf("panic-spark=%d", k))
 	}
@@ -174,6 +171,11 @@ func (p *Plan) String() string {
 	}
 	if p.RankEvery {
 		parts = append(parts, "rank-faults=every")
+	}
+	// Seed 0 alone prints nothing, but beside a clause it must print:
+	// Parse defaults an absent seed to 1.
+	if p.Seed != 0 || len(parts) > 0 {
+		parts = append([]string{fmt.Sprintf("seed=%d", p.Seed)}, parts...)
 	}
 	return strings.Join(parts, ",")
 }
@@ -417,7 +419,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // written so NaN fails too
 		return 0, fmt.Errorf("probability %g outside [0,1]", p)
 	}
 	return p, nil

@@ -24,6 +24,7 @@ func TestParseRoundTrip(t *testing.T) {
 		"wedge-rank=2:25ms",
 		"seed=4,kill-rank=1:10ms,rank-faults=every",
 		"seed=8,flap-rank=0:5ms:50ms,flap-rank=2:1ms:2ms,wedge-rank=1:3ms",
+		"seed=0,drop=0.1", // an absent seed parses as 1, so seed 0 must print
 	}
 	for _, spec := range specs {
 		p, err := Parse(spec)
@@ -39,6 +40,54 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("round trip not stable: %q -> %q -> %q", spec, got, p2.String())
 		}
 	}
+}
+
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"seed=42,panic-spark=17", "seed=9,drop=0.25@0-2", "seed=5,delay=1ms:0.5@1-*",
+		"seed=11,panic-spark=2,drop=0.05@*-0,delay=500µs:0.2,stall=0:1ms,stall=3:2ms",
+		"seed=6,kill-rank=0:10ms,sever-rank=1:30ms", "flap-rank=1:40ms:150ms",
+		"seed=4,wedge-rank=2:25ms,rank-faults=every", "drop=NaN", "delay=1ms:NaN",
+		"drop=1e-400", "drop=-0", "stall=1:1.5ns", "", ",", "seed=0", "drop=0.1@0",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || p == nil {
+			return
+		}
+		for _, e := range p.Edges {
+			if !(e.DropProb >= 0 && e.DropProb <= 1 && e.DelayProb >= 0 && e.DelayProb <= 1) {
+				t.Fatalf("%q: accepted probability outside [0,1]: %+v", spec, e)
+			}
+			if e.Delay < 0 || e.DelayProb > 0 && e.Delay == 0 { // drop rules carry no duration
+				t.Fatalf("%q: accepted non-positive delay %v", spec, e.Delay)
+			}
+		}
+		var durs []time.Duration
+		for _, m := range []map[int]time.Duration{p.Stall, p.KillRank, p.SeverRank, p.WedgeRank} {
+			for _, d := range m {
+				durs = append(durs, d)
+			}
+		}
+		for _, r := range p.FlapRank {
+			durs = append(durs, r.At, r.Down)
+		}
+		for _, d := range durs {
+			if d <= 0 {
+				t.Fatalf("%q: accepted non-positive duration %v", spec, d)
+			}
+		}
+		got := p.String()
+		p2, err := Parse(got)
+		if err != nil {
+			t.Fatalf("%q → %q does not parse: %v", spec, got, err)
+		}
+		if again := p2.String(); again != got {
+			t.Fatalf("round trip not stable: %q → %q → %q", spec, got, again)
+		}
+	})
 }
 
 func TestParseEmpty(t *testing.T) {
@@ -57,6 +106,8 @@ func TestParseErrors(t *testing.T) {
 		"seed=x",
 		"panic-spark=-1",
 		"drop=1.5",
+		"drop=NaN", // NaN compares false both ways, so it needs its own reject
+		"delay=1ms:NaN",
 		"drop=0.1@0",
 		"drop=0.1@a-b",
 		"delay=0.5",             // missing duration

@@ -6,6 +6,12 @@
 //
 // Iterations are computed for real; the virtual cost is charged per
 // actual iteration, so the irregularity is genuine.
+//
+// Row is the one kernel: every form (Program, EdenProgram) and the
+// oracle (Render) go through it. It advances four adjacent pixels'
+// orbits in lock step, so their floating-point chains overlap, and
+// takes exactly each pixel's escape-time iterations, so counts and
+// charges are those of a pixel-at-a-time loop.
 package mandel
 
 import (
@@ -47,25 +53,71 @@ type Ctx interface {
 	Alloc(bytes int64)
 }
 
+// re is the real part of pixel column x.
+func (p Params) re(x int) float64 {
+	return p.CenterX + (float64(x)/float64(p.Width)-0.5)*p.Scale
+}
+
+// escape continues the orbit of c = cr + ci·i from z = zr + zi·i after
+// n iterations and returns the escape-time count: the n at which |z|²
+// first exceeds 4, or limit.
+func escape(cr, ci, zr, zi float64, n, limit int) int {
+	for ; n < limit; n++ {
+		zr2, zi2 := zr*zr, zi*zi
+		if zr2+zi2 > 4 {
+			break
+		}
+		zr, zi = zr2-zi2+cr, 2*zr*zi+ci
+	}
+	return n
+}
+
 // Row computes the escape-time counts of one row, charging per actual
 // iteration.
+//
+// Each orbit z ← z² + c is one dependent floating-point chain, so one
+// pixel at a time is bound by the multiply-add latency. Row runs four
+// adjacent pixels in lock step while none of them has escaped, then
+// escape finishes each alone; the 0–3 pixels left at the end of the row
+// run singly. Every pixel takes exactly the iterations of the one-chain
+// loop, with the same expressions in the same order, so counts and
+// charges are bit for bit those of a pixel-at-a-time render.
 func Row(ctx Ctx, p Params, y int) []int32 {
 	out := make([]int32, p.Width)
 	var iters int64
 	ci := p.CenterY + (float64(y)/float64(p.Height)-0.5)*p.Scale*float64(p.Height)/float64(p.Width)
-	for x := 0; x < p.Width; x++ {
-		cr := p.CenterX + (float64(x)/float64(p.Width)-0.5)*p.Scale
-		zr, zi := 0.0, 0.0
+	x := 0
+	for ; x+4 <= p.Width; x += 4 {
+		cr0, cr1, cr2, cr3 := p.re(x), p.re(x+1), p.re(x+2), p.re(x+3)
+		var zr0, zi0, zr1, zi1, zr2, zi2, zr3, zi3 float64
 		n := 0
 		for ; n < p.MaxIter; n++ {
-			zr2, zi2 := zr*zr, zi*zi
-			if zr2+zi2 > 4 {
+			zr0s, zi0s := zr0*zr0, zi0*zi0
+			zr1s, zi1s := zr1*zr1, zi1*zi1
+			zr2s, zi2s := zr2*zr2, zi2*zi2
+			zr3s, zi3s := zr3*zr3, zi3*zi3
+			if zr0s+zi0s > 4 || zr1s+zi1s > 4 || zr2s+zi2s > 4 || zr3s+zi3s > 4 {
 				break
 			}
-			zr, zi = zr2-zi2+cr, 2*zr*zi+ci
-			iters++
+			zr0, zi0 = zr0s-zi0s+cr0, 2*zr0*zi0+ci
+			zr1, zi1 = zr1s-zi1s+cr1, 2*zr1*zi1+ci
+			zr2, zi2 = zr2s-zi2s+cr2, 2*zr2*zi2+ci
+			zr3, zi3 = zr3s-zi3s+cr3, 2*zr3*zi3+ci
 		}
-		out[x] = int32(n)
+		for i, k := range [4]int{
+			escape(cr0, ci, zr0, zi0, n, p.MaxIter),
+			escape(cr1, ci, zr1, zi1, n, p.MaxIter),
+			escape(cr2, ci, zr2, zi2, n, p.MaxIter),
+			escape(cr3, ci, zr3, zi3, n, p.MaxIter),
+		} {
+			out[x+i] = int32(k)
+			iters += int64(k)
+		}
+	}
+	for ; x < p.Width; x++ {
+		k := escape(p.re(x), ci, 0, 0, 0, p.MaxIter)
+		out[x] = int32(k)
+		iters += int64(k)
 	}
 	ctx.Burn(iters * IterCost)
 	ctx.Alloc(int64(p.Width) * AllocPerPoint)
