@@ -59,13 +59,13 @@ func Fork(ctx Ctx, name string, body func(Ctx)) {
 // that implement it place new thunks in a context-owned allocation
 // region (the native runtime's per-worker arenas) instead of the global
 // heap. Program bodies never call it directly — they call the
-// package-level NewThunk, which falls back to heap allocation on
-// runtimes (and forked threads) without an allocator.
+// package-level NewThunk or NewThunkAdapted, which fall back to heap
+// allocation on runtimes (and forked threads) without an allocator.
 type ThunkAllocator interface {
 	Ctx
-	// NewThunk allocates an unevaluated thunk for f from the context's
-	// allocation region.
-	NewThunk(f func(Ctx) graph.Value) *graph.Thunk
+	// NewThunkAdapted allocates an unevaluated thunk computing
+	// adapt(ctx, payload) from the context's allocation region.
+	NewThunkAdapted(adapt graph.AdaptFn, payload any) *graph.Thunk
 }
 
 // Adapt is the shared graph.AdaptFn trampoline for exec-level thunk
@@ -74,8 +74,7 @@ type ThunkAllocator interface {
 // and the native worker context do. Building thunks through a shared
 // trampoline instead of a per-thunk wrapper closure removes one heap
 // allocation per thunk (func values are pointer-shaped, so the payload
-// boxes into the `any` allocation-free). Runtime allocators
-// (ThunkAllocator implementations) use it to build arena thunks.
+// boxes into the `any` allocation-free).
 func Adapt(c graph.Context, payload any) graph.Value {
 	x, ok := c.(Ctx)
 	if !ok {
@@ -84,18 +83,27 @@ func Adapt(c graph.Context, payload any) graph.Value {
 	return payload.(func(Ctx) graph.Value)(x)
 }
 
-// NewThunk builds a heap thunk for f, allocating through ctx when the
+// NewThunk builds a thunk for f, allocating through ctx when the
 // runtime offers an allocation region (ThunkAllocator) and from the
 // global heap otherwise. This is the allocator hook program bodies and
 // strategies create their sparks through: under the native runtime the
 // thunk comes from the running worker's arena; under the simulation
 // (and on forked native threads, which own no arena) it is a plain
-// heap thunk, exactly as before.
+// heap thunk.
 func NewThunk(ctx Ctx, f func(Ctx) graph.Value) *graph.Thunk {
+	return NewThunkAdapted(ctx, Adapt, f)
+}
+
+// NewThunkAdapted is NewThunk for a program's own trampoline: the
+// thunk computes adapt(forcing context, payload). A pointer payload
+// boxes into the `any` without allocating, so a program that keeps its
+// per-node data in a slab builds each node with no heap object beyond
+// the thunk itself.
+func NewThunkAdapted(ctx Ctx, adapt graph.AdaptFn, payload any) *graph.Thunk {
 	if a, ok := ctx.(ThunkAllocator); ok {
-		return a.NewThunk(f)
+		return a.NewThunkAdapted(adapt, payload)
 	}
-	return Thunk(f)
+	return graph.NewThunkAdapted(adapt, payload)
 }
 
 // Thunk wraps f as a heap thunk whose computation runs under whichever

@@ -262,7 +262,7 @@ func (r *RTS) dumpState() string {
 		}
 		if on := th.BlockedOn(); on != nil {
 			app("thread %q (cap%d) state=%d blockedOn thunk state=%v evaluators=%d waiters=%d\n",
-				th.Name, th.Cap().Index, th.State(), on.State(), on.Evaluators(), len(on.Waiters))
+				th.Name, th.Cap().Index, th.State(), on.State(), on.Evaluators(), on.NumWaiters())
 		} else {
 			app("thread %q (cap%d) state=%d\n", th.Name, th.Cap().Index, th.State())
 		}

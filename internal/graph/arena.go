@@ -29,8 +29,8 @@ type Arena struct {
 	filled int64
 }
 
-// DefaultArenaChunk is the default chunk capacity, in thunks. At ~96
-// bytes per Thunk a chunk is ~24 KB — comfortably L2-resident, and two
+// DefaultArenaChunk is the default chunk capacity, in thunks. At 56
+// bytes per Thunk a chunk is 14 KB — comfortably L2-resident, and two
 // orders of magnitude fewer allocator calls than one make per thunk.
 const DefaultArenaChunk = 256
 
@@ -61,9 +61,7 @@ func (a *Arena) alloc() *Thunk {
 // NewThunk arena-allocates an unevaluated thunk for fn — the drop-in
 // counterpart of the package-level NewThunk.
 func (a *Arena) NewThunk(fn func(Context) Value) *Thunk {
-	t := a.alloc()
-	t.compute = fn
-	return t
+	return a.NewThunkAdapted(callFn, fn)
 }
 
 // NewPlaceholder arena-allocates a black-holed placeholder thunk — the
@@ -76,9 +74,9 @@ func (a *Arena) NewPlaceholder() *Thunk {
 	return t
 }
 
-// NewThunkAdapted arena-allocates a thunk in the closure-free
-// representation: adapt is a shared (package-level) trampoline and
-// payload its per-thunk data. See NewThunkAdapted.
+// NewThunkAdapted arena-allocates an unevaluated thunk: adapt is a
+// shared (package-level) trampoline and payload its per-thunk data. See
+// AdaptFn.
 func (a *Arena) NewThunkAdapted(adapt AdaptFn, payload any) *Thunk {
 	t := a.alloc()
 	t.adapt = adapt

@@ -135,45 +135,46 @@ type claimNoter interface {
 	NoteReleased(t *Thunk)
 }
 
-// AdaptFn is the shared half of a thunk's closure-free computation
-// representation: a package-level trampoline that interprets the
-// thunk's payload. Building a thunk from (adapt, payload) instead of a
-// `func(Context) Value` closure avoids allocating a wrapper closure per
-// thunk — the trampoline is shared by every thunk of its call site, and
-// payloads that are themselves pointer-shaped (func values, pointers)
-// box into the `any` without allocating.
+// AdaptFn is a thunk's computation: a package-level trampoline that
+// interprets the thunk's payload. Building a thunk from (adapt, payload)
+// instead of a `func(Context) Value` closure avoids allocating a wrapper
+// closure per thunk — the trampoline is shared by every thunk of its
+// call site, and payloads that are themselves pointer-shaped (func
+// values, pointers) box into the `any` without allocating.
 type AdaptFn func(Context, any) Value
 
 // Thunk is a shared heap node holding either a suspended computation or
-// its value.
+// its value. It is 56 bytes: one word of state, one computation
+// representation (adapt + payload), the value, and a pointer to the
+// simulation's waiter list.
 type Thunk struct {
-	state   atomic.Int32 // an EvalState
-	compute func(Context) Value
-	// adapt+payload is the alternative, closure-free computation
-	// representation (see AdaptFn); compute and adapt are mutually
-	// exclusive.
-	adapt   AdaptFn
-	payload any
-	val     Value
-
-	// evaluators counts threads currently inside compute (can exceed 1
-	// only under lazy black-holing).
+	state atomic.Int32 // an EvalState
+	// evaluators counts threads currently inside the computation under
+	// lazy black-holing (it can exceed 1 there). It shares state's
+	// 8-byte word.
 	evaluators atomic.Int32
-	// Waiters holds runtime-owned records of threads blocked on this
-	// thunk while it is black-holed. The runtime appends in BlockOnThunk
-	// and drains in WakeThunkWaiters. (Simulation-only: the native
-	// runtime polls the atomic state instead, so a lost wakeup is
-	// impossible by construction.)
-	Waiters []any
+	adapt      AdaptFn
+	payload    any
+	val        Value
+	// waiters holds runtime-owned records of threads blocked on this
+	// thunk while it is black-holed (see AddWaiter). Simulation-only:
+	// the native runtime polls the atomic state instead, so a lost
+	// wakeup is impossible by construction, and its thunks never pay
+	// for the list's slice header.
+	waiters *[]any
 }
+
+// callFn is the AdaptFn of thunks built from a func(Context) Value: the
+// payload is the function itself.
+func callFn(c Context, payload any) Value { return payload.(func(Context) Value)(c) }
 
 // NewThunk returns an unevaluated thunk for fn.
 func NewThunk(fn func(Context) Value) *Thunk {
-	return &Thunk{compute: fn} // zero state == Unevaluated
+	return &Thunk{adapt: callFn, payload: fn} // zero state == Unevaluated
 }
 
-// NewThunkAdapted returns an unevaluated thunk in the closure-free
-// (adapt, payload) representation — see AdaptFn.
+// NewThunkAdapted returns an unevaluated thunk computing adapt(ctx,
+// payload) — see AdaptFn.
 func NewThunkAdapted(adapt AdaptFn, payload any) *Thunk {
 	return &Thunk{adapt: adapt, payload: payload}
 }
@@ -204,7 +205,7 @@ func (t *Thunk) CloneForExport() *Thunk {
 	if t.State() != Unevaluated {
 		panic("graph: CloneForExport of " + t.State().String() + " thunk")
 	}
-	return &Thunk{compute: t.compute, adapt: t.adapt, payload: t.payload}
+	return &Thunk{adapt: t.adapt, payload: t.payload}
 }
 
 // Resolve fills a placeholder (or any not-yet-evaluated thunk) with v
@@ -217,12 +218,38 @@ func (t *Thunk) Resolve(v Value) []any {
 		panic("graph: Resolve of " + s.String() + " thunk")
 	}
 	t.val = v
-	t.compute = nil
 	t.adapt, t.payload = nil, nil
 	t.state.Store(int32(Evaluated))
-	ws := t.Waiters
-	t.Waiters = nil
+	return t.TakeWaiters()
+}
+
+// AddWaiter records w, a runtime-owned record of a thread blocked on
+// this black-holed thunk. The simulated runtimes append in BlockOnThunk
+// and drain with TakeWaiters in WakeThunkWaiters.
+func (t *Thunk) AddWaiter(w any) {
+	if t.waiters == nil {
+		t.waiters = new([]any)
+	}
+	*t.waiters = append(*t.waiters, w)
+}
+
+// TakeWaiters removes and returns the thunk's waiter records, in the
+// order they were added.
+func (t *Thunk) TakeWaiters() []any {
+	if t.waiters == nil {
+		return nil
+	}
+	ws := *t.waiters
+	t.waiters = nil
 	return ws
+}
+
+// NumWaiters returns how many waiter records the thunk holds.
+func (t *Thunk) NumWaiters() int {
+	if t.waiters == nil {
+		return 0
+	}
+	return len(*t.waiters)
 }
 
 // State returns the thunk's current state.
@@ -249,7 +276,9 @@ func (t *Thunk) Value() Value {
 }
 
 // Evaluators returns the number of threads currently evaluating the
-// thunk (>1 indicates duplicate evaluation in progress).
+// thunk under lazy black-holing (>1 indicates duplicate evaluation in
+// progress). Eager evaluations are not counted: the claim CAS already
+// admits exactly one evaluator, so they leave the counter at 0.
 func (t *Thunk) Evaluators() int { return int(t.evaluators.Load()) }
 
 // MarkBlackhole transitions an unevaluated thunk to Blackholed; the
@@ -299,18 +328,6 @@ func (t *Thunk) PoisonedErr() *PoisonError {
 	}
 	pe, _ := t.val.(*PoisonError)
 	return pe
-}
-
-// enter runs the thunk's computation, whichever representation it was
-// built in. It deliberately does not clear the computation fields on
-// completion: under lazy black-holing a duplicate evaluator may still
-// be reading them, and clearing would race with it (publish clears
-// nothing for the same reason).
-func (t *Thunk) enter(ctx Context) Value {
-	if t.adapt != nil {
-		return t.adapt(ctx, t.payload)
-	}
-	return t.compute(ctx)
 }
 
 // publish installs v as the thunk's value unless another evaluator
@@ -365,7 +382,7 @@ func Force(ctx Context, t *Thunk) Value {
 
 		case Unevaluated:
 			eager := ctx.EagerBlackholing()
-			cn, hasCN := ctx.(claimNoter)
+			var cn claimNoter
 			if eager {
 				if !t.TryClaim() {
 					// Lost the claim race to a concurrent evaluator
@@ -373,19 +390,26 @@ func Force(ctx Context, t *Thunk) Value {
 					continue
 				}
 				ctx.Burn(ctx.BlackholeWriteCost())
-				if hasCN {
+				if c, ok := ctx.(claimNoter); ok {
+					cn = c
 					cn.NoteClaimed(t)
 				}
 			} else {
 				ctx.EnteredThunk(t)
+				if t.evaluators.Add(1) > 1 {
+					ctx.NoteDuplicateEntry(t)
+				}
 			}
-			if t.evaluators.Add(1) > 1 && !eager {
-				ctx.NoteDuplicateEntry(t)
+			// The computation fields are deliberately not cleared on
+			// completion: under lazy black-holing a duplicate evaluator
+			// may still be reading them, and clearing would race with it
+			// (publish clears nothing for the same reason).
+			v := t.adapt(ctx, t.payload)
+			if !eager {
+				t.evaluators.Add(-1)
 			}
-			v := t.enter(ctx)
-			t.evaluators.Add(-1)
 			ctx.LeftThunk(t)
-			if eager && hasCN {
+			if cn != nil {
 				cn.NoteReleased(t)
 			}
 			if t.publish(v) {

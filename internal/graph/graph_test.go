@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func (m *mockCtx) BlockOnThunk(t *Thunk) {
 	// Single-threaded mock: a block would deadlock.
 	panic("mockCtx: BlockOnThunk called")
 }
-func (m *mockCtx) WakeThunkWaiters(t *Thunk)   { m.wakes++; t.Waiters = nil }
+func (m *mockCtx) WakeThunkWaiters(t *Thunk)   { m.wakes++; t.TakeWaiters() }
 func (m *mockCtx) NoteDuplicateEntry(t *Thunk) { m.dups++ }
 
 func TestForceCachesValue(t *testing.T) {
@@ -71,11 +72,11 @@ func TestNewValueIsEvaluated(t *testing.T) {
 func TestEagerBlackholingMarksOnEntry(t *testing.T) {
 	ctx := &mockCtx{eager: true}
 	var stateInside EvalState
-	th := NewThunk(nil)
-	th.compute = func(c Context) Value {
+	var th *Thunk
+	th = NewThunk(func(c Context) Value {
 		stateInside = th.State()
 		return 1
-	}
+	})
 	Force(ctx, th)
 	if stateInside != Blackholed {
 		t.Fatalf("state during eval = %v, want blackholed", stateInside)
@@ -91,11 +92,11 @@ func TestEagerBlackholingMarksOnEntry(t *testing.T) {
 func TestLazyBlackholingLeavesUnevaluated(t *testing.T) {
 	ctx := &mockCtx{eager: false}
 	var stateInside EvalState
-	th := NewThunk(nil)
-	th.compute = func(c Context) Value {
+	var th *Thunk
+	th = NewThunk(func(c Context) Value {
 		stateInside = th.State()
 		return 1
-	}
+	})
 	Force(ctx, th)
 	if stateInside != Unevaluated {
 		t.Fatalf("state during eval = %v, want unevaluated (lazy window)", stateInside)
@@ -233,20 +234,37 @@ func TestValuePanicsOnUnevaluated(t *testing.T) {
 	_ = th.Value()
 }
 
+// TestEvaluatorsCount: lazy evaluations are counted while they run;
+// eager ones are not (the claim already admits one evaluator), so the
+// counter stays 0 throughout.
 func TestEvaluatorsCount(t *testing.T) {
-	ctx := &mockCtx{}
-	var th *Thunk
-	var during int
-	th = NewThunk(func(c Context) Value {
-		during = th.Evaluators()
-		return 0
-	})
-	Force(ctx, th)
-	if during != 1 {
-		t.Fatalf("evaluators during eval = %d, want 1", during)
+	for _, c := range []struct {
+		eager bool
+		want  int
+	}{{false, 1}, {true, 0}} {
+		ctx := &mockCtx{eager: c.eager}
+		var th *Thunk
+		during := -1
+		th = NewThunk(func(Context) Value {
+			during = th.Evaluators()
+			return 0
+		})
+		Force(ctx, th)
+		if during != c.want {
+			t.Fatalf("eager=%v: evaluators during eval = %d, want %d", c.eager, during, c.want)
+		}
+		if th.Evaluators() != 0 {
+			t.Fatalf("eager=%v: evaluators after eval = %d, want 0", c.eager, th.Evaluators())
+		}
 	}
-	if th.Evaluators() != 0 {
-		t.Fatalf("evaluators after eval = %d, want 0", th.Evaluators())
+}
+
+// TestThunkSize pins the node's layout: one state word shared with the
+// evaluator count, one computation representation, the value and a
+// pointer to the simulation's waiter list.
+func TestThunkSize(t *testing.T) {
+	if got := reflect.TypeOf(Thunk{}).Size(); got > 56 {
+		t.Fatalf("Thunk is %d bytes, want <= 56", got)
 	}
 }
 
@@ -255,12 +273,16 @@ func TestPlaceholderAndResolve(t *testing.T) {
 	if ph.State() != Blackholed {
 		t.Fatal("placeholder must start black-holed")
 	}
-	ph.Waiters = append(ph.Waiters, "waiter-record")
+	ph.AddWaiter("waiter-1")
+	ph.AddWaiter("waiter-2")
+	if ph.NumWaiters() != 2 {
+		t.Fatalf("NumWaiters = %d, want 2", ph.NumWaiters())
+	}
 	ws := ph.Resolve("hello")
-	if len(ws) != 1 || ws[0] != "waiter-record" {
+	if len(ws) != 2 || ws[0] != "waiter-1" || ws[1] != "waiter-2" {
 		t.Fatalf("waiters = %v", ws)
 	}
-	if ph.Waiters != nil {
+	if ph.NumWaiters() != 0 || ph.TakeWaiters() != nil {
 		t.Fatal("Resolve must clear the waiter list")
 	}
 	if !ph.IsEvaluated() || ph.Value() != "hello" {

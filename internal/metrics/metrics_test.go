@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -271,4 +272,48 @@ func TestNilRegistrySafe(t *testing.T) {
 	if got := reg.Counters(); len(got) != 0 {
 		t.Fatalf("nil registry Counters = %v", got)
 	}
+}
+
+// FuzzParseProm: the scrape parser never panics, and every series it
+// accepts holds ParseFloat of the last whitespace-separated field of
+// the last line naming it.
+func FuzzParseProm(f *testing.F) {
+	for _, seed := range []string{
+		"", "# HELP a_total a\n# TYPE a_total counter\na_total 3\n",
+		"jobs_total{outcome=\"ok\"} 9\r\njobs_total{outcome=\"ok\"} 10\n",
+		"lat_seconds_bucket{le=\"+Inf\"} 100\nlat_seconds_p50 5e-05\n",
+		"x NaN\ny +Inf\nz -0\n", "no_value\n", "a 1 2\n", "a\t1\n", "  a   0x1p-3  \n",
+		"a b 1e400\n", " 7\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		got, err := ParseProm(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		want := make(map[string]string)
+		for _, line := range strings.Split(text, "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			fields := strings.Fields(line)
+			last := fields[len(fields)-1]
+			want[strings.TrimSpace(strings.TrimSuffix(line, last))] = last
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: parsed %d series, want %d", text, len(got), len(want))
+		}
+		for name, field := range want {
+			v, err := strconv.ParseFloat(field, 64)
+			if err != nil {
+				t.Fatalf("%q: accepted series %q with value field %q: %v", text, name, field, err)
+			}
+			g, ok := got[name]
+			if !ok || math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("%q: series %q = %v (present %v), want %v", text, name, g, ok, v)
+			}
+		}
+	})
 }

@@ -217,7 +217,7 @@ func (countingCtx) BlackholeWriteCost() int64        { return 0 }
 func (countingCtx) EnteredThunk(*graph.Thunk)        {}
 func (countingCtx) LeftThunk(*graph.Thunk)           {}
 func (countingCtx) BlockOnThunk(*graph.Thunk)        { panic("unexpected block") }
-func (countingCtx) WakeThunkWaiters(t *graph.Thunk)  { t.Waiters = nil }
+func (countingCtx) WakeThunkWaiters(t *graph.Thunk)  { t.TakeWaiters() }
 func (countingCtx) NoteDuplicateEntry(*graph.Thunk)  {}
 func (countingCtx) NoteDuplicateResult(*graph.Thunk) {}
 

@@ -265,17 +265,15 @@ func (c *Ctx) Burn(ns int64) {}
 // Alloc is a no-op: Go's allocator and GC are real.
 func (c *Ctx) Alloc(bytes int64) {}
 
-// NewThunk allocates a thunk for f from the running worker's arena —
-// the exec.ThunkAllocator hook strategies and workloads create their
-// sparks through. Forked threads own no arena and fall back to a plain
-// heap thunk. Either way the thunk is built in the closure-free
-// (adapt, payload) representation, so the only per-thunk heap object
-// on the worker path is the caller's own body closure.
-func (c *Ctx) NewThunk(f func(exec.Ctx) graph.Value) *graph.Thunk {
+// NewThunkAdapted allocates a thunk computing adapt(ctx, payload) from
+// the running worker's arena — the exec.ThunkAllocator hook strategies
+// and workloads create their sparks through. Forked threads own no
+// arena and fall back to a plain heap thunk.
+func (c *Ctx) NewThunkAdapted(adapt graph.AdaptFn, payload any) *graph.Thunk {
 	if c.w != nil {
-		return c.w.arena.NewThunkAdapted(exec.Adapt, f)
+		return c.w.arena.NewThunkAdapted(adapt, payload)
 	}
-	return exec.Thunk(f)
+	return graph.NewThunkAdapted(adapt, payload)
 }
 
 // Par sparks t: the thunk becomes available for any worker to evaluate.

@@ -94,7 +94,7 @@ func (x *Ctx) BlockOnThunk(t *graph.Thunk) {
 		return
 	}
 	th.markEntered()
-	t.Waiters = append(t.Waiters, th)
+	t.AddWaiter(th)
 	th.blockedOn = t
 	th.yieldBlocked()
 	th.blockedOn = nil
@@ -104,18 +104,7 @@ func (x *Ctx) BlockOnThunk(t *graph.Thunk) {
 // capability's run queue, charging the wake cost to the caller (the
 // thread that updated the thunk).
 func (x *Ctx) WakeThunkWaiters(t *graph.Thunk) {
-	if len(t.Waiters) == 0 {
-		return
-	}
-	ws := t.Waiters
-	t.Waiters = nil
-	c := x.cap()
-	for _, w := range ws {
-		th := w.(*Thread)
-		c.Burn(c.Costs.WakeThread)
-		// Wake the thread onto the capability it last ran on.
-		th.cap.Enqueue(th)
-	}
+	x.cap().WakeWaiterList(t.TakeWaiters())
 }
 
 // NoteDuplicateEntry counts a duplicate evaluation entry.

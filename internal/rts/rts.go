@@ -278,7 +278,7 @@ func (c *Cap) Burn(ns int64) {
 }
 
 // WakeWaiterList re-enqueues threads that were blocked on a thunk (the
-// records a BlockOnThunk call put in Thunk.Waiters), charging the wake
+// records a BlockOnThunk call added with Thunk.AddWaiter), charging the wake
 // cost here on the calling capability. Used by message handlers that
 // resolve channel placeholders outside any thread context.
 func (c *Cap) WakeWaiterList(ws []any) {

@@ -17,6 +17,7 @@ package tune
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -33,6 +34,10 @@ const (
 	// maxBackoffLevel bounds how far Widen can escalate: each level
 	// halves the spin budget and doubles the sleep cap.
 	maxBackoffLevel = 4
+	// maxSleepCap is the largest level-0 sleep cap a policy accepts:
+	// the cap doubled at every widen level must still fit in an int64
+	// of nanoseconds (about 160 000 hours).
+	maxSleepCap = time.Duration(math.MaxInt64 >> maxBackoffLevel)
 )
 
 // Backoff is a per-pool idle-wait policy: how long an idle worker
@@ -145,11 +150,18 @@ func (b *Backoff) spin() int64 {
 }
 
 // sleepNS is the doubling ladder: sleep round `round` (0-based) lasts
-// min<<round nanoseconds, capped at the current level's maximum.
+// min<<round nanoseconds, capped at the current level's maximum. The
+// doubling saturates at the cap instead of overflowing past it: ParseBackoff
+// keeps the widened cap itself within an int64, but a sleep between half
+// the cap and the cap can still exceed 2^62 ns at level 4, and doubling
+// that would wrap negative.
 func (b *Backoff) sleepNS(round int64) int64 {
 	max := b.baseMaxNS << uint(b.level.Load())
 	ns := b.baseMinNS
 	for i := int64(0); i < round && ns < max; i++ {
+		if ns > max>>1 {
+			return max
+		}
 		ns <<= 1
 	}
 	if ns > max {

@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,11 +109,79 @@ func TestParseBackoff(t *testing.T) {
 	for _, bad := range []string{
 		"spin", "spin=0", "spin=x", "park=-1", "min=0s", "min=fast",
 		"max=1us,min=2us", "speed=9",
+		// Caps whose widened doublings overflow int64 nanoseconds.
+		"max=600000h", "max=2562047h", "min=170000h,max=170000h",
 	} {
 		if _, err := ParseBackoff(bad); err == nil {
 			t.Errorf("ParseBackoff(%q) accepted", bad)
 		}
 	}
+}
+
+// TestBackoffLargestCapSaturates: at the largest accepted cap the
+// ladder climbs to the cap at every widen level and stays there, where
+// an overflowing doubling once returned 0 or a negative sleep.
+func TestBackoffLargestCapSaturates(t *testing.T) {
+	top := maxSleepCap.String()
+	for _, spec := range []string{"max=150000h", "min=1ns,max=" + top, "min=" + top + ",max=" + top} {
+		b, err := ParseBackoff(spec)
+		if err != nil {
+			t.Fatalf("ParseBackoff(%q): %v", spec, err)
+		}
+		for level := 0; level <= maxBackoffLevel; level++ {
+			limit := time.Duration(b.baseMaxNS << level)
+			for _, spins := range []int{200, 1 << 20} {
+				if d, _ := b.Plan(spins); d != limit {
+					t.Fatalf("%q level %d: Plan(%d) = %v, want the cap %v", spec, level, spins, d, limit)
+				}
+			}
+			b.Widen()
+		}
+	}
+}
+
+// FuzzParseBackoff: the parser never panics, and every policy it
+// accepts sleeps within [0, cap] and never less for a later round, at
+// every widen level.
+func FuzzParseBackoff(f *testing.F) {
+	for _, seed := range []string{
+		"", "spin=32, min=5us, max=2ms, park=8", "max=600000h", "max=64000h",
+		"min=1ns,max=1ns", "spin=9223372036854775807", "park=3,spin=1",
+		"min=70000h", "max=1h,min=59m", ",,", "spin=1,max=2562047h47m16.854775807s",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		b, err := ParseBackoff(spec)
+		if err != nil {
+			return
+		}
+		for level := 0; level <= maxBackoffLevel; level++ {
+			limit := time.Duration(b.baseMaxNS << level)
+			sp := int(b.spin())
+			var pts []int
+			for i := 0; i <= 80; i++ {
+				pts = append(pts, i)
+				if sp <= math.MaxInt-100 {
+					pts = append(pts, sp-1+i)
+				}
+			}
+			pts = append(pts, math.MaxInt)
+			slices.Sort(pts)
+			prev := time.Duration(0)
+			for _, s := range pts {
+				d := b.Sleep(s)
+				if d < 0 || d > limit {
+					t.Fatalf("%q level %d: Sleep(%d) = %v, outside [0, %v]", spec, level, s, d, limit)
+				}
+				if d < prev {
+					t.Fatalf("%q level %d: Sleep(%d) = %v after %v for an earlier round", spec, level, s, d, prev)
+				}
+				prev = d
+			}
+			b.Widen()
+		}
+	})
 }
 
 // --- Splitter ---

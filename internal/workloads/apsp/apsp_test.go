@@ -6,6 +6,7 @@ import (
 
 	"parhask/internal/eden"
 	"parhask/internal/gph"
+	"parhask/internal/gum"
 )
 
 type nopCtx struct{ burned, alloced int64 }
@@ -167,6 +168,39 @@ func TestGpHProgramCorrectBothPolicies(t *testing.T) {
 		if res.Elapsed != c.elapsed || res.Stats.DupEntries != c.dups {
 			t.Fatalf("eager=%v cores=%d: elapsed %d, %d duplicate entries; want %d, %d",
 				c.eager, c.cores, res.Elapsed, res.Stats.DupEntries, c.elapsed, c.dups)
+		}
+	}
+}
+
+// TestGpHProgramOnGUM runs the lattice on simulated GUM, where a fetch
+// of an exported row charges eden.SizeOf of the node's value. The pins
+// are the charges the lattice produced when its values were bare rows.
+func TestGpHProgramOnGUM(t *testing.T) {
+	g := RandomGraph(24, 7, 9, 30)
+	want := FloydWarshall(g)
+	for _, c := range []struct {
+		eager   bool
+		elapsed int64
+		bytes   int64
+	}{
+		{false, 203442, 1136},
+		{true, 243372, 1136},
+	} {
+		cfg := gum.NewConfig(4, 4)
+		cfg.EagerBlackholing = c.eager
+		res, err := gum.Run(cfg, GpHProgram(g, cfg.Costs.MinPlus))
+		if err != nil {
+			t.Fatalf("eager=%v: %v", c.eager, err)
+		}
+		if !Equal(res.Value.(Graph), want) {
+			t.Fatalf("eager=%v: wrong distances", c.eager)
+		}
+		if res.Stats.Fetches == 0 {
+			t.Fatalf("eager=%v: no row was fetched across PEs; the size rule went unexercised", c.eager)
+		}
+		if res.Elapsed != c.elapsed || res.Stats.BytesSent != c.bytes {
+			t.Fatalf("eager=%v: elapsed %d, %d bytes sent; want %d, %d",
+				c.eager, res.Elapsed, res.Stats.BytesSent, c.elapsed, c.bytes)
 		}
 	}
 }

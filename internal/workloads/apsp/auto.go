@@ -30,7 +30,7 @@ func AutoProgram(g Graph, sp *tune.Splitter, minPlusCost int64) exec.Program {
 			}
 		})
 		for i := 0; i < n; i++ {
-			out[i] = ctx.Force(rows[i]).([]int32)
+			out[i] = ctx.Force(rows[i]).(*node).row
 		}
 		return out
 	}

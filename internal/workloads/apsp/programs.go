@@ -31,50 +31,98 @@ func Program(g Graph, minPlusCost int64) exec.Program {
 		strategies.ParListWHNF(ctx, rows)
 		out := make(Graph, len(rows))
 		for i, t := range rows {
-			out[i] = ctx.Force(t).([]int32)
+			out[i] = ctx.Force(t).(*node).row
 		}
 		return out
 	}
 }
 
+// stage is what every node of one Floyd–Warshall stage shares: k, the
+// charge rate and row k after stage k-1.
+type stage struct {
+	k     int
+	cost  int64
+	pivot *graph.Thunk
+}
+
+// node is one lattice node's payload: row i after stage st.k, computed
+// from ri (row i after stage st.k-1). Under eager claims the node is
+// also its thunk's value, with row filled in by the one evaluator;
+// under lazy black-holing each evaluation returns a fresh node holding
+// only row.
+type node struct {
+	st  *stage
+	ri  *graph.Thunk
+	row []int32
+}
+
+// PackedSize implements eden.Sized: a node ships as its row, so GUM
+// charges a fetched lattice value exactly what a bare []int32 costs.
+func (nd *node) PackedSize() int64 { return int64(4*len(nd.row)) + 16 }
+
 // lattice builds Program's thunk lattice over a per-job copy of g and
-// returns the final rows.
+// returns the final rows, whose values are *node. Every node shares one
+// trampoline, evalNode, so a node costs its arena thunk and its slab
+// entry and nothing else.
+//
+// The lattice is built one row chain at a time, in the order it is
+// evaluated: forcing row i after stage k demands row i after stages
+// 0, 1, …, k-1 in turn, so each chain's thunks are consecutive in the
+// arena, its nodes share one slab with the row's input copy, and an
+// evaluation walks memory in order. (Slabs per stage, filled stage by
+// stage, put consecutive evaluations n nodes apart.)
 //
 // Each node owns the row it reads unless that row is a pivot: row k
 // after stage k-1 is read by all n nodes of stage k, every other row by
 // exactly one node (the same row at the next stage), and the final rows
 // only by the caller. So when the forcing context claims eagerly — one
-// evaluator per thunk — node (i, k), i ≠ k, updates its row in place
-// and returns it, and a job allocates 2n rows instead of n². Node (k, k)
-// copies, because stage k still reads the pivot it was given; under
-// lazy black-holing every node copies, because duplicate evaluators
-// would race on a shared row. The charges are UpdateRow's either way:
-// the simulator models GHC's immutable rows.
+// evaluator per thunk — node (i, k), i ≠ k, updates its row in place,
+// and a job allocates 2n rows instead of n². Node (k, k) copies,
+// because stage k still reads the pivot it was given; under lazy
+// black-holing every node copies, because duplicate evaluators would
+// race on a shared row. The charges are UpdateRow's either way: the
+// simulator models GHC's immutable rows.
 func lattice(ctx exec.Ctx, g Graph, minPlusCost int64) []*graph.Thunk {
 	n := len(g)
 	ctx.Alloc(Bytes(n)) // the input adjacency matrix
+	stages := make([]stage, n)
+	for k := range stages {
+		stages[k].k, stages[k].cost = k, minPlusCost
+	}
 	rows := make([]*graph.Thunk, n)
 	for i := range rows {
-		rows[i] = graph.NewValue(append([]int32(nil), g[i]...))
-	}
-	for k := 0; k < n; k++ {
-		pivot := rows[k]
-		next := make([]*graph.Thunk, n)
-		for i, ri := range rows {
-			owns := i != k
-			next[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-				pk := c.Force(pivot).([]int32)
-				r := c.Force(ri).([]int32)
-				if gc, ok := c.(graph.Context); ok && owns && gc.EagerBlackholing() {
-					return updateRow(c, minPlusCost, r, r, pk, k)
-				}
-				return UpdateRow(c, minPlusCost, r, pk, k)
-			})
+		chain := make([]node, n+1)
+		chain[0].row = append([]int32(nil), g[i]...)
+		ri := graph.NewValue(&chain[0])
+		for k := range stages {
+			if k == i {
+				stages[k].pivot = ri
+			}
+			nd := &chain[k+1]
+			nd.st, nd.ri = &stages[k], ri
+			ri = exec.NewThunkAdapted(ctx, evalNode, nd)
 		}
 		ctx.Alloc(int64(n) * thunkBuildAlloc)
-		rows = next
+		rows[i] = ri
 	}
 	return rows
+}
+
+// evalNode is the graph.AdaptFn of every lattice node.
+func evalNode(c graph.Context, payload any) graph.Value {
+	nd := payload.(*node)
+	st := nd.st
+	pk := graph.Force(c, st.pivot).(*node).row
+	r := graph.Force(c, nd.ri).(*node).row
+	if !c.EagerBlackholing() {
+		return &node{row: UpdateRow(c, st.cost, r, pk, st.k)}
+	}
+	out := r
+	if nd.ri == st.pivot {
+		out = make([]int32, len(r))
+	}
+	nd.row = updateRow(c, st.cost, out, r, pk, st.k)
+	return nd
 }
 
 // GpHProgram is Program specialised to the simulated runtime, kept for
