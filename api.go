@@ -420,42 +420,21 @@ var (
 	ParseProm = metrics.ParseProm
 )
 
-// Self-tuning: the online controller that closes the loop from the
-// published telemetry back onto the scheduler's knobs — dynamic chunk
-// granularity, adaptive steal backoff, GOGC, and worker parking
-// (enable via NativeConfig.Autotune or ServeConfig.Autotune).
+// Idle backoff: the fixed idle-wait policy a native pool's workers
+// follow when they find no spark (NativeConfig.Backoff).
 type (
-	// TuneSplitter is the dynamic-granularity lever: programs express
-	// parallel phases through ParSum/Each and the controller moves the
-	// grain from observed leaf service times.
-	TuneSplitter = tune.Splitter
-	// TuneBackoff is the idle steal-backoff policy (spin/sleep ladder
-	// with an adaptive level and an optional park threshold).
+	// TuneBackoff is the idle-wait policy: a spin budget, a doubling
+	// sleep ladder up to a cap, and an optional park threshold.
 	TuneBackoff = tune.Backoff
-	// TuneControllerConfig tunes the controller's decision rules.
-	TuneControllerConfig = tune.ControllerConfig
-	// TuneDecision is one structured trace entry: lever, action,
-	// from→to and the signal that drove it.
-	TuneDecision = tune.Decision
-	// NativeAutotuneConfig opts a run or pool into the controller.
-	NativeAutotuneConfig = native.AutotuneConfig
-	// NativeAutotuneReport is a tuned run's account: the decision
-	// trace plus every lever's final position.
-	NativeAutotuneReport = native.AutotuneReport
 )
 
-// Self-tuning entry points.
+// Idle-backoff entry points.
 var (
-	// NewTuneSplitter builds a named splitter starting at grain
-	// items per leaf, clamped to [min, max].
-	NewTuneSplitter = tune.NewSplitter
 	// ParseBackoff parses a CLI backoff spec such as
 	// "spin=64,min=10us,max=1280us,park=8".
 	ParseBackoff = tune.ParseBackoff
-	// DefaultBackoffPolicy is the fixed legacy ladder (no parking);
-	// AdaptiveBackoff is the autotuned starting point (parking armed).
+	// DefaultBackoffPolicy is the fixed legacy ladder (no parking).
 	DefaultBackoffPolicy = tune.DefaultBackoffPolicy
-	AdaptiveBackoff      = tune.AdaptiveBackoff
 )
 
 // CostModel holds every virtual-time cost constant of the simulation.

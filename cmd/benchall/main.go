@@ -6,7 +6,6 @@
 //	benchall -quick      # scaled-down parameters (seconds, for smoke tests)
 //	benchall -matmul 1008 -matmulblock 72   # paper-size matrices
 //	benchall -quick -gogc 50,100,200,400,off    # + the §IV-A.1 allocation-area sweep (native, wall clock)
-//	benchall -quick -autotune                   # + self-tuning sweep: hand-tuned vs online controller
 //	benchall -quick -chaos 500                  # seeded chaos soak (exit 1 on violations)
 //	benchall -quick -cluster -chaos 16          # chaos under the cluster: supervised recovery soak
 //	benchall -quick -faults "seed=7,drop=0.4" -faultbackend nativeeden   # replay one seed
@@ -16,9 +15,9 @@
 // qualitative claims. The only files written are the soak reports
 // (results/CHAOS.html, results/CHAOS.json, results/CHAOS_cluster.json).
 // Wall-clock results have one writer, and it is not this command: see
-// `go run ./benchmark` (BENCHMARK.json, benchmark/README.md). The two
-// native sweeps kept here print a table and a shape line and wait for
-// their benchmark rows (ROADMAP item 1).
+// `go run ./benchmark` (BENCHMARK.json, benchmark/README.md). The native
+// GOGC sweep kept here prints a table and a shape line and waits for its
+// benchmark row (ROADMAP item 1).
 package main
 
 import (
@@ -42,7 +41,6 @@ type options struct {
 	apspN, width            int
 	models, latency         bool
 	gogc                    string
-	autotune                bool
 	cluster                 bool
 	transport               string
 	restarts                int
@@ -67,7 +65,6 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.models, "models", false, "also run the beyond-the-paper runtime-organisation comparison")
 	fs.BoolVar(&o.latency, "latency", false, "also run the shared-memory-to-cluster latency study")
 	fs.StringVar(&o.gogc, "gogc", "", "comma-separated GOGC settings for the native allocation-area sweep, e.g. 50,100,200,400,off (prints a table; writes no file)")
-	fs.BoolVar(&o.autotune, "autotune", false, "also run the native self-tuning sweep: hand-tuned vs online-controller rows (prints a table; writes no file)")
 	fs.BoolVar(&o.cluster, "cluster", false, "with -chaos N: run the chaos-under-cluster soak (supervised multi-process runs) instead of the in-process one")
 	fs.StringVar(&o.transport, "transport", "tcp", "chaos-under-cluster transport: tcp | unix")
 	fs.IntVar(&o.restarts, "restarts", 2, "cluster restart budget per supervised run in the chaos-under-cluster soak")
@@ -238,8 +235,5 @@ func main() {
 	}
 	if len(gogcSettings) > 0 {
 		fmt.Println(experiments.RunGOGCSweep(p, gogcSettings).String())
-	}
-	if o.autotune {
-		fmt.Println(experiments.RunAutotuneSweep(p).String())
 	}
 }

@@ -47,7 +47,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-job deadline (0 = 30s)")
 	maxDeadline := flag.Duration("maxdeadline", 0, "per-job deadline cap (0 = 2m)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof at /debug/pprof/")
-	autotune := flag.Bool("autotune", false, "run the native pool's online controller (dynamic chunking, adaptive backoff, GOGC, parking); decisions on /statusz")
 	backoffSpec := flag.String("backoff", "", "native pool idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
 	flag.Parse()
 
@@ -64,7 +63,7 @@ func main() {
 		Workers: *workers, PEs: *pes, Lanes: *lanes,
 		QueueCap: *queue, MaxInflight: *inflight,
 		DefaultDeadline: *deadline, MaxDeadline: *maxDeadline,
-		Autotune: *autotune, Backoff: backoff,
+		Backoff: backoff,
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())

@@ -8,7 +8,7 @@
 //	sumeuler -n 15000 -cores 8 -rts steal -trace     # simulated GpH (virtual time)
 //	matmul -n 396 -rts eden -q 4 -pes 17             # simulated Eden, Fig. 4 e)
 //	apsp -n 400 -runtime native -workers 8 -eager    # real goroutines, shared heap
-//	sumeuler -runtime native -autotune -stats json   # online controller, machine-readable
+//	sumeuler -runtime native -stats json             # machine-readable counters
 //	apsp -runtime eden -pes 8                        # distributed-heap PEs on goroutines
 //	sumeuler -runtime eden -cluster 3 -pes 2         # 3 worker OS processes, 2 PEs each
 //	sumeuler -runtime eden -faults "seed=7,drop=0.4" -deadline 10s   # chaos replay
@@ -43,7 +43,6 @@ import (
 	"parhask/internal/cluster"
 	"parhask/internal/cost"
 	"parhask/internal/eden"
-	"parhask/internal/exec"
 	"parhask/internal/faults"
 	"parhask/internal/gph"
 	"parhask/internal/graph"
@@ -67,7 +66,7 @@ func Main(name string) {
 type options struct {
 	runtime, rts, stats, faults, backoff, transport string
 	cores, workers, pes, width, cluster, restarts   int
-	trace, eager, profile, autotune, reconnect      bool
+	trace, eager, profile, reconnect                bool
 	deadline                                        time.Duration
 }
 
@@ -139,41 +138,14 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 	if byFlag {
 		r.prog, name = "workloads", runFlag(argv)
 	}
-	fs := flag.NewFlagSet(r.prog, flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	if byFlag {
-		fs.String("run", name, "workload: "+strings.Join(workloads.Names(), " | "))
-	}
 	e, err := workloads.Lookup(name)
 	if err != nil {
 		return nil, r.fail(2, err)
 	}
-
+	fs := flag.NewFlagSet(r.prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	o := &r.o
-	fs.StringVar(&o.runtime, "runtime", "sim", "execution runtime: sim (virtual time) | native (real goroutines) | eden (distributed-heap PEs on real goroutines)")
-	fs.StringVar(&o.rts, "rts", e.DefaultRTS, "simulated runtime: plain | bigalloc | sync | steal | localheaps | gum | eden, or a variant of the workload (matmul: rows)")
-	fs.IntVar(&o.cores, "cores", 8, "simulated physical cores")
-	fs.IntVar(&o.workers, "workers", 0, "native worker goroutines (default: GOMAXPROCS)")
-	fs.IntVar(&o.pes, "pes", 0, "Eden PEs (default: the topology's size or the cores on the simulator, GOMAXPROCS natively, 2 per cluster process)")
-	fs.BoolVar(&o.trace, "trace", false, "print the activity timeline")
-	fs.IntVar(&o.width, "width", 100, "trace width")
-	fs.StringVar(&o.stats, "stats", "text", "native stats format: text | json (per-worker counters, machine-readable, json output only)")
-	fs.StringVar(&o.faults, "faults", "", "fault-injection spec for the native runtimes (internal/faults grammar), e.g. \"seed=7,panic-spark=3\"")
-	fs.DurationVar(&o.deadline, "deadline", 0, "native deadlock-watchdog deadline, e.g. 10s (0 = disabled)")
-	fs.BoolVar(&o.autotune, "autotune", false, "native runtime: run the online controller (dynamic granularity, adaptive backoff, GOGC, parking); the fixed decomposition flags are ignored")
-	fs.StringVar(&o.backoff, "backoff", "", "native runtime: idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
-	fs.IntVar(&o.cluster, "cluster", 0, "run -runtime eden as N separate worker OS processes, -pes PEs each (0 = single process)")
-	fs.StringVar(&o.transport, "transport", "tcp", "cluster transport: tcp | unix")
-	fs.IntVar(&o.restarts, "restarts", 0, "cluster restart budget: respawn the workers and retry the run up to N times after a process death (0 = fail on the first death)")
-	fs.BoolVar(&o.reconnect, "reconnect", true, "cluster: let a worker whose link breaks redial and resume in place")
-	fs.BoolVar(&o.eager, "eager", false, "eager black-holing (GpH)")
-	fs.BoolVar(&o.profile, "profile", false, "print the thread-granularity profile (simulated GpH runtimes)")
-	given := map[string]*uint64{}
-	for _, p := range e.Params {
-		if p.Usage != "" {
-			given[p.Name] = fs.Uint64(p.Name, p.Default, p.Usage)
-		}
-	}
+	given := newFlags(fs, e, o, byFlag)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, 0
@@ -190,10 +162,10 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 	if r.inj, err = faults.CLIInjector(o.faults, o.deadline, o.runtime); err != nil {
 		return nil, r.fail(2, err)
 	}
-	if (o.autotune || o.backoff != "") && o.runtime != "native" {
-		return nil, r.fail(2, fmt.Sprintf("-autotune/-backoff require -runtime native (got %q)", o.runtime))
-	}
 	if o.backoff != "" {
+		if o.runtime != "native" {
+			return nil, r.fail(2, fmt.Sprintf("-backoff requires -runtime native (got %q)", o.runtime))
+		}
 		if r.backoff, err = tune.ParseBackoff(o.backoff); err != nil {
 			return nil, r.fail(2, "-backoff:", err)
 		}
@@ -211,6 +183,39 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 		return nil, r.fail(2, err)
 	}
 	return r, 0
+}
+
+// newFlags declares the shared flags into o, -run when the entry is
+// chosen by flag, and one flag per parameter of e that has a usage
+// line; it returns where the parameter flags land.
+func newFlags(fs *flag.FlagSet, e *workloads.Entry, o *options, byFlag bool) map[string]*uint64 {
+	if byFlag {
+		fs.String("run", e.Name, "workload: "+strings.Join(workloads.Names(), " | "))
+	}
+	fs.StringVar(&o.runtime, "runtime", "sim", "execution runtime: sim (virtual time) | native (real goroutines) | eden (distributed-heap PEs on real goroutines)")
+	fs.StringVar(&o.rts, "rts", e.DefaultRTS, "simulated runtime: plain | bigalloc | sync | steal | localheaps | gum | eden, or a variant of the workload (matmul: rows)")
+	fs.IntVar(&o.cores, "cores", 8, "simulated physical cores")
+	fs.IntVar(&o.workers, "workers", 0, "native worker goroutines (default: GOMAXPROCS)")
+	fs.IntVar(&o.pes, "pes", 0, "Eden PEs (default: the topology's size or the cores on the simulator, GOMAXPROCS natively, 2 per cluster process)")
+	fs.BoolVar(&o.trace, "trace", false, "print the activity timeline")
+	fs.IntVar(&o.width, "width", 100, "trace width")
+	fs.StringVar(&o.stats, "stats", "text", "native stats format: text | json (per-worker counters, machine-readable, json output only)")
+	fs.StringVar(&o.faults, "faults", "", "fault-injection spec for the native runtimes (internal/faults grammar), e.g. \"seed=7,panic-spark=3\"")
+	fs.DurationVar(&o.deadline, "deadline", 0, "native deadlock-watchdog deadline, e.g. 10s (0 = disabled)")
+	fs.StringVar(&o.backoff, "backoff", "", "native runtime: idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
+	fs.IntVar(&o.cluster, "cluster", 0, "run -runtime eden as N separate worker OS processes, -pes PEs each (0 = single process)")
+	fs.StringVar(&o.transport, "transport", "tcp", "cluster transport: tcp | unix")
+	fs.IntVar(&o.restarts, "restarts", 0, "cluster restart budget: respawn the workers and retry the run up to N times after a process death (0 = fail on the first death)")
+	fs.BoolVar(&o.reconnect, "reconnect", true, "cluster: let a worker whose link breaks redial and resume in place")
+	fs.BoolVar(&o.eager, "eager", false, "eager black-holing (GpH)")
+	fs.BoolVar(&o.profile, "profile", false, "print the thread-granularity profile (simulated GpH runtimes)")
+	given := map[string]*uint64{}
+	for _, p := range e.Params {
+		if p.Usage != "" {
+			given[p.Name] = fs.Uint64(p.Name, p.Default, p.Usage)
+		}
+	}
+	return given
 }
 
 // runFlag finds the value of -run in argv before the flag set exists
@@ -330,13 +335,7 @@ func (r *cli) runNative() (report, error) {
 	cfg.Faults = r.inj
 	cfg.Deadline = o.deadline
 	cfg.Backoff = r.backoff
-	build := inst.GpH
-	if o.autotune {
-		sp := inst.NewSplitter()
-		build = func() (exec.Program, error) { return inst.Auto(sp) }
-		cfg.Autotune = &native.AutotuneConfig{Splitters: []*tune.Splitter{sp}}
-	}
-	prog, err := build()
+	prog, err := inst.GpH()
 	if err != nil {
 		return report{}, err
 	}
@@ -365,10 +364,6 @@ func (r *cli) runNative() (report, error) {
 		if sres, err := gph.Run(scfg, sim); err == nil {
 			rep.clock += fmt.Sprintf("   vs %s (virtual, steal/%d cores)", trace.FmtDur(sres.Elapsed), o.cores)
 		}
-	}
-	if at := res.Autotune; at != nil {
-		rep.notes = append(rep.notes, fmt.Sprintf("autotune = %d decisions, grains=%v, backoff level %d (park=%d), gogc=%d\n",
-			len(at.Decisions), at.Grains, at.BackoffLevel, at.ParkAfter, at.GOGC))
 	}
 	return rep, nil
 }

@@ -41,7 +41,6 @@ func TestRunsVerifyAndReport(t *testing.T) {
 		{"sumeuler", "-n 300 -rts gum -pes 3", []string{"on GUM (distributed GpH), 3 PEs / 8 cores"}},
 		{"sumeuler", "-n 300 -rts eden -cores 4", []string{"on Eden, 4 PEs / 4 cores"}},
 		{"sumeuler", "-n 300 -runtime native -workers 2 -chunks 6", []string{"on native runtime, 2 workers (lazy blackholing)", "(wall clock)   vs ", "(virtual, steal/8 cores)"}},
-		{"sumeuler", "-n 300 -runtime native -workers 2 -chunks 6 -autotune", []string{"autotune = "}},
 		{"sumeuler", "-n 300 -runtime eden -pes 3", []string{"on native Eden, 3 PEs", "verified against sieve oracle"}},
 		{"sumeuler", "-n 300 -runtime eden -cluster 2 -pes 2 -deadline 60s",
 			[]string{"on a 2-process Eden cluster (tcp), 2 PEs per process", "result   = ", "verified against sieve oracle", "including launch and drain"}},
@@ -53,6 +52,7 @@ func TestRunsVerifyAndReport(t *testing.T) {
 		{"apsp", "-n 12 -cores 3", []string{"apsp 12 nodes on Eden, 4 PEs / 3 cores", "ring=3", "result   = verified against Floyd"}},
 		{"apsp", "-n 12 -rts steal -eager", []string{"duplicate thunk entries: 0"}},
 		{"apsp", "-n 12 -runtime native -workers 2", []string{"duplicate thunk entries: "}},
+		{"apsp", "-n 12 -runtime native -workers 2 -eager -backoff spin=64,min=10us,max=640us,park=8", []string{"result   = verified against Floyd"}},
 		{"apsp", "-n 12 -runtime eden -pes 2 -ring 3", []string{"on native Eden, 2 PEs", "ring=3"}},
 		{"apsp", "-n 12 -runtime eden -cluster 3 -pes 1 -transport unix -deadline 60s",
 			[]string{"result   = verified against Floyd", "3-process Eden cluster (unix)", "ring=3"}},
@@ -97,7 +97,7 @@ func TestBadCommandLinesExit2(t *testing.T) {
 	for _, c := range []struct{ name, argv, says string }{
 		{"sumeuler", "-runtime bogus", "unknown -runtime"},
 		{"sumeuler", "-rts bogus", "-rts bogus: sumeuler has no simulated GpH bogus form"},
-		{"sumeuler", "-autotune -rts steal", "-autotune/-backoff require -runtime native"},
+		{"sumeuler", "-backoff park=8 -rts steal", "-backoff requires -runtime native"},
 		{"matmul", "-runtime native -backoff spin=banana", "-backoff:"},
 		{"matmul", "-n 24 -block 7", "block=7 does not divide n=24"},
 		{"matmul", "-n 24 -q 5 -runtime eden", "q=5 does not divide n=24"},
@@ -114,7 +114,6 @@ func TestBadCommandLinesExit2(t *testing.T) {
 		{"", "-run fuzz -runtime eden", "fuzz has no Eden form"},
 		{"", "-run fuzz -rts eden", "fuzz has no Eden form"},
 		{"", "-run parfib -runtime native", "parfib has no native GpH form"},
-		{"", "-run parfib -runtime native -autotune", "parfib has no splitter-driven GpH form"},
 	} {
 		code, out, errs := run(c.name, strings.Fields(c.argv)...)
 		if code != 2 || !strings.Contains(errs, c.says) {
@@ -227,7 +226,7 @@ func TestOneInstanceOnEveryRuntime(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	shared := map[string]string{
 		"cores": "8", "pes": "", "trace": "", "width": "100", "runtime": `"sim"`, "workers": "",
-		"stats": `"text"`, "faults": "", "deadline": "", "autotune": "", "backoff": "",
+		"stats": `"text"`, "faults": "", "deadline": "", "backoff": "",
 		"cluster": "", "transport": `"tcp"`, "restarts": "", "reconnect": "true",
 	}
 	for _, c := range []struct {

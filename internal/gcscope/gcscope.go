@@ -9,7 +9,7 @@
 //     (prev 100) sets 200, run B reads prev 200 and sets 400, A
 //     restores 100 mid-flight under B, and B finally "restores" 200 —
 //     the process ends on the wrong target and neither run measured
-//     under the GOGC it asked for. Lease serializes the knob with a
+//     under the GOGC it asked for. LeaseFn serializes the knob with a
 //     refcounted reader/writer-style latch: runs asking for the same
 //     percent share the lease; a run asking for a different percent
 //     waits its turn; the original value is restored exactly once, when
@@ -48,24 +48,13 @@ var gogc struct {
 
 func init() { gogc.cond = sync.NewCond(&gogc.mu) }
 
-// A Lease is one held claim on the process GC-percent knob, acquired
-// with Acquire. It adds one capability the plain release closure could
-// not offer safely: a mid-lease Adjust that moves the target without
-// an unlease/re-lease gap another run could race into.
-type Lease struct {
-	mu       sync.Mutex
-	percent  int
-	released bool
-}
-
-// Acquire pins the process GC target to percent (-1 disables
-// collection, as debug.SetGCPercent) until Release. Concurrent leases
-// for the same percent share; a lease for a different percent blocks
-// until every current holder releases (or a sole holder Adjusts onto
-// the wanted percent). The pre-lease value is restored exactly once,
-// when the last holder releases — Adjust never changes what gets
-// restored.
-func Acquire(percent int) *Lease {
+// LeaseFn pins the process GC target to percent (-1 disables
+// collection, as debug.SetGCPercent) and returns the release closure.
+// Concurrent leases for the same percent share; a lease for a
+// different percent blocks until every current holder releases. The
+// pre-lease value is restored exactly once, when the last holder
+// releases. The release closure is idempotent.
+func LeaseFn(percent int) (release func()) {
 	gogc.mu.Lock()
 	for gogc.holders > 0 && gogc.percent != percent {
 		gogc.cond.Wait()
@@ -76,71 +65,18 @@ func Acquire(percent int) *Lease {
 	}
 	gogc.holders++
 	gogc.mu.Unlock()
-	return &Lease{percent: percent}
-}
-
-// Release ends the lease; the last holder out restores the pre-lease
-// GC percent. Idempotent.
-func (l *Lease) Release() {
-	l.mu.Lock()
-	if l.released {
-		l.mu.Unlock()
-		return
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			gogc.mu.Lock()
+			gogc.holders--
+			if gogc.holders == 0 {
+				debug.SetGCPercent(gogc.prev)
+			}
+			gogc.cond.Broadcast()
+			gogc.mu.Unlock()
+		})
 	}
-	l.released = true
-	l.mu.Unlock()
-
-	gogc.mu.Lock()
-	gogc.holders--
-	if gogc.holders == 0 {
-		debug.SetGCPercent(gogc.prev)
-	}
-	gogc.cond.Broadcast()
-	gogc.mu.Unlock()
-}
-
-// Adjust moves the leased GC target mid-lease and reports whether it
-// did. It succeeds only when this lease is the knob's sole holder:
-// with the lease shared, moving the target would silently change the
-// GOGC another run believes it is measuring under, so Adjust refuses
-// and the caller (the autotune controller) backs off. A successful
-// Adjust wakes acquirers blocked on a different percent — one waiting
-// for exactly the new value joins as a sharer, after which further
-// Adjusts fail until it releases. The value restored by the final
-// Release stays the original pre-Acquire percent.
-func (l *Lease) Adjust(percent int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.released {
-		return false
-	}
-	gogc.mu.Lock()
-	defer gogc.mu.Unlock()
-	if gogc.holders != 1 {
-		return false
-	}
-	if gogc.percent != percent {
-		debug.SetGCPercent(percent)
-		gogc.percent = percent
-		gogc.cond.Broadcast()
-	}
-	l.percent = percent
-	return true
-}
-
-// Percent reports the GC target this lease last asked for (via
-// Acquire or a successful Adjust).
-func (l *Lease) Percent() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.percent
-}
-
-// LeaseFn pins the GC target and returns just the release closure —
-// the original API shape, for callers that never adjust.
-func LeaseFn(percent int) (release func()) {
-	l := Acquire(percent)
-	return l.Release
 }
 
 // windowState tracks open memstats windows for overlap detection.

@@ -127,91 +127,3 @@ func TestWindowEndIdempotent(t *testing.T) {
 		t.Fatalf("active count corrupted by double End")
 	}
 }
-
-func TestAdjustSoleHolder(t *testing.T) {
-	before := readGOGC()
-	l := Acquire(before + 100)
-	if got := readGOGC(); got != before+100 {
-		t.Fatalf("GOGC under lease = %d, want %d", got, before+100)
-	}
-	if !l.Adjust(before + 300) {
-		t.Fatal("sole-holder Adjust refused")
-	}
-	if got := readGOGC(); got != before+300 {
-		t.Fatalf("GOGC after Adjust = %d, want %d", got, before+300)
-	}
-	if l.Percent() != before+300 {
-		t.Fatalf("Percent = %d, want %d", l.Percent(), before+300)
-	}
-	// The final release restores the pre-Acquire value, not the
-	// adjusted one.
-	l.Release()
-	if got := readGOGC(); got != before {
-		t.Fatalf("GOGC after release = %d, want %d (the pre-lease value)", got, before)
-	}
-	if l.Adjust(before + 500) {
-		t.Fatal("Adjust on a released lease succeeded")
-	}
-	if got := readGOGC(); got != before {
-		t.Fatalf("released Adjust moved GOGC to %d", got)
-	}
-}
-
-// TestAdjustContention is the two-goroutine contention test: a shared
-// lease must refuse Adjust (no mid-run SetGCPercent fights), and a
-// successful Adjust must wake an acquirer waiting for exactly the new
-// percent.
-func TestAdjustContention(t *testing.T) {
-	before := readGOGC()
-	a := Acquire(before + 100)
-	b := Acquire(before + 100) // sharer
-
-	if a.Adjust(before + 200) {
-		t.Fatal("Adjust succeeded with the lease shared")
-	}
-	if got := readGOGC(); got != before+100 {
-		t.Fatalf("refused Adjust moved GOGC to %d", got)
-	}
-
-	// Second goroutine: blocks acquiring a different percent until a's
-	// Adjust lands on it.
-	acquired := make(chan *Lease)
-	go func() { acquired <- Acquire(before + 200) }()
-	select {
-	case <-acquired:
-		t.Fatal("conflicting Acquire did not block")
-	default:
-	}
-
-	b.Release() // a is now sole holder
-	if !a.Adjust(before + 200) {
-		t.Fatal("sole-holder Adjust refused after sharer release")
-	}
-	c := <-acquired // woken by the Adjust broadcast, joins at +200
-	if got := readGOGC(); got != before+200 {
-		t.Fatalf("GOGC = %d, want %d", got, before+200)
-	}
-
-	// Shared again: both sides' Adjusts must refuse.
-	if a.Adjust(before+400) || c.Adjust(before+400) {
-		t.Fatal("Adjust succeeded on a re-shared lease")
-	}
-	c.Release()
-	a.Release()
-	if got := readGOGC(); got != before {
-		t.Fatalf("GOGC after all releases = %d, want %d", got, before)
-	}
-}
-
-func TestAdjustSamePercentNoop(t *testing.T) {
-	before := readGOGC()
-	a := Acquire(before + 100)
-	b := Acquire(before + 100)
-	defer a.Release()
-	defer b.Release()
-	// Even a no-op Adjust refuses while shared: the caller must not
-	// learn "I may move this knob".
-	if a.Adjust(before + 100) {
-		t.Fatal("shared same-percent Adjust succeeded")
-	}
-}

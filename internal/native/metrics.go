@@ -70,8 +70,7 @@ func newPoolMetrics(reg *metrics.Registry, p *Pool) *poolMetrics {
 		cached(func() float64 { return float64(m.cache.snap.SparksLeftover) }))
 
 	// Idle-wait telemetry: how much of the workers' time the backoff
-	// ladder and the park lot absorbed (the autotune controller's
-	// widen/narrow and park decisions act on these).
+	// ladder and the park lot absorbed.
 	counter("native_pool_backoff_sleeps_total", "idle-loop backoff sleeps taken by workers", func() int64 { return m.cache.snap.BackoffSleeps })
 	reg.CounterFunc("native_pool_backoff_ns", "nanoseconds workers spent in backoff sleeps",
 		cached(func() float64 { return float64(m.cache.snap.BackoffNS) }))

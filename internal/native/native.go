@@ -125,46 +125,11 @@ type Config struct {
 	// check, the same contract as the eventlog and fault plane.
 	Metrics *pmetrics.Registry
 	// Backoff, if non-nil, replaces the fixed idle-wait policy (spin
-	// 64 rounds, sleeps doubling 10µs→1.28ms) with a tunable one the
-	// autotune controller can widen, narrow, and arm for parking. Nil
-	// keeps the legacy schedule with parking off.
+	// 64 rounds, sleeps doubling 10µs→1.28ms, no parking) with another
+	// fixed one: a different spin budget, sleep ladder or parking
+	// threshold (tune.ParseBackoff, the -backoff flag). Nil keeps the
+	// default schedule.
 	Backoff *tune.Backoff
-	// Autotune, if non-nil, runs an online tune.Controller over the
-	// run (or the pool's lifetime, under NewPool): on a coarse tick it
-	// reads the published counter snapshots and moves the granularity
-	// splitters, the backoff policy, the GOGC lease and the parking
-	// threshold. Implies sampling (workers publish snapshots as if a
-	// Sampler were set).
-	Autotune *AutotuneConfig
-}
-
-// AutotuneConfig arms the self-tuning controller for a run or pool.
-type AutotuneConfig struct {
-	// Controller tunes the decision rules (zero value = defaults; see
-	// tune.ControllerConfig). BaseGOGC defaults to the run's leased
-	// GOGC percent.
-	Controller tune.ControllerConfig
-	// Splitters are the workload's granularity levers: the same
-	// *tune.Splitter instances the program body drives its ParSum/Each
-	// phases through. The controller splits/fuses them from observed
-	// leaf service times; workloads without one simply aren't chunk-
-	// tuned.
-	Splitters []*tune.Splitter
-}
-
-// AutotuneReport is the controller's account of a tuned run: every
-// decision it made, and where each lever ended up.
-type AutotuneReport struct {
-	Decisions []tune.Decision `json:"decisions"`
-	// DecisionsDropped counts decisions evicted from the bounded trace.
-	DecisionsDropped int64 `json:"decisions_dropped,omitempty"`
-	// BackoffLevel and ParkAfter are the final backoff-policy position.
-	BackoffLevel int `json:"backoff_level"`
-	ParkAfter    int `json:"park_after"`
-	// Grains maps each splitter to its final items-per-spark grain.
-	Grains map[string]int `json:"grains,omitempty"`
-	// GOGC is the final controller-held GC target.
-	GOGC int `json:"gogc,omitempty"`
 }
 
 // NewConfig returns the default native configuration: one worker per
@@ -312,9 +277,6 @@ type Result struct {
 	// Events is the drained wall-clock eventlog (nil unless
 	// Config.EventLog was set).
 	Events *eventlog.Log
-	// Autotune is the controller's decision trace and final lever
-	// positions (nil unless Config.Autotune was set).
-	Autotune *AutotuneReport
 }
 
 // Wall returns the elapsed wall-clock time as a duration.
@@ -334,20 +296,18 @@ func (r *Result) Trace() *trace.Log {
 // `-stats json` output): wall time, aggregate counters, GC telemetry
 // and the per-worker breakdown.
 type Report struct {
-	Workers       int             `json:"workers"`
-	WallNS        int64           `json:"wall_ns"`
-	Total         Stats           `json:"total"`
-	GC            GCStats         `json:"gc"`
-	PerWorker     []Stats         `json:"per_worker"`
-	EventsLogged  int             `json:"events_logged,omitempty"`
-	EventsDropped int64           `json:"events_dropped,omitempty"`
-	Autotune      *AutotuneReport `json:"autotune,omitempty"`
+	Workers       int     `json:"workers"`
+	WallNS        int64   `json:"wall_ns"`
+	Total         Stats   `json:"total"`
+	GC            GCStats `json:"gc"`
+	PerWorker     []Stats `json:"per_worker"`
+	EventsLogged  int     `json:"events_logged,omitempty"`
+	EventsDropped int64   `json:"events_dropped,omitempty"`
 }
 
 // Report builds the machine-readable summary of the run.
 func (r *Result) Report() Report {
-	rep := Report{Workers: r.Workers, WallNS: r.WallNS, Total: r.Stats, GC: r.GC, PerWorker: r.PerWorker,
-		Autotune: r.Autotune}
+	rep := Report{Workers: r.Workers, WallNS: r.WallNS, Total: r.Stats, GC: r.GC, PerWorker: r.PerWorker}
 	if r.Events != nil {
 		for i := 0; i < r.Events.Workers(); i++ {
 			rep.EventsLogged += r.Events.Buf(i).Len()
@@ -436,8 +396,8 @@ type rt struct {
 	injectHead int
 
 	// bo is the pool's idle-wait policy: the legacy fixed schedule by
-	// default, a caller- or autotune-supplied tunable one otherwise.
-	// Never nil after construction.
+	// default, the caller's Config.Backoff otherwise. Never nil after
+	// construction.
 	bo *tune.Backoff
 
 	// The park lot. A worker whose backoff ladder reaches the parking
@@ -460,25 +420,15 @@ type rt struct {
 }
 
 // defaultBackoff is the shared legacy policy for runs without an
-// explicit one: the fixed pre-tuning idleWait schedule, parking off,
-// and nothing ever adjusts it.
+// explicit one: the fixed idleWait schedule, parking off.
 var defaultBackoff = tune.DefaultBackoffPolicy()
 
 // newRT builds the runtime core shared by Run and NewPool: workers,
 // backoff policy, park lot.
 func newRT(cfg Config, resident bool) *rt {
-	r := &rt{cfg: cfg, resident: resident,
-		sampled: cfg.Sampler != nil || cfg.Autotune != nil}
-	r.bo = cfg.Backoff
+	r := &rt{cfg: cfg, resident: resident, sampled: cfg.Sampler != nil, bo: cfg.Backoff}
 	if r.bo == nil {
-		if cfg.Autotune != nil {
-			// An autotuned run without an explicit policy gets its own
-			// adaptive instance (parking armed) — never the shared
-			// default, which must stay immutable.
-			r.bo = tune.AdaptiveBackoff()
-		} else {
-			r.bo = defaultBackoff
-		}
+		r.bo = defaultBackoff
 	}
 	r.parkCond = sync.NewCond(&r.parkMu)
 	r.workers = make([]*worker, cfg.Workers)
@@ -517,54 +467,6 @@ func (r *rt) wake() {
 	r.parkMu.Unlock()
 }
 
-// injectDepth reports the injection queue's current depth.
-func (r *rt) injectDepth() int64 {
-	r.injectMu.Lock()
-	defer r.injectMu.Unlock()
-	return int64(len(r.inject) - r.injectHead)
-}
-
-// observe builds the controller's observation from the published
-// snapshots: scheduler counters, GC window deltas, idle telemetry.
-// Safe from the controller goroutine while the run is live.
-func (r *rt) observe(start time.Time, win *gcscope.Window) tune.Observation {
-	s := r.snapshot()
-	d := win.Sample()
-	return tune.Observation{
-		NowNS:           time.Since(start).Nanoseconds(),
-		SparksConverted: s.SparksConverted,
-		Steals:          s.Steals,
-		StealAttempts:   s.StealAttempts,
-		SparksLeftover:  s.SparksLeftover,
-		InjectDepth:     r.injectDepth(),
-		GCCycles:        d.Cycles,
-		AllocBytes:      d.BytesAlloc,
-		BackoffSleeps:   s.BackoffSleeps,
-		ParkedNS:        s.ParkedNS,
-		IdleWorkers:     r.nparked.Load(),
-	}
-}
-
-// autotuneReport snapshots the controller's outcome for the Result.
-func (r *rt) autotuneReport(ctrl *tune.Controller, lease *gcscope.Lease) *AutotuneReport {
-	rep := &AutotuneReport{
-		Decisions:        ctrl.Trace().Decisions(),
-		DecisionsDropped: ctrl.Trace().Dropped(),
-		BackoffLevel:     r.bo.Level(),
-		ParkAfter:        r.bo.ParkAfter(),
-	}
-	if at := r.cfg.Autotune; at != nil && len(at.Splitters) > 0 {
-		rep.Grains = make(map[string]int, len(at.Splitters))
-		for _, sp := range at.Splitters {
-			rep.Grains[sp.Name()] = sp.Grain()
-		}
-	}
-	if lease != nil {
-		rep.GOGC = lease.Percent()
-	}
-	return rep
-}
-
 // injEntry is one injection-queue slot: a spark and the job it belongs
 // to (nil for batch runs and job-less forks).
 type injEntry struct {
@@ -583,44 +485,16 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	var lease *gcscope.Lease
 	if cfg.GCPercent != 0 {
 		// The GOGC knob is process-global; the lease serialises
 		// conflicting set/restore pairs so concurrent runs cannot corrupt
 		// each other's targets (internal/gcscope).
-		lease = gcscope.Acquire(cfg.GCPercent)
-		defer lease.Release()
-	} else if cfg.Autotune != nil {
-		// An autotuned run without an explicit GOGC still takes a lease
-		// (at the current percent, so acquisition never blocks a peer
-		// wanting the status quo) — holding it is what entitles the
-		// controller to Adjust mid-run.
-		lease = gcscope.Acquire(readGOGC())
-		defer lease.Release()
+		defer gcscope.LeaseFn(cfg.GCPercent)()
 	}
 	r := newRT(cfg, false)
 
 	gogc := readGOGC()
 	gcWin := gcscope.Begin()
-
-	// The controller ticks on its own goroutine over the published
-	// snapshots; stopped (and its trace harvested) before the GC
-	// window closes, so its Sample calls never race End.
-	var ctrl *tune.Controller
-	if at := cfg.Autotune; at != nil {
-		cc := at.Controller
-		if cc.Metrics == nil {
-			cc.Metrics = cfg.Metrics
-		}
-		levers := tune.Levers{Splitters: at.Splitters, Backoff: r.bo}
-		if lease != nil && lease.Percent() > 0 {
-			if cc.BaseGOGC == 0 {
-				cc.BaseGOGC = lease.Percent()
-			}
-			levers.GOGC = lease
-		}
-		ctrl = tune.NewController(cc, levers)
-	}
 
 	start := time.Now()
 	if cfg.EventLog {
@@ -631,9 +505,6 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 	}
 	if cfg.Sampler != nil {
 		cfg.Sampler(r.snapshot)
-	}
-	if ctrl != nil {
-		ctrl.Start(func() tune.Observation { return r.observe(start, gcWin) })
 	}
 	// The deadline watchdog converts a hung run into a structured
 	// *faults.DeadlockError: fail() trips rt.failed, which every blocked
@@ -698,9 +569,6 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 	r.forks.Wait()
 	wall := time.Since(start)
 
-	if ctrl != nil {
-		ctrl.Stop() // before End: Sample and End must not overlap
-	}
 	gcDelta := gcWin.End()
 
 	if runErr == nil {
@@ -732,9 +600,6 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 	if r.events != nil {
 		r.events.Close(res.WallNS)
 		res.Events = r.events
-	}
-	if ctrl != nil {
-		res.Autotune = r.autotuneReport(ctrl, lease)
 	}
 	if runErr != nil {
 		// Failed runs still return the partial Result: the event rings

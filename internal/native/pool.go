@@ -13,7 +13,6 @@ import (
 	"parhask/internal/faults"
 	"parhask/internal/gcscope"
 	"parhask/internal/graph"
-	"parhask/internal/tune"
 )
 
 // Submission errors. The serve layer maps these to HTTP backpressure
@@ -52,12 +51,8 @@ type Pool struct {
 	gcMu  sync.Mutex
 	gcWin *gcscope.Window
 	gogc  int
-	lease *gcscope.Lease // held for the pool's lifetime; nil when unleased
-
-	// ctrl is the pool's autotune controller (nil unless
-	// Config.Autotune): it samples Snapshot+GC on its tick and moves the
-	// pool's Backoff, Splitters and — when the lease entitles it — GOGC.
-	ctrl *tune.Controller
+	// release ends the pool's GOGC lease (nil when unleased).
+	release func()
 
 	// jobsMu guards the live-job table, the retired fold and the
 	// admission flags. Retirement folds a job's final counters into
@@ -218,18 +213,12 @@ func NewPool(cfg Config) *Pool {
 	}
 	p := &Pool{start: time.Now(), live: map[int64]*Job{}}
 	if cfg.GCPercent != 0 {
-		p.lease = gcscope.Acquire(cfg.GCPercent)
-	} else if cfg.Autotune != nil {
-		// An autotuned pool without an explicit GC target leases the
-		// current percent: the no-op acquisition never blocks a
-		// same-percent peer, and holding it entitles the controller to
-		// Adjust when it is the sole holder.
-		p.lease = gcscope.Acquire(readGOGC())
+		p.release = gcscope.LeaseFn(cfg.GCPercent)
 	}
 	r := newRT(cfg, true)
 	// Resident pools are always observable: Snapshot may be called at
 	// any time (serve's /stats, metrics collectors), so workers publish
-	// coarse snapshots regardless of Sampler/Autotune.
+	// coarse snapshots regardless of Sampler.
 	r.sampled = true
 	p.rt = r
 	p.gogc = readGOGC()
@@ -245,53 +234,7 @@ func NewPool(cfg Config) *Pool {
 		p.pm = newPoolMetrics(cfg.Metrics, p)
 		r.pm = p.pm
 	}
-	if at := cfg.Autotune; at != nil {
-		cc := at.Controller
-		if cc.Metrics == nil {
-			cc.Metrics = cfg.Metrics
-		}
-		lv := tune.Levers{Splitters: at.Splitters, Backoff: r.bo}
-		if p.lease != nil && p.lease.Percent() > 0 {
-			lv.GOGC = p.lease
-			if cc.BaseGOGC == 0 {
-				cc.BaseGOGC = p.lease.Percent()
-			}
-		}
-		p.ctrl = tune.NewController(cc, lv)
-		p.ctrl.Start(p.observeTune)
-	}
 	return p
-}
-
-// observeTune feeds the controller: pool-cumulative scheduler counters
-// (workers + retired + live jobs) and the pool's GC window. The
-// controller diffs consecutive observations itself.
-func (p *Pool) observeTune() tune.Observation {
-	s := p.Snapshot()
-	gc := p.GC()
-	return tune.Observation{
-		NowNS:           time.Since(p.start).Nanoseconds(),
-		SparksConverted: s.SparksConverted,
-		Steals:          s.Steals,
-		StealAttempts:   s.StealAttempts,
-		SparksLeftover:  s.SparksLeftover,
-		InjectDepth:     p.rt.injectDepth(),
-		GCCycles:        gc.Cycles,
-		AllocBytes:      gc.BytesAlloc,
-		BackoffSleeps:   s.BackoffSleeps,
-		ParkedNS:        s.ParkedNS,
-		IdleWorkers:     p.rt.nparked.Load(),
-	}
-}
-
-// Autotune reports the controller's decision trace and the levers'
-// current positions; nil when the pool is not autotuned. Safe at any
-// time — serve exposes it on the status endpoint.
-func (p *Pool) Autotune() *AutotuneReport {
-	if p.ctrl == nil {
-		return nil
-	}
-	return p.rt.autotuneReport(p.ctrl, p.lease)
 }
 
 // Workers reports the pool's worker count.
@@ -502,11 +445,7 @@ func (p *Pool) GC() GCStats {
 	p.gcMu.Lock()
 	d := p.gcWin.Sample()
 	p.gcMu.Unlock()
-	gogc := p.gogc
-	if p.lease != nil {
-		gogc = p.lease.Percent() // live value: the controller may have moved it
-	}
-	return GCStats{GOGC: gogc, Cycles: d.Cycles, PauseNS: d.PauseNS,
+	return GCStats{GOGC: p.gogc, Cycles: d.Cycles, PauseNS: d.PauseNS,
 		BytesAlloc: d.BytesAlloc, Shared: d.Shared}
 }
 
@@ -533,16 +472,11 @@ func (p *Pool) Close() {
 	p.rt.done.Store(true)
 	p.rt.wake() // parked workers must observe done
 	p.rt.stealers.Wait()
-	if p.ctrl != nil {
-		// Stop before ending the GC window: the controller's sampler
-		// calls gcWin.Sample, which must not race the End below.
-		p.ctrl.Stop()
-	}
 	p.gcMu.Lock()
 	p.gcWin.End()
 	p.gcMu.Unlock()
-	if p.lease != nil {
-		p.lease.Release()
+	if p.release != nil {
+		p.release()
 	}
 	p.jobsMu.Lock()
 	p.closed = true

@@ -8,9 +8,7 @@ import (
 	"parhask/internal/exec"
 	"parhask/internal/graph"
 	"parhask/internal/tune"
-	"parhask/internal/workloads/apsp"
 	"parhask/internal/workloads/euler"
-	"parhask/internal/workloads/matmul"
 )
 
 // aggressivePark is a test policy that parks almost immediately: one
@@ -148,85 +146,6 @@ func TestNativeRunParksDuringSequentialStretch(t *testing.T) {
 	}
 }
 
-// TestNativeRunAutotune runs a batch workload under the controller and
-// checks the report plumbing: decisions traced, levers reported, value
-// untouched.
-func TestNativeRunAutotune(t *testing.T) {
-	sp := tune.NewSplitter("euler", 64, 8, 1024)
-	cfg := Config{
-		Workers: 4,
-		Autotune: &AutotuneConfig{
-			Controller: tune.ControllerConfig{Tick: time.Millisecond},
-			Splitters:  []*tune.Splitter{sp},
-		},
-	}
-	res := run(t, cfg, func(c exec.Ctx) graph.Value {
-		return sp.ParSum(c, 1, 2001, func(c exec.Ctx, lo, hi int) int64 {
-			return euler.SumRangeDirect(lo, hi-1) // ParSum is [lo,hi)
-		})
-	})
-	if got, want := res.Value.(int64), euler.SumTotientSieve(2000); got != want {
-		t.Fatalf("autotuned sum = %d, want %d", got, want)
-	}
-	at := res.Autotune
-	if at == nil {
-		t.Fatal("autotuned run returned no AutotuneReport")
-	}
-	// ParkAfter's final value is the controller's call (a busy run
-	// legitimately disables parking); the trace must be well-formed.
-	for _, d := range at.Decisions {
-		if d.Lever == "" || d.Action == "" {
-			t.Fatalf("malformed decision in trace: %+v", d)
-		}
-	}
-	if g, ok := at.Grains["euler"]; !ok || g < 8 || g > 1024 {
-		t.Fatalf("splitter grain missing or out of bounds: %v", at.Grains)
-	}
-	if at.GOGC <= 0 {
-		t.Fatalf("autotune GOGC = %d, want the leased percent", at.GOGC)
-	}
-}
-
-// TestPoolAutotune covers the resident controller lifecycle: it must
-// sample a live pool without racing Close, and the status-side report
-// must be available while the pool is up.
-func TestPoolAutotune(t *testing.T) {
-	sp := tune.NewSplitter("jobs", 32, 4, 512)
-	p := NewPool(Config{
-		Workers: 4,
-		Autotune: &AutotuneConfig{
-			Controller: tune.ControllerConfig{Tick: time.Millisecond},
-			Splitters:  []*tune.Splitter{sp},
-		},
-	})
-	want := euler.SumTotientSieve(400)
-	for i := 0; i < 10; i++ {
-		h, err := p.Submit(JobConfig{}, euler.Program(400, 10, 0, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := h.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Value.(int64) != want {
-			t.Fatalf("job %d: value = %d, want %d", i, res.Value.(int64), want)
-		}
-	}
-	at := p.Autotune()
-	if at == nil {
-		t.Fatal("autotuned pool reported nil Autotune")
-	}
-	if g, ok := at.Grains["jobs"]; !ok || g < 4 || g > 512 {
-		t.Fatalf("splitter grain missing or out of bounds: %v", at.Grains)
-	}
-	p.Close()
-	// Close is idempotent and the report must survive it.
-	if p.Autotune() == nil {
-		t.Fatal("Autotune report lost after Close")
-	}
-}
-
 // TestNativeBackoffSleepsCounted pins the telemetry satellite: a run
 // whose workers idle against a slow sequential producer must count
 // backoff sleeps and their duration into the stats.
@@ -256,77 +175,28 @@ func TestNativeBackoffSleepsCounted(t *testing.T) {
 	}
 }
 
-// TestNativeAutoProgramsMatchOracles pins the auto-chunked workload
-// variants to the same references as their hand-tuned counterparts,
-// under an active controller and across grain extremes.
+// TestNativeAutoProgramsMatchOracles pins the lazily split sumEuler
+// form (the benchmark's splitter probe) to the sieve reference across
+// grain extremes, under both claim policies.
 func TestNativeAutoProgramsMatchOracles(t *testing.T) {
-	a, b := matmul.Random(64, 1), matmul.Random(64, 2)
-	wantMat := matmul.MulOracle(a, b)
-	g := apsp.RandomGraph(48, 7, 100, 50)
-	in := apsp.Clone(g)
-	wantGraph := apsp.FloydWarshall(g)
-	wantSum := euler.SumTotientSieve(1200)
-
+	want := euler.SumTotientSieve(1200)
 	for _, grain := range []int{1, 16, 1 << 20} {
-		spE := tune.NewSplitter("euler", grain, 1, 1<<20)
-		spM := tune.NewSplitter("matmul", grain, 1, 1<<20)
-		spA := tune.NewSplitter("apsp", grain, 1, 1<<20)
-		cfg := Config{Workers: 4, Autotune: &AutotuneConfig{
-			Controller: tune.ControllerConfig{Tick: time.Millisecond},
-			Splitters:  []*tune.Splitter{spE, spM, spA},
-		}}
-		res := run(t, cfg, euler.AutoProgram(1200, spE))
-		if res.Value.(int64) != wantSum {
-			t.Fatalf("grain=%d: euler auto sum = %d, want %d", grain, res.Value.(int64), wantSum)
-		}
-		res = run(t, cfg, matmul.AutoBlockProgram(a, b, spM, 0))
-		if !matmul.Equal(res.Value.(matmul.Mat), wantMat, 1e-9) {
-			t.Fatalf("grain=%d: matmul auto product diverged from oracle", grain)
-		}
-		// Both policies: eager claims switch the lattice to in-place rows.
 		for _, eager := range []bool{false, true} {
-			cfg.EagerBlackholing = eager
-			res = run(t, cfg, apsp.AutoProgram(g, spA, 0))
-			if !apsp.Equal(res.Value.(apsp.Graph), wantGraph) {
-				t.Fatalf("grain=%d eager=%v: apsp auto distances diverged from oracle", grain, eager)
-			}
-			if !apsp.Equal(g, in) {
-				t.Fatalf("grain=%d eager=%v: apsp auto wrote to its input graph", grain, eager)
+			cfg := Config{Workers: 4, EagerBlackholing: eager}
+			res := run(t, cfg, euler.AutoProgram(1200, tune.NewSplitter("euler", grain, 1, 1<<20)))
+			if res.Value.(int64) != want {
+				t.Fatalf("grain=%d eager=%v: sum = %d, want %d", grain, eager, res.Value.(int64), want)
 			}
 		}
 	}
 }
 
-// TestAutoBlockEdge pins the grain→block-size mapping.
-func TestAutoBlockEdge(t *testing.T) {
-	cases := []struct{ n, grain, want int }{
-		{64, 1, 1},        // nothing fits: smallest legal block
-		{64, 4, 2},        // 2² = 4 fits, 4² = 16 does not
-		{64, 256, 16},     // 16² = 256 exactly
-		{64, 1 << 20, 64}, // whole matrix in one spark
-		{48, 200, 12},     // largest divisor of 48 with square ≤ 200 (12² = 144; 16² = 256 too big)
-		{7, 100, 7},       // prime n: 1 or n only
-	}
-	for _, c := range cases {
-		if got := matmul.AutoBlockEdge(c.n, c.grain); got != c.want {
-			t.Fatalf("AutoBlockEdge(%d, %d) = %d, want %d", c.n, c.grain, got, c.want)
-		}
-	}
-}
-
-// TestAutotuneDisabledPathShared pins the disabled path's cost: a run
-// without Config.Autotune builds no controller and shares the
-// immutable package-wide backoff policy instead of allocating one per
-// run (the spark hot-path alloc guard in arena_test.go bounds the
-// rest).
-func TestAutotuneDisabledPathShared(t *testing.T) {
-	r := newRT(NewConfig(2), false)
-	if r.bo != defaultBackoff {
-		t.Fatal("run without Autotune allocated a private backoff policy; want the shared default")
-	}
-	res := run(t, Config{Workers: 2, EagerBlackholing: true},
-		func(c exec.Ctx) graph.Value { return int64(1) })
-	if res.Autotune != nil {
-		t.Fatal("run without Autotune produced a controller report")
+// TestDefaultBackoffShared pins the default path's cost: a run without
+// Config.Backoff shares the immutable package-wide policy instead of
+// allocating one per run (the spark hot-path alloc guard in
+// arena_test.go bounds the rest).
+func TestDefaultBackoffShared(t *testing.T) {
+	if r := newRT(NewConfig(2), false); r.bo != defaultBackoff {
+		t.Fatal("run without Config.Backoff allocated a private policy; want the shared default")
 	}
 }

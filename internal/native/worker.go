@@ -496,12 +496,13 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 }
 
 // idleWait backs off an idle loop with the fixed legacy schedule:
-// yield for the first rounds, then sleep, doubling up to a 1ms cap.
+// yield for the first 64 rounds, then sleep from 10µs, doubling up to
+// a 1.28ms cap.
 // Oversubscribed machines (more workers than cores, or a race-detector
 // build) would otherwise burn the cores the productive workers need.
 // Used by waits that have no worker identity (nil-worker blocked
 // forces, runJob's active-wait) — worker loops go through backoffWait,
-// which reads the pool's tunable policy and counts its sleeps.
+// which reads the pool's configured policy and counts its sleeps.
 func idleWait(spins int) {
 	if spins < 64 {
 		runtime.Gosched()
@@ -538,7 +539,7 @@ func (w *worker) backoffWait(spins int, mayPark bool) {
 
 // park blocks this worker on the pool condvar until a producer pushes
 // work (Par, pushInject), the run completes, or it fails — replacing
-// the 1ms-cap sleep loop a dry pool otherwise burns. The lost-wakeup
+// the capped sleep loop a dry pool otherwise burns. The lost-wakeup
 // handshake is described at the rt park-lot fields: the nparked
 // increment is sequentially consistent and precedes the final
 // work re-check, mirroring the producers' publish-then-load order, so

@@ -33,16 +33,8 @@ type Config struct {
 	// MaxDeadline caps what a request may ask for (0 = 2m).
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// Autotune turns on the native pool's online controller: the gph
-	// workloads' decomposition follows shared per-workload splitters
-	// instead of the request's Chunks knob, steal backoff widens and
-	// narrows with observed contention, workers park when the pool runs
-	// dry, and GOGC tracks allocation pressure. The decision trace and
-	// lever positions appear in /statusz under "autotune".
-	Autotune bool
 	// Backoff overrides the native pool's idle-wait policy (nil = the
-	// fixed default; with Autotune and no override the pool gets the
-	// adaptive policy, parking armed).
+	// fixed default, parking off).
 	Backoff *tune.Backoff
 }
 
@@ -147,10 +139,6 @@ type Server struct {
 	lanes chan *nativeeden.Resident // free-lane queue
 	all   []*nativeeden.Resident
 
-	// auto holds the shared per-workload splitters when Config.Autotune
-	// is on (nil otherwise); buildJob picks the auto program variants
-	// from it.
-	auto autoSplitters
 	// oracles memoises the sequential reference results the response
 	// gate compares against.
 	oracles oracleCache
@@ -195,14 +183,8 @@ func New(cfg Config) *Server {
 	nc := native.NewConfig(cfg.Workers)
 	nc.Metrics = reg
 	nc.Backoff = cfg.Backoff
-	var auto autoSplitters
-	if cfg.Autotune {
-		auto = newAutoSplitters()
-		nc.Autotune = &native.AutotuneConfig{Splitters: auto}
-	}
 	s := &Server{
 		cfg:      cfg,
-		auto:     auto,
 		pool:     native.NewPool(nc),
 		lanes:    make(chan *nativeeden.Resident, cfg.Lanes),
 		tenants:  map[string]*tenantQ{},
@@ -245,7 +227,7 @@ func (s *Server) Do(req JobRequest) *JobResponse {
 	s.sm.submitted.Inc()
 	tm.submitted.Inc()
 
-	built, err := buildJob(req, s.cfg.PEs, s.auto)
+	built, err := buildJob(req, s.cfg.PEs)
 	if err != nil {
 		resp.Error = classifyInfo(err)
 		s.sm.reject(tm, resp.Error.Code)
@@ -441,9 +423,6 @@ type Status struct {
 	// across Status calls) and GC its pool-scoped collector telemetry.
 	Pool native.Stats   `json:"pool"`
 	GC   native.GCStats `json:"gc"`
-	// Autotune is the pool controller's decision trace and lever
-	// positions (absent unless the service runs with Config.Autotune).
-	Autotune *native.AutotuneReport `json:"autotune,omitempty"`
 	// LaneJobsDone/Failed aggregate the Eden lanes.
 	LaneJobsDone   int64 `json:"lane_jobs_done"`
 	LaneJobsFailed int64 `json:"lane_jobs_failed"`
@@ -469,7 +448,6 @@ func (s *Server) Statusz() Status {
 		Inflight:   len(s.inflight),
 		Pool:       s.pool.Snapshot(),
 		GC:         s.pool.GC(),
-		Autotune:   s.pool.Autotune(),
 	}
 	s.mu.Lock()
 	st.Draining = s.draining

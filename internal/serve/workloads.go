@@ -12,7 +12,6 @@ import (
 	"parhask/internal/faults"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
-	"parhask/internal/tune"
 	"parhask/internal/workloads"
 )
 
@@ -147,43 +146,12 @@ func Workloads() []string {
 	return names
 }
 
-// autoSplitters are the service's shared granularity levers, one per
-// gph workload family with a tunable decomposition, named after the
-// workload. Every job of a family reads the same splitter, so the
-// controller's grain survives across requests — sustained traffic
-// converges instead of each job restarting the search.
-type autoSplitters []*tune.Splitter
-
-func newAutoSplitters() autoSplitters {
-	return autoSplitters{
-		// Grains are items per spark in each family's own unit:
-		// sumeuler counts φ evaluations, matmul result cells, apsp
-		// final rows.
-		tune.NewSplitter("sumeuler", 64, 4, 4096),
-		tune.NewSplitter("matmul", 256, 16, 1<<16),
-		tune.NewSplitter("apsp", 8, 1, 256),
-	}
-}
-
-// of returns the workload's splitter, nil when it has none (or when
-// autotuning is off and a is nil).
-func (a autoSplitters) of(workload string) *tune.Splitter {
-	for _, sp := range a {
-		if sp.Name() == workload {
-			return sp
-		}
-	}
-	return nil
-}
-
 // buildJob validates a request against the service's admission table
 // and builds its program from the workload table. pes is the Eden
-// lanes' PE count (the eden-side topologies are sized from it). auto,
-// when non-nil, swaps the gph programs with tunable decompositions for
-// their splitter-driven forms; validation and oracles are identical
-// either way. All validation failures wrap ErrBadRequest or
-// ErrUnknownWorkload, so they classify before any queueing happens.
-func buildJob(req JobRequest, pes int, auto autoSplitters) (*builtJob, error) {
+// lanes' PE count (the eden-side topologies are sized from it). All
+// validation failures wrap ErrBadRequest or ErrUnknownWorkload, so they
+// classify before any queueing happens.
+func buildJob(req JobRequest, pes int) (*builtJob, error) {
 	b := &builtJob{backend: req.Backend}
 	switch b.backend {
 	case "":
@@ -219,10 +187,8 @@ func buildJob(req JobRequest, pes int, auto autoSplitters) (*builtJob, error) {
 	if b.inst, err = e.New(args); err != nil {
 		return nil, badReq("%v", err)
 	}
-	if sp := auto.of(e.Name); b.backend == "eden" {
+	if b.backend == "eden" {
 		b.eden, err = b.inst.Eden(cost.Model{})
-	} else if sp != nil {
-		b.gph, err = b.inst.Auto(sp)
 	} else {
 		b.gph, err = b.inst.GpH()
 	}

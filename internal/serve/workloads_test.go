@@ -32,7 +32,7 @@ func TestGoldenServeMixInputs(t *testing.T) {
 		{"mandel_eden", JobRequest{Workload: "mandel", Width: 96, Height: 72, Backend: "eden"}, 0x81d5afdbe64bb328},
 	}
 	for _, sh := range shapes {
-		b, err := buildJob(sh.req, 4, nil)
+		b, err := buildJob(sh.req, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
@@ -56,7 +56,7 @@ func TestServeShapesPerSurface(t *testing.T) {
 		{JobRequest{Workload: "apsp", N: 16}, 1, "apsp?density=50&maxw=100&n=16&ring=1&seed=7"},
 		{JobRequest{Workload: "mandel", N: 999}, 4, "mandel?height=48&n=64"},
 	} {
-		b, err := buildJob(c.req, c.pes, nil)
+		b, err := buildJob(c.req, c.pes)
 		if err != nil {
 			t.Fatalf("%+v: %v", c.req, err)
 		}
@@ -95,7 +95,7 @@ func TestOracleCacheBounded(t *testing.T) {
 		t.Fatalf("oracle cache holds %d entries, bound is %d", cached, oracleCacheCap)
 	}
 
-	b, err := buildJob(JobRequest{Workload: "fuzz", N: n, Seed: 1}, 2, nil)
+	b, err := buildJob(JobRequest{Workload: "fuzz", N: n, Seed: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func FuzzJobRequest(f *testing.F) {
 		if json.Unmarshal(body, &req) != nil {
 			return
 		}
-		b, err := buildJob(req, 3, nil)
+		b, err := buildJob(req, 3)
 		if err != nil {
 			if !errors.Is(err, ErrBadRequest) && !errors.Is(err, ErrUnknownWorkload) {
 				t.Fatalf("buildJob(%s): unclassified rejection %v", body, err)

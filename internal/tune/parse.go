@@ -12,8 +12,7 @@ import (
 //
 //	spin=N      Gosched rounds before the first sleep (default 64)
 //	min=DUR     first sleep duration (default 10µs)
-//	max=DUR     sleep cap (default 1.28ms; at most about 160000h, as
-//	            widening doubles it up to four times)
+//	max=DUR     sleep cap (default 1.28ms)
 //	park=N      sleep rounds before parking; 0 = never park (default 0)
 //
 // e.g. "spin=32,min=5us,max=2ms,park=8". The empty string yields the
@@ -64,9 +63,6 @@ func ParseBackoff(spec string) (*Backoff, error) {
 	}
 	if max < min {
 		return nil, fmt.Errorf("backoff spec: max (%s) must be at least min (%s)", max, min)
-	}
-	if max > maxSleepCap {
-		return nil, fmt.Errorf("backoff spec: max (%s) exceeds %s, the largest cap that still fits after %d widen levels double it", max, maxSleepCap, maxBackoffLevel)
 	}
 	return NewBackoff(spin, min, max, parkAfter), nil
 }

@@ -1,152 +1,37 @@
 package tune
 
 import (
-	"sync/atomic"
-	"time"
-
 	"parhask/internal/exec"
 	"parhask/internal/graph"
 )
 
-// Grain bounds: a Splitter never fuses a leaf above MaxGrain items or
-// splits below MinGrain, whatever the controller asks for.
-const (
-	DefaultMinGrain = 1
-	DefaultMaxGrain = 1 << 20
-)
-
-// Splitter is the dynamic-granularity lever: a shared, mutable grain
-// (items per spark) that workloads read at *execution* time and the
-// controller moves from observed per-leaf service times. Because the
-// driver (ParSum / Each) re-reads the grain when a range actually
-// runs — not when it was sparked — a Split decision takes effect on
-// sparks already sitting in the pools: an oversized range splits
-// lazily into two child sparks when a worker picks it up, the classic
-// lazy-binary-splitting shape.
-//
-// All fields accessed from workers are atomics; the struct is shared
-// between the workload body, the runtime's workers, and the
-// controller tick without locks.
+// Splitter carves an interval into sparks of a fixed grain (items per
+// spark) by lazy binary splitting: a range wider than the grain sparks
+// its upper half and recurses into the lower, so the spark tree is
+// built where the work runs instead of as a chunk list up front. The
+// benchmark's splitter probe compares it with sumEuler's fixed chunk
+// list at the same grain.
 type Splitter struct {
-	name     string
-	minGrain int64
-	maxGrain int64
-	grain    atomic.Int64
-
-	// Leaf service-time feedback, written by Observe on the worker
-	// that ran the leaf and drained by the controller via TakeService.
-	leafCount atomic.Int64
-	leafNS    atomic.Int64
-
-	// Decision counters, for telemetry.
-	splits atomic.Int64
-	fuses  atomic.Int64
+	grain int
 }
 
-// NewSplitter builds a splitter named for telemetry, starting at
-// `grain` items per leaf, clamped to [minGrain, maxGrain]. Non-positive
-// bounds take the defaults.
+// NewSplitter builds a splitter with `grain` items per leaf clamped to
+// [minGrain, maxGrain]. A non-positive minGrain means 1; a maxGrain
+// below minGrain means 1<<20 (or minGrain, if larger). The name only
+// labels the splitter at its call site.
 func NewSplitter(name string, grain, minGrain, maxGrain int) *Splitter {
-	if minGrain <= 0 {
-		minGrain = DefaultMinGrain
-	}
+	minGrain = max(minGrain, 1)
 	if maxGrain < minGrain {
-		maxGrain = DefaultMaxGrain
-		if maxGrain < minGrain {
-			maxGrain = minGrain
-		}
+		maxGrain = max(1<<20, minGrain)
 	}
-	s := &Splitter{name: name, minGrain: int64(minGrain), maxGrain: int64(maxGrain)}
-	g := int64(grain)
-	if g < s.minGrain {
-		g = s.minGrain
-	}
-	if g > s.maxGrain {
-		g = s.maxGrain
-	}
-	s.grain.Store(g)
-	return s
+	return &Splitter{grain: min(max(grain, minGrain), maxGrain)}
 }
 
-// Name reports the telemetry label.
-func (s *Splitter) Name() string { return s.name }
-
-// Grain reports the current items-per-leaf target.
-func (s *Splitter) Grain() int { return int(s.grain.Load()) }
-
-// Bounds reports the clamp range the grain moves within.
-func (s *Splitter) Bounds() (minGrain, maxGrain int) {
-	return int(s.minGrain), int(s.maxGrain)
-}
-
-// Splits and Fuses report how many times each decision fired.
-func (s *Splitter) Splits() int64 { return s.splits.Load() }
-func (s *Splitter) Fuses() int64  { return s.fuses.Load() }
-
-// Split halves the grain (finer sparks) and reports whether anything
-// changed (false at the minimum).
-func (s *Splitter) Split() bool {
-	for {
-		g := s.grain.Load()
-		ng := g / 2
-		if ng < s.minGrain {
-			return false
-		}
-		if s.grain.CompareAndSwap(g, ng) {
-			s.splits.Add(1)
-			return true
-		}
-	}
-}
-
-// Fuse doubles the grain (coarser sparks) and reports whether anything
-// changed (false at the maximum).
-func (s *Splitter) Fuse() bool {
-	for {
-		g := s.grain.Load()
-		ng := g * 2
-		if ng > s.maxGrain {
-			return false
-		}
-		if s.grain.CompareAndSwap(g, ng) {
-			s.fuses.Add(1)
-			return true
-		}
-	}
-}
-
-// Observe records that a leaf of `items` items took `ns` nanoseconds.
-// Called by workloads on the worker that ran the leaf; lock-free.
-func (s *Splitter) Observe(items int, ns int64) {
-	if items <= 0 || ns < 0 {
-		return
-	}
-	s.leafCount.Add(1)
-	s.leafNS.Add(ns)
-}
-
-// TakeService drains the feedback accumulated since the last call:
-// the number of leaves observed and their mean service time in
-// nanoseconds (0 if none ran). The controller calls this once per
-// tick; draining keeps each tick's signal fresh rather than a
-// run-lifetime average.
-func (s *Splitter) TakeService() (leaves int64, avgNS int64) {
-	leaves = s.leafCount.Swap(0)
-	ns := s.leafNS.Swap(0)
-	if leaves > 0 {
-		avgNS = ns / leaves
-	}
-	return leaves, avgNS
-}
-
-// ParSum evaluates sum(leaf(i) for i in [lo,hi)) with lazy binary
-// splitting: a range wider than the current grain sparks its upper
-// half and recurses into the lower, re-reading the grain each time a
-// range is forced. Leaves call Observe with their measured service
-// time via ctx's Burn-free wall clock — the caller's leaf function is
-// responsible for the actual work. Returns the sum; the spine forces
-// sparked halves in reverse order so un-stolen sparks run newest-first
-// in the owner's deque.
+// ParSum evaluates sum(leaf(lo', hi') over a partition of [lo,hi)) with
+// lazy binary splitting: a range wider than the grain sparks its upper
+// half and recurses into the lower. The spine forces sparked halves in
+// reverse order so un-stolen sparks run newest-first in the owner's
+// deque.
 func (s *Splitter) ParSum(ctx exec.Ctx, lo, hi int, leaf func(exec.Ctx, int, int) int64) int64 {
 	if lo >= hi {
 		return 0
@@ -154,11 +39,8 @@ func (s *Splitter) ParSum(ctx exec.Ctx, lo, hi int, leaf func(exec.Ctx, int, int
 	var rec func(ctx exec.Ctx, lo, hi int) int64
 	rec = func(ctx exec.Ctx, lo, hi int) int64 {
 		n := hi - lo
-		if int64(n) <= s.grain.Load() {
-			start := time.Now()
-			v := leaf(ctx, lo, hi)
-			s.Observe(n, time.Since(start).Nanoseconds())
-			return v
+		if n <= s.grain {
+			return leaf(ctx, lo, hi)
 		}
 		mid := lo + n/2
 		upper := exec.NewThunk(ctx, func(c exec.Ctx) graph.Value { return rec(c, mid, hi) })
@@ -167,18 +49,4 @@ func (s *Splitter) ParSum(ctx exec.Ctx, lo, hi int, leaf func(exec.Ctx, int, int
 		return left + ctx.Force(upper).(int64)
 	}
 	return rec(ctx, lo, hi)
-}
-
-// Each runs visit over [lo,hi) with the same lazy splitting as ParSum
-// but no value. Under lazy black-holing a split node can be entered
-// twice (duplicate evaluation), so visit may run more than once for
-// the same range, concurrently — it must stay effect-free on shared
-// memory. Use it to force heap thunks in parallel (duplicate forces
-// are resolved by the graph layer) and assemble any shared output on
-// the spine afterwards.
-func (s *Splitter) Each(ctx exec.Ctx, lo, hi int, visit func(exec.Ctx, int, int)) {
-	s.ParSum(ctx, lo, hi, func(c exec.Ctx, a, b int) int64 {
-		visit(c, a, b)
-		return 0
-	})
 }

@@ -6,14 +6,13 @@ import (
 	"parhask/internal/tune"
 )
 
-// AutoProgram is Program with the static chunk count replaced by a
+// AutoProgram is Program with the static chunk list replaced by a
 // tune.Splitter: the interval [1, n] is carved by lazy binary
-// splitting, so the items-per-spark granularity is whatever the
-// splitter's grain says at the moment a range is actually forced — the
-// controller can refine chunking mid-run from observed leaf service
-// times, where Program's chunk list is fixed at build time. Uses the
-// uncached φ kernel (the mode the native runtime times for wall-clock
-// speedups) and ends with the same sequential self-check.
+// splitting into leaves of at most the splitter's grain, sparked where
+// they run instead of listed up front. Uses the uncached φ kernel (the
+// mode the native runtime times for wall-clock speedups) and ends with
+// the same sequential self-check. The benchmark's splitter probe
+// compares it with Program at the same grain.
 func AutoProgram(n int, sp *tune.Splitter) exec.Program {
 	return func(ctx exec.Ctx) graph.Value {
 		sum := sp.ParSum(ctx, 1, n+1, func(c exec.Ctx, lo, hi int) int64 {

@@ -8,7 +8,6 @@ import (
 	"parhask/internal/exec"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
-	"parhask/internal/tune"
 	"parhask/internal/workloads/apsp"
 	"parhask/internal/workloads/euler"
 	"parhask/internal/workloads/fuzz"
@@ -29,12 +28,10 @@ var table = []*Entry{
 			{Name: "chunks", Default: 300, Min: 1, Max: 1 << 20, Usage: "GpH chunk count (the Eden program cuts 8 chunks per PE)"},
 			{Name: "pechunks", Default: 8, Min: 1, Max: 1 << 16},
 		},
-		shape:  func(i *Instance) Shape { return Shape{AutoGrain: i.Int("n") / i.Int("chunks"), AutoMax: i.Int("n")} },
 		inputs: func(i *Instance) any { return i.Int("n") },
 		// The native form uses the uncached φ kernel (real work on real
 		// cores); the simulated one the memoised, cost-charged kernel.
-		gph:  func(i *Instance, _ any) exec.Program { return euler.Program(i.Int("n"), i.Int("chunks"), 0, true) },
-		auto: func(i *Instance, _ any, sp *tune.Splitter) exec.Program { return euler.AutoProgram(i.Int("n"), sp) },
+		gph: func(i *Instance, _ any) exec.Program { return euler.Program(i.Int("n"), i.Int("chunks"), 0, true) },
 		sim: func(i *Instance, _ any, c cost.Model) SimProgram {
 			return euler.GpHProgram(i.Int("n"), i.Int("chunks"), c.GCDIter)
 		},
@@ -54,7 +51,7 @@ var table = []*Entry{
 		},
 		shape: func(i *Instance) Shape {
 			n, block, q := i.Int("n"), i.Int("block"), i.Int("q")
-			s := Shape{ResidentBytes: 3 * matmul.Bytes(n), EdenProcs: q * q, AutoGrain: block * block, AutoMax: n * n}
+			s := Shape{ResidentBytes: 3 * matmul.Bytes(n), EdenProcs: q * q}
 			if n%block != 0 {
 				s.GpHFit = fmt.Errorf("block=%d does not divide n=%d", block, n)
 			}
@@ -70,10 +67,6 @@ var table = []*Entry{
 		gph: func(i *Instance, in any) exec.Program {
 			m := in.([2]matmul.Mat)
 			return matmul.BlockProgram(m[0], m[1], i.Int("block"), 0)
-		},
-		auto: func(_ *Instance, in any, sp *tune.Splitter) exec.Program {
-			m := in.([2]matmul.Mat)
-			return matmul.AutoBlockProgram(m[0], m[1], sp, 0)
 		},
 		sim: func(i *Instance, in any, c cost.Model) SimProgram {
 			m := in.([2]matmul.Mat)
@@ -105,7 +98,7 @@ var table = []*Entry{
 			{Name: "density", Default: 25, Max: 100},
 		},
 		shape: func(i *Instance) Shape {
-			s := Shape{ResidentBytes: 2 * apsp.Bytes(i.Int("n")), EdenProcs: i.Int("ring"), AutoGrain: 1, AutoMax: i.Int("n")}
+			s := Shape{ResidentBytes: 2 * apsp.Bytes(i.Int("n")), EdenProcs: i.Int("ring")}
 			if s.EdenProcs == 0 {
 				s.EdenFit = fmt.Errorf("ring=0: the ring size must be positive (pass the PE count)")
 			}
@@ -115,9 +108,6 @@ var table = []*Entry{
 			return apsp.RandomGraph(i.Int("n"), i.Val("seed"), int32(i.Val("maxw")), i.Int("density"))
 		},
 		gph: func(_ *Instance, in any) exec.Program { return apsp.Program(in.(apsp.Graph), 0) },
-		auto: func(_ *Instance, in any, sp *tune.Splitter) exec.Program {
-			return apsp.AutoProgram(in.(apsp.Graph), sp, 0)
-		},
 		sim: func(_ *Instance, in any, c cost.Model) SimProgram { return apsp.GpHProgram(in.(apsp.Graph), c.MinPlus) },
 		eden: func(i *Instance, in any, c cost.Model) pe.Program {
 			return apsp.EdenRingProgram(in.(apsp.Graph), i.Int("ring"), c.MinPlus)

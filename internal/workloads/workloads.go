@@ -27,7 +27,6 @@ import (
 	"parhask/internal/graph"
 	"parhask/internal/pe"
 	"parhask/internal/rts"
-	"parhask/internal/tune"
 )
 
 // Param is one non-negative integer parameter of a workload.
@@ -118,11 +117,9 @@ type Entry struct {
 	// Instance, on the first use of a form or of the oracle.
 	inputs func(i *Instance) any
 	// gph is the runtime-agnostic GpH program at the decomposition the
-	// arguments fix; auto the same with the decomposition driven by a
-	// splitter; sim the cost-charged program for the simulated GpH
+	// arguments fix; sim the cost-charged program for the simulated GpH
 	// runtimes and variants its named alternatives; eden the Eden program.
 	gph      func(i *Instance, in any) exec.Program
-	auto     func(i *Instance, in any, sp *tune.Splitter) exec.Program
 	sim      func(i *Instance, in any, c cost.Model) SimProgram
 	variants map[string]func(i *Instance, in any, c cost.Model) SimProgram
 	eden     func(i *Instance, in any, c cost.Model) pe.Program
@@ -141,10 +138,6 @@ type Shape struct {
 	// spawns beside the root, 0 when it adapts to the PE count. The
 	// simulator gives such a program one PE more than that.
 	EdenProcs int
-	// AutoGrain and AutoMax are the initial grain of a one-off run's
-	// splitter (the fixed decomposition's) and its upper bound, in the
-	// workload's own unit.
-	AutoGrain, AutoMax int
 	// GpHFit and EdenFit say why the arguments do not fit the fixed GpH
 	// decomposition or the Eden topology (nil when they do).
 	GpHFit, EdenFit error
@@ -284,24 +277,6 @@ func (i *Instance) GpH() (exec.Program, error) {
 		return nil, err
 	}
 	return i.Entry.gph(i, i.inputs()), nil
-}
-
-// Auto is the GpH program with its decomposition driven by sp.
-func (i *Instance) Auto(sp *tune.Splitter) (exec.Program, error) {
-	if err := i.lacks("splitter-driven GpH", i.Entry.auto != nil, nil); err != nil {
-		return nil, err
-	}
-	return i.Entry.auto(i, i.inputs(), sp), nil
-}
-
-// NewSplitter returns the splitter a one-off run drives Auto with,
-// starting at the grain the fixed decomposition has; nil when the
-// workload has no Auto form.
-func (i *Instance) NewSplitter() *tune.Splitter {
-	if i.Entry.auto == nil {
-		return nil
-	}
-	return tune.NewSplitter(i.Entry.Name, i.AutoGrain, 1, i.AutoMax)
 }
 
 // Sim is the cost-charged GpH program for the simulated runtimes:

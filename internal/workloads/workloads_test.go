@@ -68,7 +68,7 @@ func instance(t *testing.T, name string, a workloads.Args) *workloads.Instance {
 }
 
 // TestParityMatrix runs every form of every entry on the runtimes that
-// take it — simulated and native GpH, the splitter-driven form,
+// take it — simulated and native GpH,
 // simulated and native Eden, and a one-process cluster for the entries
 // the cluster builds — and checks each result with the entry's own
 // oracle. A form an entry lacks must be a *FormError, not a nil
@@ -124,19 +124,6 @@ func TestParityMatrix(t *testing.T) {
 		} else {
 			res, err := native.Run(native.NewConfig(3), prog)
 			check("native.Run", res, err)
-		}
-
-		if sp := inst.NewSplitter(); sp == nil {
-			_, err := inst.Auto(nil)
-			missing("splitter-driven", err)
-		} else {
-			prog, err := inst.Auto(sp)
-			if err != nil {
-				t.Errorf("%s: has a splitter but no Auto form: %v", name, err)
-			} else {
-				res, err := native.Run(native.NewConfig(3), prog)
-				check("native.Run auto", res, err)
-			}
 		}
 
 		if err := inst.CanEden(); err != nil {
@@ -217,9 +204,6 @@ func TestShapesThatDoNotFit(t *testing.T) {
 	}
 	if _, err := m.Sim("rows", cost.Default()); err != nil {
 		t.Errorf("the row variant needs no block: %v", err)
-	}
-	if _, err := m.Auto(m.NewSplitter()); err != nil {
-		t.Errorf("the splitter-driven form picks its own block: %v", err)
 	}
 
 	a := instance(t, "apsp", args("n", 8))
