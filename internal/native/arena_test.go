@@ -38,9 +38,10 @@ func TestNativeArenaCrossRuntimeOracle(t *testing.T) {
 }
 
 // TestNativeSparkConservation checks the spark-accounting invariant on
-// real runs: every spark that entered a pool is accounted for exactly
-// once — converted (picked up and forced), fizzled (picked up already
-// evaluated) or leftover (still pooled when main returned).
+// real runs, batch and resident: every spark that entered a pool is
+// accounted for exactly once — converted (picked up and forced),
+// fizzled (picked up already evaluated) or leftover (still pooled when
+// main returned, or purged when its job retired).
 func TestNativeSparkConservation(t *testing.T) {
 	progs := map[string]exec.Program{
 		"sumEuler": euler.Program(2000, 40, 0, true),
@@ -57,6 +58,32 @@ func TestNativeSparkConservation(t *testing.T) {
 						name, workers, eager, s.SparksCreated,
 						s.SparksConverted, s.SparksFizzled, s.SparksLeftover)
 				}
+			}
+		}
+	}
+	// The pool path: the same programs as resident jobs, then Close. A
+	// retiring job purges its still-queued sparks — its JobResult counts
+	// them as leftover, and the pool's snapshot no longer holds them.
+	for _, workers := range []int{1, 2, 8} {
+		for _, eager := range []bool{true, false} {
+			p := NewPool(Config{Workers: workers, EagerBlackholing: eager})
+			var purged int64
+			for name, prog := range progs {
+				h, err := p.Submit(JobConfig{}, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := h.Wait()
+				if err != nil {
+					t.Fatalf("%s workers=%d eager=%v: %v", name, workers, eager, err)
+				}
+				purged += res.Stats.SparksLeftover
+			}
+			p.Close()
+			s := p.Snapshot()
+			if got := s.SparksConverted + s.SparksFizzled + s.SparksLeftover + purged; got != s.SparksCreated {
+				t.Fatalf("pool workers=%d eager=%v: created %d != converted %d + fizzled %d + leftover %d + purged %d",
+					workers, eager, s.SparksCreated, s.SparksConverted, s.SparksFizzled, s.SparksLeftover, purged)
 			}
 		}
 	}

@@ -7,9 +7,15 @@
 //
 // Architecture (one-to-one with the simulated work-stealing runtime):
 //
-//   - N workers, one per requested core. Worker 0 is the caller's
-//     goroutine running the program's main function (the GpH main
-//     thread); workers 1..N-1 are stealing loops on fresh goroutines.
+//   - One lifecycle. A resident Pool runs jobs; a batch Run is a pool
+//     that runs exactly one job. Every worker runs the same loop
+//     (stealPass) and every job's main thread the same bracket
+//     (runMain), with one failure latch per job.
+//   - N workers, one per requested core. In a batch Run worker 0 is the
+//     caller's goroutine running the program's main function (the GpH
+//     main thread, as on GHC's capability 0); workers 1..N-1 loop on
+//     fresh goroutines. In a resident Pool all N loop, and each job's
+//     main runs on a goroutine of its own.
 //   - Each worker owns a lock-free Chase–Lev deque (internal/deque, the
 //     same type the simulation uses) as its spark pool: Par pushes at
 //     the bottom, idle workers steal from the top with a single CAS.
@@ -23,9 +29,10 @@
 //     duplicate evaluation exactly as in the paper's §IV-A.3 window,
 //     and the duplicate-entry count is measured on real hardware.
 //   - A worker that forces a black-holed thunk does not park on a
-//     waiter list: it polls the atomic state, stealing and running
-//     other sparks while it waits (leapfrogging). A lost wakeup is
-//     therefore impossible by construction.
+//     waiter list: it polls the atomic state on the backoff ladder, so
+//     a lost wakeup is impossible by construction. Only a force with an
+//     empty claim stack (main's, or a spark's outermost) runs other
+//     sparks while it waits (leapfrogging); a nested force just polls.
 //
 // Burn and Alloc are no-ops: real time is consumed by actually
 // computing, and Go's allocator is real. The virtual-time simulation
@@ -55,7 +62,6 @@ import (
 	"parhask/internal/eventlog"
 	"parhask/internal/exec"
 	"parhask/internal/faults"
-	"parhask/internal/gcscope"
 	"parhask/internal/graph"
 	pmetrics "parhask/internal/metrics"
 	"parhask/internal/trace"
@@ -86,11 +92,13 @@ type Config struct {
 	// This is the nursery-size knob of the §IV-A.1 experiment: a higher
 	// GOGC is a bigger allocation area between collections.
 	GCPercent int
-	// EventLog enables the per-worker wall-clock event rings. The run's
-	// Result then carries the drained eventlog.Log, and Result.Trace
-	// reduces it to an EdenTV-style timeline. Costs one monotonic clock
-	// read plus one owner-local append per event on the hot path;
-	// disabled, the hooks are nil checks only.
+	// EventLog enables a batch Run's per-worker wall-clock event rings.
+	// The run's Result then carries the drained eventlog.Log, and
+	// Result.Trace reduces it to an EdenTV-style timeline. Costs one
+	// monotonic clock read plus one owner-local append per event on the
+	// hot path; disabled, the hooks are nil checks only. A resident pool
+	// keeps no pool-wide rings: a job asks for its own
+	// (JobConfig.EventLog).
 	EventLog bool
 	// EventLogConfig tunes the event rings (zero value = defaults).
 	EventLogConfig eventlog.Config
@@ -107,22 +115,26 @@ type Config struct {
 	Sampler func(snapshot func() Stats)
 	// Faults, if non-nil, arms the deterministic fault-injection plane
 	// (internal/faults): spark-indexed panics, process-indexed fork
-	// panics, and per-worker stalls. When nil every injection hook is a
-	// single predictable nil check (the benchmark's faults.armed_overhead_x row).
+	// panics, and per-worker stalls. It governs all work without a
+	// private budget: every spark and fork of a batch Run, and in a pool
+	// the untagged work and the jobs submitted without
+	// JobConfig.Faults. When nil every injection hook is a single
+	// predictable nil check (the benchmark's faults.armed_overhead_x row).
 	Faults *faults.Injector
-	// Deadline, if non-zero, bounds the run's wall-clock time: a run
-	// still in flight when it elapses is aborted with a structured
-	// *faults.DeadlockError carrying each blocked worker's diagnostics,
-	// instead of hanging. (A spark stuck in a non-cooperative infinite
-	// computation cannot be preempted — the deadline unblocks every
-	// *waiting* thread; a busy-looping mutator keeps its goroutine, as
-	// in GHC.)
+	// Deadline, if non-zero, bounds a batch Run's wall-clock time: it is
+	// the run's job deadline (JobConfig.Deadline), and a run still in
+	// flight when it elapses fails with a structured
+	// *faults.DeadlockError naming each blocked worker, instead of
+	// hanging. (A spark stuck in a non-cooperative infinite computation
+	// cannot be preempted — the deadline unblocks every *waiting*
+	// thread; a busy-looping mutator keeps its goroutine, as in GHC.) A
+	// resident pool bounds each job by its own JobConfig.Deadline.
 	Deadline time.Duration
 	// Metrics, if non-nil, registers the pool's telemetry series
 	// (internal/metrics): job latency histograms, spark/steal/GC/fault
-	// rates. Honoured by NewPool only (batch runs report through
-	// Result); when nil — the default — every recording hook is a nil
-	// check, the same contract as the eventlog and fault plane.
+	// rates. Honoured by NewPool only: a batch Run's one job reports
+	// through its Result. When nil — the default — every recording hook
+	// is a nil check, the same contract as the eventlog and fault plane.
 	Metrics *pmetrics.Registry
 	// Backoff, if non-nil, replaces the fixed idle-wait policy (spin
 	// 64 rounds, sleeps doubling 10µs→1.28ms, no parking) with another
@@ -184,8 +196,9 @@ func (s *Stats) Add(o Stats) {
 }
 
 // counters is the atomic counter set for contributors without a worker
-// identity: forked threads, which may bump it from many goroutines at
-// once. Workers use the plain owner-written wcounters instead.
+// identity: a resident job's main thread and forked threads, which may
+// bump it from many goroutines at once. Workers use the plain
+// owner-written wcounters instead.
 type counters struct {
 	sparksCreated   atomic.Int64
 	sparksDud       atomic.Int64
@@ -266,7 +279,8 @@ type Result struct {
 	// Workers is the worker count the run used.
 	Workers int
 	// Stats is the whole-run aggregate (every worker plus forked
-	// threads).
+	// threads). Its SparksLeftover also counts the forks' sparks still
+	// queued when the run ended.
 	Stats Stats
 	// PerWorker breaks the counters down by worker id. Forked threads'
 	// contributions appear only in the aggregate (they have no worker).
@@ -317,12 +331,8 @@ func (r *Result) Report() Report {
 	return rep
 }
 
-// errAborted unwinds a worker or the main thread after another worker
-// already recorded the run's failure.
-var errAborted = errors.New("native: run aborted")
-
-// errJobAborted unwinds a resident job's threads (and workers blocked
-// on its thunks) after the job — not the pool — recorded a failure.
+// errJobAborted unwinds a job's threads (and workers blocked on its
+// thunks) after the job recorded a failure.
 var errJobAborted = errors.New("native: job aborted")
 
 // panicErr turns a recovered panic value into an error. Error panic
@@ -346,30 +356,17 @@ type rt struct {
 	// unsampled runs pay nothing.
 	sampled bool
 
-	// extern counts contributions from forked threads (no worker
-	// identity); every worker's own counters live on the worker.
+	// extern counts contributions from job-less forked threads (no
+	// worker identity); every worker's own counters live on the worker.
 	extern counters
 
-	// events is the wall-clock eventlog (nil when disabled).
-	events *eventlog.Log
+	// own is the job that owns untagged work — deque sparks and the
+	// forks they start: a batch Run's one job, nil in a resident pool.
+	// Set before the workers start and never changed.
+	own *Job
 
-	// done tells the stealing loops the main function returned; failed
-	// tells every spinning force to unwind because a spark panicked.
-	done   atomic.Bool
-	failed atomic.Bool
-
-	errOnce sync.Once
-	err     error
-
-	// externBlocked counts forked threads currently inside a blocked
-	// force, for the deadline watchdog's diagnostics (forked threads
-	// have no worker whose blocked gauge could be read).
-	externBlocked atomic.Int64
-
-	// resident marks an rt owned by a Pool rather than a one-shot Run:
-	// workers run residentLoop (spark panics fail the tagged job and the
-	// loop restarts) instead of stealLoop (any panic fails the run).
-	resident bool
+	// done tells the worker loops to exit.
+	done atomic.Bool
 
 	// poisoned counts thunk-claim poisonings across the runtime's
 	// lifetime (every recovery path feeds it). A non-zero value on a
@@ -383,10 +380,10 @@ type rt struct {
 	pm *poolMetrics
 
 	// inject holds sparks created by threads that own no deque
-	// (PushBottom is owner-only): forked threads, and in resident mode
+	// (PushBottom is owner-only): forked threads, and in a resident pool
 	// every job's main thread. Workers drain it when their steals come
-	// up empty. Each entry carries the job it belongs to (nil in batch
-	// runs), so resident workers can attribute fault injection and
+	// up empty. Each entry carries the job it belongs to (nil for a
+	// job-less fork's), so workers can attribute fault injection and
 	// failures. injectHead indexes the next unconsumed spark — consumed
 	// slots are zeroed immediately and the prefix is compacted away
 	// periodically, so the backing array never retains thunks the
@@ -416,17 +413,16 @@ type rt struct {
 	nparked  atomic.Int64
 
 	stealers sync.WaitGroup
-	forks    sync.WaitGroup
 }
 
 // defaultBackoff is the shared legacy policy for runs without an
 // explicit one: the fixed idleWait schedule, parking off.
 var defaultBackoff = tune.DefaultBackoffPolicy()
 
-// newRT builds the runtime core shared by Run and NewPool: workers,
-// backoff policy, park lot.
-func newRT(cfg Config, resident bool) *rt {
-	r := &rt{cfg: cfg, resident: resident, sampled: cfg.Sampler != nil, bo: cfg.Backoff}
+// newRT builds the runtime core under every pool: workers, backoff
+// policy, park lot.
+func newRT(cfg Config) *rt {
+	r := &rt{cfg: cfg, sampled: cfg.Sampler != nil, bo: cfg.Backoff}
 	if r.bo == nil {
 		r.bo = defaultBackoff
 	}
@@ -468,7 +464,7 @@ func (r *rt) wake() {
 }
 
 // injEntry is one injection-queue slot: a spark and the job it belongs
-// to (nil for batch runs and job-less forks).
+// to (nil for a job-less fork's).
 type injEntry struct {
 	t   *graph.Thunk
 	job *Job
@@ -478,118 +474,46 @@ type injEntry struct {
 // value, the wall-clock time, and the runtime counters. The result is
 // identical to the same program's simulated and sequential runs
 // (referential transparency); only the time is real.
+//
+// A batch run is a Pool that runs exactly one job, whose main thread is
+// the caller's goroutine as worker 0: main's sparks go onto worker 0's
+// deque, and its blocked forces help like any worker's. The job owns
+// every untagged spark and fork, so any failure in the run fails it.
 func Run(cfg Config, main exec.Program) (*Result, error) {
 	if main == nil {
 		return nil, errors.New("native: nil main")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.GCPercent != 0 {
-		// The GOGC knob is process-global; the lease serialises
-		// conflicting set/restore pairs so concurrent runs cannot corrupt
-		// each other's targets (internal/gcscope).
-		defer gcscope.LeaseFn(cfg.GCPercent)()
-	}
-	r := newRT(cfg, false)
-
-	gogc := readGOGC()
-	gcWin := gcscope.Begin()
-
-	start := time.Now()
+	p := newPool(cfg)
+	r := p.rt
+	j, _ := p.admit(JobConfig{}) // a fresh pool admits
+	r.own = j
+	p.arm(j, cfg.Deadline)
+	var events *eventlog.Log
 	if cfg.EventLog {
-		r.events = eventlog.New(start, cfg.Workers, cfg.EventLogConfig)
+		events = eventlog.New(j.start, len(r.workers), cfg.EventLogConfig)
 		for i, w := range r.workers {
-			w.ev = r.events.Buf(i)
+			w.ev = events.Buf(i)
 		}
 	}
 	if cfg.Sampler != nil {
-		cfg.Sampler(r.snapshot)
+		cfg.Sampler(p.Snapshot)
 	}
-	// The deadline watchdog converts a hung run into a structured
-	// *faults.DeadlockError: fail() trips rt.failed, which every blocked
-	// force polls, so the whole runtime unwinds through the existing
-	// failure protocol. Per-worker blocked gauges supply the
-	// diagnostics. Timer-vs-finish races are benign: the watchdog
-	// checks done first, and a run that loses the race was at the
-	// deadline anyway.
-	var watchdog *time.Timer
-	if cfg.Deadline > 0 {
-		watchdog = time.AfterFunc(cfg.Deadline, func() {
-			if r.done.Load() {
-				return
-			}
-			r.fail(r.deadlockError(time.Since(start)))
-		})
-		defer watchdog.Stop()
-	}
-	for _, w := range r.workers[1:] {
-		r.stealers.Add(1)
-		go w.stealLoop()
-	}
-
+	p.startWorkers(1)
 	w0 := r.workers[0]
-	var value graph.Value
-	runErr := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				if p == errAborted {
-					err = r.err // carries the original failure
-				} else {
-					err = panicErr("native: main panicked", p)
-				}
-				// Claims the dying main stack still holds will never be
-				// updated; poison them so nothing ever blocks on them
-				// again (matters when a supervisor retries on the same
-				// heap graph).
-				w0.poisonClaims(err)
-			}
-		}()
-		if w0.ev != nil {
-			w0.ev.Emit(eventlog.RunBegin)
-		}
-		value = main(&w0.ctx)
-		if w0.ev != nil {
-			w0.ev.Emit(eventlog.RunEnd)
-		}
-		return nil
-	}()
-
-	if runErr != nil {
-		// A main-thread panic must abort the run the way a spark panic
-		// does: fail() trips rt.failed, so a stealer blocked inside a
-		// force on a thunk main will now never update unwinds instead of
-		// spinning on it forever (done alone does not reach BlockOnThunk).
-		r.fail(runErr)
-	}
-	r.done.Store(true)
-	r.wake() // parked stealers must observe done to exit
+	value, err := p.runMain(j, &w0.ctx, main)
 	w0.maybePublish()
-	r.stealers.Wait()
-	r.forks.Wait()
-	wall := time.Since(start)
+	// The workers stop before the outcome is decided, so a spark that
+	// fails after main returned still fails the run.
+	p.stop()
+	p.finish(j, value, err)
 
-	gcDelta := gcWin.End()
-
-	if runErr == nil {
-		runErr = r.err
-	}
-
-	res := &Result{Value: value, WallNS: wall.Nanoseconds(), Workers: cfg.Workers}
-	res.GC = GCStats{
-		GOGC:       gogc,
-		Cycles:     gcDelta.Cycles,
-		PauseNS:    gcDelta.PauseNS,
-		BytesAlloc: gcDelta.BytesAlloc,
-		Shared:     gcDelta.Shared,
-	}
-	res.PerWorker = make([]Stats, cfg.Workers)
-	res.Stats = r.extern.load()
-	res.Stats.SparksLeftover = int64(len(r.inject) - r.injectHead)
+	jr := j.result
+	res := &Result{Value: jr.Value, WallNS: jr.WallNS, Workers: len(r.workers),
+		Stats: jr.Stats, GC: p.gcStats(p.shutdown()), PerWorker: make([]Stats, len(r.workers))}
 	for i, w := range r.workers {
-		// Safe plain reads: the WaitGroup barrier (and, for worker 0,
-		// goroutine identity) orders every owner write before these.
-		ws := w.ctr.stats()
+		// Safe plain reads: the workers' WaitGroup barrier (and, for
+		// worker 0, goroutine identity) orders every owner write first.
+		ws := w.ctr.Stats
 		ws.SparksLeftover = int64(w.pool.Size())
 		res.PerWorker[i] = ws
 		res.Stats.Add(ws)
@@ -597,49 +521,17 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 		res.GC.ArenaChunks += chunks
 		res.GC.ArenaThunks += thunks
 	}
-	if r.events != nil {
-		r.events.Close(res.WallNS)
-		res.Events = r.events
+	if events != nil {
+		// A failed run keeps its drained rings too, so tracedump can
+		// render the timeline of a crashed or deadlocked run.
+		events.Close(res.WallNS)
+		res.Events = events
 	}
-	if runErr != nil {
-		// Failed runs still return the partial Result: the event rings
-		// are drained and closed above (the stealers/forks barrier has
-		// already been crossed), so tracedump can render the timeline of
-		// a crashed or deadlocked run for post-mortems. Only the value
-		// is withheld.
-		res.Value = nil
-		return res, runErr
-	}
-	return res, nil
-}
-
-// deadlockError builds the watchdog's structured report from the
-// per-worker blocked gauges. Reads are racy by nature (the run is live)
-// but the gauges are atomic, so the report is a consistent-enough
-// point-in-time sample.
-func (r *rt) deadlockError(elapsed time.Duration) *faults.DeadlockError {
-	de := &faults.DeadlockError{Backend: "native", Reason: "deadline", Elapsed: elapsed}
-	for _, w := range r.workers {
-		if w.blocked.Load() > 0 {
-			name := fmt.Sprintf("stealer-%d", w.id)
-			if w.id == 0 {
-				name = "main"
-			}
-			de.Blocked = append(de.Blocked, faults.BlockedThread{
-				PE: w.id, Thread: name, Reason: "thunk", Chan: -1, Peer: -1,
-			})
-		}
-	}
-	if n := r.externBlocked.Load(); n > 0 {
-		de.Blocked = append(de.Blocked, faults.BlockedThread{
-			PE: -1, Thread: fmt.Sprintf("%d forked", n), Reason: "thunk", Chan: -1, Peer: -1,
-		})
-	}
-	return de
+	return res, j.waitErr
 }
 
 // snapshot sums the workers' published counter snapshots and the
-// forked-thread counters into one Stats. It is safe to call from any
+// job-less forks' counters into one Stats. It is safe to call from any
 // goroutine while the run is in flight: workers publish immutable
 // snapshots at coarse points (so a busy worker's contribution lags by
 // at most one spark execution), and the pool sizes are the deque's
@@ -658,52 +550,29 @@ func (r *rt) snapshot() Stats {
 	return s
 }
 
-// fail records the first worker failure and aborts the run.
-func (r *rt) fail(err error) {
-	r.errOnce.Do(func() { r.err = err })
-	r.failed.Store(true)
-	r.done.Store(true)
-	r.wake() // parked workers must observe the abort
-}
-
 // fork starts body as a real goroutine. Its sparks go to the shared
-// injection queue; Run waits for all forks before returning. In
-// resident mode the fork belongs to a job: its counters route to the
-// job, its failure fails only that job, and the job's Wait covers it.
+// injection queue. A fork belongs to job j (nil for a job-less fork in
+// a resident pool): its counters route to the job, its failure fails
+// the job, and the job's end waits for it. A job-less fork's panic only
+// poisons its claims, as an untagged spark's does.
 func (r *rt) fork(name string, body func(exec.Ctx), j *Job) {
-	r.forks.Add(1)
 	if j != nil {
 		j.forks.Add(1)
 	}
 	go func() {
-		defer r.forks.Done()
 		if j != nil {
 			defer j.forks.Done()
 		}
 		c := Ctx{rt: r, job: j}
 		defer func() {
 			if p := recover(); p != nil {
-				var err error
-				switch p {
-				case errAborted:
-					err = r.err // set before rt.failed, so visible here
-				case errJobAborted:
-					err = j.takeErr()
-				default:
-					err = panicErr(fmt.Sprintf("native: forked thread %q panicked", name), p)
-				}
+				err := j.abortErr(p, fmt.Sprintf("native: forked thread %q panicked", name))
 				// Orphaned-claim recovery: thunks this dead thread still
 				// holds eager claims on would block their forcers forever;
 				// poisoning routes those forcers to the failure path.
-				if n := poisonClaims(c.claims, err, nil); n > 0 {
-					r.poisoned.Add(n)
-				}
-				if p != errAborted && p != errJobAborted {
-					if j != nil {
-						j.fail(err)
-					} else {
-						r.fail(err)
-					}
+				c.poison(err)
+				if j != nil {
+					j.fail(err)
 				}
 			}
 		}()

@@ -25,13 +25,13 @@ var (
 	ErrPoolDraining = errors.New("native: pool draining")
 )
 
-// Pool is the resident form of the native work-stealing runtime: the
-// workers, their deques and their thunk arenas are created once and
-// stay up, and programs are submitted as jobs instead of each Run
-// paying worker startup and teardown. Unlike Run, no worker is the
-// caller's goroutine — every worker is a resident stealing loop, and
-// each job's main function runs on its own goroutine, feeding the
-// workers through the injection queue.
+// Pool is the native work-stealing runtime: the workers, their deques
+// and their thunk arenas are created once, and programs are submitted
+// as jobs. A resident pool (NewPool) stays up across jobs: every worker
+// is a goroutine running the same loop, and each job's main function
+// runs on its own goroutine, feeding the workers through the injection
+// queue. A batch Run is a pool that runs one job with the caller's
+// goroutine as worker 0, then closes.
 //
 // Isolation: each job carries its own result cell, failure latch,
 // deadline, fault budget, counter set and (optionally) eventlog scope.
@@ -41,7 +41,7 @@ var (
 // back to stealing. GC telemetry is deliberately pool-scoped: Go's
 // collector is process-global, so per-job deltas would be fiction; GC
 // reports what the collector did since the pool started, flagged
-// Shared if any batch Run overlapped (see internal/gcscope).
+// Shared if any other pool's window overlapped (see internal/gcscope).
 type Pool struct {
 	rt    *rt
 	start time.Time
@@ -90,8 +90,8 @@ type JobConfig struct {
 	// by the job's main thread (run/block brackets, spark pushes), and
 	// buffer 1+w is worker w's job-scoped ring — each worker mirrors
 	// the brackets of the sparks it converts *for this job* into it, so
-	// the drained log is one request's cross-worker timeline. Pool-wide
-	// worker rings (Config.EventLog on Run) are unaffected.
+	// the drained log is one request's cross-worker timeline. A batch
+	// Run's per-worker rings (Config.EventLog) are a separate set.
 	EventLog bool
 	// EventLogConfig tunes the rings (zero value = defaults).
 	EventLogConfig eventlog.Config
@@ -101,13 +101,14 @@ type JobConfig struct {
 	TraceID int32
 }
 
-// Job is one resident submission: a program plus its isolation scope.
+// Job is one submission — a resident job, or a batch Run's one job: a
+// program plus its isolation scope.
 type Job struct {
-	id   int64
-	pool *Pool
+	id int64
 
 	// ctr is the job's exclusive counter set, written only by the job's
-	// main thread and its forks (atomic: forks are concurrent). Worker-
+	// nil-worker threads — a resident main thread and the forks (atomic:
+	// forks are concurrent). Worker-
 	// side execution (conversions, steals) stays in the per-worker
 	// stats — that split is what makes pool snapshots monotone: nothing
 	// writes ctr after the job's threads have joined.
@@ -120,7 +121,7 @@ type Job struct {
 	// active gauges workers currently converting this job's injected
 	// sparks: incremented under injectMu at pop, decremented when the
 	// conversion ends (normally in runSpark, on panic at the containing
-	// recovery). runJob waits for it to reach zero after purging the
+	// recovery). finish waits for it to reach zero after purging the
 	// queue, so a job's outcome is decided only after every worker has
 	// let go of its work — a worker-side failure can't land after the
 	// job reported success, and a retired job is untouchable.
@@ -143,7 +144,7 @@ type Job struct {
 	waitErr error
 }
 
-// JobResult is the outcome of one resident job.
+// JobResult is the outcome of one job.
 type JobResult struct {
 	// Value is what the job's main function returned (nil on failure).
 	Value graph.Value
@@ -180,7 +181,7 @@ func (h *JobHandle) Done() <-chan struct{} { return h.job.done }
 // workerBuf returns worker id's job-scoped event ring, or nil when the
 // job (or its eventlog) doesn't exist. Only worker id may write to the
 // returned buffer, and only while it holds one of the job's sparks
-// (active > 0) — runJob's active==0 wait is the barrier that makes the
+// (active > 0) — finish's active==0 wait is the barrier that makes the
 // post-run drain safe.
 func (j *Job) workerBuf(id int) *eventlog.Buf {
 	if j == nil || j.events == nil {
@@ -189,52 +190,88 @@ func (j *Job) workerBuf(id int) *eventlog.Buf {
 	return j.events.Buf(1 + id)
 }
 
-// fail records the job's first failure. Blocked forces working for the
-// job poll the latch, so no wakeup is needed.
+// fail records the job's first failure. Forces working for the job
+// poll the latch, so no wakeup is needed. errOnce.Do happens before the
+// Store, so a thread that sees failed set reads err safely.
 func (j *Job) fail(err error) {
 	j.errOnce.Do(func() { j.err = err })
 	j.failed.Store(true)
 }
 
-// takeErr reads the failure after observing failed=true (errOnce.Do
-// happens-before the Store, so err is visible).
-func (j *Job) takeErr() error { return j.err }
+// abortErr maps a panic value recovered from j's work to the failure it
+// stands for: j's recorded failure when it is the abort sentinel that
+// j's latch raised, else the panic itself, described by prefix.
+func (j *Job) abortErr(p any, prefix string) error {
+	if p == errJobAborted && j != nil {
+		return j.err
+	}
+	return panicErr(prefix, p)
+}
 
-// NewPool starts a resident pool: cfg.Workers stealing loops, arenas
-// warm, ready for Submit. Config fields are honoured as in Run, except
-// that Config.EventLog is per-job in resident mode (use
-// JobConfig.EventLog) and Config.Deadline/Faults become per-job too
-// (JobConfig); pool-wide Faults still apply to untagged work.
-// Config.GCPercent, if set, is leased for the pool's whole lifetime.
-// Config.Sampler, if set, receives the pool's Snapshot function.
-func NewPool(cfg Config) *Pool {
+// newPool builds a pool whose workers have not started yet, with its
+// GOGC lease and GC window open.
+func newPool(cfg Config) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{start: time.Now(), live: map[int64]*Job{}}
 	if cfg.GCPercent != 0 {
+		// The GOGC knob is process-global; the lease serialises
+		// conflicting set/restore pairs so concurrent pools cannot
+		// corrupt each other's targets (internal/gcscope).
 		p.release = gcscope.LeaseFn(cfg.GCPercent)
 	}
-	r := newRT(cfg, true)
+	p.rt = newRT(cfg)
+	p.gogc = readGOGC()
+	p.gcWin = gcscope.Begin()
+	return p
+}
+
+// NewPool starts a resident pool: cfg.Workers worker goroutines, arenas
+// warm, ready for Submit. Config fields are honoured as in Run, except
+// that Config.EventLog and Config.Deadline are per-job in a pool (use
+// JobConfig.EventLog and JobConfig.Deadline); Config.Faults governs the
+// jobs without a JobConfig.Faults budget and untagged work.
+// Config.GCPercent, if set, is leased for the pool's whole lifetime.
+// Config.Sampler, if set, receives the pool's Snapshot function.
+func NewPool(cfg Config) *Pool {
+	p := newPool(cfg)
 	// Resident pools are always observable: Snapshot may be called at
 	// any time (serve's /stats, metrics collectors), so workers publish
 	// coarse snapshots regardless of Sampler.
-	r.sampled = true
-	p.rt = r
-	p.gogc = readGOGC()
-	p.gcWin = gcscope.Begin()
-	for _, w := range r.workers {
-		r.stealers.Add(1)
-		go w.residentLoop()
+	p.rt.sampled = true
+	if cfg.Metrics != nil {
+		p.pm = newPoolMetrics(cfg.Metrics, p)
+		p.rt.pm = p.pm
 	}
+	p.startWorkers(0)
 	if cfg.Sampler != nil {
 		cfg.Sampler(p.Snapshot)
 	}
-	if cfg.Metrics != nil {
-		p.pm = newPoolMetrics(cfg.Metrics, p)
-		r.pm = p.pm
-	}
 	return p
+}
+
+// startWorkers launches worker goroutines from worker `from` on: 0 for
+// a resident pool, 1 for a batch Run, whose caller is worker 0. Each
+// runs stealPass until the pool stops; a pass ends early only to
+// contain a spark panic, so one job's failure never costs the pool a
+// worker.
+func (p *Pool) startWorkers(from int) {
+	r := p.rt
+	for _, w := range r.workers[from:] {
+		r.stealers.Add(1)
+		go func() {
+			defer r.stealers.Done()
+			for !r.done.Load() {
+				w.stealPass()
+			}
+			// Final publication: without it, counter changes since the
+			// last coarse publish point — e.g. steal attempts from the
+			// closing sweep — would never reach a sampler that reads
+			// after the run.
+			w.maybePublish()
+		}()
+	}
 }
 
 // Workers reports the pool's worker count.
@@ -249,17 +286,28 @@ func (p *Pool) Submit(jc JobConfig, main exec.Program) (*JobHandle, error) {
 	if main == nil {
 		return nil, errors.New("native: nil job main")
 	}
+	j, err := p.admit(jc)
+	if err != nil {
+		return nil, err
+	}
+	p.arm(j, jc.Deadline)
+	go p.runJob(j, main)
+	return &JobHandle{job: j}, nil
+}
+
+// admit registers a new live job, unless the pool is draining or
+// closed.
+func (p *Pool) admit(jc JobConfig) (*Job, error) {
 	p.jobsMu.Lock()
+	defer p.jobsMu.Unlock()
 	if p.closed {
-		p.jobsMu.Unlock()
 		return nil, ErrPoolClosed
 	}
 	if p.draining {
-		p.jobsMu.Unlock()
 		return nil, ErrPoolDraining
 	}
 	p.jobSeq++
-	j := &Job{id: p.jobSeq, pool: p, faults: jc.Faults,
+	j := &Job{id: p.jobSeq, faults: jc.Faults,
 		start: time.Now(), done: make(chan struct{})}
 	if jc.EventLog {
 		j.events = eventlog.New(j.start, 1+len(p.rt.workers), jc.EventLogConfig)
@@ -273,31 +321,51 @@ func (p *Pool) Submit(jc JobConfig, main exec.Program) (*JobHandle, error) {
 	}
 	p.live[j.id] = j
 	p.jobs.Add(1)
-	p.jobsMu.Unlock()
-
-	if jc.Deadline > 0 {
-		j.deadline = time.AfterFunc(jc.Deadline, func() {
-			if j.failed.Load() {
-				return
-			}
-			select {
-			case <-j.done:
-				return
-			default:
-			}
-			j.fail(p.jobDeadlockError(j, time.Since(j.start)))
-		})
-	}
-	go p.runJob(j, main)
-	return &JobHandle{job: j}, nil
+	return j, nil
 }
 
-// jobDeadlockError builds the structured deadline failure for one job
-// from the gauges we can attribute to it: its own blocked threads. (A
-// worker blocked while converting the job's spark shows up in the
-// pool-level gauges, not here — worker state is shared.)
-func (p *Pool) jobDeadlockError(j *Job, elapsed time.Duration) *faults.DeadlockError {
-	de := &faults.DeadlockError{Backend: "native", Reason: "deadline", Elapsed: elapsed}
+// arm bounds job j's wall-clock time by d (from admission), if d > 0:
+// a job still in flight when it elapses fails with a structured
+// *faults.DeadlockError.
+func (p *Pool) arm(j *Job, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	j.deadline = time.AfterFunc(d, func() {
+		if j.failed.Load() {
+			return
+		}
+		select {
+		case <-j.done:
+			return
+		default:
+		}
+		j.fail(p.deadlockError(j))
+	})
+}
+
+// deadlockError builds job j's structured deadline failure from the
+// gauges that can be attributed to it: its own blocked nil-worker
+// threads and, when j owns the pool's untagged work (a batch run), every
+// blocked worker — worker 0 being its main thread. In a resident pool a
+// worker blocked while converting the job's spark is not named: worker
+// state is shared. The gauges are atomic but the run is live, so the
+// report is a point-in-time sample.
+func (p *Pool) deadlockError(j *Job) *faults.DeadlockError {
+	de := &faults.DeadlockError{Backend: "native", Reason: "deadline", Elapsed: time.Since(j.start)}
+	if j == p.rt.own {
+		for _, w := range p.rt.workers {
+			if w.blocked.Load() > 0 {
+				name := fmt.Sprintf("stealer-%d", w.id)
+				if w.id == 0 {
+					name = "main"
+				}
+				de.Blocked = append(de.Blocked, faults.BlockedThread{
+					PE: w.id, Thread: name, Reason: "thunk", Chan: -1, Peer: -1,
+				})
+			}
+		}
+	}
 	if n := j.blocked.Load(); n > 0 {
 		de.Blocked = append(de.Blocked, faults.BlockedThread{
 			PE: -1, Thread: fmt.Sprintf("job-%d (%d blocked)", j.id, n),
@@ -307,47 +375,48 @@ func (p *Pool) jobDeadlockError(j *Job, elapsed time.Duration) *faults.DeadlockE
 	return de
 }
 
-// runJob is the job's main-thread goroutine: the resident counterpart
-// of Run's caller-goroutine bracket, scoped to one job.
+// runJob is a resident job's main-thread goroutine.
 func (p *Pool) runJob(j *Job, main exec.Program) {
-	defer p.jobs.Done()
 	if p.pm != nil {
 		// Scheduling latency: Submit to the job goroutine actually
 		// starting (goroutine wakeup + admission bookkeeping).
 		p.pm.schedWait.Observe(time.Since(j.start).Nanoseconds())
 	}
 	c := Ctx{rt: p.rt, job: j, ev: j.ev}
-	var value graph.Value
-	runErr := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				switch v {
-				case errAborted:
-					err = p.rt.err
-				case errJobAborted:
-					err = j.takeErr()
-				default:
-					err = panicErr(fmt.Sprintf("native: job %d main panicked", j.id), v)
-				}
-				// Orphaned-claim recovery, as in Run: poison what the dying
-				// main stack still holds so nothing blocks on it forever.
-				if n := poisonClaims(c.claims, err, nil); n > 0 {
-					p.rt.poisoned.Add(n)
-				}
-			}
-		}()
-		if j.ev != nil {
-			j.ev.Emit(eventlog.RunBegin)
+	value, err := p.runMain(j, &c, main)
+	p.finish(j, value, err)
+}
+
+// runMain runs main as job j's main thread on context c — a fresh
+// context for a resident job, worker 0's for a batch run — and returns
+// its value or its failure. A panic poisons the claims the dying stack
+// still holds, so nothing blocks on them forever (this matters when a
+// supervisor retries on the same heap graph), and fails the job, so
+// every force waiting for it unwinds.
+func (p *Pool) runMain(j *Job, c *Ctx, main exec.Program) (value graph.Value, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = j.abortErr(v, fmt.Sprintf("native: job %d main panicked", j.id))
+			c.poison(err)
+			j.fail(err)
 		}
-		value = main(&c)
-		if j.ev != nil {
-			j.ev.Emit(eventlog.RunEnd)
-		}
-		return nil
 	}()
-	if runErr != nil {
-		j.fail(runErr)
+	ev := c.events()
+	if ev != nil {
+		ev.Emit(eventlog.RunBegin)
 	}
+	value = main(c)
+	if ev != nil {
+		ev.Emit(eventlog.RunEnd)
+	}
+	return value, nil
+}
+
+// finish ends job j once its main thread has returned value or err:
+// it joins the job's forks, settles its sparks, decides the outcome and
+// retires the job.
+func (p *Pool) finish(j *Job, value graph.Value, err error) {
+	defer p.jobs.Done()
 	j.forks.Wait()
 	// Drop the job's still-queued speculative sparks: nothing will need
 	// them (the main thread has returned or died), and leaving them
@@ -366,23 +435,21 @@ func (p *Pool) runJob(j *Job, main exec.Program) {
 	if j.deadline != nil {
 		j.deadline.Stop()
 	}
-
-	if runErr == nil && j.failed.Load() {
-		runErr = j.takeErr() // a fork or worker failed the job
+	if err == nil && j.failed.Load() {
+		err = j.err // a fork or worker failed the job
 	}
-	wall := time.Since(j.start)
-	res := &JobResult{WallNS: wall.Nanoseconds(), Stats: j.ctr.load()}
+	res := &JobResult{WallNS: time.Since(j.start).Nanoseconds(), Stats: j.ctr.load()}
 	res.Stats.SparksLeftover = leftover
 	if j.events != nil {
 		j.events.Close(res.WallNS)
 		res.Events = j.events
 	}
-	if runErr == nil {
+	if err == nil {
 		res.Value = value
 	}
 	j.result = res
-	j.waitErr = runErr
-	p.retire(j, runErr)
+	j.waitErr = err
+	p.retire(j, err)
 	close(j.done)
 }
 
@@ -422,7 +489,7 @@ func (p *Pool) JobsDone() int64   { return p.jobsDone.Load() }
 func (p *Pool) JobsFailed() int64 { return p.jobsFailed.Load() }
 
 // Snapshot sums the pool's counters: every worker's published
-// snapshot, the batch-extern set, all retired jobs, and every live
+// snapshot, the job-less forks' set, all retired jobs, and every live
 // job's exclusive counters. Safe from any goroutine at any time; all
 // cumulative fields are monotone non-decreasing across calls
 // (SparksLeftover is a gauge of currently pooled sparks).
@@ -440,11 +507,16 @@ func (p *Pool) Snapshot() Stats {
 // GC reports what Go's collector did since the pool started. It is
 // pool-scoped on purpose: the collector is process-global, so per-job
 // deltas would misattribute; Shared flags intervals during which some
-// other measurement window (a batch Run) overlapped the pool's.
+// other measurement window (another pool's) overlapped the pool's.
 func (p *Pool) GC() GCStats {
 	p.gcMu.Lock()
 	d := p.gcWin.Sample()
 	p.gcMu.Unlock()
+	return p.gcStats(d)
+}
+
+// gcStats labels a window delta with the GOGC the pool runs under.
+func (p *Pool) gcStats(d gcscope.Delta) GCStats {
 	return GCStats{GOGC: p.gogc, Cycles: d.Cycles, PauseNS: d.PauseNS,
 		BytesAlloc: d.BytesAlloc, Shared: d.Shared}
 }
@@ -469,49 +541,43 @@ func (p *Pool) Close() {
 	p.jobsMu.Unlock()
 
 	p.jobs.Wait()
-	p.rt.done.Store(true)
-	p.rt.wake() // parked workers must observe done
-	p.rt.stealers.Wait()
-	p.gcMu.Lock()
-	p.gcWin.End()
-	p.gcMu.Unlock()
-	if p.release != nil {
-		p.release()
-	}
+	p.shutdown()
 	p.jobsMu.Lock()
 	p.closed = true
 	p.jobsMu.Unlock()
 }
 
-// residentLoop is the body of a pool worker: stealPass until the pool
-// closes. Each pass absorbs one spark panic — poisoning the dead
-// work's claims and failing the owning job — and the loop restarts, so
-// one job's failure never costs the pool a worker.
-func (w *worker) residentLoop() {
-	defer w.rt.stealers.Done()
-	for !w.rt.done.Load() {
-		w.stealPass()
-	}
-	w.maybePublish()
+// stop makes every worker goroutine exit and waits for them.
+// Idempotent.
+func (p *Pool) stop() {
+	p.rt.done.Store(true)
+	p.rt.wake() // parked workers must observe done
+	p.rt.stealers.Wait()
 }
 
-// stealPass is one panic-scope of a resident worker: the same
-// take/run/back-off loop as stealLoop, but a spark panic is contained
-// here instead of failing the runtime. The recovery attributes the
-// failure to the job whose spark was converting (w.curJob, left in
-// place by runSpark's panic path); an untagged spark's panic reaches
-// its victims through the poisoned claims alone.
+// shutdown stops the workers, closes the GC window and releases the
+// GOGC lease, returning the window's delta.
+func (p *Pool) shutdown() gcscope.Delta {
+	p.stop()
+	p.gcMu.Lock()
+	d := p.gcWin.End()
+	p.gcMu.Unlock()
+	if p.release != nil {
+		p.release()
+	}
+	return d
+}
+
+// stealPass is the worker loop: take a spark and run it, or back off,
+// until the pool stops. Idle brackets wrap maximal found-nothing
+// stretches (not individual back-off sleeps), so the eventlog stays
+// proportional to state changes, not to spin iterations. A spark panic
+// ends the pass: the recovery poisons the dead spark's claims and fails
+// the job it belonged to (failSpark), and the worker starts a new pass.
 func (w *worker) stealPass() {
 	defer func() {
 		if p := recover(); p != nil {
-			err := w.sparkPanicErr(p)
-			w.poisonClaims(err)
-			if j := w.curJob; j != nil {
-				if p != errAborted {
-					j.fail(err)
-				}
-				j.active.Add(-1)
-			}
+			w.failSpark(p)
 			w.curJob = nil
 			w.maybePublish()
 		}
@@ -520,16 +586,27 @@ func (w *worker) stealPass() {
 	idle := false
 	for !w.rt.done.Load() {
 		if t, j := w.takeWork(); t != nil {
-			idle = false
+			if idle {
+				idle = false
+				if w.ev != nil {
+					w.ev.Emit(eventlog.IdleEnd)
+				}
+			}
 			w.runSpark(t, j)
 			spins = 0
 			continue
 		}
 		if !idle {
 			idle = true
+			if w.ev != nil {
+				w.ev.Emit(eventlog.IdleBegin)
+			}
 			w.maybePublish()
 		}
 		spins++
 		w.backoffWait(spins, true)
+	}
+	if idle && w.ev != nil {
+		w.ev.Emit(eventlog.IdleEnd)
 	}
 }

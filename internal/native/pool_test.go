@@ -330,3 +330,81 @@ func TestResidentSamplerMonotonic(t *testing.T) {
 		t.Fatalf("final SparksCreated = %d, want >= %d", final.SparksCreated, want)
 	}
 }
+
+// TestPoolJoblessForkPanicKeepsWorkers: a fork started by untagged work
+// belongs to no job, so its panic only poisons its claims. Job A's main
+// sparks s and waits on a Go channel, so a worker converts s; s sparks
+// inner without forcing it, leaving inner untagged on a worker deque;
+// inner forks a thread that closes the channel and dies holding a
+// claim. The pool must keep every worker: job B's main waits for a
+// spark only a worker can run.
+func TestPoolJoblessForkPanicKeepsWorkers(t *testing.T) {
+	p := NewPool(NewConfig(2))
+	defer p.Close()
+	ch := make(chan struct{})
+	bomb := exec.Thunk(func(exec.Ctx) graph.Value { panic("fork boom") })
+	inner := exec.Thunk(func(c exec.Ctx) graph.Value {
+		exec.Fork(c, "bomber", func(fc exec.Ctx) {
+			defer close(ch)
+			fc.Force(bomb)
+		})
+		return int64(0)
+	})
+	a, err := p.Submit(JobConfig{}, func(ctx exec.Ctx) graph.Value {
+		ctx.Par(exec.Thunk(func(c exec.Ctx) graph.Value {
+			c.Par(inner)
+			return int64(0)
+		}))
+		<-ch
+		return int64(1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitJob(t, a, nil)
+	// The fork's recovery poisons bomb before it does anything else with
+	// the failure, so from here on the failure has been handled.
+	for hang := time.Now().Add(30 * time.Second); bomb.State() != graph.Poisoned; time.Sleep(time.Millisecond) {
+		if time.Now().After(hang) {
+			t.Fatal("the forked thread's claim was never poisoned")
+		}
+	}
+
+	ch2 := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(ch2) }) }
+	b, err := p.Submit(JobConfig{}, func(ctx exec.Ctx) graph.Value {
+		ctx.Par(exec.Thunk(func(exec.Ctx) graph.Value {
+			release()
+			return int64(0)
+		}))
+		<-ch2
+		return int64(2)
+	})
+	if err != nil {
+		t.Fatalf("Submit after a job-less fork's panic: %v", err)
+	}
+	if res, err := awaitJob(t, b, release); err != nil || res.Value != int64(2) {
+		t.Fatalf("job B = %v, %v; want 2", res.Value, err)
+	}
+	if got := serve(t, p, euler.Program(200, 4, 0, true)); got != euler.SumTotientSieve(200) {
+		t.Fatalf("later job = %v, want %d", got, euler.SumTotientSieve(200))
+	}
+}
+
+// awaitJob waits for h like awaitRun waits for a Run: a job that never
+// completes fails the test after 30 s instead of hanging it. unstick, if
+// non-nil, is called first so the hung job can end and Close return.
+func awaitJob(t *testing.T, h *JobHandle, unstick func()) (*JobResult, error) {
+	t.Helper()
+	select {
+	case <-h.Done():
+		return h.Wait()
+	case <-time.After(30 * time.Second):
+		if unstick != nil {
+			unstick()
+		}
+		t.Fatal("job hung: no worker converted its spark")
+		return nil, nil
+	}
+}

@@ -196,7 +196,7 @@ func TestNativeAutoProgramsMatchOracles(t *testing.T) {
 // allocating one per run (the spark hot-path alloc guard in
 // arena_test.go bounds the rest).
 func TestDefaultBackoffShared(t *testing.T) {
-	if r := newRT(NewConfig(2), false); r.bo != defaultBackoff {
+	if r := newRT(NewConfig(2)); r.bo != defaultBackoff {
 		t.Fatal("run without Config.Backoff allocated a private policy; want the shared default")
 	}
 }

@@ -13,61 +13,28 @@ import (
 	"parhask/internal/graph"
 )
 
-// wcounters is one worker's share of the run counters: plain int64
-// fields written only by the owning goroutine, never atomically. The
-// hot path (Par, steal, convert) therefore pays a plain register add
-// instead of a LOCK-prefixed RMW per event. Mid-run observers never
-// read these fields — the owner publishes immutable snapshots through
-// worker.pub when sampling is on (see maybePublish) — and Run reads
-// them directly only after the WaitGroup barrier, which orders the
-// owner's writes before the reader's loads.
+// wcounters is one worker's share of the run counters: plain fields
+// written only by the owning goroutine, never atomically. The hot path
+// (Par, steal, convert) therefore pays a plain register add instead of
+// a LOCK-prefixed RMW per event. Mid-run observers never read these
+// fields — the owner publishes immutable snapshots through worker.pub
+// when sampling is on (see maybePublish) — and Run reads them directly
+// only after the WaitGroup barrier, which orders the owner's writes
+// before the reader's loads. SparksLeftover stays zero: a pool's
+// leftovers are read off the deque.
 //
 // The pads keep the counter block on its own cache lines so a worker's
 // increments never false-share with a neighbouring worker's fields or
 // with the deque pointers thieves traverse.
 type wcounters struct {
-	_               [64]byte
-	sparksCreated   int64
-	sparksDud       int64
-	sparksConverted int64
-	sparksFizzled   int64
-	steals          int64
-	stealAttempts   int64
-	dupEntries      int64
-	dupResults      int64
-	blockedForces   int64
-	forks           int64
-	backoffSleeps   int64
-	backoffNS       int64
-	parks           int64
-	parkedNS        int64
-	_               [64]byte
-}
-
-// stats copies the counters into the exported form. Owner-only (or
-// post-barrier) — see the type comment.
-func (c *wcounters) stats() Stats {
-	return Stats{
-		SparksCreated:   c.sparksCreated,
-		SparksDud:       c.sparksDud,
-		SparksConverted: c.sparksConverted,
-		SparksFizzled:   c.sparksFizzled,
-		Steals:          c.steals,
-		StealAttempts:   c.stealAttempts,
-		DupEntries:      c.dupEntries,
-		DupResults:      c.dupResults,
-		BlockedForces:   c.blockedForces,
-		Forks:           c.forks,
-		BackoffSleeps:   c.backoffSleeps,
-		BackoffNS:       c.backoffNS,
-		Parks:           c.parks,
-		ParkedNS:        c.parkedNS,
-	}
+	_ [64]byte
+	Stats
+	_ [64]byte
 }
 
 // worker is one native capability: a goroutine with its own Chase–Lev
-// spark pool and its own thunk arena. Worker 0 is the caller's
-// goroutine running main; the rest run stealLoop.
+// spark pool and its own thunk arena. In a batch Run worker 0 is the
+// caller's goroutine running main; every other worker runs stealPass.
 type worker struct {
 	rt   *rt
 	id   int
@@ -125,11 +92,11 @@ type worker struct {
 	// another goroutine, hence atomic) to report who was stuck where.
 	blocked atomic.Int32
 
-	// curJob is the resident job whose spark this worker is currently
-	// converting (nil between sparks, in batch runs, and for untagged
-	// deque sparks). Owner-only plain field: runSpark saves/restores it
-	// around each conversion, so nested helping attributes correctly,
-	// and the residentLoop recovery reads it to fail the right job.
+	// curJob is the job whose injected spark this worker is currently
+	// converting (nil between sparks and for untagged deque sparks).
+	// Owner-only plain field: runSpark saves/restores it around each
+	// conversion, so nested helping attributes correctly, and the
+	// recovery in stealPass and helpSpark reads it to fail the right job.
 	curJob *Job
 }
 
@@ -160,6 +127,26 @@ func (w *worker) poisonClaims(err error) {
 	w.claims = w.claims[:0]
 }
 
+// poison poisons the claims still open on this context's stack — called
+// only from the recovery handler of the goroutine the context runs on.
+func (c *Ctx) poison(err error) {
+	if c.w != nil {
+		c.w.poisonClaims(err)
+	} else if n := poisonClaims(c.claims, err, nil); n > 0 {
+		c.rt.poisoned.Add(n)
+	}
+}
+
+// job returns the job this worker's current work belongs to: the
+// converting spark's, else the owner of untagged work (a batch run's
+// job; nil in a resident pool).
+func (w *worker) job() *Job {
+	if w.curJob != nil {
+		return w.curJob
+	}
+	return w.rt.own
+}
+
 // maxHelpDepth caps how many sparks a blocked force may run nested
 // inside one another before falling back to plain spinning.
 const maxHelpDepth = 64
@@ -180,7 +167,7 @@ func (w *worker) maybePublish() {
 	if !w.rt.sampled {
 		return
 	}
-	s := w.ctr.stats()
+	s := w.ctr.Stats
 	w.pub.Store(&s)
 	chunks, thunks := w.arena.Stats()
 	w.pubArenaChunks.Store(chunks)
@@ -191,10 +178,11 @@ func (w *worker) maybePublish() {
 // bodies and thunk computations. It implements graph.Context (the
 // forcing protocol), exec.Forker (the runtime-agnostic program
 // interface) and exec.ThunkAllocator (arena-backed thunk allocation).
-// A Ctx with a nil worker belongs to a forked goroutine, which owns no
-// deque and no arena: its sparks go to the shared injection queue, its
-// thunks to the global heap, its blocked forces spin without helping,
-// and its counters accumulate atomically in the runtime's extern set.
+// A Ctx with a nil worker belongs to a forked goroutine or a resident
+// job's main thread, which owns no deque and no arena: its sparks go to
+// the shared injection queue, its thunks to the global heap, its
+// blocked forces spin without helping, and its counters accumulate
+// atomically in its job's set (the runtime's extern set if job-less).
 type Ctx struct {
 	rt *rt
 	w  *worker
@@ -202,11 +190,11 @@ type Ctx struct {
 	// only; worker contexts keep theirs on the worker). It exists for
 	// the same orphaned-claim recovery as worker.claims.
 	claims []*graph.Thunk
-	// job is the resident job this context belongs to (nil in batch
-	// runs). Job contexts route their counters to the job's exclusive
-	// set, tag their sparks in the injection queue, and poll the job's
-	// failure latch — so one job's deadline or fault cannot unwind its
-	// pool neighbours.
+	// job is the job a nil-worker context belongs to (nil for a fork
+	// started by untagged work in a resident pool). Job contexts route
+	// their counters to the job's exclusive set, tag their sparks in the
+	// injection queue, and poll the job's failure latch — so one job's
+	// deadline or fault cannot unwind its pool neighbours.
 	job *Job
 	// ev is the job main thread's private event ring (nil elsewhere;
 	// workers carry theirs on the worker). Single-writer: only the one
@@ -230,8 +218,7 @@ func (c *Ctx) events() *eventlog.Buf {
 }
 
 // faults returns the injector governing this context: the job's own
-// budget when the context belongs to a resident job, else the
-// runtime-wide plan.
+// budget when its job has one, else the runtime-wide plan.
 func (c *Ctx) faults() *faults.Injector {
 	if c.job != nil && c.job.faults != nil {
 		return c.job.faults
@@ -239,23 +226,23 @@ func (c *Ctx) faults() *faults.Injector {
 	return c.rt.cfg.Faults
 }
 
-// jobOf returns the resident job the calling goroutine is currently
-// working for: the converting worker's current job, or the context's
-// own (job main threads and their forks). Nil in batch runs.
+// jobOf returns the job the calling goroutine is currently working
+// for: the worker's (see worker.job), or the context's own (resident
+// main threads and forks).
 func (c *Ctx) jobOf() *Job {
 	if c.w != nil {
-		return c.w.curJob
+		return c.w.job()
 	}
 	return c.job
 }
 
-// jctr returns the job counter set a nil-worker context should route
-// to, or nil when the context belongs to a batch run's forked thread.
+// jctr returns the counter set a nil-worker context routes to: its
+// job's, or the runtime's extern set for a job-less fork.
 func (c *Ctx) jctr() *counters {
 	if c.job != nil {
 		return &c.job.ctr
 	}
-	return nil
+	return &c.rt.extern
 }
 
 // Burn is a no-op: under the native runtime, time is consumed by
@@ -283,10 +270,10 @@ func (c *Ctx) NewThunkAdapted(adapt graph.AdaptFn, payload any) *graph.Thunk {
 func (c *Ctx) Par(t *graph.Thunk) {
 	if w := c.w; w != nil {
 		if t == nil || t.IsEvaluated() {
-			w.ctr.sparksDud++
+			w.ctr.SparksDud++
 			return
 		}
-		w.ctr.sparksCreated++
+		w.ctr.SparksCreated++
 		w.pool.PushBottom(t)
 		// Dekker handshake with the park lot: the seq-cst push above
 		// (the deque's bottom store) is ordered before this load, and
@@ -302,9 +289,6 @@ func (c *Ctx) Par(t *graph.Thunk) {
 		return
 	}
 	ctr := c.jctr()
-	if ctr == nil {
-		ctr = &c.rt.extern
-	}
 	if t == nil || t.IsEvaluated() {
 		ctr.sparksDud.Add(1)
 		return
@@ -322,16 +306,14 @@ func (c *Ctx) Force(t *graph.Thunk) graph.Value { return graph.Force(c, t) }
 // ForceDeep evaluates v to normal form on this worker.
 func (c *Ctx) ForceDeep(v graph.Value) graph.Value { return graph.ForceDeep(c, v) }
 
-// Fork starts body on a fresh goroutine (a real GpH thread). Under a
-// resident job the new thread inherits the job: its counters, faults
+// Fork starts body on a fresh goroutine (a real GpH thread). The new
+// thread inherits the job its creator works for: its counters, faults
 // and failure latch stay the job's.
 func (c *Ctx) Fork(name string, body func(exec.Ctx)) {
 	if c.w != nil {
-		c.w.ctr.forks++
-	} else if ctr := c.jctr(); ctr != nil {
-		ctr.forks.Add(1)
+		c.w.ctr.Forks++
 	} else {
-		c.rt.extern.forks.Add(1)
+		c.jctr().forks.Add(1)
 	}
 	if ev := c.events(); ev != nil {
 		ev.Emit(eventlog.Fork)
@@ -360,11 +342,9 @@ func (c *Ctx) WakeThunkWaiters(t *graph.Thunk) {}
 // NoteDuplicateEntry counts a lazy-black-holing duplicate entry.
 func (c *Ctx) NoteDuplicateEntry(t *graph.Thunk) {
 	if c.w != nil {
-		c.w.ctr.dupEntries++
-	} else if ctr := c.jctr(); ctr != nil {
-		ctr.dupEntries.Add(1)
+		c.w.ctr.DupEntries++
 	} else {
-		c.rt.extern.dupEntries.Add(1)
+		c.jctr().dupEntries.Add(1)
 	}
 	if ev := c.events(); ev != nil {
 		ev.Emit(eventlog.ThunkDupEntry)
@@ -405,11 +385,9 @@ func (c *Ctx) NoteReleased(t *graph.Thunk) {
 // NoteDuplicateResult counts a computed-then-discarded duplicate value.
 func (c *Ctx) NoteDuplicateResult(t *graph.Thunk) {
 	if c.w != nil {
-		c.w.ctr.dupResults++
-	} else if ctr := c.jctr(); ctr != nil {
-		ctr.dupResults.Add(1)
+		c.w.ctr.DupResults++
 	} else {
-		c.rt.extern.dupResults.Add(1)
+		c.jctr().dupResults.Add(1)
 	}
 }
 
@@ -422,18 +400,12 @@ func (c *Ctx) NoteDuplicateResult(t *graph.Thunk) {
 // row thunk's claim) polls t on the backoff ladder instead.
 func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 	if c.w != nil {
-		c.w.ctr.blockedForces++
+		c.w.ctr.BlockedForces++
 		c.w.blocked.Add(1)
 		defer c.w.blocked.Add(-1)
 		c.w.maybePublish()
 	} else {
-		if ctr := c.jctr(); ctr != nil {
-			ctr.blockedForces.Add(1)
-		} else {
-			c.rt.extern.blockedForces.Add(1)
-		}
-		c.rt.externBlocked.Add(1)
-		defer c.rt.externBlocked.Add(-1)
+		c.jctr().blockedForces.Add(1)
 		if j := c.job; j != nil {
 			j.blocked.Add(1)
 			defer j.blocked.Add(-1)
@@ -460,12 +432,9 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 			// dispatch loop raise the *graph.PoisonError.
 			break
 		}
-		if c.rt.failed.Load() {
-			panic(errAborted)
-		}
-		// A failed resident job must unwind its own waiters (its main
-		// thread, its forks, and workers converting its sparks) without
-		// touching the rest of the pool.
+		// A failed job must unwind its own waiters (its main thread, its
+		// forks, and workers converting its sparks) without touching the
+		// rest of the pool.
 		if j := c.jobOf(); j != nil && j.failed.Load() {
 			panic(errJobAborted)
 		}
@@ -501,7 +470,7 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 // Oversubscribed machines (more workers than cores, or a race-detector
 // build) would otherwise burn the cores the productive workers need.
 // Used by waits that have no worker identity (nil-worker blocked
-// forces, runJob's active-wait) — worker loops go through backoffWait,
+// forces, finish's active-wait) — worker loops go through backoffWait,
 // which reads the pool's configured policy and counts its sleeps.
 func idleWait(spins int) {
 	if spins < 64 {
@@ -533,8 +502,8 @@ func (w *worker) backoffWait(spins int, mayPark bool) {
 	}
 	t0 := time.Now()
 	time.Sleep(d)
-	w.ctr.backoffSleeps++
-	w.ctr.backoffNS += time.Since(t0).Nanoseconds()
+	w.ctr.BackoffSleeps++
+	w.ctr.BackoffNS += time.Since(t0).Nanoseconds()
 }
 
 // park blocks this worker on the pool condvar until a producer pushes
@@ -549,27 +518,27 @@ func (w *worker) park() {
 	r := w.rt
 	r.parkMu.Lock()
 	r.nparked.Add(1)
-	if r.done.Load() || r.failed.Load() || r.haveWork() {
+	if r.done.Load() || r.haveWork() {
 		r.nparked.Add(-1)
 		r.parkMu.Unlock()
 		return
 	}
 	gen := r.parkGen
-	w.ctr.parks++
+	w.ctr.Parks++
 	w.maybePublish()
 	t0 := time.Now()
-	for r.parkGen == gen && !r.done.Load() && !r.failed.Load() {
+	for r.parkGen == gen && !r.done.Load() {
 		r.parkCond.Wait()
 	}
 	r.nparked.Add(-1)
 	r.parkMu.Unlock()
-	w.ctr.parkedNS += time.Since(t0).Nanoseconds()
+	w.ctr.ParkedNS += time.Since(t0).Nanoseconds()
 }
 
 // takeWork returns the next spark to run — own pool first (LIFO, cache
 // warm), then a steal sweep over the other workers, then the injection
 // queue fed by forked threads and resident jobs — along with the job it
-// belongs to (nil for deque sparks and batch runs).
+// was injected by (nil for deque sparks).
 func (w *worker) takeWork() (*graph.Thunk, *Job) {
 	if t, ok := w.pool.PopBottom(); ok {
 		return t, nil
@@ -581,12 +550,12 @@ func (w *worker) takeWork() (*graph.Thunk, *Job) {
 		if v.pool.Empty() {
 			continue
 		}
-		w.ctr.stealAttempts++
+		w.ctr.StealAttempts++
 		if w.ev != nil {
 			w.ev.EmitArg(eventlog.StealAttempt, int32(v.id))
 		}
 		if t, ok := v.pool.Steal(); ok {
-			w.ctr.steals++
+			w.ctr.Steals++
 			if w.ev != nil {
 				w.ev.EmitArg(eventlog.StealSuccess, int32(v.id))
 			}
@@ -598,11 +567,10 @@ func (w *worker) takeWork() (*graph.Thunk, *Job) {
 
 // runSpark converts a spark: forces it unless it is already evaluated
 // (fizzled). The Run bracket around the force is what the timeline
-// reducer turns into the paper's green band. j is the resident job the
-// spark was injected by (nil for deque sparks and batch runs); it is
-// held in w.curJob across the force — restored on the normal path,
-// deliberately left in place on panic so the recovery handler knows
-// which job to fail.
+// reducer turns into the paper's green band. j is the job the spark was
+// injected by (nil for deque sparks); it is held in w.curJob across the
+// force — restored on the normal path, deliberately left in place on
+// panic so the recovery handler knows which job to fail.
 func (w *worker) runSpark(t *graph.Thunk, j *Job) {
 	if j != nil && j.failed.Load() {
 		// The job already failed (deadline, fault): drop its
@@ -610,13 +578,13 @@ func (w *worker) runSpark(t *graph.Thunk, j *Job) {
 		j.active.Add(-1)
 		return
 	}
-	// jb is the job's worker-scoped trace ring (nil for untraced jobs,
-	// batch runs and untagged sparks): the cross-worker view of one
-	// request. Safe to write until this worker's active decrement —
-	// runJob drains only after active reaches zero.
+	// jb is the job's worker-scoped trace ring (nil for untraced jobs
+	// and untagged sparks): the cross-worker view of one request. Safe
+	// to write until this worker's active decrement — finish drains only
+	// after active reaches zero.
 	jb := j.workerBuf(w.id)
 	if t.IsEvaluated() {
-		w.ctr.sparksFizzled++
+		w.ctr.SparksFizzled++
 		if w.ev != nil {
 			w.ev.Emit(eventlog.SparkFizzle)
 		}
@@ -628,7 +596,7 @@ func (w *worker) runSpark(t *graph.Thunk, j *Job) {
 		}
 		return
 	}
-	w.ctr.sparksConverted++
+	w.ctr.SparksConverted++
 	prev := w.curJob
 	w.curJob = j
 	inj := w.rt.cfg.Faults
@@ -667,50 +635,37 @@ func (w *worker) runSpark(t *graph.Thunk, j *Job) {
 	w.maybePublish()
 }
 
-// helpSpark runs a spark taken while blocked inside a force. In batch
-// mode it is runSpark verbatim (a panic propagates and fails the run,
-// as before). In resident mode the helped spark may belong to a
-// different job than the one we are blocked for, so its panic must not
-// unwind our force: it is contained here — claims opened by the helped
-// spark poisoned (the help precondition is an empty claim stack, so
-// everything open belongs to it), its job failed — and the blocked
-// force resumes waiting.
+// helpSpark runs a spark taken while blocked inside a force. The
+// helped spark may belong to a different job than the one we are
+// blocked for, so its panic must not unwind our force: it is contained
+// here (failSpark; the help precondition is an empty claim stack, so
+// every open claim is the helped spark's), and the blocked force
+// resumes waiting — or unwinds, if the failed job is its own.
 func (w *worker) helpSpark(t *graph.Thunk, j *Job) {
-	if !w.rt.resident {
-		w.runSpark(t, j)
-		return
-	}
 	entry := w.curJob
 	defer func() {
 		if p := recover(); p != nil {
-			err := w.sparkPanicErr(p)
-			w.poisonClaims(err)
-			if failed := w.curJob; failed != nil {
-				if p != errAborted {
-					failed.fail(err)
-				}
-				failed.active.Add(-1)
-			}
+			w.failSpark(p)
 			w.curJob = entry
 		}
 	}()
 	w.runSpark(t, j)
 }
 
-// sparkPanicErr maps a spark panic value to the error that should
-// poison the dead spark's claims: the pool/job failure for the abort
-// sentinels, a wrapped panic error otherwise.
-func (w *worker) sparkPanicErr(p any) error {
-	switch p {
-	case errAborted:
-		return w.rt.err // set before rt.failed, so visible here
-	case errJobAborted:
-		if j := w.curJob; j != nil {
-			return j.takeErr()
-		}
-		return errJobAborted
-	default:
-		return panicErr(fmt.Sprintf("native: worker %d: spark panicked", w.id), p)
+// failSpark is the recovery shared by stealPass and helpSpark: it
+// poisons the claims the dead spark opened, fails the job the spark
+// belonged to (none for an untagged spark in a resident pool, whose
+// victims learn of it through the poisoned claims alone), and releases
+// the worker's hold on a tagged spark's job.
+func (w *worker) failSpark(p any) {
+	j := w.job()
+	err := j.abortErr(p, fmt.Sprintf("native: worker %d: spark panicked", w.id))
+	w.poisonClaims(err)
+	if j != nil {
+		j.fail(err)
+	}
+	if w.curJob != nil {
+		w.curJob.active.Add(-1)
 	}
 }
 
@@ -740,64 +695,5 @@ func (w *worker) injectSparkFaults(inj *faults.Injector) {
 			w.ev.EmitArg(eventlog.FaultPanic, int32(f.Index))
 		}
 		panic(f)
-	}
-}
-
-// stealLoop is the body of workers 1..N-1: take work until the main
-// thread finishes. A panic inside a spark aborts the whole run with an
-// error rather than crashing the process. Idle brackets wrap maximal
-// found-nothing stretches (not individual back-off sleeps), so the
-// eventlog stays proportional to state changes, not to spin iterations.
-func (w *worker) stealLoop() {
-	defer w.rt.stealers.Done()
-	defer func() {
-		if p := recover(); p != nil {
-			var err error
-			if p == errAborted {
-				err = w.rt.err // set before rt.failed, so visible here
-			} else {
-				err = panicErr(fmt.Sprintf("native: worker %d: spark panicked", w.id), p)
-			}
-			// Orphaned-claim recovery: poison every thunk this dead
-			// worker still holds a claim on, so a peer blocked on one of
-			// them unblocks into the failure path (Force raises
-			// *graph.PoisonError) instead of waiting forever.
-			w.poisonClaims(err)
-			if p != errAborted {
-				w.rt.fail(err)
-			}
-		}
-	}()
-	// Final publication (runs on every exit path, including a spark
-	// panic): without it, counter changes since the last coarse publish
-	// point — e.g. steal attempts from the closing sweep — would never
-	// reach a sampler that reads after the run.
-	defer w.maybePublish()
-	spins := 0
-	idle := false
-	for !w.rt.done.Load() {
-		if t, j := w.takeWork(); t != nil {
-			if idle {
-				idle = false
-				if w.ev != nil {
-					w.ev.Emit(eventlog.IdleEnd)
-				}
-			}
-			w.runSpark(t, j)
-			spins = 0
-			continue
-		}
-		if !idle {
-			idle = true
-			if w.ev != nil {
-				w.ev.Emit(eventlog.IdleBegin)
-			}
-			w.maybePublish()
-		}
-		spins++
-		w.backoffWait(spins, true)
-	}
-	if idle && w.ev != nil {
-		w.ev.Emit(eventlog.IdleEnd)
 	}
 }
