@@ -95,8 +95,8 @@ func RunGOGCSweep(p Params, settings []int) *GOGCSweep {
 		// sumEuler with the list-allocating φ kernel: the Go
 		// transcription of the Haskell program's per-φ garbage, so the
 		// GC target actually has allocation to govern (the scheduler
-		// benchmarks use the allocation-free kernel, which no GOGC
-		// setting can affect).
+		// benchmarks use the direct kernel, one small table a chunk,
+		// which no GOGC setting can affect).
 		{"sumEuler-list",
 			func() exec.Program { return euler.AllocProgram(p.SumEulerN, p.SumEulerChunks) },
 			func(v graph.Value) bool { return v.(int64) == eulerWant }},

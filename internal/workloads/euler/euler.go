@@ -10,14 +10,17 @@
 //	sum (map phi [1..n])
 //	  where phi k = length (filter (relprime k) [1..k-1])
 //
-// The native kernel (PhiDirect) runs those gcds in uint32, four
-// independent Euclid chains interleaved, so k must fit in a uint32; the
-// simulator still charges each gcd's steps as the paper's gcd takes them.
+// The native kernel (SumRangeDirect, and PhiDirect for one k) runs those
+// gcds in uint32, four Euclid chains in lock step, each remainder taken
+// by multiplying with a reciprocal from a table built per call, so k
+// must fit in a uint32; the simulator still charges each gcd's steps as
+// the paper's gcd takes them.
 package euler
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"parhask/internal/graph"
@@ -128,66 +131,134 @@ func gcd32(a, b uint32) uint32 {
 	return a
 }
 
-// PhiDirect computes φ(k) by trial gcd with no memoisation and no
-// virtual-cost accounting: the kernel the native runtime times for real.
-// (The memo cache in Phi would turn repeated wall-clock runs into map
-// lookups and destroy the measurement.)
-//
-// Every j < k still gets a full Euclid gcd(k, j) with the remainder
-// sequence of the paper's gcd, but in uint32 and four j at a time: the
-// four chains advance in lock step until one reaches zero, then each is
-// finished alone by gcd32. The chains are independent, so their
-// divides overlap instead of each waiting on the last one's latency.
-// k must fit in a uint32 (ParseSpec caps n at 1<<24); PhiDirect panics
-// above that rather than truncate.
-func PhiDirect(k int) int {
-	if k == 1 {
-		return 1 // φ(1) = 1 by convention
+// maxTableK is the largest k whose φ runs on the reciprocal table: the
+// largest n a workload spec accepts, so every k a spec can ask for takes
+// the one kernel. What bounds it is the table's memory: a SumRangeDirect
+// call over [lo, hi] holds min(hi, maxTableK) uint64s while it runs,
+// 64 KiB at the benchmark's n = 8000 and 128 MiB at the cap, once per
+// call running at the same time. Above the cap each j runs gcd32.
+const maxTableK = 1 << 24
+
+// recip is the multiplier rem takes for divisor d ≥ 1: ⌈2⁶⁴/d⌉ for
+// d ≥ 2, which is ⌊(2⁶⁴−1)/d⌋ + 1, and 0 for d = 1, where that sum wraps.
+func recip(d uint32) uint64 {
+	return math.MaxUint64/uint64(d) + 1
+}
+
+// reciprocals returns rt[0..n) with rt[d] = recip(d) for d ≥ 1 and
+// rt[0] = 0, so rt[0] = rt[1] = 0.
+func reciprocals(n int) []uint64 {
+	rt := make([]uint64, n)
+	for d := 1; d < n; d++ {
+		rt[d] = recip(uint32(d))
 	}
-	if uint64(k) > math.MaxUint32 {
-		panic(fmt.Sprintf("euler: PhiDirect(%d): k exceeds uint32", k))
-	}
-	kk := uint32(k)
+	return rt
+}
+
+// rem is a mod b for any uint32 a, given r = rt[b]: Lemire, Kaser and
+// Kurz's direct remainder ("Faster Remainder by Direct Computation",
+// 2019), exact for every a and every b < 2³². It is 0 when b ≤ 1,
+// where r = 0.
+func rem(a, b uint32, r uint64) uint32 {
+	hi, _ := bits.Mul64(r*uint64(a), uint64(b))
+	return uint32(hi)
+}
+
+// phiLanes is φ(k) for 2 ≤ k ≤ maxTableK, given rt[d] = ⌈2⁶⁴/d⌉ for
+// every d < k. Four j advance in lock step, each running Euclid's
+// gcd(k, j) with the remainder sequence of the paper's gcd. A lane
+// whose b has reached 0 keeps its a (the gcd) and gets remainder 0, so
+// the round loop's one branch is its exit, taken when all four are
+// done. The last group pads j ≥ k with b = 0, whose gcd is k ≠ 1.
+func phiLanes(k uint32, rt []uint64) int {
+	rt = rt[:k]
 	phi := 0
-	j := uint32(1)
-	for ; kk-j >= 4; j += 4 {
-		a0, b0 := kk, j
-		a1, b1 := kk, j+1
-		a2, b2 := kk, j+2
-		a3, b3 := kk, j+3
-		for b0 != 0 && b1 != 0 && b2 != 0 && b3 != 0 {
-			a0, b0 = b0, a0%b0
-			a1, b1 = b1, a1%b1
-			a2, b2 = b2, a2%b2
-			a3, b3 = b3, a3%b3
+	for j := uint32(1); j < k; j += 4 {
+		a0, b0 := k, j
+		a1, b1 := k, pad(j+1, k)
+		a2, b2 := k, pad(j+2, k)
+		a3, b3 := k, pad(j+3, k)
+		for b0|b1|b2|b3 != 0 {
+			r0 := rem(a0, b0, rt[b0])
+			r1 := rem(a1, b1, rt[b1])
+			r2 := rem(a2, b2, rt[b2])
+			r3 := rem(a3, b3, rt[b3])
+			a0, b0 = keep(a0, b0), r0
+			a1, b1 = keep(a1, b1), r1
+			a2, b2 = keep(a2, b2), r2
+			a3, b3 = keep(a3, b3), r3
 		}
-		for _, g := range [4]uint32{gcd32(a0, b0), gcd32(a1, b1), gcd32(a2, b2), gcd32(a3, b3)} {
-			if g == 1 {
-				phi++
-			}
-		}
-	}
-	for ; j < kk; j++ {
-		if gcd32(kk, j) == 1 {
-			phi++
-		}
+		phi += isOne(a0) + isOne(a1) + isOne(a2) + isOne(a3)
 	}
 	return phi
 }
 
-// SumRangeDirect sums φ(k) for k in [lo, hi] with the uncached kernel.
+// pad is j if j < k, else 0: a lane with nothing to compute.
+func pad(j, k uint32) uint32 {
+	if j >= k {
+		return 0
+	}
+	return j
+}
+
+// keep is a Euclid step's next a: b, or a when b is 0, without a
+// branch. (uint64(b)−1)>>32 is all ones exactly when b is 0.
+func keep(a, b uint32) uint32 {
+	return b | a&uint32((uint64(b)-1)>>32)
+}
+
+// isOne is 1 if g is 1, else 0, without a branch: g^1 is 0 exactly
+// when g is 1, and only then does subtracting 1 set bit 63.
+func isOne(g uint32) int {
+	return int((uint64(g^1) - 1) >> 63)
+}
+
+// PhiDirect computes φ(k) by trial gcd with no memoisation and no
+// virtual-cost accounting: the kernel the native runtime times for real.
+// (The memo cache in Phi would turn repeated wall-clock runs into map
+// lookups and destroy the measurement.) It is SumRangeDirect(k, k).
+func PhiDirect(k int) int {
+	return int(SumRangeDirect(k, k))
+}
+
+// SumRangeDirect sums φ(k) for k in [lo, hi] with the uncached kernel,
+// phiLanes, on a reciprocal table it builds for this call alone. Every
+// j < k gets a full Euclid gcd(k, j) with the remainder sequence of the
+// paper's gcd, in uint32; k above maxTableK runs gcd32 per j. k must
+// fit in a uint32; SumRangeDirect panics otherwise rather than truncate.
 func SumRangeDirect(lo, hi int) int64 {
+	if lo > hi {
+		return 0
+	}
+	if uint64(lo) > math.MaxUint32 || uint64(hi) > math.MaxUint32 {
+		panic(fmt.Sprintf("euler: φ over [%d, %d]: k exceeds uint32", lo, hi))
+	}
+	var rt []uint64
+	if lo <= maxTableK {
+		rt = reciprocals(min(hi, maxTableK))
+	}
 	var sum int64
 	for k := lo; k <= hi; k++ {
-		sum += int64(PhiDirect(k))
+		switch kk := uint32(k); {
+		case k == 1:
+			sum++ // φ(1) = 1 by convention
+		case k <= maxTableK:
+			sum += int64(phiLanes(kk, rt))
+		default:
+			for j := uint32(1); j < kk; j++ {
+				if gcd32(kk, j) == 1 {
+					sum++
+				}
+			}
+		}
 	}
 	return sum
 }
 
 // PhiList computes φ(k) the way the paper's Haskell program does —
 // length (filter (relprime k) [1..k-1]) — materialising the
-// intermediate lists on the real heap. PhiDirect is the kernel for
-// timing the scheduler (it allocates nothing); PhiList is the kernel
+// intermediate lists on the real heap. SumRangeDirect is the kernel for
+// timing the scheduler (one table a call); PhiList is the kernel
 // for the §IV-A.1 allocation-area experiment, where the garbage the
 // Haskell program produces per φ is the entire point: its collection
 // frequency is what the allocation-area (GOGC) setting controls.

@@ -1,12 +1,14 @@
 package euler
 
 import (
+	"math"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"parhask/internal/eden"
 	"parhask/internal/gph"
+	"parhask/internal/native"
 )
 
 // nopCtx satisfies Ctx without a runtime (pure-function tests).
@@ -29,10 +31,10 @@ func TestPhiSmallValues(t *testing.T) {
 }
 
 func TestPhiKernelsAgree(t *testing.T) {
-	// The three φ kernels — memoised (Phi), allocation-free (PhiDirect)
+	// The three φ kernels — memoised (Phi), direct (PhiDirect)
 	// and list-allocating (PhiList, the GOGC-experiment kernel) — must
 	// compute the same function. k ≤ 2000 covers every (k−1) mod 4, so
-	// every tail length of PhiDirect's four-chain loop.
+	// every number of padded lanes in phiLanes' last group.
 	ctx := &nopCtx{}
 	for k := 1; k <= 2000; k++ {
 		d, l, m := PhiDirect(k), PhiList(k), Phi(ctx, 1, k)
@@ -49,6 +51,106 @@ func TestPhiKernelsAgree(t *testing.T) {
 	// The largest k a spec can ask for (the n Param's max).
 	if got := PhiDirect(1 << 24); got != 1<<23 {
 		t.Fatalf("PhiDirect(1<<24) = %d, want %d", got, 1<<23)
+	}
+	// Both sides of maxTableK: the cap runs on the table (above), the next
+	// k runs gcd32 per j. 2²⁴+1 = 97·257·673.
+	if got, want := PhiDirect(maxTableK+1), 96*256*672; maxTableK != 1<<24 || got != want {
+		t.Fatalf("maxTableK = %d, PhiDirect(maxTableK+1) = %d, want 1<<24 and %d", maxTableK, got, want)
+	}
+}
+
+func TestChunkingsAgree(t *testing.T) {
+	// Each SumRangeDirect call builds a table reaching its own hi, so
+	// every chunk boundary is a table boundary. Every chunking of a small
+	// n, and a few of the benchmark's n = 8000, must sum to the sieve
+	// chunk by chunk; Program's sparks on a pool must agree on a sample.
+	for _, n := range []int{1, 2, 3, 5, 600} {
+		for parts := 1; parts <= n; parts++ {
+			sumChunks(t, n, parts)
+		}
+	}
+	for _, parts := range []int{1, 160, 8000} {
+		sumChunks(t, 8000, parts)
+	}
+	p := native.NewPool(native.NewConfig(2))
+	defer p.Close()
+	for _, c := range []struct{ n, parts int }{
+		{1, 1}, {2, 2}, {3, 2}, {5, 3}, {600, 1}, {600, 7}, {600, 160}, {600, 600}, {8000, 160},
+	} {
+		h, err := p.Submit(native.JobConfig{}, Program(c.n, c.parts, 0, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatalf("Program(%d, %d): %v", c.n, c.parts, err)
+		}
+		if want := SumTotientSieve(c.n); res.Value != want {
+			t.Fatalf("Program(%d, %d) = %v, want %d", c.n, c.parts, res.Value, want)
+		}
+	}
+}
+
+// sumChunks checks that SumRangeDirect over Ranges(n, parts) sums to
+// the sieve.
+func sumChunks(t *testing.T, n, parts int) {
+	t.Helper()
+	var got int64
+	for _, r := range Ranges(n, parts) {
+		got += SumRangeDirect(r.Lo, r.Hi)
+	}
+	if want := SumTotientSieve(n); got != want {
+		t.Fatalf("n=%d parts=%d: Σ SumRangeDirect = %d, want %d", n, parts, got, want)
+	}
+}
+
+// remainderSeeds are the a and b values whose remainders are easiest
+// to get wrong: the ends of uint32 and the powers of two.
+func remainderSeeds() (as, bs []uint32) {
+	as = []uint32{0, 1, 2, 3, 1<<31 - 1, 1 << 31, math.MaxUint32 - 1, math.MaxUint32}
+	bs = []uint32{1, 2, 3, math.MaxUint32 - 1, math.MaxUint32}
+	for i := 0; i < 32; i++ {
+		bs = append(bs, 1<<i)
+	}
+	return as, bs
+}
+
+func FuzzRemainder(f *testing.F) {
+	as, bs := remainderSeeds()
+	for _, a := range as {
+		for _, b := range bs {
+			f.Add(a, b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b uint32) {
+		if b == 0 {
+			return // a % 0 is undefined; a lane with b = 0 is TestRemainderSweep's
+		}
+		if got, want := rem(a, b, recip(b)), a%b; got != want {
+			t.Fatalf("rem(%d, %d) = %d, want %d", a, b, got, want)
+		}
+	})
+}
+
+func TestRemainderSweep(t *testing.T) {
+	// Every divisor a φ(k ≤ 2¹³) can meet, through the table the kernel
+	// reads, against the fixed a values and the multiples of b nearest
+	// the top of uint32.
+	const n = 1 << 13
+	rt := reciprocals(n + 1)
+	as, _ := remainderSeeds()
+	for _, a := range as {
+		if r := rem(a, 0, rt[0]); r != 0 {
+			t.Fatalf("rem(%d, 0) = %d, want 0 (a finished lane)", a, r)
+		}
+	}
+	for b := uint32(1); b <= n; b++ {
+		top := math.MaxUint32 / b * b
+		for _, a := range append(as, b-1, b, b+1, top-1, top, 12345*b+b/2) {
+			if got, want := rem(a, b, rt[b]), a%b; got != want {
+				t.Fatalf("rem(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }
 
