@@ -70,17 +70,6 @@ func Clone(g Graph) Graph {
 	return out
 }
 
-// minPlusRow writes out[j] = min(row[j], rik+pivot[j]) for every j in
-// row — the one min-plus loop in the package (out may be row itself).
-// Both other operands are resliced to len(row) first, so the loop body
-// compiles without bounds checks.
-func minPlusRow(out, row, pivot []int32, rik int32) {
-	out, pivot = out[:len(row)], pivot[:len(row)]
-	for j, r := range row {
-		out[j] = min(r, rik+pivot[j])
-	}
-}
-
 // FloydWarshall is the sequential oracle (no cost accounting).
 func FloydWarshall(g Graph) Graph {
 	d := Clone(g)
