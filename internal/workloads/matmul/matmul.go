@@ -8,6 +8,7 @@ package matmul
 
 import (
 	"fmt"
+	"math"
 
 	"parhask/internal/sim"
 )
@@ -61,26 +62,17 @@ func Bytes(n int) int64 { return int64(n) * int64(n) * 8 }
 // and both parallel forms call it, so the one-unit ÷ reference ratio
 // measures the runtime and not two different kernels.
 //
-// k advances four rows of b at a time so each di[j] is loaded and
-// stored once per four flops, and every operand is resliced to len(di)
-// outside the j loop so that loop compiles without bounds checks. The
-// four terms are added to d one at a time, in ascending k: each sum is
-// rounded exactly as by the plain i-k-j loop, bit for bit. (Adding
-// a0*r0[j] + a1*r1[j] + … first and then d would round differently.)
+// k advances four rows of b at a time through mulAdd4, so each di[j] is
+// loaded and stored once per four flops; the last len(b) mod 4 rows run
+// the plain loop below. Every row of b is resliced to len(di) by window
+// first, so a short row panics here and no loop reads past a checked
+// length.
 func mulAddRow(di, ai []float64, b Mat, c0 int) {
 	ai, w := ai[:len(b)], len(di)
 	k := 0
 	for ; k+4 <= len(b); k += 4 {
-		a0, a1, a2, a3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-		r0, r1, r2, r3 := window(b[k], c0, w), window(b[k+1], c0, w), window(b[k+2], c0, w), window(b[k+3], c0, w)
-		for j := range di {
-			d := di[j]
-			d += a0 * r0[j]
-			d += a1 * r1[j]
-			d += a2 * r2[j]
-			d += a3 * r3[j]
-			di[j] = d
-		}
+		mulAdd4(di, window(b[k], c0, w), window(b[k+1], c0, w), window(b[k+2], c0, w), window(b[k+3], c0, w),
+			ai[k], ai[k+1], ai[k+2], ai[k+3])
 	}
 	for ; k < len(b); k++ {
 		a0, r0 := ai[k], window(b[k], c0, w)
@@ -148,7 +140,10 @@ func Block(m Mat, r0, r1, c0, c1 int) Mat {
 	return out
 }
 
-// Equal reports whether two matrices are element-wise equal within eps.
+// Equal reports whether two matrices are element-wise equal within eps:
+// each pair of elements is identical (so +Inf matches +Inf) or differs
+// by at most eps. A NaN on either side never matches, so a product that
+// went NaN fails every oracle that uses Equal.
 func Equal(a, b Mat, eps float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -158,8 +153,8 @@ func Equal(a, b Mat, eps float64) bool {
 			return false
 		}
 		for j := range a[i] {
-			d := a[i][j] - b[i][j]
-			if d < -eps || d > eps {
+			x, y := a[i][j], b[i][j]
+			if x != y && !(math.Abs(x-y) <= eps) {
 				return false
 			}
 		}
