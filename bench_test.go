@@ -21,7 +21,6 @@ import (
 	"parhask/internal/experiments"
 	"parhask/internal/gph"
 	"parhask/internal/graph"
-	"parhask/internal/gum"
 	"parhask/internal/machine"
 	"parhask/internal/pe"
 	"parhask/internal/rts"
@@ -569,9 +568,9 @@ func BenchmarkEdenMessageRoundTrip(b *testing.B) {
 
 // --- Extensions beyond the paper's measured systems ---
 
-// BenchmarkModelComparison runs the same sumEuler program on all three
-// runtime families the paper discusses: the shared-heap GpH runtime,
-// the distributed-memory GUM implementation of GpH (§III-B), and Eden.
+// BenchmarkModelComparison runs the same sumEuler program on the two
+// runtime families the paper compares: the shared-heap GpH runtime and
+// Eden.
 func BenchmarkModelComparison(b *testing.B) {
 	p := benchParams()
 	b.Run("gph_shared_heap", func(b *testing.B) {
@@ -579,18 +578,6 @@ func BenchmarkModelComparison(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := gph.WorkStealingConfig(p.Cores8)
 			res, err := gph.Run(cfg, euler.GpHProgram(p.SumEulerN, p.SumEulerChunks, cfg.Costs.GCDIter))
-			if err != nil {
-				b.Fatal(err)
-			}
-			virt += res.Elapsed
-		}
-		reportVirt(b, virt)
-	})
-	b.Run("gum_distributed_gph", func(b *testing.B) {
-		var virt int64
-		for i := 0; i < b.N; i++ {
-			cfg := gum.NewConfig(p.Cores8, p.Cores8)
-			res, err := gum.Run(cfg, euler.GpHProgram(p.SumEulerN, p.SumEulerChunks, cfg.Costs.GCDIter))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -651,26 +638,6 @@ func BenchmarkFutureLocalHeaps(b *testing.B) {
 // cost_GCDIter avoids recomputing a default model per call site.
 func cost_GCDIter() int64 { return gph.WorkStealingConfig(1).Costs.GCDIter }
 
-// BenchmarkAblationFishDelay sweeps GUM's fishing back-off.
-func BenchmarkAblationFishDelay(b *testing.B) {
-	p := benchParams()
-	for _, d := range []int64{50_000, 300_000, 2_000_000} {
-		b.Run(fmt.Sprintf("%dus", d/1000), func(b *testing.B) {
-			var virt int64
-			for i := 0; i < b.N; i++ {
-				cfg := gum.NewConfig(p.Cores8, p.Cores8)
-				cfg.FishDelay = d
-				res, err := gum.Run(cfg, euler.GpHProgram(p.SumEulerN, p.SumEulerChunks, cfg.Costs.GCDIter))
-				if err != nil {
-					b.Fatal(err)
-				}
-				virt += res.Elapsed
-			}
-			reportVirt(b, virt)
-		})
-	}
-}
-
 // BenchmarkAblationParfibThreshold sweeps the classic spark-granularity
 // cutoff of parfib: too fine pays scheduling per microscopic spark, too
 // coarse starves the machine.
@@ -726,18 +693,6 @@ func BenchmarkMandelbrot(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := eden.NewConfig(8, 8)
 			res, err := eden.Run(cfg, mandel.EdenProgram(p, 7, 2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			virt += res.Elapsed
-		}
-		reportVirt(b, virt)
-	})
-	b.Run("gum_fishing", func(b *testing.B) {
-		var virt int64
-		for i := 0; i < b.N; i++ {
-			cfg := gum.NewConfig(8, 8)
-			res, err := gum.Run(cfg, mandel.GpHProgram(p))
 			if err != nil {
 				b.Fatal(err)
 			}

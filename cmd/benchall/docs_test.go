@@ -29,12 +29,15 @@ var (
 	resultsFileRE = regexp.MustCompile(`\bresults/([A-Za-z0-9_][A-Za-z0-9_.*-]*)`)
 	testNameRE    = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z][A-Za-z0-9_]*`)
 	testFuncRE    = regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Za-z0-9_]*)\(`)
+	// A back-ticked repo path runs to the first space or the closing tick.
+	repoPathRE = regexp.MustCompile("`((?:internal|cmd|examples|benchmark)/[^`\\s]*)")
+	braceRE    = regexp.MustCompile(`\{([^{}]*)\}`)
 )
 
 // checkDoc returns what text points at that is not there: benchall
-// flags newFlags does not register, results/ files that do not exist
-// under root, and Test/Benchmark/Fuzz names that are neither a function
-// in funcs nor the prefix of one.
+// flags newFlags does not register, results/ files and back-ticked
+// repo paths that do not exist under root, and Test/Benchmark/Fuzz
+// names that are neither a function in funcs nor the prefix of one.
 func checkDoc(text string, flags map[string]bool, funcs []string, root string) []string {
 	var bad []string
 	// A trailing backslash continues a shell command on the next line.
@@ -54,6 +57,11 @@ func checkDoc(text string, flags map[string]bool, funcs []string, root string) [
 			bad = append(bad, "no such file: results/"+name)
 		}
 	}
+	for _, m := range repoPathRE.FindAllStringSubmatch(text, -1) {
+		if !repoPathExists(root, m[1]) {
+			bad = append(bad, "no such path: "+m[1])
+		}
+	}
 names:
 	for _, name := range testNameRE.FindAllString(text, -1) {
 		for _, fn := range funcs {
@@ -66,9 +74,30 @@ names:
 	return bad
 }
 
+// repoPathExists reports whether a doc's repo path names something
+// under root: a `:line` suffix is dropped, each {a,b} alternative must
+// exist, `*` globs, and a trailing /** asks only for the directory.
+func repoPathExists(root, path string) bool {
+	path, _, _ = strings.Cut(path, ":")
+	if m := braceRE.FindStringSubmatchIndex(path); m != nil {
+		for _, alt := range strings.Split(path[m[2]:m[3]], ",") {
+			if !repoPathExists(root, path[:m[0]]+alt+path[m[1]:]) {
+				return false
+			}
+		}
+		return true
+	}
+	if dir, ok := strings.CutSuffix(path, "/**"); ok {
+		st, err := os.Stat(filepath.Join(root, dir))
+		return err == nil && st.IsDir()
+	}
+	hits, err := filepath.Glob(filepath.Join(root, path))
+	return err == nil && len(hits) > 0
+}
+
 // TestDocsPointAtWhatExists walks the documents and fails on every
-// benchall flag, results/ file and test name that was deleted or
-// renamed out from under them.
+// benchall flag, results/ file, repo path and test name that was
+// deleted or renamed out from under them.
 func TestDocsPointAtWhatExists(t *testing.T) {
 	const root = "../.."
 	flags := map[string]bool{}
@@ -110,6 +139,9 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 		"go run ./cmd/benchall -native    # sweep":                                                                     1,
 		"recorded in `results/NO_SUCH_FILE.json` under `hot_path`":                                                     1,
 		"`BenchmarkNativeFaultOverhead` holds the bar":                                                                 1,
+		"the message layer is `internal/eden/msg*.go`":                                                                 1,
+		"`internal/workloads/{apsp,nope}` and `examples/nope/**`":                                                      2,
+		"`internal/driver/driver.go:454`, `internal/workloads/{apsp,fuzz}`, `benchmark/**`, `cmd/workloads -run …`":    0,
 		"go run ./cmd/benchall -quick -cluster -chaos 8 \\\n  -restarts 2 | tee -a results/CHAOS.json # TestDocsPoint": 0,
 	} {
 		if got := checkDoc(line, flags, funcs, root); len(got) != want {

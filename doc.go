@@ -10,11 +10,11 @@
 //   - GpH on a shared heap: capabilities, par-created sparks,
 //     work pushing (GHC 6.8.x) or Chase–Lev work stealing,
 //     stop-the-world GC with polling or wakeup barriers, and lazy or
-//     eager black-holing (RunGpH, GpHConfig);
+//     eager black-holing (internal/gph);
 //   - Eden on distributed heaps: processing elements with independent
 //     local GC, typed channels with normal-form-before-send semantics,
 //     streams, and algorithmic skeletons — parMap, parMapReduce,
-//     masterWorker, ring, torus (RunEden, EdenConfig).
+//     masterWorker, ring, torus (internal/eden, internal/skel).
 //
 // The three benchmark programs of the paper's evaluation (sumEuler,
 // blockwise/Cannon matrix multiplication, ring-pipelined all-pairs
@@ -22,8 +22,10 @@
 // that regenerate every figure and table live in internal/experiments
 // and are runnable via cmd/benchall.
 //
-// This package is the public facade: it re-exports the types and entry
-// points a downstream user needs. See the examples/ directory for
-// runnable programs, DESIGN.md for the system inventory and the
-// paper-to-module map, and EXPERIMENTS.md for measured-vs-paper results.
+// This package holds no code of its own: its tests are the runnable
+// examples (example_test.go) and the simulator's figure and ablation
+// benchmarks (bench_test.go), both written against the internal
+// packages. See the examples/ directory for runnable programs,
+// DESIGN.md for the system inventory and the paper-to-module map, and
+// EXPERIMENTS.md for measured-vs-paper results.
 package parhask

@@ -3,7 +3,13 @@ package parhask_test
 import (
 	"fmt"
 
-	"parhask"
+	"parhask/internal/eden"
+	"parhask/internal/gph"
+	"parhask/internal/graph"
+	"parhask/internal/pe"
+	"parhask/internal/rts"
+	"parhask/internal/skel"
+	"parhask/internal/strategies"
 )
 
 // Example_gph sparks two computations on a 2-core shared-heap runtime
@@ -11,9 +17,9 @@ import (
 // deterministic simulation, so the output (including the virtual
 // runtime) is reproducible.
 func Example_gph() {
-	cfg := parhask.GpHWorkStealing(2)
-	res, err := parhask.RunGpH(cfg, func(ctx *parhask.Ctx) parhask.Value {
-		x := parhask.NewStratThunk(func(c *parhask.Ctx) parhask.Value {
+	cfg := gph.WorkStealingConfig(2)
+	res, err := gph.Run(cfg, func(ctx *rts.Ctx) graph.Value {
+		x := strategies.Thunk(func(c *rts.Ctx) graph.Value {
 			c.Burn(1_000_000)
 			return 40
 		})
@@ -31,13 +37,13 @@ func Example_gph() {
 // Example_eden runs a four-process farm with the parMap skeleton on
 // four distributed-heap PEs.
 func Example_eden() {
-	cfg := parhask.NewEdenConfig(4, 4)
-	res, err := parhask.RunEden(cfg, func(p parhask.PCtx) parhask.Value {
-		squares := parhask.ParMap(p, "sq", func(w parhask.PCtx, in parhask.Value) parhask.Value {
+	cfg := eden.NewConfig(4, 4)
+	res, err := eden.Run(cfg, func(p pe.Ctx) graph.Value {
+		squares := skel.ParMap(p, "sq", func(w pe.Ctx, in graph.Value) graph.Value {
 			n := in.(int)
 			w.Burn(100_000)
 			return n * n
-		}, []parhask.Value{1, 2, 3, 4})
+		}, []graph.Value{1, 2, 3, 4})
 		sum := 0
 		for _, v := range squares {
 			sum += v.(int)
@@ -51,41 +57,20 @@ func Example_eden() {
 	// Output: 30
 }
 
-// Example_gum runs the same GpH code on the distributed-memory GUM
-// runtime: par works unchanged; distribution happens by fishing.
-func Example_gum() {
-	cfg := parhask.NewGUMConfig(2, 2)
-	res, err := parhask.RunGUM(cfg, func(ctx *parhask.Ctx) parhask.Value {
-		x := parhask.NewStratThunk(func(c *parhask.Ctx) parhask.Value {
-			c.Alloc(32 << 10)
-			c.Burn(2_000_000)
-			return "fished"
-		})
-		ctx.Par(x)
-		ctx.Burn(500_000)
-		return ctx.Force(x)
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Value)
-	// Output: fished
-}
-
 // Example_strategies shows parList over a list of thunks — the
 // evaluation-strategy style of the paper's §II-B.
 func Example_strategies() {
-	cfg := parhask.GpHWorkStealing(4)
-	res, err := parhask.RunGpH(cfg, func(ctx *parhask.Ctx) parhask.Value {
-		ts := make([]*parhask.Thunk, 8)
+	cfg := gph.WorkStealingConfig(4)
+	res, err := gph.Run(cfg, func(ctx *rts.Ctx) graph.Value {
+		ts := make([]*graph.Thunk, 8)
 		for i := range ts {
 			i := i
-			ts[i] = parhask.NewStratThunk(func(c *parhask.Ctx) parhask.Value {
+			ts[i] = strategies.Thunk(func(c *rts.Ctx) graph.Value {
 				c.Burn(250_000)
 				return i + 1
 			})
 		}
-		parhask.ParListWHNF(ctx, ts) // parList rwhnf
+		strategies.ParListWHNF(ctx, ts) // parList rwhnf
 		sum := 0
 		for _, t := range ts {
 			sum += ctx.Force(t).(int)

@@ -15,8 +15,8 @@
 //	workloads -run queens -n 10 -rts eden
 //
 // -runtime sim runs on the virtual-time simulator under the -rts
-// configuration (plain | bigalloc | sync | steal | localheaps | gum |
-// eden, plus a workload's named variants such as matmul's rows).
+// configuration (plain | bigalloc | sync | steal | localheaps | eden,
+// plus a workload's named variants such as matmul's rows).
 // -runtime native runs the GpH program on the work-stealing runtime and
 // prints the wall-clock time next to the simulated one. -runtime eden
 // runs the Eden program on the native distributed-heap backend; with
@@ -46,7 +46,6 @@ import (
 	"parhask/internal/faults"
 	"parhask/internal/gph"
 	"parhask/internal/graph"
-	"parhask/internal/gum"
 	"parhask/internal/native"
 	"parhask/internal/nativeeden"
 	"parhask/internal/trace"
@@ -193,7 +192,7 @@ func newFlags(fs *flag.FlagSet, e *workloads.Entry, o *options, byFlag bool) map
 		fs.String("run", e.Name, "workload: "+strings.Join(workloads.Names(), " | "))
 	}
 	fs.StringVar(&o.runtime, "runtime", "sim", "execution runtime: sim (virtual time) | native (real goroutines) | eden (distributed-heap PEs on real goroutines)")
-	fs.StringVar(&o.rts, "rts", e.DefaultRTS, "simulated runtime: plain | bigalloc | sync | steal | localheaps | gum | eden, or a variant of the workload (matmul: rows)")
+	fs.StringVar(&o.rts, "rts", e.DefaultRTS, "simulated runtime: plain | bigalloc | sync | steal | localheaps | eden, or a variant of the workload (matmul: rows)")
 	fs.IntVar(&o.cores, "cores", 8, "simulated physical cores")
 	fs.IntVar(&o.workers, "workers", 0, "native worker goroutines (default: GOMAXPROCS)")
 	fs.IntVar(&o.pes, "pes", 0, "Eden PEs (default: the topology's size or the cores on the simulator, GOMAXPROCS natively, 2 per cluster process)")
@@ -421,7 +420,7 @@ func (r *cli) simPEs() int {
 	switch {
 	case r.o.pes > 0:
 		return r.o.pes
-	case r.o.rts == "eden" && r.inst.EdenProcs > 0:
+	case r.inst.EdenProcs > 0:
 		return r.inst.EdenProcs + 1
 	default:
 		return r.o.cores
@@ -446,27 +445,11 @@ func (r *cli) runSimEden() (report, error) {
 	}, nil
 }
 
-// runSimGpH runs the cost-charged GpH program on simulated GUM, on one
-// of the simulated shared-heap configurations, or — when -rts names a
-// variant of the workload instead — on the work-stealing configuration.
+// runSimGpH runs the cost-charged GpH program on one of the simulated
+// shared-heap configurations or — when -rts names a variant of the
+// workload instead — on the work-stealing configuration.
 func (r *cli) runSimGpH() (report, error) {
 	o, inst := &r.o, r.inst
-	if o.rts == "gum" {
-		cfg := gum.NewConfig(r.simPEs(), o.cores)
-		prog, err := inst.Sim("", cfg.Costs)
-		if err != nil {
-			return report{}, err
-		}
-		res, err := gum.Run(cfg, prog)
-		if err != nil {
-			return report{}, err
-		}
-		return report{
-			where: fmt.Sprintf("GUM (distributed GpH), %d PEs / %d cores", cfg.PEs, o.cores),
-			value: res.Value, stats: res.Stats, trace: res.Trace,
-			clock: trace.FmtDur(res.Elapsed) + " (virtual)",
-		}, nil
-	}
 	mk, variant, kind := gphConfigs[o.rts], "", o.rts
 	if mk == nil {
 		mk, variant, kind = gph.WorkStealingConfig, o.rts, "steal, "+o.rts+"-parallel"

@@ -38,7 +38,6 @@ func TestRunsVerifyAndReport(t *testing.T) {
 	}{
 		{"sumeuler", "-n 300 -chunks 6", []string{"sumEuler [1..300] on GpH (steal, lazy blackholing), 8 cores", "result   = verified against sieve oracle (27398)", "(virtual)"}},
 		{"sumeuler", "-n 300 -rts plain -eager -profile", []string{"GpH (plain, eager blackholing)"}},
-		{"sumeuler", "-n 300 -rts gum -pes 3", []string{"on GUM (distributed GpH), 3 PEs / 8 cores"}},
 		{"sumeuler", "-n 300 -rts eden -cores 4", []string{"on Eden, 4 PEs / 4 cores"}},
 		{"sumeuler", "-n 300 -runtime native -workers 2 -chunks 6", []string{"on native runtime, 2 workers (lazy blackholing)", "(wall clock)   vs ", "(virtual, steal/8 cores)"}},
 		{"sumeuler", "-n 300 -runtime eden -pes 3", []string{"on native Eden, 3 PEs", "verified against sieve oracle"}},
@@ -58,7 +57,7 @@ func TestRunsVerifyAndReport(t *testing.T) {
 			[]string{"result   = verified against Floyd", "3-process Eden cluster (unix)", "ring=3"}},
 		{"", "-run parfib -n 14 -cutoff 8", []string{"parfib 14 on GpH (steal", "verified against iterative Fibonacci (377)"}},
 		{"", "-run queens -n 6 -rts eden", []string{"queens 6 on Eden, 8 PEs / 8 cores", "(4)"}},
-		{"", "-run=mandel -n 16 -rts gum", []string{"mandel 16 px wide on GUM", "height=0"}},
+		{"", "-run=mandel -n 16 -rts steal", []string{"mandel 16 px wide on GpH (steal", "height=0"}},
 		{"", "-run fuzz -n 40 -runtime native -workers 2", []string{"fuzz DAG of 40 nodes on native runtime"}},
 		{"", "-run apsp -runtime eden -cluster 2 -n 12", []string{"apsp 12 nodes on a 2-process Eden cluster (tcp), 2 PEs per process", "ring=4"}},
 	} {
@@ -97,6 +96,7 @@ func TestBadCommandLinesExit2(t *testing.T) {
 	for _, c := range []struct{ name, argv, says string }{
 		{"sumeuler", "-runtime bogus", "unknown -runtime"},
 		{"sumeuler", "-rts bogus", "-rts bogus: sumeuler has no simulated GpH bogus form"},
+		{"sumeuler", "-rts gum -pes 3", "-rts gum: sumeuler has no simulated GpH gum form"},
 		{"sumeuler", "-backoff park=8 -rts steal", "-backoff requires -runtime native"},
 		{"matmul", "-runtime native -backoff spin=banana", "-backoff:"},
 		{"matmul", "-n 24 -block 7", "block=7 does not divide n=24"},

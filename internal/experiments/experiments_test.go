@@ -145,8 +145,8 @@ func TestFig1ValuesAreCorrectSums(t *testing.T) {
 func TestModelsQuick(t *testing.T) {
 	p := Quick()
 	m := RunModels(p)
-	if len(m.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(m.Rows))
+	if len(m.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(m.Rows))
 	}
 	for _, r := range m.Rows {
 		if r.Elapsed <= 0 {
@@ -154,7 +154,7 @@ func TestModelsQuick(t *testing.T) {
 		}
 	}
 	out := m.Render()
-	for _, want := range []string{"GUM", "Eden", "semi-distributed", "parallel GC"} {
+	for _, want := range []string{"work stealing", "Eden", "semi-distributed", "parallel GC"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"parhask/internal/eden"
 	"parhask/internal/gph"
-	"parhask/internal/gum"
 	"parhask/internal/stats"
 	"parhask/internal/workloads/euler"
 )
@@ -25,8 +24,7 @@ type ModelRow struct {
 // organisation this repository implements, running the same sumEuler
 // program on each: the shared heap (work stealing), the shared heap
 // with the §VI semi-distributed local-heap GC, the shared heap with the
-// parallel collector [29], GUM's distributed heaps with fishing, and
-// Eden's distributed heaps with skeletons.
+// parallel collector [29], and Eden's distributed heaps with skeletons.
 type Models struct {
 	Params Params
 	Rows   []ModelRow
@@ -60,22 +58,11 @@ func RunModels(p Params) *Models {
 		Notes: "local GCs need no barrier",
 	})
 
-	gcfg := gum.NewConfig(p.Cores8, p.Cores8)
-	r4, err := gum.Run(gcfg, euler.GpHProgram(n, chunks, gcfg.Costs.GCDIter))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: gum run failed: %v", err))
-	}
-	m.Rows = append(m.Rows, ModelRow{
-		Name: "GUM distributed heaps (fishing)", Elapsed: r4.Elapsed,
-		LocalGCs: r4.Stats.LocalGCs, Messages: r4.Stats.Messages,
-		Notes: fmt.Sprintf("%d schedules, %d fetches", r4.Stats.Schedules, r4.Stats.Fetches),
-	})
-
 	ecfg := eden.NewConfig(p.Cores8, p.Cores8)
-	r5 := runEden(ecfg, euler.EdenProgram(n, 8, ecfg.Costs.GCDIter))
+	r4 := runEden(ecfg, euler.EdenProgram(n, 8, ecfg.Costs.GCDIter))
 	m.Rows = append(m.Rows, ModelRow{
-		Name: "Eden distributed heaps (skeletons)", Elapsed: r5.Elapsed,
-		LocalGCs: r5.Stats.LocalGCs, Messages: r5.Stats.Messages,
+		Name: "Eden distributed heaps (skeletons)", Elapsed: r4.Elapsed,
+		LocalGCs: r4.Stats.LocalGCs, Messages: r4.Stats.Messages,
 	})
 	return m
 }

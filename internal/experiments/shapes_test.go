@@ -122,13 +122,12 @@ func TestFig2CheckShapeDetectsLowUtilisation(t *testing.T) {
 func TestModelsCheckShapeDetectsOutlier(t *testing.T) {
 	m := &Models{Params: Quick(), Rows: []ModelRow{
 		{Name: "steal", Elapsed: 100}, {Name: "pargc", Elapsed: 95},
-		{Name: "localheaps", Elapsed: 97}, {Name: "gum", Elapsed: 110},
-		{Name: "eden", Elapsed: 115},
+		{Name: "localheaps", Elapsed: 97}, {Name: "eden", Elapsed: 115},
 	}}
 	if bad := m.CheckShape(); len(bad) != 0 {
 		t.Fatalf("good data flagged: %v", bad)
 	}
-	m.Rows[3].Elapsed = 300 // GUM 3x the best
+	m.Rows[3].Elapsed = 300 // Eden 3x the best
 	if bad := m.CheckShape(); len(bad) == 0 {
 		t.Fatal("outlier organisation not detected")
 	}

@@ -196,18 +196,6 @@ func NewPlaceholder() *Thunk {
 	return t
 }
 
-// CloneForExport returns a fresh unevaluated thunk sharing this thunk's
-// computation — the packed copy of a spark shipped to another heap
-// (GUM's SCHEDULE). The original is typically turned into a FetchMe by
-// black-holing it, so local touchers block and fetch the remote value.
-// It panics if the thunk is already claimed or evaluated.
-func (t *Thunk) CloneForExport() *Thunk {
-	if t.State() != Unevaluated {
-		panic("graph: CloneForExport of " + t.State().String() + " thunk")
-	}
-	return &Thunk{adapt: t.adapt, payload: t.payload}
-}
-
 // Resolve fills a placeholder (or any not-yet-evaluated thunk) with v
 // and returns the list of waiter records to be woken by the caller.
 // It panics if the thunk is already evaluated or poisoned.

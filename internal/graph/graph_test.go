@@ -299,35 +299,6 @@ func TestResolvePanicsOnEvaluated(t *testing.T) {
 	NewValue(1).Resolve(2)
 }
 
-func TestCloneForExport(t *testing.T) {
-	calls := 0
-	orig := NewThunk(func(c Context) Value { calls++; return 5 })
-	clone := orig.CloneForExport()
-	orig.MarkBlackhole() // the home copy becomes a FetchMe
-
-	ctx := &mockCtx{}
-	if v := Force(ctx, clone); v != 5 {
-		t.Fatalf("clone Force = %v", v)
-	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times", calls)
-	}
-	if orig.State() != Blackholed {
-		t.Fatal("evaluating the clone must not touch the home copy")
-	}
-}
-
-func TestCloneForExportPanicsOnClaimed(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	th := NewThunk(func(c Context) Value { return 1 })
-	th.MarkBlackhole()
-	th.CloneForExport()
-}
-
 func TestEvalStateStrings(t *testing.T) {
 	if Unevaluated.String() != "unevaluated" ||
 		Blackholed.String() != "blackholed" ||

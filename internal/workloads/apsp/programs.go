@@ -56,10 +56,6 @@ type node struct {
 	row []int32
 }
 
-// PackedSize implements eden.Sized: a node ships as its row, so GUM
-// charges a fetched lattice value exactly what a bare []int32 costs.
-func (nd *node) PackedSize() int64 { return int64(4*len(nd.row)) + 16 }
-
 // lattice builds Program's thunk lattice over a per-job copy of g and
 // returns the final rows, whose values are *node. Every node shares one
 // trampoline, evalNode, so a node costs its arena thunk and its slab

@@ -2,9 +2,9 @@
 // random work, allocation, sharing and spark annotations — for
 // cross-runtime equivalence testing: the same program must produce the
 // same value on a single core, on many cores, under lazy and eager
-// black-holing, under pushing and stealing schedulers, and on the
-// distributed GUM runtime. Referential transparency makes this a strong
-// whole-system correctness oracle.
+// black-holing, under pushing and stealing schedulers, and with local
+// heaps or a parallel collector. Referential transparency makes this a
+// strong whole-system correctness oracle.
 package fuzz
 
 import (

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"parhask/internal/gph"
-	"parhask/internal/gum"
 )
 
 func TestExpectedMatchesSingleCore(t *testing.T) {
@@ -31,6 +30,8 @@ func TestCrossConfigEquivalence(t *testing.T) {
 	}{
 		{"plain_2", func() gph.Config { return gph.PlainGHC69(2) }},
 		{"plain_8", func() gph.Config { return gph.PlainGHC69(8) }},
+		{"bigalloc_4", func() gph.Config { return gph.BigAllocArea(4) }},
+		{"sync_4", func() gph.Config { return gph.ImprovedSync(4) }},
 		{"steal_lazy_4", func() gph.Config { return gph.WorkStealingConfig(4) }},
 		{"steal_eager_4", func() gph.Config {
 			c := gph.WorkStealingConfig(4)
@@ -38,6 +39,11 @@ func TestCrossConfigEquivalence(t *testing.T) {
 			return c
 		}},
 		{"steal_lazy_16", func() gph.Config { return gph.WorkStealingConfig(16) }},
+		{"parallel_gc_4", func() gph.Config {
+			c := gph.WorkStealingConfig(4)
+			c.ParallelGC = true
+			return c
+		}},
 		{"localheaps_8", func() gph.Config { return gph.LocalHeapsConfig(8) }},
 		{"tiny_alloc_area_4", func() gph.Config {
 			c := gph.WorkStealingConfig(4)
@@ -60,22 +66,6 @@ func TestCrossConfigEquivalence(t *testing.T) {
 			}
 			if res.Value != want {
 				t.Fatalf("seed %d %s: got %v, want %d", seed, cfg.name, res.Value, want)
-			}
-		}
-	}
-}
-
-func TestGUMEquivalence(t *testing.T) {
-	for seed := uint64(200); seed < 210; seed++ {
-		p := Generate(seed, 50)
-		want := p.Expected()
-		for _, pes := range []int{1, 2, 4, 8} {
-			res, err := gum.Run(gum.NewConfig(pes, pes), p.Main())
-			if err != nil {
-				t.Fatalf("seed %d pes %d: %v", seed, pes, err)
-			}
-			if res.Value != want {
-				t.Fatalf("seed %d pes %d: got %v, want %d", seed, pes, res.Value, want)
 			}
 		}
 	}

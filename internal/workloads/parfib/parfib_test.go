@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"parhask/internal/gph"
-	"parhask/internal/gum"
 )
 
 func TestFibKnownValues(t *testing.T) {
@@ -71,17 +70,6 @@ func TestParFibSpeedup(t *testing.T) {
 	}
 }
 
-func TestParFibOnGUM(t *testing.T) {
-	const n, th = 20, 12
-	res, err := gum.Run(gum.NewConfig(4, 4), Program(n, th))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != Fib(n) {
-		t.Fatalf("got %v, want %d", res.Value, Fib(n))
-	}
-}
-
 func TestTooFineGrainsHurt(t *testing.T) {
 	// A very low threshold creates hordes of tiny sparks whose
 	// scheduling overhead outweighs the parallelism (the granularity
@@ -116,15 +104,5 @@ func TestVeryFineGrainNoDeadlock(t *testing.T) {
 				t.Fatalf("cores=%d cutoff=%d: got %v", cores, th, res.Value)
 			}
 		}
-	}
-}
-
-func TestFineGrainOnGUMNoDeadlock(t *testing.T) {
-	res, err := gum.Run(gum.NewConfig(6, 6), Program(18, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != Fib(18) {
-		t.Fatalf("got %v", res.Value)
 	}
 }

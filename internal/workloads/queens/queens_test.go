@@ -5,7 +5,6 @@ import (
 
 	"parhask/internal/eden"
 	"parhask/internal/gph"
-	"parhask/internal/gum"
 )
 
 type nopCtx struct{ burned, alloced int64 }
@@ -55,16 +54,6 @@ func TestGpHQueens(t *testing.T) {
 		if res.Value != Known[9] {
 			t.Fatalf("depth=%d: got %v, want %d", depth, res.Value, Known[9])
 		}
-	}
-}
-
-func TestGpHQueensOnGUM(t *testing.T) {
-	res, err := gum.Run(gum.NewConfig(4, 4), GpHProgram(8, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != Known[8] {
-		t.Fatalf("got %v, want %d", res.Value, Known[8])
 	}
 }
 
