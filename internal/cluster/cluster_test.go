@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -77,6 +78,43 @@ func TestClusterAPSPUnix(t *testing.T) {
 		// would mean the run never left one process.
 		if res.Total.Messages == 0 {
 			t.Fatalf("%d-process APSP ring moved no messages between processes", procs)
+		}
+	}
+}
+
+func TestWorkerProcsShare(t *testing.T) {
+	for _, c := range []struct{ budget, procs, perProc, want int }{
+		{2, 2, 2, 1}, // the benchmark's ring on two cores
+		{4, 2, 2, 2},
+		{1, 3, 2, 1}, // fewer cores than workers: still one P each
+		{8, 1, 4, 4},
+		{2, 1, 1, 1}, // never more Ps than PEs
+		{8, 2, 1, 1},
+		{16, 3, 8, 5},
+	} {
+		if got := workerProcs(c.budget, c.procs, c.perProc); got != c.want {
+			t.Errorf("workerProcs(budget %d, procs %d, perProc %d) = %d, want %d",
+				c.budget, c.procs, c.perProc, got, c.want)
+		}
+	}
+}
+
+func TestClusterWorkersGetTheirCoreShare(t *testing.T) {
+	// Every rank runs with the share of this (coordinating) process's
+	// GOMAXPROCS that the rule gives — under go test -cpu 1,2,4 that is
+	// 1 and 2 Ps per worker here.
+	const procs, perProc = 2, 2
+	res := runOK(t, Config{
+		Procs: procs, PerProc: perProc, Transport: "unix",
+		Spec: "apsp?n=16&ring=4&seed=3",
+	})
+	want := workerProcs(runtime.GOMAXPROCS(0), procs, perProc)
+	if len(res.GOMAXPROCS) != procs {
+		t.Fatalf("GOMAXPROCS reported for %d ranks, want %d", len(res.GOMAXPROCS), procs)
+	}
+	for rank, got := range res.GOMAXPROCS {
+		if got != want {
+			t.Errorf("rank %d ran with GOMAXPROCS %d, want %d (coordinator has %d)", rank, got, want, runtime.GOMAXPROCS(0))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -147,6 +148,9 @@ type Result struct {
 	DroppedFrames []int64
 	// HeartbeatRTTNS is the worst ping round trip observed.
 	HeartbeatRTTNS int64
+	// GOMAXPROCS is, per rank, the GOMAXPROCS its worker ran with (0
+	// for a rank that never reported).
+	GOMAXPROCS []int
 }
 
 // pesOf lists the global PEs rank owns — the unreachable set a
@@ -410,7 +414,9 @@ func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
 		cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, err: err})
 	}
 	for {
-		kind, seq, body, err := c.read()
+		// A fresh buffer per frame: routed bodies wait in the
+		// destination's retransmit buffer until that worker acks them.
+		kind, seq, body, err := c.read(nil)
 		if err != nil {
 			cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, err: err})
 			return
@@ -519,7 +525,7 @@ func (cd *coord) acceptLoop(ln net.Listener, joinCh chan<- joinConn) {
 func (cd *coord) handleHello(nc net.Conn, joinCh chan<- joinConn) {
 	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	c := newConn(nc)
-	kind, _, body, err := c.read()
+	kind, _, body, err := c.read(nil)
 	if err != nil || kind != frameHello {
 		nc.Close()
 		cd.join(joinCh, joinConn{rank: -1, err: fmt.Errorf("cluster: bad hello (kind %d): %v", kind, err)})
@@ -644,10 +650,12 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: resolving own binary: %w", err)
 	}
+	share := workerProcs(runtime.GOMAXPROCS(0), cfg.Procs, cfg.PerProc)
 	cmds := make([]*exec.Cmd, cfg.Procs)
 	for rank := range cmds {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(),
+			fmt.Sprintf("GOMAXPROCS=%d", share), // overrides an inherited one: the last entry wins
 			fmt.Sprintf("%s=%d", envRank, rank),
 			fmt.Sprintf("%s=%d", envProcs, cfg.Procs),
 			fmt.Sprintf("%s=%d", envPerProc, cfg.PerProc),
@@ -901,6 +909,19 @@ loop:
 	return res, nil
 }
 
+// workerProcs is the GOMAXPROCS each of procs workers is started with:
+// its share of the coordinator's own budget, at least 1 and at most
+// perProc. In the paper each Eden PE is a sequential runtime on a core
+// of its own; a worker sized to the whole host would instead make the
+// cluster run procs+1 times as many Ps as there are cores, and its
+// cross-process hops would wait for CPU rather than for work. No worker
+// gets more Ps than PEs because a PE is a lock that runs one thread at a
+// time. The budget is runtime.GOMAXPROCS(0), so a user's GOMAXPROCS
+// still counts: it sets what is split.
+func workerProcs(budget, procs, perProc int) int {
+	return max(1, min(perProc, budget/procs))
+}
+
 // gather collects the initial joining HELLO of every rank.
 func (cd *coord) gather(joinCh <-chan joinConn, deadline time.Duration) error {
 	timer := time.NewTimer(deadline)
@@ -1012,12 +1033,14 @@ func terminateAll(cmds []*exec.Cmd, grace time.Duration) {
 func foldReports(res *Result, reports []*workerReport, coordEvents []eventlog.DumpEvent) {
 	res.PerPE = make([]nativeeden.PEStats, res.Procs*res.PerProc)
 	res.Reports = make([]nativeeden.Report, res.Procs)
+	res.GOMAXPROCS = make([]int, res.Procs)
 	var dumps []*eventlog.Dump
 	for rank, rep := range reports {
 		if rep == nil {
 			continue
 		}
 		res.Reports[rank] = rep.Report
+		res.GOMAXPROCS[rank] = rep.GOMAXPROCS
 		for i := 0; i < res.PerProc; i++ {
 			g := rank*res.PerProc + i
 			if g < len(rep.Report.PerPE) {

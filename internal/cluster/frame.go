@@ -121,12 +121,15 @@ const connBufSize = 1 << 16
 // conn is one framed cluster connection: buffered reads on the caller's
 // goroutine, mutex-serialised buffered writes from any goroutine. Only
 // whole frames enter the write buffer, so a flush by any writer puts
-// only whole frames on the socket.
+// only whole frames on the socket. Each side keeps its frame-header
+// scratch in the conn, so neither a read nor a write allocates one.
 type conn struct {
 	rw io.ReadWriteCloser
 	br *bufio.Reader
-	wm sync.Mutex // guards bw
+	rh [4 + frameHeaderLen]byte // read's header; owned by the reader
+	wm sync.Mutex               // guards bw and wh
 	bw *bufio.Writer
+	wh [4 + frameHeaderLen]byte
 }
 
 func newConn(rw io.ReadWriteCloser) *conn {
@@ -169,11 +172,10 @@ func (c *conn) flush() error {
 
 // put appends one frame to the write buffer; the caller holds wm.
 func (c *conn) put(kind byte, seq uint32, body []byte) error {
-	var hdr [4 + frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(frameHeaderLen+len(body)))
-	hdr[4] = kind
-	binary.LittleEndian.PutUint32(hdr[5:9], seq)
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(c.wh[:4], uint32(frameHeaderLen+len(body)))
+	c.wh[4] = kind
+	binary.LittleEndian.PutUint32(c.wh[5:9], seq)
+	if _, err := c.bw.Write(c.wh[:]); err != nil {
 		return err
 	}
 	_, err := c.bw.Write(body)
@@ -181,37 +183,63 @@ func (c *conn) put(kind byte, seq uint32, body []byte) error {
 }
 
 // readStep caps the first allocation for an incoming frame: the length
-// prefix is four untrusted bytes, so the body buffer starts here and
+// prefix is four untrusted bytes, so a new body buffer starts here and
 // doubles only as bytes actually arrive. A truncated frame claiming a
 // gigabyte costs one readStep.
 const readStep = 1 << 16
 
-// read returns the next frame. Only the owning reader goroutine calls
-// it. A malformed length fails structurally — callers treat any error
-// as a broken link, never as something to wait out.
-func (c *conn) read() (byte, uint32, []byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(c.br, lenb[:]); err != nil {
+// read returns the next frame. Its body is read into buf's storage
+// when it fits (buf nil means a fresh buffer); past that storage, or
+// past readStep, it grows by doubling as bytes arrive. A caller that
+// passes each body back as the next buf reads a stream without
+// allocating once the buffer has grown to its largest frame — and must
+// then be done with a body before the next read. Only the owning
+// reader goroutine calls it. A malformed length fails structurally,
+// and a stream that ends inside a frame with io.ErrUnexpectedEOF —
+// callers treat any error as a broken link, never as something to wait
+// out.
+func (c *conn) read(buf []byte) (byte, uint32, []byte, error) {
+	h := c.rh[:]
+	if _, err := io.ReadFull(c.br, h[:4]); err != nil {
 		return 0, 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(lenb[:]))
+	n := int(binary.LittleEndian.Uint32(h[:4]))
 	if n < frameHeaderLen || n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("cluster: frame length %d outside [%d,%d]", n, frameHeaderLen, maxFrame)
 	}
-	buf := make([]byte, min(n, readStep))
+	if err := readRest(c.br, h[4:]); err != nil {
+		return 0, 0, nil, err
+	}
+	n -= frameHeaderLen
+	var body []byte
+	if first := min(n, max(cap(buf), readStep)); first <= cap(buf) {
+		body = buf[:first]
+	} else {
+		body = make([]byte, first)
+	}
 	for filled := 0; ; {
-		if _, err := io.ReadFull(c.br, buf[filled:]); err != nil {
+		if err := readRest(c.br, body[filled:]); err != nil {
 			return 0, 0, nil, err
 		}
-		if len(buf) == n {
+		if len(body) == n {
 			break
 		}
-		filled = len(buf)
+		filled = len(body)
 		grown := make([]byte, min(n, 2*filled))
-		copy(grown, buf)
-		buf = grown
+		copy(grown, body)
+		body = grown
 	}
-	return buf[0], binary.LittleEndian.Uint32(buf[1:5]), buf[frameHeaderLen:], nil
+	return h[4], binary.LittleEndian.Uint32(h[5:9]), body, nil
+}
+
+// readRest fills b from inside a frame, where even a clean EOF means
+// the frame was cut short.
+func readRest(r io.Reader, b []byte) error {
+	_, err := io.ReadFull(r, b)
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // savedFrame is one sent-but-unacked sequenced frame held for replay
@@ -288,18 +316,17 @@ func decodePing(b []byte) (nanos int64, ack uint32, err error) {
 	return int64(binary.LittleEndian.Uint64(b[:8])), binary.LittleEndian.Uint32(b[8:12]), nil
 }
 
-// dataHeaderLen is the fixed prefix of a frameData body.
-const dataHeaderLen = 1 + 8 + 4 + 4
+// dataHeaderLen is the fixed prefix of a frameData body: the room
+// nativeeden encodes every remote payload behind.
+const dataHeaderLen = nativeeden.HeaderRoom
 
-// encodeData builds a frameData body around payload.
-func encodeData(kind nativeeden.MsgKind, chanID int64, src, dst int, payload []byte) []byte {
-	b := make([]byte, dataHeaderLen+len(payload))
-	b[0] = byte(kind)
-	binary.LittleEndian.PutUint64(b[1:9], uint64(chanID))
-	binary.LittleEndian.PutUint32(b[9:13], uint32(src))
-	binary.LittleEndian.PutUint32(b[13:17], uint32(dst))
-	copy(b[dataHeaderLen:], payload)
-	return b
+// putDataHeader writes a frameData body's header into the room at the
+// front of frame, whose payload is already in place behind it.
+func putDataHeader(frame []byte, kind nativeeden.MsgKind, chanID int64, src, dst int) {
+	frame[0] = byte(kind)
+	binary.LittleEndian.PutUint64(frame[1:9], uint64(chanID))
+	binary.LittleEndian.PutUint32(frame[9:13], uint32(src))
+	binary.LittleEndian.PutUint32(frame[13:17], uint32(dst))
 }
 
 // decodeData splits a frameData body. The payload aliases b.

@@ -12,6 +12,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"parhask/internal/graph"
+	"parhask/internal/nativeeden"
+	"parhask/internal/workloads/euler"
 )
 
 // rwc adapts a bytes.Buffer into the io.ReadWriteCloser a conn wants,
@@ -43,7 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}()
 	for _, f := range frames {
-		kind, seq, body, err := cb.read()
+		kind, seq, body, err := cb.read(nil)
 		if err != nil {
 			t.Fatalf("read(kind %d): %v", f.kind, err)
 		}
@@ -66,7 +70,7 @@ func TestFrameTruncatedHeader(t *testing.T) {
 		{0x09, 0x00, 0x00, 0x00, frameData, 1}, // partial seq
 	} {
 		c := readerOver(raw)
-		if _, _, _, err := c.read(); err == nil {
+		if _, _, _, err := c.read(nil); err == nil {
 			t.Errorf("read of truncated stream %v succeeded", raw)
 		} else if err != io.EOF && err != io.ErrUnexpectedEOF {
 			t.Errorf("truncated stream %v: %v, want EOF-class error", raw, err)
@@ -81,7 +85,7 @@ func TestFrameBadLength(t *testing.T) {
 	binary.LittleEndian.PutUint32(under, frameHeaderLen-1)
 	for _, raw := range [][]byte{over, under, {0, 0, 0, 0}} {
 		c := readerOver(raw)
-		_, _, _, err := c.read()
+		_, _, _, err := c.read(nil)
 		if err == nil {
 			t.Fatalf("read accepted frame length %d", binary.LittleEndian.Uint32(raw))
 		}
@@ -97,7 +101,7 @@ func TestFrameTruncatedBody(t *testing.T) {
 	binary.LittleEndian.PutUint32(raw, frameHeaderLen+100)
 	raw[4] = frameData
 	c := readerOver(raw)
-	if _, _, _, err := c.read(); err != io.ErrUnexpectedEOF {
+	if _, _, _, err := c.read(nil); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated body: %v, want %v", err, io.ErrUnexpectedEOF)
 	}
 }
@@ -110,7 +114,7 @@ func TestDataBodyTooShort(t *testing.T) {
 			t.Errorf("decodeData accepted %d-byte body", n)
 		}
 	}
-	kind, chanID, src, dst, payload, err := decodeData(encodeData(2, -7, 1, 3, []byte("xy")))
+	kind, chanID, src, dst, payload, err := decodeData(dataBody(2, -7, 1, 3, "xy"))
 	if err != nil || kind != 2 || chanID != -7 || src != 1 || dst != 3 || string(payload) != "xy" {
 		t.Errorf("decodeData round trip: %d %d %d %d %q %v", kind, chanID, src, dst, payload, err)
 	}
@@ -226,6 +230,14 @@ type failingRWC struct{ rwc }
 
 func (failingRWC) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
+// dataBody builds a frameData body the way a worker sends one: the
+// payload behind the header room, the header written into it.
+func dataBody(kind nativeeden.MsgKind, chanID int64, src, dst int, payload string) []byte {
+	b := append(make([]byte, dataHeaderLen), payload...)
+	putDataHeader(b, kind, chanID, src, dst)
+	return b
+}
+
 // fixedFrames are the well-formed frames the round-trip test and the
 // fuzz corpus share.
 var fixedFrames = []struct {
@@ -235,7 +247,7 @@ var fixedFrames = []struct {
 }{
 	{frameHello, 0, encodeHello(2, helloFlagReconnect, 77)},
 	{frameGo, 0, nil},
-	{frameData, 1, encodeData(3, 42, 1, 4, []byte("payload"))},
+	{frameData, 1, dataBody(3, 42, 1, 4, "payload")},
 	{framePing, 0, encodePing(123456789, 31)},
 	{frameAck, 0, encodeSeq(9)},
 	{frameReport, 2, []byte(`{"rank":1}`)},
@@ -270,7 +282,7 @@ func TestFrameSingleWrite(t *testing.T) {
 	// Everything written reads back as 1+n frames, in order, seqs intact.
 	r := readerOver(w.Bytes())
 	for want := uint32(1); want <= n+1; want++ {
-		kind, seq, body, err := r.read()
+		kind, seq, body, err := r.read(nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", want, err)
 		}
@@ -281,14 +293,25 @@ func TestFrameSingleWrite(t *testing.T) {
 			t.Fatalf("frame %d body %v", want, body)
 		}
 	}
-	if _, _, _, err := r.read(); err != io.EOF {
+	if _, _, _, err := r.read(nil); err != io.EOF {
 		t.Fatalf("after the batch: %v, want EOF", err)
 	}
 }
 
+// reuseBufs are the buffers the read tests pass in: none (a fresh
+// body), and dirty leftovers of an earlier frame smaller and larger
+// than one read step.
+func reuseBufs() map[string][]byte {
+	return map[string][]byte{
+		"fresh": nil,
+		"small": bytes.Repeat([]byte{0xa5}, 100),
+		"large": bytes.Repeat([]byte{0x5a}, 3*readStep),
+	}
+}
+
 func TestFrameLargeBodyGrows(t *testing.T) {
-	// A body past the first read step arrives whole through the growth
-	// loop.
+	// A body past the first read step (and past the buffer passed in)
+	// arrives whole through the growth loop.
 	body := make([]byte, 5*readStep+123)
 	for i := range body {
 		body[i] = byte(i * 7)
@@ -297,9 +320,11 @@ func TestFrameLargeBodyGrows(t *testing.T) {
 	if err := newConn(w).write(frameReport, 9, body); err != nil {
 		t.Fatal(err)
 	}
-	kind, seq, got, err := readerOver(w.Bytes()).read()
-	if err != nil || kind != frameReport || seq != 9 || !bytes.Equal(got, body) {
-		t.Fatalf("large frame: kind %d seq %d len %d err %v", kind, seq, len(got), err)
+	for name, buf := range reuseBufs() {
+		kind, seq, got, err := readerOver(w.Bytes()).read(buf)
+		if err != nil || kind != frameReport || seq != 9 || !bytes.Equal(got, body) {
+			t.Fatalf("large frame into %s buffer: kind %d seq %d len %d err %v", name, kind, seq, len(got), err)
+		}
 	}
 }
 
@@ -315,18 +340,87 @@ func allocatedBy(fn func()) uint64 {
 
 func TestFrameHostileLength(t *testing.T) {
 	// Four untrusted bytes claim a gigabyte and then the stream ends:
-	// the reader must fail having allocated a read step, not the claim.
+	// the reader must fail having allocated a read step, not the claim,
+	// whatever buffer it was handed.
 	raw := make([]byte, 4, 4+frameHeaderLen)
 	binary.LittleEndian.PutUint32(raw, maxFrame)
 	raw = append(raw, frameData, 1, 0, 0, 0)
-	c := readerOver(raw)
-	var err error
-	got := allocatedBy(func() { _, _, _, err = c.read() })
-	if err != io.ErrUnexpectedEOF {
-		t.Fatalf("truncated gigabyte frame: %v, want %v", err, io.ErrUnexpectedEOF)
+	for name, buf := range reuseBufs() {
+		c := readerOver(raw)
+		var err error
+		got := allocatedBy(func() { _, _, _, err = c.read(buf) })
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("truncated gigabyte frame into %s buffer: %v, want %v", name, err, io.ErrUnexpectedEOF)
+		}
+		if got > 4*readStep {
+			t.Fatalf("reading a truncated frame claiming %d bytes into %s buffer allocated %d", maxFrame, name, got)
+		}
 	}
-	if got > 4*readStep {
-		t.Fatalf("reading a truncated frame claiming %d bytes allocated %d", maxFrame, got)
+}
+
+// discardRWC is a peer that takes every byte and never answers.
+type discardRWC struct{}
+
+func (discardRWC) Read([]byte) (int, error)    { return 0, io.EOF }
+func (discardRWC) Write(p []byte) (int, error) { return len(p), nil }
+func (discardRWC) Close() error                { return nil }
+
+func TestWorkerSendAllocatesOneBuffer(t *testing.T) {
+	// A remote message costs the worker one allocation: the frame the
+	// payload is encoded into is the body the link writes and keeps
+	// until the ack — no copy into a second body, no boxed encoder or
+	// header on the way. Checked for a 128-entry pivot row and for a
+	// registered struct (whose codec receives the encoder by pointer).
+	l := newWLink(1, "unix", "", false)
+	l.c = newConn(discardRWC{})
+	tr := &starTransport{l: l}
+	for _, v := range []graph.Value{make([]int32, 128), euler.Range{Lo: 1, Hi: 9}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			frame, err := nativeeden.EncodeFrame(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.SendRemote(nativeeden.MsgChanSend, 7, 0, 3, frame); err != nil {
+				t.Fatal(err)
+			}
+			l.ackSent(l.sendSeq)
+		})
+		if allocs != 1 {
+			t.Errorf("sending a %T through the worker transport made %v allocations, want 1", v, allocs)
+		}
+	}
+}
+
+func TestReusedReadAllocatesNothing(t *testing.T) {
+	// Once the worker's read buffer has grown to the largest frame, a
+	// data frame costs the read no allocation at all.
+	frame, err := nativeeden.EncodeFrame(make([]int32, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	putDataHeader(frame, nativeeden.MsgStreamSend, 7, 0, 3)
+	const runs = 100
+	w := &rwc{}
+	wc := newConn(w)
+	for i := 0; i <= runs+1; i++ { // the warm-up read, AllocsPerRun's own, then runs
+		if err := wc.write(frameData, uint32(i+1), frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := readerOver(w.Bytes())
+	_, _, buf, err := c.read(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		_, _, body, err := c.read(buf)
+		if err != nil || !bytes.Equal(body, frame) {
+			t.Fatalf("reused read: %d bytes, %v", len(body), err)
+		}
+		buf = body
+	})
+	if allocs != 0 {
+		t.Fatalf("reading a data frame into the grown buffer made %v allocations, want 0", allocs)
 	}
 }
 
@@ -390,7 +484,7 @@ func TestFlushFailureReplaysExactlyOnce(t *testing.T) {
 	go func() {
 		r := newConn(theirs)
 		for {
-			kind, seq, body, err := r.read()
+			kind, seq, body, err := r.read(nil)
 			if err != nil {
 				close(got)
 				return
@@ -446,7 +540,7 @@ func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
 	}
 	r := readerOver(w.Bytes())
 	for want := uint32(1); want <= n; want++ {
-		if _, seq, _, err := r.read(); err != nil || seq != want {
+		if _, seq, _, err := r.read(nil); err != nil || seq != want {
 			t.Fatalf("frame %d read back as seq %d, %v", want, seq, err)
 		}
 	}
@@ -507,7 +601,10 @@ func TestReportFailedNamesCauseOnce(t *testing.T) {
 
 // FuzzFrameRead: arbitrary bytes never panic the frame reader, every
 // frame it returns lies within the bytes supplied, and it never
-// allocates more than a small multiple of them plus a constant.
+// allocates more than a small multiple of them plus a constant. The
+// input is read twice — into fresh bodies, and into one reused buffer
+// left dirty by a previous frame — and both reads must return the same
+// frames and end with the same error.
 func FuzzFrameRead(f *testing.F) {
 	var all []byte
 	for _, fr := range fixedFrames {
@@ -528,13 +625,22 @@ func FuzzFrameRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := readerOver(data)
 		total := 0
+		type frame struct {
+			kind byte
+			seq  uint32
+			body []byte
+		}
+		var fresh []frame
+		var freshErr error
 		got := allocatedBy(func() {
 			for {
-				_, _, body, err := c.read()
+				kind, seq, body, err := c.read(nil)
 				if err != nil {
+					freshErr = err
 					return
 				}
 				total += 4 + frameHeaderLen + len(body)
+				fresh = append(fresh, frame{kind, seq, body})
 			}
 		})
 		if total > len(data) {
@@ -545,6 +651,28 @@ func FuzzFrameRead(f *testing.F) {
 		// may claim and the fuzz worker's own bookkeeping.
 		if limit := uint64(4*len(data) + 16*readStep); got > limit {
 			t.Fatalf("reading %d bytes allocated %d (limit %d)", len(data), got, limit)
+		}
+
+		_, _, buf, err := readerOver(all).read(nil) // the previous frame's leftovers
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = readerOver(data)
+		for i := 0; ; i++ {
+			kind, seq, body, err := c.read(buf)
+			if err != nil {
+				if i != len(fresh) || fmt.Sprint(err) != fmt.Sprint(freshErr) {
+					t.Fatalf("reused read ended at frame %d with %v; fresh read at %d with %v", i, err, len(fresh), freshErr)
+				}
+				return
+			}
+			if i >= len(fresh) {
+				t.Fatalf("reused read returned frame %d; fresh read ended at %d", i, len(fresh))
+			}
+			if want := fresh[i]; kind != want.kind || seq != want.seq || !bytes.Equal(body, want.body) {
+				t.Fatalf("frame %d: reused read (%d, %d, %x), fresh (%d, %d, %x)", i, kind, seq, body, want.kind, want.seq, want.body)
+			}
+			buf = body
 		}
 	})
 }
@@ -587,7 +715,7 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 					b.Fatal(err)
 				}
 				for j := 0; j < burst; j++ {
-					_, _, got, err := r.read()
+					_, _, got, err := r.read(nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -83,6 +84,9 @@ type workerReport struct {
 	Err        string            `json:"err,omitempty"`
 	Drained    bool              `json:"drained,omitempty"`
 	Reconnects int               `json:"reconnects,omitempty"`
+	// GOMAXPROCS is the rank's runtime.GOMAXPROCS(0): the core share
+	// the coordinator started it with (see workerProcs).
+	GOMAXPROCS int `json:"gomaxprocs"`
 }
 
 // wlink is the worker's self-healing coordinator link. Writers block
@@ -331,7 +335,7 @@ func (l *wlink) resume(nc net.Conn) (*conn, error) {
 		return nil, err
 	}
 	_ = nc.SetReadDeadline(time.Now().Add(welcomeDeadline))
-	kind, _, body, err := c.read()
+	kind, _, body, err := c.read(nil)
 	if err != nil || kind != frameWelcome {
 		nc.Close()
 		return nil, fmt.Errorf("cluster: rank %d waiting for welcome: kind %d, %v", l.rank, kind, err)
@@ -419,11 +423,15 @@ func (l *wlink) awaitAcked(timeout time.Duration) {
 }
 
 // starTransport ships a cluster data message as one frame to the
-// coordinator, which routes it to the destination PE's owner.
+// coordinator, which routes it to the destination PE's owner. The
+// frame nativeeden encoded is the body: its header goes into the room
+// in front of the payload, and the retransmit buffer keeps the frame
+// until the coordinator acks it.
 type starTransport struct{ l *wlink }
 
-func (t *starTransport) SendRemote(kind nativeeden.MsgKind, chanID int64, src, dst int, payload []byte) error {
-	return t.l.write(frameData, encodeData(kind, chanID, src, dst, payload))
+func (t *starTransport) SendRemote(kind nativeeden.MsgKind, chanID int64, src, dst int, frame []byte) error {
+	putDataHeader(frame, kind, chanID, src, dst)
+	return t.l.write(frameData, frame)
 }
 
 func envInt(key string) (int, error) {
@@ -491,7 +499,7 @@ func workerMain() error {
 		return err
 	}
 	c0 := l.current()
-	kind, _, _, err := c0.read()
+	kind, _, _, err := c0.read(nil)
 	if err != nil || kind != frameGo {
 		return fmt.Errorf("cluster: rank %d waiting for go: kind %d, %v", rank, kind, err)
 	}
@@ -553,8 +561,12 @@ func workerMain() error {
 	// frames deliver into the local PEs, drain unwinds the run, pings
 	// are answered, acks trim the retransmit buffer — and a broken
 	// connection triggers the redial instead of aborting, unless the
-	// link is terminally gone.
+	// link is terminally gone. Every frame is read into buf, one buffer
+	// for the life of the link: each case below is done with the body
+	// before the next read (Deliver's wire.Decode copies the payload
+	// out; the redial's welcome is read into a buffer of its own).
 	go func() {
+		var buf []byte
 		for {
 			c := l.current()
 			if c == nil {
@@ -564,7 +576,7 @@ func workerMain() error {
 					return
 				}
 			}
-			kind, seq, body, err := c.read()
+			kind, seq, body, err := c.read(buf)
 			if err != nil {
 				var rerr error
 				if _, rerr = l.redial(c, err); rerr != nil {
@@ -573,6 +585,7 @@ func workerMain() error {
 				}
 				continue
 			}
+			buf = body
 			l.stallIfWedged()
 			process, ackNow, serr := l.accept(seq)
 			if serr != nil {
@@ -613,7 +626,7 @@ func workerMain() error {
 	res, runErr := rts.RunMain(prog)
 	drained := errors.Is(runErr, nativeeden.ErrDrained)
 
-	rep := workerReport{Rank: rank, Drained: drained}
+	rep := workerReport{Rank: rank, Drained: drained, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	if res != nil {
 		rep.Report = res.Report()
 		if res.Events != nil {

@@ -378,7 +378,8 @@ func (r *cli) runCluster() (report, error) {
 		return report{}, err
 	}
 	rep := report{
-		where: fmt.Sprintf("a %d-process Eden cluster (%s), %d PEs per process", res.Procs, cfg.Transport, res.PerProc),
+		where: fmt.Sprintf("a %d-process Eden cluster (%s), %d PEs per process, GOMAXPROCS %s by rank",
+			res.Procs, cfg.Transport, res.PerProc, strings.Trim(fmt.Sprint(res.GOMAXPROCS), "[]")),
 		value: res.Value, json: res, stats: res.Total,
 		clock: fmt.Sprintf("%v (root wall clock; %v including launch and drain)",
 			time.Duration(res.WallNS), time.Duration(res.CoordNS)),

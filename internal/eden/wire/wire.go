@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 
 	"parhask/internal/eden"
 	"parhask/internal/graph"
@@ -174,25 +175,46 @@ func RegisteredProtos() []graph.Value {
 	return out
 }
 
-// Encode packs v into its wire form and asserts the byte count against
-// the packing model: len(result) == eden.SizeOfChecked(v), always. Any
+// Encode packs v into a fresh buffer: AppendEncode(nil, v).
+func Encode(v graph.Value) ([]byte, error) { return AppendEncode(nil, v) }
+
+// AppendEncode appends v's wire form to dst and returns the extended
+// slice. It grows dst at most once, by exactly the encoding's size, so
+// a caller that reserves a header in front of the payload (the cluster
+// transport's data frame) gets one buffer holding both and never copies
+// the encoding. The byte count is asserted against the packing model:
+// the bytes appended always number eden.SizeOfChecked(v). Any
 // disagreement between a type's PackedSize and its codec is returned
 // as a *SizeMismatchError at the first send instead of silently
 // skewing the byte telemetry.
-func Encode(v graph.Value) ([]byte, error) {
+func AppendEncode(dst []byte, v graph.Value) ([]byte, error) {
 	want, err := eden.SizeOfChecked(v)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	e := &Enc{b: make([]byte, 0, want)}
-	if err := e.Value(v); err != nil {
-		return nil, err
+	// Registered encoders take the *Enc through a function value, so an
+	// Enc always escapes; pooling it keeps the buffer the only
+	// allocation of an encode.
+	e := encPool.Get().(*Enc)
+	e.b = dst
+	if cap(dst)-len(dst) < int(want) {
+		e.b = make([]byte, len(dst), len(dst)+int(want))
+		copy(e.b, dst)
 	}
-	if int64(len(e.b)) != want {
-		return nil, &SizeMismatchError{Type: fmt.Sprintf("%T", v), Got: int64(len(e.b)), Want: want}
+	err = e.Value(v)
+	out := e.b
+	e.b = nil
+	encPool.Put(e)
+	if err != nil {
+		return dst, err
 	}
-	return e.b, nil
+	if got := int64(len(out) - len(dst)); got != want {
+		return dst, &SizeMismatchError{Type: fmt.Sprintf("%T", v), Got: got, Want: want}
+	}
+	return out, nil
 }
+
+var encPool = sync.Pool{New: func() any { return new(Enc) }}
 
 // Decode is the inverse of Encode: it rebuilds the value (with its
 // exact dynamic type) from b, consuming all of it. Malformed input —
@@ -217,9 +239,6 @@ func Decode(b []byte) (graph.Value, error) {
 type Enc struct {
 	b []byte
 }
-
-// Bytes returns the accumulated encoding.
-func (e *Enc) Bytes() []byte { return e.b }
 
 func (e *Enc) hdr(tag uint32) {
 	e.b = binary.LittleEndian.AppendUint32(e.b, tag)

@@ -51,6 +51,35 @@ func corpus() []graph.Value {
 	return vals
 }
 
+// TestAppendEncodeBehindPrefix: AppendEncode keeps dst's bytes, in
+// place and in its result, and appends exactly Encode's bytes, whether
+// dst has room or must move — the contract that lets the cluster
+// transport encode a payload behind its frame header.
+func TestAppendEncodeBehindPrefix(t *testing.T) {
+	prefix := []byte("frame header room")
+	for _, v := range corpus() {
+		want, err := wire.Encode(v)
+		if err != nil {
+			t.Fatalf("Encode(%T): %v", v, err)
+		}
+		for _, dst := range [][]byte{
+			bytes.Clone(prefix)[:len(prefix):len(prefix)], // full: must move
+			append(make([]byte, 0, len(prefix)+len(want)), prefix...),
+		} {
+			got, err := wire.AppendEncode(dst, v)
+			if err != nil {
+				t.Fatalf("AppendEncode(%T): %v", v, err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("AppendEncode(%T) = %x, want %x behind the prefix", v, got, want)
+			}
+			if !bytes.Equal(dst, prefix) {
+				t.Fatalf("AppendEncode(%T) rewrote its destination's prefix", v)
+			}
+		}
+	}
+}
+
 // TestRoundTripProperty: decode(encode(v)) deep-equals v with the same
 // dynamic type, and the encoded length equals the packing model's
 // charge — the assertion that makes eden.SizeOfChecked the actual

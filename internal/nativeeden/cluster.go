@@ -20,8 +20,8 @@
 //
 // Cross-process sends replace the in-process deep copy (copyForSend)
 // with the wire codec: the value is reduced to normal form, encoded —
-// wire.Encode asserts the byte count equals eden.SizeOfChecked, so the
-// charged size IS the bytes on the wire — shipped through the
+// wire.AppendEncode asserts the byte count equals eden.SizeOfChecked,
+// so the charged size IS the bytes on the wire — shipped through the
 // ClusterTransport, and decoded into a fresh heap on the owning
 // process. Decoding is the copy: no thunk is ever reachable from two
 // processes, let alone two machines.
@@ -96,12 +96,21 @@ const (
 	MsgStreamClose
 )
 
+// HeaderRoom is the number of bytes every remote payload is encoded
+// behind: room for the transport's routing header — kind, channel id,
+// source and destination PE (1 + 8 + 4 + 4) — so the one buffer the
+// encoder fills is the frame body the transport sends, and the
+// encoding is never copied.
+const HeaderRoom = 1 + 8 + 4 + 4
+
 // ClusterTransport ships one encoded message to the process owning dst.
-// Implementations must be safe for concurrent use; per-(src,dst) FIFO
-// order must be preserved (streams rely on it, exactly as Eden's
-// per-edge order guarantee).
+// frame[:HeaderRoom] is the transport's to overwrite with its header
+// and frame[HeaderRoom:] is the payload (empty for a stream close); the
+// transport owns frame from the call on. Implementations must be safe
+// for concurrent use; per-(src,dst) FIFO order must be preserved
+// (streams rely on it, exactly as Eden's per-edge order guarantee).
 type ClusterTransport interface {
-	SendRemote(kind MsgKind, chanID int64, src, dst int, payload []byte) error
+	SendRemote(kind MsgKind, chanID int64, src, dst int, frame []byte) error
 }
 
 // ErrDrained is the error a worker's run ends with when the
@@ -256,26 +265,40 @@ func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) 
 	return nil
 }
 
+// headerRoom is the zero prefix remote payloads are encoded behind. It
+// is never written: its length is its capacity, so AppendEncode must
+// move the encoding to a fresh buffer, and that buffer is the frame.
+var headerRoom [HeaderRoom]byte
+
+// EncodeFrame encodes v behind HeaderRoom bytes of room into one fresh
+// buffer — the frame a ClusterTransport sends — and allocates nothing
+// else.
+func EncodeFrame(v graph.Value) ([]byte, error) {
+	return wire.AppendEncode(headerRoom[:], v)
+}
+
 // sendRemote is the cross-process half of Send/StreamSend/StreamClose:
-// encode (the byte count is asserted equal to eden.SizeOfChecked inside
-// wire.Encode), count, inject message faults, then ship through the
-// transport with this PE's lock released — the write may block on a
-// real socket, and transport is a yield point exactly like withPE.
-// extra is the non-payload charge (ConsOverhead for a stream element,
-// the 16-byte Nil for a close).
+// encode into a fresh frame (the byte count is asserted equal to
+// eden.SizeOfChecked inside wire.AppendEncode), count, inject message
+// faults, then ship through the transport with this PE's lock released
+// — the write may block on a real socket, and transport is a yield
+// point exactly like withPE. extra is the non-payload charge
+// (ConsOverhead for a stream element, the 16-byte Nil for a close).
 func (p *PCtx) sendRemote(op string, kind MsgKind, id int64, dest int, nf graph.Value, extra int64) {
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.CommBegin)
 	}
-	var payload []byte
-	if kind != MsgStreamClose {
+	var frame []byte
+	if kind == MsgStreamClose {
+		frame = make([]byte, HeaderRoom)
+	} else {
 		var err error
-		payload, err = wire.Encode(nf)
+		frame, err = EncodeFrame(nf)
 		if err != nil {
 			panic(&eden.SendError{Op: op, Chan: id, PE: p.pe.id, Dest: dest, Err: err})
 		}
 	}
-	bytes := int64(len(payload)) + extra
+	bytes := int64(len(frame)-HeaderRoom) + extra
 	p.pe.ctr.MsgsSent++
 	p.pe.ctr.BytesSent += bytes
 	if p.pe.ev != nil {
@@ -290,7 +313,7 @@ func (p *PCtx) sendRemote(op string, kind MsgKind, id int64, dest int, nf graph.
 	tr := p.rts.cfg.Cluster.Transport
 	src := p.pe.id
 	p.pe.mu.Unlock()
-	err := tr.SendRemote(kind, id, src, dest, payload)
+	err := tr.SendRemote(kind, id, src, dest, frame)
 	p.pe.mu.Lock()
 	if err != nil {
 		// A severed link surfaces as the ordinary structured send error

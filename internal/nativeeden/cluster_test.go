@@ -35,7 +35,7 @@ type memPort struct {
 	rank int
 }
 
-func (t *memPort) SendRemote(kind nativeeden.MsgKind, chanID int64, src, dst int, payload []byte) error {
+func (t *memPort) SendRemote(kind nativeeden.MsgKind, chanID int64, src, dst int, frame []byte) error {
 	owner := dst / t.h.perProc
 	t.h.mu.Lock()
 	target := t.h.rts[owner]
@@ -47,7 +47,7 @@ func (t *memPort) SendRemote(kind nativeeden.MsgKind, chanID int64, src, dst int
 	if target == nil {
 		return fmt.Errorf("memhub: rank %d not assembled", owner)
 	}
-	return target.Deliver(kind, chanID, src, dst, payload)
+	return target.Deliver(kind, chanID, src, dst, frame[nativeeden.HeaderRoom:])
 }
 
 // runCluster runs main SPMD over procs×perProc PEs and returns rank

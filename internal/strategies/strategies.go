@@ -20,9 +20,6 @@ import (
 // work-stealing runtime.
 type Strategy func(ctx exec.Ctx, t *graph.Thunk)
 
-// R0 is the trivial strategy: no evaluation.
-func R0(ctx exec.Ctx, t *graph.Thunk) {}
-
 // RWHNF evaluates to weak head normal form (rwhnf).
 func RWHNF(ctx exec.Ctx, t *graph.Thunk) { ctx.Force(t) }
 
@@ -37,12 +34,6 @@ func Thunk(f func(*rts.Ctx) graph.Value) *graph.Thunk {
 	return graph.NewThunk(func(c graph.Context) graph.Value {
 		return f(c.(*rts.Ctx))
 	})
-}
-
-// Using applies a strategy to a thunk and returns the thunk (x `using` s).
-func Using(ctx exec.Ctx, t *graph.Thunk, s Strategy) *graph.Thunk {
-	s(ctx, t)
-	return t
 }
 
 // ParList sparks the element strategy on every list element in parallel:
@@ -98,41 +89,6 @@ func ParMap(ctx exec.Ctx, f func(exec.Ctx, graph.Value) graph.Value, xs []graph.
 	out := make([]graph.Value, len(ts))
 	for i, t := range ts {
 		out[i] = ctx.Force(t)
-	}
-	return out
-}
-
-// SplitIntoN partitions xs into n contiguous sublists of near-equal
-// length (Eden's splitIntoN / GpH's chunking helper).
-func SplitIntoN[T any](n int, xs []T) [][]T {
-	if n <= 0 {
-		n = 1
-	}
-	if n > len(xs) && len(xs) > 0 {
-		n = len(xs)
-	}
-	out := make([][]T, 0, n)
-	for i := 0; i < n; i++ {
-		lo := len(xs) * i / n
-		hi := len(xs) * (i + 1) / n
-		out = append(out, xs[lo:hi])
-	}
-	return out
-}
-
-// Chunk splits xs into contiguous chunks of the given size (the final
-// chunk may be shorter).
-func Chunk[T any](size int, xs []T) [][]T {
-	if size <= 0 {
-		size = 1
-	}
-	var out [][]T
-	for lo := 0; lo < len(xs); lo += size {
-		hi := lo + size
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		out = append(out, xs[lo:hi])
 	}
 	return out
 }

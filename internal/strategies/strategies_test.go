@@ -2,7 +2,6 @@ package strategies
 
 import (
 	"testing"
-	"testing/quick"
 
 	"parhask/internal/exec"
 	"parhask/internal/gph"
@@ -85,39 +84,6 @@ func TestSeqListForcesInOrder(t *testing.T) {
 	}
 }
 
-func TestUsingReturnsSameThunk(t *testing.T) {
-	cfg := gph.NewConfig(2)
-	_, err := gph.Run(cfg, func(ctx *rts.Ctx) graph.Value {
-		th := Thunk(func(c *rts.Ctx) graph.Value { return 9 })
-		got := Using(ctx, th, RWHNF)
-		if got != th {
-			t.Error("Using must return its thunk")
-		}
-		if !th.IsEvaluated() {
-			t.Error("RWHNF strategy did not evaluate")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestR0DoesNothing(t *testing.T) {
-	cfg := gph.NewConfig(1)
-	_, err := gph.Run(cfg, func(ctx *rts.Ctx) graph.Value {
-		th := Thunk(func(c *rts.Ctx) graph.Value { return 1 })
-		R0(ctx, th)
-		if th.IsEvaluated() {
-			t.Error("R0 must not evaluate")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRNFForcesNestedStructure(t *testing.T) {
 	cfg := gph.NewConfig(1)
 	_, err := gph.Run(cfg, func(ctx *rts.Ctx) graph.Value {
@@ -132,74 +98,6 @@ func TestRNFForcesNestedStructure(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitIntoNProperty(t *testing.T) {
-	f := func(nRaw uint8, lenRaw uint16) bool {
-		n := int(nRaw%20) + 1
-		xs := make([]int, int(lenRaw%500))
-		for i := range xs {
-			xs[i] = i
-		}
-		parts := SplitIntoN(n, xs)
-		// Concatenation restores the input; sizes differ by at most 1.
-		var cat []int
-		minLen, maxLen := 1<<30, 0
-		for _, p := range parts {
-			cat = append(cat, p...)
-			if len(p) < minLen {
-				minLen = len(p)
-			}
-			if len(p) > maxLen {
-				maxLen = len(p)
-			}
-		}
-		if len(cat) != len(xs) {
-			return false
-		}
-		for i := range cat {
-			if cat[i] != xs[i] {
-				return false
-			}
-		}
-		return len(xs) == 0 || maxLen-minLen <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChunkProperty(t *testing.T) {
-	f := func(sizeRaw uint8, lenRaw uint16) bool {
-		size := int(sizeRaw%30) + 1
-		xs := make([]int, int(lenRaw%400))
-		for i := range xs {
-			xs[i] = i
-		}
-		chunks := Chunk(size, xs)
-		var cat []int
-		for i, c := range chunks {
-			if len(c) == 0 || len(c) > size {
-				return false
-			}
-			if i < len(chunks)-1 && len(c) != size {
-				return false // only the last chunk may be short
-			}
-			cat = append(cat, c...)
-		}
-		if len(cat) != len(xs) {
-			return false
-		}
-		for i := range cat {
-			if cat[i] != xs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
