@@ -8,7 +8,8 @@
 //	benchall -quick -gogc 50,100,200,400,off    # + the §IV-A.1 allocation-area sweep (native, wall clock)
 //	benchall -quick -chaos 500                  # seeded chaos soak (exit 1 on violations)
 //	benchall -quick -cluster -chaos 16          # chaos under the cluster: supervised recovery soak
-//	benchall -quick -faults "seed=7,drop=0.4" -faultbackend nativeeden   # replay one seed
+//
+// A soak row's repro line replays that one run through cmd/sumeuler.
 //
 // Output is text: runtime tables, ASCII timeline traces and speedup
 // tables/charts, each followed by a shape check against the paper's
@@ -25,30 +26,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"parhask/internal/cluster"
 	"parhask/internal/experiments"
-	"parhask/internal/faults"
 )
 
 // options is benchall's whole command-line surface.
 type options struct {
-	fig                     int
-	quick                   bool
-	sumN, chunks            int
-	matN, matB              int
-	apspN, width            int
-	models, latency         bool
-	gogc                    string
-	cluster                 bool
-	transport               string
-	restarts                int
-	reconnect               bool
-	chaosIters              int
-	chaosSeed               uint64
-	faultSpec, faultBackend string
-	deadline                time.Duration
+	fig             int
+	quick           bool
+	sumN, chunks    int
+	matN, matB      int
+	apspN, width    int
+	models, latency bool
+	gogc            string
+	cluster         bool
+	transport       string
+	restarts        int
+	reconnect       bool
+	chaosIters      int
+	chaosSeed       uint64
 }
 
 // newFlags registers every benchall flag on fs.
@@ -71,9 +68,6 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.reconnect, "reconnect", true, "cluster: let workers whose links break redial and resume in place")
 	fs.IntVar(&o.chaosIters, "chaos", 0, "run an N-iteration seeded chaos soak over both native backends instead of the figures (writes results/CHAOS.html + .json; exits non-zero on violations)")
 	fs.Uint64Var(&o.chaosSeed, "chaosseed", 42, "chaos soak master seed")
-	fs.StringVar(&o.faultSpec, "faults", "", "replay one fault-injected run from a spec (internal/faults grammar) instead of the figures")
-	fs.StringVar(&o.faultBackend, "faultbackend", "native", "backend for the -faults replay: native | nativeeden")
-	fs.DurationVar(&o.deadline, "deadline", 0, "deadlock-watchdog deadline for -faults replays (0 = the soak's 10s default)")
 	return o
 }
 
@@ -120,16 +114,6 @@ func (o *options) validate() (experiments.Params, []int, error) {
 			return p, nil, err
 		}
 	}
-	if o.faultSpec != "" || o.deadline != 0 {
-		if _, err := faults.CLIInjector(o.faultSpec, o.deadline, "native"); err != nil {
-			return p, nil, err
-		}
-		p.FaultSpec = o.faultSpec
-		p.Deadline = o.deadline
-	}
-	if o.faultBackend != "native" && o.faultBackend != "nativeeden" {
-		return p, nil, fmt.Errorf("unknown -faultbackend %q (want native or nativeeden)", o.faultBackend)
-	}
 	if o.chaosIters < 0 {
 		return p, nil, errors.New("-chaos must be non-negative")
 	}
@@ -170,22 +154,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Chaos modes run standalone (no figures): a single replay, a full
-	// soak, or both. The soak's exit code is its verdict, so CI can use
-	// it as a hard gate.
-	if o.faultSpec != "" || o.chaosIters > 0 {
+	// A chaos soak runs standalone (no figures). Its exit code is its
+	// verdict, so CI can use it as a hard gate.
+	if o.chaosIters > 0 {
 		exit := 0
-		if o.faultSpec != "" {
-			row := experiments.ReplayFault(p, o.faultBackend)
-			fmt.Printf("fault replay on %s: %s\n  spec   %s\n", row.Backend, row.Outcome, row.Spec)
-			if row.Detail != "" {
-				fmt.Printf("  detail %s\n", row.Detail)
-			}
-			if row.Outcome == experiments.ChaosViolation {
-				exit = 1
-			}
-		}
-		if o.cluster { // validate: only with -chaos N
+		if o.cluster {
 			// Chaos under the cluster: supervised multi-process runs with
 			// ranks killed, flapped, severed and wedged. The soak report is
 			// the recovery-trace artifact.
@@ -197,7 +170,7 @@ func main() {
 			if c.Violations > 0 {
 				exit = 1
 			}
-		} else if o.chaosIters > 0 {
+		} else {
 			s := experiments.RunChaosSoak(p, o.chaosIters, o.chaosSeed)
 			fmt.Println(s.String())
 			writeResult("CHAOS.html", s.HTML())

@@ -18,7 +18,6 @@ import (
 	"parhask/internal/eventlog"
 	"parhask/internal/faults"
 	"parhask/internal/graph"
-	"parhask/internal/metrics"
 	"parhask/internal/nativeeden"
 )
 
@@ -55,16 +54,6 @@ type Config struct {
 	// and resume in place before the break is declared a death. Zero
 	// means 3s; negative disables reconnection entirely.
 	ReconnectWindow time.Duration
-	// QueueDepth bounds each rank's outbound frame queue and retransmit
-	// buffer; overflow is a structured backpressure death, never a
-	// wedged coordinator. Zero means 1024.
-	QueueDepth int
-	// Metrics, when non-nil, receives the recovery counters
-	// (cluster_restarts_total, cluster_reconnects_total,
-	// cluster_dropped_frames_total) and the recovery-latency histogram.
-	Metrics *metrics.Registry
-	// Stderr receives the workers' stderr (defaults to os.Stderr).
-	Stderr io.Writer
 }
 
 // Defaults for the liveness and recovery knobs.
@@ -72,8 +61,11 @@ const (
 	defaultHeartbeat       = 500 * time.Millisecond
 	heartbeatMissFactor    = 4
 	defaultReconnectWindow = 3 * time.Second
-	defaultQueueDepth      = 1024
-	terminateGrace         = 2 * time.Second
+	// queueDepth bounds each rank's outbound frame queue and retransmit
+	// buffer; overflow is a structured backpressure death, never a
+	// wedged coordinator.
+	queueDepth     = 1024
+	terminateGrace = 2 * time.Second
 )
 
 // Validate is the fail-fast check the CLIs run on flag parse: it
@@ -90,9 +82,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Transport != "tcp" && cfg.Transport != "unix" {
 		return fmt.Errorf("cluster: unknown transport %q (want tcp or unix)", cfg.Transport)
-	}
-	if cfg.QueueDepth < 0 {
-		return fmt.Errorf("cluster: negative queue depth %d", cfg.QueueDepth)
 	}
 	if cfg.Restart != nil && cfg.Restart.Max < 0 {
 		return fmt.Errorf("cluster: negative restart budget %d", cfg.Restart.Max)
@@ -279,10 +268,6 @@ type coord struct {
 	hb        time.Duration
 	hbTimeout time.Duration
 	window    time.Duration // reconnect window; <0 disables
-	depth     int
-
-	mReconnects *metrics.Counter
-	mDrops      *metrics.Counter
 }
 
 func (cd *coord) emit(ev event) {
@@ -301,9 +286,6 @@ func (cd *coord) reconnectOK() bool { return cd.window >= 0 }
 func (cd *coord) route(l *rankLink, kind byte, body []byte) {
 	if l.done.Load() || l.isDead() {
 		l.drops.Add(1)
-		if cd.mDrops != nil {
-			cd.mDrops.Inc()
-		}
 		return
 	}
 	select {
@@ -365,9 +347,6 @@ func (cd *coord) deliver(l *rankLink, f outFrame) *conn {
 		l.mu.Unlock()
 		if sequenced(f.kind) {
 			l.drops.Add(1)
-			if cd.mDrops != nil {
-				cd.mDrops.Inc()
-			}
 		}
 		return nil
 	}
@@ -377,7 +356,7 @@ func (cd *coord) deliver(l *rankLink, f outFrame) *conn {
 		l.sendSeq++
 		seq = l.sendSeq
 		l.unacked = append(l.unacked, savedFrame{seq: seq, kind: f.kind, body: f.body})
-		if len(l.unacked) > cd.depth {
+		if len(l.unacked) > queueDepth {
 			l.mu.Unlock()
 			cd.emit(event{rank: l.rank, backpressure: true})
 			return nil
@@ -574,11 +553,6 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	if deadline <= 0 {
 		deadline = time.Minute
 	}
-	stderr := cfg.Stderr
-	if stderr == nil {
-		stderr = os.Stderr
-	}
-
 	cd := &coord{
 		cfg:     cfg,
 		procs:   cfg.Procs,
@@ -587,7 +561,6 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 		stop:    make(chan struct{}),
 		hb:      cfg.Heartbeat,
 		window:  cfg.ReconnectWindow,
-		depth:   cfg.QueueDepth,
 	}
 	if cd.hb <= 0 {
 		cd.hb = defaultHeartbeat
@@ -596,16 +569,9 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	if cd.window == 0 {
 		cd.window = defaultReconnectWindow
 	}
-	if cd.depth <= 0 {
-		cd.depth = defaultQueueDepth
-	}
-	if cfg.Metrics != nil {
-		cd.mReconnects = cfg.Metrics.Counter("cluster_reconnects_total", "worker link reconnects accepted mid-run")
-		cd.mDrops = cfg.Metrics.Counter("cluster_dropped_frames_total", "routed frames dropped on a dead destination")
-	}
 	cd.links = make([]*rankLink, cfg.Procs)
 	for rank := range cd.links {
-		l := &rankLink{rank: rank, out: make(chan outFrame, cd.depth)}
+		l := &rankLink{rank: rank, out: make(chan outFrame, queueDepth)}
 		l.cond = sync.NewCond(&l.mu)
 		cd.links[rank] = l
 	}
@@ -667,8 +633,8 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 			fmt.Sprintf("%s=%d", envAttempt, attempt),
 			fmt.Sprintf("%s=%s", envReconnect, boolEnv(cd.reconnectOK())),
 		)
-		cmd.Stdout = stderr
-		cmd.Stderr = stderr
+		cmd.Stdout = os.Stderr
+		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			terminateAll(cmds, 0)
 			return nil, fmt.Errorf("cluster: launching rank %d: %w", rank, err)
@@ -816,9 +782,6 @@ loop:
 					break
 				}
 				res.Reconnects++
-				if cd.mReconnects != nil {
-					cd.mReconnects.Inc()
-				}
 				if !downSince[ev.rank].IsZero() {
 					res.ReconnectNS += time.Since(downSince[ev.rank]).Nanoseconds()
 					downSince[ev.rank] = time.Time{}
@@ -847,7 +810,7 @@ loop:
 					break
 				}
 				runErr = died(ev.rank, "backpressure",
-					fmt.Errorf("outbound queue overflow (depth %d)", cd.depth))
+					fmt.Errorf("outbound queue overflow (depth %d)", queueDepth))
 				break loop
 			case ev.kind == frameResult:
 				v, derr := wire.Decode(ev.body)

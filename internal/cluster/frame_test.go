@@ -172,7 +172,7 @@ func TestSequencedKinds(t *testing.T) {
 func TestRouteDropsOnDeadRank(t *testing.T) {
 	// A routed frame whose destination is gone is counted, not silently
 	// discarded and not a wedge.
-	cd := &coord{stop: make(chan struct{}), depth: 4}
+	cd := &coord{stop: make(chan struct{})}
 	l := &rankLink{rank: 1, out: make(chan outFrame, 4)}
 	l.cond = sync.NewCond(&l.mu)
 	cd.links = []*rankLink{nil, l}
@@ -196,7 +196,7 @@ func TestRouteDropsOnDeadRank(t *testing.T) {
 func TestRouteBackpressure(t *testing.T) {
 	// A live rank whose queue is full must surface structured
 	// backpressure on the event channel instead of blocking the router.
-	cd := &coord{stop: make(chan struct{}), depth: 1, evCh: make(chan event, 4)}
+	cd := &coord{stop: make(chan struct{}), evCh: make(chan event, 4)}
 	l := &rankLink{rank: 0, out: make(chan outFrame, 1)}
 	l.cond = sync.NewCond(&l.mu)
 	cd.links = []*rankLink{l}
@@ -442,9 +442,10 @@ func TestTrimAckedClearsTail(t *testing.T) {
 	}
 }
 
-// newTestCoord is a coordinator with one rank link and nothing running.
+// newTestCoord is a coordinator with one rank link, whose outbound
+// queue holds depth frames, and nothing running.
 func newTestCoord(depth int) (*coord, *rankLink) {
-	cd := &coord{stop: make(chan struct{}), depth: depth, evCh: make(chan event, 16)}
+	cd := &coord{stop: make(chan struct{}), evCh: make(chan event, 16)}
 	l := &rankLink{rank: 0, out: make(chan outFrame, depth)}
 	l.cond = sync.NewCond(&l.mu)
 	cd.links = []*rankLink{l}

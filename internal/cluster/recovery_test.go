@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"parhask/internal/faults"
-	"parhask/internal/metrics"
 )
 
 // superviseOK runs cfg under RunSupervised and gates the result on the
@@ -38,13 +37,11 @@ func TestClusterRespawnAfterKill(t *testing.T) {
 	// oracle-equal result, with the death on the attempt history.
 	for _, transport := range []string{"tcp", "unix"} {
 		t.Run(transport, func(t *testing.T) {
-			reg := metrics.New()
 			res := superviseOK(t, Config{
 				Procs: 3, PerProc: 2, Transport: transport,
 				Spec:    "sumeuler?n=4000&pechunks=4",
 				Faults:  "kill-rank=1:30ms",
 				Restart: &Restart{Max: 2, Backoff: 30 * time.Millisecond},
-				Metrics: reg,
 			})
 			if res.Restarts != 1 {
 				t.Fatalf("Restarts = %d, want 1 (one kill, one respawn)", res.Restarts)
@@ -62,9 +59,6 @@ func TestClusterRespawnAfterKill(t *testing.T) {
 			if res.RecoveryNS <= 0 {
 				t.Fatalf("RecoveryNS = %d, want > 0 after a recovery", res.RecoveryNS)
 			}
-			if got := reg.Counters()["cluster_restarts_total"]; got != 1 {
-				t.Fatalf("cluster_restarts_total = %v, want 1", got)
-			}
 		})
 	}
 }
@@ -76,13 +70,11 @@ func TestClusterReconnectAfterFlap(t *testing.T) {
 	// was lost or doubled across the outage).
 	for _, transport := range []string{"tcp", "unix"} {
 		t.Run(transport, func(t *testing.T) {
-			reg := metrics.New()
 			res := runOK(t, Config{
 				Procs: 3, PerProc: 2, Transport: transport,
 				Spec:     "sumeuler?n=8000&pechunks=8",
 				Faults:   "flap-rank=1:20ms:80ms",
 				EventLog: true,
-				Metrics:  reg,
 				// Wide window: a loaded -race machine can starve the worker's
 				// redial loop well past the 3s default, and this test is about
 				// the replay protocol, not the scheduler's latency.
@@ -96,9 +88,6 @@ func TestClusterReconnectAfterFlap(t *testing.T) {
 			}
 			if res.ReconnectNS <= 0 {
 				t.Fatalf("ReconnectNS = %d, want > 0 (the outage had width)", res.ReconnectNS)
-			}
-			if got := reg.Counters()["cluster_reconnects_total"]; got < 1 {
-				t.Fatalf("cluster_reconnects_total = %v, want >= 1", got)
 			}
 			// The merged timeline gains the coordinator's recovery lane
 			// bracketing the outage.

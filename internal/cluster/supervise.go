@@ -21,14 +21,16 @@ type Restart struct {
 	// run executes at most Max+1 times).
 	Max int
 	// Backoff is the sleep before the first restart, doubling per
-	// attempt up to Cap. Zero means 100ms (and a zero Cap means 5s).
+	// attempt up to backoffCap. Zero means 100ms.
 	Backoff time.Duration
-	Cap     time.Duration
 	// RetryDeadlocks extends the policy to *faults.DeadlockError —
 	// useful under chaos plans whose injected wedges surface as
 	// deadline expiry rather than process death.
 	RetryDeadlocks bool
 }
+
+// backoffCap bounds the doubling restart backoff.
+const backoffCap = 5 * time.Second
 
 // Attempt records one failed attempt of a supervised run.
 type Attempt struct {
@@ -86,10 +88,6 @@ func RunSupervised(cfg Config) (*Result, error) {
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
-	cap := pol.Cap
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
 	var attempts []Attempt
 	var firstFail time.Time
 	for attempt := 0; ; attempt++ {
@@ -101,12 +99,6 @@ func RunSupervised(cfg Config) (*Result, error) {
 				res.Attempts = attempts
 				if !firstFail.IsZero() {
 					res.RecoveryNS = time.Since(firstFail).Nanoseconds()
-				}
-				if cfg.Metrics != nil && len(attempts) > 0 {
-					cfg.Metrics.Counter("cluster_restarts_total", "supervised full-run restarts").
-						Add(int64(len(attempts)))
-					cfg.Metrics.Histogram("cluster_recovery_seconds", "first failure to recovered result", 1e-9).
-						Observe(res.RecoveryNS)
 				}
 			}
 			return res, nil
@@ -129,8 +121,8 @@ func RunSupervised(cfg Config) (*Result, error) {
 		a.BackoffNS = backoff.Nanoseconds()
 		attempts = append(attempts, a)
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > cap {
-			backoff = cap
+		if backoff *= 2; backoff > backoffCap {
+			backoff = backoffCap
 		}
 	}
 }

@@ -199,16 +199,6 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// ReplayFault re-runs one fault-injected sumEuler iteration from
-// p.FaultSpec on the given backend ("native" or "nativeeden") — the
-// cmd/benchall face of a ChaosRow's repro command. Callers validate
-// the spec first (benchall does so fail-fast, before any figure runs).
-func ReplayFault(p Params, backend string) ChaosRow {
-	row := ChaosRow{Backend: backend, Spec: p.FaultSpec, N: p.SumEulerN, Chunks: p.SumEulerChunks}
-	row.Outcome, row.Detail, row.WallNS = runChaosIter(chaosInstance(p), p.Deadline, backend, p.FaultSpec)
-	return row
-}
-
 // RunChaosSoak runs iters seeded fault-injection iterations alternating
 // between the native GpH and native Eden backends. Every iteration
 // must terminate (the per-run deadline turns hangs into structured

@@ -100,8 +100,6 @@ type Config struct {
 	// keeps no pool-wide rings: a job asks for its own
 	// (JobConfig.EventLog).
 	EventLog bool
-	// EventLogConfig tunes the event rings (zero value = defaults).
-	EventLogConfig eventlog.Config
 	// Sampler, if non-nil, is called once just before the run starts
 	// with a snapshot function that may be invoked from any goroutine
 	// while the run is in flight; each call returns the counters
@@ -490,7 +488,7 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 	p.arm(j, cfg.Deadline)
 	var events *eventlog.Log
 	if cfg.EventLog {
-		events = eventlog.New(j.start, len(r.workers), cfg.EventLogConfig)
+		events = eventlog.New(j.start, len(r.workers), eventlog.Config{})
 		for i, w := range r.workers {
 			w.ev = events.Buf(i)
 		}

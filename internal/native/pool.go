@@ -93,8 +93,6 @@ type JobConfig struct {
 	// the drained log is one request's cross-worker timeline. A batch
 	// Run's per-worker rings (Config.EventLog) are a separate set.
 	EventLog bool
-	// EventLogConfig tunes the rings (zero value = defaults).
-	EventLogConfig eventlog.Config
 	// TraceID, if non-zero, tags the job's event ring with a TraceMark
 	// event carrying this id — the serve layer's handle for pulling one
 	// request's timeline off a live server. Ignored unless EventLog.
@@ -310,7 +308,7 @@ func (p *Pool) admit(jc JobConfig) (*Job, error) {
 	j := &Job{id: p.jobSeq, faults: jc.Faults,
 		start: time.Now(), done: make(chan struct{})}
 	if jc.EventLog {
-		j.events = eventlog.New(j.start, 1+len(p.rt.workers), jc.EventLogConfig)
+		j.events = eventlog.New(j.start, 1+len(p.rt.workers), eventlog.Config{})
 		j.ev = j.events.Buf(0)
 		if jc.TraceID != 0 {
 			// Emitted before the job is visible to any worker (it is not

@@ -39,10 +39,8 @@ import (
 	"errors"
 	"fmt"
 
-	"parhask/internal/eden"
 	"parhask/internal/eden/wire"
 	"parhask/internal/eventlog"
-	"parhask/internal/faults"
 	"parhask/internal/graph"
 )
 
@@ -82,19 +80,6 @@ func (c *ClusterSpec) validate() error {
 	}
 	return nil
 }
-
-// MsgKind discriminates the cluster data messages. They mirror the
-// three in-process delivery operations one to one.
-type MsgKind uint8
-
-const (
-	// MsgChanSend resolves a one-value channel's cell.
-	MsgChanSend MsgKind = 1 + iota
-	// MsgStreamSend appends one element to a stream.
-	MsgStreamSend
-	// MsgStreamClose terminates a stream (no payload).
-	MsgStreamClose
-)
 
 // HeaderRoom is the number of bytes every remote payload is encoded
 // behind: room for the transport's routing header — kind, channel id,
@@ -177,11 +162,11 @@ func (p *peRT) ensureStream(id int64, origin int) *streamState {
 }
 
 // Deliver applies one remote message to its locally-owned destination
-// PE: decode into a fresh heap, ensure the cell or stream, resolve,
-// broadcast. Called by the transport's reader goroutine; safe against
-// the PE's own threads (it takes the PE lock) and never panics — a
-// malformed or impossible message comes back as a structured error for
-// the worker to report.
+// PE: decode into a fresh heap, then receive with ensure-on-first-touch.
+// Called by the transport's reader goroutine; safe against the PE's own
+// threads (it takes the PE lock) and never panics — a malformed or
+// impossible message comes back as a structured error for the worker
+// to report.
 func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -197,70 +182,22 @@ func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) 
 	if dst < 0 || dst >= len(r.pes) || r.pes[dst] == nil {
 		return fmt.Errorf("nativeeden: delivery to PE %d, which rank %d does not own", dst, r.cfg.Cluster.Rank)
 	}
-	d := r.pes[dst]
-	var msg graph.Value
-	var bytes int64
-	if kind == MsgStreamClose {
-		bytes = 16 // a Nil packs as one word, matching StreamClose
-	} else {
-		v, derr := wire.Decode(payload)
-		if derr != nil {
-			return fmt.Errorf("nativeeden: decode for chan %d (PE %d from PE %d): %w", chanID, dst, src, derr)
-		}
-		msg = v
-		bytes = int64(len(payload))
+	if kind < MsgChanSend || kind > MsgStreamClose {
+		return fmt.Errorf("nativeeden: unknown cluster message kind %d", kind)
 	}
-
+	var msg graph.Value
+	bytes := msgKinds[kind].extra
+	if kind != MsgStreamClose {
+		if msg, err = wire.Decode(payload); err != nil {
+			return fmt.Errorf("nativeeden: decode for chan %d (PE %d from PE %d): %w", chanID, dst, src, err)
+		}
+		bytes += int64(len(payload))
+	}
+	d := r.pes[dst]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch kind {
-	case MsgChanSend:
-		cell := d.ensureCell(chanID, src)
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cell.t.Resolve(msg)
-		d.cond.Broadcast()
-	case MsgStreamSend:
-		bytes += eden.ConsOverhead
-		st := d.ensureStream(chanID, src)
-		if st.cancelled {
-			return nil // receiver cancelled; late elements vanish silently
-		}
-		if st.tail == nil {
-			return fmt.Errorf("nativeeden: stream %d on PE %d already closed (element from PE %d)", chanID, dst, src)
-		}
-		next := d.arena.NewPlaceholder()
-		cur := st.tail
-		st.tail = next
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Cons{Head: msg, Tail: next})
-		d.cond.Broadcast()
-	case MsgStreamClose:
-		st := d.ensureStream(chanID, src)
-		if st.cancelled {
-			return nil
-		}
-		if st.tail == nil {
-			return fmt.Errorf("nativeeden: stream %d on PE %d closed twice (close from PE %d)", chanID, dst, src)
-		}
-		cur := st.tail
-		st.tail = nil
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Nil{})
-		d.cond.Broadcast()
-	default:
-		return fmt.Errorf("nativeeden: unknown cluster message kind %d", kind)
+	if err := d.receive(kind, chanID, src, msg, bytes, true); err != nil {
+		return fmt.Errorf("nativeeden: delivery to chan %d on PE %d: %w", chanID, dst, err)
 	}
 	return nil
 }
@@ -275,54 +212,6 @@ var headerRoom [HeaderRoom]byte
 // else.
 func EncodeFrame(v graph.Value) ([]byte, error) {
 	return wire.AppendEncode(headerRoom[:], v)
-}
-
-// sendRemote is the cross-process half of Send/StreamSend/StreamClose:
-// encode into a fresh frame (the byte count is asserted equal to
-// eden.SizeOfChecked inside wire.AppendEncode), count, inject message
-// faults, then ship through the transport with this PE's lock released
-// — the write may block on a real socket, and transport is a yield
-// point exactly like withPE. extra is the non-payload charge
-// (ConsOverhead for a stream element, the 16-byte Nil for a close).
-func (p *PCtx) sendRemote(op string, kind MsgKind, id int64, dest int, nf graph.Value, extra int64) {
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommBegin)
-	}
-	var frame []byte
-	if kind == MsgStreamClose {
-		frame = make([]byte, HeaderRoom)
-	} else {
-		var err error
-		frame, err = EncodeFrame(nf)
-		if err != nil {
-			panic(&eden.SendError{Op: op, Chan: id, PE: p.pe.id, Dest: dest, Err: err})
-		}
-	}
-	bytes := int64(len(frame)-HeaderRoom) + extra
-	p.pe.ctr.MsgsSent++
-	p.pe.ctr.BytesSent += bytes
-	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(dest))
-	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(dest) == faults.Drop {
-		if p.pe.ev != nil {
-			p.pe.ev.Emit(eventlog.CommEnd)
-		}
-		return
-	}
-	tr := p.rts.cfg.Cluster.Transport
-	src := p.pe.id
-	p.pe.mu.Unlock()
-	err := tr.SendRemote(kind, id, src, dest, frame)
-	p.pe.mu.Lock()
-	if err != nil {
-		// A severed link surfaces as the ordinary structured send error
-		// with the transport failure as its cause.
-		panic(&eden.SendError{Op: op, Chan: id, PE: src, Dest: dest, Err: err})
-	}
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommEnd)
-	}
 }
 
 // parkForever suspends a shadow root at its first receive: the real

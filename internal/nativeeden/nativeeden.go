@@ -71,8 +71,6 @@ type Config struct {
 	// EventLog enables the per-PE wall-clock event rings; Result.Trace
 	// then renders the EdenTV-style per-PE timeline.
 	EventLog bool
-	// EventLogConfig tunes the event rings (zero value = defaults).
-	EventLogConfig eventlog.Config
 	// Faults is an optional fault-injection plan (nil = none): injected
 	// process panics, per-edge message drop/delay, and stalled PEs, all
 	// seed-deterministic for exact replay.
@@ -374,7 +372,7 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 		if cl != nil {
 			n = cl.PerProc
 		}
-		r.events = eventlog.New(start, n, cfg.EventLogConfig)
+		r.events = eventlog.New(start, n, eventlog.Config{})
 		li := 0
 		for _, p := range r.pes {
 			if p == nil {
@@ -467,7 +465,9 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 
 	gcDelta := gcWin.End()
 
-	if runErr == nil {
+	if runErr == nil && r.failed.Load() {
+		// A Drain or Fail from outside may race a root that returned:
+		// r.err is visible once failed is, and not read before.
 		runErr = r.err
 	}
 

@@ -427,59 +427,155 @@ func (p *PCtx) injectSendFaults(dst int) faults.Fate {
 	return fate
 }
 
+// MsgKind discriminates the three Eden messages; a cluster transport
+// ships it as the data frame's kind byte.
+type MsgKind uint8
+
+const (
+	// MsgChanSend resolves a one-value channel's cell.
+	MsgChanSend MsgKind = 1 + iota
+	// MsgStreamSend appends one element to a stream.
+	MsgStreamSend
+	// MsgStreamClose terminates a stream (no payload).
+	MsgStreamClose
+)
+
+// msgKinds gives each kind's operation name, for errors, and the bytes
+// it is charged beyond its payload: a stream element's Cons cell, and a
+// close's Nil, which packs as one word like the simulator's.
+var msgKinds = [...]struct {
+	op    string
+	extra int64
+}{
+	MsgChanSend:    {"Send", 0},
+	MsgStreamSend:  {"StreamSend", eden.ConsOverhead},
+	MsgStreamClose: {"StreamClose", 16},
+}
+
+// send is the one sending path of every Eden message. It reduces v to
+// normal form and packs it — a deep copy charged with
+// eden.SizeOfChecked in process, a wire encoding into a fresh frame
+// across processes (wire.AppendEncode asserts the two sizes equal) —
+// then counts the message, injects message faults and hands it on. The
+// transport is the only fork: withPE runs the destination's receive, or
+// the cluster transport ships the frame with this PE's lock released
+// (the write may block on a real socket, so it is a yield point exactly
+// like withPE). A close carries no value.
+func (p *PCtx) send(kind MsgKind, id int64, dest int, v graph.Value) {
+	if p.shadow {
+		return // rank 0's real root does the real send
+	}
+	k := msgKinds[kind]
+	if kind != MsgStreamClose {
+		v = p.ForceDeep(v)
+	}
+	remote := !p.rts.owned(dest)
+	if p.pe.ev != nil {
+		p.pe.ev.Emit(eventlog.CommBegin)
+	}
+	bytes := k.extra
+	var frame []byte
+	var err error
+	switch {
+	case remote && kind == MsgStreamClose:
+		frame = make([]byte, HeaderRoom)
+	case remote:
+		frame, err = EncodeFrame(v)
+		bytes += int64(len(frame) - HeaderRoom)
+	case kind != MsgStreamClose:
+		var n int64
+		if n, err = eden.SizeOfChecked(v); err == nil {
+			v, err = copyForSend(v)
+		}
+		bytes += n
+	}
+	if err != nil {
+		panic(&eden.SendError{Op: k.op, Chan: id, PE: p.pe.id, Dest: dest, Err: err})
+	}
+	p.pe.ctr.MsgsSent++
+	p.pe.ctr.BytesSent += bytes
+	if p.pe.ev != nil {
+		p.pe.ev.EmitArg(eventlog.MsgSend, int32(dest))
+	}
+	src := p.pe.id
+	switch {
+	case p.rts.cfg.Faults != nil && p.injectSendFaults(dest) == faults.Drop:
+		// dropped: nothing is delivered
+	case remote:
+		p.pe.mu.Unlock()
+		err = p.rts.cfg.Cluster.Transport.SendRemote(kind, id, src, dest, frame)
+		p.pe.mu.Lock()
+		if err != nil {
+			// A severed link surfaces as the ordinary structured send error
+			// with the transport failure as its cause.
+			panic(&eden.SendError{Op: k.op, Chan: id, PE: src, Dest: dest, Err: err})
+		}
+	default:
+		p.withPE(dest, func(d *peRT) {
+			if err := d.receive(kind, id, src, v, bytes, false); err != nil {
+				panic(err)
+			}
+		})
+	}
+	if p.pe.ev != nil {
+		p.pe.ev.Emit(eventlog.CommEnd)
+	}
+}
+
+// receive is the one receiving path: it lands msg in this PE's heap —
+// the channel's cell, or the stream's tail resolved to a Cons of msg
+// and a fresh placeholder, or to Nil for a close — counts it and wakes
+// the PE's threads. Caller holds d.mu. ensure installs a missing cell
+// or stream, because a remote delivery may beat the replayed creation;
+// a local send to a missing cell or a closed stream is misuse. A
+// message to a cancelled stream vanishes.
+func (d *peRT) receive(kind MsgKind, id int64, src int, msg graph.Value, bytes int64, ensure bool) error {
+	var cell *graph.Thunk
+	if kind == MsgChanSend {
+		c := d.cells[id]
+		if c == nil && ensure {
+			c = d.ensureCell(id, src)
+		}
+		if c == nil {
+			return &eden.ChanMisuseError{Op: "Send", Chan: id, PE: src, Owner: d.id, Reason: "unknown-channel"}
+		}
+		cell = c.t
+	} else {
+		st := d.streams[id]
+		if st == nil && ensure {
+			st = d.ensureStream(id, src)
+		}
+		if st != nil && st.cancelled {
+			return nil // the receiver cancelled the stream; late messages vanish
+		}
+		if st == nil || st.tail == nil {
+			return &eden.ChanMisuseError{Op: msgKinds[kind].op, Chan: id, PE: src, Owner: d.id, Reason: "closed-or-unknown-stream"}
+		}
+		cell, st.tail = st.tail, nil
+		if kind == MsgStreamSend {
+			st.tail = d.arena.NewPlaceholder()
+			msg = eden.Cons{Head: msg, Tail: st.tail}
+		} else {
+			msg = eden.Nil{}
+		}
+	}
+	d.ctr.MsgsRecv++
+	d.ctr.BytesRecv += bytes
+	if d.ev != nil {
+		d.ev.EmitArg(eventlog.MsgRecv, int32(src))
+	}
+	cell.Resolve(msg)
+	d.cond.Broadcast()
+	return nil
+}
+
 // Send reduces v to normal form, packs it (charging the same size model
 // as the simulator), deep-copies it, and resolves the destination PE's
 // placeholder with the copy. A normal-form violation panics with the
 // same structured *eden.SendError the simulator raises.
 func (p *PCtx) Send(out pe.Outport, v graph.Value) {
 	o := out.(Outport)
-	if p.shadow {
-		return // rank 0's real root does the real send
-	}
-	nf := p.ForceDeep(v)
-	if !p.rts.owned(o.dest) {
-		p.sendRemote("Send", MsgChanSend, o.id, o.dest, nf, 0)
-		return
-	}
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommBegin)
-	}
-	bytes, err := eden.SizeOfChecked(nf)
-	var msg graph.Value
-	if err == nil {
-		msg, err = copyForSend(nf)
-	}
-	if err != nil {
-		panic(&eden.SendError{Op: "Send", Chan: o.id, PE: p.pe.id, Dest: o.dest, Err: err})
-	}
-	p.pe.ctr.MsgsSent++
-	p.pe.ctr.BytesSent += bytes
-	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(o.dest))
-	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(o.dest) == faults.Drop {
-		if p.pe.ev != nil {
-			p.pe.ev.Emit(eventlog.CommEnd)
-		}
-		return
-	}
-	src := p.pe.id
-	p.withPE(o.dest, func(d *peRT) {
-		cell, ok := d.cells[o.id]
-		if !ok {
-			panic(&eden.ChanMisuseError{Op: "Send", Chan: o.id, PE: src, Owner: o.dest, Reason: "unknown-channel"})
-		}
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cell.t.Resolve(msg)
-		d.cond.Broadcast()
-	})
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommEnd)
-	}
+	p.send(MsgChanSend, o.id, o.dest, v)
 }
 
 // Receive blocks until the channel's value has arrived; it must be
@@ -535,100 +631,13 @@ func (p *PCtx) NewStream(dest int) (pe.StreamIn, pe.StreamOut) {
 // fresh placeholder for the rest of the stream.
 func (p *PCtx) StreamSend(out pe.StreamOut, v graph.Value) {
 	o := out.(StreamOut)
-	if p.shadow {
-		return
-	}
-	nf := p.ForceDeep(v)
-	if !p.rts.owned(o.dest) {
-		p.sendRemote("StreamSend", MsgStreamSend, o.id, o.dest, nf, eden.ConsOverhead)
-		return
-	}
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommBegin)
-	}
-	bytes, err := eden.SizeOfChecked(nf)
-	var msg graph.Value
-	if err == nil {
-		msg, err = copyForSend(nf)
-	}
-	if err != nil {
-		panic(&eden.SendError{Op: "StreamSend", Chan: o.id, PE: p.pe.id, Dest: o.dest, Err: err})
-	}
-	bytes += eden.ConsOverhead
-	p.pe.ctr.MsgsSent++
-	p.pe.ctr.BytesSent += bytes
-	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(o.dest))
-	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(o.dest) == faults.Drop {
-		if p.pe.ev != nil {
-			p.pe.ev.Emit(eventlog.CommEnd)
-		}
-		return
-	}
-	src := p.pe.id
-	p.withPE(o.dest, func(d *peRT) {
-		st := d.streams[o.id]
-		if st != nil && st.cancelled {
-			return // supervisor cancelled the stream; late sends vanish
-		}
-		if st == nil || st.tail == nil {
-			panic(&eden.ChanMisuseError{Op: "StreamSend", Chan: o.id, PE: src, Owner: o.dest, Reason: "closed-or-unknown-stream"})
-		}
-		next := d.arena.NewPlaceholder()
-		cur := st.tail
-		st.tail = next
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Cons{Head: msg, Tail: next})
-		d.cond.Broadcast()
-	})
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.CommEnd)
-	}
+	p.send(MsgStreamSend, o.id, o.dest, v)
 }
 
 // StreamClose terminates the stream (one Nil message).
 func (p *PCtx) StreamClose(out pe.StreamOut) {
 	o := out.(StreamOut)
-	if p.shadow {
-		return
-	}
-	if !p.rts.owned(o.dest) {
-		p.sendRemote("StreamClose", MsgStreamClose, o.id, o.dest, nil, 16)
-		return
-	}
-	const bytes = 16 // a Nil packs as one word, like the simulator's
-	p.pe.ctr.MsgsSent++
-	p.pe.ctr.BytesSent += bytes
-	if p.pe.ev != nil {
-		p.pe.ev.EmitArg(eventlog.MsgSend, int32(o.dest))
-	}
-	if p.rts.cfg.Faults != nil && p.injectSendFaults(o.dest) == faults.Drop {
-		return
-	}
-	src := p.pe.id
-	p.withPE(o.dest, func(d *peRT) {
-		st := d.streams[o.id]
-		if st != nil && st.cancelled {
-			return // already terminated by the supervisor
-		}
-		if st == nil || st.tail == nil {
-			panic(&eden.ChanMisuseError{Op: "StreamClose", Chan: o.id, PE: src, Owner: o.dest, Reason: "closed-or-unknown-stream"})
-		}
-		cur := st.tail
-		st.tail = nil
-		d.ctr.MsgsRecv++
-		d.ctr.BytesRecv += bytes
-		if d.ev != nil {
-			d.ev.EmitArg(eventlog.MsgRecv, int32(src))
-		}
-		cur.Resolve(eden.Nil{})
-		d.cond.Broadcast()
-	})
+	p.send(MsgStreamClose, o.id, o.dest, nil)
 }
 
 // StreamRecv receives the next element, blocking until it arrives; ok

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"parhask/internal/eventlog"
 	"parhask/internal/faults"
 	"parhask/internal/metrics"
 	"parhask/internal/pe"
@@ -23,8 +22,6 @@ type JobConfig struct {
 	Faults *faults.Injector
 	// EventLog gives the job a per-PE event ring set of its own.
 	EventLog bool
-	// EventLogConfig tunes the rings (zero value = defaults).
-	EventLogConfig eventlog.Config
 	// TraceID, if non-zero, tags PE 0's ring with a TraceMark carrying
 	// this id (ignored unless EventLog) — see Config.TraceID.
 	TraceID int32
@@ -129,7 +126,6 @@ func (l *Resident) RunJob(jc JobConfig, main pe.Program) (*Result, error) {
 	cfg.Deadline = jc.Deadline
 	cfg.Faults = jc.Faults
 	cfg.EventLog = jc.EventLog
-	cfg.EventLogConfig = jc.EventLogConfig
 	cfg.TraceID = jc.TraceID
 	r := &RTS{cfg: cfg, pes: l.pes}
 	for _, p := range l.pes {
