@@ -1014,10 +1014,7 @@ func foldReports(res *Result, reports []*workerReport, coordEvents []eventlog.Du
 		res.Total.BytesSent += rep.Report.Total.BytesSent
 		res.Total.Processes += rep.Report.Total.Processes
 		res.Total.ThreadsCreated += rep.Report.Total.ThreadsCreated
-		res.GC.Cycles += rep.Report.GC.Cycles
-		res.GC.PauseNS += rep.Report.GC.PauseNS
-		res.GC.BytesAlloc += rep.Report.GC.BytesAlloc
-		res.GC.Shared = res.GC.Shared || rep.Report.GC.Shared
+		res.GC.Add(rep.Report.GC)
 		if rank == 0 {
 			res.WallNS = rep.Report.WallNS
 		}

@@ -145,15 +145,34 @@ func TestFailedRunsExit1(t *testing.T) {
 }
 
 // TestStatsJSONSchemas: -stats json prints exactly the report struct
-// each runtime publishes, and nothing else.
+// each runtime publishes, and nothing else, under a pinned key set: a
+// dropped or renamed field fails here even though it still decodes.
+// Keys are JSON paths ("[]" marks an array's elements); a "?" suffix
+// marks an omitempty key a run may or may not print.
 func TestStatsJSONSchemas(t *testing.T) {
+	const gc = "cycles pause_ns bytes_alloc shared?"
+	const edenReport = "pes wall_ns total total.messages total.bytes_sent total.processes total.threads_created " +
+		"per_pe per_pe[].msgs_sent per_pe[].msgs_recv per_pe[].bytes_sent per_pe[].bytes_recv per_pe[].threads " +
+		"per_pe[].alloc_bytes per_pe[].resident_bytes per_pe[].arena_chunks per_pe[].arena_thunks"
+	const nativeStats = "sparks_created sparks_dud sparks_converted sparks_fizzled sparks_leftover steals " +
+		"steal_attempts dup_entries dup_results blocked_forces forks backoff_sleeps backoff_ns parks parked_ns"
 	for _, c := range []struct {
 		argv string
 		into any
+		keys string
 	}{
-		{"-n 300 -chunks 6 -runtime native -workers 2 -stats json", &native.Report{}},
-		{"-n 300 -runtime eden -pes 2 -stats json", &nativeeden.Report{}},
-		{"-n 300 -runtime eden -cluster 2 -pes 1 -stats json", &cluster.Result{}},
+		{"-n 300 -chunks 6 -runtime native -workers 2 -stats json", &native.Report{},
+			"workers wall_ns events_logged? events_dropped? total per_worker gc " + keySet("total", nativeStats) + " " +
+				keySet("per_worker[]", nativeStats) + " " + keySet("gc", "gogc arena_chunks arena_thunks "+gc)},
+		{"-n 300 -runtime eden -pes 2 -stats json", &nativeeden.Report{},
+			edenReport + " gc " + keySet("gc", gc)},
+		{"-n 300 -runtime eden -cluster 2 -pes 1 -stats json", &cluster.Result{},
+			"Value WallNS CoordNS Procs PerProc Restarts Attempts RecoveryNS Reconnects ReconnectNS " +
+				"DroppedFrames HeartbeatRTTNS GOMAXPROCS Timeline " +
+				"Total Total.messages Total.bytes_sent Total.processes Total.threads_created " +
+				"PerPE PerPE[].msgs_sent PerPE[].msgs_recv PerPE[].bytes_sent PerPE[].bytes_recv PerPE[].threads " +
+				"PerPE[].alloc_bytes PerPE[].resident_bytes PerPE[].arena_chunks PerPE[].arena_thunks " +
+				"GC Reports " + keySet("GC", gc) + " " + keySet("Reports[]", edenReport+" gc "+keySet("gc", gc))},
 	} {
 		code, out, errs := run("sumeuler", strings.Fields(c.argv)...)
 		if code != 0 {
@@ -166,6 +185,50 @@ func TestStatsJSONSchemas(t *testing.T) {
 		}
 		if dec.More() {
 			t.Errorf("sumeuler %s: text after the JSON report:\n%s", c.argv, out)
+		}
+		var doc any
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("sumeuler %s: %v", c.argv, err)
+		}
+		got := map[string]bool{}
+		jsonKeys(doc, "", got)
+		for _, k := range strings.Fields(c.keys) {
+			k, optional := strings.CutSuffix(k, "?")
+			if !got[k] && !optional {
+				t.Errorf("sumeuler %s: key %q missing from the report", c.argv, k)
+			}
+			delete(got, k)
+		}
+		for k := range got {
+			t.Errorf("sumeuler %s: unpinned key %q in the report", c.argv, k)
+		}
+	}
+}
+
+// keySet prefixes each space-separated key in keys with parent.
+func keySet(parent, keys string) string {
+	fs := strings.Fields(keys)
+	for i, k := range fs {
+		fs[i] = parent + "." + k
+	}
+	return strings.Join(fs, " ")
+}
+
+// jsonKeys adds every object key path under v to into.
+func jsonKeys(v any, path string, into map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, x := range v {
+			p := k
+			if path != "" {
+				p = path + "." + k
+			}
+			into[p] = true
+			jsonKeys(x, p, into)
+		}
+	case []any:
+		for _, x := range v {
+			jsonKeys(x, path+"[]", into)
 		}
 	}
 }

@@ -85,18 +85,29 @@ var windowState struct {
 	births atomic.Int64 // windows ever opened
 }
 
-// Delta is what the collector did between a window's Begin and End.
+// Delta is what the collector did between a window's Begin and End —
+// the GC result every native run reports (nativeeden's GCStats is this
+// type; native's embeds it beside the GOGC and arena figures).
 type Delta struct {
 	// Cycles is the number of GC cycles completed during the window.
-	Cycles int64
+	Cycles int64 `json:"cycles"`
 	// PauseNS is the total stop-the-world pause time during the window.
-	PauseNS int64
+	PauseNS int64 `json:"pause_ns"`
 	// BytesAlloc is the cumulative heap allocation of the window.
-	BytesAlloc int64
+	BytesAlloc int64 `json:"bytes_alloc"`
 	// Shared reports that another window overlapped this one, so the
 	// delta contains that run's GC activity too: it describes the
 	// process over the interval, not this run exclusively.
-	Shared bool
+	Shared bool `json:"shared,omitempty"`
+}
+
+// Add folds o into d: the counts sum, and the sum is Shared if either
+// part was (a cluster folds its ranks' windows this way).
+func (d *Delta) Add(o Delta) {
+	d.Cycles += o.Cycles
+	d.PauseNS += o.PauseNS
+	d.BytesAlloc += o.BytesAlloc
+	d.Shared = d.Shared || o.Shared
 }
 
 // Window is one open memstats measurement interval.

@@ -127,3 +127,16 @@ func TestWindowEndIdempotent(t *testing.T) {
 		t.Fatalf("active count corrupted by double End")
 	}
 }
+
+func TestDeltaAdd(t *testing.T) {
+	d := Delta{Cycles: 1, PauseNS: 10, BytesAlloc: 100}
+	d.Add(Delta{Cycles: 2, PauseNS: 20, BytesAlloc: 200})
+	if want := (Delta{Cycles: 3, PauseNS: 30, BytesAlloc: 300}); d != want {
+		t.Fatalf("sum = %+v, want %+v", d, want)
+	}
+	d.Add(Delta{Shared: true})
+	d.Add(Delta{})
+	if !d.Shared {
+		t.Fatal("a shared part did not make the sum shared")
+	}
+}

@@ -135,6 +135,41 @@ type claimNoter interface {
 	NoteReleased(t *Thunk)
 }
 
+// Claims is one thread's stack of open eager claims: the thunks it has
+// black-holed and not yet updated, newest last (Force nests, so claims
+// release in LIFO order). A runtime pushes in NoteClaimed and pops in
+// NoteReleased. Keeping the thunks themselves, not just a count, is what
+// makes orphaned-claim recovery possible: when the thread dies, Poison
+// marks every claim it still holds, so threads blocked on them unblock
+// into the failure path instead of waiting on a black hole forever.
+type Claims []*Thunk
+
+// Push opens a claim on t.
+func (c *Claims) Push(t *Thunk) { *c = append(*c, t) }
+
+// Pop releases the newest claim; a no-op on an empty stack.
+func (c *Claims) Pop() {
+	if n := len(*c); n > 0 {
+		(*c)[n-1] = nil
+		*c = (*c)[:n-1]
+	}
+}
+
+// Poison poisons every open claim with err, newest first, empties the
+// stack, and returns how many thunks it moved to Poisoned (a claim
+// whose update already completed keeps its value).
+func (c *Claims) Poison(err error) int64 {
+	var n int64
+	for i := len(*c) - 1; i >= 0; i-- {
+		if (*c)[i].Poison(err) {
+			n++
+		}
+	}
+	clear(*c)
+	*c = (*c)[:0]
+	return n
+}
+
 // AdaptFn is a thunk's computation: a package-level trampoline that
 // interprets the thunk's payload. Building a thunk from (adapt, payload)
 // instead of a `func(Context) Value` closure avoids allocating a wrapper

@@ -2,7 +2,6 @@ package native
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"parhask/internal/trace"
@@ -81,46 +80,5 @@ func TestNativeEventlogDisabledByDefault(t *testing.T) {
 	rep := res.Report()
 	if rep.EventsLogged != 0 || rep.EventsDropped != 0 {
 		t.Fatalf("disabled run reports events: %+v", rep)
-	}
-}
-
-func TestNativeSamplerRaceStress(t *testing.T) {
-	// A sampler goroutine hammers Snapshot while every worker is emitting
-	// events and bumping counters. Run under `go test -race`: the point
-	// is that mid-run sampling needs no stop-the-world.
-	const n, chunks = 4000, 80
-	cfg := NewConfig(4)
-	cfg.EventLog = true
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	var last Stats
-	cfg.Sampler = func(snapshot func() Stats) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					last = snapshot()
-					return
-				default:
-					s := snapshot()
-					if s.SparksCreated < 0 || s.Steals < 0 {
-						panic("snapshot returned negative counter")
-					}
-				}
-			}
-		}()
-	}
-	res := run(t, cfg, euler.Program(n, chunks, 0, true))
-	close(done)
-	wg.Wait()
-	if want := euler.SumTotientSieve(n); res.Value.(int64) != want {
-		t.Fatalf("sum = %d, want %d", res.Value.(int64), want)
-	}
-	// After the run has fully quiesced the snapshot view and the final
-	// aggregate are the same numbers.
-	if last != res.Stats {
-		t.Fatalf("post-run snapshot %+v != final stats %+v", last, res.Stats)
 	}
 }

@@ -9,8 +9,9 @@
 //
 //   - One lifecycle. A resident Pool runs jobs; a batch Run is a pool
 //     that runs exactly one job. Every worker runs the same loop
-//     (stealPass) and every job's main thread the same bracket
-//     (runMain), with one failure latch per job.
+//     (stealPass), and every thread — a job's main, a fork, a worker's
+//     sparks — the same recovery bracket (Ctx.try) over one failure
+//     latch per job (faults.Latch).
 //   - N workers, one per requested core. In a batch Run worker 0 is the
 //     caller's goroutine running the program's main function (the GpH
 //     main thread, as on GHC's capability 0); workers 1..N-1 loop on
@@ -40,9 +41,10 @@
 // backend complements it with wall-clock ground truth (see DESIGN.md).
 //
 // Observability: every counter is maintained per worker as plain
-// owner-written fields (published to mid-run samplers as immutable
-// snapshots, summed into the aggregate Stats after the run's WaitGroup
-// barrier), and Config.EventLog turns on the wall-clock eventlog
+// owner-written fields (a resident pool's workers publish them to
+// Pool.Snapshot as immutable snapshots; a batch run sums them into the
+// aggregate Stats after the run's WaitGroup barrier), and
+// Config.EventLog turns on the wall-clock eventlog
 // (internal/eventlog). Each run additionally records what Go's GC did
 // while it ran — cycles, total pause, bytes allocated (Result.GC) —
 // and Config.GCPercent pins GOGC for the run, which is how the GOGC
@@ -62,6 +64,7 @@ import (
 	"parhask/internal/eventlog"
 	"parhask/internal/exec"
 	"parhask/internal/faults"
+	"parhask/internal/gcscope"
 	"parhask/internal/graph"
 	pmetrics "parhask/internal/metrics"
 	"parhask/internal/trace"
@@ -100,17 +103,6 @@ type Config struct {
 	// keeps no pool-wide rings: a job asks for its own
 	// (JobConfig.EventLog).
 	EventLog bool
-	// Sampler, if non-nil, is called once just before the run starts
-	// with a snapshot function that may be invoked from any goroutine
-	// while the run is in flight; each call returns the counters
-	// accumulated so far (SparksLeftover = sparks currently pooled).
-	// This is the mid-run observability hook: monitoring loops sample
-	// it without perturbing the workers — each worker publishes an
-	// immutable counter snapshot at coarse points (spark boundaries,
-	// idle transitions), so a sample lags a busy worker by at most one
-	// spark execution and costs the workers nothing when no Sampler is
-	// configured.
-	Sampler func(snapshot func() Stats)
 	// Faults, if non-nil, arms the deterministic fault-injection plane
 	// (internal/faults): spark-indexed panics, process-indexed fork
 	// panics, and per-worker stalls. It governs all work without a
@@ -152,7 +144,7 @@ func NewConfig(workers int) Config {
 }
 
 // Stats aggregates runtime counters — over a whole run (Result.Stats),
-// per worker (Result.PerWorker), or mid-run (Config.Sampler).
+// per worker (Result.PerWorker), or mid-run (Pool.Snapshot).
 // Whole-run and per-worker counts are exact; mid-run samples are
 // consistent snapshots per worker that may lag each worker by one
 // spark execution.
@@ -236,23 +228,15 @@ type GCStats struct {
 	// disabled). A higher value is a proportionally bigger allocation
 	// area between collections.
 	GOGC int `json:"gogc"`
-	// Cycles is the number of GC cycles completed during the run.
-	Cycles int64 `json:"cycles"`
-	// PauseNS is the total stop-the-world pause time during the run.
-	PauseNS int64 `json:"pause_ns"`
-	// BytesAlloc is the cumulative heap allocation of the run.
-	BytesAlloc int64 `json:"bytes_alloc"`
+	// Delta is what the collector did during the run: cycles, total
+	// pause, bytes allocated, and Shared when another run's window
+	// overlapped, since Go's collector is process-global.
+	gcscope.Delta
 	// ArenaChunks / ArenaThunks describe the per-worker thunk arenas:
 	// chunks allocated and thunks handed out of them. ArenaThunks
 	// thunks cost ArenaChunks allocator calls instead of ArenaThunks.
 	ArenaChunks int64 `json:"arena_chunks"`
 	ArenaThunks int64 `json:"arena_thunks"`
-	// Shared reports that another run's (or resident job's) measurement
-	// window overlapped this one: Cycles/PauseNS/BytesAlloc then
-	// describe the whole process over the interval, not this run
-	// exclusively, because Go's collector is process-global (see
-	// internal/gcscope).
-	Shared bool `json:"shared,omitempty"`
 }
 
 // readGOGC reports the GOGC percent currently in force (-1 = off)
@@ -329,30 +313,10 @@ func (r *Result) Report() Report {
 	return rep
 }
 
-// errJobAborted unwinds a job's threads (and workers blocked on its
-// thunks) after the job recorded a failure.
-var errJobAborted = errors.New("native: job aborted")
-
-// panicErr turns a recovered panic value into an error. Error panic
-// values are wrapped with %w so structured failures (an injected
-// *faults.InjectedPanic, a *graph.PoisonError) stay matchable with
-// errors.As through the run's top-level error.
-func panicErr(prefix string, p any) error {
-	if err, ok := p.(error); ok {
-		return fmt.Errorf("%s: %w", prefix, err)
-	}
-	return fmt.Errorf("%s: %v", prefix, p)
-}
-
 // rt is one native runtime instance.
 type rt struct {
 	cfg     Config
 	workers []*worker
-
-	// sampled gates counter publication: workers snapshot their plain
-	// counters for samplers only when a Sampler is configured, so
-	// unsampled runs pay nothing.
-	sampled bool
 
 	// extern counts contributions from job-less forked threads (no
 	// worker identity); every worker's own counters live on the worker.
@@ -360,7 +324,8 @@ type rt struct {
 
 	// own is the job that owns untagged work — deque sparks and the
 	// forks they start: a batch Run's one job, nil in a resident pool.
-	// Set before the workers start and never changed.
+	// Set before the workers start and never changed; a batch run's
+	// workers publish no counter snapshots (see maybePublish).
 	own *Job
 
 	// done tells the worker loops to exit.
@@ -420,7 +385,7 @@ var defaultBackoff = tune.DefaultBackoffPolicy()
 // newRT builds the runtime core under every pool: workers, backoff
 // policy, park lot.
 func newRT(cfg Config) *rt {
-	r := &rt{cfg: cfg, sampled: cfg.Sampler != nil, bo: cfg.Backoff}
+	r := &rt{cfg: cfg, bo: cfg.Backoff}
 	if r.bo == nil {
 		r.bo = defaultBackoff
 	}
@@ -493,13 +458,8 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 			w.ev = events.Buf(i)
 		}
 	}
-	if cfg.Sampler != nil {
-		cfg.Sampler(p.Snapshot)
-	}
 	p.startWorkers(1)
-	w0 := r.workers[0]
-	value, err := p.runMain(j, &w0.ctx, main)
-	w0.maybePublish()
+	value, err := p.runMain(j, &r.workers[0].ctx, main)
 	// The workers stop before the outcome is decided, so a spark that
 	// fails after main returned still fails the run.
 	p.stop()
@@ -530,7 +490,7 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 
 // snapshot sums the workers' published counter snapshots and the
 // job-less forks' counters into one Stats. It is safe to call from any
-// goroutine while the run is in flight: workers publish immutable
+// goroutine while a resident pool runs: workers publish immutable
 // snapshots at coarse points (so a busy worker's contribution lags by
 // at most one spark execution), and the pool sizes are the deque's
 // lock-free point-in-time estimates.
@@ -562,24 +522,14 @@ func (r *rt) fork(name string, body func(exec.Ctx), j *Job) {
 			defer j.forks.Done()
 		}
 		c := Ctx{rt: r, job: j}
-		defer func() {
-			if p := recover(); p != nil {
-				err := j.abortErr(p, fmt.Sprintf("native: forked thread %q panicked", name))
-				// Orphaned-claim recovery: thunks this dead thread still
-				// holds eager claims on would block their forcers forever;
-				// poisoning routes those forcers to the failure path.
-				c.poison(err)
-				if j != nil {
-					j.fail(err)
+		c.try(func() string { return fmt.Sprintf("native: forked thread %q panicked", name) }, func() {
+			if inj := c.faults(); inj != nil {
+				if f := inj.ProcFault(); f != nil {
+					panic(f)
 				}
 			}
-		}()
-		if inj := c.faults(); inj != nil {
-			if f := inj.ProcFault(); f != nil {
-				panic(f)
-			}
-		}
-		body(&c)
+			body(&c)
+		})
 	}()
 }
 

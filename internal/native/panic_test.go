@@ -7,7 +7,6 @@ import (
 
 	"parhask/internal/exec"
 	"parhask/internal/graph"
-	"parhask/internal/workloads/euler"
 )
 
 // awaitRun waits for a Run started in a goroutine, failing the test if
@@ -28,17 +27,16 @@ func awaitRun(t *testing.T, done <-chan error) error {
 func TestNativeMainPanicAbortsBlockedStealer(t *testing.T) {
 	// Main claims thunk a (eager black-holing), sparks b — which forces
 	// a — and panics once a stealer is provably blocked on a. Without
-	// rt.fail on the main-panic path the stealer spins on the black hole
-	// forever and Run never returns.
-	var snap func() Stats
-	cfg := Config{Workers: 2, EagerBlackholing: true,
-		Sampler: func(s func() Stats) { snap = s }}
+	// failing the job on the main-panic path the stealer spins on the
+	// black hole forever and Run never returns.
+	cfg := Config{Workers: 2, EagerBlackholing: true}
 	var a *graph.Thunk
 	a = exec.Thunk(func(c exec.Ctx) graph.Value {
 		b := exec.NewThunk(c, func(c2 exec.Ctx) graph.Value { return c2.Force(a) })
 		c.Par(b)
+		stealer := c.(*Ctx).rt.workers[1]
 		deadline := time.Now().Add(10 * time.Second)
-		for snap().BlockedForces == 0 && time.Now().Before(deadline) {
+		for stealer.blocked.Load() == 0 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
 		}
 		panic("main boom")
@@ -73,19 +71,5 @@ func TestNativeForkedThreadPanicUnblocksMain(t *testing.T) {
 	err := awaitRun(t, done)
 	if err == nil || !strings.Contains(err.Error(), `forked thread "bomber" panicked: fork boom`) {
 		t.Fatalf("err = %v, want the forked thread's panic", err)
-	}
-}
-
-func TestNativeSamplerSeesFinalCounters(t *testing.T) {
-	// After Run returns, a sampler snapshot must equal the run's exact
-	// aggregate: every worker (the stealers on loop exit, worker 0 after
-	// main returns) publishes a final snapshot covering counter changes
-	// since its last coarse publish point.
-	var snap func() Stats
-	cfg := Config{Workers: 4, EagerBlackholing: true,
-		Sampler: func(s func() Stats) { snap = s }}
-	res := run(t, cfg, euler.Program(2000, 40, 0, true))
-	if got := snap(); got != res.Stats {
-		t.Fatalf("post-run sampler snapshot %+v != aggregate %+v", got, res.Stats)
 	}
 }

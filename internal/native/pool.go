@@ -125,9 +125,9 @@ type Job struct {
 	// job reported success, and a retired job is untouchable.
 	active atomic.Int64
 
-	failed  atomic.Bool
-	errOnce sync.Once
-	err     error
+	// latch records the job's first failure. Forces working for the
+	// job poll it, so a failure needs no wakeup.
+	latch faults.Latch
 
 	forks    sync.WaitGroup
 	deadline *time.Timer
@@ -188,24 +188,6 @@ func (j *Job) workerBuf(id int) *eventlog.Buf {
 	return j.events.Buf(1 + id)
 }
 
-// fail records the job's first failure. Forces working for the job
-// poll the latch, so no wakeup is needed. errOnce.Do happens before the
-// Store, so a thread that sees failed set reads err safely.
-func (j *Job) fail(err error) {
-	j.errOnce.Do(func() { j.err = err })
-	j.failed.Store(true)
-}
-
-// abortErr maps a panic value recovered from j's work to the failure it
-// stands for: j's recorded failure when it is the abort sentinel that
-// j's latch raised, else the panic itself, described by prefix.
-func (j *Job) abortErr(p any, prefix string) error {
-	if p == errJobAborted && j != nil {
-		return j.err
-	}
-	return panicErr(prefix, p)
-}
-
 // newPool builds a pool whose workers have not started yet, with its
 // GOGC lease and GC window open.
 func newPool(cfg Config) *Pool {
@@ -231,29 +213,23 @@ func newPool(cfg Config) *Pool {
 // JobConfig.EventLog and JobConfig.Deadline); Config.Faults governs the
 // jobs without a JobConfig.Faults budget and untagged work.
 // Config.GCPercent, if set, is leased for the pool's whole lifetime.
-// Config.Sampler, if set, receives the pool's Snapshot function.
+// Snapshot may be called at any time (serve's /stats, metrics
+// collectors): a resident pool's workers publish coarse snapshots.
 func NewPool(cfg Config) *Pool {
 	p := newPool(cfg)
-	// Resident pools are always observable: Snapshot may be called at
-	// any time (serve's /stats, metrics collectors), so workers publish
-	// coarse snapshots regardless of Sampler.
-	p.rt.sampled = true
 	if cfg.Metrics != nil {
 		p.pm = newPoolMetrics(cfg.Metrics, p)
 		p.rt.pm = p.pm
 	}
 	p.startWorkers(0)
-	if cfg.Sampler != nil {
-		cfg.Sampler(p.Snapshot)
-	}
 	return p
 }
 
 // startWorkers launches worker goroutines from worker `from` on: 0 for
 // a resident pool, 1 for a batch Run, whose caller is worker 0. Each
-// runs stealPass until the pool stops; a pass ends early only to
-// contain a spark panic, so one job's failure never costs the pool a
-// worker.
+// runs stealPass until the pool stops; a pass ends early only on a
+// spark panic, which try contains and charges to the spark's job, so
+// one job's failure never costs the pool a worker.
 func (p *Pool) startWorkers(from int) {
 	r := p.rt
 	for _, w := range r.workers[from:] {
@@ -261,12 +237,15 @@ func (p *Pool) startWorkers(from int) {
 		go func() {
 			defer r.stealers.Done()
 			for !r.done.Load() {
-				w.stealPass()
+				if w.ctx.try(w.sparkPanicked, w.stealPass) != nil {
+					w.letGo(nil)
+					w.maybePublish()
+				}
 			}
 			// Final publication: without it, counter changes since the
 			// last coarse publish point — e.g. steal attempts from the
-			// closing sweep — would never reach a sampler that reads
-			// after the run.
+			// closing sweep — would never reach a Snapshot taken after
+			// Close.
 			w.maybePublish()
 		}()
 	}
@@ -330,7 +309,7 @@ func (p *Pool) arm(j *Job, d time.Duration) {
 		return
 	}
 	j.deadline = time.AfterFunc(d, func() {
-		if j.failed.Load() {
+		if j.latch.Failed() {
 			return
 		}
 		select {
@@ -338,7 +317,7 @@ func (p *Pool) arm(j *Job, d time.Duration) {
 			return
 		default:
 		}
-		j.fail(p.deadlockError(j))
+		j.latch.Fail(p.deadlockError(j))
 	})
 }
 
@@ -387,27 +366,19 @@ func (p *Pool) runJob(j *Job, main exec.Program) {
 
 // runMain runs main as job j's main thread on context c — a fresh
 // context for a resident job, worker 0's for a batch run — and returns
-// its value or its failure. A panic poisons the claims the dying stack
-// still holds, so nothing blocks on them forever (this matters when a
-// supervisor retries on the same heap graph), and fails the job, so
-// every force waiting for it unwinds.
+// its value or its failure (see Ctx.try).
 func (p *Pool) runMain(j *Job, c *Ctx, main exec.Program) (value graph.Value, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = j.abortErr(v, fmt.Sprintf("native: job %d main panicked", j.id))
-			c.poison(err)
-			j.fail(err)
+	err = c.try(func() string { return fmt.Sprintf("native: job %d main panicked", j.id) }, func() {
+		ev := c.events()
+		if ev != nil {
+			ev.Emit(eventlog.RunBegin)
 		}
-	}()
-	ev := c.events()
-	if ev != nil {
-		ev.Emit(eventlog.RunBegin)
-	}
-	value = main(c)
-	if ev != nil {
-		ev.Emit(eventlog.RunEnd)
-	}
-	return value, nil
+		value = main(c)
+		if ev != nil {
+			ev.Emit(eventlog.RunEnd)
+		}
+	})
+	return value, err
 }
 
 // finish ends job j once its main thread has returned value or err:
@@ -433,8 +404,8 @@ func (p *Pool) finish(j *Job, value graph.Value, err error) {
 	if j.deadline != nil {
 		j.deadline.Stop()
 	}
-	if err == nil && j.failed.Load() {
-		err = j.err // a fork or worker failed the job
+	if err == nil {
+		err = j.latch.Err() // a fork or worker failed the job
 	}
 	res := &JobResult{WallNS: time.Since(j.start).Nanoseconds(), Stats: j.ctr.load()}
 	res.Stats.SparksLeftover = leftover
@@ -515,8 +486,7 @@ func (p *Pool) GC() GCStats {
 
 // gcStats labels a window delta with the GOGC the pool runs under.
 func (p *Pool) gcStats(d gcscope.Delta) GCStats {
-	return GCStats{GOGC: p.gogc, Cycles: d.Cycles, PauseNS: d.PauseNS,
-		BytesAlloc: d.BytesAlloc, Shared: d.Shared}
+	return GCStats{GOGC: p.gogc, Delta: d}
 }
 
 // Uptime reports how long the pool has been resident.
@@ -570,16 +540,8 @@ func (p *Pool) shutdown() gcscope.Delta {
 // until the pool stops. Idle brackets wrap maximal found-nothing
 // stretches (not individual back-off sleeps), so the eventlog stays
 // proportional to state changes, not to spin iterations. A spark panic
-// ends the pass: the recovery poisons the dead spark's claims and fails
-// the job it belonged to (failSpark), and the worker starts a new pass.
+// ends the pass (see startWorkers).
 func (w *worker) stealPass() {
-	defer func() {
-		if p := recover(); p != nil {
-			w.failSpark(p)
-			w.curJob = nil
-			w.maybePublish()
-		}
-	}()
 	spins := 0
 	idle := false
 	for !w.rt.done.Load() {

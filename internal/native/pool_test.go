@@ -256,21 +256,16 @@ func monotoneFields(s Stats) []int64 {
 		s.DupResults, s.BlockedForces, s.Forks}
 }
 
-// TestResidentSamplerMonotonic is the satellite coverage for
-// Config.Sampler under concurrent submit/drain: a snapshot loop races
-// against job churn (including retirement, which moves counters from
-// the live table to the retired fold) and asserts that every
-// cumulative counter is non-decreasing across consecutive snapshots.
-// Run under -race this also proves the snapshot path is race-clean.
+// TestResidentSamplerMonotonic covers Pool.Snapshot under concurrent
+// submit/drain: a snapshot loop races against job churn (including
+// retirement, which moves counters from the live table to the retired
+// fold) and asserts that every cumulative counter is non-decreasing
+// across consecutive snapshots. Run under -race this also proves the
+// snapshot path is race-clean.
 func TestResidentSamplerMonotonic(t *testing.T) {
-	var snap func() Stats
-	cfg := NewConfig(4)
-	cfg.Sampler = func(s func() Stats) { snap = s }
-	p := NewPool(cfg)
+	p := NewPool(NewConfig(4))
 	defer p.Close()
-	if snap == nil {
-		t.Fatal("pool did not hand the sampler its snapshot function")
-	}
+	snap := p.Snapshot
 
 	stop := make(chan struct{})
 	violations := make(chan string, 1)

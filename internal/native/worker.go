@@ -17,8 +17,8 @@ import (
 // written only by the owning goroutine, never atomically. The hot path
 // (Par, steal, convert) therefore pays a plain register add instead of
 // a LOCK-prefixed RMW per event. Mid-run observers never read these
-// fields — the owner publishes immutable snapshots through worker.pub
-// when sampling is on (see maybePublish) — and Run reads them directly
+// fields — in a resident pool the owner publishes immutable snapshots
+// through worker.pub (see maybePublish) — and Run reads them directly
 // only after the WaitGroup barrier, which orders the owner's writes
 // before the reader's loads. SparksLeftover stays zero: a pool's
 // leftovers are read off the deque.
@@ -50,10 +50,9 @@ type worker struct {
 	// plain adds; see wcounters for the publication discipline).
 	ctr wcounters
 
-	// pub carries the owner's latest counter snapshot for mid-run
-	// samplers; nil until the owner first publishes. Written only via
-	// maybePublish, which is gated on rt.sampled so unsampled runs never
-	// pay for it.
+	// pub carries the owner's latest counter snapshot for Pool.Snapshot;
+	// nil until the owner first publishes. Written only via
+	// maybePublish, which a batch run skips.
 	pub atomic.Pointer[Stats]
 
 	// pubArenaChunks/pubArenaThunks publish the arena's footprint for
@@ -70,22 +69,6 @@ type worker struct {
 	// helpDepth bounds recursive spark-running from inside a blocked
 	// force, so a pathological spark chain cannot overflow the stack.
 	helpDepth int
-	// claims is the stack of thunks this worker's goroutine has eagerly
-	// claimed but not yet updated (LIFO: Force nests). Helping while
-	// blocked is safe only when it is empty: an incomplete claim paused
-	// beneath the current frame is a thunk whose completion does not
-	// data-depend on our wait target, and a helped spark could
-	// (transitively) force it — a cycle through the stack that no
-	// amount of waiting resolves. With no open claims, everything this
-	// stack owns is a data-ancestor of the wait target, so the thunk
-	// DAG's acyclicity rules a deadlock out.
-	//
-	// Keeping the claimed thunks themselves (not just a count) is what
-	// makes orphaned-claim recovery possible: if this goroutine dies,
-	// its recovery handler poisons every still-open claim so blocked
-	// peers unblock into the failure path instead of waiting forever on
-	// a black hole nobody will ever update.
-	claims []*graph.Thunk
 
 	// blocked gauges how many of this worker's stack frames are inside
 	// a blocked force right now; the deadline watchdog reads it (from
@@ -98,43 +81,6 @@ type worker struct {
 	// conversion, so nested helping attributes correctly, and the
 	// recovery in stealPass and helpSpark reads it to fail the right job.
 	curJob *Job
-}
-
-// poisonClaims marks every thunk in claims as dead (claimant died with
-// err), newest first, emitting ThunkPoison per transition. Shared by
-// the worker and forked-thread recovery paths. Returns how many thunks
-// actually transitioned to Poisoned, so callers can feed the runtime's
-// poisoning counter.
-func poisonClaims(claims []*graph.Thunk, err error, ev *eventlog.Buf) int64 {
-	var n int64
-	for i := len(claims) - 1; i >= 0; i-- {
-		if claims[i].Poison(err) {
-			n++
-			if ev != nil {
-				ev.Emit(eventlog.ThunkPoison)
-			}
-		}
-	}
-	return n
-}
-
-// poisonClaims poisons this worker's open claim stack — called only
-// from the worker goroutine's own recovery handlers.
-func (w *worker) poisonClaims(err error) {
-	if n := poisonClaims(w.claims, err, w.ev); n > 0 {
-		w.rt.poisoned.Add(n)
-	}
-	w.claims = w.claims[:0]
-}
-
-// poison poisons the claims still open on this context's stack — called
-// only from the recovery handler of the goroutine the context runs on.
-func (c *Ctx) poison(err error) {
-	if c.w != nil {
-		c.w.poisonClaims(err)
-	} else if n := poisonClaims(c.claims, err, nil); n > 0 {
-		c.rt.poisoned.Add(n)
-	}
 }
 
 // job returns the job this worker's current work belongs to: the
@@ -158,13 +104,13 @@ func newWorker(r *rt, id int) *worker {
 	return w
 }
 
-// maybePublish snapshots the owner's counters for mid-run samplers. A
-// no-op (one predictable branch) unless the run was configured with a
-// Sampler; called at coarse points — after each converted spark, at
-// idle transitions, while blocked — so a sampler's view lags the owner
-// by at most one spark execution.
+// maybePublish snapshots the owner's counters for Pool.Snapshot. A
+// no-op (one predictable branch) in a batch run, which nothing samples
+// mid-run; called at coarse points — after each converted spark, at
+// idle transitions, while blocked — so a snapshot lags the owner by at
+// most one spark execution.
 func (w *worker) maybePublish() {
-	if !w.rt.sampled {
+	if w.rt.own != nil {
 		return
 	}
 	s := w.ctr.Stats
@@ -186,10 +132,17 @@ func (w *worker) maybePublish() {
 type Ctx struct {
 	rt *rt
 	w  *worker
-	// claims is the forked-thread claim stack (nil-worker contexts
-	// only; worker contexts keep theirs on the worker). It exists for
-	// the same orphaned-claim recovery as worker.claims.
-	claims []*graph.Thunk
+	// claims is the stack of thunks this context's goroutine has
+	// eagerly claimed but not yet updated. Helping while blocked is
+	// safe only when it is empty: an incomplete claim paused beneath
+	// the current frame is a thunk whose completion does not
+	// data-depend on our wait target, and a helped spark could
+	// (transitively) force it — a cycle through the stack that no
+	// amount of waiting resolves. With no open claims, everything this
+	// stack owns is a data-ancestor of the wait target, so the thunk
+	// DAG's acyclicity rules a deadlock out. If the goroutine dies, try
+	// poisons what is still open.
+	claims graph.Claims
 	// job is the job a nil-worker context belongs to (nil for a fork
 	// started by untagged work in a resident pool). Job contexts route
 	// their counters to the job's exclusive set, tag their sparks in the
@@ -353,32 +306,18 @@ func (c *Ctx) NoteDuplicateEntry(t *graph.Thunk) {
 
 // NoteClaimed records an eager claim opened on this goroutine's stack.
 func (c *Ctx) NoteClaimed(t *graph.Thunk) {
-	if c.w != nil {
-		c.w.claims = append(c.w.claims, t)
-		if c.w.ev != nil {
-			c.w.ev.Emit(eventlog.ThunkClaim)
-		}
-		return
+	c.claims.Push(t)
+	if c.w != nil && c.w.ev != nil {
+		c.w.ev.Emit(eventlog.ThunkClaim)
 	}
-	c.claims = append(c.claims, t)
 }
 
 // NoteReleased records that the claim's evaluation completed. Claims
 // release in LIFO order (Force nests), so this pops the stack top.
 func (c *Ctx) NoteReleased(t *graph.Thunk) {
-	if c.w != nil {
-		if n := len(c.w.claims); n > 0 {
-			c.w.claims[n-1] = nil
-			c.w.claims = c.w.claims[:n-1]
-		}
-		if c.w.ev != nil {
-			c.w.ev.Emit(eventlog.ThunkRelease)
-		}
-		return
-	}
-	if n := len(c.claims); n > 0 {
-		c.claims[n-1] = nil
-		c.claims = c.claims[:n-1]
+	c.claims.Pop()
+	if c.w != nil && c.w.ev != nil {
+		c.w.ev.Emit(eventlog.ThunkRelease)
 	}
 }
 
@@ -435,10 +374,10 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 		// A failed job must unwind its own waiters (its main thread, its
 		// forks, and workers converting its sparks) without touching the
 		// rest of the pool.
-		if j := c.jobOf(); j != nil && j.failed.Load() {
-			panic(errJobAborted)
+		if j := c.jobOf(); j != nil {
+			j.latch.Check()
 		}
-		if c.w != nil && len(c.w.claims) == 0 && c.w.helpDepth < maxHelpDepth {
+		if c.w != nil && len(c.claims) == 0 && c.w.helpDepth < maxHelpDepth {
 			if s, sj := c.w.takeWork(); s != nil {
 				c.w.helpDepth++
 				c.w.helpSpark(s, sj)
@@ -572,7 +511,7 @@ func (w *worker) takeWork() (*graph.Thunk, *Job) {
 // force — restored on the normal path, deliberately left in place on
 // panic so the recovery handler knows which job to fail.
 func (w *worker) runSpark(t *graph.Thunk, j *Job) {
-	if j != nil && j.failed.Load() {
+	if j != nil && j.latch.Failed() {
 		// The job already failed (deadline, fault): drop its
 		// speculative leftovers instead of burning pool time on them.
 		j.active.Add(-1)
@@ -626,10 +565,9 @@ func (w *worker) runSpark(t *graph.Thunk, j *Job) {
 	}
 	w.curJob = prev
 	if j != nil {
-		// Normal completion; the panic path's decrement lives at the
-		// containing recovery (stealPass/helpSpark), after the failure
-		// has been attributed, so a job can't report success while a
-		// worker-side failure is still in flight.
+		// Normal completion; the panic path's decrement is letGo's,
+		// after try has failed the job, so a job can't report success
+		// while a worker-side failure is still in flight.
 		j.active.Add(-1)
 	}
 	w.maybePublish()
@@ -638,35 +576,68 @@ func (w *worker) runSpark(t *graph.Thunk, j *Job) {
 // helpSpark runs a spark taken while blocked inside a force. The
 // helped spark may belong to a different job than the one we are
 // blocked for, so its panic must not unwind our force: it is contained
-// here (failSpark; the help precondition is an empty claim stack, so
-// every open claim is the helped spark's), and the blocked force
-// resumes waiting — or unwinds, if the failed job is its own.
+// here (the help precondition is an empty claim stack, so every claim
+// try poisons is the helped spark's), and the blocked force resumes
+// waiting — or unwinds, if the failed job is its own.
 func (w *worker) helpSpark(t *graph.Thunk, j *Job) {
 	entry := w.curJob
-	defer func() {
-		if p := recover(); p != nil {
-			w.failSpark(p)
-			w.curJob = entry
-		}
-	}()
-	w.runSpark(t, j)
+	if w.ctx.try(w.sparkPanicked, func() { w.runSpark(t, j) }) != nil {
+		w.letGo(entry)
+	}
 }
 
-// failSpark is the recovery shared by stealPass and helpSpark: it
-// poisons the claims the dead spark opened, fails the job the spark
-// belonged to (none for an untagged spark in a resident pool, whose
-// victims learn of it through the poisoned claims alone), and releases
-// the worker's hold on a tagged spark's job.
-func (w *worker) failSpark(p any) {
-	j := w.job()
-	err := j.abortErr(p, fmt.Sprintf("native: worker %d: spark panicked", w.id))
-	w.poisonClaims(err)
-	if j != nil {
-		j.fail(err)
-	}
+// sparkPanicked names a worker's failed spark in its error.
+func (w *worker) sparkPanicked() string {
+	return fmt.Sprintf("native: worker %d: spark panicked", w.id)
+}
+
+// letGo ends a spark that try reported failed — try has already failed
+// the job the spark belonged to (none for an untagged spark in a
+// resident pool, whose victims learn of it through the poisoned claims
+// alone) — by releasing the worker's hold on a tagged spark's job, and
+// goes back to working for entry.
+func (w *worker) letGo(entry *Job) {
 	if w.curJob != nil {
 		w.curJob.active.Add(-1)
 	}
+	w.curJob = entry
+}
+
+// try runs body as a thread working for c's job — a job's main, a
+// fork, or a worker's sparks — and returns the failure that ended it,
+// or nil. It is the runtime's one recovery bracket: the panic becomes
+// an error (the job's recorded failure when it is the latch's abort),
+// the claims the dying stack still holds are poisoned so their forcers
+// unwind instead of waiting on a black hole forever (this matters when
+// a supervisor retries on the same heap graph), and the job is failed
+// so every force waiting for it unwinds. what names the thread in the
+// error; it runs only on failure.
+func (c *Ctx) try(what func() string, body func()) (err error) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		// Read the job now, not before body: a failed spark leaves
+		// curJob naming the job it was converting for.
+		var l *faults.Latch
+		if j := c.jobOf(); j != nil {
+			l = &j.latch
+		}
+		err = l.Recovered(p, what())
+		n := c.claims.Poison(err)
+		c.rt.poisoned.Add(n)
+		if c.w != nil && c.w.ev != nil {
+			for range n {
+				c.w.ev.Emit(eventlog.ThunkPoison)
+			}
+		}
+		if l != nil {
+			l.Fail(err)
+		}
+	}()
+	body()
+	return nil
 }
 
 // injectSparkFaults is the cold half of the spark injection hook: a

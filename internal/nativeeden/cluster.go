@@ -41,6 +41,7 @@ import (
 
 	"parhask/internal/eden/wire"
 	"parhask/internal/eventlog"
+	"parhask/internal/faults"
 	"parhask/internal/graph"
 )
 
@@ -170,10 +171,10 @@ func (p *peRT) ensureStream(id int64, origin int) *streamState {
 func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = panicErr(fmt.Sprintf("nativeeden: delivery to chan %d on PE %d failed", chanID, dst), v)
+			err = faults.PanicErr(fmt.Sprintf("nativeeden: delivery to chan %d on PE %d failed", chanID, dst), v)
 		}
 	}()
-	if r.failed.Load() {
+	if r.latch.Failed() {
 		// The run already failed or drained: late frames (a reconnect
 		// replay, stragglers routed before the coordinator saw the
 		// report) are discarded, never re-resolved into a dead heap.
@@ -216,14 +217,14 @@ func EncodeFrame(v graph.Value) ([]byte, error) {
 
 // parkForever suspends a shadow root at its first receive: the real
 // root on rank 0 is doing the receiving. The park ends only when the
-// run unwinds — Drain or a failure — via the ordinary errAborted
-// panic, so the shadow root joins like any other thread.
+// run unwinds — Drain or a failure — via the latch's ordinary abort,
+// so the shadow root joins like any other thread.
 func (p *PCtx) parkForever() {
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.BlockBegin)
 	}
 	for {
-		p.pe.checkFailed()
+		p.rts.latch.Check()
 		p.rts.blocked.Add(1)
 		p.pe.cond.Wait()
 		p.rts.blocked.Add(-1)

@@ -65,9 +65,6 @@ type Config struct {
 	// PEs is the number of processing elements. It may exceed
 	// GOMAXPROCS (virtual PEs); defaults to GOMAXPROCS.
 	PEs int
-	// ArenaChunk is the per-PE thunk-arena chunk capacity, in thunks
-	// (0 selects graph.DefaultArenaChunk).
-	ArenaChunk int
 	// EventLog enables the per-PE wall-clock event rings; Result.Trace
 	// then renders the EdenTV-style per-PE timeline.
 	EventLog bool
@@ -86,10 +83,6 @@ type Config struct {
 	// report through Result. Nil — the default — keeps every recording
 	// hook a nil check.
 	Metrics *metrics.Registry
-	// TraceID, if non-zero, tags PE 0's event ring with a TraceMark
-	// carrying this id (ignored unless EventLog): the serve layer's
-	// handle for pulling one request's timeline off a live server.
-	TraceID int32
 	// Cluster, if non-nil, makes this RTS one member of a multi-process
 	// Eden cluster (see cluster.go): it hosts only its rank's PEs,
 	// cross-process sends go through Cluster.Transport as wire-encoded
@@ -143,15 +136,7 @@ type PEStats struct {
 // GCStats is what Go's (global) collector did while the run executed.
 // There is no per-PE GC to report — Go's heap is shared — so this is
 // run-level, with the per-PE allocation story carried by PEStats.
-type GCStats struct {
-	Cycles     int64 `json:"cycles"`
-	PauseNS    int64 `json:"pause_ns"`
-	BytesAlloc int64 `json:"bytes_alloc"`
-	// Shared reports that another run's measurement window overlapped
-	// this one, so the deltas describe the whole process over the
-	// interval rather than this run alone (see internal/gcscope).
-	Shared bool `json:"shared,omitempty"`
-}
+type GCStats = gcscope.Delta
 
 // Result is the outcome of one native Eden run.
 type Result struct {
@@ -197,10 +182,6 @@ type Report struct {
 func (r *Result) Report() Report {
 	return Report{PEs: r.PEs, WallNS: r.WallNS, Total: r.Stats, GC: r.GC, PerPE: r.PerPE}
 }
-
-// errAborted unwinds a blocked thread after another thread already
-// recorded the run's failure.
-var errAborted = errors.New("nativeeden: run aborted")
 
 // peRT is one processing element: the big lock its threads serialise
 // on, its private heap machinery, and its owner-written counters
@@ -283,9 +264,9 @@ type RTS struct {
 	blocked  atomic.Int64
 	progress atomic.Uint64
 
-	failed  atomic.Bool
-	errOnce sync.Once
-	err     error
+	// latch records the run's first failure; blocked threads check it
+	// at every wait (see fail).
+	latch faults.Latch
 
 	wg sync.WaitGroup
 
@@ -324,7 +305,7 @@ func NewRTS(cfg Config) (*RTS, error) {
 		if cl := cfg.Cluster; cl != nil && !cl.Owns(i) {
 			continue
 		}
-		p := newPE(i, cfg.ArenaChunk)
+		p := newPE(i)
 		p.rts = r
 		r.pes[i] = p
 	}
@@ -339,16 +320,16 @@ func (r *RTS) RunMain(main pe.Program) (*Result, error) {
 	if main == nil {
 		return nil, errors.New("nativeeden: nil main")
 	}
-	return r.run(main)
+	return r.run(main, 0)
 }
 
 // newPE builds one processing element with empty registries and a
 // fresh arena. The rts pointer is attached by the caller: a batch Run
 // wires it once, a Resident lane re-points the same PEs at a fresh
 // per-job RTS.
-func newPE(id, arenaChunk int) *peRT {
+func newPE(id int) *peRT {
 	p := &peRT{id: id,
-		arena:     graph.NewArena(arenaChunk),
+		arena:     graph.NewArena(0),
 		cells:     map[int64]*cellState{},
 		streams:   map[int64]*streamState{},
 		blockedOn: map[*PCtx]faults.BlockedThread{},
@@ -358,8 +339,9 @@ func newPE(id, arenaChunk int) *peRT {
 }
 
 // run executes main as the root process on PE 0 of an assembled RTS —
-// the shared execution core of the batch Run and the Resident lane.
-func (r *RTS) run(main pe.Program) (*Result, error) {
+// the shared execution core of the batch Run and the Resident lane. A
+// non-zero traceID (a lane job's JobConfig.TraceID) tags PE 0's ring.
+func (r *RTS) run(main pe.Program, traceID int32) (*Result, error) {
 	cfg := r.cfg
 	cl := cfg.Cluster
 	gcWin := gcscope.Begin()
@@ -386,11 +368,11 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 			p.mu.Lock()
 			p.ev = r.events.Buf(li)
 			li++
-			if p.id == 0 && cfg.TraceID != 0 {
+			if p.id == 0 && traceID != 0 {
 				// The mark is the ring's first event so a trace reader can
 				// identify the job before decoding anything else. Emitted
 				// pre-thread, so the single-writer rule holds.
-				p.ev.EmitArg(eventlog.TraceMark, cfg.TraceID)
+				p.ev.EmitArg(eventlog.TraceMark, traceID)
 			}
 			// A PE with no thread is idle, not runnable: open an Idle
 			// bracket each thread's Run brackets nest inside. Emitted here,
@@ -421,40 +403,19 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 		shadow = true
 	}
 	c0 := &PCtx{rts: r, pe: rootPE, name: "root", isRoot: true, shadow: shadow}
-	runErr := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				if v == errAborted {
-					err = r.err // visible: errOnce.Do precedes failed.Store
-					return
-				}
-				err = panicErr("nativeeden: root process panicked", v)
-				// Orphaned-claim recovery: poison whatever the root had
-				// black-holed so blocked peers unblock into the failure.
-				poisonThunks(c0.claims, err)
-			}
-		}()
-		p0 := c0.pe
-		r.threads.Add(1)
-		r.alive.Add(1)
-		defer r.alive.Add(-1)
-		p0.mu.Lock()
-		defer p0.mu.Unlock()
-		p0.ctr.Threads++
-		if p0.ev != nil {
-			p0.ev.Emit(eventlog.RunBegin)
-		}
+	r.threads.Add(1)
+	r.alive.Add(1)
+	runErr := c0.runThread(func() string { return "nativeeden: root process panicked" }, func() {
+		c0.begin()
 		value = main(c0)
-		if p0.ev != nil {
-			p0.ev.Emit(eventlog.RunEnd)
-		}
-		return nil
-	}()
+		c0.end()
+	})
+	r.alive.Add(-1)
 	if runErr != nil {
 		// The root's failure must unwind every blocked thread, exactly as
 		// a thread panic aborts the root (see the native GpH runtime's
-		// main-panic path for the hang this prevents). errOnce keeps the
-		// first failure when the root merely unwound via errAborted.
+		// main-panic path for the hang this prevents). The latch keeps the
+		// first failure when the root merely unwound on its abort.
 		r.fail(runErr)
 	}
 	r.wg.Wait()
@@ -462,21 +423,10 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 		close(watchdogStop)
 	}
 	wall := time.Since(start)
-
-	gcDelta := gcWin.End()
-
-	if runErr == nil && r.failed.Load() {
-		// A Drain or Fail from outside may race a root that returned:
-		// r.err is visible once failed is, and not read before.
-		runErr = r.err
-	}
-
-	res := &Result{Value: value, WallNS: wall.Nanoseconds(), PEs: cfg.PEs}
-	res.GC = GCStats{
-		Cycles:     gcDelta.Cycles,
-		PauseNS:    gcDelta.PauseNS,
-		BytesAlloc: gcDelta.BytesAlloc,
-		Shared:     gcDelta.Shared,
+	res := &Result{Value: value, WallNS: wall.Nanoseconds(), PEs: cfg.PEs, GC: gcWin.End()}
+	if runErr == nil {
+		// A Drain or Fail from outside may race a root that returned.
+		runErr = r.latch.Err()
 	}
 	res.Stats = Stats{Processes: r.processes.Load(), ThreadsCreated: r.threads.Load()}
 	res.PerPE = make([]PEStats, cfg.PEs)
@@ -511,27 +461,6 @@ func (r *RTS) run(main pe.Program) (*Result, error) {
 	return res, nil
 }
 
-// panicErr turns a recovered panic value into an error, preserving
-// error values (typed injected faults, misuse errors, poison) through
-// %w so errors.As sees them from the run error.
-func panicErr(prefix string, p any) error {
-	if err, ok := p.(error); ok {
-		return fmt.Errorf("%s: %w", prefix, err)
-	}
-	return fmt.Errorf("%s: %v", prefix, p)
-}
-
-// poisonThunks marks every claimed thunk of a dead thread as Poisoned,
-// newest-first, so peers blocked on them unblock into the failure path
-// instead of waiting forever on a black hole.
-func poisonThunks(claims []*graph.Thunk, err error) {
-	for i := len(claims) - 1; i >= 0; i-- {
-		if t := claims[i]; t != nil {
-			t.Poison(err)
-		}
-	}
-}
-
 // watchdog polls the run's liveness counters. It fails the run with a
 // structured *faults.DeadlockError on global quiescence (every live
 // thread blocked, nothing progressing, stable across ticks) or when
@@ -554,7 +483,7 @@ func (r *RTS) watchdog(start time.Time, stop chan struct{}) {
 			return
 		case <-t.C:
 		}
-		if r.failed.Load() {
+		if r.latch.Failed() {
 			return
 		}
 		elapsed := time.Since(start)
@@ -607,11 +536,14 @@ func (r *RTS) deadlockError(reason string, elapsed time.Duration) *faults.Deadlo
 	return de
 }
 
-// fail records the first thread failure and wakes every blocked thread
-// so the run unwinds instead of hanging.
+// fail records the run's first failure and wakes every blocked thread
+// so the run unwinds instead of hanging. A later failure changes
+// nothing: every thread that blocks after the first one checks the
+// latch before it waits.
 func (r *RTS) fail(err error) {
-	r.errOnce.Do(func() { r.err = err })
-	r.failed.Store(true)
+	if !r.latch.Fail(err) {
+		return
+	}
 	for _, p := range r.pes {
 		if p == nil {
 			continue
@@ -622,56 +554,42 @@ func (r *RTS) fail(err error) {
 	}
 }
 
-// checkFailed panics with errAborted if the run has failed; called at
-// every blocking-loop iteration so no thread waits on a value that
-// will never arrive.
-func (p *peRT) checkFailed() {
-	if p.rts.failed.Load() {
-		panic(errAborted)
-	}
-}
-
-// startThread runs body as a new Eden thread on this PE. The recover
-// handler is registered before the lock is taken so that, on panic,
-// the unlock (deferred later, hence run earlier) has already released
-// the PE before fail() tries to lock every PE. alive is incremented
-// here, synchronously, so the watchdog counts a spawned-but-not-yet-
-// scheduled thread as live-and-runnable rather than seeing a
-// transiently quiescent system.
-func (r *RTS) startThread(p *peRT, name string, body func(*PCtx)) {
-	r.wg.Add(1)
-	r.threads.Add(1)
-	r.alive.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer r.alive.Add(-1)
-		c := &PCtx{rts: r, pe: p, name: name}
-		defer func() {
-			if v := recover(); v != nil && v != errAborted {
-				err := panicErr(fmt.Sprintf("nativeeden: PE %d thread %q panicked", p.id, name), v)
-				// Orphaned-claim recovery before fail(): peers blocked on
-				// this thread's black holes see poison, not a permanent
-				// hole, even if they race past the abort flag.
-				poisonThunks(c.claims, err)
-				r.fail(err)
-			}
-		}()
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		c.begin()
-		body(c)
-		c.end()
+// runThread is the one recovery bracket of an Eden thread — the root,
+// a plain thread or a supervised one: it runs body holding the thread's
+// PE lock and returns the failure that ended the thread, or nil. A
+// panic becomes an error (the run's recorded failure when it is the
+// latch's abort), and the claims the thread still holds are poisoned,
+// newest first, so peers blocked on them unblock into the failure path
+// instead of waiting on a black hole forever. The recover is
+// registered before the lock is taken, so the PE is unlocked again by
+// the time the caller acts on the failure (fail locks every PE). what
+// names the thread in the error; it runs only on failure.
+func (c *PCtx) runThread(what func() string, body func()) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = c.rts.latch.Recovered(v, what())
+			c.claims.Poison(err)
+		}
 	}()
+	c.pe.mu.Lock()
+	defer c.pe.mu.Unlock()
+	body()
+	return nil
 }
 
-// startSupervised runs body as a supervised Eden thread: a panic is
-// contained — claims poisoned, PE woken, a pe.ThreadFailure death
-// notice sent on the verdict channel — instead of aborting the run.
-// Success sends true. Verdict delivery goes through the ordinary
-// transport, so it is itself subject to message-fault injection (a
-// dropped death notice becomes a watchdog-detected deadlock, which is
-// the honest outcome).
-func (r *RTS) startSupervised(p *peRT, name string, done Outport, body func(*PCtx)) {
+// startThread runs body as a new Eden thread on PE p. alive is
+// incremented here, synchronously, so the watchdog counts a spawned-
+// but-not-yet-scheduled thread as live-and-runnable rather than seeing
+// a transiently quiescent system.
+//
+// A plain thread (done nil) fails the run when it dies. A supervised
+// thread contains its failure instead: its claims are poisoned, its PE
+// is woken, and a pe.ThreadFailure death notice is sent on *done in
+// place of the true a successful thread sends. Verdict delivery goes
+// through the ordinary transport, so it is itself subject to
+// message-fault injection (a dropped death notice becomes a
+// watchdog-detected deadlock, which is the honest outcome).
+func (r *RTS) startThread(p *peRT, name string, done *Outport, body func(*PCtx)) {
 	r.wg.Add(1)
 	r.threads.Add(1)
 	r.alive.Add(1)
@@ -679,52 +597,47 @@ func (r *RTS) startSupervised(p *peRT, name string, done Outport, body func(*PCt
 		defer r.wg.Done()
 		defer r.alive.Add(-1)
 		c := &PCtx{rts: r, pe: p, name: name}
-		aborted := false
-		var failure *pe.ThreadFailure
-		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					if v == errAborted {
-						aborted = true
-						return
-					}
-					err := panicErr(fmt.Sprintf("nativeeden: PE %d supervised thread %q panicked", p.id, name), v)
-					poisonThunks(c.claims, err)
-					// The deferred unlock already ran; wake siblings that
-					// may be blocked on the freshly poisoned thunks.
-					p.mu.Lock()
-					p.cond.Broadcast()
-					p.mu.Unlock()
-					failure = &pe.ThreadFailure{PE: p.id, Name: name, Err: err.Error()}
-				}
-			}()
-			p.mu.Lock()
-			defer p.mu.Unlock()
+		kind := "thread"
+		if done != nil {
+			kind = "supervised thread"
+		}
+		err := c.runThread(func() string {
+			return fmt.Sprintf("nativeeden: PE %d %s %q panicked", p.id, kind, name)
+		}, func() {
 			c.begin()
 			body(c)
 			c.end()
-		}()
-		if aborted {
+		})
+		if done == nil {
+			if err != nil {
+				r.fail(err)
+			}
 			return
 		}
-		// Deliver the verdict. The send can fail too (injected faults,
-		// closed run); that falls back to the ordinary abort path.
-		func() {
-			defer func() {
-				if v := recover(); v != nil && v != errAborted {
-					r.fail(panicErr(fmt.Sprintf("nativeeden: supervised thread %q verdict send failed", name), v))
-				}
-			}()
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			if failure != nil {
+		if r.latch.Failed() {
+			return // the run is unwinding: nobody awaits the verdict
+		}
+		dead := err != nil
+		var verdict graph.Value = true
+		if dead {
+			verdict = pe.ThreadFailure{PE: p.id, Name: name, Err: err.Error()}
+		}
+		// The verdict send can fail too (injected faults, closed run);
+		// that falls back to the ordinary abort path.
+		err = c.runThread(func() string {
+			return fmt.Sprintf("nativeeden: supervised thread %q verdict send failed", name)
+		}, func() {
+			if dead {
+				// Wake siblings blocked on the freshly poisoned claims.
+				p.cond.Broadcast()
 				if p.ev != nil {
 					p.ev.EmitArg(eventlog.WorkerDead, int32(p.id))
 				}
-				c.Send(done, *failure)
-			} else {
-				c.Send(done, true)
 			}
-		}()
+			c.Send(*done, verdict)
+		})
+		if err != nil {
+			r.fail(err)
+		}
 	}()
 }

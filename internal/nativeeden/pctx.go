@@ -29,9 +29,9 @@ type PCtx struct {
 	shadow bool
 
 	// claims is the stack of thunks this thread has eagerly black-holed
-	// and not yet updated. On panic they are poisoned (newest-first) so
-	// peers blocked on them unblock into the failure path.
-	claims []*graph.Thunk
+	// and not yet updated. On panic runThread poisons them (newest
+	// first) so peers blocked on them unblock into the failure path.
+	claims graph.Claims
 }
 
 var (
@@ -42,14 +42,14 @@ var (
 )
 
 // begin is the thread prologue, run under the PE lock: counters, the
-// Run bracket, and thread-start fault injection (stalled PE, injected
-// process panic).
+// Run bracket, and — for every thread but the root — thread-start fault
+// injection (stalled PE, injected process panic).
 func (p *PCtx) begin() {
 	p.pe.ctr.Threads++
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.RunBegin)
 	}
-	if inj := p.rts.cfg.Faults; inj != nil {
+	if inj := p.rts.cfg.Faults; inj != nil && !p.isRoot {
 		p.injectThreadStart(inj)
 	}
 }
@@ -175,14 +175,9 @@ func (p *PCtx) NoteDuplicateEntry(t *graph.Thunk) {}
 
 // NoteClaimed / NoteReleased track this thread's open eager claims —
 // the thunks that must be poisoned if the thread dies mid-update.
-func (p *PCtx) NoteClaimed(t *graph.Thunk) { p.claims = append(p.claims, t) }
+func (p *PCtx) NoteClaimed(t *graph.Thunk) { p.claims.Push(t) }
 
-func (p *PCtx) NoteReleased(t *graph.Thunk) {
-	if n := len(p.claims); n > 0 {
-		p.claims[n-1] = nil
-		p.claims = p.claims[:n-1]
-	}
-}
+func (p *PCtx) NoteReleased(t *graph.Thunk) { p.claims.Pop() }
 
 // WakeThunkWaiters wakes the PE's blocked threads after an update.
 func (p *PCtx) WakeThunkWaiters(t *graph.Thunk) { p.pe.cond.Broadcast() }
@@ -203,7 +198,7 @@ func (p *PCtx) BlockOnThunk(t *graph.Thunk) {
 		if s := t.State(); s == graph.Evaluated || s == graph.Poisoned {
 			break
 		}
-		p.pe.checkFailed()
+		p.rts.latch.Check()
 		if !noted {
 			noted = true
 			p.pe.blockedOn[p] = p.blockedRecord(t)
@@ -289,7 +284,7 @@ func (p *PCtx) Spawn(dest int, name string, body func(pe.Ctx)) {
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.Fork)
 	}
-	p.rts.startThread(p.rts.pes[dest], name, func(c *PCtx) { body(c) })
+	p.rts.startThread(p.rts.pes[dest], name, nil, func(c *PCtx) { body(c) })
 }
 
 // ForkLocal starts an additional thread of the current process on the
@@ -298,7 +293,7 @@ func (p *PCtx) ForkLocal(name string, body func(pe.Ctx)) {
 	if p.shadow {
 		return
 	}
-	p.rts.startThread(p.pe, name, func(c *PCtx) { body(c) })
+	p.rts.startThread(p.pe, name, nil, func(c *PCtx) { body(c) })
 }
 
 // SpawnSupervised instantiates a process on PE dest whose panic is
@@ -322,7 +317,8 @@ func (p *PCtx) SpawnSupervised(dest int, name string, body func(pe.Ctx)) pe.Inpo
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.Fork)
 	}
-	p.rts.startSupervised(p.rts.pes[dest], name, out.(Outport), func(c *PCtx) { body(c) })
+	done := out.(Outport)
+	p.rts.startThread(p.rts.pes[dest], name, &done, func(c *PCtx) { body(c) })
 	return in
 }
 

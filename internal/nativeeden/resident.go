@@ -23,7 +23,8 @@ type JobConfig struct {
 	// EventLog gives the job a per-PE event ring set of its own.
 	EventLog bool
 	// TraceID, if non-zero, tags PE 0's ring with a TraceMark carrying
-	// this id (ignored unless EventLog) — see Config.TraceID.
+	// this id (ignored unless EventLog): the serve layer's handle for
+	// pulling one request's timeline off a live server.
 	TraceID int32
 }
 
@@ -92,7 +93,7 @@ func NewResident(cfg Config) *Resident {
 	l := &Resident{cfg: cfg}
 	l.pes = make([]*peRT, cfg.PEs)
 	for i := range l.pes {
-		l.pes[i] = newPE(i, cfg.ArenaChunk)
+		l.pes[i] = newPE(i)
 	}
 	if cfg.Metrics != nil {
 		l.m = newLaneMetrics(cfg.Metrics)
@@ -126,7 +127,6 @@ func (l *Resident) RunJob(jc JobConfig, main pe.Program) (*Result, error) {
 	cfg.Deadline = jc.Deadline
 	cfg.Faults = jc.Faults
 	cfg.EventLog = jc.EventLog
-	cfg.TraceID = jc.TraceID
 	r := &RTS{cfg: cfg, pes: l.pes}
 	for _, p := range l.pes {
 		p.rts = r
@@ -139,7 +139,7 @@ func (l *Resident) RunJob(jc JobConfig, main pe.Program) (*Result, error) {
 		p.ctr = PEStats{} // stats are job-scoped; the arena stays warm
 		p.ev = nil        // run re-wires rings if the job asked for them
 	}
-	res, err := r.run(main)
+	res, err := r.run(main, jc.TraceID)
 	if err != nil {
 		l.jobsFailed++
 	} else {
