@@ -2,7 +2,8 @@
 // long-lived native work-stealing pool and a set of resident Eden
 // lanes behind an HTTP/JSON gateway.
 //
-//	serve -addr :8080 -workers 8 -pes 4 -lanes 2 -queue 64 -inflight 16
+//	serve -addr :8080 -workers 8 -pes 4 -lanes 2 -queue 64 -inflight 16 \
+//	      -deadline 30s -maxdeadline 2m -pprof
 //
 // Endpoints:
 //
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	"parhask/internal/serve"
-	"parhask/internal/tune"
 )
 
 func main() {
@@ -47,23 +47,12 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "default per-job deadline (0 = 30s)")
 	maxDeadline := flag.Duration("maxdeadline", 0, "per-job deadline cap (0 = 2m)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof at /debug/pprof/")
-	backoffSpec := flag.String("backoff", "", "native pool idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
 	flag.Parse()
-
-	var backoff *tune.Backoff
-	if *backoffSpec != "" {
-		var err error
-		if backoff, err = tune.ParseBackoff(*backoffSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "serve: -backoff:", err)
-			os.Exit(2)
-		}
-	}
 
 	s := serve.New(serve.Config{
 		Workers: *workers, PEs: *pes, Lanes: *lanes,
 		QueueCap: *queue, MaxInflight: *inflight,
 		DefaultDeadline: *deadline, MaxDeadline: *maxDeadline,
-		Backoff: backoff,
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())

@@ -132,11 +132,11 @@ func TestDocsUseRegisteredFlags(t *testing.T) {
 	// The first line passes the retired online-controller flag, spelled
 	// in two pieces so its name stays out of the sources.
 	for line, want := range map[string]int{
-		"go run ./cmd/sumeuler -runtime native -auto" + "tune":                                         1,
-		"go run ./cmd/apsp -runtime native -n 48 -eager -backoff \"spin=64,park=8\" | tee apsp.txt -x": 0,
-		"/tmp/parhask-bin/workloads -run queens -n 8 -cutoff 16 -rts eden   # sim -chunks":             0,
-		"go run ./cmd/workloads -run queens -chunks 4":                                                 1,
-		"`cmd/matmul -block 33 -q 3`, then tracedump -native sumeuler -format html":                    0,
+		"go run ./cmd/sumeuler -runtime native -auto" + "tune":                             1,
+		"go run ./cmd/apsp -runtime native -n 48 -eager | tee apsp.txt -x":                 0,
+		"/tmp/parhask-bin/workloads -run queens -n 8 -cutoff 16 -rts eden   # sim -chunks": 0,
+		"go run ./cmd/workloads -run queens -chunks 4":                                     1,
+		"`cmd/matmul -block 33 -q 3`, then tracedump -native sumeuler -format html":        0,
 	} {
 		if got := checkDriverDoc(t, line); len(got) != want {
 			t.Errorf("checkDriverDoc(%q) = %q, want %d findings", line, got, want)

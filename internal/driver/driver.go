@@ -49,7 +49,6 @@ import (
 	"parhask/internal/native"
 	"parhask/internal/nativeeden"
 	"parhask/internal/trace"
-	"parhask/internal/tune"
 	"parhask/internal/workloads"
 )
 
@@ -63,10 +62,10 @@ func Main(name string) {
 
 // options holds the flags every workload shares.
 type options struct {
-	runtime, rts, stats, faults, backoff, transport string
-	cores, workers, pes, width, cluster, restarts   int
-	trace, eager, profile, reconnect                bool
-	deadline                                        time.Duration
+	runtime, rts, stats, faults, transport        string
+	cores, workers, pes, width, cluster, restarts int
+	trace, eager, profile, reconnect              bool
+	deadline                                      time.Duration
 }
 
 // gphConfigs are the simulated GpH runtime configurations of -rts.
@@ -85,7 +84,6 @@ type cli struct {
 	o              options
 	inst           *workloads.Instance
 	inj            *faults.Injector
-	backoff        *tune.Backoff
 	stdout, stderr io.Writer
 }
 
@@ -161,14 +159,6 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 	if r.inj, err = faults.CLIInjector(o.faults, o.deadline, o.runtime); err != nil {
 		return nil, r.fail(2, err)
 	}
-	if o.backoff != "" {
-		if o.runtime != "native" {
-			return nil, r.fail(2, fmt.Sprintf("-backoff requires -runtime native (got %q)", o.runtime))
-		}
-		if r.backoff, err = tune.ParseBackoff(o.backoff); err != nil {
-			return nil, r.fail(2, "-backoff:", err)
-		}
-	}
 	var args workloads.Args
 	for name, v := range given {
 		args = args.With(name, *v)
@@ -201,7 +191,6 @@ func newFlags(fs *flag.FlagSet, e *workloads.Entry, o *options, byFlag bool) map
 	fs.StringVar(&o.stats, "stats", "text", "native stats format: text | json (per-worker counters, machine-readable, json output only)")
 	fs.StringVar(&o.faults, "faults", "", "fault-injection spec for the native runtimes (internal/faults grammar), e.g. \"seed=7,panic-spark=3\"")
 	fs.DurationVar(&o.deadline, "deadline", 0, "native deadlock-watchdog deadline, e.g. 10s (0 = disabled)")
-	fs.StringVar(&o.backoff, "backoff", "", "native runtime: idle backoff policy, e.g. \"spin=64,min=10us,max=1280us,park=8\" (empty = default)")
 	fs.IntVar(&o.cluster, "cluster", 0, "run -runtime eden as N separate worker OS processes, -pes PEs each (0 = single process)")
 	fs.StringVar(&o.transport, "transport", "tcp", "cluster transport: tcp | unix")
 	fs.IntVar(&o.restarts, "restarts", 0, "cluster restart budget: respawn the workers and retry the run up to N times after a process death (0 = fail on the first death)")
@@ -333,7 +322,6 @@ func (r *cli) runNative() (report, error) {
 	cfg.EventLog = o.trace
 	cfg.Faults = r.inj
 	cfg.Deadline = o.deadline
-	cfg.Backoff = r.backoff
 	prog, err := inst.GpH()
 	if err != nil {
 		return report{}, err

@@ -51,7 +51,6 @@ func TestRunsVerifyAndReport(t *testing.T) {
 		{"apsp", "-n 12 -cores 3", []string{"apsp 12 nodes on Eden, 4 PEs / 3 cores", "ring=3", "result   = verified against Floyd"}},
 		{"apsp", "-n 12 -rts steal -eager", []string{"duplicate thunk entries: 0"}},
 		{"apsp", "-n 12 -runtime native -workers 2", []string{"duplicate thunk entries: "}},
-		{"apsp", "-n 12 -runtime native -workers 2 -eager -backoff spin=64,min=10us,max=640us,park=8", []string{"result   = verified against Floyd"}},
 		{"apsp", "-n 12 -runtime eden -pes 2 -ring 3", []string{"on native Eden, 2 PEs", "ring=3"}},
 		{"apsp", "-n 12 -runtime eden -cluster 3 -pes 1 -transport unix -deadline 60s",
 			[]string{"result   = verified against Floyd", "3-process Eden cluster (unix)", "ring=3"}},
@@ -97,8 +96,6 @@ func TestBadCommandLinesExit2(t *testing.T) {
 		{"sumeuler", "-runtime bogus", "unknown -runtime"},
 		{"sumeuler", "-rts bogus", "-rts bogus: sumeuler has no simulated GpH bogus form"},
 		{"sumeuler", "-rts gum -pes 3", "-rts gum: sumeuler has no simulated GpH gum form"},
-		{"sumeuler", "-backoff park=8 -rts steal", "-backoff requires -runtime native"},
-		{"matmul", "-runtime native -backoff spin=banana", "-backoff:"},
 		{"matmul", "-n 24 -block 7", "block=7 does not divide n=24"},
 		{"matmul", "-n 24 -q 5 -runtime eden", "q=5 does not divide n=24"},
 		{"matmul", "-n 24 -q 5 -runtime eden -cluster 2", "q=5 does not divide n=24"},
@@ -289,7 +286,7 @@ func TestOneInstanceOnEveryRuntime(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	shared := map[string]string{
 		"cores": "8", "pes": "", "trace": "", "width": "100", "runtime": `"sim"`, "workers": "",
-		"stats": `"text"`, "faults": "", "deadline": "", "backoff": "",
+		"stats": `"text"`, "faults": "", "deadline": "",
 		"cluster": "", "transport": `"tcp"`, "restarts": "", "reconnect": "true",
 	}
 	for _, c := range []struct {

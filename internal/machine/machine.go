@@ -125,7 +125,7 @@ func (m *CPU) remove(b *burner) {
 // rebalance recomputes every burner's share after a membership change and
 // wakes sleeping burners so they re-plan their completion. The burner
 // `except` (the caller, which is about to compute its own ETA) is settled
-// and re-rated but not unparked.
+// and re-rated but not woken.
 func (m *CPU) rebalance(except *burner) {
 	n := len(m.burners)
 	if n == 0 {

@@ -69,16 +69,11 @@ func newPoolMetrics(reg *metrics.Registry, p *Pool) *poolMetrics {
 	reg.GaugeFunc("native_pool_sparks_leftover", "sparks currently pooled awaiting a worker",
 		cached(func() float64 { return float64(m.cache.snap.SparksLeftover) }))
 
-	// Idle-wait telemetry: how much of the workers' time the backoff
-	// ladder and the park lot absorbed.
+	// Idle-wait telemetry: how much of the workers' time the idle
+	// ladder's sleeps absorbed.
 	counter("native_pool_backoff_sleeps_total", "idle-loop backoff sleeps taken by workers", func() int64 { return m.cache.snap.BackoffSleeps })
 	reg.CounterFunc("native_pool_backoff_ns", "nanoseconds workers spent in backoff sleeps",
 		cached(func() float64 { return float64(m.cache.snap.BackoffNS) }))
-	counter("native_pool_parks_total", "times a worker parked on the pool condvar", func() int64 { return m.cache.snap.Parks })
-	reg.CounterFunc("native_pool_parked_ns", "nanoseconds workers spent parked",
-		cached(func() float64 { return float64(m.cache.snap.ParkedNS) }))
-	reg.GaugeFunc("native_pool_parked_workers", "workers currently parked on the pool condvar",
-		func() float64 { return float64(p.rt.nparked.Load()) })
 
 	// GC deltas since the pool came up (gcscope window; Shared handled
 	// by the boolean gauge rather than polluting the counters).

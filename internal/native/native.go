@@ -29,9 +29,10 @@
 //     baseline — entries are never marked, so concurrent forcers
 //     duplicate evaluation exactly as in the paper's §IV-A.3 window,
 //     and the duplicate-entry count is measured on real hardware.
-//   - A worker that forces a black-holed thunk does not park on a
-//     waiter list: it polls the atomic state on the backoff ladder, so
-//     a lost wakeup is impossible by construction. Only a force with an
+//   - Nothing parks. A worker that forces a black-holed thunk polls its
+//     atomic state, and an idle worker re-scans the deques, both on one
+//     fixed yield-then-sleep ladder (idleWait), so a lost wakeup is
+//     impossible by construction. Only a force with an
 //     empty claim stack (main's, or a spark's outermost) runs other
 //     sparks while it waits (leapfrogging); a nested force just polls.
 //
@@ -68,7 +69,6 @@ import (
 	"parhask/internal/graph"
 	pmetrics "parhask/internal/metrics"
 	"parhask/internal/trace"
-	"parhask/internal/tune"
 )
 
 // GCOff is the Config.GCPercent value that disables Go's GC for the
@@ -126,12 +126,6 @@ type Config struct {
 	// through its Result. When nil — the default — every recording hook
 	// is a nil check, the same contract as the eventlog and fault plane.
 	Metrics *pmetrics.Registry
-	// Backoff, if non-nil, replaces the fixed idle-wait policy (spin
-	// 64 rounds, sleeps doubling 10µs→1.28ms, no parking) with another
-	// fixed one: a different spin budget, sleep ladder or parking
-	// threshold (tune.ParseBackoff, the -backoff flag). Nil keeps the
-	// default schedule.
-	Backoff *tune.Backoff
 }
 
 // NewConfig returns the default native configuration: one worker per
@@ -162,11 +156,11 @@ type Stats struct {
 	Forks           int64 `json:"forks"`            // threads created with Fork
 	BackoffSleeps   int64 `json:"backoff_sleeps"`   // idle backoff sleeps taken (worker loops)
 	BackoffNS       int64 `json:"backoff_ns"`       // cumulative time spent in backoff sleeps
-	Parks           int64 `json:"parks"`            // times a worker parked on the pool condvar
-	ParkedNS        int64 `json:"parked_ns"`        // cumulative time spent parked
+	Parks           int64 `json:"parks"`            // always 0: no worker parks; kept in the -stats json key set
+	ParkedNS        int64 `json:"parked_ns"`        // always 0, as Parks
 }
 
-// Add accumulates o into s field-wise.
+// Add accumulates o into s field-wise (Parks and ParkedNS stay 0).
 func (s *Stats) Add(o Stats) {
 	s.SparksCreated += o.SparksCreated
 	s.SparksDud += o.SparksDud
@@ -181,8 +175,6 @@ func (s *Stats) Add(o Stats) {
 	s.Forks += o.Forks
 	s.BackoffSleeps += o.BackoffSleeps
 	s.BackoffNS += o.BackoffNS
-	s.Parks += o.Parks
-	s.ParkedNS += o.ParkedNS
 }
 
 // counters is the atomic counter set for contributors without a worker
@@ -355,75 +347,17 @@ type rt struct {
 	inject     []injEntry
 	injectHead int
 
-	// bo is the pool's idle-wait policy: the legacy fixed schedule by
-	// default, the caller's Config.Backoff otherwise. Never nil after
-	// construction.
-	bo *tune.Backoff
-
-	// The park lot. A worker whose backoff ladder reaches the parking
-	// threshold blocks on parkCond instead of sleep-looping; producers
-	// (Par, pushInject) wake it. The lost-wakeup handshake is
-	// Dekker-style through two sequentially-consistent atomics: the
-	// parker increments nparked *then* re-checks every deque and the
-	// injection queue (under parkMu) before waiting; a producer
-	// publishes its spark *then* loads nparked. Whichever order the two
-	// interleave in, either the parker sees the spark or the producer
-	// sees the parker. parkGen (guarded by parkMu) versions the waits
-	// so a wake between the re-check and the Wait is never lost either.
-	parkMu   sync.Mutex
-	parkCond *sync.Cond
-	parkGen  uint64
-	nparked  atomic.Int64
-
 	stealers sync.WaitGroup
 }
 
-// defaultBackoff is the shared legacy policy for runs without an
-// explicit one: the fixed idleWait schedule, parking off.
-var defaultBackoff = tune.DefaultBackoffPolicy()
-
-// newRT builds the runtime core under every pool: workers, backoff
-// policy, park lot.
+// newRT builds the runtime core under every pool: its workers.
 func newRT(cfg Config) *rt {
-	r := &rt{cfg: cfg, bo: cfg.Backoff}
-	if r.bo == nil {
-		r.bo = defaultBackoff
-	}
-	r.parkCond = sync.NewCond(&r.parkMu)
+	r := &rt{cfg: cfg}
 	r.workers = make([]*worker, cfg.Workers)
 	for i := range r.workers {
 		r.workers[i] = newWorker(r, i)
 	}
 	return r
-}
-
-// haveWork reports whether any deque or the injection queue holds a
-// spark — the parker's final re-check. Called with parkMu held; takes
-// injectMu inside it (the only permitted nesting of the two).
-func (r *rt) haveWork() bool {
-	for _, w := range r.workers {
-		if !w.pool.Empty() {
-			return true
-		}
-	}
-	r.injectMu.Lock()
-	depth := len(r.inject) - r.injectHead
-	r.injectMu.Unlock()
-	return depth > 0
-}
-
-// wake unparks every parked worker. The fast path — no one parked —
-// is the single atomic load producers pay; rt.nparked is only ever
-// non-zero while some worker holds a parking intent, so unparked
-// runs never touch parkMu.
-func (r *rt) wake() {
-	if r.nparked.Load() == 0 {
-		return
-	}
-	r.parkMu.Lock()
-	r.parkGen++
-	r.parkCond.Broadcast()
-	r.parkMu.Unlock()
 }
 
 // injEntry is one injection-queue slot: a spark and the job it belongs
@@ -533,14 +467,11 @@ func (r *rt) fork(name string, body func(exec.Ctx), j *Job) {
 	}()
 }
 
-// pushInject queues a spark from a thread that owns no deque, then
-// wakes the park lot — after releasing injectMu, so the parker's
-// haveWork (parkMu → injectMu) never deadlocks against this path.
+// pushInject queues a spark from a thread that owns no deque.
 func (r *rt) pushInject(t *graph.Thunk, j *Job) {
 	r.injectMu.Lock()
 	r.inject = append(r.inject, injEntry{t: t, job: j})
 	r.injectMu.Unlock()
-	r.wake()
 }
 
 // injectCompactAt bounds how long a consumed prefix may grow before

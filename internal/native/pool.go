@@ -399,7 +399,7 @@ func (p *Pool) finish(j *Job, value graph.Value, err error) {
 	// deadline stays armed across this wait so a worker blocked inside
 	// the job's spark still gets unwound.
 	for spins := 0; j.active.Load() > 0; spins++ {
-		idleWait(spins)
+		idleWait(nil, spins)
 	}
 	if j.deadline != nil {
 		j.deadline.Stop()
@@ -519,7 +519,6 @@ func (p *Pool) Close() {
 // Idempotent.
 func (p *Pool) stop() {
 	p.rt.done.Store(true)
-	p.rt.wake() // parked workers must observe done
 	p.rt.stealers.Wait()
 }
 
@@ -564,7 +563,7 @@ func (w *worker) stealPass() {
 			w.maybePublish()
 		}
 		spins++
-		w.backoffWait(spins, true)
+		idleWait(w, spins)
 	}
 	if idle && w.ev != nil {
 		w.ev.Emit(eventlog.IdleEnd)

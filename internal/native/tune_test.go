@@ -1,7 +1,9 @@
 package native
 
 import (
-	"sync/atomic"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,149 +13,118 @@ import (
 	"parhask/internal/workloads/euler"
 )
 
-// aggressivePark is a test policy that parks almost immediately: one
-// spin round, one 1µs sleep, then the condvar. It makes parking
-// reachable within microseconds of a pool going dry.
-func aggressivePark() *tune.Backoff {
-	return tune.NewBackoff(1, time.Microsecond, 2*time.Microsecond, 1)
-}
-
-// waitUntil polls cond every 100µs until it holds or the deadline
-// passes.
-func waitUntil(t *testing.T, d time.Duration, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+// TestIdleSleepLadder pins the one idle ladder: a yield through round
+// 64, then 10µs doubling to 1.28ms, held at the cap up to math.MaxInt,
+// never negative and never shorter for a later round.
+func TestIdleSleepLadder(t *testing.T) {
+	const us = time.Microsecond
+	for _, c := range []struct {
+		spins int
+		want  time.Duration
+	}{
+		{0, 0}, {1, 0}, {63, 0}, {64, 0},
+		{65, 10 * us}, {66, 20 * us}, {67, 40 * us}, {68, 80 * us},
+		{69, 160 * us}, {70, 320 * us}, {71, 640 * us}, {72, 1280 * us},
+		{73, 1280 * us}, {1 << 20, 1280 * us}, {math.MaxInt - 1, 1280 * us}, {math.MaxInt, 1280 * us},
+	} {
+		if got := idleSleep(c.spins); got != c.want {
+			t.Errorf("idleSleep(%d) = %v, want %v", c.spins, got, c.want)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
-}
-
-// TestPoolWorkersParkWhenDry is the parking acceptance check: a dry
-// resident pool must end up with every worker on the condvar — not in
-// the sleep ladder — and the parked time must show up in telemetry.
-func TestPoolWorkersParkWhenDry(t *testing.T) {
-	const workers = 4
-	p := NewPool(Config{Workers: workers, Backoff: aggressivePark()})
-	defer p.Close()
-
-	waitUntil(t, 5*time.Second, func() bool {
-		return p.rt.nparked.Load() == workers
-	}, "all workers parked")
-
-	// A submitted job must wake them, run, and let them park again.
-	h, err := p.Submit(JobConfig{}, euler.Program(300, 8, 0, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.Value.(int64), euler.SumTotientSieve(300); got != want {
-		t.Fatalf("job value = %d, want %d", got, want)
-	}
-	waitUntil(t, 5*time.Second, func() bool {
-		return p.rt.nparked.Load() == workers
-	}, "workers re-parked after the job")
-
-	s := p.Snapshot()
-	if s.Parks == 0 {
-		t.Fatal("Stats.Parks = 0 after observed parking")
-	}
-	waitUntil(t, 5*time.Second, func() bool {
-		return p.Snapshot().ParkedNS > 0
-	}, "parked time to publish")
-}
-
-// TestPoolParkWakeStress hammers the park/wake handshake under -race:
-// bursts of jobs separated by dry gaps long enough for workers to
-// park, so every burst's first Par races a parking worker's re-check.
-func TestPoolParkWakeStress(t *testing.T) {
-	p := NewPool(Config{Workers: 4, Backoff: aggressivePark()})
-	defer p.Close()
-	want := euler.SumTotientSieve(200)
-	for burst := 0; burst < 40; burst++ {
-		handles := make([]*JobHandle, 3)
-		for i := range handles {
-			h, err := p.Submit(JobConfig{}, euler.Program(200, 5, 0, true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			handles[i] = h
+	// From idleSleep(0) = 0 upward, never shorter for a later round; the
+	// table above pins the cap beyond round 200.
+	for spins := 1; spins <= 200; spins++ {
+		if d, prev := idleSleep(spins), idleSleep(spins-1); d < prev {
+			t.Fatalf("idleSleep(%d) = %v after %v for an earlier round", spins, d, prev)
 		}
-		for _, h := range handles {
-			res, err := h.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Value.(int64) != want {
-				t.Fatalf("burst %d: value = %d, want %d", burst, res.Value.(int64), want)
-			}
-		}
-		// Dry gap: with the aggressive policy the workers reach the
-		// condvar well inside this window, so the next burst's inject
-		// exercises the wake path.
-		time.Sleep(300 * time.Microsecond)
-	}
-	if p.Snapshot().Parks == 0 {
-		t.Fatal("stress run never parked")
 	}
 }
 
-// TestNativeRunParksDuringSequentialStretch checks the batch path: the
-// stealers park while worker 0 (the caller) computes sequentially, and
-// worker-path Par wakes them.
-func TestNativeRunParksDuringSequentialStretch(t *testing.T) {
-	var peakParked int64
-	res := run(t, Config{Workers: 4, Backoff: aggressivePark()}, func(c exec.Ctx) graph.Value {
-		// Sequential stretch: the three stealers have nothing and must
-		// reach the condvar, not burn the sleep ladder.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if n := c.(*Ctx).rt.nparked.Load(); n > atomic.LoadInt64(&peakParked) {
-				atomic.StoreInt64(&peakParked, n)
-			}
-			if atomic.LoadInt64(&peakParked) >= 3 || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		// Now fan out: Par from the worker path must wake the parked
-		// stealers or the forces below would wait on dead sparks.
-		thunks := make([]*graph.Thunk, 8)
-		for i := range thunks {
-			v := int64(i)
-			thunks[i] = exec.NewThunk(c, func(c exec.Ctx) graph.Value { return v * v })
-			c.Par(thunks[i])
-		}
-		var sum int64
-		for _, th := range thunks {
-			sum += c.Force(th).(int64)
-		}
-		return sum
+// TestGoroutineCensusAfterClose: once a pool that ran a good job, a
+// failing job and a job with a fork is Closed, and once a batch Run has
+// returned, no goroutine the runtime started is left. Nothing wakes a
+// stopping worker: each sees done at its next round of the idle ladder.
+// The census polls, so only a goroutine that never leaves fails it.
+func TestGoroutineCensusAfterClose(t *testing.T) {
+	before := nativeGoroutines()
+	want := euler.SumTotientSieve(300)
+
+	p := NewPool(NewConfig(2))
+	if got := serve(t, p, euler.Program(300, 8, 0, true)); got != want {
+		t.Fatalf("good job = %v, want %d", got, want)
+	}
+	h, err := p.Submit(JobConfig{}, func(c exec.Ctx) graph.Value {
+		bomb := exec.Thunk(func(exec.Ctx) graph.Value { panic("census boom") })
+		c.Par(bomb)
+		return c.Force(bomb)
 	})
-	if got, want := res.Value.(int64), int64(0+1+4+9+16+25+36+49); got != want {
-		t.Fatalf("value = %d, want %d", got, want)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if atomic.LoadInt64(&peakParked) == 0 {
-		t.Fatal("no stealer parked during the sequential stretch")
+	if _, err := h.Wait(); err == nil {
+		t.Fatal("the panicking job succeeded")
 	}
-	if res.Stats.Parks == 0 {
-		t.Fatal("Stats.Parks = 0 despite observed parking")
+	got := serve(t, p, func(c exec.Ctx) graph.Value {
+		out := make(chan graph.Value, 1)
+		exec.Fork(c, "census", func(fc exec.Ctx) {
+			th := exec.Thunk(func(exec.Ctx) graph.Value { return int64(7) })
+			fc.Par(th)
+			out <- fc.Force(th)
+		})
+		return <-out
+	})
+	if got != int64(7) {
+		t.Fatalf("fork job = %v, want 7", got)
 	}
+	p.Close()
+	if res := run(t, NewConfig(2), euler.Program(300, 8, 0, true)); res.Value != want {
+		t.Fatalf("batch run = %v, want %d", res.Value, want)
+	}
+
+	for hang := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		var left []string
+		for id, stack := range nativeGoroutines() {
+			if _, ok := before[id]; !ok {
+				left = append(left, stack)
+			}
+		}
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(hang) {
+			t.Fatalf("%d runtime goroutines never left:\n\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+	}
+}
+
+// nativeGoroutines returns, keyed by their "goroutine N" header, the
+// stacks of every goroutine but the caller's that has a frame in this
+// package.
+func nativeGoroutines() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	gs := map[string]string{}
+	for i, g := range strings.Split(string(buf), "\n\n") {
+		if i > 0 && strings.Contains(g, "parhask/internal/native.") {
+			id, _, _ := strings.Cut(g, " [")
+			gs[id] = g
+		}
+	}
+	return gs
 }
 
 // TestNativeBackoffSleepsCounted pins the telemetry satellite: a run
 // whose workers idle against a slow sequential producer must count
 // backoff sleeps and their duration into the stats.
 func TestNativeBackoffSleepsCounted(t *testing.T) {
-	// Parking disabled (park=0): the idle stealers must ride the
-	// counted sleep ladder instead.
-	bo := tune.NewBackoff(1, time.Microsecond, 4*time.Microsecond, 0)
-	res := run(t, Config{Workers: 4, Backoff: bo}, func(c exec.Ctx) graph.Value {
+	res := run(t, Config{Workers: 4}, func(c exec.Ctx) graph.Value {
 		time.Sleep(5 * time.Millisecond) // stealers idle here
 		return int64(1)
 	})
@@ -162,9 +133,6 @@ func TestNativeBackoffSleepsCounted(t *testing.T) {
 	}
 	if res.Stats.BackoffNS == 0 {
 		t.Fatal("backoff sleeps counted but BackoffNS = 0")
-	}
-	if res.Stats.Parks != 0 {
-		t.Fatal("parking occurred with parkAfter = 0")
 	}
 	var perWorker int64
 	for _, ws := range res.PerWorker {
@@ -188,15 +156,5 @@ func TestNativeAutoProgramsMatchOracles(t *testing.T) {
 				t.Fatalf("grain=%d eager=%v: sum = %d, want %d", grain, eager, res.Value.(int64), want)
 			}
 		}
-	}
-}
-
-// TestDefaultBackoffShared pins the default path's cost: a run without
-// Config.Backoff shares the immutable package-wide policy instead of
-// allocating one per run (the spark hot-path alloc guard in
-// arena_test.go bounds the rest).
-func TestDefaultBackoffShared(t *testing.T) {
-	if r := newRT(NewConfig(2)); r.bo != defaultBackoff {
-		t.Fatal("run without Config.Backoff allocated a private policy; want the shared default")
 	}
 }

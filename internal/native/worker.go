@@ -228,14 +228,6 @@ func (c *Ctx) Par(t *graph.Thunk) {
 		}
 		w.ctr.SparksCreated++
 		w.pool.PushBottom(t)
-		// Dekker handshake with the park lot: the seq-cst push above
-		// (the deque's bottom store) is ordered before this load, and
-		// the parker's nparked increment before its deque re-check —
-		// one side always sees the other. With no one parked (every
-		// run under the default policy) this is a single atomic load.
-		if w.rt.nparked.Load() != 0 {
-			w.rt.wake()
-		}
 		if w.ev != nil {
 			w.ev.Emit(eventlog.SparkPush)
 		}
@@ -336,7 +328,7 @@ func (c *Ctx) NoteDuplicateResult(t *graph.Thunk) {
 // preemptively on another goroutine) and productive. Helping fires only
 // with an empty claim stack, though — a spark helped under an open claim
 // could depend on it — so a nested force (every APSP force, inside its
-// row thunk's claim) polls t on the backoff ladder instead.
+// row thunk's claim) polls t on the idle ladder instead.
 func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 	if c.w != nil {
 		c.w.ctr.BlockedForces++
@@ -387,13 +379,7 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 			}
 		}
 		spins++
-		if c.w != nil {
-			// mayPark=false: the wake source here is the thunk's
-			// completion, which does not signal the park lot.
-			c.w.backoffWait(spins, false)
-		} else {
-			idleWait(spins)
-		}
+		idleWait(c.w, spins)
 	}
 	if ev != nil {
 		ev.Emit(eventlog.BlockEnd)
@@ -403,75 +389,43 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 	}
 }
 
-// idleWait backs off an idle loop with the fixed legacy schedule:
-// yield for the first 64 rounds, then sleep from 10µs, doubling up to
-// a 1.28ms cap.
-// Oversubscribed machines (more workers than cores, or a race-detector
-// build) would otherwise burn the cores the productive workers need.
-// Used by waits that have no worker identity (nil-worker blocked
-// forces, finish's active-wait) — worker loops go through backoffWait,
-// which reads the pool's configured policy and counts its sleeps.
-func idleWait(spins int) {
-	if spins < 64 {
-		runtime.Gosched()
-		return
+// The idle ladder: an idle loop yields the processor through round
+// idleSpins, then sleeps idleSleepMin·2^k, doubling to a cap of
+// idleSleepMin<<idleDoublings (1.28ms). Sleeping keeps oversubscribed
+// machines (more workers than cores, or a race-detector build) from
+// burning the cores the productive workers need.
+const (
+	idleSpins     = 64
+	idleSleepMin  = 10 * time.Microsecond
+	idleDoublings = 7
+)
+
+// idleSleep is how long round spins of an idle loop sleeps: 0 (yield)
+// through round idleSpins, then the doubling ladder held at its cap.
+func idleSleep(spins int) time.Duration {
+	if spins <= idleSpins {
+		return 0
 	}
-	d := time.Duration(10<<uint(min(spins-64, 7))) * time.Microsecond
-	time.Sleep(d)
+	return idleSleepMin << min(spins-idleSpins-1, idleDoublings)
 }
 
-// backoffWait advances this worker's idle ladder at iteration `spins`
-// under the pool's policy: yield, a counted sleep, or — when the
-// policy's parking threshold is reached and the caller's loop allows
-// it — a park on the pool condvar. mayPark is false inside a blocked
-// force: thunk completion does not signal the park lot, so parking
-// there could sleep through the only event being waited for; those
-// waits ride the sleep ladder to its cap instead.
-func (w *worker) backoffWait(spins int, mayPark bool) {
-	if mayPark {
-		if _, park := w.rt.bo.Plan(spins); park {
-			w.park()
-			return
-		}
-	}
-	d := w.rt.bo.Sleep(spins)
+// idleWait takes round spins of an idle loop on the ladder. A worker's
+// loops (stealPass, its blocked forces) count their sleeps into its
+// BackoffSleeps/BackoffNS; the waits with no worker (w == nil: a
+// resident job's main thread or a fork blocked in a force, finish's
+// active-wait) stay uncounted.
+func idleWait(w *worker, spins int) {
+	d := idleSleep(spins)
 	if d == 0 {
 		runtime.Gosched()
 		return
 	}
 	t0 := time.Now()
 	time.Sleep(d)
-	w.ctr.BackoffSleeps++
-	w.ctr.BackoffNS += time.Since(t0).Nanoseconds()
-}
-
-// park blocks this worker on the pool condvar until a producer pushes
-// work (Par, pushInject), the run completes, or it fails — replacing
-// the capped sleep loop a dry pool otherwise burns. The lost-wakeup
-// handshake is described at the rt park-lot fields: the nparked
-// increment is sequentially consistent and precedes the final
-// work re-check, mirroring the producers' publish-then-load order, so
-// one side always sees the other; parkGen versions the wait against
-// wakes that land between the re-check and the Wait.
-func (w *worker) park() {
-	r := w.rt
-	r.parkMu.Lock()
-	r.nparked.Add(1)
-	if r.done.Load() || r.haveWork() {
-		r.nparked.Add(-1)
-		r.parkMu.Unlock()
-		return
+	if w != nil {
+		w.ctr.BackoffSleeps++
+		w.ctr.BackoffNS += time.Since(t0).Nanoseconds()
 	}
-	gen := r.parkGen
-	w.ctr.Parks++
-	w.maybePublish()
-	t0 := time.Now()
-	for r.parkGen == gen && !r.done.Load() {
-		r.parkCond.Wait()
-	}
-	r.nparked.Add(-1)
-	r.parkMu.Unlock()
-	w.ctr.ParkedNS += time.Since(t0).Nanoseconds()
 }
 
 // takeWork returns the next spark to run — own pool first (LIFO, cache

@@ -10,7 +10,6 @@ import (
 	"parhask/internal/metrics"
 	"parhask/internal/native"
 	"parhask/internal/nativeeden"
-	"parhask/internal/tune"
 )
 
 // Config sizes the resident service.
@@ -33,9 +32,6 @@ type Config struct {
 	// MaxDeadline caps what a request may ask for (0 = 2m).
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// Backoff overrides the native pool's idle-wait policy (nil = the
-	// fixed default, parking off).
-	Backoff *tune.Backoff
 }
 
 func (c Config) withDefaults() Config {
@@ -182,7 +178,6 @@ func New(cfg Config) *Server {
 	reg := metrics.New()
 	nc := native.NewConfig(cfg.Workers)
 	nc.Metrics = reg
-	nc.Backoff = cfg.Backoff
 	s := &Server{
 		cfg:      cfg,
 		pool:     native.NewPool(nc),

@@ -1,3 +1,10 @@
+// Package tune holds the native runtime's lazy binary splitter
+// (Splitter.ParSum), which carves an interval into sparks of a pinned
+// grain at execution time. The grain is set before a run and never
+// moves during it, as the paper's runtime options are.
+//
+// The package is runtime-agnostic: it imports neither internal/native
+// nor internal/nativeeden.
 package tune
 
 import (
