@@ -27,7 +27,9 @@ type Config struct {
 	// hosts, so the program sees Procs*PerProc PEs.
 	Procs   int
 	PerProc int
-	// Transport selects the wire: "tcp" (loopback) or "unix".
+	// Transport selects the socket family of every link, the control
+	// links to the coordinator and the data links between workers alike:
+	// "tcp" (loopback) or "unix".
 	Transport string
 	// Spec names the workload (see BuildProgram).
 	Spec string
@@ -130,10 +132,11 @@ type Result struct {
 	// spent down before healing.
 	Reconnects  int
 	ReconnectNS int64
-	// DroppedFrames counts, per destination rank, routed frames
-	// discarded because the destination was already gone — a lossy run
-	// is visible even when it succeeds (a rank that reported and left
-	// may still be routed to by stragglers).
+	// DroppedFrames counts, per destination rank, frames discarded
+	// because the destination was already gone — a lossy run is visible
+	// even when it succeeds (a rank that reported and left may still be
+	// sent to by stragglers). Data frames are counted by the worker that
+	// sent them, control frames by the coordinator.
 	DroppedFrames []int64
 	// HeartbeatRTTNS is the worst ping round trip observed.
 	HeartbeatRTTNS int64
@@ -180,7 +183,7 @@ type rankLink struct {
 	up       atomic.Bool  // link currently connected
 	done     atomic.Bool  // rank has reported; frames to it now drop
 	lastSeen atomic.Int64 // unix nanos of the last frame from this rank
-	drops    atomic.Int64 // routed frames discarded (dead/done destination)
+	drops    atomic.Int64 // control frames discarded (dead/done destination)
 	rttNS    atomic.Int64 // worst heartbeat round trip
 }
 
@@ -196,21 +199,22 @@ func (l *rankLink) isDead() bool {
 	return l.dead
 }
 
-// accept applies receive-side sequencing (see wlink.accept).
-func (l *rankLink) accept(seq uint32) (process, ackNow bool, err error) {
+// accept applies receive-side sequencing (see wlink.accept); the
+// coordinator acks every sequenced frame, so it needs no ack cadence.
+func (l *rankLink) accept(seq uint32) (process bool, err error) {
 	if seq == 0 {
-		return true, false, nil
+		return true, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
 	case seq <= l.lastRecv:
-		return false, false, nil
+		return false, nil
 	case seq != l.lastRecv+1:
-		return false, false, fmt.Errorf("cluster: rank %d: sequence gap (frame %d after %d)", l.rank, seq, l.lastRecv)
+		return false, fmt.Errorf("cluster: rank %d: sequence gap (frame %d after %d)", l.rank, seq, l.lastRecv)
 	}
 	l.lastRecv = seq
-	return true, l.lastRecv%ackEvery == 0, nil
+	return true, nil
 }
 
 func (l *rankLink) ackSent(seq uint32) {
@@ -261,13 +265,24 @@ type event struct {
 type coord struct {
 	cfg       Config
 	procs     int
-	perProc   int
 	links     []*rankLink
 	evCh      chan event
 	stop      chan struct{}
 	hb        time.Duration
 	hbTimeout time.Duration
 	window    time.Duration // reconnect window; <0 disables
+	wg        sync.WaitGroup
+}
+
+// spawn runs f on a goroutine the run's shutdown waits for, so Run
+// returns with every socket of its links, the listener's included,
+// closed rather than closing.
+func (cd *coord) spawn(f func()) {
+	cd.wg.Add(1)
+	go func() {
+		defer cd.wg.Done()
+		f()
+	}()
 }
 
 func (cd *coord) emit(ev event) {
@@ -279,10 +294,10 @@ func (cd *coord) emit(ev event) {
 
 func (cd *coord) reconnectOK() bool { return cd.window >= 0 }
 
-// route queues one frame for dst's writer. A dead or departed
-// destination counts a drop (the routed-frame loss the Result
-// surfaces); a full queue is a backpressure death — structured, never
-// a wedged coordinator.
+// route queues one control frame for l's writer. A dead or departed
+// destination counts a drop (the loss the Result surfaces); a full
+// queue is a backpressure death — structured, never a wedged
+// coordinator.
 func (cd *coord) route(l *rankLink, kind byte, body []byte) {
 	if l.done.Load() || l.isDead() {
 		l.drops.Add(1)
@@ -301,13 +316,11 @@ func (cd *coord) route(l *rankLink, kind byte, body []byte) {
 // behind an ever-refilling queue.
 const flushEvery = 64
 
-// writeLoop drains one rank's outbound queue. Dedicated writers are
-// what removed the head-of-line blocking of the reader-routes-
-// synchronously design: a slow destination socket stalls only its own
-// queue, never the source rank's reader. Frames already queued behind
-// the one just taken leave in the same socket write; the writer flushes
-// the moment the queue is empty and never waits for more, so batching
-// adds no latency.
+// writeLoop drains one rank's outbound queue, so a slow worker socket
+// stalls only its own queue, never the state machine or the heartbeat
+// that feed it. Frames already queued behind the one just taken leave
+// in the same socket write; the writer flushes the moment the queue is
+// empty and never waits for more, so batching adds no latency.
 func (cd *coord) writeLoop(l *rankLink) {
 	for {
 		select {
@@ -382,53 +395,44 @@ func (cd *coord) flush(l *rankLink, c *conn) {
 	c.Close()
 }
 
-// readLoop pumps one connection generation of one rank: data frames
-// are routed (via the destination's queue), pongs and acks feed the
-// liveness and retransmit state, control frames go to the state
-// machine, and a broken connection is reported with its generation so
-// a stale reader cannot kill a healed link.
+// readLoop pumps one connection generation of one rank: pongs and acks
+// feed the liveness and retransmit state, control frames go to the
+// state machine, and a broken connection is reported with its
+// generation so a stale reader cannot kill a healed link. Data frames
+// travel between the workers directly; one arriving here is a protocol
+// violation, which fails the generation like a sequence gap does.
 func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
 	fail := func(err error) {
 		c.Close()
 		cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, err: err})
 	}
 	for {
-		// A fresh buffer per frame: routed bodies wait in the
-		// destination's retransmit buffer until that worker acks them.
+		// A fresh buffer per frame: a body handed to the state machine
+		// outlives this loop iteration.
 		kind, seq, body, err := c.read(nil)
 		if err != nil {
 			cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, err: err})
 			return
 		}
 		l.lastSeen.Store(time.Now().UnixNano())
-		process, ackNow, serr := l.accept(seq)
+		if kind == frameData {
+			fail(errDataOnControl(l.rank))
+			return
+		}
+		process, serr := l.accept(seq)
 		if serr != nil {
 			fail(serr)
 			return
 		}
-		if seq != 0 && (ackNow || !process || kind != frameData) {
-			// Ack promptly on the control frames (a worker lingers on its
-			// unacked report) and on replayed duplicates; bulk data acks
-			// every ackEvery.
+		if seq != 0 {
+			// Ack every sequenced frame at once: a worker lingers on its
+			// unacked report, and a replayed duplicate needs the cursor.
 			_ = c.write(frameAck, 0, encodeSeq(l.recvCursor()))
 		}
 		if !process {
 			continue
 		}
 		switch kind {
-		case frameData:
-			_, _, _, dst, _, derr := decodeData(body)
-			if derr != nil {
-				fail(derr)
-				return
-			}
-			owner := 0
-			if cd.perProc > 0 {
-				owner = dst / cd.perProc
-			}
-			if owner >= 0 && owner < len(cd.links) {
-				cd.route(cd.links[owner], frameData, body)
-			}
 		case framePong:
 			nanos, ack, perr := decodePing(body)
 			if perr == nil {
@@ -534,8 +538,9 @@ func (cd *coord) join(joinCh chan<- joinConn, j joinConn) {
 	}
 }
 
-// Run executes one cluster run: launch Procs workers re-executing this
-// binary, route their traffic, collect rank 0's result, drain, fold.
+// Run executes one cluster run: link every pair of workers, launch Procs
+// workers re-executing this binary, supervise them, collect rank 0's
+// result, drain, fold.
 // A worker that dies, wedges, or loses its link beyond the reconnect
 // window fails the run with a *faults.ProcessDeathError; deadline
 // expiry with a *faults.DeadlockError. The partial Result (whatever
@@ -554,13 +559,12 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 		deadline = time.Minute
 	}
 	cd := &coord{
-		cfg:     cfg,
-		procs:   cfg.Procs,
-		perProc: cfg.PerProc,
-		evCh:    make(chan event, cfg.Procs*8+16),
-		stop:    make(chan struct{}),
-		hb:      cfg.Heartbeat,
-		window:  cfg.ReconnectWindow,
+		cfg:    cfg,
+		procs:  cfg.Procs,
+		evCh:   make(chan event, cfg.Procs*8+16),
+		stop:   make(chan struct{}),
+		hb:     cfg.Heartbeat,
+		window: cfg.ReconnectWindow,
 	}
 	if cd.hb <= 0 {
 		cd.hb = defaultHeartbeat
@@ -599,22 +603,27 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 			return nil, fmt.Errorf("cluster: listen: %w", err)
 		}
 	}
-	defer ln.Close()
 
 	// Shutdown order matters (defers are LIFO): workers are terminated
 	// gracefully FIRST, while their links are still open, so draining
-	// workers can flush reports; then the links die and every helper
-	// goroutine unwinds.
+	// workers can flush reports; then the links and the listener die and
+	// every helper goroutine unwinds.
 	defer func() {
 		close(cd.stop)
 		for _, l := range cd.links {
 			l.kill()
 		}
+		ln.Close()
+		cd.wg.Wait()
 	}()
 
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: resolving own binary: %w", err)
+	}
+	ends, err := dialMesh(ln, cfg.Procs)
+	if err != nil {
+		return nil, err
 	}
 	share := workerProcs(runtime.GOMAXPROCS(0), cfg.Procs, cfg.PerProc)
 	cmds := make([]*exec.Cmd, cfg.Procs)
@@ -635,24 +644,28 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 		)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
+		cmd.ExtraFiles = ends[rank]
 		if err := cmd.Start(); err != nil {
+			closeMesh(ends)
 			terminateAll(cmds, 0)
 			return nil, fmt.Errorf("cluster: launching rank %d: %w", rank, err)
 		}
 		cmds[rank] = cmd
 	}
+	// Every worker holds its own ends now. Ours must go, so that a
+	// worker's exit closes its links and its peers read EOF.
+	closeMesh(ends)
 	defer terminateAll(cmds, terminateGrace)
 
 	joinCh := make(chan joinConn, cfg.Procs)
-	go cd.acceptLoop(ln, joinCh)
+	cd.spawn(func() { cd.acceptLoop(ln, joinCh) })
 	if err := cd.gather(joinCh, deadline); err != nil {
 		return nil, err
 	}
 
-	// GO must reach every worker before any reader starts routing: the
-	// first worker released sends data immediately, and a routed data
-	// frame must not overtake another worker's GO on its connection.
-	// Until the readers run, early frames just wait in socket buffers.
+	// GO is the first frame on every link: no writer runs before it, and
+	// the readers start after it, so a worker's early frames just wait
+	// in socket buffers.
 	start := time.Now()
 	for _, l := range cd.links {
 		if err := l.c.write(frameGo, 0, nil); err != nil {
@@ -664,14 +677,13 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	for _, l := range cd.links {
 		l.lastSeen.Store(now)
 		l.up.Store(true)
-		go cd.readLoop(l, l.c, l.gen)
-		go cd.writeLoop(l)
+		c, gen := l.c, l.gen
+		cd.spawn(func() { cd.readLoop(l, c, gen) })
+		cd.spawn(func() { cd.writeLoop(l) })
 	}
-	go cd.heartbeat()
+	cd.spawn(cd.heartbeat)
 	for rank, cmd := range cmds {
-		go func(rank int, cmd *exec.Cmd) {
-			cd.emit(event{rank: rank, exit: true, err: cmd.Wait()})
-		}(rank, cmd)
+		cd.spawn(func() { cd.emit(event{rank: rank, exit: true, err: cmd.Wait()}) })
 	}
 
 	// The state machine: wait for rank 0's result, drain, collect every
@@ -844,9 +856,8 @@ loop:
 	}
 	res.CoordNS = time.Since(start).Nanoseconds()
 	foldReports(res, reports, coordEvents)
-	res.DroppedFrames = make([]int64, cfg.Procs)
 	for rank, l := range cd.links {
-		res.DroppedFrames[rank] = l.drops.Load()
+		res.DroppedFrames[rank] += l.drops.Load()
 		if rtt := l.rttNS.Load(); rtt > res.HeartbeatRTTNS {
 			res.HeartbeatRTTNS = rtt
 		}
@@ -883,6 +894,63 @@ loop:
 // still counts: it sets what is split.
 func workerProcs(budget, procs, perProc int) int {
 	return max(1, min(perProc, budget/procs))
+}
+
+// dialMesh links every pair of ranks with one connection of the run's
+// transport. It dials ln and accepts each connection before acceptLoop
+// starts, so nothing can be accepted in between, and tcp and unix share
+// this one path. ends[r][k] is rank r's end of its link to the k-th
+// other rank in rank order, a file its worker inherits as fd 3+k (see
+// inheritedPeers). The sockets themselves are closed; only the files
+// stay open, for the caller to hand over and close.
+func dialMesh(ln net.Listener, procs int) ([][]*os.File, error) {
+	ends := make([][]*os.File, procs)
+	for a := 0; a < procs; a++ {
+		for b := a + 1; b < procs; b++ {
+			fa, fb, err := dialPair(ln)
+			if err != nil {
+				closeMesh(ends)
+				return nil, fmt.Errorf("cluster: linking ranks %d and %d: %w", a, b, err)
+			}
+			ends[a] = append(ends[a], fa)
+			ends[b] = append(ends[b], fb)
+		}
+	}
+	return ends, nil
+}
+
+// dialPair connects to ln and accepts the connection, returning both
+// ends as files.
+func dialPair(ln net.Listener) (*os.File, *os.File, error) {
+	type filer interface{ File() (*os.File, error) }
+	d, err := net.Dial(ln.Addr().Network(), ln.Addr().String())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer d.Close()
+	a, err := ln.Accept()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer a.Close()
+	fd, err := d.(filer).File()
+	if err != nil {
+		return nil, nil, err
+	}
+	fa, err := a.(filer).File()
+	if err != nil {
+		fd.Close()
+		return nil, nil, err
+	}
+	return fd, fa, nil
+}
+
+func closeMesh(ends [][]*os.File) {
+	for _, fs := range ends {
+		for _, f := range fs {
+			f.Close()
+		}
+	}
 }
 
 // gather collects the initial joining HELLO of every rank.
@@ -945,7 +1013,7 @@ func (cd *coord) resumeRank(l *rankLink, c *conn, helloRecv uint32) bool {
 	l.mu.Unlock()
 	l.lastSeen.Store(time.Now().UnixNano())
 	l.up.Store(true)
-	go cd.readLoop(l, c, gen)
+	cd.spawn(func() { cd.readLoop(l, c, gen) })
 	return true
 }
 
@@ -997,6 +1065,7 @@ func foldReports(res *Result, reports []*workerReport, coordEvents []eventlog.Du
 	res.PerPE = make([]nativeeden.PEStats, res.Procs*res.PerProc)
 	res.Reports = make([]nativeeden.Report, res.Procs)
 	res.GOMAXPROCS = make([]int, res.Procs)
+	res.DroppedFrames = make([]int64, res.Procs)
 	var dumps []*eventlog.Dump
 	for rank, rep := range reports {
 		if rep == nil {
@@ -1004,6 +1073,11 @@ func foldReports(res *Result, reports []*workerReport, coordEvents []eventlog.Du
 		}
 		res.Reports[rank] = rep.Report
 		res.GOMAXPROCS[rank] = rep.GOMAXPROCS
+		for dst, n := range rep.Dropped {
+			if dst < res.Procs {
+				res.DroppedFrames[dst] += n
+			}
+		}
 		for i := 0; i < res.PerProc; i++ {
 			g := rank*res.PerProc + i
 			if g < len(rep.Report.PerPE) {

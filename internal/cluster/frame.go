@@ -2,21 +2,29 @@
 // cluster: a coordinator process launches one worker process per rank
 // (re-executing its own binary with a worker environment), the workers
 // run the SPMD program over nativeeden's cluster mode, and every
-// cross-process Eden message travels as wire-codec bytes through a
-// star topology — each worker holds one TCP or Unix-socket connection
-// to the coordinator, which routes data frames by destination PE. The
-// paper's PVM daemons motivated the same shape: one well-known relay
-// beats N² mutual connections for small clusters, and it gives the
-// coordinator the vantage point to fold statistics, merge per-PE
-// timelines, and turn a dead worker or severed link into a structured
-// *faults.ProcessDeathError instead of a hang.
+// cross-process Eden message travels as wire-codec bytes straight from
+// the sending worker to the receiving one, as Eden's PVM/MPI layer
+// sends from PE to PE. There are two topologies over one transport (TCP
+// or Unix sockets):
 //
-// The protocol is self-healing: the coordinator pings every worker
-// (framePing/framePong) so a wedged worker is distinguishable from a
-// slow one, a worker whose connection breaks redials with backoff and
-// re-HELLOs, and the payload-bearing frames carry per-link sequence
-// numbers with cumulative acks so a reconnect replays exactly the
-// frames the other side never processed — no loss, no duplicates.
+//   - the data mesh: one connection per pair of workers, made by the
+//     coordinator before launch and inherited by both workers as file
+//     descriptors. Its frames are unsequenced — a stream socket is
+//     ordered and lossless, and an inherited link is never redialled —
+//     and a link lives and dies with its two processes;
+//   - the control star: one connection from each worker to the
+//     coordinator, which owns launch, start, heartbeats, drain, results,
+//     errors, reports and supervision. From there it folds statistics,
+//     merges per-PE timelines, and turns a dead worker or severed link
+//     into a structured *faults.ProcessDeathError instead of a hang.
+//
+// The control protocol is self-healing: the coordinator pings every
+// worker (framePing/framePong) so a wedged worker is distinguishable
+// from a slow one, a worker whose connection breaks redials with
+// backoff and re-HELLOs, and the payload-bearing control frames carry
+// per-link sequence numbers with cumulative acks so a reconnect replays
+// exactly the frames the other side never processed — no loss, no
+// duplicates.
 // RunSupervised adds the outer recovery loop: a rank that actually
 // dies is respawned by restarting the whole SPMD run (deterministic
 // shadow-root replay makes full-run retry the honest recovery unit).
@@ -34,8 +42,9 @@ import (
 
 // Frame kinds. Every frame on a cluster connection is
 // [u32 length][u8 kind][u32 seq][body], length covering kind+seq+body.
-// seq is zero on the meta frames and a per-link, per-direction
-// sequence number (1, 2, ...) on the payload frames — see sequenced.
+// seq is zero on the meta and data frames and a per-link, per-direction
+// sequence number (1, 2, ...) on the payload-bearing control frames —
+// see sequenced.
 const (
 	// frameHello (worker -> coordinator): body =
 	// [u32 rank][u8 flags][u32 lastRecvSeq]. First frame on every
@@ -46,9 +55,11 @@ const (
 	frameHello byte = 1 + iota
 	// frameGo (coordinator -> worker): empty body; start the run.
 	frameGo
-	// frameData (both directions): one Eden message. Body layout is
-	// [u8 MsgKind][i64 chan][i32 src][i32 dst][payload]; the payload is
-	// the wire-codec encoding whose length equals eden.SizeOfChecked.
+	// frameData (worker -> worker, on a data link only): one Eden
+	// message. Body layout is [u8 MsgKind][i64 chan][i32 src][i32 dst]
+	// [payload]; the payload is the wire-codec encoding whose length
+	// equals eden.SizeOfChecked. On a control link it is a protocol
+	// error at either end (errDataOnControl).
 	frameData
 	// frameResult (rank 0 -> coordinator): body = wire-encoded root value.
 	frameResult
@@ -72,8 +83,8 @@ const (
 	// and carries the worker's own cumulative ack.
 	framePong
 	// frameAck (both directions): body = [u32 seq], a cumulative ack
-	// sent every ackEvery sequenced frames so retransmit buffers stay
-	// bounded between heartbeats.
+	// the coordinator sends for every sequenced frame and a worker every
+	// ackEvery, so retransmit buffers stay bounded between heartbeats.
 	frameAck
 	// frameWelcome (coordinator -> worker): body = [u32 lastRecvSeq],
 	// the coordinator's answer to a reconnect HELLO. It is the first
@@ -89,19 +100,26 @@ const helloFlagReconnect = 1
 // helloLen is the fixed HELLO body size: rank, flags, lastRecvSeq.
 const helloLen = 4 + 1 + 4
 
-// sequenced reports whether a frame kind carries a per-link sequence
-// number and therefore participates in ack/replay. The meta frames
-// (hello, go, ping/pong, ack, welcome) are connection-scoped and never
-// replayed.
+// sequenced reports whether a control frame kind carries a per-link
+// sequence number and therefore participates in ack/replay. The meta
+// frames (hello, go, ping/pong, ack, welcome) are connection-scoped and
+// never replayed; data frames never cross a control link.
 func sequenced(kind byte) bool {
 	switch kind {
-	case frameData, frameResult, frameError, frameDrain, frameReport, frameBye:
+	case frameResult, frameError, frameDrain, frameReport, frameBye:
 		return true
 	}
 	return false
 }
 
-// ackEvery is how many sequenced frames a receiver lets accumulate
+// errDataOnControl is the protocol error a data frame on a control link
+// raises: data has one path, the mesh, and a frame that strays onto the
+// control star means one side is broken.
+func errDataOnControl(rank int) error {
+	return fmt.Errorf("cluster: rank %d: data frame on the control link", rank)
+}
+
+// ackEvery is how many sequenced frames a worker lets accumulate
 // before sending an explicit cumulative ack (heartbeats piggyback acks
 // too, this just bounds the retransmit buffers under bursts).
 const ackEvery = 32

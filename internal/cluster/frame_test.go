@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,7 +160,7 @@ func TestTrimAcked(t *testing.T) {
 
 func TestSequencedKinds(t *testing.T) {
 	seq := map[byte]bool{
-		frameData: true, frameResult: true, frameError: true,
+		frameResult: true, frameError: true,
 		frameDrain: true, frameReport: true, frameBye: true,
 	}
 	for kind := frameHello; kind <= frameWelcome; kind++ {
@@ -178,13 +179,13 @@ func TestRouteDropsOnDeadRank(t *testing.T) {
 	cd.links = []*rankLink{nil, l}
 
 	l.done.Store(true)
-	cd.route(l, frameData, []byte("x"))
+	cd.route(l, frameDrain, []byte("x"))
 	if got := l.drops.Load(); got != 1 {
 		t.Fatalf("drops after routing to a reported rank = %d, want 1", got)
 	}
 	l.done.Store(false)
 	l.kill()
-	cd.route(l, frameData, []byte("y"))
+	cd.route(l, frameDrain, []byte("y"))
 	if got := l.drops.Load(); got != 2 {
 		t.Fatalf("drops after routing to a dead rank = %d, want 2", got)
 	}
@@ -201,8 +202,8 @@ func TestRouteBackpressure(t *testing.T) {
 	l.cond = sync.NewCond(&l.mu)
 	cd.links = []*rankLink{l}
 
-	cd.route(l, frameData, []byte("a"))
-	cd.route(l, frameData, []byte("b"))
+	cd.route(l, frameDrain, []byte("a"))
+	cd.route(l, frameDrain, []byte("b"))
 	select {
 	case ev := <-cd.evCh:
 		if !ev.backpressure || ev.rank != 0 {
@@ -367,13 +368,14 @@ func (discardRWC) Close() error                { return nil }
 
 func TestWorkerSendAllocatesOneBuffer(t *testing.T) {
 	// A remote message costs the worker one allocation: the frame the
-	// payload is encoded into is the body the link writes and keeps
-	// until the ack — no copy into a second body, no boxed encoder or
-	// header on the way. Checked for a 128-entry pivot row and for a
-	// registered struct (whose codec receives the encoder by pointer).
-	l := newWLink(1, "unix", "", false)
-	l.c = newConn(discardRWC{})
-	tr := &starTransport{l: l}
+	// payload is encoded into is the body the peer link writes — no copy
+	// into a second body, no boxed encoder or header on the way. Checked
+	// for a 128-entry pivot row and for a registered struct (whose codec
+	// receives the encoder by pointer).
+	tr := &meshTransport{
+		perProc: 2, l: newWLink(0, "unix", "", false),
+		peers: []*conn{nil, newConn(discardRWC{})}, drops: make([]atomic.Int64, 2),
+	}
 	for _, v := range []graph.Value{make([]int32, 128), euler.Range{Lo: 1, Hi: 9}} {
 		allocs := testing.AllocsPerRun(200, func() {
 			frame, err := nativeeden.EncodeFrame(v)
@@ -383,7 +385,6 @@ func TestWorkerSendAllocatesOneBuffer(t *testing.T) {
 			if err := tr.SendRemote(nativeeden.MsgChanSend, 7, 0, 3, frame); err != nil {
 				t.Fatal(err)
 			}
-			l.ackSent(l.sendSeq)
 		})
 		if allocs != 1 {
 			t.Errorf("sending a %T through the worker transport made %v allocations, want 1", v, allocs)
@@ -461,7 +462,7 @@ func TestFlushFailureReplaysExactlyOnce(t *testing.T) {
 	bad := newConn(&failingRWC{})
 	l.c, l.gen = bad, 1
 	for i := 0; i < 3; i++ {
-		if c := cd.deliver(l, outFrame{kind: frameData, body: []byte{byte(i)}}); c != bad {
+		if c := cd.deliver(l, outFrame{kind: frameDrain, body: []byte{byte(i)}}); c != bad {
 			t.Fatalf("frame %d buffered on %p, want the live conn", i, c)
 		}
 	}
@@ -497,7 +498,7 @@ func TestFlushFailureReplaysExactlyOnce(t *testing.T) {
 	if !cd.resumeRank(l, resumed, 1) {
 		t.Fatal("resumeRank refused a healthy conn")
 	}
-	cd.flush(l, cd.deliver(l, outFrame{kind: frameData, body: []byte{3}}))
+	cd.flush(l, cd.deliver(l, outFrame{kind: frameDrain, body: []byte{3}}))
 	resumed.Close()
 
 	var frames []frame
@@ -505,11 +506,11 @@ func TestFlushFailureReplaysExactlyOnce(t *testing.T) {
 		frames = append(frames, f)
 	}
 	if len(frames) != 4 || frames[0].kind != frameWelcome {
-		t.Fatalf("after the reconnect the worker read %+v, want welcome + 3 data frames", frames)
+		t.Fatalf("after the reconnect the worker read %+v, want welcome + 3 drain frames", frames)
 	}
 	for i, f := range frames[1:] {
-		if f.kind != frameData || f.seq != uint32(i+2) || len(f.body) != 1 || f.body[0] != byte(i+1) {
-			t.Fatalf("replayed frame %d is %+v, want data seq %d body [%d]", i, f, i+2, i+1)
+		if f.kind != frameDrain || f.seq != uint32(i+2) || len(f.body) != 1 || f.body[0] != byte(i+1) {
+			t.Fatalf("replayed frame %d is %+v, want drain seq %d body [%d]", i, f, i+2, i+1)
 		}
 	}
 }
@@ -521,7 +522,7 @@ func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
 	l.c, l.gen = newConn(w), 1
 	const n = 32
 	for i := 0; i < n; i++ {
-		cd.route(l, frameData, make([]byte, 512))
+		cd.route(l, frameDrain, make([]byte, 512))
 	}
 	done := make(chan struct{})
 	go func() { cd.writeLoop(l); close(done) }()
@@ -682,7 +683,7 @@ var frameSink []byte
 
 // BenchmarkFrameWriteRead prices a framed hop over a unix socket pair:
 // burst frames of 512 bytes written (burst1: one write each, as a
-// worker sends; burst32: queued then flushed once, as the
+// worker sends to a peer; burst32: queued then flushed once, as the
 // coordinator's writer drains a backlog) and read back.
 func BenchmarkFrameWriteRead(b *testing.B) {
 	for _, burst := range []int{1, 32} {

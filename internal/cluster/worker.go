@@ -22,7 +22,8 @@ import (
 
 // Worker environment. The coordinator re-executes its own binary with
 // these set; MaybeWorker turns that invocation into a cluster worker
-// before the binary's normal main runs.
+// before the binary's normal main runs. The data links need no entry:
+// their fds follow from the rank and the process count (inheritedPeers).
 const (
 	envRank      = "PARHASK_CLUSTER_RANK"
 	envProcs     = "PARHASK_CLUSTER_PROCS"
@@ -49,7 +50,7 @@ const killExitCode = 3
 // Worker-side reconnection tuning: how long a worker keeps redialling
 // a lost coordinator before giving up, the dial backoff bounds, and
 // the retransmit-buffer cap (outgrowing it means the coordinator has
-// stopped acking — a wedged star, not a slow one).
+// stopped acking — a wedged coordinator, not a slow one).
 const (
 	redialWindow     = 15 * time.Second
 	redialBackoffMin = 25 * time.Millisecond
@@ -87,6 +88,9 @@ type workerReport struct {
 	// GOMAXPROCS is the rank's runtime.GOMAXPROCS(0): the core share
 	// the coordinator started it with (see workerProcs).
 	GOMAXPROCS int `json:"gomaxprocs"`
+	// Dropped counts, per destination rank, the data frames this rank
+	// sent to a peer whose link had closed.
+	Dropped []int64 `json:"dropped,omitempty"`
 }
 
 // wlink is the worker's self-healing coordinator link. Writers block
@@ -111,6 +115,7 @@ type wlink struct {
 	lastRecv   uint32
 	holdUntil  time.Time // flap-rank outage: no redial before this
 	reconnects int
+	byeSent    bool
 
 	// wedged simulates a worker whose link servicing died while the
 	// process lives: reads, pongs and sends all stop.
@@ -176,6 +181,7 @@ func (l *wlink) write(kind byte, body []byte) error {
 	c := l.c
 	var seq uint32
 	if isSeq {
+		l.byeSent = l.byeSent || kind == frameBye
 		l.sendSeq++
 		seq = l.sendSeq
 		l.unacked = append(l.unacked, savedFrame{seq: seq, kind: kind, body: body})
@@ -394,6 +400,15 @@ func (l *wlink) ackSent(seq uint32) {
 	l.mu.Unlock()
 }
 
+// finished reports whether the coordinator has acked everything up to
+// our goodbye: the link's work is done, and redialling would only hand
+// the coordinator a connection it no longer wants.
+func (l *wlink) finished() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.byeSent && len(l.unacked) == 0
+}
+
 // recvCursor is the highest sequenced frame processed so far.
 func (l *wlink) recvCursor() uint32 {
 	l.mu.Lock()
@@ -422,16 +437,153 @@ func (l *wlink) awaitAcked(timeout time.Duration) {
 	}
 }
 
-// starTransport ships a cluster data message as one frame to the
-// coordinator, which routes it to the destination PE's owner. The
-// frame nativeeden encoded is the body: its header goes into the room
-// in front of the payload, and the retransmit buffer keeps the frame
-// until the coordinator acks it.
-type starTransport struct{ l *wlink }
+// meshTransport is the worker's data plane: one inherited connection
+// to every other rank. A send is one frame written under its peer
+// conn's lock, which keeps per-(src,dst) FIFO order; the frame
+// nativeeden encoded is the body, its header written into the room in
+// front of the payload. Peer frames carry no seq and are never retained:
+// the socket is ordered and lossless, and an inherited link is never
+// redialled, so nothing could replay them. A link lives and dies with
+// its two processes. A send to a closed peer drops the frame and counts
+// it for that rank, and a read that ends says nothing; the coordinator
+// alone judges a death, by exit, heartbeat or deadline.
+type meshTransport struct {
+	perProc int
+	l       *wlink         // its wedge-rank fault stalls the data plane too
+	peers   []*conn        // by rank; nil at this rank
+	drops   []atomic.Int64 // by rank: frames sent to a closed peer
+}
 
-func (t *starTransport) SendRemote(kind nativeeden.MsgKind, chanID int64, src, dst int, frame []byte) error {
+// SendRemote never fails: a closed peer is a dropped frame. A failed
+// write leaves the conn's error sticky, so later sends to that peer
+// drop at once.
+func (t *meshTransport) SendRemote(kind nativeeden.MsgKind, chanID int64, src, dst int, frame []byte) error {
+	t.l.stallIfWedged()
 	putDataHeader(frame, kind, chanID, src, dst)
-	return t.l.write(frameData, frame)
+	r := dst / t.perProc
+	if t.peers[r].write(frameData, 0, frame) != nil {
+		t.drops[r].Add(1)
+	}
+	return nil
+}
+
+// read delivers one peer's frames until the link ends. Every frame is
+// read into one buffer for the life of the link: Deliver's wire.Decode
+// copies the payload out before the next read.
+func (t *meshTransport) read(rts *nativeeden.RTS, c *conn) {
+	var buf []byte
+	for {
+		kind, _, body, err := c.read(buf)
+		if err != nil {
+			return
+		}
+		buf = body
+		t.l.stallIfWedged()
+		mk, chanID, src, dst, payload, derr := decodeData(body)
+		if derr == nil && kind != frameData {
+			derr = fmt.Errorf("cluster: control frame kind %d on a data link", kind)
+		}
+		if derr == nil {
+			derr = rts.Deliver(mk, chanID, src, dst, payload)
+		}
+		if derr != nil {
+			rts.Fail(derr)
+			return
+		}
+	}
+}
+
+// inheritedPeers wraps the data links the coordinator handed this rank:
+// fd 3+k is its link to the k-th other rank in rank order (dialMesh).
+func inheritedPeers(rank, procs int) ([]*conn, error) {
+	if rank < 0 || rank >= procs {
+		return nil, fmt.Errorf("cluster: rank %d outside [0,%d)", rank, procs)
+	}
+	files := make([]*os.File, procs-1)
+	for k := range files {
+		files[k] = os.NewFile(uintptr(3+k), "peer")
+	}
+	return peerConns(rank, files)
+}
+
+// peerConns turns rank's mesh ends, in fd order, into connections
+// indexed by peer rank (nil at rank itself), closing the files.
+func peerConns(rank int, files []*os.File) ([]*conn, error) {
+	conns := make([]*conn, len(files)+1)
+	for k, f := range files {
+		peer := k
+		if k >= rank {
+			peer++
+		}
+		nc, err := net.FileConn(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("cluster: rank %d link to rank %d: %w", rank, peer, err)
+		}
+		conns[peer] = newConn(nc)
+	}
+	return conns, nil
+}
+
+// readControl drains the control connection for the whole run: drain
+// unwinds the run, pings are answered, acks trim the retransmit buffer,
+// and a broken connection triggers the redial instead of aborting. It
+// returns the error that should fail the run: the link is gone for
+// good, or the coordinator broke the protocol — a sequence gap, or a
+// data frame, which has no business on this link. Every frame is read
+// into one buffer for the life of the link: each case below is done
+// with the body before the next read (the redial's welcome is read into
+// a buffer of its own).
+func (l *wlink) readControl(drain func()) error {
+	var buf []byte
+	for {
+		c := l.current()
+		if c == nil {
+			var rerr error
+			if c, rerr = l.redial(nil, errors.New("connection reset")); rerr != nil {
+				return fmt.Errorf("cluster: rank %d lost coordinator: %w", l.rank, rerr)
+			}
+		}
+		kind, seq, body, err := c.read(buf)
+		if err != nil {
+			if l.finished() {
+				return nil // the coordinator hung up after acking our goodbye
+			}
+			if _, rerr := l.redial(c, err); rerr != nil {
+				return fmt.Errorf("cluster: rank %d lost coordinator: %w", l.rank, rerr)
+			}
+			continue
+		}
+		buf = body
+		l.stallIfWedged()
+		if kind == frameData {
+			return errDataOnControl(l.rank)
+		}
+		process, ackNow, serr := l.accept(seq)
+		if serr != nil {
+			return serr
+		}
+		if ackNow {
+			_ = c.write(frameAck, 0, encodeSeq(seq))
+		}
+		if !process {
+			continue
+		}
+		switch kind {
+		case frameDrain:
+			drain()
+		case framePing:
+			nanos, ack, perr := decodePing(body)
+			if perr == nil {
+				l.ackSent(ack)
+				_ = c.write(framePong, 0, encodePing(nanos, l.recvCursor()))
+			}
+		case frameAck:
+			if s, aerr := decodeSeq(body); aerr == nil {
+				l.ackSent(s)
+			}
+		}
+	}
 }
 
 func envInt(key string) (int, error) {
@@ -493,6 +645,10 @@ func workerMain() error {
 		}
 	}
 	reconnect := os.Getenv(envReconnect) == "1"
+	peers, err := inheritedPeers(rank, procs)
+	if err != nil {
+		return err
+	}
 
 	l := newWLink(rank, network, os.Getenv(envAddr), reconnect)
 	if err := l.dial(); err != nil {
@@ -505,8 +661,9 @@ func workerMain() error {
 	}
 
 	// Self-applied cluster faults: kill-rank dies abruptly mid-run,
-	// sever-rank cuts the link for good, flap-rank cuts it transiently
-	// (the redial heals it), wedge-rank goes silent without dying. The
+	// sever-rank cuts the control link for good, flap-rank cuts it
+	// transiently (the redial heals it), wedge-rank goes silent on every
+	// link without dying. The
 	// one-shot classes fire on the first attempt only unless the plan
 	// says rank-faults=every — a restart budget must be able to win.
 	if plan != nil {
@@ -530,11 +687,12 @@ func workerMain() error {
 		}
 	}
 
+	mesh := &meshTransport{perProc: perProc, l: l, peers: peers, drops: make([]atomic.Int64, procs)}
 	cfg := nativeeden.Config{
 		EventLog: os.Getenv(envEventLog) == "1",
 		Cluster: &nativeeden.ClusterSpec{
 			Rank: rank, Procs: procs, PerProc: perProc,
-			Transport: &starTransport{l: l},
+			Transport: mesh,
 		},
 	}
 	if plan != nil {
@@ -557,69 +715,17 @@ func workerMain() error {
 		}
 	}()
 
-	// The reader drains the control connection for the whole run: data
-	// frames deliver into the local PEs, drain unwinds the run, pings
-	// are answered, acks trim the retransmit buffer — and a broken
-	// connection triggers the redial instead of aborting, unless the
-	// link is terminally gone. Every frame is read into buf, one buffer
-	// for the life of the link: each case below is done with the body
-	// before the next read (Deliver's wire.Decode copies the payload
-	// out; the redial's welcome is read into a buffer of its own).
+	// The readers start only now that the RTS exists: a peer released
+	// by GO sooner than this rank finds its first frames waiting in the
+	// socket buffer. Each ends with its link, or with the process.
+	for _, c := range peers {
+		if c != nil {
+			go mesh.read(rts, c)
+		}
+	}
 	go func() {
-		var buf []byte
-		for {
-			c := l.current()
-			if c == nil {
-				var rerr error
-				if c, rerr = l.redial(nil, errors.New("connection reset")); rerr != nil {
-					rts.Fail(fmt.Errorf("cluster: rank %d lost coordinator: %w", rank, rerr))
-					return
-				}
-			}
-			kind, seq, body, err := c.read(buf)
-			if err != nil {
-				var rerr error
-				if _, rerr = l.redial(c, err); rerr != nil {
-					rts.Fail(fmt.Errorf("cluster: rank %d lost coordinator: %w", rank, rerr))
-					return
-				}
-				continue
-			}
-			buf = body
-			l.stallIfWedged()
-			process, ackNow, serr := l.accept(seq)
-			if serr != nil {
-				rts.Fail(serr)
-				return
-			}
-			if ackNow {
-				_ = c.write(frameAck, 0, encodeSeq(seq))
-			}
-			if !process {
-				continue
-			}
-			switch kind {
-			case frameData:
-				mk, chanID, src, dst, payload, derr := decodeData(body)
-				if derr == nil {
-					derr = rts.Deliver(mk, chanID, src, dst, payload)
-				}
-				if derr != nil {
-					rts.Fail(derr)
-				}
-			case frameDrain:
-				rts.Drain()
-			case framePing:
-				nanos, ack, perr := decodePing(body)
-				if perr == nil {
-					l.ackSent(ack)
-					_ = c.write(framePong, 0, encodePing(nanos, l.recvCursor()))
-				}
-			case frameAck:
-				if s, aerr := decodeSeq(body); aerr == nil {
-					l.ackSent(s)
-				}
-			}
+		if err := l.readControl(rts.Drain); err != nil {
+			rts.Fail(err)
 		}
 	}()
 
@@ -636,6 +742,10 @@ func workerMain() error {
 			}
 			rep.Dump = res.Events.Dump(agents)
 		}
+	}
+	rep.Dropped = make([]int64, procs)
+	for r := range rep.Dropped {
+		rep.Dropped[r] = mesh.drops[r].Load()
 	}
 	l.mu.Lock()
 	rep.Reconnects = l.reconnects
