@@ -63,11 +63,7 @@ const (
 	defaultHeartbeat       = 500 * time.Millisecond
 	heartbeatMissFactor    = 4
 	defaultReconnectWindow = 3 * time.Second
-	// queueDepth bounds each rank's outbound frame queue and retransmit
-	// buffer; overflow is a structured backpressure death, never a
-	// wedged coordinator.
-	queueDepth     = 1024
-	terminateGrace = 2 * time.Second
+	terminateGrace         = 2 * time.Second
 )
 
 // Validate is the fail-fast check the CLIs run on flag parse: it
@@ -155,30 +151,16 @@ func pesOf(rank, perProc int) []int {
 	return pes
 }
 
-// outFrame is one queued outbound frame; the writer stamps the
-// sequence number at send time.
-type outFrame struct {
-	kind byte
-	body []byte
-}
-
-// rankLink is the coordinator's half of one worker link: the live
-// conn (nil while the rank is down), the bounded outbound queue its
-// writer goroutine drains, and the seq/ack state that makes a
-// reconnect lossless.
+// rankLink is the coordinator's half of one worker link: the live conn
+// (nil while the rank is down) and what the heartbeat and the state
+// machine know of the rank.
 type rankLink struct {
 	rank int
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	c        *conn
-	gen      int // bumped per (re)connect; readers and timers carry it
-	dead     bool
-	sendSeq  uint32
-	unacked  []savedFrame
-	lastRecv uint32
-
-	out chan outFrame
+	mu   sync.Mutex
+	c    *conn
+	gen  int // bumped per (re)connect; readers and timers carry it
+	dead bool
 
 	up       atomic.Bool  // link currently connected
 	done     atomic.Bool  // rank has reported; frames to it now drop
@@ -199,37 +181,20 @@ func (l *rankLink) isDead() bool {
 	return l.dead
 }
 
-// accept applies receive-side sequencing (see wlink.accept); the
-// coordinator acks every sequenced frame, so it needs no ack cadence.
-func (l *rankLink) accept(seq uint32) (process bool, err error) {
-	if seq == 0 {
-		return true, nil
-	}
+// send writes one control frame on the live conn, if there is one, and
+// reports whether it went out. A failed write is a broken link, which
+// the conn's reader reports. The write cannot block for long: the
+// coordinator sends a rank GO, at most one DRAIN and one ACK, a WELCOME
+// per reconnect and a PING per heartbeat, and a rank that stops reading
+// is declared dead after heartbeatMissFactor pings — a few dozen bytes,
+// far below any socket buffer.
+func (l *rankLink) send(kind byte, body []byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	switch {
-	case seq <= l.lastRecv:
-		return false, nil
-	case seq != l.lastRecv+1:
-		return false, fmt.Errorf("cluster: rank %d: sequence gap (frame %d after %d)", l.rank, seq, l.lastRecv)
-	}
-	l.lastRecv = seq
-	return true, nil
+	return l.c != nil && l.c.write(kind, body) == nil
 }
 
-func (l *rankLink) ackSent(seq uint32) {
-	l.mu.Lock()
-	l.unacked = trimAcked(l.unacked, seq)
-	l.mu.Unlock()
-}
-
-func (l *rankLink) recvCursor() uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastRecv
-}
-
-// kill marks the link terminally dead and wakes its writer.
+// kill marks the link terminally dead.
 func (l *rankLink) kill() {
 	l.mu.Lock()
 	l.dead = true
@@ -237,13 +202,12 @@ func (l *rankLink) kill() {
 		l.c.Close()
 		l.c = nil
 	}
-	l.cond.Broadcast()
 	l.mu.Unlock()
 	l.up.Store(false)
 }
 
-// event is one occurrence the readers, writers, process waiters,
-// accept loop and timers feed the coordinator's state machine.
+// event is one occurrence the readers, process waiters, accept loop and
+// timers feed the coordinator's state machine.
 type event struct {
 	rank int
 	gen  int  // connection generation, for ignoring stale reports
@@ -251,20 +215,18 @@ type event struct {
 	body []byte
 	err  error
 
-	exit         bool  // process exit (err is its wait status)
-	readerEnd    bool  // connection reader finished (err says why)
-	graceful     bool  // readerEnd via a clean BYE
-	reHello      *conn // reconnect HELLO accepted by the listener
-	helloRecv    uint32
-	winExpired   bool // reconnect window ran out
-	hbTimeout    bool // heartbeat staleness observed
-	backpressure bool // outbound queue or retransmit buffer overflow
+	exit       bool  // process exit (err is its wait status)
+	readerEnd  bool  // connection reader finished (err says why)
+	graceful   bool  // readerEnd via a clean BYE
+	reHello    *conn // reconnect HELLO accepted by the listener
+	winExpired bool  // reconnect window ran out
+	hbTimeout  bool  // heartbeat staleness observed
 }
 
-// coord is one run's coordinator state shared by its goroutines.
+// coord is one run's coordinator state. The fields from start on belong
+// to the state machine (step) and are touched by Run's goroutine only.
 type coord struct {
 	cfg       Config
-	procs     int
 	links     []*rankLink
 	evCh      chan event
 	stop      chan struct{}
@@ -272,6 +234,49 @@ type coord struct {
 	hbTimeout time.Duration
 	window    time.Duration // reconnect window; <0 disables
 	wg        sync.WaitGroup
+
+	start       time.Time // GO sent; the timeline's zero
+	res         *Result
+	resultIn    bool // rank 0's result arrived, so ranks 1.. are owed a DRAIN
+	reports     []*workerReport
+	nReports    int
+	exited      int
+	exitSeen    []bool
+	exitErrs    []error
+	downSince   []time.Time // zero while the rank's link is up
+	down        []error     // the death an unhealed outage becomes
+	coordEvents []eventlog.DumpEvent
+}
+
+// newCoord sets up one run's coordinator: its links, none connected
+// yet, and the state machine at rest.
+func newCoord(cfg Config) *coord {
+	n := cfg.Procs
+	cd := &coord{
+		cfg:       cfg,
+		links:     make([]*rankLink, n),
+		evCh:      make(chan event, n*8+16), // a burst from every rank seldom waits
+		stop:      make(chan struct{}),
+		hb:        cfg.Heartbeat,
+		window:    cfg.ReconnectWindow,
+		res:       &Result{Procs: n, PerProc: cfg.PerProc},
+		reports:   make([]*workerReport, n),
+		exitSeen:  make([]bool, n),
+		exitErrs:  make([]error, n),
+		downSince: make([]time.Time, n),
+		down:      make([]error, n),
+	}
+	if cd.hb <= 0 {
+		cd.hb = defaultHeartbeat
+	}
+	cd.hbTimeout = heartbeatMissFactor * cd.hb
+	if cd.window == 0 {
+		cd.window = defaultReconnectWindow
+	}
+	for rank := range cd.links {
+		cd.links[rank] = &rankLink{rank: rank}
+	}
+	return cd
 }
 
 // spawn runs f on a goroutine the run's shutdown waits for, so Run
@@ -285,167 +290,50 @@ func (cd *coord) spawn(f func()) {
 	}()
 }
 
-func (cd *coord) emit(ev event) {
+// emit hands ev to the state machine and reports whether it did: false
+// once the run is over.
+func (cd *coord) emit(ev event) bool {
 	select {
 	case cd.evCh <- ev:
+		return true
 	case <-cd.stop:
+		return false
 	}
 }
 
 func (cd *coord) reconnectOK() bool { return cd.window >= 0 }
 
-// route queues one control frame for l's writer. A dead or departed
-// destination counts a drop (the loss the Result surfaces); a full
-// queue is a backpressure death — structured, never a wedged
-// coordinator.
-func (cd *coord) route(l *rankLink, kind byte, body []byte) {
-	if l.done.Load() || l.isDead() {
-		l.drops.Add(1)
-		return
-	}
-	select {
-	case l.out <- outFrame{kind: kind, body: body}:
-	case <-cd.stop:
-	default:
-		cd.emit(event{rank: l.rank, backpressure: true})
-	}
-}
-
-// flushEvery bounds how many queued frames a rank's writer coalesces
-// into one flush, so the first frame of a long burst is not held back
-// behind an ever-refilling queue.
-const flushEvery = 64
-
-// writeLoop drains one rank's outbound queue, so a slow worker socket
-// stalls only its own queue, never the state machine or the heartbeat
-// that feed it. Frames already queued behind the one just taken leave
-// in the same socket write; the writer flushes the moment the queue is
-// empty and never waits for more, so batching adds no latency.
-func (cd *coord) writeLoop(l *rankLink) {
-	for {
-		select {
-		case f := <-l.out:
-			pending := cd.deliver(l, f) // the conn holding unflushed frames
-		drain:
-			for n := 1; n < flushEvery; n++ {
-				select {
-				case f = <-l.out:
-					c := cd.deliver(l, f)
-					if c != pending { // the link was replaced mid-batch
-						cd.flush(l, pending)
-						pending = c
-					}
-				default:
-					break drain
-				}
-			}
-			cd.flush(l, pending)
-		case <-cd.stop:
-			return
-		}
-	}
-}
-
-// deliver buffers one queued frame on the rank's live conn, waiting out
-// a reconnect if the link is down, and returns that conn for the caller
-// to flush (nil when the frame was dropped). Sequenced frames enter the
-// retransmit buffer before they are buffered, so a break before or
-// during the flush is healed by the install-time replay.
-func (cd *coord) deliver(l *rankLink, f outFrame) *conn {
-	l.mu.Lock()
-	for l.c == nil && !l.dead {
-		l.cond.Wait()
-	}
-	if l.dead {
-		l.mu.Unlock()
-		if sequenced(f.kind) {
-			l.drops.Add(1)
-		}
-		return nil
-	}
-	c := l.c
-	var seq uint32
-	if sequenced(f.kind) {
-		l.sendSeq++
-		seq = l.sendSeq
-		l.unacked = append(l.unacked, savedFrame{seq: seq, kind: f.kind, body: f.body})
-		if len(l.unacked) > queueDepth {
-			l.mu.Unlock()
-			cd.emit(event{rank: l.rank, backpressure: true})
-			return nil
-		}
-	}
-	l.mu.Unlock()
-	_ = c.queue(f.kind, seq, f.body) // sticky: the flush reports it
-	return c
-}
-
-// flush writes out what deliver buffered on c. A failure is a broken
-// link: the reader on this conn reports the break, and the frames sit
-// in the retransmit buffer for the reconnect replay.
-func (cd *coord) flush(l *rankLink, c *conn) {
-	if c == nil || c.flush() == nil {
-		return
-	}
-	l.mu.Lock()
-	if l.c == c {
-		l.c = nil
-	}
-	l.mu.Unlock()
-	c.Close()
-}
-
-// readLoop pumps one connection generation of one rank: pongs and acks
-// feed the liveness and retransmit state, control frames go to the
-// state machine, and a broken connection is reported with its
+// readLoop pumps one connection generation of one rank: pongs feed the
+// liveness state, a BYE is answered with an ACK, other control frames
+// go to the state machine, and a broken connection is reported with its
 // generation so a stale reader cannot kill a healed link. Data frames
 // travel between the workers directly; one arriving here is a protocol
-// violation, which fails the generation like a sequence gap does.
+// violation, which fails the generation.
 func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
-	fail := func(err error) {
-		c.Close()
-		cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, err: err})
-	}
 	for {
 		// A fresh buffer per frame: a body handed to the state machine
 		// outlives this loop iteration.
-		kind, seq, body, err := c.read(nil)
+		kind, body, err := c.read(nil)
+		if err == nil && kind == frameData {
+			c.Close()
+			err = errDataOnControl(l.rank)
+		}
 		if err != nil {
 			cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, err: err})
 			return
 		}
 		l.lastSeen.Store(time.Now().UnixNano())
-		if kind == frameData {
-			fail(errDataOnControl(l.rank))
-			return
-		}
-		process, serr := l.accept(seq)
-		if serr != nil {
-			fail(serr)
-			return
-		}
-		if seq != 0 {
-			// Ack every sequenced frame at once: a worker lingers on its
-			// unacked report, and a replayed duplicate needs the cursor.
-			_ = c.write(frameAck, 0, encodeSeq(l.recvCursor()))
-		}
-		if !process {
-			continue
-		}
 		switch kind {
 		case framePong:
-			nanos, ack, perr := decodePing(body)
-			if perr == nil {
+			if nanos, perr := decodePing(body); perr == nil {
 				if rtt := time.Now().UnixNano() - nanos; rtt > l.rttNS.Load() {
 					l.rttNS.Store(rtt)
 				}
-				l.ackSent(ack)
-			}
-		case frameAck:
-			if s, aerr := decodeSeq(body); aerr == nil {
-				l.ackSent(s)
 			}
 		case frameBye:
+			// The REPORT before it is already on its way to the state
+			// machine, ahead of the exit this ACK lets happen.
+			_ = c.write(frameAck, nil)
 			cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, graceful: true})
 			return
 		default:
@@ -454,11 +342,9 @@ func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
 	}
 }
 
-// heartbeat pings every live rank and reports staleness. Pings travel
-// the normal outbound queues (never a blocking write on this loop), a
-// stale lastSeen is detected here regardless of whether the ping
-// itself got through — a wedged worker is silent, and silence is the
-// signal.
+// heartbeat pings every live rank and reports staleness. A stale
+// lastSeen is detected here regardless of whether the ping itself got
+// through — a wedged worker is silent, and silence is the signal.
 func (cd *coord) heartbeat() {
 	t := time.NewTicker(cd.hb)
 	defer t.Stop()
@@ -476,10 +362,7 @@ func (cd *coord) heartbeat() {
 					cd.emit(event{rank: l.rank, hbTimeout: true})
 					continue
 				}
-				select {
-				case l.out <- outFrame{kind: framePing, body: encodePing(now, l.recvCursor())}:
-				default: // queue full: data is flowing, acks cover liveness
-				}
+				l.send(framePing, encodePing(now))
 			}
 		}
 	}
@@ -501,28 +384,30 @@ func (cd *coord) acceptLoop(ln net.Listener, joinCh chan<- joinConn) {
 		if err != nil {
 			return // listener closed: run over
 		}
-		go cd.handleHello(nc, joinCh)
+		cd.spawn(func() { cd.handleHello(nc, joinCh) })
 	}
 }
 
 func (cd *coord) handleHello(nc net.Conn, joinCh chan<- joinConn) {
 	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	c := newConn(nc)
-	kind, _, body, err := c.read(nil)
+	kind, body, err := c.read(nil)
 	if err != nil || kind != frameHello {
 		nc.Close()
 		cd.join(joinCh, joinConn{rank: -1, err: fmt.Errorf("cluster: bad hello (kind %d): %v", kind, err)})
 		return
 	}
-	rank, flags, lastRecv, derr := decodeHello(body)
-	if derr != nil || rank < 0 || rank >= cd.procs {
+	rank, flags, derr := decodeHello(body)
+	if derr != nil || rank < 0 || rank >= cd.cfg.Procs {
 		nc.Close()
 		cd.join(joinCh, joinConn{rank: -1, err: fmt.Errorf("cluster: hello from invalid rank %d: %v", rank, derr)})
 		return
 	}
 	_ = nc.SetReadDeadline(time.Time{})
 	if flags&helloFlagReconnect != 0 {
-		cd.emit(event{rank: rank, reHello: c, helloRecv: lastRecv})
+		if !cd.emit(event{rank: rank, reHello: c}) {
+			c.Close()
+		}
 		return
 	}
 	cd.join(joinCh, joinConn{rank: rank, c: c})
@@ -558,27 +443,7 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	if deadline <= 0 {
 		deadline = time.Minute
 	}
-	cd := &coord{
-		cfg:    cfg,
-		procs:  cfg.Procs,
-		evCh:   make(chan event, cfg.Procs*8+16),
-		stop:   make(chan struct{}),
-		hb:     cfg.Heartbeat,
-		window: cfg.ReconnectWindow,
-	}
-	if cd.hb <= 0 {
-		cd.hb = defaultHeartbeat
-	}
-	cd.hbTimeout = heartbeatMissFactor * cd.hb
-	if cd.window == 0 {
-		cd.window = defaultReconnectWindow
-	}
-	cd.links = make([]*rankLink, cfg.Procs)
-	for rank := range cd.links {
-		l := &rankLink{rank: rank, out: make(chan outFrame, queueDepth)}
-		l.cond = sync.NewCond(&l.mu)
-		cd.links[rank] = l
-	}
+	cd := newCoord(cfg)
 
 	// Listen before launching so workers have something to dial.
 	var ln net.Listener
@@ -615,6 +480,16 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 		}
 		ln.Close()
 		cd.wg.Wait()
+		for { // close the reconnects the state machine never read
+			select {
+			case ev := <-cd.evCh:
+				if ev.reHello != nil {
+					ev.reHello.Close()
+				}
+			default:
+				return
+			}
+		}
 	}()
 
 	exe, err := os.Executable()
@@ -663,12 +538,11 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 		return nil, err
 	}
 
-	// GO is the first frame on every link: no writer runs before it, and
-	// the readers start after it, so a worker's early frames just wait
-	// in socket buffers.
-	start := time.Now()
+	// GO is the first frame on every link, and the readers start after
+	// it, so a worker's early frames just wait in socket buffers.
+	cd.start = time.Now()
 	for _, l := range cd.links {
-		if err := l.c.write(frameGo, 0, nil); err != nil {
+		if err := l.c.write(frameGo, nil); err != nil {
 			return nil, fmt.Errorf("cluster: starting workers: %w", err)
 		}
 	}
@@ -679,7 +553,6 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 		l.up.Store(true)
 		c, gen := l.c, l.gen
 		cd.spawn(func() { cd.readLoop(l, c, gen) })
-		cd.spawn(func() { cd.writeLoop(l) })
 	}
 	cd.spawn(cd.heartbeat)
 	for rank, cmd := range cmds {
@@ -687,175 +560,21 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	}
 
 	// The state machine: wait for rank 0's result, drain, collect every
-	// rank's report. A death before a rank has reported fails the run —
-	// but a broken link first gets the reconnect window, and a healed
-	// link resumes as if nothing happened. The deadline backstops a
-	// wedged cluster.
-	res := &Result{Procs: cfg.Procs, PerProc: cfg.PerProc}
-	reports := make([]*workerReport, cfg.Procs)
-	exitSeen := make([]bool, cfg.Procs)
-	exitErrs := make([]error, cfg.Procs)
-	downSince := make([]time.Time, cfg.Procs)
-	downReason := make([]string, cfg.Procs)
-	downErr := make([]error, cfg.Procs)
-	var coordEvents []eventlog.DumpEvent
-	nReports := 0
-	exited := 0
+	// rank's report. The deadline backstops a wedged cluster.
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
 	var runErr error
-
-	died := func(rank int, reason string, err error) *faults.ProcessDeathError {
-		return &faults.ProcessDeathError{
-			Rank: rank, PEs: pesOf(rank, cfg.PerProc), Reason: reason, Err: err,
-		}
-	}
-	// linkDown classifies a break and opens the reconnect window (or
-	// returns the death immediately when reconnection is off).
-	linkDown := func(rank int, err error) *faults.ProcessDeathError {
-		l := cd.links[rank]
-		reason := "connection closed"
-		if err != nil && err != io.EOF {
-			reason = "connection error"
-		}
-		if exitSeen[rank] {
-			return died(rank, "exit", exitErrs[rank])
-		}
-		if !cd.reconnectOK() {
-			return died(rank, reason, err)
-		}
-		downSince[rank] = time.Now()
-		downReason[rank], downErr[rank] = reason, err
-		if os.Getenv("PARHASK_CLUSTER_DEBUG") != "" {
-			fmt.Fprintf(os.Stderr, "coord debug: rank %d link down: %s (%v)\n", rank, reason, err)
-		}
-		coordEvents = append(coordEvents, eventlog.DumpEvent{
-			T: time.Since(start).Nanoseconds(), Type: "block-begin", Arg: int32(rank),
-		})
-		gen := l.curGen()
-		win := cd.window
-		time.AfterFunc(win, func() {
-			cd.emit(event{rank: rank, gen: gen, winExpired: true})
-		})
-		return nil
-	}
-
-loop:
-	for nReports < cfg.Procs {
+	for runErr == nil && cd.nReports < cfg.Procs {
 		select {
 		case <-timer.C:
-			runErr = &faults.DeadlockError{Backend: "cluster", Reason: "deadline", Elapsed: time.Since(start)}
-			break loop
+			runErr = &faults.DeadlockError{Backend: "cluster", Reason: "deadline", Elapsed: time.Since(cd.start)}
 		case ev := <-cd.evCh:
-			l := cd.links[ev.rank]
-			switch {
-			case ev.exit:
-				exited++
-				exitSeen[ev.rank] = true
-				exitErrs[ev.rank] = ev.err
-				if reports[ev.rank] == nil && !l.up.Load() {
-					// The process is gone: no reconnect is coming. Report
-					// the first observed cause if the link broke first.
-					if !downSince[ev.rank].IsZero() {
-						runErr = died(ev.rank, downReason[ev.rank], downErr[ev.rank])
-					} else {
-						runErr = died(ev.rank, "exit", ev.err)
-					}
-					break loop
-				}
-			case ev.readerEnd:
-				if ev.gen != l.curGen() {
-					break // a replaced connection's reader winding down
-				}
-				l.mu.Lock()
-				if l.c != nil {
-					l.c.Close()
-					l.c = nil
-				}
-				l.mu.Unlock()
-				l.up.Store(false)
-				if reports[ev.rank] != nil {
-					break // reported already; the exit watcher handles the rest
-				}
-				if ev.graceful {
-					runErr = died(ev.rank, "connection closed", nil)
-					break loop
-				}
-				if pd := linkDown(ev.rank, ev.err); pd != nil {
-					runErr = pd
-					break loop
-				}
-			case ev.reHello != nil:
-				if !cd.reconnectOK() || l.done.Load() || l.isDead() || reports[ev.rank] != nil {
-					ev.reHello.Close()
-					break
-				}
-				if !cd.resumeRank(l, ev.reHello, ev.helloRecv) {
-					break
-				}
-				res.Reconnects++
-				if !downSince[ev.rank].IsZero() {
-					res.ReconnectNS += time.Since(downSince[ev.rank]).Nanoseconds()
-					downSince[ev.rank] = time.Time{}
-				}
-				coordEvents = append(coordEvents, eventlog.DumpEvent{
-					T: time.Since(start).Nanoseconds(), Type: "block-end", Arg: int32(ev.rank),
-				})
-			case ev.winExpired:
-				if reports[ev.rank] != nil || l.up.Load() || ev.gen != l.curGen() {
-					break // healed (or finished) before the window closed
-				}
-				runErr = died(ev.rank, downReason[ev.rank], downErr[ev.rank])
-				break loop
-			case ev.hbTimeout:
-				if reports[ev.rank] != nil || !l.up.Load() {
-					break
-				}
-				if time.Now().UnixNano()-l.lastSeen.Load() < cd.hbTimeout.Nanoseconds() {
-					break // a frame arrived since the tick
-				}
-				runErr = died(ev.rank, "heartbeat timeout",
-					fmt.Errorf("silent for %v", time.Duration(time.Now().UnixNano()-l.lastSeen.Load())))
-				break loop
-			case ev.backpressure:
-				if reports[ev.rank] != nil {
-					break
-				}
-				runErr = died(ev.rank, "backpressure",
-					fmt.Errorf("outbound queue overflow (depth %d)", queueDepth))
-				break loop
-			case ev.kind == frameResult:
-				v, derr := wire.Decode(ev.body)
-				if derr != nil {
-					runErr = fmt.Errorf("cluster: decoding rank 0 result: %w", derr)
-					break loop
-				}
-				res.Value = v
-				// The result is in: drain the other ranks so they unwind
-				// and report. The drain rides each rank's queue, so a rank
-				// mid-reconnect still gets it after healing.
-				for rank := 1; rank < cfg.Procs; rank++ {
-					cd.route(cd.links[rank], frameDrain, nil)
-				}
-			case ev.kind == frameError:
-				runErr = decodeWorkerError(ev.rank, ev.body)
-				break loop
-			case ev.kind == frameReport:
-				var rep workerReport
-				if derr := json.Unmarshal(ev.body, &rep); derr != nil {
-					runErr = fmt.Errorf("cluster: rank %d report: %w", ev.rank, derr)
-					break loop
-				}
-				if reports[ev.rank] == nil {
-					reports[ev.rank] = &rep
-					nReports++
-					l.done.Store(true)
-				}
-			}
+			runErr = cd.step(ev)
 		}
 	}
-	res.CoordNS = time.Since(start).Nanoseconds()
-	foldReports(res, reports, coordEvents)
+	res := cd.res
+	res.CoordNS = time.Since(cd.start).Nanoseconds()
+	foldReports(res, cd.reports, cd.coordEvents)
 	for rank, l := range cd.links {
 		res.DroppedFrames[rank] += l.drops.Load()
 		if rtt := l.rttNS.Load(); rtt > res.HeartbeatRTTNS {
@@ -870,17 +589,152 @@ loop:
 	// deferred terminate sweeps up anything left (TERM, then KILL).
 	grace := time.NewTimer(10 * time.Second)
 	defer grace.Stop()
-	for exited < cfg.Procs {
+	for cd.exited < cfg.Procs {
 		select {
 		case ev := <-cd.evCh:
 			if ev.exit {
-				exited++
+				cd.exited++
+			}
+			if ev.reHello != nil {
+				ev.reHello.Close() // every rank has reported: nothing to resume
 			}
 		case <-grace.C:
 			return res, nil
 		}
 	}
 	return res, nil
+}
+
+// step applies one event to the run. A non-nil error ends the run: a
+// death before a rank has reported fails it, but a broken link first
+// gets the reconnect window, and a healed link resumes as if nothing
+// happened.
+func (cd *coord) step(ev event) error {
+	l := cd.links[ev.rank]
+	switch {
+	case ev.exit:
+		cd.exited++
+		cd.exitSeen[ev.rank], cd.exitErrs[ev.rank] = true, ev.err
+		if cd.reports[ev.rank] == nil && !l.up.Load() {
+			// The process is gone: no reconnect is coming. Report the
+			// first observed cause if the link broke first.
+			if d := cd.down[ev.rank]; d != nil {
+				return d
+			}
+			return cd.died(ev.rank, "exit", ev.err)
+		}
+	case ev.readerEnd:
+		if ev.gen != l.curGen() {
+			return nil // a replaced connection's reader winding down
+		}
+		l.mu.Lock()
+		if l.c != nil {
+			l.c.Close()
+			l.c = nil
+		}
+		l.mu.Unlock()
+		l.up.Store(false)
+		switch {
+		case cd.reports[ev.rank] != nil:
+			// reported already; the exit watcher handles the rest
+		case ev.graceful:
+			return cd.died(ev.rank, "connection closed", nil)
+		default:
+			return cd.linkDown(ev.rank, ev.err)
+		}
+	case ev.reHello != nil:
+		if !cd.reconnectOK() || cd.reports[ev.rank] != nil || l.isDead() || !cd.resumeRank(l, ev.reHello) {
+			ev.reHello.Close()
+			return nil
+		}
+		cd.res.Reconnects++
+		if !cd.downSince[ev.rank].IsZero() {
+			cd.res.ReconnectNS += time.Since(cd.downSince[ev.rank]).Nanoseconds()
+			cd.downSince[ev.rank], cd.down[ev.rank] = time.Time{}, nil
+		}
+		cd.coordEvents = append(cd.coordEvents, eventlog.DumpEvent{
+			T: time.Since(cd.start).Nanoseconds(), Type: "block-end", Arg: int32(ev.rank),
+		})
+	case ev.winExpired:
+		if cd.reports[ev.rank] != nil || l.up.Load() || ev.gen != l.curGen() {
+			return nil // healed (or finished) before the window closed
+		}
+		return cd.down[ev.rank]
+	case ev.hbTimeout:
+		if cd.reports[ev.rank] != nil || !l.up.Load() {
+			return nil
+		}
+		silent := time.Duration(time.Now().UnixNano() - l.lastSeen.Load())
+		if silent < cd.hbTimeout {
+			return nil // a frame arrived since the tick
+		}
+		return cd.died(ev.rank, "heartbeat timeout", fmt.Errorf("silent for %v", silent))
+	case ev.kind == frameResult:
+		if cd.resultIn {
+			return nil // resent after a reconnect
+		}
+		v, err := wire.Decode(ev.body)
+		if err != nil {
+			return fmt.Errorf("cluster: decoding rank 0 result: %w", err)
+		}
+		cd.res.Value, cd.resultIn = v, true
+		// The result is in: drain the other ranks so they unwind and
+		// report. A rank whose link is down gets its DRAIN when it
+		// reconnects (resumeRank).
+		for _, o := range cd.links[1:] {
+			if o.done.Load() || o.isDead() {
+				o.drops.Add(1)
+			} else {
+				o.send(frameDrain, nil)
+			}
+		}
+	case ev.kind == frameError:
+		return decodeWorkerError(ev.rank, ev.body)
+	case ev.kind == frameReport:
+		if cd.reports[ev.rank] != nil {
+			return nil // resent after a reconnect
+		}
+		var rep workerReport
+		if err := json.Unmarshal(ev.body, &rep); err != nil {
+			return fmt.Errorf("cluster: rank %d report: %w", ev.rank, err)
+		}
+		cd.reports[ev.rank] = &rep
+		cd.nReports++
+		l.done.Store(true)
+	}
+	return nil
+}
+
+func (cd *coord) died(rank int, reason string, err error) *faults.ProcessDeathError {
+	return &faults.ProcessDeathError{
+		Rank: rank, PEs: pesOf(rank, cd.cfg.PerProc), Reason: reason, Err: err,
+	}
+}
+
+// linkDown classifies a break and opens the reconnect window, or
+// returns the death at once when the process has exited or
+// reconnection is off.
+func (cd *coord) linkDown(rank int, err error) error {
+	if cd.exitSeen[rank] {
+		return cd.died(rank, "exit", cd.exitErrs[rank])
+	}
+	reason := "connection closed"
+	if err != nil && err != io.EOF {
+		reason = "connection error"
+	}
+	if !cd.reconnectOK() {
+		return cd.died(rank, reason, err)
+	}
+	cd.downSince[rank] = time.Now()
+	cd.down[rank] = cd.died(rank, reason, err)
+	cd.coordEvents = append(cd.coordEvents, eventlog.DumpEvent{
+		T: time.Since(cd.start).Nanoseconds(), Type: "block-begin", Arg: int32(rank),
+	})
+	gen := cd.links[rank].curGen()
+	time.AfterFunc(cd.window, func() {
+		cd.emit(event{rank: rank, gen: gen, winExpired: true})
+	})
+	return nil
 }
 
 // workerProcs is the GOMAXPROCS each of procs workers is started with:
@@ -958,10 +812,10 @@ func (cd *coord) gather(joinCh <-chan joinConn, deadline time.Duration) error {
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
 	joined := 0
-	for joined < cd.procs {
+	for joined < cd.cfg.Procs {
 		select {
 		case <-timer.C:
-			return fmt.Errorf("cluster: waiting for workers (%d/%d connected): timeout", joined, cd.procs)
+			return fmt.Errorf("cluster: waiting for workers (%d/%d connected): timeout", joined, cd.cfg.Procs)
 		case j := <-joinCh:
 			if j.err != nil {
 				return j.err
@@ -984,33 +838,29 @@ func (cd *coord) gather(joinCh <-chan joinConn, deadline time.Duration) error {
 	return nil
 }
 
-// resumeRank installs a reconnect HELLO's connection: welcome the
-// worker with our receive cursor, replay everything it never acked,
-// then swap the conn in and wake the writer. Runs on the state
-// machine, so installs are serialised per rank.
-func (cd *coord) resumeRank(l *rankLink, c *conn, helloRecv uint32) bool {
+// resumeRank installs a reconnect HELLO's connection: WELCOME the
+// worker, resend the DRAIN it is owed (a worker that had it already
+// drains twice, which changes nothing), then swap the conn in. It runs
+// on the state machine, so installs are serialised per rank. False
+// means c failed before it was installed.
+func (cd *coord) resumeRank(l *rankLink, c *conn) bool {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.c != nil {
 		// The worker noticed the break before our reader did: replace.
-		old := l.c
+		l.c.Close()
 		l.c = nil
-		old.Close()
 	}
-	l.unacked = trimAcked(l.unacked, helloRecv)
-	_ = c.queue(frameWelcome, 0, encodeSeq(l.lastRecv)) // sticky: the flush reports it
-	for _, sf := range l.unacked {
-		_ = c.queue(sf.kind, sf.seq, sf.body)
+	_ = c.queue(frameWelcome, nil) // sticky: the flush reports it
+	if cd.resultIn && l.rank != 0 {
+		_ = c.queue(frameDrain, nil)
 	}
-	if werr := c.flush(); werr != nil {
-		l.mu.Unlock()
-		c.Close()
+	if c.flush() != nil {
 		return false
 	}
 	l.gen++
 	gen := l.gen
 	l.c = c
-	l.cond.Broadcast()
-	l.mu.Unlock()
 	l.lastSeen.Store(time.Now().UnixNano())
 	l.up.Store(true)
 	cd.spawn(func() { cd.readLoop(l, c, gen) })

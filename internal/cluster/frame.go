@@ -9,22 +9,25 @@
 //
 //   - the data mesh: one connection per pair of workers, made by the
 //     coordinator before launch and inherited by both workers as file
-//     descriptors. Its frames are unsequenced — a stream socket is
-//     ordered and lossless, and an inherited link is never redialled —
-//     and a link lives and dies with its two processes;
+//     descriptors. A frame is sent once and never kept — a stream
+//     socket is ordered and lossless, and an inherited link is never
+//     redialled — and a link lives and dies with its two processes;
 //   - the control star: one connection from each worker to the
 //     coordinator, which owns launch, start, heartbeats, drain, results,
 //     errors, reports and supervision. From there it folds statistics,
 //     merges per-PE timelines, and turns a dead worker or severed link
 //     into a structured *faults.ProcessDeathError instead of a hang.
 //
-// The control protocol is self-healing: the coordinator pings every
-// worker (framePing/framePong) so a wedged worker is distinguishable
-// from a slow one, a worker whose connection breaks redials with
-// backoff and re-HELLOs, and the payload-bearing control frames carry
-// per-link sequence numbers with cumulative acks so a reconnect replays
-// exactly the frames the other side never processed — no loss, no
-// duplicates.
+// The control protocol is self-healing and carries no sequence numbers:
+// the coordinator pings every worker (framePing/framePong) so a wedged
+// worker is distinguishable from a slow one, and a worker whose
+// connection breaks redials with backoff and re-HELLOs. Each side sends
+// each of its few payload-bearing frames once a run — RESULT or ERROR,
+// REPORT and BYE from a worker, one DRAIN to it — so a reconnect simply
+// resends them: the worker keeps what it has sent and resends it all
+// after the WELCOME, the coordinator resends an owed DRAIN, and each
+// side ignores what it already has.
+//
 // RunSupervised adds the outer recovery loop: a rank that actually
 // dies is respawned by restarting the whole SPMD run (deterministic
 // shadow-root replay makes full-run retry the honest recovery unit).
@@ -41,17 +44,11 @@ import (
 )
 
 // Frame kinds. Every frame on a cluster connection is
-// [u32 length][u8 kind][u32 seq][body], length covering kind+seq+body.
-// seq is zero on the meta and data frames and a per-link, per-direction
-// sequence number (1, 2, ...) on the payload-bearing control frames —
-// see sequenced.
+// [u32 length][u8 kind][body], length covering kind+body.
 const (
-	// frameHello (worker -> coordinator): body =
-	// [u32 rank][u8 flags][u32 lastRecvSeq]. First frame on every
-	// connection, binding it to a rank; helloFlagReconnect marks a
-	// redial after a link failure, and lastRecvSeq tells the
-	// coordinator which of its frames the worker has already processed
-	// (so replay starts exactly after it).
+	// frameHello (worker -> coordinator): body = [u32 rank][u8 flags].
+	// First frame on every connection, binding it to a rank;
+	// helloFlagReconnect marks a redial after a link failure.
 	frameHello byte = 1 + iota
 	// frameGo (coordinator -> worker): empty body; start the run.
 	frameGo
@@ -75,21 +72,17 @@ const (
 	frameReport
 	// frameBye (worker -> coordinator): empty body; clean goodbye.
 	frameBye
-	// framePing (coordinator -> worker): body = [i64 send-nanos]
-	// [u32 ackSeq]. Liveness probe; ackSeq is the coordinator's
-	// cumulative ack of the worker's sequenced frames.
+	// framePing (coordinator -> worker): body = [i64 send-nanos], a
+	// liveness probe.
 	framePing
-	// framePong (worker -> coordinator): body echoes the ping's nanos
-	// and carries the worker's own cumulative ack.
+	// framePong (worker -> coordinator): body echoes the ping's.
 	framePong
-	// frameAck (both directions): body = [u32 seq], a cumulative ack
-	// the coordinator sends for every sequenced frame and a worker every
-	// ackEvery, so retransmit buffers stay bounded between heartbeats.
+	// frameAck (coordinator -> worker): empty body; the answer to BYE,
+	// which the worker waits for before it exits.
 	frameAck
-	// frameWelcome (coordinator -> worker): body = [u32 lastRecvSeq],
-	// the coordinator's answer to a reconnect HELLO. It is the first
-	// frame on the new connection; the worker trims its retransmit
-	// buffer to it and replays the rest before resuming.
+	// frameWelcome (coordinator -> worker): empty body; the answer to a
+	// reconnect HELLO and the first frame on the new connection, after
+	// which the worker resends its one-shot frames.
 	frameWelcome
 )
 
@@ -97,20 +90,8 @@ const (
 // link failure rather than joining the run.
 const helloFlagReconnect = 1
 
-// helloLen is the fixed HELLO body size: rank, flags, lastRecvSeq.
-const helloLen = 4 + 1 + 4
-
-// sequenced reports whether a control frame kind carries a per-link
-// sequence number and therefore participates in ack/replay. The meta
-// frames (hello, go, ping/pong, ack, welcome) are connection-scoped and
-// never replayed; data frames never cross a control link.
-func sequenced(kind byte) bool {
-	switch kind {
-	case frameResult, frameError, frameDrain, frameReport, frameBye:
-		return true
-	}
-	return false
-}
+// helloLen is the fixed HELLO body size: rank, flags.
+const helloLen = 4 + 1
 
 // errDataOnControl is the protocol error a data frame on a control link
 // raises: data has one path, the mesh, and a frame that strays onto the
@@ -119,17 +100,12 @@ func errDataOnControl(rank int) error {
 	return fmt.Errorf("cluster: rank %d: data frame on the control link", rank)
 }
 
-// ackEvery is how many sequenced frames a worker lets accumulate
-// before sending an explicit cumulative ack (heartbeats piggyback acks
-// too, this just bounds the retransmit buffers under bursts).
-const ackEvery = 32
-
 // maxFrame bounds a frame body; a length beyond it means a corrupt or
 // hostile stream, not a big message.
 const maxFrame = 1 << 30
 
-// frameHeaderLen is the post-length fixed prefix: kind byte + seq u32.
-const frameHeaderLen = 1 + 4
+// frameHeaderLen is the post-length fixed prefix: the kind byte.
+const frameHeaderLen = 1
 
 // connBufSize sizes each conn's read and write buffers: big enough
 // that a burst of small frames, or any one ordinary frame with its
@@ -162,10 +138,10 @@ func (c *conn) Close() error { return c.rw.Close() }
 
 // write sends one frame, header and body in one socket write; safe for
 // concurrent use.
-func (c *conn) write(kind byte, seq uint32, body []byte) error {
+func (c *conn) write(kind byte, body []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
-	if err := c.put(kind, seq, body); err != nil {
+	if err := c.put(kind, body); err != nil {
 		return err
 	}
 	return c.bw.Flush()
@@ -175,10 +151,10 @@ func (c *conn) write(kind byte, seq uint32, body []byte) error {
 // write on this conn flushes what is queued, in order). An error is
 // sticky — every later queue, write or flush on the conn fails too —
 // so a caller batching frames may check only the flush.
-func (c *conn) queue(kind byte, seq uint32, body []byte) error {
+func (c *conn) queue(kind byte, body []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
-	return c.put(kind, seq, body)
+	return c.put(kind, body)
 }
 
 // flush writes out every queued frame.
@@ -189,10 +165,9 @@ func (c *conn) flush() error {
 }
 
 // put appends one frame to the write buffer; the caller holds wm.
-func (c *conn) put(kind byte, seq uint32, body []byte) error {
+func (c *conn) put(kind byte, body []byte) error {
 	binary.LittleEndian.PutUint32(c.wh[:4], uint32(frameHeaderLen+len(body)))
 	c.wh[4] = kind
-	binary.LittleEndian.PutUint32(c.wh[5:9], seq)
 	if _, err := c.bw.Write(c.wh[:]); err != nil {
 		return err
 	}
@@ -216,17 +191,17 @@ const readStep = 1 << 16
 // and a stream that ends inside a frame with io.ErrUnexpectedEOF —
 // callers treat any error as a broken link, never as something to wait
 // out.
-func (c *conn) read(buf []byte) (byte, uint32, []byte, error) {
+func (c *conn) read(buf []byte) (byte, []byte, error) {
 	h := c.rh[:]
 	if _, err := io.ReadFull(c.br, h[:4]); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(h[:4]))
 	if n < frameHeaderLen || n > maxFrame {
-		return 0, 0, nil, fmt.Errorf("cluster: frame length %d outside [%d,%d]", n, frameHeaderLen, maxFrame)
+		return 0, nil, fmt.Errorf("cluster: frame length %d outside [%d,%d]", n, frameHeaderLen, maxFrame)
 	}
 	if err := readRest(c.br, h[4:]); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	n -= frameHeaderLen
 	var body []byte
@@ -237,7 +212,7 @@ func (c *conn) read(buf []byte) (byte, uint32, []byte, error) {
 	}
 	for filled := 0; ; {
 		if err := readRest(c.br, body[filled:]); err != nil {
-			return 0, 0, nil, err
+			return 0, nil, err
 		}
 		if len(body) == n {
 			break
@@ -247,7 +222,7 @@ func (c *conn) read(buf []byte) (byte, uint32, []byte, error) {
 		copy(grown, body)
 		body = grown
 	}
-	return h[4], binary.LittleEndian.Uint32(h[5:9]), body, nil
+	return h[4], body, nil
 }
 
 // readRest fills b from inside a frame, where even a clean EOF means
@@ -260,78 +235,36 @@ func readRest(r io.Reader, b []byte) error {
 	return err
 }
 
-// savedFrame is one sent-but-unacked sequenced frame held for replay
-// after a reconnect.
-type savedFrame struct {
-	seq  uint32
-	kind byte
-	body []byte
-}
-
-// trimAcked drops the prefix of buf cumulatively acked by seq, zeroing
-// the vacated tail so the backing array stops pinning acked bodies.
-func trimAcked(buf []savedFrame, seq uint32) []savedFrame {
-	i := 0
-	for i < len(buf) && buf[i].seq <= seq {
-		i++
-	}
-	if i == 0 {
-		return buf
-	}
-	n := copy(buf, buf[i:])
-	clear(buf[n:])
-	return buf[:n]
-}
-
 // encodeHello builds a HELLO body.
-func encodeHello(rank int, flags byte, lastRecv uint32) []byte {
+func encodeHello(rank int, flags byte) []byte {
 	b := make([]byte, helloLen)
 	binary.LittleEndian.PutUint32(b[:4], uint32(rank))
 	b[4] = flags
-	binary.LittleEndian.PutUint32(b[5:9], lastRecv)
 	return b
 }
 
 // decodeHello splits a HELLO body.
-func decodeHello(b []byte) (rank int, flags byte, lastRecv uint32, err error) {
+func decodeHello(b []byte) (rank int, flags byte, err error) {
 	if len(b) != helloLen {
-		return 0, 0, 0, fmt.Errorf("cluster: hello body %d bytes, want %d", len(b), helloLen)
+		return 0, 0, fmt.Errorf("cluster: hello body %d bytes, want %d", len(b), helloLen)
 	}
-	return int(int32(binary.LittleEndian.Uint32(b[:4]))), b[4], binary.LittleEndian.Uint32(b[5:9]), nil
+	return int(int32(binary.LittleEndian.Uint32(b[:4]))), b[4], nil
 }
 
-// encodeSeq packs the single-u32 bodies (frameAck, frameWelcome).
-func encodeSeq(seq uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], seq)
-	return b[:]
-}
+// pingLen is the ping/pong body size: the send-nanos.
+const pingLen = 8
 
-// decodeSeq unpacks a single-u32 body, tolerating nothing else.
-func decodeSeq(b []byte) (uint32, error) {
-	if len(b) != 4 {
-		return 0, fmt.Errorf("cluster: seq body %d bytes, want 4", len(b))
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-// pingLen is the ping/pong body size: send-nanos + cumulative ack.
-const pingLen = 8 + 4
-
-// encodePing packs a ping/pong body.
-func encodePing(nanos int64, ack uint32) []byte {
-	b := make([]byte, pingLen)
-	binary.LittleEndian.PutUint64(b[:8], uint64(nanos))
-	binary.LittleEndian.PutUint32(b[8:12], ack)
-	return b
+// encodePing packs a ping body.
+func encodePing(nanos int64) []byte {
+	return binary.LittleEndian.AppendUint64(make([]byte, 0, pingLen), uint64(nanos))
 }
 
 // decodePing unpacks a ping/pong body.
-func decodePing(b []byte) (nanos int64, ack uint32, err error) {
+func decodePing(b []byte) (nanos int64, err error) {
 	if len(b) != pingLen {
-		return 0, 0, fmt.Errorf("cluster: ping body %d bytes, want %d", len(b), pingLen)
+		return 0, fmt.Errorf("cluster: ping body %d bytes, want %d", len(b), pingLen)
 	}
-	return int64(binary.LittleEndian.Uint64(b[:8])), binary.LittleEndian.Uint32(b[8:12]), nil
+	return int64(binary.LittleEndian.Uint64(b)), nil
 }
 
 // dataHeaderLen is the fixed prefix of a frameData body: the room

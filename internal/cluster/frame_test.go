@@ -3,17 +3,19 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"parhask/internal/eden/wire"
+	"parhask/internal/faults"
 	"parhask/internal/graph"
 	"parhask/internal/nativeeden"
 	"parhask/internal/workloads/euler"
@@ -42,36 +44,36 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := fixedFrames
 	go func() {
 		for _, f := range frames {
-			if err := ca.write(f.kind, f.seq, f.body); err != nil {
+			if err := ca.write(f.kind, f.body); err != nil {
 				t.Errorf("write(kind %d): %v", f.kind, err)
 			}
 		}
 	}()
 	for _, f := range frames {
-		kind, seq, body, err := cb.read(nil)
+		kind, body, err := cb.read(nil)
 		if err != nil {
 			t.Fatalf("read(kind %d): %v", f.kind, err)
 		}
-		if kind != f.kind || seq != f.seq || !bytes.Equal(body, f.body) {
-			t.Fatalf("round trip: got (%d, %d, %q), want (%d, %d, %q)",
-				kind, seq, body, f.kind, f.seq, f.body)
+		if kind != f.kind || !bytes.Equal(body, f.body) {
+			t.Fatalf("round trip: got (%d, %q), want (%d, %q)", kind, body, f.kind, f.body)
 		}
 	}
 }
 
 func TestFrameTruncatedHeader(t *testing.T) {
-	// A stream that dies inside the length prefix or the kind/seq header
-	// must fail structurally, never hang or return a phantom frame.
+	// A stream that dies inside the length prefix, the kind byte or a
+	// short body must fail structurally, never hang or return a phantom
+	// frame.
 	for _, raw := range [][]byte{
 		{},
-		{0x09},
-		{0x09, 0x00, 0x00},
-		{0x09, 0x00, 0x00, 0x00},               // length says 9, nothing follows
-		{0x09, 0x00, 0x00, 0x00, frameData},    // kind but no seq
-		{0x09, 0x00, 0x00, 0x00, frameData, 1}, // partial seq
+		{0x05},
+		{0x05, 0x00, 0x00},
+		{0x05, 0x00, 0x00, 0x00},               // length says 5, nothing follows
+		{0x05, 0x00, 0x00, 0x00, frameData},    // kind but no body
+		{0x05, 0x00, 0x00, 0x00, frameData, 1}, // partial body
 	} {
 		c := readerOver(raw)
-		if _, _, _, err := c.read(nil); err == nil {
+		if _, _, err := c.read(nil); err == nil {
 			t.Errorf("read of truncated stream %v succeeded", raw)
 		} else if err != io.EOF && err != io.ErrUnexpectedEOF {
 			t.Errorf("truncated stream %v: %v, want EOF-class error", raw, err)
@@ -86,7 +88,7 @@ func TestFrameBadLength(t *testing.T) {
 	binary.LittleEndian.PutUint32(under, frameHeaderLen-1)
 	for _, raw := range [][]byte{over, under, {0, 0, 0, 0}} {
 		c := readerOver(raw)
-		_, _, _, err := c.read(nil)
+		_, _, err := c.read(nil)
 		if err == nil {
 			t.Fatalf("read accepted frame length %d", binary.LittleEndian.Uint32(raw))
 		}
@@ -102,7 +104,7 @@ func TestFrameTruncatedBody(t *testing.T) {
 	binary.LittleEndian.PutUint32(raw, frameHeaderLen+100)
 	raw[4] = frameData
 	c := readerOver(raw)
-	if _, _, _, err := c.read(nil); err != io.ErrUnexpectedEOF {
+	if _, _, err := c.read(nil); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated body: %v, want %v", err, io.ErrUnexpectedEOF)
 	}
 }
@@ -122,95 +124,93 @@ func TestDataBodyTooShort(t *testing.T) {
 }
 
 func TestControlBodySizes(t *testing.T) {
-	if _, _, _, err := decodeHello(make([]byte, helloLen-1)); err == nil {
-		t.Error("decodeHello accepted a short body")
-	}
-	if _, _, _, err := decodeHello(make([]byte, helloLen+1)); err == nil {
-		t.Error("decodeHello accepted a long body")
-	}
-	if _, err := decodeSeq([]byte{1, 2, 3}); err == nil {
-		t.Error("decodeSeq accepted a short body")
-	}
-	if _, _, err := decodePing(make([]byte, pingLen-1)); err == nil {
-		t.Error("decodePing accepted a short body")
-	}
-	rank, flags, last, err := decodeHello(encodeHello(3, helloFlagReconnect, 99))
-	if err != nil || rank != 3 || flags != helloFlagReconnect || last != 99 {
-		t.Errorf("hello round trip: %d %d %d %v", rank, flags, last, err)
-	}
-	nanos, ack, err := decodePing(encodePing(-5, 12))
-	if err != nil || nanos != -5 || ack != 12 {
-		t.Errorf("ping round trip: %d %d %v", nanos, ack, err)
-	}
-}
-
-func TestTrimAcked(t *testing.T) {
-	buf := []savedFrame{{seq: 1}, {seq: 2}, {seq: 3}, {seq: 4}}
-	buf = trimAcked(buf, 2)
-	if len(buf) != 2 || buf[0].seq != 3 || buf[1].seq != 4 {
-		t.Fatalf("trimAcked(2) left %v", buf)
-	}
-	if buf = trimAcked(buf, 1); len(buf) != 2 {
-		t.Fatalf("stale ack trimmed live frames: %v", buf)
-	}
-	if buf = trimAcked(buf, 10); len(buf) != 0 {
-		t.Fatalf("full ack left %v", buf)
-	}
-}
-
-func TestSequencedKinds(t *testing.T) {
-	seq := map[byte]bool{
-		frameResult: true, frameError: true,
-		frameDrain: true, frameReport: true, frameBye: true,
-	}
-	for kind := frameHello; kind <= frameWelcome; kind++ {
-		if sequenced(kind) != seq[kind] {
-			t.Errorf("sequenced(%d) = %v", kind, sequenced(kind))
+	for _, n := range []int{0, helloLen - 1, helloLen + 1, 9} {
+		if _, _, err := decodeHello(make([]byte, n)); err == nil {
+			t.Errorf("decodeHello accepted a %d-byte body", n)
 		}
 	}
+	for _, n := range []int{0, pingLen - 1, pingLen + 1, 12} {
+		if _, err := decodePing(make([]byte, n)); err == nil {
+			t.Errorf("decodePing accepted a %d-byte body", n)
+		}
+	}
+	if len(encodeHello(3, 0)) != 5 || len(encodePing(1)) != 8 {
+		t.Errorf("hello and ping bodies are %d and %d bytes, want 5 and 8", len(encodeHello(3, 0)), len(encodePing(1)))
+	}
+	rank, flags, err := decodeHello(encodeHello(3, helloFlagReconnect))
+	if err != nil || rank != 3 || flags != helloFlagReconnect {
+		t.Errorf("hello round trip: %d %d %v", rank, flags, err)
+	}
+	nanos, err := decodePing(encodePing(-5))
+	if err != nil || nanos != -5 {
+		t.Errorf("ping round trip: %d %v", nanos, err)
+	}
+}
+
+// pipeReader collects every frame read from c until it ends, then
+// closes the returned channel. The buffer holds more frames than any
+// test expects, so the reader never holds up a writer on a net.Pipe.
+func pipeReader(c *conn) <-chan frame {
+	got := make(chan frame, 16)
+	go func() {
+		defer close(got)
+		for {
+			kind, body, err := c.read(nil)
+			if err != nil {
+				return
+			}
+			got <- frame{kind, body}
+		}
+	}()
+	return got
+}
+
+// frame is one frame as a test reads it back.
+type frame struct {
+	kind byte
+	body []byte
+}
+
+func collect(got <-chan frame) []frame {
+	var fs []frame
+	for f := range got {
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// testResult is a RESULT body for a coordinator's state machine.
+func testResult(t *testing.T) []byte {
+	t.Helper()
+	b, err := wire.Encode(int64(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestRouteDropsOnDeadRank(t *testing.T) {
-	// A routed frame whose destination is gone is counted, not silently
-	// discarded and not a wedge.
-	cd := &coord{stop: make(chan struct{})}
-	l := &rankLink{rank: 1, out: make(chan outFrame, 4)}
-	l.cond = sync.NewCond(&l.mu)
-	cd.links = []*rankLink{nil, l}
-
-	l.done.Store(true)
-	cd.route(l, frameDrain, []byte("x"))
-	if got := l.drops.Load(); got != 1 {
-		t.Fatalf("drops after routing to a reported rank = %d, want 1", got)
+	// Rank 0's result drains every other rank by a direct send. A DRAIN
+	// whose destination has reported or is dead counts one drop; a live
+	// rank reads its DRAIN and counts none.
+	cd, _ := newTestCoord(4)
+	defer close(cd.stop)
+	cd.links[1].done.Store(true)
+	cd.links[2].kill()
+	ours, theirs := net.Pipe()
+	cd.links[3].c = newConn(ours)
+	got := pipeReader(newConn(theirs))
+	if err := cd.step(event{rank: 0, kind: frameResult, body: testResult(t)}); err != nil {
+		t.Fatal(err)
 	}
-	l.done.Store(false)
-	l.kill()
-	cd.route(l, frameDrain, []byte("y"))
-	if got := l.drops.Load(); got != 2 {
-		t.Fatalf("drops after routing to a dead rank = %d, want 2", got)
+	ours.Close()
+	if fs := collect(got); len(fs) != 1 || fs[0].kind != frameDrain {
+		t.Fatalf("live rank read %+v, want one DRAIN", fs)
 	}
-	if len(l.out) != 0 {
-		t.Fatalf("dropped frames still queued: %d", len(l.out))
-	}
-}
-
-func TestRouteBackpressure(t *testing.T) {
-	// A live rank whose queue is full must surface structured
-	// backpressure on the event channel instead of blocking the router.
-	cd := &coord{stop: make(chan struct{}), evCh: make(chan event, 4)}
-	l := &rankLink{rank: 0, out: make(chan outFrame, 1)}
-	l.cond = sync.NewCond(&l.mu)
-	cd.links = []*rankLink{l}
-
-	cd.route(l, frameDrain, []byte("a"))
-	cd.route(l, frameDrain, []byte("b"))
-	select {
-	case ev := <-cd.evCh:
-		if !ev.backpressure || ev.rank != 0 {
-			t.Fatalf("unexpected event %+v", ev)
+	for rank, want := range []int64{0, 1, 1, 0} {
+		if got := cd.links[rank].drops.Load(); got != want {
+			t.Errorf("rank %d: %d drops, want %d", rank, got, want)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("queue overflow produced no backpressure event")
 	}
 }
 
@@ -226,11 +226,6 @@ func (c *countingRWC) Write(p []byte) (int, error) {
 	return c.rwc.Write(p)
 }
 
-// failingRWC refuses every write, like a socket whose peer is gone.
-type failingRWC struct{ rwc }
-
-func (failingRWC) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
-
 // dataBody builds a frameData body the way a worker sends one: the
 // payload behind the header room, the header written into it.
 func dataBody(kind nativeeden.MsgKind, chanID int64, src, dst int, payload string) []byte {
@@ -241,17 +236,15 @@ func dataBody(kind nativeeden.MsgKind, chanID int64, src, dst int, payload strin
 
 // fixedFrames are the well-formed frames the round-trip test and the
 // fuzz corpus share.
-var fixedFrames = []struct {
-	kind byte
-	seq  uint32
-	body []byte
-}{
-	{frameHello, 0, encodeHello(2, helloFlagReconnect, 77)},
-	{frameGo, 0, nil},
-	{frameData, 1, dataBody(3, 42, 1, 4, "payload")},
-	{framePing, 0, encodePing(123456789, 31)},
-	{frameAck, 0, encodeSeq(9)},
-	{frameReport, 2, []byte(`{"rank":1}`)},
+var fixedFrames = []frame{
+	{frameHello, encodeHello(2, helloFlagReconnect)},
+	{frameGo, nil},
+	{frameData, dataBody(3, 42, 1, 4, "payload")},
+	{framePing, encodePing(123456789)},
+	{frameAck, nil},
+	{frameReport, []byte(`{"rank":1}`)},
+	{frameError, encodeWorkerError(&faults.DeadlockError{Backend: "nativeeden", Reason: "quiescence"})},
+	{framePong, encodePing(-1)},
 }
 
 func TestFrameSingleWrite(t *testing.T) {
@@ -259,7 +252,7 @@ func TestFrameSingleWrite(t *testing.T) {
 	// for a whole batch queued before a flush.
 	w := &countingRWC{}
 	c := newConn(w)
-	if err := c.write(frameData, 1, make([]byte, 512)); err != nil {
+	if err := c.write(frameData, make([]byte, 512)); err != nil {
 		t.Fatal(err)
 	}
 	if w.writes != 1 {
@@ -267,7 +260,7 @@ func TestFrameSingleWrite(t *testing.T) {
 	}
 	const n = 32
 	for i := 0; i < n; i++ {
-		if err := c.queue(frameData, uint32(2+i), []byte{byte(i)}); err != nil {
+		if err := c.queue(frameData, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,21 +273,18 @@ func TestFrameSingleWrite(t *testing.T) {
 	if w.writes != 2 {
 		t.Fatalf("flushing %d queued frames took %d writes, want 1", n, w.writes-1)
 	}
-	// Everything written reads back as 1+n frames, in order, seqs intact.
+	// Everything written reads back as 1+n frames, in order.
 	r := readerOver(w.Bytes())
-	for want := uint32(1); want <= n+1; want++ {
-		kind, seq, body, err := r.read(nil)
+	for i := 0; i <= n; i++ {
+		kind, body, err := r.read(nil)
 		if err != nil {
-			t.Fatalf("frame %d: %v", want, err)
+			t.Fatalf("frame %d: %v", i, err)
 		}
-		if kind != frameData || seq != want {
-			t.Fatalf("frame %d read back as kind %d seq %d", want, kind, seq)
-		}
-		if want > 1 && (len(body) != 1 || body[0] != byte(want-2)) {
-			t.Fatalf("frame %d body %v", want, body)
+		if kind != frameData || (i == 0 && len(body) != 512) || (i > 0 && (len(body) != 1 || body[0] != byte(i-1))) {
+			t.Fatalf("frame %d read back as kind %d body %v", i, kind, body)
 		}
 	}
-	if _, _, _, err := r.read(nil); err != io.EOF {
+	if _, _, err := r.read(nil); err != io.EOF {
 		t.Fatalf("after the batch: %v, want EOF", err)
 	}
 }
@@ -318,13 +308,13 @@ func TestFrameLargeBodyGrows(t *testing.T) {
 		body[i] = byte(i * 7)
 	}
 	w := &rwc{}
-	if err := newConn(w).write(frameReport, 9, body); err != nil {
+	if err := newConn(w).write(frameReport, body); err != nil {
 		t.Fatal(err)
 	}
 	for name, buf := range reuseBufs() {
-		kind, seq, got, err := readerOver(w.Bytes()).read(buf)
-		if err != nil || kind != frameReport || seq != 9 || !bytes.Equal(got, body) {
-			t.Fatalf("large frame into %s buffer: kind %d seq %d len %d err %v", name, kind, seq, len(got), err)
+		kind, got, err := readerOver(w.Bytes()).read(buf)
+		if err != nil || kind != frameReport || !bytes.Equal(got, body) {
+			t.Fatalf("large frame into %s buffer: kind %d len %d err %v", name, kind, len(got), err)
 		}
 	}
 }
@@ -343,13 +333,13 @@ func TestFrameHostileLength(t *testing.T) {
 	// Four untrusted bytes claim a gigabyte and then the stream ends:
 	// the reader must fail having allocated a read step, not the claim,
 	// whatever buffer it was handed.
-	raw := make([]byte, 4, 4+frameHeaderLen)
+	raw := make([]byte, 4, 4+frameHeaderLen+4)
 	binary.LittleEndian.PutUint32(raw, maxFrame)
 	raw = append(raw, frameData, 1, 0, 0, 0)
 	for name, buf := range reuseBufs() {
 		c := readerOver(raw)
 		var err error
-		got := allocatedBy(func() { _, _, _, err = c.read(buf) })
+		got := allocatedBy(func() { _, _, err = c.read(buf) })
 		if err != io.ErrUnexpectedEOF {
 			t.Fatalf("truncated gigabyte frame into %s buffer: %v, want %v", name, err, io.ErrUnexpectedEOF)
 		}
@@ -404,17 +394,17 @@ func TestReusedReadAllocatesNothing(t *testing.T) {
 	w := &rwc{}
 	wc := newConn(w)
 	for i := 0; i <= runs+1; i++ { // the warm-up read, AllocsPerRun's own, then runs
-		if err := wc.write(frameData, uint32(i+1), frame); err != nil {
+		if err := wc.write(frameData, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c := readerOver(w.Bytes())
-	_, _, buf, err := c.read(nil)
+	_, buf, err := c.read(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(runs, func() {
-		_, _, body, err := c.read(buf)
+		_, body, err := c.read(buf)
 		if err != nil || !bytes.Equal(body, frame) {
 			t.Fatalf("reused read: %d bytes, %v", len(body), err)
 		}
@@ -425,132 +415,162 @@ func TestReusedReadAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestTrimAckedClearsTail(t *testing.T) {
-	// Acked bodies must not stay reachable through the vacated tail of
-	// the backing array.
-	buf := make([]savedFrame, 4)
-	for i := range buf {
-		buf[i] = savedFrame{seq: uint32(i + 1), kind: frameData, body: []byte{byte(i)}}
-	}
-	kept := trimAcked(buf, 3)
-	if len(kept) != 1 || kept[0].seq != 4 {
-		t.Fatalf("trimAcked(3) left %v", kept)
-	}
-	for i, f := range buf[len(kept):] {
-		if f.body != nil || f.seq != 0 {
-			t.Errorf("vacated slot %d still holds %+v", len(kept)+i, f)
-		}
-	}
+// newTestCoord is a coordinator of procs ranks, none connected, with
+// nothing running, and its rank 0 link.
+func newTestCoord(procs int) (*coord, *rankLink) {
+	cd := newCoord(Config{Procs: procs, PerProc: 1})
+	return cd, cd.links[0]
 }
 
-// newTestCoord is a coordinator with one rank link, whose outbound
-// queue holds depth frames, and nothing running.
-func newTestCoord(depth int) (*coord, *rankLink) {
-	cd := &coord{stop: make(chan struct{}), evCh: make(chan event, 16)}
-	l := &rankLink{rank: 0, out: make(chan outFrame, depth)}
-	l.cond = sync.NewCond(&l.mu)
-	cd.links = []*rankLink{l}
-	return cd, l
+// cutRWC takes the first limit bytes written and then fails, like a
+// socket cut mid-frame.
+type cutRWC struct {
+	rwc
+	limit int
+}
+
+func (c *cutRWC) Write(p []byte) (int, error) {
+	if c.Len()+len(p) > c.limit {
+		n, _ := c.rwc.Write(p[:c.limit-c.Len()])
+		return n, io.ErrClosedPipe
+	}
+	return c.rwc.Write(p)
 }
 
 func TestFlushFailureReplaysExactlyOnce(t *testing.T) {
-	// A batch buffered on a conn whose flush fails stays whole in the
-	// retransmit buffer, and the reconnect replays it once, in order,
-	// ahead of anything sent afterwards.
-	cd, l := newTestCoord(16)
-	defer close(cd.stop)
-	bad := newConn(&failingRWC{})
-	l.c, l.gen = bad, 1
-	for i := 0; i < 3; i++ {
-		if c := cd.deliver(l, outFrame{kind: frameDrain, body: []byte{byte(i)}}); c != bad {
-			t.Fatalf("frame %d buffered on %p, want the live conn", i, c)
+	result, report := testResult(t), []byte(`{"rank":0}`)
+	t.Run("worker", func(t *testing.T) {
+		// The link breaks mid-REPORT. The caller sees success, BYE waits
+		// for the link, and the reconnect resends RESULT and REPORT after
+		// reading the WELCOME: the coordinator reads RESULT, REPORT and
+		// BYE on the new link once each, in order.
+		l := newWLink(0, "unix", "", true)
+		l.c = newConn(&cutRWC{limit: 4 + frameHeaderLen + len(result) + 3})
+		if err := l.write(frameResult, result); err != nil {
+			t.Fatal(err)
 		}
-	}
-	cd.flush(l, bad)
-	if l.c != nil {
-		t.Fatal("a failed flush left the broken conn installed")
-	}
-	if len(l.unacked) != 3 {
-		t.Fatalf("%d frames in the retransmit buffer after a failed flush, want 3", len(l.unacked))
-	}
+		if err := l.write(frameReport, report); err != nil {
+			t.Fatalf("a send cut mid-frame returned %v, want nil (the reconnect resends it)", err)
+		}
+		bye := make(chan error, 1)
+		go func() { bye <- l.write(frameBye, nil) }()
 
-	// The worker redials having processed frame 1 only.
-	ours, theirs := net.Pipe()
-	defer theirs.Close()
-	type frame struct {
-		kind byte
-		seq  uint32
-		body []byte
-	}
-	got := make(chan frame, 8)
-	go func() {
-		r := newConn(theirs)
-		for {
-			kind, seq, body, err := r.read(nil)
-			if err != nil {
-				close(got)
+		ours, theirs := net.Pipe()
+		coord := newConn(theirs)
+		var fs []frame
+		var herr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			kind, body, err := coord.read(nil)
+			if err != nil || kind != frameHello {
+				herr = fmt.Errorf("first frame kind %d, %v; want HELLO", kind, err)
 				return
 			}
-			got <- frame{kind, seq, body}
+			if rank, flags, err := decodeHello(body); err != nil || rank != 0 || flags != helloFlagReconnect {
+				herr = fmt.Errorf("hello rank %d flags %d, %v", rank, flags, err)
+				return
+			}
+			if herr = coord.write(frameWelcome, nil); herr != nil {
+				return
+			}
+			fs = collect(pipeReader(coord))
+		}()
+		if _, err := l.resume(ours); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	resumed := newConn(ours)
-	if !cd.resumeRank(l, resumed, 1) {
-		t.Fatal("resumeRank refused a healthy conn")
-	}
-	cd.flush(l, cd.deliver(l, outFrame{kind: frameDrain, body: []byte{3}}))
-	resumed.Close()
-
-	var frames []frame
-	for f := range got {
-		frames = append(frames, f)
-	}
-	if len(frames) != 4 || frames[0].kind != frameWelcome {
-		t.Fatalf("after the reconnect the worker read %+v, want welcome + 3 drain frames", frames)
-	}
-	for i, f := range frames[1:] {
-		if f.kind != frameDrain || f.seq != uint32(i+2) || len(f.body) != 1 || f.body[0] != byte(i+1) {
-			t.Fatalf("replayed frame %d is %+v, want drain seq %d body [%d]", i, f, i+2, i+1)
+		if err := <-bye; err != nil {
+			t.Fatal(err)
 		}
-	}
+		ours.Close()
+		<-done
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		want := []frame{{frameResult, result}, {frameReport, report}, {frameBye, nil}}
+		if len(fs) != len(want) {
+			t.Fatalf("after the reconnect the coordinator read %+v, want RESULT, REPORT, BYE", fs)
+		}
+		for i, f := range fs {
+			if f.kind != want[i].kind || !bytes.Equal(f.body, want[i].body) {
+				t.Fatalf("frame %d is %+v, want %+v", i, f, want[i])
+			}
+		}
+		if l.reconnects != 1 {
+			t.Fatalf("reconnects = %d, want 1", l.reconnects)
+		}
+	})
+	t.Run("coordinator", func(t *testing.T) {
+		// Resent RESULT and REPORT are ignored: each rank reads its DRAIN
+		// once and one report is recorded. A rank that reconnects before
+		// reporting is owed its DRAIN again, right after the WELCOME.
+		cd, _ := newTestCoord(3)
+		defer close(cd.stop)
+		var got [3]<-chan frame
+		for rank := 1; rank < 3; rank++ {
+			ours, theirs := net.Pipe()
+			l := cd.links[rank]
+			l.c, l.gen = newConn(ours), 1
+			l.up.Store(true)
+			got[rank] = pipeReader(newConn(theirs))
+		}
+		for _, ev := range []event{
+			{rank: 0, kind: frameResult, body: result},
+			{rank: 0, kind: frameResult, body: result},
+			{rank: 1, kind: frameReport, body: report},
+			{rank: 1, kind: frameReport, body: report},
+			{rank: 2, gen: 1, readerEnd: true, err: io.ErrUnexpectedEOF},
+		} {
+			if err := cd.step(ev); err != nil {
+				t.Fatalf("step(%+v): %v", ev, err)
+			}
+		}
+		if cd.nReports != 1 || cd.reports[1] == nil {
+			t.Fatalf("%d reports recorded, want rank 1's once", cd.nReports)
+		}
+		ours, theirs := net.Pipe()
+		resumed := pipeReader(newConn(theirs))
+		if err := cd.step(event{rank: 2, reHello: newConn(ours)}); err != nil {
+			t.Fatal(err)
+		}
+		if cd.res.Reconnects != 1 {
+			t.Fatalf("Reconnects = %d, want 1", cd.res.Reconnects)
+		}
+		cd.links[1].kill()
+		cd.links[2].kill()
+		for rank := 1; rank < 3; rank++ {
+			if fs := collect(got[rank]); len(fs) != 1 || fs[0].kind != frameDrain {
+				t.Errorf("rank %d's first link read %+v, want one DRAIN", rank, fs)
+			}
+		}
+		if fs := collect(resumed); len(fs) != 2 || fs[0].kind != frameWelcome || fs[1].kind != frameDrain {
+			t.Errorf("rank 2's new link read %+v, want WELCOME then DRAIN", fs)
+		}
+	})
 }
 
-func TestWriteLoopCoalescesQueuedFrames(t *testing.T) {
-	// Frames already queued when the writer wakes leave in one write.
-	cd, l := newTestCoord(flushEvery)
-	w := &countingRWC{}
-	l.c, l.gen = newConn(w), 1
-	const n = 32
-	for i := 0; i < n; i++ {
-		cd.route(l, frameDrain, make([]byte, 512))
-	}
-	done := make(chan struct{})
-	go func() { cd.writeLoop(l); close(done) }()
-	for { // the writer is the only consumer: wait for it to drain the queue
-		l.mu.Lock()
-		sent := len(l.unacked)
-		l.mu.Unlock()
-		if sent == n {
-			break
-		}
-		runtime.Gosched()
-	}
+func TestReconnectHelloClosedOnStop(t *testing.T) {
+	// A reconnect HELLO that reaches a coordinator whose state machine
+	// has stopped reading is closed, not dropped: the worker reads EOF.
+	cd := &coord{cfg: Config{Procs: 2, PerProc: 1}, stop: make(chan struct{})}
 	close(cd.stop)
-	<-done
-	if w.writes != 1 {
-		t.Fatalf("%d queued frames took %d writes, want 1", n, w.writes)
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	go cd.handleHello(ours, nil)
+	w := newConn(theirs)
+	if err := w.write(frameHello, encodeHello(1, helloFlagReconnect)); err != nil {
+		t.Fatal(err)
 	}
-	r := readerOver(w.Bytes())
-	for want := uint32(1); want <= n; want++ {
-		if _, seq, _, err := r.read(nil); err != nil || seq != want {
-			t.Fatalf("frame %d read back as seq %d, %v", want, seq, err)
-		}
+	_ = theirs.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if _, _, err := w.read(nil); err != io.EOF {
+		t.Fatalf("worker's read after a HELLO to a stopped coordinator: %v, want EOF", err)
 	}
 }
 
 func TestAwaitAckedWakesOnEvents(t *testing.T) {
-	// The goodbye wait ends the moment the last ack lands or the link
-	// dies — not at the next poll, and long before its cap.
+	// The goodbye wait ends the moment the coordinator's ACK lands or the
+	// link dies — not at the next poll, and long before its cap — and the
+	// cap still bounds a silent coordinator.
 	waiting := func(l *wlink) chan struct{} {
 		done := make(chan struct{})
 		go func() { l.awaitAcked(time.Hour); close(done) }()
@@ -566,26 +586,39 @@ func TestAwaitAckedWakesOnEvents(t *testing.T) {
 	}
 
 	l := newWLink(1, "unix", "", true)
-	l.unacked = []savedFrame{{seq: 1}, {seq: 2}}
+	ours, theirs := net.Pipe()
+	l.c = newConn(ours)
+	readErr := make(chan error, 1)
+	go func() { readErr <- l.readControl(func() {}) }()
+	coord := newConn(theirs)
 	done := waiting(l)
-	l.ackSent(1)
+	if err := coord.write(framePing, encodePing(1)); err != nil {
+		t.Fatal(err)
+	}
+	if kind, _, err := coord.read(nil); err != nil || kind != framePong {
+		t.Fatalf("ping answered with kind %d, %v", kind, err)
+	}
 	select {
 	case <-done:
-		t.Fatal("awaitAcked returned with a frame still unacked")
+		t.Fatal("awaitAcked returned before the ACK")
 	case <-time.After(10 * time.Millisecond):
 	}
-	l.ackSent(2)
-	returned(done, "the final ack")
+	if err := coord.write(frameAck, nil); err != nil {
+		t.Fatal(err)
+	}
+	returned(done, "the ACK")
+	theirs.Close()
+	if err := <-readErr; err != nil {
+		t.Fatalf("the coordinator hung up after the ACK, and the reader ended with %v, want nil", err)
+	}
 
 	l = newWLink(1, "unix", "", true)
-	l.unacked = []savedFrame{{seq: 1}}
 	done = waiting(l)
 	l.failTerminal(io.ErrClosedPipe)
 	returned(done, "a terminal link error")
 
 	l = newWLink(1, "unix", "", true)
-	l.unacked = []savedFrame{{seq: 1}}
-	l.awaitAcked(time.Millisecond) // the cap still bounds a silent coordinator
+	l.awaitAcked(time.Millisecond) // the cap
 }
 
 func TestReportFailedNamesCauseOnce(t *testing.T) {
@@ -606,12 +639,14 @@ func TestReportFailedNamesCauseOnce(t *testing.T) {
 // allocates more than a small multiple of them plus a constant. The
 // input is read twice — into fresh bodies, and into one reused buffer
 // left dirty by a previous frame — and both reads must return the same
-// frames and end with the same error.
+// frames and end with the same error. Each frame is also handed to the
+// decoder for its kind, which must not panic and must reject a
+// malformed body.
 func FuzzFrameRead(f *testing.F) {
 	var all []byte
 	for _, fr := range fixedFrames {
 		w := &rwc{}
-		if err := newConn(w).write(fr.kind, fr.seq, fr.body); err != nil {
+		if err := newConn(w).write(fr.kind, fr.body); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(w.Bytes())
@@ -622,27 +657,22 @@ func FuzzFrameRead(f *testing.F) {
 	over := make([]byte, 4)
 	binary.LittleEndian.PutUint32(over, maxFrame+1)
 	f.Add(over)
-	f.Add([]byte{0x09, 0x00, 0x00, 0x00, frameData, 1})
+	f.Add([]byte{0x05, 0x00, 0x00, 0x00, frameData, 1})          // a body cut short
 	f.Add([]byte{0x00, 0x00, 0x00, 0x40, frameData, 1, 0, 0, 0}) // claims maxFrame
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := readerOver(data)
 		total := 0
-		type frame struct {
-			kind byte
-			seq  uint32
-			body []byte
-		}
 		var fresh []frame
 		var freshErr error
 		got := allocatedBy(func() {
 			for {
-				kind, seq, body, err := c.read(nil)
+				kind, body, err := c.read(nil)
 				if err != nil {
 					freshErr = err
 					return
 				}
 				total += 4 + frameHeaderLen + len(body)
-				fresh = append(fresh, frame{kind, seq, body})
+				fresh = append(fresh, frame{kind, body})
 			}
 		})
 		if total > len(data) {
@@ -654,14 +684,17 @@ func FuzzFrameRead(f *testing.F) {
 		if limit := uint64(4*len(data) + 16*readStep); got > limit {
 			t.Fatalf("reading %d bytes allocated %d (limit %d)", len(data), got, limit)
 		}
+		for _, fr := range fresh {
+			checkDecode(t, fr)
+		}
 
-		_, _, buf, err := readerOver(all).read(nil) // the previous frame's leftovers
+		_, buf, err := readerOver(all).read(nil) // the previous frame's leftovers
 		if err != nil {
 			t.Fatal(err)
 		}
 		c = readerOver(data)
 		for i := 0; ; i++ {
-			kind, seq, body, err := c.read(buf)
+			kind, body, err := c.read(buf)
 			if err != nil {
 				if i != len(fresh) || fmt.Sprint(err) != fmt.Sprint(freshErr) {
 					t.Fatalf("reused read ended at frame %d with %v; fresh read at %d with %v", i, err, len(fresh), freshErr)
@@ -671,20 +704,51 @@ func FuzzFrameRead(f *testing.F) {
 			if i >= len(fresh) {
 				t.Fatalf("reused read returned frame %d; fresh read ended at %d", i, len(fresh))
 			}
-			if want := fresh[i]; kind != want.kind || seq != want.seq || !bytes.Equal(body, want.body) {
-				t.Fatalf("frame %d: reused read (%d, %d, %x), fresh (%d, %d, %x)", i, kind, seq, body, want.kind, want.seq, want.body)
+			if want := fresh[i]; kind != want.kind || !bytes.Equal(body, want.body) {
+				t.Fatalf("frame %d: reused read (%d, %x), fresh (%d, %x)", i, kind, body, want.kind, want.body)
 			}
 			buf = body
 		}
 	})
 }
 
+// checkDecode hands a frame that arrived from outside to the decoder for
+// its kind: each accepts exactly the well-formed bodies.
+func checkDecode(t *testing.T, fr frame) {
+	t.Helper()
+	switch fr.kind {
+	case frameHello:
+		if _, _, err := decodeHello(fr.body); (err == nil) != (len(fr.body) == helloLen) {
+			t.Fatalf("decodeHello(%d bytes): %v", len(fr.body), err)
+		}
+	case framePing, framePong:
+		if _, err := decodePing(fr.body); (err == nil) != (len(fr.body) == pingLen) {
+			t.Fatalf("decodePing(%d bytes): %v", len(fr.body), err)
+		}
+	case frameData:
+		_, _, _, _, payload, err := decodeData(fr.body)
+		if (err == nil) != (len(fr.body) >= dataHeaderLen) || (err == nil && len(payload) != len(fr.body)-dataHeaderLen) {
+			t.Fatalf("decodeData(%d bytes): %d-byte payload, %v", len(fr.body), len(payload), err)
+		}
+	case frameError:
+		// An envelope that does not parse, or has no text, is only text.
+		err := decodeWorkerError(1, fr.body)
+		if err == nil || !strings.Contains(err.Error(), "rank 1") {
+			t.Fatalf("decodeWorkerError(%q) = %v", fr.body, err)
+		}
+		var env wireError
+		if (json.Unmarshal(fr.body, &env) != nil || env.Text == "") && errors.Unwrap(err) != nil {
+			t.Fatalf("decodeWorkerError(%q) found a typed failure in a malformed envelope: %#v", fr.body, errors.Unwrap(err))
+		}
+	}
+}
+
 var frameSink []byte
 
 // BenchmarkFrameWriteRead prices a framed hop over a unix socket pair:
 // burst frames of 512 bytes written (burst1: one write each, as a
-// worker sends to a peer; burst32: queued then flushed once, as the
-// coordinator's writer drains a backlog) and read back.
+// worker sends to a peer; burst32: queued then flushed once, as a
+// reconnect resends what it kept) and read back.
 func BenchmarkFrameWriteRead(b *testing.B) {
 	for _, burst := range []int{1, 32} {
 		b.Run(fmt.Sprintf("burst%d", burst), func(b *testing.B) {
@@ -711,13 +775,13 @@ func BenchmarkFrameWriteRead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < burst; j++ {
-					_ = w.queue(frameData, uint32(j+1), body)
+					_ = w.queue(frameData, body)
 				}
 				if err := w.flush(); err != nil {
 					b.Fatal(err)
 				}
 				for j := 0; j < burst; j++ {
-					_, _, got, err := r.read(nil)
+					_, got, err := r.read(nil)
 					if err != nil {
 						b.Fatal(err)
 					}

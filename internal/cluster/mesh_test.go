@@ -160,7 +160,7 @@ func TestControlLinkRejectsData(t *testing.T) {
 	ours, theirs := net.Pipe()
 	defer theirs.Close()
 	go cd.readLoop(l, newConn(ours), 1)
-	if err := newConn(theirs).write(frameData, 0, body); err != nil {
+	if err := newConn(theirs).write(frameData, body); err != nil {
 		t.Fatal(err)
 	}
 	ev := <-cd.evCh
@@ -173,7 +173,7 @@ func TestControlLinkRejectsData(t *testing.T) {
 	defer theirs.Close()
 	w.c = newConn(ours)
 	go func() {
-		if err := newConn(theirs).write(frameData, 0, body); err != nil {
+		if err := newConn(theirs).write(frameData, body); err != nil {
 			t.Error(err)
 		}
 	}()

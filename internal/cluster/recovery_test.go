@@ -66,8 +66,9 @@ func TestClusterRespawnAfterKill(t *testing.T) {
 func TestClusterReconnectAfterFlap(t *testing.T) {
 	// Rank 1's link drops for 80ms mid-run and the worker redials. The
 	// run must ride it out in place: no restart, at least one accepted
-	// reconnect, oracle-equal result (the seq/ack replay means no frame
-	// was lost or doubled across the outage).
+	// reconnect, oracle-equal result (the worker resends its one-shot
+	// control frames after the WELCOME and the coordinator ignores what
+	// it already has, so no frame was lost or doubled across the outage).
 	for _, transport := range []string{"tcp", "unix"} {
 		t.Run(transport, func(t *testing.T) {
 			res := runOK(t, Config{
@@ -77,7 +78,7 @@ func TestClusterReconnectAfterFlap(t *testing.T) {
 				EventLog: true,
 				// Wide window: a loaded -race machine can starve the worker's
 				// redial loop well past the 3s default, and this test is about
-				// the replay protocol, not the scheduler's latency.
+				// the resend protocol, not the scheduler's latency.
 				ReconnectWindow: 20 * time.Second,
 			})
 			if res.Reconnects < 1 {

@@ -48,14 +48,12 @@ const (
 const killExitCode = 3
 
 // Worker-side reconnection tuning: how long a worker keeps redialling
-// a lost coordinator before giving up, the dial backoff bounds, and
-// the retransmit-buffer cap (outgrowing it means the coordinator has
-// stopped acking — a wedged coordinator, not a slow one).
+// a lost coordinator before giving up, the dial backoff bounds, how long
+// it waits for a WELCOME, and how long it waits for the ACK of its BYE.
 const (
 	redialWindow     = 15 * time.Second
 	redialBackoffMin = 25 * time.Millisecond
 	redialBackoffMax = time.Second
-	workerMaxUnacked = 4096
 	welcomeDeadline  = 5 * time.Second
 	byeAckLinger     = 5 * time.Second
 )
@@ -96,9 +94,8 @@ type workerReport struct {
 // wlink is the worker's self-healing coordinator link. Writers block
 // while the link is down and the reader owns redial: on a connection
 // error it re-dials with exponential backoff inside redialWindow,
-// re-HELLOs with its receive cursor, takes the coordinator's welcome
-// (the coordinator's receive cursor), replays every sequenced frame
-// the coordinator never acked, and only then wakes the writers. With
+// re-HELLOs, takes the coordinator's WELCOME, resends every one-shot
+// frame it has sent so far, and only then wakes the writers. With
 // reconnection disabled (or a sever-rank fault) the first break is
 // terminal.
 type wlink struct {
@@ -110,12 +107,10 @@ type wlink struct {
 	c          *conn // nil while down
 	err        error // terminal: the link is gone for good
 	reconnect  bool
-	sendSeq    uint32
-	unacked    []savedFrame
-	lastRecv   uint32
+	sent       []oneShot // every one-shot frame sent, in order
+	acked      bool      // the coordinator has answered our BYE
 	holdUntil  time.Time // flap-rank outage: no redial before this
 	reconnects int
-	byeSent    bool
 
 	// wedged simulates a worker whose link servicing died while the
 	// process lives: reads, pongs and sends all stop.
@@ -135,7 +130,7 @@ func (l *wlink) dial() error {
 		return fmt.Errorf("cluster: rank %d dial %s: %w", l.rank, l.addr, err)
 	}
 	c := newConn(nc)
-	if err := c.write(frameHello, 0, encodeHello(l.rank, 0, 0)); err != nil {
+	if err := c.write(frameHello, encodeHello(l.rank, 0)); err != nil {
 		nc.Close()
 		return fmt.Errorf("cluster: rank %d hello: %w", l.rank, err)
 	}
@@ -160,15 +155,21 @@ func (l *wlink) stallIfWedged() {
 	}
 }
 
-// write sends one frame. Sequenced frames are reliable: they enter the
-// retransmit buffer before the first attempt, so a send that breaks
-// mid-flight is simply replayed by the reader's redial — the caller
-// sees success, exactly-once delivery is the seq/ack layer's job.
-// Unsequenced frames are best-effort. Returns the terminal link error
-// once the link is gone for good.
+// oneShot is a frame a worker sends once a run (RESULT or ERROR,
+// REPORT, BYE), kept so a reconnect can resend it.
+type oneShot struct {
+	kind byte
+	body []byte
+}
+
+// write sends one one-shot frame and keeps it. A send that breaks
+// mid-flight is resent by the reader's redial, so the caller sees
+// success; the error is the terminal link error once the link is gone
+// for good. The frame is kept and written under the link lock, so a
+// resume either resends it or installs its conn before it is written:
+// frames reach the coordinator in the order they were sent.
 func (l *wlink) write(kind byte, body []byte) error {
 	l.stallIfWedged()
-	isSeq := sequenced(kind)
 	l.mu.Lock()
 	for l.c == nil && l.err == nil {
 		l.cond.Wait()
@@ -179,48 +180,16 @@ func (l *wlink) write(kind byte, body []byte) error {
 		return err
 	}
 	c := l.c
-	var seq uint32
-	if isSeq {
-		l.byeSent = l.byeSent || kind == frameBye
-		l.sendSeq++
-		seq = l.sendSeq
-		l.unacked = append(l.unacked, savedFrame{seq: seq, kind: kind, body: body})
-		if len(l.unacked) > workerMaxUnacked {
-			err := fmt.Errorf("cluster: rank %d: %d frames unacked, coordinator not acking", l.rank, len(l.unacked))
-			l.err = err
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			c.Close()
-			return err
-		}
-		// Sequenced frames must hit the socket in seq order, so the
-		// write happens under the link lock; senders racing here would
-		// otherwise interleave as receive-side sequence gaps.
-		werr := c.write(kind, seq, body)
-		l.mu.Unlock()
-		if werr != nil {
-			l.broken(c, werr)
-			l.mu.Lock()
-			terr := l.err
-			l.mu.Unlock()
-			return terr // nil when the redial will replay it
-		}
-		return nil
-	}
+	l.sent = append(l.sent, oneShot{kind, body})
+	werr := c.write(kind, body)
 	l.mu.Unlock()
-	if err := c.write(kind, seq, body); err != nil {
-		l.broken(c, err)
-		l.mu.Lock()
-		terr := l.err
-		l.mu.Unlock()
-		if terr != nil {
-			return terr
-		}
-		// Sequenced: the redial replays it. Unsequenced: pings and acks
-		// are periodic, losing one is fine.
+	if werr == nil {
 		return nil
 	}
-	return nil
+	l.broken(c, werr)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err // nil when the redial will resend it
 }
 
 // broken marks c dead. The reader owns redial; writers just step
@@ -329,33 +298,25 @@ func (l *wlink) redial(failed *conn, cause error) (*conn, error) {
 }
 
 // resume performs the reconnect handshake on a freshly-dialled socket:
-// re-HELLO with our receive cursor, read the welcome, trim and replay
-// the retransmit buffer, install the conn, wake the writers.
+// re-HELLO, read the WELCOME, resend every one-shot frame sent so far
+// (the coordinator ignores what it already has), install the conn, wake
+// the writers.
 func (l *wlink) resume(nc net.Conn) (*conn, error) {
 	c := newConn(nc)
-	l.mu.Lock()
-	lastRecv := l.lastRecv
-	l.mu.Unlock()
-	if err := c.write(frameHello, 0, encodeHello(l.rank, helloFlagReconnect, lastRecv)); err != nil {
+	if err := c.write(frameHello, encodeHello(l.rank, helloFlagReconnect)); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	_ = nc.SetReadDeadline(time.Now().Add(welcomeDeadline))
-	kind, _, body, err := c.read(nil)
+	kind, _, err := c.read(nil)
 	if err != nil || kind != frameWelcome {
 		nc.Close()
 		return nil, fmt.Errorf("cluster: rank %d waiting for welcome: kind %d, %v", l.rank, kind, err)
 	}
 	_ = nc.SetReadDeadline(time.Time{})
-	coordRecv, err := decodeSeq(body)
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
 	l.mu.Lock()
-	l.unacked = trimAcked(l.unacked, coordRecv)
-	for _, f := range l.unacked {
-		_ = c.queue(f.kind, f.seq, f.body) // sticky: the flush reports it
+	for _, f := range l.sent {
+		_ = c.queue(f.kind, f.body) // sticky: the flush reports it
 	}
 	if werr := c.flush(); werr != nil {
 		l.mu.Unlock()
@@ -369,57 +330,18 @@ func (l *wlink) resume(nc net.Conn) (*conn, error) {
 	return c, nil
 }
 
-// accept applies receive-side sequencing to an incoming frame:
-// process reports whether to handle it (false for a replayed
-// duplicate), ackNow whether the cumulative ack is due, and err a
-// protocol violation (a gap can only mean a broken retransmit layer).
-func (l *wlink) accept(seq uint32) (process, ackNow bool, err error) {
-	if seq == 0 {
-		return true, false, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch {
-	case seq <= l.lastRecv:
-		return false, false, nil
-	case seq != l.lastRecv+1:
-		return false, false, fmt.Errorf("cluster: rank %d: sequence gap (frame %d after %d)", l.rank, seq, l.lastRecv)
-	}
-	l.lastRecv = seq
-	return true, l.lastRecv%ackEvery == 0, nil
-}
-
-// ackSent trims the retransmit buffer by the peer's cumulative ack and
-// wakes awaitAcked once nothing is left outstanding.
-func (l *wlink) ackSent(seq uint32) {
-	l.mu.Lock()
-	l.unacked = trimAcked(l.unacked, seq)
-	if len(l.unacked) == 0 {
-		l.cond.Broadcast()
-	}
-	l.mu.Unlock()
-}
-
-// finished reports whether the coordinator has acked everything up to
-// our goodbye: the link's work is done, and redialling would only hand
-// the coordinator a connection it no longer wants.
+// finished reports whether the coordinator has acked our goodbye: the
+// link's work is done, and redialling would only hand the coordinator a
+// connection it no longer wants.
 func (l *wlink) finished() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.byeSent && len(l.unacked) == 0
+	return l.acked
 }
 
-// recvCursor is the highest sequenced frame processed so far.
-func (l *wlink) recvCursor() uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastRecv
-}
-
-// awaitAcked lingers until the coordinator has acked everything (the
-// report and bye, in practice), the link died, or the timeout passed.
-// Exiting with the report unacked risks the coordinator reading a
-// death instead of a result.
+// awaitAcked lingers after BYE until the coordinator's ACK arrives, the
+// link is gone for good, or the timeout passes. Exiting before the ACK
+// risks the coordinator reading a death instead of a result.
 func (l *wlink) awaitAcked(timeout time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -431,8 +353,8 @@ func (l *wlink) awaitAcked(timeout time.Duration) {
 		l.mu.Unlock()
 	})
 	defer timer.Stop()
-	// ackSent and every terminal-error path broadcast on the cond.
-	for len(l.unacked) > 0 && l.err == nil && !timedOut {
+	// The ACK and every terminal-error path broadcast on the cond.
+	for !l.acked && l.err == nil && !timedOut {
 		l.cond.Wait()
 	}
 }
@@ -441,9 +363,9 @@ func (l *wlink) awaitAcked(timeout time.Duration) {
 // to every other rank. A send is one frame written under its peer
 // conn's lock, which keeps per-(src,dst) FIFO order; the frame
 // nativeeden encoded is the body, its header written into the room in
-// front of the payload. Peer frames carry no seq and are never retained:
-// the socket is ordered and lossless, and an inherited link is never
-// redialled, so nothing could replay them. A link lives and dies with
+// front of the payload. Peer frames are never retained: the socket is
+// ordered and lossless, and an inherited link is never redialled, so
+// nothing could resend them. A link lives and dies with
 // its two processes. A send to a closed peer drops the frame and counts
 // it for that rank, and a read that ends says nothing; the coordinator
 // alone judges a death, by exit, heartbeat or deadline.
@@ -461,7 +383,7 @@ func (t *meshTransport) SendRemote(kind nativeeden.MsgKind, chanID int64, src, d
 	t.l.stallIfWedged()
 	putDataHeader(frame, kind, chanID, src, dst)
 	r := dst / t.perProc
-	if t.peers[r].write(frameData, 0, frame) != nil {
+	if t.peers[r].write(frameData, frame) != nil {
 		t.drops[r].Add(1)
 	}
 	return nil
@@ -473,7 +395,7 @@ func (t *meshTransport) SendRemote(kind nativeeden.MsgKind, chanID int64, src, d
 func (t *meshTransport) read(rts *nativeeden.RTS, c *conn) {
 	var buf []byte
 	for {
-		kind, _, body, err := c.read(buf)
+		kind, body, err := c.read(buf)
 		if err != nil {
 			return
 		}
@@ -526,14 +448,13 @@ func peerConns(rank int, files []*os.File) ([]*conn, error) {
 }
 
 // readControl drains the control connection for the whole run: drain
-// unwinds the run, pings are answered, acks trim the retransmit buffer,
-// and a broken connection triggers the redial instead of aborting. It
-// returns the error that should fail the run: the link is gone for
-// good, or the coordinator broke the protocol — a sequence gap, or a
-// data frame, which has no business on this link. Every frame is read
-// into one buffer for the life of the link: each case below is done
-// with the body before the next read (the redial's welcome is read into
-// a buffer of its own).
+// unwinds the run, pings are echoed, the ACK of our BYE releases
+// awaitAcked, and a broken connection triggers the redial instead of
+// aborting. It returns the error that should fail the run: the link is
+// gone for good, or the coordinator sent a data frame, which has no
+// business on this link. Every frame is read into one buffer for the
+// life of the link: each case below is done with the body before the
+// next read (the redial's welcome is read into a buffer of its own).
 func (l *wlink) readControl(drain func()) error {
 	var buf []byte
 	for {
@@ -544,7 +465,7 @@ func (l *wlink) readControl(drain func()) error {
 				return fmt.Errorf("cluster: rank %d lost coordinator: %w", l.rank, rerr)
 			}
 		}
-		kind, seq, body, err := c.read(buf)
+		kind, body, err := c.read(buf)
 		if err != nil {
 			if l.finished() {
 				return nil // the coordinator hung up after acking our goodbye
@@ -556,32 +477,18 @@ func (l *wlink) readControl(drain func()) error {
 		}
 		buf = body
 		l.stallIfWedged()
-		if kind == frameData {
-			return errDataOnControl(l.rank)
-		}
-		process, ackNow, serr := l.accept(seq)
-		if serr != nil {
-			return serr
-		}
-		if ackNow {
-			_ = c.write(frameAck, 0, encodeSeq(seq))
-		}
-		if !process {
-			continue
-		}
 		switch kind {
+		case frameData:
+			return errDataOnControl(l.rank)
 		case frameDrain:
-			drain()
+			drain() // a DRAIN resent after a reconnect drains again: a no-op
 		case framePing:
-			nanos, ack, perr := decodePing(body)
-			if perr == nil {
-				l.ackSent(ack)
-				_ = c.write(framePong, 0, encodePing(nanos, l.recvCursor()))
-			}
+			_ = c.write(framePong, body)
 		case frameAck:
-			if s, aerr := decodeSeq(body); aerr == nil {
-				l.ackSent(s)
-			}
+			l.mu.Lock()
+			l.acked = true
+			l.cond.Broadcast()
+			l.mu.Unlock()
 		}
 	}
 }
@@ -655,7 +562,7 @@ func workerMain() error {
 		return err
 	}
 	c0 := l.current()
-	kind, _, _, err := c0.read(nil)
+	kind, _, err := c0.read(nil)
 	if err != nil || kind != frameGo {
 		return fmt.Errorf("cluster: rank %d waiting for go: kind %d, %v", rank, kind, err)
 	}

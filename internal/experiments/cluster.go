@@ -95,7 +95,7 @@ func clusterChaosSpec(sub uint64) (mode, spec string) {
 // reconnection protocol, and severed links burn a restart. The oracle
 // gate is total — a "recovered" run whose result differs from the
 // sequential oracle is a violation, which is exactly the corruption the
-// seq/ack replay layer exists to prevent.
+// reconnect's resend protocol exists to prevent.
 func RunClusterChaos(p Params, iters int, seed uint64, transport string, restarts int, reconnect bool) *ClusterChaos {
 	n := p.SumEulerN
 	s := &ClusterChaos{Iterations: iters, Seed: seed, Transport: transport, Budget: restarts, N: n}
