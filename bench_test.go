@@ -25,7 +25,6 @@ import (
 	"parhask/internal/pe"
 	"parhask/internal/rts"
 	"parhask/internal/sim"
-	"parhask/internal/skel"
 	"parhask/internal/workloads/apsp"
 	"parhask/internal/workloads/euler"
 	"parhask/internal/workloads/mandel"
@@ -721,51 +720,6 @@ func BenchmarkQueens(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := eden.NewConfig(8, 8)
 			res, err := eden.Run(cfg, queens.EdenProgram(n, 7, 2, depth))
-			if err != nil {
-				b.Fatal(err)
-			}
-			virt += res.Elapsed
-		}
-		reportVirt(b, virt)
-	})
-}
-
-// BenchmarkHierarchicalMasterWorker compares a flat farm against the
-// two-level hierarchy on many tiny tasks (where the single master is
-// the bottleneck the hierarchy exists to remove).
-func BenchmarkHierarchicalMasterWorker(b *testing.B) {
-	mkTasks := func() []graph.Value {
-		tasks := make([]graph.Value, 600)
-		for i := range tasks {
-			tasks[i] = i
-		}
-		return tasks
-	}
-	work := func(w pe.Ctx, task graph.Value) ([]graph.Value, graph.Value) {
-		w.Burn(60_000)
-		return nil, task
-	}
-	b.Run("flat_12_workers", func(b *testing.B) {
-		var virt int64
-		for i := 0; i < b.N; i++ {
-			cfg := eden.NewConfig(13, 13)
-			res, err := eden.Run(cfg, func(p pe.Ctx) graph.Value {
-				return len(skel.MasterWorker(p, "flat", 12, 2, work, mkTasks()))
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			virt += res.Elapsed
-		}
-		reportVirt(b, virt)
-	})
-	b.Run("hier_3x4_workers", func(b *testing.B) {
-		var virt int64
-		for i := 0; i < b.N; i++ {
-			cfg := eden.NewConfig(16, 16)
-			res, err := eden.Run(cfg, func(p pe.Ctx) graph.Value {
-				return len(skel.HierMasterWorker(p, "hier", 3, 4, 2, 0, work, mkTasks()))
-			})
 			if err != nil {
 				b.Fatal(err)
 			}

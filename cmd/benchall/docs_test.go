@@ -2,6 +2,9 @@ package main
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -32,13 +35,25 @@ var (
 	// A back-ticked repo path runs to the first space or the closing tick.
 	repoPathRE = regexp.MustCompile("`((?:internal|cmd|examples|benchmark)/[^`\\s]*)")
 	braceRE    = regexp.MustCompile(`\{([^{}]*)\}`)
+	codeSpanRE = regexp.MustCompile("`([^`\n]+)`")
+	// A qualified identifier starts a selector chain: a lower-case
+	// package name that is not itself inside a path or a selector, then
+	// the first identifier after it. Two things have the same shape and
+	// are not identifiers: a file name like wire.go, and a benchmark
+	// metric like native.spark_ns (lower case with an underscore).
+	qualIdentRE = regexp.MustCompile(`(?:^|[^\w./-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+	metricRE    = regexp.MustCompile(`^[a-z0-9]*_[a-z0-9_]*$`)
+	fileExts    = map[string]bool{"go": true, "s": true, "md": true, "json": true, "txt": true, "html": true, "yml": true}
 )
 
 // checkDoc returns what text points at that is not there: benchall
 // flags newFlags does not register, results/ files and back-ticked
-// repo paths that do not exist under root, and Test/Benchmark/Fuzz
-// names that are neither a function in funcs nor the prefix of one.
-func checkDoc(text string, flags map[string]bool, funcs []string, root string) []string {
+// repo paths that do not exist under root, Test/Benchmark/Fuzz names
+// that are neither a function in funcs nor the prefix of one, and
+// back-ticked pkg.Name identifiers whose repo package pkg has no
+// top-level declaration Name (decls maps package name to its
+// declarations; names of packages outside the repo are not checked).
+func checkDoc(text string, flags map[string]bool, funcs []string, decls map[string]map[string]bool, root string) []string {
 	var bad []string
 	// A trailing backslash continues a shell command on the next line.
 	text = strings.ReplaceAll(text, "\\\n", " ")
@@ -71,7 +86,50 @@ names:
 		}
 		bad = append(bad, "no test, benchmark or fuzz function named "+name+"…")
 	}
+	for _, span := range codeSpanRE.FindAllStringSubmatch(text, -1) {
+		for _, m := range qualIdentRE.FindAllStringSubmatch(span[1], -1) {
+			pkg, name := m[1], m[2]
+			if names, ok := decls[pkg]; ok && !fileExts[name] && !metricRE.MatchString(name) && !names[name] {
+				bad = append(bad, "package "+pkg+" declares no "+name)
+			}
+		}
+	}
 	return bad
+}
+
+// topLevelDecls adds the top-level names the Go file at path declares
+// (types, funcs, vars, consts; not methods) to decls under its package
+// name. Package main is skipped: no doc names an identifier in it.
+func topLevelDecls(decls map[string]map[string]bool, path string) error {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil || f.Name.Name == "main" {
+		return err
+	}
+	names := decls[f.Name.Name]
+	if names == nil {
+		names = map[string]bool{}
+		decls[f.Name.Name] = names
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					names[spec.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						names[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // repoPathExists reports whether a doc's repo path names something
@@ -106,9 +164,13 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 	fset.VisitAll(func(f *flag.Flag) { flags[f.Name] = true })
 
 	var funcs []string
+	decls := map[string]map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return topLevelDecls(decls, path)
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -128,7 +190,7 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range checkDoc(string(text), flags, funcs, root) {
+		for _, b := range checkDoc(string(text), flags, funcs, decls, root) {
 			t.Errorf("%s: %s", doc, b)
 		}
 	}
@@ -143,8 +205,12 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 		"`internal/workloads/{apsp,nope}` and `examples/nope/**`":                                                      2,
 		"`internal/driver/driver.go:454`, `internal/workloads/{apsp,fuzz}`, `benchmark/**`, `cmd/workloads -run …`":    0,
 		"go run ./cmd/benchall -quick -cluster -chaos 8 \\\n  -restarts 2 | tee -a results/CHAOS.json # TestDocsPoint": 0,
+		"the farm is `skel.SupervisedMW`, the window `strategies.ParBuffer`":                                           2,
+		"`eventlog.WorkerDead` marks a death, `nativeeden.idleSleep` waits":                                            2,
+		"`nativeeden.PCtx.runThread`, `(*rts.Ctx).NoSuchMethod`, `faults.Latch`, `http.Client`, `wire.go`":             0,
+		"`native.spark_ns` from `go run ./benchmark`, `nativeeden.ClusterSpec`":                                        0,
 	} {
-		if got := checkDoc(line, flags, funcs, root); len(got) != want {
+		if got := checkDoc(line, flags, funcs, decls, root); len(got) != want {
 			t.Errorf("checkDoc(%q) = %q, want %d findings", line, got, want)
 		}
 	}

@@ -65,12 +65,11 @@ func (e *SendError) Unwrap() error { return e.Err }
 // ChanMisuseError is the structured error for a channel-protocol
 // violation: receiving on the wrong PE, consuming a one-value channel
 // twice, or operating on an unknown or already-closed port. It replaces
-// the bare string panics these misuses used to raise, so supervised
-// runs and the chaos soak can classify them with errors.As alongside
-// SendError.
+// the bare string panics these misuses used to raise, so callers and
+// the chaos soak can classify them with errors.As alongside SendError.
 type ChanMisuseError struct {
 	// Op is the violating operation ("Receive", "Send", "StreamSend",
-	// "StreamClose", "StreamRecv", "CancelStream").
+	// "StreamClose", "StreamRecv").
 	Op string
 	// Chan is the channel or stream id.
 	Chan int64

@@ -67,16 +67,11 @@ const (
 	TagUser uint32 = 32
 )
 
-// Registered tags for message types whose home package cannot import
-// wire (package pe sits below eden in the import graph), registered by
-// this package instead.
-const tagThreadFailure = TagUser + 0
-
 // Tag blocks assigned to the packages that register named types. Each
 // package's wire.go documents its own constants; the blocks are listed
 // here so a new registration picks a free tag.
 //
-//	32..39   wire itself (pe.ThreadFailure)
+//	32..39   free
 //	40..47   internal/skel
 //	48..55   internal/workloads/euler
 //	56..63   internal/workloads/apsp

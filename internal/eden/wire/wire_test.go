@@ -11,8 +11,7 @@ import (
 	"parhask/internal/eden"
 	"parhask/internal/eden/wire"
 	"parhask/internal/graph"
-	_ "parhask/internal/nativeeden" // port codecs
-	"parhask/internal/pe"
+	_ "parhask/internal/nativeeden"       // port codecs
 	_ "parhask/internal/skel"             // KV, mwResult codecs
 	_ "parhask/internal/workloads/apsp"   // Graph, ringInput, pivotMsg codecs
 	_ "parhask/internal/workloads/euler"  // Range codec
@@ -43,7 +42,6 @@ func corpus() []graph.Value {
 		[][]int32{{1, 2, 3}},
 		[]graph.Value{int(1), "two", []float64{3}},
 		eden.Nil{},
-		pe.ThreadFailure{PE: 3, Name: "worker-3", Err: "boom"},
 	}
 	// Every registered named type, at least as its zero prototype, so a
 	// newly registered codec joins the property suite automatically.

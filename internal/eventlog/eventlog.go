@@ -87,9 +87,6 @@ const (
 	// ThunkPoison: a dying thread poisoned a claimed thunk so blocked
 	// peers fail over instead of waiting forever.
 	ThunkPoison
-	// WorkerDead: a supervisor observed a worker/process death (Arg =
-	// the dead worker's index); recovery (re-dispatch) follows.
-	WorkerDead
 	// DelayBegin: the fault injector started delaying an outgoing
 	// message (sender-side sleep; Arg = destination PE). Renders as a
 	// Blocked band.
@@ -133,7 +130,6 @@ var typeNames = [numTypes]string{
 	MsgDrop:       "msg-drop",
 	FaultPanic:    "fault-panic",
 	ThunkPoison:   "thunk-poison",
-	WorkerDead:    "worker-dead",
 	DelayBegin:    "delay-begin",
 	DelayEnd:      "delay-end",
 	StallBegin:    "stall-begin",

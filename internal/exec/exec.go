@@ -33,8 +33,8 @@ type Ctx interface {
 }
 
 // Forker is the optional thread-creation extension of Ctx. The native
-// runtime implements it directly (a fork is a real goroutine); the
-// simulated runtime exposes it through (*rts.Ctx).Exec().
+// runtime implements it (a fork is a real goroutine); the simulated
+// runtime's Fork takes a simulation-typed body, so *rts.Ctx does not.
 type Forker interface {
 	Ctx
 	// Fork creates and starts a new thread running body.

@@ -65,9 +65,6 @@ func (c *ClusterSpec) TotalPEs() int { return c.Procs * c.PerProc }
 // Owns reports whether this process hosts global PE pe.
 func (c *ClusterSpec) Owns(pe int) bool { return pe/c.PerProc == c.Rank }
 
-// OwnerRank returns the rank of the process hosting global PE pe.
-func (c *ClusterSpec) OwnerRank(pe int) int { return pe / c.PerProc }
-
 func (c *ClusterSpec) validate() error {
 	switch {
 	case c.Procs < 1:

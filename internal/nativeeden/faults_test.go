@@ -2,6 +2,7 @@ package nativeeden
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,93 +216,32 @@ func TestEdenFailedRunKeepsEventlog(t *testing.T) {
 	}
 }
 
-func TestEdenSupervisedSpawnDeliversVerdicts(t *testing.T) {
-	// A supervised thread's panic is contained: the run continues, the
-	// supervisor receives a ThreadFailure death notice, and a healthy
-	// supervised thread still reports true.
-	res, err := Run(NewConfig(3), func(p pe.Ctx) graph.Value {
-		sup := p.(pe.SupervisedSpawner)
-		badDone := sup.SpawnSupervised(1, "bad", func(w pe.Ctx) {
-			panic("worker boom")
+func TestEdenThreadPanicPoisonsClaims(t *testing.T) {
+	// A thread dying mid-thunk must poison its claim, so nothing can
+	// wait on a permanent black hole, and fail the run with the panic
+	// it died of.
+	errBoom := errors.New("mid-eval boom")
+	boom := graph.NewThunk(func(graph.Context) graph.Value { panic(errBoom) })
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(NewConfig(2), func(p pe.Ctx) graph.Value {
+			in, out := p.NewChan(0)
+			p.Spawn(0, "claimant", func(w pe.Ctx) {
+				w.Send(out, w.Force(boom))
+			})
+			return p.Receive(in) // unwinds when the claimant fails the run
 		})
-		in, out := p.NewChan(0)
-		goodDone := sup.SpawnSupervised(2, "good", func(w pe.Ctx) {
-			w.Send(out, 42)
-		})
-		verdict := p.Receive(badDone)
-		tf, ok := verdict.(pe.ThreadFailure)
-		if !ok {
-			panic("bad worker's verdict is not a ThreadFailure")
-		}
-		if tf.PE != 1 || tf.Name != "bad" || tf.Err == "" {
-			panic("death notice fields wrong")
-		}
-		if v := p.Receive(goodDone); v != true {
-			panic("good worker's verdict is not true")
-		}
-		return p.Receive(in)
-	})
-	if err != nil {
-		t.Fatal(err)
+		done <- err
+	}()
+	err := awaitRun(t, done)
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want the claimant's panic", err)
 	}
-	if res.Value != 42 {
-		t.Fatalf("value = %v, want 42", res.Value)
+	if !strings.Contains(err.Error(), `thread "claimant" panicked`) {
+		t.Fatalf("err = %v, want it to name the thread", err)
 	}
-}
-
-func TestEdenSupervisedPanicPoisonsClaims(t *testing.T) {
-	// A supervised thread dying mid-thunk must poison its claim so a
-	// sibling blocked on the same thunk unblocks into the failure path
-	// instead of waiting on a permanent black hole.
-	res, err := Run(NewConfig(2), func(p pe.Ctx) graph.Value {
-		sup := p.(pe.SupervisedSpawner)
-		boom := graph.NewThunk(func(graph.Context) graph.Value { panic("mid-eval boom") })
-		done := sup.SpawnSupervised(0, "claimant", func(w pe.Ctx) {
-			w.Force(boom)
-		})
-		if _, ok := p.Receive(done).(pe.ThreadFailure); !ok {
-			panic("claimant should have died")
-		}
-		if boom.State() != graph.Poisoned {
-			panic("claimed thunk was not poisoned")
-		}
-		return 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != 1 {
-		t.Fatalf("value = %v", res.Value)
-	}
-}
-
-func TestEdenCancelStream(t *testing.T) {
-	// A producer dies after two elements; the supervisor cancels the
-	// stream and the drain finishes with exactly the delivered prefix.
-	res, err := Run(NewConfig(2), func(p pe.Ctx) graph.Value {
-		sup := p.(pe.SupervisedSpawner)
-		canc := p.(pe.StreamCanceller)
-		in, out := p.NewStream(0)
-		done := sup.SpawnSupervised(1, "producer", func(w pe.Ctx) {
-			w.StreamSend(out, 10)
-			w.StreamSend(out, 20)
-			panic("producer boom")
-		})
-		if _, ok := p.Receive(done).(pe.ThreadFailure); !ok {
-			panic("producer should have died")
-		}
-		canc.CancelStream(in)
-		xs := p.RecvAll(in)
-		if len(xs) != 2 || xs[0] != 10 || xs[1] != 20 {
-			panic("drained prefix wrong")
-		}
-		return len(xs)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != 2 {
-		t.Fatalf("value = %v, want 2", res.Value)
+	if boom.State() != graph.Poisoned {
+		t.Fatalf("claimed thunk state = %v, want Poisoned", boom.State())
 	}
 }
 

@@ -228,14 +228,11 @@ type cellState struct {
 // streamState is one stream channel's heap anchor on its owning PE:
 // tail is where the next arriving element lands (advanced by senders),
 // cursor is the next cell the receiver will read. origin is the
-// creating PE (watchdog diagnostics); cancelled marks a stream
-// terminated from the receiving side by CancelStream, whose late
-// sends are dropped silently instead of panicking.
+// creating PE (watchdog diagnostics).
 type streamState struct {
-	tail      *graph.Thunk
-	cursor    *graph.Thunk
-	origin    int
-	cancelled bool
+	tail   *graph.Thunk
+	cursor *graph.Thunk
+	origin int
 }
 
 // RTS is a running native Eden instance.
@@ -554,16 +551,16 @@ func (r *RTS) fail(err error) {
 	}
 }
 
-// runThread is the one recovery bracket of an Eden thread — the root,
-// a plain thread or a supervised one: it runs body holding the thread's
-// PE lock and returns the failure that ended the thread, or nil. A
-// panic becomes an error (the run's recorded failure when it is the
-// latch's abort), and the claims the thread still holds are poisoned,
-// newest first, so peers blocked on them unblock into the failure path
-// instead of waiting on a black hole forever. The recover is
-// registered before the lock is taken, so the PE is unlocked again by
-// the time the caller acts on the failure (fail locks every PE). what
-// names the thread in the error; it runs only on failure.
+// runThread is the one recovery bracket of an Eden thread, the root or
+// a spawned one: it runs body holding the thread's PE lock and returns
+// the failure that ended the thread, or nil. A panic becomes an error
+// (the run's recorded failure when it is the latch's abort), and the
+// claims the thread still holds are poisoned, newest first, so peers
+// blocked on them unblock into the failure path instead of waiting on
+// a black hole forever. The recover is registered before the lock is
+// taken, so the PE is unlocked again by the time the caller acts on
+// the failure (fail locks every PE). what names the thread in the
+// error; it runs only on failure.
 func (c *PCtx) runThread(what func() string, body func()) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -577,19 +574,11 @@ func (c *PCtx) runThread(what func() string, body func()) (err error) {
 	return nil
 }
 
-// startThread runs body as a new Eden thread on PE p. alive is
-// incremented here, synchronously, so the watchdog counts a spawned-
-// but-not-yet-scheduled thread as live-and-runnable rather than seeing
-// a transiently quiescent system.
-//
-// A plain thread (done nil) fails the run when it dies. A supervised
-// thread contains its failure instead: its claims are poisoned, its PE
-// is woken, and a pe.ThreadFailure death notice is sent on *done in
-// place of the true a successful thread sends. Verdict delivery goes
-// through the ordinary transport, so it is itself subject to
-// message-fault injection (a dropped death notice becomes a
-// watchdog-detected deadlock, which is the honest outcome).
-func (r *RTS) startThread(p *peRT, name string, done *Outport, body func(*PCtx)) {
+// startThread runs body as a new Eden thread on PE p; the thread's
+// failure fails the run. alive is incremented here, synchronously, so
+// the watchdog counts a spawned-but-not-yet-scheduled thread as
+// live-and-runnable rather than seeing a transiently quiescent system.
+func (r *RTS) startThread(p *peRT, name string, body func(pe.Ctx)) {
 	r.wg.Add(1)
 	r.threads.Add(1)
 	r.alive.Add(1)
@@ -597,44 +586,12 @@ func (r *RTS) startThread(p *peRT, name string, done *Outport, body func(*PCtx))
 		defer r.wg.Done()
 		defer r.alive.Add(-1)
 		c := &PCtx{rts: r, pe: p, name: name}
-		kind := "thread"
-		if done != nil {
-			kind = "supervised thread"
-		}
 		err := c.runThread(func() string {
-			return fmt.Sprintf("nativeeden: PE %d %s %q panicked", p.id, kind, name)
+			return fmt.Sprintf("nativeeden: PE %d thread %q panicked", p.id, name)
 		}, func() {
 			c.begin()
 			body(c)
 			c.end()
-		})
-		if done == nil {
-			if err != nil {
-				r.fail(err)
-			}
-			return
-		}
-		if r.latch.Failed() {
-			return // the run is unwinding: nobody awaits the verdict
-		}
-		dead := err != nil
-		var verdict graph.Value = true
-		if dead {
-			verdict = pe.ThreadFailure{PE: p.id, Name: name, Err: err.Error()}
-		}
-		// The verdict send can fail too (injected faults, closed run);
-		// that falls back to the ordinary abort path.
-		err = c.runThread(func() string {
-			return fmt.Sprintf("nativeeden: supervised thread %q verdict send failed", name)
-		}, func() {
-			if dead {
-				// Wake siblings blocked on the freshly poisoned claims.
-				p.cond.Broadcast()
-				if p.ev != nil {
-					p.ev.EmitArg(eventlog.WorkerDead, int32(p.id))
-				}
-			}
-			c.Send(*done, verdict)
 		})
 		if err != nil {
 			r.fail(err)

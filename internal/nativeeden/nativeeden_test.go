@@ -225,33 +225,36 @@ func TestMasterWorkerOnNative(t *testing.T) {
 	}
 }
 
-func TestDivideAndConquerOnNative(t *testing.T) {
-	// Sum 1..64 by binary splitting, spawning subtrees two levels deep.
-	type span struct{ Lo, Hi int }
-	f := skel.DC{
-		Trivial: func(prob graph.Value) bool { s := prob.(span); return s.Hi-s.Lo <= 8 },
-		Solve: func(w pe.Ctx, prob graph.Value) graph.Value {
-			s := prob.(span)
-			sum := 0
-			for i := s.Lo; i < s.Hi; i++ {
-				sum += i
+func TestNestedSpawnTreeOnNative(t *testing.T) {
+	// Sum 1..64 over a two-level process tree: the root spawns two
+	// children and each child spawns two leaves itself, so Spawn runs
+	// from non-root threads too.
+	var sum func(w pe.Ctx, lo, hi, depth int) int
+	sum = func(w pe.Ctx, lo, hi, depth int) int {
+		if depth == 0 {
+			s := 0
+			for i := lo; i < hi; i++ {
+				s += i
 			}
-			return sum
-		},
-		Divide: func(w pe.Ctx, prob graph.Value) []graph.Value {
-			s := prob.(span)
-			mid := (s.Lo + s.Hi) / 2
-			return []graph.Value{span{s.Lo, mid}, span{mid, s.Hi}}
-		},
-		Combine: func(w pe.Ctx, prob graph.Value, subs []graph.Value) graph.Value {
-			return subs[0].(int) + subs[1].(int)
-		},
+			return s
+		}
+		mid := (lo + hi) / 2
+		var ins [2]pe.Inport
+		for k, h := range [2][2]int{{lo, mid}, {mid, hi}} {
+			in, out := w.NewChan(w.PE())
+			ins[k] = in
+			w.Spawn(w.PE()+1+k, "sum", func(c pe.Ctx) {
+				c.Send(out, sum(c, h[0], h[1], depth-1))
+			})
+		}
+		return w.Receive(ins[0]).(int) + w.Receive(ins[1]).(int)
 	}
-	res := runN(t, NewConfig(4), func(p pe.Ctx) graph.Value {
-		return skel.DivideAndConquer(p, "sum", 2, f, span{1, 65})
-	})
+	res := runN(t, NewConfig(4), func(p pe.Ctx) graph.Value { return sum(p, 1, 65, 2) })
 	if res.Value != 64*65/2 {
 		t.Fatalf("value = %v, want %d", res.Value, 64*65/2)
+	}
+	if res.Stats.Processes != 6 {
+		t.Fatalf("processes = %d, want 2 children + 4 leaves", res.Stats.Processes)
 	}
 }
 

@@ -35,10 +35,8 @@ type PCtx struct {
 }
 
 var (
-	_ pe.Ctx               = (*PCtx)(nil)
-	_ graph.Context        = (*PCtx)(nil)
-	_ pe.SupervisedSpawner = (*PCtx)(nil)
-	_ pe.StreamCanceller   = (*PCtx)(nil)
+	_ pe.Ctx        = (*PCtx)(nil)
+	_ graph.Context = (*PCtx)(nil)
 )
 
 // begin is the thread prologue, run under the PE lock: counters, the
@@ -284,7 +282,7 @@ func (p *PCtx) Spawn(dest int, name string, body func(pe.Ctx)) {
 	if p.pe.ev != nil {
 		p.pe.ev.Emit(eventlog.Fork)
 	}
-	p.rts.startThread(p.rts.pes[dest], name, nil, func(c *PCtx) { body(c) })
+	p.rts.startThread(p.rts.pes[dest], name, body)
 }
 
 // ForkLocal starts an additional thread of the current process on the
@@ -293,55 +291,7 @@ func (p *PCtx) ForkLocal(name string, body func(pe.Ctx)) {
 	if p.shadow {
 		return
 	}
-	p.rts.startThread(p.pe, name, nil, func(c *PCtx) { body(c) })
-}
-
-// SpawnSupervised instantiates a process on PE dest whose panic is
-// contained rather than fatal: the returned one-value channel (on the
-// caller's PE) receives true on success or a pe.ThreadFailure death
-// notice after the thread's claims were poisoned. Fault-tolerant
-// skeletons (skel.SupervisedMW) monitor these channels to re-dispatch
-// a dead worker's outstanding tasks.
-func (p *PCtx) SpawnSupervised(dest int, name string, body func(pe.Ctx)) pe.Inport {
-	// The verdict channel lives on the caller's logical PE (p.PE(), so a
-	// shadow root replays rank 0's allocation exactly).
-	in, out := p.NewChan(p.PE())
-	dest = p.norm(dest)
-	if !p.rts.owned(dest) {
-		if !p.isRoot {
-			panic(fmt.Sprintf("nativeeden: cluster SpawnSupervised onto remote PE %d from non-root thread %q", dest, p.name))
-		}
-		return in
-	}
-	p.rts.processes.Add(1)
-	if p.pe.ev != nil {
-		p.pe.ev.Emit(eventlog.Fork)
-	}
-	done := out.(Outport)
-	p.rts.startThread(p.rts.pes[dest], name, &done, func(c *PCtx) { body(c) })
-	return in
-}
-
-// CancelStream terminates a stream from the receiving side: the
-// current tail resolves to end-of-stream, so a reader draining the
-// stream finishes after the elements already delivered, and late
-// sends from the (presumed dead) producer are dropped silently. Must
-// be called on the stream's owning PE.
-func (p *PCtx) CancelStream(in pe.StreamIn) {
-	i := in.(StreamIn)
-	if i.pe != p.pe.id {
-		panic(&eden.ChanMisuseError{Op: "CancelStream", Chan: i.id, PE: p.pe.id, Owner: i.pe, Reason: "cross-pe"})
-	}
-	st := p.pe.streams[i.id]
-	if st == nil {
-		return // never existed or already torn down: cancel is idempotent
-	}
-	st.cancelled = true
-	if st.tail != nil {
-		st.tail.Resolve(eden.Nil{})
-		st.tail = nil
-		p.pe.cond.Broadcast()
-	}
+	p.rts.startThread(p.pe, name, body)
 }
 
 // withPE runs f with dest's lock held (and, if dest is remote, this
@@ -523,8 +473,7 @@ func (p *PCtx) send(kind MsgKind, id int64, dest int, v graph.Value) {
 // and a fresh placeholder, or to Nil for a close — counts it and wakes
 // the PE's threads. Caller holds d.mu. ensure installs a missing cell
 // or stream, because a remote delivery may beat the replayed creation;
-// a local send to a missing cell or a closed stream is misuse. A
-// message to a cancelled stream vanishes.
+// a local send to a missing cell or a closed stream is misuse.
 func (d *peRT) receive(kind MsgKind, id int64, src int, msg graph.Value, bytes int64, ensure bool) error {
 	var cell *graph.Thunk
 	if kind == MsgChanSend {
@@ -540,9 +489,6 @@ func (d *peRT) receive(kind MsgKind, id int64, src int, msg graph.Value, bytes i
 		st := d.streams[id]
 		if st == nil && ensure {
 			st = d.ensureStream(id, src)
-		}
-		if st != nil && st.cancelled {
-			return nil // the receiver cancelled the stream; late messages vanish
 		}
 		if st == nil || st.tail == nil {
 			return &eden.ChanMisuseError{Op: msgKinds[kind].op, Chan: id, PE: src, Owner: d.id, Reason: "closed-or-unknown-stream"}

@@ -9,7 +9,9 @@
 // private heap, measuring wall-clock time. Skeletons (internal/skel)
 // and the workloads' Eden programs are written once against pe.Ctx and
 // run unchanged on both — the backend-portability property the Eden
-// literature's skeleton libraries rely on.
+// literature's skeleton libraries rely on. Ctx is the whole surface:
+// neither backend offers an optional extension a program could
+// type-assert for, so no program needs a per-backend fallback.
 //
 // The port types are opaque interfaces: each backend supplies its own
 // concrete channel representation (simulated mailboxes vs. real
@@ -91,49 +93,6 @@ type Ctx interface {
 // simulated eden.Run and the native nativeeden.Run execute as the root
 // process on PE 0.
 type Program func(Ctx) graph.Value
-
-// ThreadFailure is the death notice a supervised spawn delivers on its
-// verdict channel when the spawned thread panicked: plain exported
-// scalar fields so it crosses distributed heaps through the normal
-// copy-on-send transport. A successful supervised thread sends `true`
-// instead.
-type ThreadFailure struct {
-	// PE is where the thread died.
-	PE int
-	// Name is the thread's spawn name.
-	Name string
-	// Err is the rendered failure (error values don't pack; the string
-	// crosses heaps).
-	Err string
-}
-
-// PackedSize implements the Eden message-size interface (eden.Sized):
-// an 8-byte wire header, the PE word, and two length-prefixed strings.
-func (f ThreadFailure) PackedSize() int64 {
-	return 8 + 8 + (8 + int64(len(f.Name))) + (8 + int64(len(f.Err)))
-}
-
-// SupervisedSpawner is an optional Ctx extension for fault-tolerant
-// skeletons: SpawnSupervised instantiates a process whose panic is
-// contained instead of aborting the whole run. The returned Inport (on
-// the caller's PE) receives exactly one verdict: `true` if the thread
-// body returned, or a ThreadFailure if it panicked — after its claims
-// were poisoned so blocked peers unblock into the failure path.
-// Backends without supervision simply don't implement this; skeletons
-// type-assert and degrade to fail-fast spawning.
-type SupervisedSpawner interface {
-	SpawnSupervised(dest int, name string, body func(Ctx)) Inport
-}
-
-// StreamCanceller is an optional Ctx extension for supervision:
-// CancelStream terminates a stream from the *receiving* side — the
-// current tail resolves to end-of-stream, so a reader draining it
-// finishes after the elements already delivered, and late sends from
-// the (presumed dead) producer are dropped silently instead of
-// panicking. Must be called on the stream's owning PE.
-type StreamCanceller interface {
-	CancelStream(in StreamIn)
-}
 
 // Inport is the receiving end of a one-value channel, owned by a PE.
 type Inport interface {

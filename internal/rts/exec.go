@@ -6,17 +6,3 @@ import "parhask/internal/exec"
 // (Burn, Alloc, Par, Force, ForceDeep), so simulated programs pass a
 // *Ctx wherever an exec.Ctx is expected with no adapter.
 var _ exec.Ctx = (*Ctx)(nil)
-
-// forkCtx adapts *Ctx to exec.Forker: the simulated Fork signature
-// creates threads with simulation-typed bodies, so the adapter rewraps.
-type forkCtx struct{ *Ctx }
-
-func (f forkCtx) Fork(name string, body func(exec.Ctx)) {
-	f.Ctx.Fork(name, func(c *Ctx) { body(c) })
-}
-
-var _ exec.Forker = forkCtx{}
-
-// Exec returns the runtime-agnostic view of the context, including
-// thread creation (exec.Forker).
-func (x *Ctx) Exec() exec.Forker { return forkCtx{x} }

@@ -143,8 +143,6 @@ type Cap struct {
 	// capability and are currently blocked on thunks (drives the paper's
 	// "all threads blocked" red trace state).
 	BlockedCount int
-
-	exited bool
 }
 
 // NewCap creates a capability. The caller supplies the simulation task
@@ -175,12 +173,8 @@ func (c *Cap) loop() {
 		}
 		c.runThread(th)
 	}
-	c.exited = true
 	c.SetState(trace.Idle)
 }
-
-// Exited reports whether the capability's scheduler loop has terminated.
-func (c *Cap) Exited() bool { return c.exited }
 
 // runThread hands the capability to th until it deschedules, blocks or
 // finishes.

@@ -318,9 +318,5 @@ func (t *Task) Unpark() {
 	}
 }
 
-// Parked reports whether the task is currently parked (with or without a
-// timeout).
-func (t *Task) Parked() bool { return t.state == tsParked }
-
 // Done reports whether the task has finished.
 func (t *Task) Done() bool { return t.state == tsDone }

@@ -84,21 +84,6 @@ func MasterWorker(p pe.Ctx, name string, nWorkers, prefetch int, work TaskFunc, 
 	if nWorkers <= 0 {
 		panic("skel: MasterWorker needs at least one worker")
 	}
-	pes := make([]int, nWorkers)
-	for i := range pes {
-		pes[i] = placement(p, i)
-	}
-	return MasterWorkerAt(p, name, pes, prefetch, work, initial)
-}
-
-// MasterWorkerAt is MasterWorker with explicit worker placement: worker
-// i runs on workerPEs[i]. Hierarchical compositions use it to keep
-// sub-farms on disjoint PE groups.
-func MasterWorkerAt(p pe.Ctx, name string, workerPEs []int, prefetch int, work TaskFunc, initial []graph.Value) []graph.Value {
-	nWorkers := len(workerPEs)
-	if nWorkers <= 0 {
-		panic("skel: MasterWorkerAt needs at least one worker PE")
-	}
 	if prefetch <= 0 {
 		prefetch = 1
 	}
@@ -110,7 +95,7 @@ func MasterWorkerAt(p pe.Ctx, name string, workerPEs []int, prefetch int, work T
 
 	resIns := make([]pe.StreamIn, nWorkers)
 	for i := 0; i < nWorkers; i++ {
-		dest := workerPEs[i]
+		dest := placement(p, i)
 		taskIn, taskOut := p.NewStream(dest)
 		resIn, resOut := p.NewStream(p.PE())
 		st.handles = append(st.handles, taskOut)

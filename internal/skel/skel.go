@@ -1,6 +1,7 @@
-// Package skel provides Eden's algorithmic skeletons (§II-A): parMap,
-// parReduce, parMapReduce (Google-MapReduce style), masterWorker (a
-// dynamic bag-of-tasks farm), and the topology skeletons ring and torus.
+// Package skel provides the Eden algorithmic skeletons (§II-A) the
+// paper's programs use: parMap, parMapReduce (Google-MapReduce style),
+// masterWorker (a dynamic bag-of-tasks farm), and the topology
+// skeletons ring and torus.
 //
 // Each skeleton is an ordinary higher-order function over Eden process
 // abstractions: callers supply sequential worker functions; the skeleton
@@ -49,42 +50,6 @@ func ParMap(p pe.Ctx, name string, f WorkerFunc, inputs []graph.Value) []graph.V
 		out[i] = p.Receive(in)
 	}
 	return out
-}
-
-// FoldFunc combines an accumulator with one value.
-type FoldFunc func(w pe.Ctx, acc, x graph.Value) graph.Value
-
-// ParReduce folds a list in parallel: the list is split into one chunk
-// per PE, each chunk is folded in its own process (foldl' f ntr), and
-// the partial results are folded again by the caller — the Eden
-// parReduce of §II-A. Requires f to be associative-compatible with this
-// regrouping, as in the paper.
-func ParReduce(p pe.Ctx, name string, f FoldFunc, ntr graph.Value, xs []graph.Value) graph.Value {
-	chunks := splitIntoN(p.PEs(), xs)
-	partIns := make([]pe.Inport, 0, len(chunks))
-	for i, chunk := range chunks {
-		dest := placement(p, i)
-		argIn, argOut := p.NewStream(dest)
-		resIn, resOut := p.NewChan(p.PE())
-		partIns = append(partIns, resIn)
-		p.Spawn(dest, fmt.Sprintf("%s-%d", name, i), func(w pe.Ctx) {
-			acc := ntr
-			for {
-				x, ok := w.StreamRecv(argIn)
-				if !ok {
-					break
-				}
-				acc = f(w, acc, x)
-			}
-			w.Send(resOut, acc)
-		})
-		p.SendAll(argOut, chunk)
-	}
-	acc := ntr
-	for _, in := range partIns {
-		acc = f(p, acc, p.Receive(in))
-	}
-	return acc
 }
 
 // KV is one key-value pair produced by a map function.
@@ -188,23 +153,6 @@ func unshuffle(n int, xs []graph.Value) [][]graph.Value {
 	for _, s := range shares {
 		if len(s) > 0 {
 			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// splitIntoN partitions xs into n near-equal contiguous chunks (empty
-// chunks are dropped).
-func splitIntoN(n int, xs []graph.Value) [][]graph.Value {
-	if n <= 0 {
-		n = 1
-	}
-	var out [][]graph.Value
-	for i := 0; i < n; i++ {
-		lo := len(xs) * i / n
-		hi := len(xs) * (i + 1) / n
-		if hi > lo {
-			out = append(out, xs[lo:hi])
 		}
 	}
 	return out

@@ -70,33 +70,6 @@ func TestParMapParallelSpeedup(t *testing.T) {
 	}
 }
 
-func TestParReduceSum(t *testing.T) {
-	res := runE(t, eden.NewConfig(4, 4), func(p pe.Ctx) graph.Value {
-		xs := make([]graph.Value, 100)
-		for i := range xs {
-			xs[i] = i + 1
-		}
-		return ParReduce(p, "sum", func(w pe.Ctx, acc, x graph.Value) graph.Value {
-			w.Burn(10_000)
-			return acc.(int) + x.(int)
-		}, 0, xs)
-	})
-	if res.Value != 5050 {
-		t.Fatalf("sum = %v, want 5050", res.Value)
-	}
-}
-
-func TestParReduceFewerElementsThanPEs(t *testing.T) {
-	res := runE(t, eden.NewConfig(8, 8), func(p pe.Ctx) graph.Value {
-		return ParReduce(p, "sum", func(w pe.Ctx, acc, x graph.Value) graph.Value {
-			return acc.(int) + x.(int)
-		}, 0, []graph.Value{1, 2, 3})
-	})
-	if res.Value != 6 {
-		t.Fatalf("sum = %v, want 6", res.Value)
-	}
-}
-
 func TestParMapReduceGroupsByKey(t *testing.T) {
 	res := runE(t, eden.NewConfig(4, 4), func(p pe.Ctx) graph.Value {
 		inputs := make([]graph.Value, 30)
