@@ -27,6 +27,9 @@ type interval struct {
 // PackedSize implements eden.Sized.
 func (iv interval) PackedSize() int64 { return 32 }
 
+// DeepCopy implements eden.Sized.
+func (iv interval) DeepCopy() (graph.Value, error) { return iv, nil }
+
 // f is the integrand: nasty around x=0.1 so adaptive refinement kicks in.
 func f(x float64) float64 { return math.Sin(1/(x+0.1)) + 1 }
 

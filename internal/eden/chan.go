@@ -77,6 +77,10 @@ func (in *Inport) InPE() int { return in.pe }
 // {channel id, PE} words — the heap cell it names stays behind.
 func (in *Inport) PackedSize() int64 { return 24 }
 
+// DeepCopy implements Sized: a port is shared, like the simulator's
+// messages.
+func (in *Inport) DeepCopy() (graph.Value, error) { return in, nil }
+
 // Outport is the sending end of a one-value channel.
 type Outport struct {
 	id   int64
@@ -89,6 +93,9 @@ func (out *Outport) OutPE() int { return out.dest }
 
 // PackedSize implements Sized.
 func (out *Outport) PackedSize() int64 { return 24 }
+
+// DeepCopy implements Sized.
+func (out *Outport) DeepCopy() (graph.Value, error) { return out, nil }
 
 // NewChan creates a one-value channel whose receiving end lives on PE
 // dest. The creator is charged the channel setup cost.
@@ -149,6 +156,9 @@ func (in *StreamIn) StreamInPE() int { return in.pe }
 // PackedSize implements Sized.
 func (in *StreamIn) PackedSize() int64 { return 24 }
 
+// DeepCopy implements Sized.
+func (in *StreamIn) DeepCopy() (graph.Value, error) { return in, nil }
+
 // StreamOut is the sending end of a stream channel.
 type StreamOut struct {
 	id   int64
@@ -161,6 +171,9 @@ func (out *StreamOut) StreamOutPE() int { return out.dest }
 
 // PackedSize implements Sized.
 func (out *StreamOut) PackedSize() int64 { return 24 }
+
+// DeepCopy implements Sized.
+func (out *StreamOut) DeepCopy() (graph.Value, error) { return out, nil }
 
 // NewStream creates a stream channel whose receiving end lives on PE
 // dest.

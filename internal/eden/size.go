@@ -2,6 +2,7 @@ package eden
 
 import (
 	"fmt"
+	"reflect"
 
 	"parhask/internal/graph"
 )
@@ -18,10 +19,18 @@ const ConsOverhead = consOverhead
 // graph-structure serialisation Eden uses.
 const wordSize = 16
 
-// Sized lets user-defined message types report their packed size so the
-// communication cost model charges them accurately.
+// Sized is the contract of a user-defined message type: it reports its
+// packed size, so the communication cost model charges it exactly, and
+// returns its own deep copy, so an in-process send hands the receiver a
+// value that shares no mutable heap with the sender. DeepCopy returns
+// a value of the receiver's own type: types with no indirection return
+// themselves, the others clone with CloneSlice, CloneRows and, for
+// nested values, CopyChecked. CopyChecked refuses a copy of another
+// type: a pointer to a type with value methods is Sized through its
+// method set but copies as the value, so send the value.
 type Sized interface {
 	PackedSize() int64
+	DeepCopy() (graph.Value, error)
 }
 
 // UnevaluatedError reports that a value reached the packing layer while
@@ -90,20 +99,24 @@ func (e *ChanMisuseError) Error() string {
 	return fmt.Sprintf("eden: %s on channel #%d from PE %d: %s", e.Op, e.Chan, e.PE, e.Reason)
 }
 
-// UnsizedTypeError reports a message value whose packed size the model
-// cannot state exactly: a type with no builtin rule and no PackedSize.
-// It used to be silently charged one word — which under-counted every
-// map and plain struct the copier then shipped field-by-field — so the
-// cost model and the copier disagreed about what a message even was.
-// Now that the packed size is the actual byte length on the wire, an
-// unsized type is a hard, diagnosable error.
+// UnsizedTypeError reports a message value that is neither a builtin
+// message shape nor a Sized type, so the model can state neither its
+// packed size nor its copy. Both SizeOfChecked and CopyChecked return
+// it: a message is exactly what the two can handle.
 type UnsizedTypeError struct {
 	// Type is the offending value's dynamic type, rendered with %T.
 	Type string
+	// CopyType is set when Type is Sized but its DeepCopy returned a
+	// value of this other type, which would change the message the
+	// receiver sees.
+	CopyType string
 }
 
 func (e *UnsizedTypeError) Error() string {
-	return fmt.Sprintf("eden: message type %s has no packed size; implement eden.Sized (PackedSize) for exact byte accounting", e.Type)
+	if e.CopyType != "" {
+		return fmt.Sprintf("eden: message type %s copies as %s; send a value whose DeepCopy returns its own type", e.Type, e.CopyType)
+	}
+	return fmt.Sprintf("eden: message type %s has no packed size or copy; implement eden.Sized (PackedSize, DeepCopy) to send it", e.Type)
 }
 
 // SizeOfChecked computes the packed size in bytes of a normal-form
@@ -163,6 +176,15 @@ func SizeOfChecked(v graph.Value) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
+		if x.Tail != nil {
+			// A cell sent as a value carries its tail, which CopyChecked
+			// copies: charge it, and refuse it unevaluated.
+			t, err := SizeOfChecked(x.Tail)
+			if err != nil {
+				return 0, err
+			}
+			s += t
+		}
 		return s + consOverhead, nil
 	case Nil:
 		return wordSize, nil
@@ -186,4 +208,111 @@ func SizeOf(v graph.Value) int64 {
 		panic(err)
 	}
 	return n
+}
+
+// CopyChecked returns a deep copy of a normal-form value that shares no
+// mutable heap with v: the in-process stand-in for packing a message
+// out of the sender's heap and unpacking it into the receiver's. Its
+// cases are SizeOfChecked's. Scalars and strings are immutable once
+// boxed and are shared; flat and row slices are cloned; a
+// []graph.Value is copied element by element; an evaluated thunk
+// becomes a fresh value around a copy of its payload and an unevaluated
+// one is an *UnevaluatedError; a Sized type copies itself, and a copy
+// whose dynamic type differs from v's is refused. Anything else is an
+// *UnsizedTypeError naming the type.
+func CopyChecked(v graph.Value) (graph.Value, error) {
+	switch x := v.(type) {
+	case nil, bool, int, int32, int64, uint64, float32, float64, string, Nil:
+		return v, nil
+	case Sized:
+		c, err := x.DeepCopy()
+		if err == nil && reflect.TypeOf(c) != reflect.TypeOf(v) {
+			// Compares type words only; nothing is walked.
+			return nil, &UnsizedTypeError{Type: fmt.Sprintf("%T", v), CopyType: fmt.Sprintf("%T", c)}
+		}
+		return c, err
+	case []int:
+		return CloneSlice(x), nil
+	case []int64:
+		return CloneSlice(x), nil
+	case []int32:
+		return CloneSlice(x), nil
+	case []float64:
+		return CloneSlice(x), nil
+	case [][]float64:
+		return CloneRows(x), nil
+	case [][]int:
+		return CloneRows(x), nil
+	case [][]int32:
+		return CloneRows(x), nil
+	case []graph.Value:
+		return CopyValues(x)
+	case Cons:
+		h, err := CopyChecked(x.Head)
+		if err != nil {
+			return nil, err
+		}
+		x.Head = h
+		if x.Tail != nil {
+			t, err := CopyChecked(x.Tail)
+			if err != nil {
+				return nil, err
+			}
+			x.Tail = t.(*graph.Thunk)
+		}
+		return x, nil
+	case *graph.Thunk:
+		if !x.IsEvaluated() {
+			return nil, &UnevaluatedError{State: x.State()}
+		}
+		c, err := CopyChecked(x.Value())
+		if err != nil {
+			return nil, err
+		}
+		return graph.NewValue(c), nil
+	default:
+		return nil, &UnsizedTypeError{Type: fmt.Sprintf("%T", v)}
+	}
+}
+
+// CopyValues copies a list of boxed values element by element with
+// CopyChecked. Nil stays nil and empty stays empty.
+func CopyValues(xs []graph.Value) ([]graph.Value, error) {
+	if xs == nil {
+		return nil, nil
+	}
+	out := make([]graph.Value, len(xs))
+	for i, x := range xs {
+		c, err := CopyChecked(x)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// CloneSlice returns a copy of a slice whose elements hold no
+// indirection: one allocation and one move, with nothing zeroed first.
+// Nil stays nil and empty stays empty.
+func CloneSlice[S ~[]E, E any](s S) S {
+	if s == nil {
+		return nil
+	}
+	out := make(S, len(s))
+	copy(out, s)
+	return out
+}
+
+// CloneRows returns a copy of a slice of such rows, each row cloned with
+// CloneSlice.
+func CloneRows[S ~[]R, R ~[]E, E any](rows S) S {
+	if rows == nil {
+		return nil
+	}
+	out := make(S, len(rows))
+	for i, r := range rows {
+		out[i] = CloneSlice(r)
+	}
+	return out
 }

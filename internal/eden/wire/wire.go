@@ -138,10 +138,11 @@ var (
 )
 
 // Register installs the codec for one named message type, keyed by
-// proto's dynamic type. Tags are static per type and must be >= TagUser
-// and unique; collisions panic at init time (a build misconfiguration,
-// not a runtime condition).
-func Register(tag uint32, proto graph.Value, enc EncFunc, dec DecFunc) {
+// proto's dynamic type; proto is an eden.Sized, so a type cannot be
+// shipped without its packed size and its in-process copy. Tags are
+// static per type and must be >= TagUser and unique; collisions panic
+// at init time (a build misconfiguration, not a runtime condition).
+func Register(tag uint32, proto eden.Sized, enc EncFunc, dec DecFunc) {
 	if tag < TagUser {
 		panic(fmt.Sprintf("wire: tag %d for %T collides with the builtin range", tag, proto))
 	}

@@ -18,7 +18,7 @@
 // receive — so arrival order between the replay and the transport
 // reader does not matter.
 //
-// Cross-process sends replace the in-process deep copy (copyForSend)
+// Cross-process sends replace the in-process deep copy (eden.CopyChecked)
 // with the wire codec: the value is reduced to normal form, encoded —
 // wire.AppendEncode asserts the byte count equals eden.SizeOfChecked,
 // so the charged size IS the bytes on the wire — shipped through the

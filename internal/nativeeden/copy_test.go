@@ -2,17 +2,19 @@ package nativeeden
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/edentest"
 	"parhask/internal/graph"
 )
 
 // Local mirrors of the workloads' message shapes (matmul.Mat/blockMsg,
-// apsp.pivotMsg): the workloads import this package, so the tests
-// cannot import them back.
+// apsp.pivotMsg) plus the other shapes a message type may have. The
+// workloads import this package, so the tests cannot import them back.
+// Each implements eden.Sized the way a workload type does; the sizes
+// are not under test here.
 type (
 	testMat   [][]float64
 	testBlock struct{ M testMat }
@@ -28,7 +30,68 @@ type (
 		Empty []int32
 		Tag   string
 	}
+	testRows3 [3][]int32
+	testBox   struct{ Row []int32 }
+	testMap   map[string][]int32
+	testThunk struct{ T *graph.Thunk }
 )
+
+func (m testMat) PackedSize() int64 { return eden.SizeOf([][]float64(m)) }
+func (m testMat) DeepCopy() (graph.Value, error) {
+	return eden.CloneRows(m), nil
+}
+
+func (b testBlock) PackedSize() int64 { return eden.SizeOf([][]float64(b.M)) }
+func (b testBlock) DeepCopy() (graph.Value, error) {
+	return testBlock{M: eden.CloneRows(b.M)}, nil
+}
+
+func (p testPivot) PackedSize() int64 { return int64(4*len(p.Row)) + 32 }
+func (p testPivot) DeepCopy() (graph.Value, error) {
+	p.Row = eden.CloneSlice(p.Row)
+	return p, nil
+}
+
+func (m testMixed) PackedSize() int64 { return 0 }
+func (m testMixed) DeepCopy() (graph.Value, error) {
+	for i, r := range m.Rows {
+		m.Rows[i] = eden.CloneSlice(r)
+	}
+	m.Nil, m.Empty = eden.CloneSlice(m.Nil), eden.CloneSlice(m.Empty)
+	return m, nil
+}
+
+func (a testRows3) PackedSize() int64 { return 0 }
+func (a testRows3) DeepCopy() (graph.Value, error) {
+	for i, r := range a {
+		a[i] = eden.CloneSlice(r)
+	}
+	return a, nil
+}
+
+// A pointer type copies into a fresh pointee.
+func (b *testBox) PackedSize() int64 { return 0 }
+func (b *testBox) DeepCopy() (graph.Value, error) {
+	return &testBox{Row: eden.CloneSlice(b.Row)}, nil
+}
+
+func (m testMap) PackedSize() int64 { return 0 }
+func (m testMap) DeepCopy() (graph.Value, error) {
+	out := make(testMap, len(m))
+	for k, r := range m {
+		out[k] = eden.CloneSlice(r)
+	}
+	return out, nil
+}
+
+func (s testThunk) PackedSize() int64 { return 0 }
+func (s testThunk) DeepCopy() (graph.Value, error) {
+	c, err := eden.CopyChecked(s.T)
+	if err != nil {
+		return nil, err
+	}
+	return testThunk{T: c.(*graph.Thunk)}, nil
+}
 
 func newTestMat(rows, cols int) testMat {
 	m := make(testMat, rows)
@@ -49,59 +112,15 @@ func newRow(n int) []int32 {
 	return row
 }
 
-// scramble adds one to every numeric leaf reachable from v through
-// slices, arrays, pointers, interfaces, maps and evaluated thunks —
-// every element a shallow or partial copy would still share.
-func scramble(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			scramble(v.Index(i))
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			scramble(v.Field(i))
-		}
-	case reflect.Interface:
-		if !v.IsNil() {
-			scramble(v.Elem())
-		}
-	case reflect.Pointer:
-		if v.IsNil() {
-			return
-		}
-		if t, ok := v.Interface().(*graph.Thunk); ok {
-			scramble(reflect.ValueOf(t.Value()))
-			return
-		}
-		scramble(v.Elem())
-	case reflect.Map:
-		for iter := v.MapRange(); iter.Next(); {
-			scramble(iter.Value())
-		}
-	case reflect.Int, reflect.Int32, reflect.Int64:
-		if v.CanSet() {
-			v.SetInt(v.Int() + 1)
-		}
-	case reflect.Float64:
-		if v.CanSet() {
-			v.SetFloat(v.Float() + 1)
-		}
-	}
-}
-
 func TestCopyForSendShapes(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() graph.Value // builds the same fresh value each call
-	}{
-		{"named [][]float64", func() graph.Value { return newTestMat(5, 7) }},
-		{"struct holding []int32", func() graph.Value { return testPivot{K: 3, Row: newRow(128), Hops: 2} }},
-		{"block in struct", func() graph.Value { return testBlock{M: newTestMat(4, 4)} }},
-		{"[][]int32", func() graph.Value { return [][]int32{newRow(3), nil, {}, newRow(9)} }},
-		{"[]int32", func() graph.Value { return newRow(128) }},
-		{"array of slices", func() graph.Value { return [3][]int32{newRow(2), nil, newRow(5)} }},
-		{"arrays, nil and empty in a struct", func() graph.Value {
+	edentest.CheckCopies(t, []edentest.CopyCase{
+		{Name: "named [][]float64", Make: func() graph.Value { return newTestMat(5, 7) }},
+		{Name: "struct holding []int32", Make: func() graph.Value { return testPivot{K: 3, Row: newRow(128), Hops: 2} }},
+		{Name: "block in struct", Make: func() graph.Value { return testBlock{M: newTestMat(4, 4)} }},
+		{Name: "[][]int32", Make: func() graph.Value { return [][]int32{newRow(3), nil, {}, newRow(9)} }},
+		{Name: "[]int32", Make: func() graph.Value { return newRow(128) }},
+		{Name: "array of slices", Make: func() graph.Value { return testRows3{newRow(2), nil, newRow(5)} }},
+		{Name: "arrays, nil and empty in a struct", Make: func() graph.Value {
 			return testMixed{
 				Fixed: [4]float64{1, 2, 3, 4},
 				Rows:  [2][]int32{newRow(4), newRow(1)},
@@ -109,12 +128,12 @@ func TestCopyForSendShapes(t *testing.T) {
 				Tag:   "x",
 			}
 		}},
-		{"pointer to struct", func() graph.Value { return &testPivot{K: 1, Row: newRow(6)} }},
-		{"map of rows", func() graph.Value { return map[string][]int32{"a": newRow(3), "b": nil} }},
+		{Name: "pointer type with its own copy", Make: func() graph.Value { return &testBox{Row: newRow(6)} }},
+		{Name: "map of rows", Make: func() graph.Value { return testMap{"a": newRow(3), "b": nil} }},
 		// DeepEqual tells nil from empty, here and in the struct above.
-		{"nil slice", func() graph.Value { return []int32(nil) }},
-		{"empty slice", func() graph.Value { return []int32{} }},
-		{"[]graph.Value of evaluated thunks", func() graph.Value {
+		{Name: "nil slice", Make: func() graph.Value { return []int32(nil) }},
+		{Name: "empty slice", Make: func() graph.Value { return []int32{} }},
+		{Name: "[]graph.Value of evaluated thunks", Make: func() graph.Value {
 			return []graph.Value{
 				graph.NewValue(newRow(8)),
 				graph.NewValue(testPivot{K: 9, Row: newRow(4)}),
@@ -123,30 +142,27 @@ func TestCopyForSendShapes(t *testing.T) {
 				nil,
 			}
 		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			src := tc.mk()
-			got, err := copyForSend(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, src) {
-				t.Fatalf("copy differs from its source:\n got %#v\nwant %#v", got, src)
-			}
-			// A settable root lets scramble reach array elements held by value.
-			root := reflect.New(reflect.TypeOf(src)).Elem()
-			if src != nil {
-				root.Set(reflect.ValueOf(src))
-			}
-			scramble(root)
-			if want := tc.mk(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("copy changed when the source was mutated (shared backing array):\n got %#v\nwant %#v", got, want)
-			}
-		})
-	}
+		{Name: "ports", Make: func() graph.Value {
+			return []graph.Value{Inport{id: 1, pe: 2}, Outport{id: 3, dest: 4}, StreamIn{id: 5, pe: 6}, StreamOut{id: 7, dest: 8}}
+		}},
+	})
+	// A pointer to a type with value methods is Sized through its method
+	// set, but its copy would be the value: the receiver would see
+	// another type, so the copy is refused, as the cluster codec refuses
+	// to encode it.
+	t.Run("pointer to struct", func(t *testing.T) {
+		src := &testPivot{K: 1, Row: newRow(6)}
+		got, err := eden.CopyChecked(src)
+		var ue *eden.UnsizedTypeError
+		if !errors.As(err, &ue) || ue.Type != "*nativeeden.testPivot" || ue.CopyType != "nativeeden.testPivot" {
+			t.Fatalf("CopyChecked(%T) = %#v, %v; want an *eden.UnsizedTypeError naming both types", src, got, err)
+		}
+	})
 }
 
+// A value the message rules cannot copy is refused with a structured
+// error, never shared: unevaluated graph anywhere in it, or a type that
+// is not a message type (no eden.Sized), whatever it holds.
 func TestCopyForSendRefusals(t *testing.T) {
 	type hidden struct{ xs []int }
 	type withChan struct{ C chan int }
@@ -155,25 +171,30 @@ func TestCopyForSendRefusals(t *testing.T) {
 		var ue *eden.UnevaluatedError
 		return errors.As(err, &ue)
 	}
-	mentions := func(s string) func(error) bool {
-		return func(err error) bool { return strings.Contains(err.Error(), s) }
+	noCopy := func(typ string) func(error) bool {
+		return func(err error) bool {
+			var ue *eden.UnsizedTypeError
+			return errors.As(err, &ue) && ue.Type == typ && strings.Contains(err.Error(), typ)
+		}
 	}
 	cases := []struct {
 		name string
 		v    graph.Value
 		ok   func(error) bool
 	}{
-		{"unexported field", &hidden{xs: []int{1}}, mentions("unexported field xs")},
-		{"unexported field in a slice element", []hidden{{xs: []int{1}}}, mentions("unexported field xs")},
-		{"chan", withChan{C: make(chan int)}, mentions("cannot copy chan int across heaps")},
-		{"func", []withFunc{{F: func() {}}}, mentions("cannot copy func() across heaps")},
+		{"unexported field", &hidden{xs: []int{1}}, noCopy("*nativeeden.hidden")},
+		{"unexported field in a slice element", []hidden{{xs: []int{1}}}, noCopy("[]nativeeden.hidden")},
+		{"chan", withChan{C: make(chan int)}, noCopy("nativeeden.withChan")},
+		{"func", []withFunc{{F: func() {}}}, noCopy("[]nativeeden.withFunc")},
+		{"no copy inside a list", []graph.Value{1, map[string]int{"a": 1}}, noCopy("map[string]int")},
 		{"unevaluated thunk", graph.NewThunk(func(graph.Context) graph.Value { return 1 }), unevaluated},
 		{"unevaluated thunk in a list", []graph.Value{1, graph.NewPlaceholder()}, unevaluated},
-		{"unevaluated thunk in a struct", struct{ T *graph.Thunk }{graph.NewPlaceholder()}, unevaluated},
+		{"unevaluated thunk in a struct", testThunk{T: graph.NewPlaceholder()}, unevaluated},
+		{"unevaluated thunk in a stream cell", eden.Cons{Head: graph.NewPlaceholder()}, unevaluated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := copyForSend(tc.v)
+			got, err := eden.CopyChecked(tc.v)
 			if err == nil {
 				t.Fatalf("copied %T as %#v, want a refusal", tc.v, got)
 			}
@@ -184,14 +205,13 @@ func TestCopyForSendRefusals(t *testing.T) {
 	}
 }
 
-// The bulk path's allocation shape: one backing array per row plus a
-// constant (outer slice, the struct slot, its boxed copy) — never one
-// per element.
+// The copy's allocation shape: one backing array per row plus a
+// constant (outer slice, the boxed struct), never one per element.
 func TestCopyForSendBlockAllocs(t *testing.T) {
 	const rows = 96
 	var block graph.Value = testBlock{M: newTestMat(rows, rows)}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := copyForSend(block); err != nil {
+		if _, err := eden.CopyChecked(block); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -204,11 +224,10 @@ var copySink graph.Value
 
 // BenchmarkCopyForSend prices the in-process send's deep copy on the
 // benchmark's two payload shapes (a 128-element row, a 96x96 block), on
-// the APSP ring's pivot packet, and on a list of boxed scalars. It is
-// also the judge of typed fast paths in copyForSend: one may stay only
-// if it clearly beats the reflect walk here. A typed []int32 case does
-// not (both are two allocations and a memmove on row128); the
-// []graph.Value case does (delete it and values128 slows fivefold).
+// the APSP ring's pivot packet, and on a list of boxed scalars. Each
+// message type copies itself, so what is priced is one allocation and
+// one move a row: the leaf moves were never the cost, a per-value walk
+// over structs and elements was.
 func BenchmarkCopyForSend(b *testing.B) {
 	boxed := make([]graph.Value, 128)
 	for i := range boxed {
@@ -228,7 +247,7 @@ func BenchmarkCopyForSend(b *testing.B) {
 			b.SetBytes(bc.bytes)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, err := copyForSend(bc.v)
+				c, err := eden.CopyChecked(bc.v)
 				if err != nil {
 					b.Fatal(err)
 				}

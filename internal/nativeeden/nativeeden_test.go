@@ -288,7 +288,7 @@ func TestSendCopiesSliceAcrossHeaps(t *testing.T) {
 func TestCopyForSendFreshThunks(t *testing.T) {
 	inner := []float64{1, 2}
 	orig := graph.NewValue(inner)
-	c, err := copyForSend([]graph.Value{orig})
+	c, err := eden.CopyChecked([]graph.Value{orig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +302,13 @@ func TestCopyForSendFreshThunks(t *testing.T) {
 	}
 }
 
+// A struct with unexported fields is not a message type unless it
+// copies itself; the refusal names the type.
 func TestCopyForSendRejectsUnexported(t *testing.T) {
 	type hidden struct{ xs []int }
-	if _, err := copyForSend(&hidden{xs: []int{1}}); err == nil ||
-		!strings.Contains(err.Error(), "unexported field") {
-		t.Fatalf("err = %v, want unexported-field diagnosis", err)
+	if _, err := eden.CopyChecked(&hidden{xs: []int{1}}); err == nil ||
+		!strings.Contains(err.Error(), "*nativeeden.hidden") {
+		t.Fatalf("err = %v, want a refusal naming *nativeeden.hidden", err)
 	}
 }
 

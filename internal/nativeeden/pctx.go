@@ -100,6 +100,10 @@ func (i Inport) InPE() int { return i.pe }
 // its {channel id, PE} words.
 func (i Inport) PackedSize() int64 { return portPackedSize }
 
+// DeepCopy implements eden.Sized: a port holds no indirection, so it
+// is its own copy.
+func (i Inport) DeepCopy() (graph.Value, error) { return i, nil }
+
 // Outport is the sending end of a one-value channel.
 type Outport struct {
 	id   int64
@@ -111,6 +115,9 @@ func (o Outport) OutPE() int { return o.dest }
 
 // PackedSize implements eden.Sized.
 func (o Outport) PackedSize() int64 { return portPackedSize }
+
+// DeepCopy implements eden.Sized.
+func (o Outport) DeepCopy() (graph.Value, error) { return o, nil }
 
 // StreamIn is the receiving end of an element-by-element stream.
 type StreamIn struct {
@@ -124,6 +131,9 @@ func (s StreamIn) StreamInPE() int { return s.pe }
 // PackedSize implements eden.Sized.
 func (s StreamIn) PackedSize() int64 { return portPackedSize }
 
+// DeepCopy implements eden.Sized.
+func (s StreamIn) DeepCopy() (graph.Value, error) { return s, nil }
+
 // StreamOut is the sending end of an element-by-element stream.
 type StreamOut struct {
 	id   int64
@@ -135,6 +145,9 @@ func (s StreamOut) StreamOutPE() int { return s.dest }
 
 // PackedSize implements eden.Sized.
 func (s StreamOut) PackedSize() int64 { return portPackedSize }
+
+// DeepCopy implements eden.Sized.
+func (s StreamOut) DeepCopy() (graph.Value, error) { return s, nil }
 
 // portPackedSize is the packed size of every port flavour: an 8-byte
 // wire header plus the channel-id and PE words.
@@ -431,7 +444,7 @@ func (p *PCtx) send(kind MsgKind, id int64, dest int, v graph.Value) {
 	case kind != MsgStreamClose:
 		var n int64
 		if n, err = eden.SizeOfChecked(v); err == nil {
-			v, err = copyForSend(v)
+			v, err = eden.CopyChecked(v)
 		}
 		bytes += n
 	}

@@ -28,6 +28,20 @@ func (m mwResult) PackedSize() int64 {
 	return n
 }
 
+// DeepCopy implements eden.Sized: the new tasks and the result are
+// copied with the message rules.
+func (m mwResult) DeepCopy() (graph.Value, error) {
+	tasks, err := eden.CopyValues(m.NewTasks)
+	if err != nil {
+		return nil, err
+	}
+	res, err := eden.CopyChecked(m.Result)
+	if err != nil {
+		return nil, err
+	}
+	return mwResult{NewTasks: tasks, Result: res}, nil
+}
+
 // mwState is the master's shared coordination state; it lives on the
 // master PE and is mutated by the per-worker collector threads. Threads
 // on one PE interleave only at explicit yield points, so the plain

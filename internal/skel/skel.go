@@ -64,6 +64,20 @@ func (kv KV) PackedSize() int64 {
 	return 8 + eden.SizeOf(kv.Key) + eden.SizeOf(kv.Val)
 }
 
+// DeepCopy implements eden.Sized: both nested values are copied with
+// the message rules.
+func (kv KV) DeepCopy() (graph.Value, error) {
+	k, err := eden.CopyChecked(kv.Key)
+	if err != nil {
+		return nil, err
+	}
+	v, err := eden.CopyChecked(kv.Val)
+	if err != nil {
+		return nil, err
+	}
+	return KV{Key: k, Val: v}, nil
+}
+
 // MapFunc expands one input into key-value pairs.
 type MapFunc func(w pe.Ctx, in graph.Value) []KV
 

@@ -1,10 +1,12 @@
 package skel
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/edentest"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
 )
@@ -304,5 +306,32 @@ func TestRingDeterminism(t *testing.T) {
 	b := runE(t, eden.NewConfig(5, 4), main)
 	if a.Elapsed != b.Elapsed || a.Stats != b.Stats {
 		t.Fatalf("nondeterministic ring run: %d vs %d", a.Elapsed, b.Elapsed)
+	}
+}
+
+// Both skeleton packets copy their nested values by the message rules:
+// rows are cloned and evaluated thunks become fresh ones.
+func TestMessageCopiesShareNothing(t *testing.T) {
+	edentest.CheckCopies(t, []edentest.CopyCase{
+		{Name: "KV", Make: func() graph.Value {
+			return KV{Key: "k", Val: []graph.Value{graph.NewValue([]int32{1, 2}), []float64{3}}}
+		}},
+		{Name: "mwResult", Make: func() graph.Value {
+			return mwResult{NewTasks: []graph.Value{graph.NewValue([]int{4}), int64(5)}, Result: [][]int32{{6, 7}, nil}}
+		}},
+		{Name: "mwResult without new tasks", Make: func() graph.Value { return mwResult{Result: 8} }},
+	})
+}
+
+// An unevaluated value nested in a packet is refused, not shared.
+func TestMessageCopyRefusesUnevaluated(t *testing.T) {
+	for _, v := range []graph.Value{
+		KV{Key: 1, Val: graph.NewPlaceholder()},
+		mwResult{NewTasks: []graph.Value{graph.NewPlaceholder()}},
+	} {
+		var ue *eden.UnevaluatedError
+		if _, err := eden.CopyChecked(v); !errors.As(err, &ue) {
+			t.Fatalf("CopyChecked(%T) = %v, want *eden.UnevaluatedError", v, err)
+		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"testing/quick"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/edentest"
 	"parhask/internal/gph"
+	"parhask/internal/graph"
 )
 
 type nopCtx struct{ burned, alloced int64 }
@@ -289,5 +291,28 @@ func TestStronglyConnected(t *testing.T) {
 				t.Fatalf("d[%d][%d] unreachable; graph should be strongly connected", i, j)
 			}
 		}
+	}
+}
+
+// Each Eden message type's copy shares no array with its source.
+func TestMessageCopiesShareNothing(t *testing.T) {
+	edentest.CheckCopies(t, []edentest.CopyCase{
+		{Name: "Graph", Make: func() graph.Value { return Graph{{0, 1, Inf}, nil, {}, {2, 0, 3}} }},
+		{Name: "ringInput", Make: func() graph.Value { return ringInput{Lo: 4, Rows: Graph{{0, 5}, {6, 0}}} }},
+		{Name: "pivotMsg", Make: func() graph.Value { return pivotMsg{K: 2, Row: []int32{7, 0, 9}, Hops: 1} }},
+	})
+}
+
+// The ring's pivot packet, its most frequent message, copies in two
+// allocations: the row and the boxed struct.
+func TestPivotCopyAllocs(t *testing.T) {
+	var msg graph.Value = pivotMsg{K: 1, Row: make([]int32, 128), Hops: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eden.CopyChecked(msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("copying a pivot packet took %.0f allocations, want at most 2", allocs)
 	}
 }

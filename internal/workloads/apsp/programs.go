@@ -3,6 +3,7 @@ package apsp
 import (
 	"fmt"
 
+	"parhask/internal/eden"
 	"parhask/internal/exec"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
@@ -156,6 +157,9 @@ func (g Graph) PackedSize() int64 {
 	return n
 }
 
+// DeepCopy implements eden.Sized.
+func (g Graph) DeepCopy() (graph.Value, error) { return eden.CloneRows(g), nil }
+
 // ringInput is the initial payload of one ring process: its block of
 // rows.
 type ringInput struct {
@@ -172,6 +176,12 @@ func (ri ringInput) PackedSize() int64 {
 	return n
 }
 
+// DeepCopy implements eden.Sized.
+func (ri ringInput) DeepCopy() (graph.Value, error) {
+	ri.Rows = eden.CloneRows(ri.Rows)
+	return ri, nil
+}
+
 // pivotMsg carries one pivot row around the ring. Hops counts the edges
 // travelled so the row is dropped before returning to its owner.
 type pivotMsg struct {
@@ -182,6 +192,12 @@ type pivotMsg struct {
 
 // PackedSize implements eden.Sized.
 func (pm pivotMsg) PackedSize() int64 { return int64(4*len(pm.Row)) + 32 }
+
+// DeepCopy implements eden.Sized.
+func (pm pivotMsg) DeepCopy() (graph.Value, error) {
+	pm.Row = eden.CloneSlice(pm.Row)
+	return pm, nil
+}
 
 // EdenRingProgram distributes the distance-matrix rows over ringSize
 // processes in a ring. Initialised with its rows, each process computes

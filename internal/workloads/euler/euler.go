@@ -362,6 +362,10 @@ type Range struct {
 // PackedSize implements the Eden message-size interface.
 func (r Range) PackedSize() int64 { return 32 }
 
+// DeepCopy implements the Eden message interface: a Range holds no
+// indirection, so it is its own copy.
+func (r Range) DeepCopy() (graph.Value, error) { return r, nil }
+
 // Ranges splits [1, n] into parts contiguous ranges.
 func Ranges(n, parts int) []Range {
 	if parts <= 0 {

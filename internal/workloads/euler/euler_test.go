@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/edentest"
 	"parhask/internal/gph"
+	"parhask/internal/graph"
 	"parhask/internal/native"
 )
 
@@ -312,4 +314,11 @@ func TestEagerBlackholingCheapOnRegularPrograms(t *testing.T) {
 		t.Fatalf("eager black-holing costs %.1f%% on a regular program; paper says 'little disadvantage'",
 			(ratio-1)*100)
 	}
+}
+
+// A Range holds no indirection: its copy is itself.
+func TestMessageCopiesShareNothing(t *testing.T) {
+	edentest.CheckCopies(t, []edentest.CopyCase{
+		{Name: "Range", Make: func() graph.Value { return Range{Lo: 1, Hi: 100} }},
+	})
 }

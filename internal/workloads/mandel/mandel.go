@@ -15,6 +15,7 @@
 package mandel
 
 import (
+	"parhask/internal/eden"
 	"parhask/internal/exec"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
@@ -183,6 +184,12 @@ type rowResult struct {
 
 // PackedSize implements eden.Sized.
 func (r rowResult) PackedSize() int64 { return int64(4*len(r.Pix)) + 24 }
+
+// DeepCopy implements eden.Sized.
+func (r rowResult) DeepCopy() (graph.Value, error) {
+	r.Pix = eden.CloneSlice(r.Pix)
+	return r, nil
+}
 
 // EdenProgram renders with the masterWorker skeleton: rows are tasks,
 // irregularly sized, dynamically balanced across worker processes —

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/edentest"
 	"parhask/internal/gph"
+	"parhask/internal/graph"
 )
 
 type nopCtx struct{ burned, alloced int64 }
@@ -236,4 +238,12 @@ func TestASCIIShape(t *testing.T) {
 	if !strings.Contains(out, "@") || !strings.Contains(out, " ") {
 		t.Fatal("ascii lacks contrast")
 	}
+}
+
+// The Eden result packet's copy shares no pixels with its source.
+func TestMessageCopiesShareNothing(t *testing.T) {
+	edentest.CheckCopies(t, []edentest.CopyCase{
+		{Name: "rowResult", Make: func() graph.Value { return rowResult{Y: 3, Pix: []int32{0, 9, 255}} }},
+		{Name: "rowResult with no pixels", Make: func() graph.Value { return rowResult{Y: 1} }},
+	})
 }

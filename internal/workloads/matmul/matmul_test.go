@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/edentest"
 	"parhask/internal/gph"
+	"parhask/internal/graph"
 	"parhask/internal/sim"
 )
 
@@ -288,4 +290,14 @@ func TestMulOracleIdentityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Each Eden message type's copy shares no array with its source.
+func TestMessageCopiesShareNothing(t *testing.T) {
+	m := func() Mat { return Mat{{1, 2, 3}, {4, 5, 6}} }
+	edentest.CheckCopies(t, []edentest.CopyCase{
+		{Name: "Mat", Make: func() graph.Value { return m() }},
+		{Name: "cannonInput", Make: func() graph.Value { return cannonInput{A: m(), B: Mat{{7}, nil, {}}} }},
+		{Name: "blockMsg", Make: func() graph.Value { return blockMsg{M: m()} }},
+	})
 }

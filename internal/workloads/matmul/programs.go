@@ -87,6 +87,9 @@ func GpHRowProgram(a, b Mat, mulAddCost int64) func(*rts.Ctx) graph.Value {
 // matrix — the packing model and the transport disagreed by megabytes.
 func (m Mat) PackedSize() int64 { return eden.SizeOf([][]float64(m)) }
 
+// DeepCopy implements eden.Sized.
+func (m Mat) DeepCopy() (graph.Value, error) { return eden.CloneRows(m), nil }
+
 // cannonInput is the initial payload of one torus node: its (already
 // skew-aligned) blocks of A and B.
 type cannonInput struct {
@@ -99,11 +102,19 @@ func (ci cannonInput) PackedSize() int64 {
 	return 8 + eden.SizeOf([][]float64(ci.A)) + eden.SizeOf([][]float64(ci.B))
 }
 
+// DeepCopy implements eden.Sized.
+func (ci cannonInput) DeepCopy() (graph.Value, error) {
+	return cannonInput{A: eden.CloneRows(ci.A), B: eden.CloneRows(ci.B)}, nil
+}
+
 // blockMsg is one shifted block in Cannon's round exchange.
 type blockMsg struct{ M Mat }
 
 // PackedSize implements eden.Sized.
 func (bm blockMsg) PackedSize() int64 { return eden.SizeOf([][]float64(bm.M)) }
+
+// DeepCopy implements eden.Sized.
+func (bm blockMsg) DeepCopy() (graph.Value, error) { return blockMsg{M: eden.CloneRows(bm.M)}, nil }
 
 // EdenCannonProgram multiplies on a q×q process torus with Cannon's
 // algorithm: each node starts with skew-aligned blocks A(i,(j+i) mod q)

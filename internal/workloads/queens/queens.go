@@ -10,6 +10,7 @@
 package queens
 
 import (
+	"parhask/internal/eden"
 	"parhask/internal/graph"
 	"parhask/internal/pe"
 	"parhask/internal/rts"
@@ -37,6 +38,12 @@ type prefix struct {
 
 // PackedSize implements eden.Sized.
 func (p prefix) PackedSize() int64 { return int64(len(p.Cols)) + 24 }
+
+// DeepCopy implements eden.Sized.
+func (p prefix) DeepCopy() (graph.Value, error) {
+	p.Cols = eden.CloneSlice(p.Cols)
+	return p, nil
+}
 
 // safe reports whether a queen at (len(cols), col) is unattacked.
 func safe(cols []int8, col int8) bool {

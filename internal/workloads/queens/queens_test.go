@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"parhask/internal/eden"
+	"parhask/internal/eden/edentest"
 	"parhask/internal/gph"
+	"parhask/internal/graph"
 )
 
 type nopCtx struct{ burned, alloced int64 }
@@ -89,4 +91,12 @@ func TestDeeperSplitMakesMoreTasks(t *testing.T) {
 	if shallow, deep := run(1), run(3); deep <= shallow {
 		t.Fatalf("deeper split (%d msgs) should create more task traffic than shallow (%d)", deep, shallow)
 	}
+}
+
+// The Eden task packet's copy shares no columns with its source.
+func TestMessageCopiesShareNothing(t *testing.T) {
+	edentest.CheckCopies(t, []edentest.CopyCase{
+		{Name: "prefix", Make: func() graph.Value { return prefix{N: 8, Cols: []int8{0, 4, 7}} }},
+		{Name: "empty prefix", Make: func() graph.Value { return prefix{N: 8, Cols: []int8{}} }},
+	})
 }
