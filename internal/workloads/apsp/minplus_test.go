@@ -78,6 +78,40 @@ func TestMinPlusRowMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestMinPlusRowAnyInt32 runs the kernel on int32s from the whole
+// range, at every 32-byte phase of the output and the row: negative
+// distances and sums that wrap, which valid distances never reach,
+// where an unsigned min or a saturating add would differ from the loop.
+func TestMinPlusRowAnyInt32(t *testing.T) {
+	rng := sim.NewPRNG(48)
+	any32 := func() int32 {
+		switch rng.Uint64() % 4 {
+		case 0:
+			return math.MinInt32 + int32(rng.Uint64()%4)
+		case 1:
+			return math.MaxInt32 - int32(rng.Uint64()%4)
+		}
+		return int32(rng.Uint64())
+	}
+	riks := []int32{math.MinInt32, -1, 0, 1, math.MaxInt32}
+	for range 4 {
+		riks = append(riks, any32())
+	}
+	backing := make([]int32, 67+7)
+	pivBacking := make([]int32, 67+7)
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 8; off++ {
+			row, pivot := backing[off:off+n], pivBacking[7-off:7-off+n]
+			for j := range row {
+				row[j], pivot[j] = any32(), any32()
+			}
+			for _, rik := range riks {
+				checkMinPlusRow(t, row, pivot, rik)
+			}
+		}
+	}
+}
+
 // int32s decodes b as little-endian int32s, dropping a ragged tail.
 func int32s(b []byte) []int32 {
 	v := make([]int32, len(b)/4)
@@ -108,4 +142,20 @@ func FuzzMinPlusRow(f *testing.F) {
 		}
 		checkMinPlusRow(t, row, pivot, rik)
 	})
+}
+
+// TestKernelTestsOnGoLoop runs the kernel tests again with useAVX2
+// cleared, so an AVX2 host tests the Go loop that hosts without AVX2
+// run as well as the assembly. Where useAVX2 is already false, the
+// tests themselves ran the Go loop.
+func TestKernelTestsOnGoLoop(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernel on this host or in this build: the kernel tests ran the Go loop")
+	}
+	useAVX2 = false
+	defer func() { useAVX2 = true }()
+	t.Run("TestMinPlusRowMatchesLoop", TestMinPlusRowMatchesLoop)
+	t.Run("TestMinPlusRowAnyInt32", TestMinPlusRowAnyInt32)
+	t.Run("TestRowUpdatesMatchNaiveLoops", TestRowUpdatesMatchNaiveLoops)
+	t.Run("TestUpdateRowMatchesOracleStage", TestUpdateRowMatchesOracleStage)
 }

@@ -58,9 +58,10 @@ func Bytes(n int) int64 { return int64(n) * int64(n) * 8 }
 
 // mulAddRow computes di[j] += Σ_k ai[k]·b[k][c0+j] for every j in di —
 // one result row of a product, restricted to the column window starting
-// at c0. It is the only multiply-add loop in the package: the reference
-// and both parallel forms call it, so the one-unit ÷ reference ratio
-// measures the runtime and not two different kernels.
+// at c0. It is the multiply-add loop in Go; mulAddRows, which the
+// reference and both parallel forms call, runs it or the AVX2 row pair
+// built on it, so the one-unit ÷ reference ratio measures the runtime
+// and not two different kernels.
 //
 // k advances four rows of b at a time through mulAdd4, so each di[j] is
 // loaded and stored once per four flops; the last len(b) mod 4 rows run
@@ -82,6 +83,19 @@ func mulAddRow(di, ai []float64, b Mat, c0 int) {
 	}
 }
 
+// mulAddRows computes d[i][:w] += a[i]·b over the column window at c0
+// for every row i of a: two rows at a time through mulAddRowPair, an
+// odd last row through mulAddRow.
+func mulAddRows(d, a, b Mat, c0, w int) {
+	i := 0
+	for ; i+1 < len(a); i += 2 {
+		mulAddRowPair(d[i][:w], d[i+1][:w], a[i], a[i+1], b, c0)
+	}
+	if i < len(a) {
+		mulAddRow(d[i][:w], a[i], b, c0)
+	}
+}
+
 // window returns row[c0:c0+w]. The bound is checked against len(row) —
 // a bare reslice is checked against cap — so a row too short for the
 // window panics instead of yielding whatever lies behind it. The final
@@ -95,9 +109,7 @@ func window(row []float64, c0, w int) []float64 {
 // MulOracle is the plain host-side reference product (no cost model).
 func MulOracle(a, b Mat) Mat {
 	c := New(len(a), len(b[0]))
-	for i := range c {
-		mulAddRow(c[i], a[i], b, 0)
-	}
+	mulAddRows(c, a, b, 0, len(b[0]))
 	return c
 }
 
@@ -109,9 +121,9 @@ func MulAddInto(ctx Ctx, mulAddCost int64, dst, a, b Mat) {
 		return
 	}
 	m := len(b[0])
-	for i := range a {
-		mulAddRow(dst[i][:m], a[i], b, 0)
-		ops := int64(len(b) * m)
+	mulAddRows(dst, a, b, 0, m)
+	ops := int64(len(b) * m)
+	for range a {
 		ctx.Burn(ops * mulAddCost)
 		ctx.Alloc(ops*AllocPerMulAdd + int64(m)*AllocPerElem)
 	}
@@ -122,9 +134,9 @@ func MulAddInto(ctx Ctx, mulAddCost int64, dst, a, b Mat) {
 // block spark performs.
 func MulRange(ctx Ctx, mulAddCost int64, a, b Mat, r0, r1, c0, c1 int) Mat {
 	out := New(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		mulAddRow(out[i-r0], a[i], b, c0)
-		ops := int64(len(b) * (c1 - c0))
+	mulAddRows(out, a[r0:r1], b, c0, c1-c0)
+	ops := int64(len(b) * (c1 - c0))
+	for range out {
 		ctx.Burn(ops * mulAddCost)
 		ctx.Alloc(ops*AllocPerMulAdd + int64(c1-c0)*AllocPerElem)
 	}

@@ -2,33 +2,49 @@
 
 package matmul
 
-// mulAdd4 computes d[j] += a0·r0[j], then a1·r1[j], a2·r2[j] and
-// a3·r3[j], for every j in d: four rows of b's multiply-adds into one
-// result row.
+import "parhask/internal/cpuid"
+
+// useAVX2 selects mulAddPairLanes. It is the host's answer, read once;
+// tests clear it to run the Go loop on the same host.
+var useAVX2 = cpuid.AVX2()
+
+// mulAddRowPair is mulAddRow on two result rows that share b and the
+// column window: d0 += a0·b and d1 += a1·b, with len(d1) == len(d0).
 //
-// mulAddLanes does two adjacent j per SSE2 instruction; the code here
-// finishes an odd last column. Each lane runs MULPD then ADDPD, one
-// rounding each, in ascending k — the portable loop's operations in its
-// order (muladd_generic.go) — so the result is that loop's bit for bit.
-// There is no FMA and no reassociation. SSE2 is in the amd64 baseline:
-// there is nothing to detect at run time.
-func mulAdd4(d, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
-	n := len(d)
-	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
-	mulAddLanes(d, r0, r1, r2, r3, a0, a1, a2, a3)
-	if n&1 != 0 {
-		j := n - 1
-		x := d[j]
-		x += a0 * r0[j]
-		x += a1 * r1[j]
-		x += a2 * r2[j]
-		x += a3 * r3[j]
-		d[j] = x
+// On an AVX2 host mulAddPairLanes runs the first len(b) &^ 3 terms of
+// the first len(d0) &^ 3 columns of both rows, so each vector it loads
+// from a row of b feeds both results; mulAddRow then adds the remaining
+// terms of those columns and computes the last len(d0) mod 4 columns
+// outright. Each element still gets its terms one at a time in
+// ascending k, a multiply rounded and then an add rounded (no FMA), so
+// the rows are mulAddRow's bit for bit. Without AVX2 both rows run
+// mulAddRow.
+func mulAddRowPair(d0, d1, a0, a1 []float64, b Mat, c0 int) {
+	if !useAVX2 {
+		mulAddRow(d0, a0, b, c0)
+		mulAddRow(d1, a1, b, c0)
+		return
+	}
+	w := len(d0)
+	d1, a0, a1 = d1[:w], a0[:len(b)], a1[:len(b)]
+	k4, w4 := len(b)&^3, w&^3
+	for k := 0; k < k4; k += 4 {
+		mulAddPairLanes(d0[:w4], d1[:w4],
+			window(b[k], c0, w4), window(b[k+1], c0, w4), window(b[k+2], c0, w4), window(b[k+3], c0, w4),
+			(*[4]float64)(a0[k:]), (*[4]float64)(a1[k:]))
+	}
+	mulAddRow(d0[:w4], a0[k4:], b[k4:], c0)
+	mulAddRow(d1[:w4], a1[k4:], b[k4:], c0)
+	if w4 < w { // the windows above already checked every row's length
+		mulAddRow(d0[w4:], a0, b, c0+w4)
+		mulAddRow(d1[w4:], a1, b, c0+w4)
 	}
 }
 
-// mulAddLanes is mulAdd4 on the first len(d) &^ 1 elements; r0..r3
-// must be at least as long as d.
+// mulAddPairLanes computes d0[j] += a0[0]·r0[j], then a0[1]·r1[j],
+// a0[2]·r2[j] and a0[3]·r3[j], and d1[j] likewise with a1, for the
+// first len(d0) &^ 3 elements; d1 and r0..r3 must be at least as long
+// as d0. It needs AVX2.
 //
 //go:noescape
-func mulAddLanes(d, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64)
+func mulAddPairLanes(d0, d1, r0, r1, r2, r3 []float64, a0, a1 *[4]float64)

@@ -1,5 +1,3 @@
-//go:build !amd64 || race
-
 package matmul
 
 // mulAdd4 computes d[j] += a0·r0[j], then a1·r1[j], a2·r2[j] and
@@ -10,8 +8,10 @@ package matmul
 // differently.) The rows are resliced to len(d) so the loop compiles
 // without bounds checks.
 //
-// This loop is the kernel off amd64 and under the race detector, which
-// sees none of the SSE2 loop's memory accesses (muladd_amd64.go).
+// This loop is the whole kernel off amd64, under the race detector
+// (which sees none of the assembly's memory accesses) and on amd64
+// hosts without AVX2, and everything mulAddPairLanes leaves on the rest
+// (muladd_amd64.go).
 func mulAdd4(d, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 	r0, r1, r2, r3 = r0[:len(d)], r1[:len(d)], r2[:len(d)], r3[:len(d)]
 	for j := range d {
