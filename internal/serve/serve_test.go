@@ -181,7 +181,13 @@ func TestServeTenantFairness(t *testing.T) {
 		wg.Add(1)
 		go submit("flood")
 	}
-	time.Sleep(100 * time.Millisecond) // let the flood queue up
+	// Let the flood queue up: every flood job but the one running and
+	// the one the dispatcher holds for the next slot, unless a flood job
+	// has already finished. A fixed sleep is not enough: on a fast
+	// kernel the flood drains within it.
+	for st := s.Statusz(); st.QueueDepths["flood"] < floodJobs-2 && st.JobsDone == 0; st = s.Statusz() {
+		time.Sleep(time.Millisecond)
+	}
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go submit("patient")

@@ -44,18 +44,34 @@ func BenchmarkPhiParallelSameKey(b *testing.B) {
 	})
 }
 
+// eachKernel runs bench as the sub-benchmark avx2, where useAVX2 is
+// set, and as portable with it cleared.
+func eachKernel(b *testing.B, bench func(b *testing.B)) {
+	if useAVX2 {
+		b.Run("avx2", bench)
+	}
+	b.Run("portable", func(b *testing.B) {
+		defer func(host bool) { useAVX2 = host }(useAVX2)
+		useAVX2 = false
+		bench(b)
+	})
+}
+
 // BenchmarkSumRangeDirect times the native φ kernel over k ∈ [1, 4000]
 // and reports ns/gcdstep: wall time over the Euclid steps phiCounted
 // counts for the same range (the step the cost model's GCDIter prices).
+// It runs as avx2 (where the host and build have that kernel) and as
+// portable (the Go lanes on the reciprocal table).
 func BenchmarkSumRangeDirect(b *testing.B) {
 	const n = 4000
 	var steps int64
 	for k := 1; k <= n; k++ {
 		steps += phiCounted(k).iters
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SumRangeDirect(1, n)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*steps), "ns/gcdstep")
+	eachKernel(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SumRangeDirect(1, n)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*steps), "ns/gcdstep")
+	})
 }

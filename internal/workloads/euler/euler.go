@@ -11,10 +11,12 @@
 //	  where phi k = length (filter (relprime k) [1..k-1])
 //
 // The native kernel (SumRangeDirect, and PhiDirect for one k) runs those
-// gcds in uint32, four Euclid chains in lock step, each remainder taken
-// by multiplying with a reciprocal from a table built per call, so k
-// must fit in a uint32; the simulator still charges each gcd's steps as
-// the paper's gcd takes them.
+// gcds with Euclid's remainder sequence, k fitting in a uint32. On an
+// AVX2 host phiAVX2 runs 32 chains in lock step, each quotient a float32
+// division, exact for k ≤ 2²⁴; elsewhere phiLanes runs four, each
+// remainder a multiply with a reciprocal from a table built per call.
+// The simulator still charges each gcd's steps as the paper's gcd takes
+// them.
 package euler
 
 import (
@@ -131,12 +133,13 @@ func gcd32(a, b uint32) uint32 {
 	return a
 }
 
-// maxTableK is the largest k whose φ runs on the reciprocal table: the
-// largest n a workload spec accepts, so every k a spec can ask for takes
-// the one kernel. What bounds it is the table's memory: a SumRangeDirect
-// call over [lo, hi] holds min(hi, maxTableK) uint64s while it runs,
-// 64 KiB at the benchmark's n = 8000 and 128 MiB at the cap, once per
-// call running at the same time. Above the cap each j runs gcd32.
+// maxTableK is the largest k whose φ runs on phiKernel: the largest n a
+// workload spec accepts, so every k a spec can ask for takes the one
+// kernel. It bounds both kernels: phiAVX2's float32 quotients are exact
+// up to 2²⁴, and phiLanes' table is min(hi, maxTableK) uint64s for a
+// SumRangeDirect call over [lo, hi], 64 KiB at the benchmark's n = 8000
+// and 128 MiB at the cap, once per call running at the same time. Above
+// the cap each j runs gcd32.
 const maxTableK = 1 << 24
 
 // recip is the multiplier rem takes for divisor d ≥ 1: ⌈2⁶⁴/d⌉ for
@@ -169,7 +172,9 @@ func rem(a, b uint32, r uint64) uint32 {
 // gcd(k, j) with the remainder sequence of the paper's gcd. A lane
 // whose b has reached 0 keeps its a (the gcd) and gets remainder 0, so
 // the round loop's one branch is its exit, taken when all four are
-// done. The last group pads j ≥ k with b = 0, whose gcd is k ≠ 1.
+// done. The last group pads j ≥ k with b = 0, whose gcd is k ≠ 1. It is
+// the kernel off amd64, under the race detector and on hosts without
+// AVX2.
 func phiLanes(k uint32, rt []uint64) int {
 	rt = rt[:k]
 	phi := 0
@@ -222,10 +227,11 @@ func PhiDirect(k int) int {
 }
 
 // SumRangeDirect sums φ(k) for k in [lo, hi] with the uncached kernel,
-// phiLanes, on a reciprocal table it builds for this call alone. Every
-// j < k gets a full Euclid gcd(k, j) with the remainder sequence of the
-// paper's gcd, in uint32; k above maxTableK runs gcd32 per j. k must
-// fit in a uint32; SumRangeDirect panics otherwise rather than truncate.
+// phiKernel: phiAVX2 on an AVX2 host, else phiLanes on a reciprocal
+// table it builds for this call alone. Every j < k gets a full Euclid
+// gcd(k, j) with the remainder sequence of the paper's gcd; k above
+// maxTableK runs gcd32 per j. k must fit in a uint32; SumRangeDirect
+// panics otherwise rather than truncate.
 func SumRangeDirect(lo, hi int) int64 {
 	if lo > hi {
 		return 0
@@ -234,7 +240,7 @@ func SumRangeDirect(lo, hi int) int64 {
 		panic(fmt.Sprintf("euler: φ over [%d, %d]: k exceeds uint32", lo, hi))
 	}
 	var rt []uint64
-	if lo <= maxTableK {
+	if lo <= maxTableK && !useAVX2 {
 		rt = reciprocals(min(hi, maxTableK))
 	}
 	var sum int64
@@ -243,7 +249,7 @@ func SumRangeDirect(lo, hi int) int64 {
 		case k == 1:
 			sum++ // φ(1) = 1 by convention
 		case k <= maxTableK:
-			sum += int64(phiLanes(kk, rt))
+			sum += int64(phiKernel(kk, rt))
 		default:
 			for j := uint32(1); j < kk; j++ {
 				if gcd32(kk, j) == 1 {
@@ -258,10 +264,10 @@ func SumRangeDirect(lo, hi int) int64 {
 // PhiList computes φ(k) the way the paper's Haskell program does —
 // length (filter (relprime k) [1..k-1]) — materialising the
 // intermediate lists on the real heap. SumRangeDirect is the kernel for
-// timing the scheduler (one table a call); PhiList is the kernel
-// for the §IV-A.1 allocation-area experiment, where the garbage the
-// Haskell program produces per φ is the entire point: its collection
-// frequency is what the allocation-area (GOGC) setting controls.
+// timing the scheduler; PhiList is the kernel for the §IV-A.1
+// allocation-area experiment, where the garbage the Haskell program
+// produces per φ is the entire point: its collection frequency is what
+// the allocation-area (GOGC) setting controls.
 func PhiList(k int) int {
 	if k == 1 {
 		return 1 // φ(1) = 1 by convention
