@@ -11,24 +11,14 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-)
 
-// The documents that describe how to run things. CHANGES.md, ROADMAP.md
-// and ISSUE.md are history: they may name what no longer exists.
-var docs = []string{
-	"README.md",
-	"DESIGN.md",
-	"EXPERIMENTS.md",
-	"results/README.md",
-	".claude/skills/verify/SKILL.md",
-	".github/workflows/ci.yml",
-}
+	"parhask/internal/docscheck"
+)
 
 var (
 	// A benchall command runs from the word to the end of its code span,
 	// pipeline stage or trailing comment.
 	benchallCmdRE = regexp.MustCompile("benchall([^`|;#)·]*)")
-	flagRE        = regexp.MustCompile(`\s-([a-z][a-z0-9]*)`)
 	resultsFileRE = regexp.MustCompile(`\bresults/([A-Za-z0-9_][A-Za-z0-9_.*-]*)`)
 	testNameRE    = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z][A-Za-z0-9_]*`)
 	testFuncRE    = regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Za-z0-9_]*)\(`)
@@ -54,18 +44,8 @@ var (
 // top-level declaration Name (decls maps package name to its
 // declarations; names of packages outside the repo are not checked).
 func checkDoc(text string, flags map[string]bool, funcs []string, decls map[string]map[string]bool, root string) []string {
-	var bad []string
-	// A trailing backslash continues a shell command on the next line.
+	bad := docscheck.UnknownFlags(text, "benchall", benchallCmdRE, flags)
 	text = strings.ReplaceAll(text, "\\\n", " ")
-	for _, line := range strings.Split(text, "\n") {
-		for _, cmd := range benchallCmdRE.FindAllStringSubmatch(line, -1) {
-			for _, f := range flagRE.FindAllStringSubmatch(cmd[1], -1) {
-				if !flags[f[1]] {
-					bad = append(bad, "benchall has no flag -"+f[1]+": "+strings.TrimSpace(line))
-				}
-			}
-		}
-	}
 	for _, m := range resultsFileRE.FindAllStringSubmatch(text, -1) {
 		name := strings.TrimRight(m[1], ".")
 		if _, err := os.Stat(filepath.Join(root, "results", name)); err != nil {
@@ -185,7 +165,7 @@ func TestDocsPointAtWhatExists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, doc := range docs {
+	for _, doc := range docscheck.Docs {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)

@@ -7,29 +7,11 @@
 //	tracedump -experiment matmul -format csv   # segment dump (EdenTV-style)
 //	tracedump -experiment matmul -format json
 //
-// With -native it renders a *wall-clock* timeline instead: the workload
-// runs on the real-goroutine work-stealing runtime with the eventlog
-// enabled, and the reduced per-worker trace goes through the same
-// exporters (so the native run draws exactly like the simulated
-// figures, except that its shape is machine-dependent):
+// A wall-clock timeline of a native run comes from the workload command
+// that runs it, with the same exporters (see internal/driver):
 //
-//	tracedump -native sumeuler -workers 4
-//	tracedump -native apsp -workers 8 -format html > apsp.html
-//
-// With -edennative it renders the GpH-native and Eden-native wall-clock
-// timelines of one workload back to back — the real-hardware version of
-// the paper's GpH-vs-Eden trace comparison (message traffic shows up as
-// the Eden timeline's comm bands):
-//
-//	tracedump -edennative sumeuler -pes 4 -format html > headtohead.html
-//
-// With -faults (internal/faults spec grammar) and -deadline the native
-// runs execute under deterministic fault injection with the deadlock
-// watchdog armed; a failed run still renders — the partial timeline up
-// to the crash or diagnosed deadlock is emitted (the post-mortem view)
-// and tracedump exits non-zero:
-//
-//	tracedump -native sumeuler -faults "seed=7,panic-spark=3" -deadline 10s
+//	sumeuler -runtime native -workers 4 -eager -trace=html > native.html
+//	sumeuler -runtime eden -pes 4 -faults "seed=7,panic-proc=0" -deadline 10s -trace=html > failed.html
 //
 // With -job it renders one request's cross-worker timeline fetched from
 // a *live* server (the job must have been submitted with "trace":true;
@@ -50,8 +32,39 @@ import (
 
 	"parhask/internal/eventlog"
 	"parhask/internal/experiments"
-	"parhask/internal/faults"
 )
+
+// options is tracedump's whole command-line surface.
+type options struct {
+	experiment, format, job, server string
+	quick                           bool
+	width                           int
+}
+
+// newFlags registers every tracedump flag on fs.
+func newFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.experiment, "experiment", "sumeuler", "sumeuler (Fig. 2) or matmul (Fig. 4)")
+	fs.BoolVar(&o.quick, "quick", false, "use scaled-down parameters")
+	fs.IntVar(&o.width, "width", 100, "trace width in columns")
+	fs.StringVar(&o.format, "format", "ascii", "ascii | csv | json | html")
+	fs.StringVar(&o.job, "job", "", "render a traced job's timeline fetched from a live server (trace id, e.g. t-17)")
+	fs.StringVar(&o.server, "server", "http://localhost:8080", "server base URL for -job")
+	return o
+}
+
+// validate rejects a bad command line before any figure runs.
+func (o *options) validate() error {
+	switch o.format {
+	case "ascii", "csv", "json", "html":
+	default:
+		return fmt.Errorf("unknown -format %q (want ascii, csv, json or html)", o.format)
+	}
+	if o.job == "" && o.experiment != "sumeuler" && o.experiment != "matmul" {
+		return fmt.Errorf("unknown -experiment %q (want sumeuler or matmul)", o.experiment)
+	}
+	return nil
+}
 
 // fetchJobTrace pulls a stored per-job dump from a running server and
 // reconstructs its timeline, exactly as the serve tests do in-process.
@@ -80,134 +93,63 @@ func fetchJobTrace(server, id string, width int) (experiments.TraceEntry, error)
 	if d.Error != "" {
 		name += " [failed: " + d.Error + "]"
 	}
-	e = experiments.TraceEntry{
+	return experiments.TraceEntry{
 		Name: name, Elapsed: d.WallNS, Trace: tl,
 		Rendered: tl.Render(width), Summary: tl.Summary(),
-	}
-	return e, nil
+	}, nil
 }
 
 func main() {
-	exp := flag.String("experiment", "sumeuler", "sumeuler (Fig. 2) or matmul (Fig. 4)")
-	nativeWl := flag.String("native", "", "render a wall-clock native-runtime timeline instead: sumeuler | matmul | apsp")
-	edenWl := flag.String("edennative", "", "render the GpH-native vs Eden-native timelines of a workload: sumeuler | matmul | apsp")
-	workers := flag.Int("workers", 0, "native worker goroutines (default: GOMAXPROCS)")
-	pes := flag.Int("pes", 0, "Eden-native processing elements (default: GOMAXPROCS)")
-	eager := flag.Bool("eager", true, "native black-holing policy (eager claim vs lazy baseline)")
-	quick := flag.Bool("quick", false, "use scaled-down parameters")
-	width := flag.Int("width", 100, "trace width in columns")
-	format := flag.String("format", "ascii", "ascii | csv | json | html")
-	faultSpec := flag.String("faults", "", "fault-injection spec for -native/-edennative runs (internal/faults grammar)")
-	deadline := flag.Duration("deadline", 0, "deadlock-watchdog deadline for -native/-edennative runs (0 = disabled)")
-	jobID := flag.String("job", "", "render a traced job's timeline fetched from a live server (trace id, e.g. t-17)")
-	server := flag.String("server", "http://localhost:8080", "server base URL for -job")
+	o := newFlags(flag.CommandLine)
 	flag.Parse()
-
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "tracedump:", err)
+		os.Exit(2)
+	}
 	p := experiments.Defaults()
-	if *quick {
+	if o.quick {
 		p = experiments.Quick()
 	}
-	p.TraceWidth = *width
-
-	// Fail fast on the fault flags, before any run starts.
-	if *faultSpec != "" || *deadline != 0 {
-		if *nativeWl == "" && *edenWl == "" {
-			fmt.Fprintln(os.Stderr, "tracedump: -faults/-deadline apply only to -native or -edennative timelines")
-			os.Exit(2)
-		}
-		if _, err := faults.CLIInjector(*faultSpec, *deadline, "native"); err != nil {
-			fmt.Fprintln(os.Stderr, "tracedump:", err)
-			os.Exit(2)
-		}
-		p.FaultSpec = *faultSpec
-		p.Deadline = *deadline
-	}
-
-	// keepPartial decides what to do with a failed timeline run: a
-	// failure that still produced a trace (fault injection, deadlock)
-	// is rendered as a partial timeline; one without a trace is fatal.
-	runFailed := false
-	keepPartial := func(e experiments.TraceEntry, err error) experiments.TraceEntry {
-		if err == nil {
-			return e
-		}
-		fmt.Fprintln(os.Stderr, "tracedump:", err)
-		if e.Trace == nil {
-			os.Exit(2)
-		}
-		runFailed = true
-		return e
-	}
+	p.TraceWidth = o.width
 
 	var entries []experiments.TraceEntry
 	var rendered string
-	if *jobID != "" {
-		e, err := fetchJobTrace(*server, *jobID, *width)
+	switch {
+	case o.job != "":
+		e, err := fetchJobTrace(o.server, o.job, o.width)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracedump:", err)
 			os.Exit(2)
 		}
 		entries = []experiments.TraceEntry{e}
 		rendered = fmt.Sprintf("%s\n%s\n%s", e.Name, e.Rendered, e.Summary)
-	} else if *edenWl != "" {
-		ge, err := experiments.NativeTimeline(p, *edenWl, *workers, *eager)
-		ge = keepPartial(ge, err)
-		ee, err := experiments.EdenNativeTimeline(p, *edenWl, *pes)
-		ee = keepPartial(ee, err)
-		entries = []experiments.TraceEntry{ge, ee}
-		rendered = fmt.Sprintf("%s\n%s\n%s\n\n%s\n%s\n%s",
-			ge.Name, ge.Rendered, ge.Summary, ee.Name, ee.Rendered, ee.Summary)
-	} else if *nativeWl != "" {
-		e, err := experiments.NativeTimeline(p, *nativeWl, *workers, *eager)
-		e = keepPartial(e, err)
-		entries = []experiments.TraceEntry{e}
-		rendered = fmt.Sprintf("%s\n%s\n%s", e.Name, e.Rendered, e.Summary)
-	} else {
-		switch *exp {
-		case "sumeuler":
-			f := experiments.RunFig2(p)
-			entries, rendered = f.Entries, f.String()
-		case "matmul":
-			f := experiments.RunFig4(p)
-			entries, rendered = f.Entries, f.String()
-		default:
-			fmt.Fprintf(os.Stderr, "tracedump: unknown -experiment %q (want sumeuler or matmul)\n", *exp)
-			os.Exit(2)
-		}
+	case o.experiment == "sumeuler":
+		f := experiments.RunFig2(p)
+		entries, rendered = f.Entries, f.String()
+	default:
+		f := experiments.RunFig4(p)
+		entries, rendered = f.Entries, f.String()
 	}
 
-	switch *format {
-	case "ascii":
+	if o.format == "ascii" {
 		fmt.Println(rendered)
-	case "csv":
-		for _, e := range entries {
-			fmt.Printf("# %s\n", e.Name)
-			if err := e.Trace.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "tracedump:", err)
-				os.Exit(1)
-			}
-		}
-	case "json":
-		for _, e := range entries {
-			fmt.Printf("// %s\n", e.Name)
-			if err := e.Trace.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "tracedump:", err)
-				os.Exit(1)
-			}
-		}
-	case "html":
-		for _, e := range entries {
-			if err := e.Trace.WriteHTML(os.Stdout, e.Name); err != nil {
-				fmt.Fprintln(os.Stderr, "tracedump:", err)
-				os.Exit(1)
-			}
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "tracedump: unknown -format %q\n", *format)
-		os.Exit(2)
+		return
 	}
-	if runFailed {
-		// The partial timeline was rendered; still signal the failure.
-		os.Exit(1)
+	for _, e := range entries {
+		var err error
+		switch o.format {
+		case "csv":
+			fmt.Printf("# %s\n", e.Name)
+			err = e.Trace.WriteCSV(os.Stdout)
+		case "json":
+			fmt.Printf("// %s\n", e.Name)
+			err = e.Trace.WriteJSON(os.Stdout)
+		default:
+			err = e.Trace.WriteHTML(os.Stdout, e.Name)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tracedump:", err)
+			os.Exit(1)
+		}
 	}
 }

@@ -2,16 +2,13 @@ package driver
 
 import (
 	"flag"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
+	"parhask/internal/docscheck"
 	"parhask/internal/workloads"
 )
 
@@ -20,41 +17,8 @@ var (
 	// built binary under parhask-bin/, or an inline code span) up to the
 	// end of its code span, pipeline stage, redirect or trailing comment.
 	driverCmdRE = regexp.MustCompile("(?:\\bcmd/|parhask-bin/|`)(sumeuler|matmul|apsp|workloads)\\b([^`|;#)·>]*)")
-	driverFlag  = regexp.MustCompile(`\s-([a-z][a-z0-9]*)`)
 	runValueRE  = regexp.MustCompile(`\s-run[ =](\w+)`)
 )
-
-// documents returns the documents cmd/benchall's doc test walks: the
-// string literals of its docs variable, so the list is kept in one place.
-func documents(t *testing.T, root string) []string {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "cmd/benchall/docs_test.go"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var docs []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		vs, ok := n.(*ast.ValueSpec)
-		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "docs" {
-			return true
-		}
-		ast.Inspect(vs, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				s, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					t.Fatal(err)
-				}
-				docs = append(docs, s)
-			}
-			return true
-		})
-		return false
-	})
-	if len(docs) == 0 {
-		t.Fatal("found no docs list in cmd/benchall/docs_test.go")
-	}
-	return docs
-}
 
 // registered is the set of flags the driver declares for one entry,
 // with -run when the entry is chosen by flag.
@@ -104,7 +68,7 @@ func checkDriverDoc(t *testing.T, text string) []string {
 					flags[f] = true
 				}
 			}
-			for _, f := range driverFlag.FindAllStringSubmatch(rest, -1) {
+			for _, f := range docscheck.Flag.FindAllStringSubmatch(rest, -1) {
 				if !flags[f[1]] {
 					bad = append(bad, name+" has no flag -"+f[1]+": "+strings.TrimSpace(line))
 				}
@@ -118,7 +82,7 @@ func checkDriverDoc(t *testing.T, text string) []string {
 // driver command line that passes a flag the driver no longer declares.
 func TestDocsUseRegisteredFlags(t *testing.T) {
 	const root = "../.."
-	for _, doc := range documents(t, root) {
+	for _, doc := range docscheck.Docs {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +100,7 @@ func TestDocsUseRegisteredFlags(t *testing.T) {
 		"go run ./cmd/apsp -runtime native -n 48 -eager | tee apsp.txt -x":                 0,
 		"/tmp/parhask-bin/workloads -run queens -n 8 -cutoff 16 -rts eden   # sim -chunks": 0,
 		"go run ./cmd/workloads -run queens -chunks 4":                                     1,
-		"`cmd/matmul -block 33 -q 3`, then tracedump -native sumeuler -format html":        0,
+		"`cmd/matmul -block 33 -q 3`, then tracedump -experiment matmul -format html":      0,
 	} {
 		if got := checkDriverDoc(t, line); len(got) != want {
 			t.Errorf("checkDriverDoc(%q) = %q, want %d findings", line, got, want)

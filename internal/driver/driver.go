@@ -6,6 +6,7 @@
 // print exists once per runtime:
 //
 //	sumeuler -n 15000 -cores 8 -rts steal -trace     # simulated GpH (virtual time)
+//	sumeuler -runtime native -eager -trace=html > t.html   # the wall-clock timeline, exported
 //	matmul -n 396 -rts eden -q 4 -pes 17             # simulated Eden, Fig. 4 e)
 //	apsp -n 400 -runtime native -workers 8 -eager    # real goroutines, shared heap
 //	sumeuler -runtime native -stats json             # machine-readable counters
@@ -25,7 +26,10 @@
 // sends, which carries every parameter of the instance. -faults injects
 // a seeded fault plan (internal/faults grammar) and -deadline arms the
 // deadlock watchdog; a failed run prints the structured error and,
-// with -trace, the partial timeline up to the failure. Every run is
+// with -trace, the partial timeline up to the failure. Bare -trace
+// prints the ASCII timeline after the report; -trace=csv|json|html
+// writes that timeline's export (internal/trace) to stdout in place of
+// the report, on every runtime. Every run is
 // verified against the workload's sequential oracle: exit 0 means the
 // result is right, 1 a failed or wrong run, 2 a bad command line.
 package driver
@@ -37,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -64,9 +69,37 @@ func Main(name string) {
 type options struct {
 	runtime, rts, stats, faults, transport        string
 	cores, workers, pes, width, cluster, restarts int
-	trace, eager, profile, reconnect              bool
+	eager, profile, reconnect                     bool
+	trace                                         traceFormat
 	deadline                                      time.Duration
 }
+
+// traceFormat is the value of -trace: "" (off), "ascii" (bare -trace:
+// the timeline after the report) or an export format of trace.Log.
+type traceFormat string
+
+// IsBoolFlag lets -trace stand alone: bare -trace sets "true".
+func (f *traceFormat) IsBoolFlag() bool { return true }
+
+func (f *traceFormat) String() string { return string(*f) }
+
+func (f *traceFormat) Set(s string) error {
+	on, err := strconv.ParseBool(s)
+	switch {
+	case s == "csv" || s == "json" || s == "html":
+		*f = traceFormat(s)
+	case err != nil:
+		return errors.New("want csv, json or html")
+	case on:
+		*f = "ascii"
+	default:
+		*f = ""
+	}
+	return nil
+}
+
+// export reports whether -trace writes an export in place of the report.
+func (f traceFormat) export() bool { return f != "" && f != "ascii" }
 
 // gphConfigs are the simulated GpH runtime configurations of -rts.
 var gphConfigs = map[string]func(cores int) gph.Config{
@@ -117,9 +150,15 @@ func Run(name string, argv []string, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		r.fail(1, err)
-		if r.o.trace && rep.trace != nil {
+		switch tl := rep.trace; {
+		case tl == nil:
+		case r.o.trace.export():
+			if err := r.export(tl, fmt.Sprintf("%s (FAILED, partial timeline): %v", r.headline(rep.where), err)); err != nil {
+				r.fail(1, err)
+			}
+		case r.o.trace != "":
 			fmt.Fprintln(stdout, "partial timeline of the failed run:")
-			r.timeline(rep.trace)
+			r.timeline(tl)
 		}
 		return 1
 	}
@@ -152,6 +191,9 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 
 	if o.runtime != "sim" && o.runtime != "native" && o.runtime != "eden" {
 		return nil, r.fail(2, fmt.Sprintf("unknown -runtime %q", o.runtime))
+	}
+	if o.trace.export() && o.stats == "json" {
+		return nil, r.fail(2, "-trace="+string(o.trace)+" and -stats json both replace the report: pick one")
 	}
 	if err := cluster.CheckFlags(o.runtime, o.cluster, o.transport, o.restarts); err != nil {
 		return nil, r.fail(2, err)
@@ -186,7 +228,7 @@ func newFlags(fs *flag.FlagSet, e *workloads.Entry, o *options, byFlag bool) map
 	fs.IntVar(&o.cores, "cores", 8, "simulated physical cores")
 	fs.IntVar(&o.workers, "workers", 0, "native worker goroutines (default: GOMAXPROCS)")
 	fs.IntVar(&o.pes, "pes", 0, "Eden PEs (default: the topology's size or the cores on the simulator, GOMAXPROCS natively, 2 per cluster process)")
-	fs.BoolVar(&o.trace, "trace", false, "print the activity timeline")
+	fs.Var(&o.trace, "trace", "print the activity timeline after the report; -trace=csv|json|html writes its export instead of the report")
 	fs.IntVar(&o.width, "width", 100, "trace width")
 	fs.StringVar(&o.stats, "stats", "text", "native stats format: text | json (per-worker counters, machine-readable, json output only)")
 	fs.StringVar(&o.faults, "faults", "", "fault-injection spec for the native runtimes (internal/faults grammar), e.g. \"seed=7,panic-spark=3\"")
@@ -250,7 +292,7 @@ func (r *cli) clusterConfig() cluster.Config {
 	cfg := cluster.Config{
 		Procs: o.cluster, PerProc: o.perProc(), Transport: o.transport,
 		Spec:   r.inst.Spec(),
-		Faults: o.faults, EventLog: o.trace, Deadline: o.deadline,
+		Faults: o.faults, EventLog: o.trace != "", Deadline: o.deadline,
 	}
 	if o.restarts > 0 {
 		cfg.Restart = &cluster.Restart{Max: o.restarts}
@@ -296,17 +338,31 @@ func (r *cli) finish(rep report) int {
 		fmt.Fprintln(r.stdout, string(out))
 		return 0
 	}
-	fmt.Fprintf(r.stdout, "%s on %s [%s]\n", r.inst.Title(), rep.where, r.inst.Spec())
+	if r.o.trace.export() {
+		if rep.trace == nil {
+			return r.fail(1, "the run recorded no timeline")
+		}
+		if err := r.export(rep.trace, r.headline(rep.where)); err != nil {
+			return r.fail(1, err)
+		}
+		return 0
+	}
+	fmt.Fprintln(r.stdout, r.headline(rep.where))
 	fmt.Fprintf(r.stdout, "result   = verified against %s (%v)\n", r.inst.Entry.Oracle, summary)
 	fmt.Fprintf(r.stdout, "runtime  = %s\n", rep.clock)
 	fmt.Fprintf(r.stdout, "stats    = %+v\n", rep.stats)
 	for _, n := range rep.notes {
 		fmt.Fprint(r.stdout, n)
 	}
-	if r.o.trace && rep.trace != nil {
+	if r.o.trace != "" && rep.trace != nil {
 		r.timeline(rep.trace)
 	}
 	return 0
+}
+
+// headline names the instance and the runtime it ran on.
+func (r *cli) headline(where string) string {
+	return fmt.Sprintf("%s on %s [%s]", r.inst.Title(), where, r.inst.Spec())
 }
 
 func (r *cli) timeline(tl *trace.Log) {
@@ -314,12 +370,25 @@ func (r *cli) timeline(tl *trace.Log) {
 	fmt.Fprint(r.stdout, tl.Summary())
 }
 
+// export writes tl to stdout in the format -trace names; title heads
+// the HTML page.
+func (r *cli) export(tl *trace.Log, title string) error {
+	switch r.o.trace {
+	case "csv":
+		return tl.WriteCSV(r.stdout)
+	case "json":
+		return tl.WriteJSON(r.stdout)
+	default:
+		return tl.WriteHTML(r.stdout, title)
+	}
+}
+
 // runNative runs the GpH program on the real work-stealing runtime.
 func (r *cli) runNative() (report, error) {
 	o, inst := &r.o, r.inst
 	cfg := native.NewConfig(o.workers)
 	cfg.EagerBlackholing = o.eager
-	cfg.EventLog = o.trace
+	cfg.EventLog = o.trace != ""
 	cfg.Faults = r.inj
 	cfg.Deadline = o.deadline
 	prog, err := inst.GpH()
@@ -341,7 +410,9 @@ func (r *cli) runNative() (report, error) {
 	}
 	if o.stats == "json" {
 		rep.json = res.Report()
-		return rep, nil
+	}
+	if rep.json != nil || o.trace.export() {
+		return rep, nil // neither prints the side-by-side below
 	}
 	// The same program on the simulator, for the side-by-side.
 	scfg := gph.WorkStealingConfig(o.cores)
@@ -384,7 +455,7 @@ func (r *cli) runEden() (report, error) {
 		return report{}, err
 	}
 	cfg := nativeeden.NewConfig(r.o.pes)
-	cfg.EventLog = r.o.trace
+	cfg.EventLog = r.o.trace != ""
 	cfg.Faults = r.inj
 	cfg.Deadline = r.o.deadline
 	res, err := nativeeden.Run(cfg, prog)

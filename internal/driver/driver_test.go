@@ -3,8 +3,10 @@ package driver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,6 +78,8 @@ func TestRunsVerifyAndReport(t *testing.T) {
 	}
 }
 
+// TestTraceRendersTimelines: bare -trace prints the report, then the
+// ASCII timeline.
 func TestTraceRendersTimelines(t *testing.T) {
 	for _, c := range []struct{ name, argv, lane string }{
 		{"sumeuler", "-n 300 -trace -width 60", "cap7"},
@@ -84,10 +88,80 @@ func TestTraceRendersTimelines(t *testing.T) {
 		{"sumeuler", "-n 300 -runtime eden -cluster 3 -pes 2 -trace -width 120 -deadline 60s", "pe5"},
 	} {
 		code, out, errs := run(c.name, strings.Fields(c.argv)...)
-		if code != 0 || !strings.Contains(out, c.lane) || !strings.Contains(out, "legend:") {
-			t.Errorf("%s %s: exit %d, want a timeline with lane %q:\n%s%s", c.name, c.argv, code, c.lane, out, errs)
+		report, timeline := strings.Index(out, "result   = verified"), strings.Index(out, "legend:")
+		if code != 0 || !strings.Contains(out, c.lane) || report < 0 || timeline < report {
+			t.Errorf("%s %s: exit %d, want the report, then a timeline with lane %q:\n%s%s", c.name, c.argv, code, c.lane, out, errs)
 		}
 	}
+}
+
+// TestTraceExports: -trace=csv|json|html writes one complete export of
+// the run's timeline in place of the report, on every runtime.
+func TestTraceExports(t *testing.T) {
+	for _, c := range []struct{ name, argv, format, lane string }{
+		{"sumeuler", "-n 300", "json", "cap7"},
+		{"sumeuler", "-n 300 -rts eden -cores 4", "csv", "pe3"},
+		{"sumeuler", "-n 300 -runtime native -workers 2 -eager", "html", "w1"},
+		{"sumeuler", "-n 300 -runtime native -workers 2", "json", "w1"},
+		{"apsp", "-n 12 -runtime eden -pes 2", "csv", "pe1"},
+		{"sumeuler", "-n 300 -runtime eden -pes 3", "html", "pe2"},
+		{"sumeuler", "-n 300 -runtime eden -cluster 2 -pes 1 -deadline 60s", "json", "pe1"},
+	} {
+		code, out, errs := run(c.name, append(strings.Fields(c.argv), "-trace="+c.format)...)
+		if code != 0 {
+			t.Errorf("%s %s -trace=%s: exit %d\n%s", c.name, c.argv, c.format, code, errs)
+			continue
+		}
+		if err := oneExport(out, c.format); err != "" {
+			t.Errorf("%s %s -trace=%s: %s:\n%s", c.name, c.argv, c.format, err, out)
+		}
+		if !strings.Contains(out, c.lane) {
+			t.Errorf("%s %s -trace=%s: export lacks lane %q:\n%s", c.name, c.argv, c.format, c.lane, out)
+		}
+		for _, report := range []string{"result   =", "runtime  =", "legend:", "vs "} {
+			if strings.Contains(out, report) {
+				t.Errorf("%s %s -trace=%s: export carries report text %q:\n%s", c.name, c.argv, c.format, report, out)
+			}
+		}
+	}
+}
+
+// oneExport checks that out is exactly one complete export in format
+// (csv, json or html) and says what is wrong with it otherwise.
+func oneExport(out, format string) string {
+	switch format {
+	case "csv":
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if lines[0] != "agent,state,from_ns,to_ns" || len(lines) < 2 {
+			return "not a segment CSV"
+		}
+		for _, l := range lines[1:] {
+			if strings.Count(l, ",") != 3 {
+				return "CSV row " + strconv.Quote(l) + " has not 4 fields"
+			}
+		}
+	case "json":
+		var doc struct {
+			EndNS  int64 `json:"end_ns"`
+			Agents []struct {
+				Name     string `json:"name"`
+				Segments []any  `json:"segments"`
+			} `json:"agents"`
+		}
+		dec := json.NewDecoder(strings.NewReader(out))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil || dec.More() || doc.EndNS <= 0 || len(doc.Agents) == 0 {
+			return fmt.Sprintf("not one JSON timeline (%v)", err)
+		}
+	case "html":
+		if !strings.HasPrefix(out, "<!DOCTYPE html>") || strings.Count(out, "<html") != 1 ||
+			!strings.HasSuffix(strings.TrimSpace(out), "</html>") {
+			return "not one HTML page"
+		}
+	default:
+		return "unknown format " + format
+	}
+	return ""
 }
 
 // TestBadCommandLinesExit2 fail fast, before a run starts, and say why.
@@ -107,6 +181,8 @@ func TestBadCommandLinesExit2(t *testing.T) {
 		{"sumeuler", "-faults seed=1", "-faults/-deadline apply only"},
 		{"sumeuler", "-runtime native -faults banana", "faults"},
 		{"sumeuler", "-block 3", "flag provided but not defined"},
+		{"sumeuler", "-trace=bogus", "invalid boolean value \"bogus\" for -trace: want csv, json or html"},
+		{"sumeuler", "-runtime native -trace=json -stats json", "both replace the report"},
 		{"", "-run nope", "unknown workload"},
 		{"", "-run fuzz -runtime eden", "fuzz has no Eden form"},
 		{"", "-run fuzz -rts eden", "fuzz has no Eden form"},
@@ -134,6 +210,14 @@ func TestFailedRunsExit1(t *testing.T) {
 	code, out, errs = run("sumeuler", strings.Fields("-n 300 -runtime eden -pes 3 -faults seed=7,panic-proc=0 -deadline 10s")...)
 	if code != 1 || out != "" || errs == "" {
 		t.Errorf("eden panic-proc: exit %d\nstdout: %s\nstderr: %s", code, out, errs)
+	}
+	// An export of a failed run is the partial timeline, titled with the
+	// failure. panic-proc fires at a process index the program fixes, so
+	// the run fails on any schedule.
+	code, out, errs = run("sumeuler", strings.Fields("-n 300 -runtime eden -pes 3 -faults seed=1,panic-proc=0 -trace=html")...)
+	if code != 1 || !strings.Contains(errs, "injected proc panic") || oneExport(out, "html") != "" ||
+		!strings.Contains(out, "FAILED, partial timeline") || strings.Contains(out, "result   =") {
+		t.Errorf("eden panic-proc -trace=html: exit %d\nstdout: %s\nstderr: %s", code, out, errs)
 	}
 	code, _, errs = run("sumeuler", strings.Fields("-runtime eden -cluster 3 -pes 2 -n 4000 -faults kill-rank=1:50ms -deadline 30s")...)
 	if code != 1 || !strings.Contains(errs, "worker rank 1 died") {

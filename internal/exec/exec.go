@@ -32,35 +32,16 @@ type Ctx interface {
 	ForceDeep(v graph.Value) graph.Value
 }
 
-// Forker is the optional thread-creation extension of Ctx. The native
-// runtime implements it (a fork is a real goroutine); the simulated
-// runtime's Fork takes a simulation-typed body, so *rts.Ctx does not.
-type Forker interface {
-	Ctx
-	// Fork creates and starts a new thread running body.
-	Fork(name string, body func(Ctx))
-}
-
 // Program is a runtime-agnostic program body: the unit both RunGpH (via
 // a delegating wrapper) and native.Run execute.
 type Program func(Ctx) graph.Value
-
-// Fork forks body on ctx; it panics if the runtime behind ctx does not
-// support thread creation.
-func Fork(ctx Ctx, name string, body func(Ctx)) {
-	f, ok := ctx.(Forker)
-	if !ok {
-		panic("exec: context does not support Fork")
-	}
-	f.Fork(name, body)
-}
 
 // ThunkAllocator is the optional allocator extension of Ctx: runtimes
 // that implement it place new thunks in a context-owned allocation
 // region (the native runtime's per-worker arenas) instead of the global
 // heap. Program bodies never call it directly — they call the
 // package-level NewThunk or NewThunkAdapted, which fall back to heap
-// allocation on runtimes (and forked threads) without an allocator.
+// allocation on runtimes (and contexts) without an allocator.
 type ThunkAllocator interface {
 	Ctx
 	// NewThunkAdapted allocates an unevaluated thunk computing
@@ -88,8 +69,8 @@ func Adapt(c graph.Context, payload any) graph.Value {
 // global heap otherwise. This is the allocator hook program bodies and
 // strategies create their sparks through: under the native runtime the
 // thunk comes from the running worker's arena; under the simulation
-// (and on forked native threads, which own no arena) it is a plain
-// heap thunk.
+// (and on a resident native job's main thread, which owns no arena) it
+// is a plain heap thunk.
 func NewThunk(ctx Ctx, f func(Ctx) graph.Value) *graph.Thunk {
 	return NewThunkAdapted(ctx, Adapt, f)
 }

@@ -49,11 +49,11 @@ type ChaosRow struct {
 // Repro is the command line that replays this iteration exactly.
 func (r ChaosRow) Repro() string {
 	if r.Backend == "nativeeden" {
-		return fmt.Sprintf("go run ./cmd/sumeuler -runtime eden -pes %d -n %d -faults %q -deadline 10s",
-			chaosEdenPEs, r.N, r.Spec)
+		return fmt.Sprintf("go run ./cmd/sumeuler -runtime eden -pes %d -n %d -faults %q -deadline %v",
+			chaosEdenPEs, r.N, r.Spec, chaosDeadline)
 	}
-	return fmt.Sprintf("go run ./cmd/sumeuler -runtime native -workers %d -n %d -chunks %d -faults %q -deadline 10s",
-		chaosGpHWorkers, r.N, r.Chunks, r.Spec)
+	return fmt.Sprintf("go run ./cmd/sumeuler -runtime native -workers %d -n %d -chunks %d -faults %q -deadline %v",
+		chaosGpHWorkers, r.N, r.Chunks, r.Spec, chaosDeadline)
 }
 
 // ChaosSoak is the report of a seeded fault-injection soak over both
@@ -134,26 +134,25 @@ func classifyChaos(err error) (string, string) {
 	return ChaosViolation, "unstructured failure: " + err.Error()
 }
 
-// Chaos runs use fixed small backend shapes so the Repro command lines
-// (which pin them as flags) replay the same schedule space. The program
+// Chaos runs use fixed small backend shapes and one deadline so the
+// Repro command lines (which pin them as flags) replay the same
+// schedule space. The program
 // is the workload table's sumeuler entry at (N, Chunks) — the entry
 // cmd/sumeuler runs — so a row and its Repro line are the same program
 // by construction, Eden chunking included.
 const (
 	chaosGpHWorkers = 4
 	chaosEdenPEs    = 3
+	chaosDeadline   = 10 * time.Second
 )
 
 // runChaosIter executes one fault-injected sumEuler run on the given
 // backend and classifies the outcome. The spec must parse (callers
 // validate or derive it).
-func runChaosIter(inst *workloads.Instance, deadline time.Duration, backend, spec string) (outcome, detail string, wallNS int64) {
+func runChaosIter(inst *workloads.Instance, backend, spec string) (outcome, detail string, wallNS int64) {
 	plan, err := faults.Parse(spec)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: chaos spec %q failed to parse: %v", spec, err))
-	}
-	if deadline == 0 {
-		deadline = 10 * time.Second
 	}
 	start := time.Now()
 	var runErr error
@@ -161,7 +160,7 @@ func runChaosIter(inst *workloads.Instance, deadline time.Duration, backend, spe
 	if backend == "native" {
 		cfg := native.NewConfig(chaosGpHWorkers)
 		cfg.Faults = faults.NewInjector(plan)
-		cfg.Deadline = deadline
+		cfg.Deadline = chaosDeadline
 		var res *native.Result
 		res, runErr = native.Run(cfg, must(inst.GpH()))
 		if res != nil {
@@ -170,7 +169,7 @@ func runChaosIter(inst *workloads.Instance, deadline time.Duration, backend, spe
 	} else {
 		cfg := nativeeden.NewConfig(chaosEdenPEs)
 		cfg.Faults = faults.NewInjector(plan)
-		cfg.Deadline = deadline
+		cfg.Deadline = chaosDeadline
 		var res *nativeeden.Result
 		res, runErr = nativeeden.Run(cfg, must(inst.Eden(cost.Model{})))
 		if res != nil {
@@ -187,8 +186,12 @@ func runChaosIter(inst *workloads.Instance, deadline time.Duration, backend, spe
 	return outcome, detail, wallNS
 }
 
-// chaosInstance is the soak's program: sumEuler at p's scale.
-func chaosInstance(p Params) *workloads.Instance { return must(p.instance("sumeuler", 0)) }
+// chaosInstance is the soak's program: the table's sumeuler entry at
+// p's scale.
+func chaosInstance(p Params) *workloads.Instance {
+	e := must(workloads.Lookup("sumeuler"))
+	return must(e.New(workloads.Args{}.With("n", uint64(p.SumEulerN)).With("chunks", uint64(p.SumEulerChunks))))
+}
 
 // must unwraps what cannot fail here: the table has a sumeuler entry
 // with both forms, and the soak's scale is inside its ranges.
@@ -222,7 +225,7 @@ func RunChaosSoak(p Params, iters int, seed uint64) *ChaosSoak {
 		}
 		row := ChaosRow{Iter: i, Backend: backend, Spec: chaosSpec(backend, sub),
 			N: p.SumEulerN, Chunks: p.SumEulerChunks}
-		row.Outcome, row.Detail, row.WallNS = runChaosIter(inst, p.Deadline, backend, row.Spec)
+		row.Outcome, row.Detail, row.WallNS = runChaosIter(inst, backend, row.Spec)
 		switch row.Outcome {
 		case ChaosOK:
 			s.OK++

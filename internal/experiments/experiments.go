@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"parhask/internal/eden"
 	"parhask/internal/gph"
@@ -44,14 +43,6 @@ type Params struct {
 	CoreCounts []int
 	// TraceWidth is the column width of rendered timelines.
 	TraceWidth int
-
-	// FaultSpec is an optional fault-injection plan (faults.Parse
-	// grammar) the native-backend timeline helpers and CLI drivers
-	// apply to their runs; empty means none.
-	FaultSpec string
-	// Deadline arms the native backends' deadlock watchdog on those
-	// runs (0 = disabled).
-	Deadline time.Duration
 }
 
 // Defaults returns full paper-scale parameters (with the documented
@@ -134,13 +125,6 @@ func sumEulerEden(p Params, pes, cores int) *eden.Result {
 func matmulGpH(p Params, cfg gph.Config, a, b matmul.Mat) *gph.Result {
 	cfg.ResidentBytes = 3 * matmul.Bytes(p.MatMulN)
 	return runGpH(cfg, matmul.GpHBlockProgram(a, b, p.MatMulBlock, cfg.Costs.MulAdd))
-}
-
-// matmulEden runs Cannon's algorithm on a q×q torus over cores cores
-// (q²+1 virtual PEs: the torus plus the coordinating master).
-func matmulEden(p Params, q, cores int, a, b matmul.Mat) *eden.Result {
-	cfg := eden.NewConfig(q*q+1, cores)
-	return runEden(cfg, matmul.EdenCannonProgram(a, b, q, cfg.Costs.MulAdd))
 }
 
 // apspGpH runs the GpH shortest-paths program under cfg.

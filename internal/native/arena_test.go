@@ -149,22 +149,37 @@ func TestNativeArenaStealStress(t *testing.T) {
 	}
 }
 
-// TestNativeForkedThreadsFallBackToHeap covers the allocator's escape
-// hatch: a forked thread owns no worker, so its exec.NewThunk calls
-// must fall back to plain heap allocation and still interoperate with
-// worker-arena thunks through the injection queue.
-func TestNativeForkedThreadsFallBackToHeap(t *testing.T) {
-	res := run(t, NewConfig(4), func(ctx exec.Ctx) graph.Value {
-		cell := graph.NewPlaceholder()
-		exec.Fork(ctx, "producer", func(c exec.Ctx) {
-			th := exec.NewThunk(c, func(cc exec.Ctx) graph.Value { return int64(21) })
-			c.Par(th)
-			cell.Resolve(c.Force(th).(int64) * 2)
+// TestNativePoolMainFallsBackToHeap covers the allocator's escape
+// hatch: a resident job's main thread owns no worker, so its
+// exec.NewThunk calls must fall back to plain heap allocation and still
+// interoperate with worker-arena thunks through the injection queue.
+func TestNativePoolMainFallsBackToHeap(t *testing.T) {
+	p := NewPool(NewConfig(4))
+	got := serve(t, p, func(ctx exec.Ctx) graph.Value {
+		if ctx.(*Ctx).w != nil {
+			t.Error("a pool job's main runs on a worker context")
+		}
+		inner := exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
+			leaf := exec.NewThunk(c, func(exec.Ctx) graph.Value { return int64(20) })
+			c.Par(leaf)
+			return c.Force(leaf).(int64) + 1
 		})
-		return ctx.Force(cell)
+		ctx.Par(inner)
+		return ctx.Force(inner).(int64) * 2
 	})
-	if res.Value.(int64) != 42 {
-		t.Fatalf("got %v", res.Value)
+	if got != int64(42) {
+		t.Fatalf("got %v", got)
+	}
+	p.Close()
+	// Only leaf may come from an arena, and only if a worker ran inner:
+	// main's own thunk is a heap thunk.
+	var thunks int64
+	for _, w := range p.rt.workers {
+		_, n := w.arena.Stats()
+		thunks += n
+	}
+	if thunks > 1 {
+		t.Fatalf("%d arena thunks, want at most 1 (main allocated from an arena)", thunks)
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 )
 
 func TestNativePerWorkerStatsSumToTotals(t *testing.T) {
-	// The aggregate must be exactly the per-worker breakdown plus the
-	// forked-thread contribution. sumEuler forks nothing, so here the
-	// per-worker rows account for everything.
+	// The aggregate must be exactly the per-worker breakdown: a batch
+	// run's every thread is a worker.
 	const n, chunks = 3000, 60
 	res := run(t, NewConfig(4), euler.Program(n, chunks, 0, true))
 	if len(res.PerWorker) != res.Workers {

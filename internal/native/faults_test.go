@@ -45,29 +45,6 @@ func TestNativeInjectedSparkPanic(t *testing.T) {
 	}
 }
 
-func TestNativeInjectedProcPanic(t *testing.T) {
-	// Fork index 0 dies on entry; main blocked on the placeholder the
-	// fork was supposed to resolve must unwind with the injected error.
-	cfg := NewConfig(2)
-	cfg.Faults = mustPlan(t, "seed=1,panic-proc=0")
-	ph := graph.NewPlaceholder()
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(cfg, func(c exec.Ctx) graph.Value {
-			exec.Fork(c, "resolver", func(exec.Ctx) {
-				ph.Resolve(1)
-			})
-			return c.Force(ph)
-		})
-		done <- err
-	}()
-	err := awaitRun(t, done)
-	var ip *faults.InjectedPanic
-	if !errors.As(err, &ip) || ip.Kind != "proc" || ip.Index != 0 {
-		t.Fatalf("err = %v, want proc *faults.InjectedPanic index 0", err)
-	}
-}
-
 func TestNativePoisonedClaimUnblocksPeer(t *testing.T) {
 	// The orphaned-claim hazard: a stealer claims thunk a (eager CAS),
 	// panics mid-evaluation, and main is blocked forcing a. Recovery

@@ -65,7 +65,6 @@ func newPoolMetrics(reg *metrics.Registry, p *Pool) *poolMetrics {
 	counter("native_pool_steal_attempts_total", "steals tried against a non-empty pool", func() int64 { return m.cache.snap.StealAttempts })
 	counter("native_pool_dup_entries_total", "duplicate thunk entries (lazy black-holing)", func() int64 { return m.cache.snap.DupEntries })
 	counter("native_pool_blocked_forces_total", "forces that found a black hole and waited", func() int64 { return m.cache.snap.BlockedForces })
-	counter("native_pool_forks_total", "GpH threads created with Fork", func() int64 { return m.cache.snap.Forks })
 	reg.GaugeFunc("native_pool_sparks_leftover", "sparks currently pooled awaiting a worker",
 		cached(func() float64 { return float64(m.cache.snap.SparksLeftover) }))
 

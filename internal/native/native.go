@@ -9,9 +9,9 @@
 //
 //   - One lifecycle. A resident Pool runs jobs; a batch Run is a pool
 //     that runs exactly one job. Every worker runs the same loop
-//     (stealPass), and every thread — a job's main, a fork, a worker's
-//     sparks — the same recovery bracket (Ctx.try) over one failure
-//     latch per job (faults.Latch).
+//     (stealPass), and every thread — a job's main, a worker's sparks —
+//     the same recovery bracket (Ctx.try) over one failure latch per
+//     job (faults.Latch).
 //   - N workers, one per requested core. In a batch Run worker 0 is the
 //     caller's goroutine running the program's main function (the GpH
 //     main thread, as on GHC's capability 0); workers 1..N-1 loop on
@@ -54,7 +54,6 @@ package native
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"runtime/metrics"
@@ -104,11 +103,10 @@ type Config struct {
 	// (JobConfig.EventLog).
 	EventLog bool
 	// Faults, if non-nil, arms the deterministic fault-injection plane
-	// (internal/faults): spark-indexed panics, process-indexed fork
-	// panics, and per-worker stalls. It governs all work without a
-	// private budget: every spark and fork of a batch Run, and in a pool
-	// the untagged work and the jobs submitted without
-	// JobConfig.Faults. When nil every injection hook is a single
+	// (internal/faults): spark-indexed panics and per-worker stalls. It
+	// governs all work without a private budget: every spark of a batch
+	// Run, and in a pool the untagged work and the jobs submitted
+	// without JobConfig.Faults. When nil every injection hook is a single
 	// predictable nil check (the benchmark's faults.armed_overhead_x row).
 	Faults *faults.Injector
 	// Deadline, if non-zero, bounds a batch Run's wall-clock time: it is
@@ -153,14 +151,14 @@ type Stats struct {
 	DupEntries      int64 `json:"dup_entries"`      // duplicate thunk entries (lazy black-holing)
 	DupResults      int64 `json:"dup_results"`      // duplicate values computed and discarded
 	BlockedForces   int64 `json:"blocked_forces"`   // forces that found a black hole and waited
-	Forks           int64 `json:"forks"`            // threads created with Fork
+	Forks           int64 `json:"forks"`            // always 0: nothing forks a native thread; kept in the -stats json key set
 	BackoffSleeps   int64 `json:"backoff_sleeps"`   // idle backoff sleeps taken (worker loops)
 	BackoffNS       int64 `json:"backoff_ns"`       // cumulative time spent in backoff sleeps
 	Parks           int64 `json:"parks"`            // always 0: no worker parks; kept in the -stats json key set
 	ParkedNS        int64 `json:"parked_ns"`        // always 0, as Parks
 }
 
-// Add accumulates o into s field-wise (Parks and ParkedNS stay 0).
+// Add accumulates o into s field-wise (Forks, Parks and ParkedNS stay 0).
 func (s *Stats) Add(o Stats) {
 	s.SparksCreated += o.SparksCreated
 	s.SparksDud += o.SparksDud
@@ -172,15 +170,14 @@ func (s *Stats) Add(o Stats) {
 	s.DupEntries += o.DupEntries
 	s.DupResults += o.DupResults
 	s.BlockedForces += o.BlockedForces
-	s.Forks += o.Forks
 	s.BackoffSleeps += o.BackoffSleeps
 	s.BackoffNS += o.BackoffNS
 }
 
 // counters is the atomic counter set for contributors without a worker
-// identity: a resident job's main thread and forked threads, which may
-// bump it from many goroutines at once. Workers use the plain
-// owner-written wcounters instead.
+// identity: a resident job's main thread, while Pool.Snapshot may read
+// it from any goroutine. Workers use the plain owner-written wcounters
+// instead.
 type counters struct {
 	sparksCreated   atomic.Int64
 	sparksDud       atomic.Int64
@@ -191,7 +188,6 @@ type counters struct {
 	dupEntries      atomic.Int64
 	dupResults      atomic.Int64
 	blockedForces   atomic.Int64
-	forks           atomic.Int64
 }
 
 // load reads a consistent-enough snapshot of the counters (each field
@@ -207,7 +203,6 @@ func (c *counters) load() Stats {
 		DupEntries:      c.dupEntries.Load(),
 		DupResults:      c.dupResults.Load(),
 		BlockedForces:   c.blockedForces.Load(),
-		Forks:           c.forks.Load(),
 	}
 }
 
@@ -252,12 +247,9 @@ type Result struct {
 	WallNS int64
 	// Workers is the worker count the run used.
 	Workers int
-	// Stats is the whole-run aggregate (every worker plus forked
-	// threads). Its SparksLeftover also counts the forks' sparks still
-	// queued when the run ended.
+	// Stats is the whole-run aggregate over every worker.
 	Stats Stats
-	// PerWorker breaks the counters down by worker id. Forked threads'
-	// contributions appear only in the aggregate (they have no worker).
+	// PerWorker breaks the counters down by worker id.
 	PerWorker []Stats
 	// GC is the run's real-GC telemetry (cycles, pause, allocation,
 	// arena footprint).
@@ -310,14 +302,10 @@ type rt struct {
 	cfg     Config
 	workers []*worker
 
-	// extern counts contributions from job-less forked threads (no
-	// worker identity); every worker's own counters live on the worker.
-	extern counters
-
-	// own is the job that owns untagged work — deque sparks and the
-	// forks they start: a batch Run's one job, nil in a resident pool.
-	// Set before the workers start and never changed; a batch run's
-	// workers publish no counter snapshots (see maybePublish).
+	// own is the job that owns untagged work — deque sparks: a batch
+	// Run's one job, nil in a resident pool. Set before the workers
+	// start and never changed; a batch run's workers publish no counter
+	// snapshots (see maybePublish).
 	own *Job
 
 	// done tells the worker loops to exit.
@@ -335,11 +323,10 @@ type rt struct {
 	pm *poolMetrics
 
 	// inject holds sparks created by threads that own no deque
-	// (PushBottom is owner-only): forked threads, and in a resident pool
-	// every job's main thread. Workers drain it when their steals come
-	// up empty. Each entry carries the job it belongs to (nil for a
-	// job-less fork's), so workers can attribute fault injection and
-	// failures. injectHead indexes the next unconsumed spark — consumed
+	// (PushBottom is owner-only): in a resident pool every job's main
+	// thread. Workers drain it when their steals come up empty. Each
+	// entry carries the job it belongs to, so workers can attribute
+	// fault injection and failures. injectHead indexes the next unconsumed spark — consumed
 	// slots are zeroed immediately and the prefix is compacted away
 	// periodically, so the backing array never retains thunks the
 	// runtime already ran (see popInject).
@@ -360,8 +347,7 @@ func newRT(cfg Config) *rt {
 	return r
 }
 
-// injEntry is one injection-queue slot: a spark and the job it belongs
-// to (nil for a job-less fork's).
+// injEntry is one injection-queue slot: a spark and its job.
 type injEntry struct {
 	t   *graph.Thunk
 	job *Job
@@ -375,7 +361,7 @@ type injEntry struct {
 // A batch run is a Pool that runs exactly one job, whose main thread is
 // the caller's goroutine as worker 0: main's sparks go onto worker 0's
 // deque, and its blocked forces help like any worker's. The job owns
-// every untagged spark and fork, so any failure in the run fails it.
+// every untagged spark, so any failure in the run fails it.
 func Run(cfg Config, main exec.Program) (*Result, error) {
 	if main == nil {
 		return nil, errors.New("native: nil main")
@@ -423,13 +409,13 @@ func Run(cfg Config, main exec.Program) (*Result, error) {
 }
 
 // snapshot sums the workers' published counter snapshots and the
-// job-less forks' counters into one Stats. It is safe to call from any
-// goroutine while a resident pool runs: workers publish immutable
+// injection queue's leftovers into one Stats. It is safe to call from
+// any goroutine while a resident pool runs: workers publish immutable
 // snapshots at coarse points (so a busy worker's contribution lags by
 // at most one spark execution), and the pool sizes are the deque's
 // lock-free point-in-time estimates.
 func (r *rt) snapshot() Stats {
-	s := r.extern.load()
+	var s Stats
 	for _, w := range r.workers {
 		if p := w.pub.Load(); p != nil {
 			s.Add(*p)
@@ -440,31 +426,6 @@ func (r *rt) snapshot() Stats {
 	s.SparksLeftover += int64(len(r.inject) - r.injectHead)
 	r.injectMu.Unlock()
 	return s
-}
-
-// fork starts body as a real goroutine. Its sparks go to the shared
-// injection queue. A fork belongs to job j (nil for a job-less fork in
-// a resident pool): its counters route to the job, its failure fails
-// the job, and the job's end waits for it. A job-less fork's panic only
-// poisons its claims, as an untagged spark's does.
-func (r *rt) fork(name string, body func(exec.Ctx), j *Job) {
-	if j != nil {
-		j.forks.Add(1)
-	}
-	go func() {
-		if j != nil {
-			defer j.forks.Done()
-		}
-		c := Ctx{rt: r, job: j}
-		c.try(func() string { return fmt.Sprintf("native: forked thread %q panicked", name) }, func() {
-			if inj := c.faults(); inj != nil {
-				if f := inj.ProcFault(); f != nil {
-					panic(f)
-				}
-			}
-			body(&c)
-		})
-	}()
 }
 
 // pushInject queues a spark from a thread that owns no deque.
@@ -479,11 +440,11 @@ func (r *rt) pushInject(t *graph.Thunk, j *Job) {
 const injectCompactAt = 32
 
 // popInject removes the oldest injected spark, if any. The queue is
-// FIFO so forked threads' sparks start in creation order — under the
-// previous LIFO pop, a fork's newest spark always ran first and its
-// earliest could starve behind a growing backlog. (The per-worker
-// deques stay LIFO at the owner end on purpose: the newest own spark is
-// the cache-warm one, as in GHC.)
+// FIFO so a job main's sparks start in creation order — under a LIFO
+// pop, its newest spark would always run first and its earliest could
+// starve behind a growing backlog. (The per-worker deques stay LIFO at
+// the owner end on purpose: the newest own spark is the cache-warm one,
+// as in GHC.)
 //
 // Consumed slots are nilled at once — re-slicing the head away
 // (inject = inject[1:]) would keep every run thunk reachable through

@@ -201,25 +201,6 @@ func TestNativeFuzzAgreesWithSimulation(t *testing.T) {
 	}
 }
 
-func TestNativeFork(t *testing.T) {
-	// Fork runs bodies on real goroutines; a forked body communicates
-	// through a thunk the main thread forces.
-	res := run(t, NewConfig(4), func(ctx exec.Ctx) graph.Value {
-		cell := graph.NewPlaceholder()
-		exec.Fork(ctx, "producer", func(c exec.Ctx) {
-			cell.Resolve(int64(41))
-		})
-		v := ctx.Force(cell).(int64)
-		return v + 1
-	})
-	if res.Value.(int64) != 42 {
-		t.Fatalf("got %v", res.Value)
-	}
-	if res.Stats.Forks != 1 {
-		t.Fatalf("forks = %d", res.Stats.Forks)
-	}
-}
-
 func TestNativeSparkPanicBecomesError(t *testing.T) {
 	boom := exec.Thunk(func(c exec.Ctx) graph.Value { panic("boom") })
 	_, err := Run(NewConfig(2), func(ctx exec.Ctx) graph.Value {
@@ -291,7 +272,4 @@ func TestNativeSumEulerSpeedup(t *testing.T) {
 
 // Interface checks: the same *rts.Ctx-based simulation satisfies the
 // runtime-agnostic interface the native contexts implement.
-var (
-	_ exec.Ctx    = (*rts.Ctx)(nil)
-	_ exec.Forker = (*Ctx)(nil)
-)
+var _ exec.Ctx = (*rts.Ctx)(nil)

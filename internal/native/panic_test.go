@@ -51,25 +51,3 @@ func TestNativeMainPanicAbortsBlockedStealer(t *testing.T) {
 		t.Fatalf("err = %v, want the main panic", err)
 	}
 }
-
-func TestNativeForkedThreadPanicUnblocksMain(t *testing.T) {
-	// Main blocks on a placeholder nothing will resolve; a forked thread
-	// panics. The failure must reach main's blocked force and abort the
-	// run with the fork's error.
-	ph := graph.NewPlaceholder()
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(NewConfig(2), func(c exec.Ctx) graph.Value {
-			exec.Fork(c, "bomber", func(exec.Ctx) {
-				time.Sleep(10 * time.Millisecond)
-				panic("fork boom")
-			})
-			return c.Force(ph)
-		})
-		done <- err
-	}()
-	err := awaitRun(t, done)
-	if err == nil || !strings.Contains(err.Error(), `forked thread "bomber" panicked: fork boom`) {
-		t.Fatalf("err = %v, want the forked thread's panic", err)
-	}
-}

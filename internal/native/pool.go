@@ -82,9 +82,8 @@ type JobConfig struct {
 	// *faults.DeadlockError; the pool and its other jobs are untouched.
 	Deadline time.Duration
 	// Faults, if non-nil, is this job's private fault budget: it
-	// governs the job's root sparks (injection-queue entries), its
-	// forked threads, and nothing else — neighbouring jobs see no
-	// injected failures.
+	// governs the job's root sparks (injection-queue entries) and
+	// nothing else — neighbouring jobs see no injected failures.
 	Faults *faults.Injector
 	// EventLog gives the job a private event ring set: buffer 0 is fed
 	// by the job's main thread (run/block brackets, spark pushes), and
@@ -104,12 +103,11 @@ type JobConfig struct {
 type Job struct {
 	id int64
 
-	// ctr is the job's exclusive counter set, written only by the job's
-	// nil-worker threads — a resident main thread and the forks (atomic:
-	// forks are concurrent). Worker-
-	// side execution (conversions, steals) stays in the per-worker
-	// stats — that split is what makes pool snapshots monotone: nothing
-	// writes ctr after the job's threads have joined.
+	// ctr is the job's exclusive counter set, written only by a
+	// resident job's main thread (atomic: Pool.Snapshot reads it while
+	// the job runs). Worker-side execution (conversions, steals) stays
+	// in the per-worker stats — that split is what makes pool snapshots
+	// monotone: nothing writes ctr after the job's main has returned.
 	ctr counters
 
 	// blocked gauges the job's nil-worker threads currently inside a
@@ -129,7 +127,6 @@ type Job struct {
 	// job poll it, so a failure needs no wakeup.
 	latch faults.Latch
 
-	forks    sync.WaitGroup
 	deadline *time.Timer
 	faults   *faults.Injector
 
@@ -146,13 +143,12 @@ type Job struct {
 type JobResult struct {
 	// Value is what the job's main function returned (nil on failure).
 	Value graph.Value
-	// WallNS is the job's latency: Submit to completion, including its
-	// forks' joins, in nanoseconds.
+	// WallNS is the job's latency, Submit to completion, in nanoseconds.
 	WallNS int64
 	// Stats is the job's exclusive counter set — the activity of its
-	// main thread and forks (sparks created, blocked forces, forks).
-	// Execution-side counters (conversions, steals) are pool-wide; read
-	// them from Pool.Snapshot.
+	// main thread (sparks created, blocked forces). Execution-side
+	// counters (conversions, steals) are pool-wide; read them from
+	// Pool.Snapshot.
 	Stats Stats
 	// Events is the job's private eventlog (nil unless requested).
 	Events *eventlog.Log
@@ -382,11 +378,9 @@ func (p *Pool) runMain(j *Job, c *Ctx, main exec.Program) (value graph.Value, er
 }
 
 // finish ends job j once its main thread has returned value or err:
-// it joins the job's forks, settles its sparks, decides the outcome and
-// retires the job.
+// it settles the job's sparks, decides the outcome and retires the job.
 func (p *Pool) finish(j *Job, value graph.Value, err error) {
 	defer p.jobs.Done()
-	j.forks.Wait()
 	// Drop the job's still-queued speculative sparks: nothing will need
 	// them (the main thread has returned or died), and leaving them
 	// would retain the job's heap graph for the pool's lifetime.
@@ -405,7 +399,7 @@ func (p *Pool) finish(j *Job, value graph.Value, err error) {
 		j.deadline.Stop()
 	}
 	if err == nil {
-		err = j.latch.Err() // a fork or worker failed the job
+		err = j.latch.Err() // a worker failed the job
 	}
 	res := &JobResult{WallNS: time.Since(j.start).Nanoseconds(), Stats: j.ctr.load()}
 	res.Stats.SparksLeftover = leftover
@@ -425,7 +419,7 @@ func (p *Pool) finish(j *Job, value graph.Value, err error) {
 // retire folds the job's final counters into the pool's retired total
 // and removes it from the live table — one critical section, so a
 // Snapshot sees the counters exactly once (live or retired, never
-// neither). No thread writes j.ctr after the forks joined, so the fold
+// neither). No thread writes j.ctr after its main returned, so the fold
 // is the job's true final count.
 func (p *Pool) retire(j *Job, err error) {
 	p.jobsMu.Lock()
@@ -458,7 +452,7 @@ func (p *Pool) JobsDone() int64   { return p.jobsDone.Load() }
 func (p *Pool) JobsFailed() int64 { return p.jobsFailed.Load() }
 
 // Snapshot sums the pool's counters: every worker's published
-// snapshot, the job-less forks' set, all retired jobs, and every live
+// snapshot, the injection queue's leftovers, all retired jobs, and every live
 // job's exclusive counters. Safe from any goroutine at any time; all
 // cumulative fields are monotone non-decreasing across calls
 // (SparksLeftover is a gauge of currently pooled sparks).

@@ -177,36 +177,6 @@ func TestPoolJobDeadline(t *testing.T) {
 	}
 }
 
-// TestPoolForkFailureScopedToJob panics inside a job's forked thread:
-// only that job fails.
-func TestPoolForkFailureScopedToJob(t *testing.T) {
-	p := NewPool(NewConfig(2))
-	defer p.Close()
-
-	bad, err := p.Submit(JobConfig{Deadline: 5 * time.Second},
-		func(ctx exec.Ctx) graph.Value {
-			cell := graph.NewPlaceholder()
-			exec.Fork(ctx, "bomb", func(c exec.Ctx) {
-				panic("fork bomb")
-			})
-			return ctx.Force(cell)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := p.Submit(JobConfig{Deadline: 30 * time.Second},
-		euler.Program(200, 4, 0, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := good.Wait(); err != nil {
-		t.Fatalf("healthy job: %v", err)
-	}
-	if _, err := bad.Wait(); err == nil {
-		t.Fatal("job with panicking fork completed without error")
-	}
-}
-
 // TestPoolCloseRejectsNewJobs: Close drains in-flight work, then
 // Submit returns the sentinel rejections.
 func TestPoolCloseRejectsNewJobs(t *testing.T) {
@@ -253,7 +223,7 @@ func TestPoolJobEventlogScope(t *testing.T) {
 func monotoneFields(s Stats) []int64 {
 	return []int64{s.SparksCreated, s.SparksDud, s.SparksConverted,
 		s.SparksFizzled, s.Steals, s.StealAttempts, s.DupEntries,
-		s.DupResults, s.BlockedForces, s.Forks}
+		s.DupResults, s.BlockedForces}
 }
 
 // TestResidentSamplerMonotonic covers Pool.Snapshot under concurrent
@@ -323,67 +293,6 @@ func TestResidentSamplerMonotonic(t *testing.T) {
 	final := snap()
 	if want := int64(4 * 15 * 6); final.SparksCreated < want {
 		t.Fatalf("final SparksCreated = %d, want >= %d", final.SparksCreated, want)
-	}
-}
-
-// TestPoolJoblessForkPanicKeepsWorkers: a fork started by untagged work
-// belongs to no job, so its panic only poisons its claims. Job A's main
-// sparks s and waits on a Go channel, so a worker converts s; s sparks
-// inner without forcing it, leaving inner untagged on a worker deque;
-// inner forks a thread that closes the channel and dies holding a
-// claim. The pool must keep every worker: job B's main waits for a
-// spark only a worker can run.
-func TestPoolJoblessForkPanicKeepsWorkers(t *testing.T) {
-	p := NewPool(NewConfig(2))
-	defer p.Close()
-	ch := make(chan struct{})
-	bomb := exec.Thunk(func(exec.Ctx) graph.Value { panic("fork boom") })
-	inner := exec.Thunk(func(c exec.Ctx) graph.Value {
-		exec.Fork(c, "bomber", func(fc exec.Ctx) {
-			defer close(ch)
-			fc.Force(bomb)
-		})
-		return int64(0)
-	})
-	a, err := p.Submit(JobConfig{}, func(ctx exec.Ctx) graph.Value {
-		ctx.Par(exec.Thunk(func(c exec.Ctx) graph.Value {
-			c.Par(inner)
-			return int64(0)
-		}))
-		<-ch
-		return int64(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitJob(t, a, nil)
-	// The fork's recovery poisons bomb before it does anything else with
-	// the failure, so from here on the failure has been handled.
-	for hang := time.Now().Add(30 * time.Second); bomb.State() != graph.Poisoned; time.Sleep(time.Millisecond) {
-		if time.Now().After(hang) {
-			t.Fatal("the forked thread's claim was never poisoned")
-		}
-	}
-
-	ch2 := make(chan struct{})
-	var once sync.Once
-	release := func() { once.Do(func() { close(ch2) }) }
-	b, err := p.Submit(JobConfig{}, func(ctx exec.Ctx) graph.Value {
-		ctx.Par(exec.Thunk(func(exec.Ctx) graph.Value {
-			release()
-			return int64(0)
-		}))
-		<-ch2
-		return int64(2)
-	})
-	if err != nil {
-		t.Fatalf("Submit after a job-less fork's panic: %v", err)
-	}
-	if res, err := awaitJob(t, b, release); err != nil || res.Value != int64(2) {
-		t.Fatalf("job B = %v, %v; want 2", res.Value, err)
-	}
-	if got := serve(t, p, euler.Program(200, 4, 0, true)); got != euler.SumTotientSieve(200) {
-		t.Fatalf("later job = %v, want %d", got, euler.SumTotientSieve(200))
 	}
 }
 

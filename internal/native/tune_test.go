@@ -40,8 +40,8 @@ func TestIdleSleepLadder(t *testing.T) {
 	}
 }
 
-// TestGoroutineCensusAfterClose: once a pool that ran a good job, a
-// failing job and a job with a fork is Closed, and once a batch Run has
+// TestGoroutineCensusAfterClose: once a pool that ran a good job and a
+// failing job is Closed, and once a batch Run has
 // returned, no goroutine the runtime started is left. Nothing wakes a
 // stopping worker: each sees done at its next round of the idle ladder.
 // The census polls, so only a goroutine that never leaves fails it.
@@ -63,18 +63,6 @@ func TestGoroutineCensusAfterClose(t *testing.T) {
 	}
 	if _, err := h.Wait(); err == nil {
 		t.Fatal("the panicking job succeeded")
-	}
-	got := serve(t, p, func(c exec.Ctx) graph.Value {
-		out := make(chan graph.Value, 1)
-		exec.Fork(c, "census", func(fc exec.Ctx) {
-			th := exec.Thunk(func(exec.Ctx) graph.Value { return int64(7) })
-			fc.Par(th)
-			out <- fc.Force(th)
-		})
-		return <-out
-	})
-	if got != int64(7) {
-		t.Fatalf("fork job = %v, want 7", got)
 	}
 	p.Close()
 	if res := run(t, NewConfig(2), euler.Program(300, 8, 0, true)); res.Value != want {

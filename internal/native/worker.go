@@ -122,13 +122,13 @@ func (w *worker) maybePublish() {
 
 // Ctx is the execution context the native runtime hands to program
 // bodies and thunk computations. It implements graph.Context (the
-// forcing protocol), exec.Forker (the runtime-agnostic program
+// forcing protocol), exec.Ctx (the runtime-agnostic program
 // interface) and exec.ThunkAllocator (arena-backed thunk allocation).
-// A Ctx with a nil worker belongs to a forked goroutine or a resident
-// job's main thread, which owns no deque and no arena: its sparks go to
-// the shared injection queue, its thunks to the global heap, its
-// blocked forces spin without helping, and its counters accumulate
-// atomically in its job's set (the runtime's extern set if job-less).
+// A Ctx with a nil worker belongs to a resident job's main thread,
+// which owns no deque and no arena: its sparks go to the shared
+// injection queue, its thunks to the global heap, its blocked forces
+// spin without helping, and its counters accumulate atomically in its
+// job's set.
 type Ctx struct {
 	rt *rt
 	w  *worker
@@ -143,11 +143,11 @@ type Ctx struct {
 	// DAG's acyclicity rules a deadlock out. If the goroutine dies, try
 	// poisons what is still open.
 	claims graph.Claims
-	// job is the job a nil-worker context belongs to (nil for a fork
-	// started by untagged work in a resident pool). Job contexts route
-	// their counters to the job's exclusive set, tag their sparks in the
-	// injection queue, and poll the job's failure latch — so one job's
-	// deadline or fault cannot unwind its pool neighbours.
+	// job is the job whose main thread a nil-worker context runs (nil
+	// on a worker's context). Job contexts route their counters to the
+	// job's exclusive set, tag their sparks in the injection queue, and
+	// poll the job's failure latch — so one job's deadline or fault
+	// cannot unwind its pool neighbours.
 	job *Job
 	// ev is the job main thread's private event ring (nil elsewhere;
 	// workers carry theirs on the worker). Single-writer: only the one
@@ -157,12 +157,12 @@ type Ctx struct {
 
 var (
 	_ graph.Context       = (*Ctx)(nil)
-	_ exec.Forker         = (*Ctx)(nil)
+	_ exec.Ctx            = (*Ctx)(nil)
 	_ exec.ThunkAllocator = (*Ctx)(nil)
 )
 
-// events returns this context's event ring, or nil if the context
-// belongs to a forked thread or the eventlog is disabled.
+// events returns this context's event ring, or nil if the eventlog is
+// disabled.
 func (c *Ctx) events() *eventlog.Buf {
 	if c.w != nil {
 		return c.w.ev
@@ -180,22 +180,13 @@ func (c *Ctx) faults() *faults.Injector {
 }
 
 // jobOf returns the job the calling goroutine is currently working
-// for: the worker's (see worker.job), or the context's own (resident
-// main threads and forks).
+// for: the worker's (see worker.job), or the context's own (a resident
+// main thread).
 func (c *Ctx) jobOf() *Job {
 	if c.w != nil {
 		return c.w.job()
 	}
 	return c.job
-}
-
-// jctr returns the counter set a nil-worker context routes to: its
-// job's, or the runtime's extern set for a job-less fork.
-func (c *Ctx) jctr() *counters {
-	if c.job != nil {
-		return &c.job.ctr
-	}
-	return &c.rt.extern
 }
 
 // Burn is a no-op: under the native runtime, time is consumed by
@@ -207,8 +198,8 @@ func (c *Ctx) Alloc(bytes int64) {}
 
 // NewThunkAdapted allocates a thunk computing adapt(ctx, payload) from
 // the running worker's arena — the exec.ThunkAllocator hook strategies
-// and workloads create their sparks through. Forked threads own no
-// arena and fall back to a plain heap thunk.
+// and workloads create their sparks through. A resident job's main
+// thread owns no arena and falls back to a plain heap thunk.
 func (c *Ctx) NewThunkAdapted(adapt graph.AdaptFn, payload any) *graph.Thunk {
 	if c.w != nil {
 		return c.w.arena.NewThunkAdapted(adapt, payload)
@@ -233,7 +224,7 @@ func (c *Ctx) Par(t *graph.Thunk) {
 		}
 		return
 	}
-	ctr := c.jctr()
+	ctr := &c.job.ctr
 	if t == nil || t.IsEvaluated() {
 		ctr.sparksDud.Add(1)
 		return
@@ -250,21 +241,6 @@ func (c *Ctx) Force(t *graph.Thunk) graph.Value { return graph.Force(c, t) }
 
 // ForceDeep evaluates v to normal form on this worker.
 func (c *Ctx) ForceDeep(v graph.Value) graph.Value { return graph.ForceDeep(c, v) }
-
-// Fork starts body on a fresh goroutine (a real GpH thread). The new
-// thread inherits the job its creator works for: its counters, faults
-// and failure latch stay the job's.
-func (c *Ctx) Fork(name string, body func(exec.Ctx)) {
-	if c.w != nil {
-		c.w.ctr.Forks++
-	} else {
-		c.jctr().forks.Add(1)
-	}
-	if ev := c.events(); ev != nil {
-		ev.Emit(eventlog.Fork)
-	}
-	c.rt.fork(name, body, c.jobOf())
-}
 
 // EagerBlackholing reports the configured claim policy.
 func (c *Ctx) EagerBlackholing() bool { return c.rt.cfg.EagerBlackholing }
@@ -289,7 +265,7 @@ func (c *Ctx) NoteDuplicateEntry(t *graph.Thunk) {
 	if c.w != nil {
 		c.w.ctr.DupEntries++
 	} else {
-		c.jctr().dupEntries.Add(1)
+		c.job.ctr.dupEntries.Add(1)
 	}
 	if ev := c.events(); ev != nil {
 		ev.Emit(eventlog.ThunkDupEntry)
@@ -318,7 +294,7 @@ func (c *Ctx) NoteDuplicateResult(t *graph.Thunk) {
 	if c.w != nil {
 		c.w.ctr.DupResults++
 	} else {
-		c.jctr().dupResults.Add(1)
+		c.job.ctr.dupResults.Add(1)
 	}
 }
 
@@ -336,11 +312,9 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 		defer c.w.blocked.Add(-1)
 		c.w.maybePublish()
 	} else {
-		c.jctr().blockedForces.Add(1)
-		if j := c.job; j != nil {
-			j.blocked.Add(1)
-			defer j.blocked.Add(-1)
-		}
+		c.job.ctr.blockedForces.Add(1)
+		c.job.blocked.Add(1)
+		defer c.job.blocked.Add(-1)
 	}
 	ev := c.events()
 	// jev mirrors the bracket into the converting job's worker-scoped
@@ -363,9 +337,9 @@ func (c *Ctx) BlockOnThunk(t *graph.Thunk) {
 			// dispatch loop raise the *graph.PoisonError.
 			break
 		}
-		// A failed job must unwind its own waiters (its main thread, its
-		// forks, and workers converting its sparks) without touching the
-		// rest of the pool.
+		// A failed job must unwind its own waiters (its main thread and
+		// workers converting its sparks) without touching the rest of
+		// the pool.
 		if j := c.jobOf(); j != nil {
 			j.latch.Check()
 		}
@@ -412,7 +386,7 @@ func idleSleep(spins int) time.Duration {
 // idleWait takes round spins of an idle loop on the ladder. A worker's
 // loops (stealPass, its blocked forces) count their sleeps into its
 // BackoffSleeps/BackoffNS; the waits with no worker (w == nil: a
-// resident job's main thread or a fork blocked in a force, finish's
+// resident job's main thread blocked in a force, finish's
 // active-wait) stay uncounted.
 func idleWait(w *worker, spins int) {
 	d := idleSleep(spins)
@@ -430,7 +404,7 @@ func idleWait(w *worker, spins int) {
 
 // takeWork returns the next spark to run — own pool first (LIFO, cache
 // warm), then a steal sweep over the other workers, then the injection
-// queue fed by forked threads and resident jobs — along with the job it
+// queue fed by resident jobs' main threads — along with the job it
 // was injected by (nil for deque sparks).
 func (w *worker) takeWork() (*graph.Thunk, *Job) {
 	if t, ok := w.pool.PopBottom(); ok {
@@ -557,8 +531,8 @@ func (w *worker) letGo(entry *Job) {
 	w.curJob = entry
 }
 
-// try runs body as a thread working for c's job — a job's main, a
-// fork, or a worker's sparks — and returns the failure that ended it,
+// try runs body as a thread working for c's job — a job's main or a
+// worker's sparks — and returns the failure that ended it,
 // or nil. It is the runtime's one recovery bracket: the panic becomes
 // an error (the job's recorded failure when it is the latch's abort),
 // the claims the dying stack still holds are poisoned so their forcers
