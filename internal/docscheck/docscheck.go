@@ -10,8 +10,8 @@ import (
 )
 
 // Docs are the documents that describe how to run things, relative to
-// the repo root. CHANGES.md, ROADMAP.md and ISSUE.md are history: they
-// may name what no longer exists.
+// the repo root. CHANGES.md and ROADMAP.md are history: they may name
+// what no longer exists.
 var Docs = []string{
 	"README.md",
 	"DESIGN.md",
