@@ -7,9 +7,10 @@
 //	benchall -matmul 1008 -matmulblock 72   # paper-size matrices
 //	benchall -quick -gogc 50,100,200,400,off    # + the §IV-A.1 allocation-area sweep (native, wall clock)
 //	benchall -quick -chaos 500                  # seeded chaos soak (exit 1 on violations)
-//	benchall -quick -cluster -chaos 16          # chaos under the cluster: supervised recovery soak
+//	benchall -quick -cluster -chaos 8           # chaos under the cluster: supervised recovery soak
 //
-// A soak row's repro line replays that one run through cmd/sumeuler.
+// A soak row is a cmd/sumeuler command line, run through the driver
+// (driver.Exec); its repro line is that command.
 //
 // Output is text: runtime tables, ASCII timeline traces and speedup
 // tables/charts, each followed by a shape check against the paper's
@@ -43,7 +44,6 @@ type options struct {
 	cluster         bool
 	transport       string
 	restarts        int
-	reconnect       bool
 	chaosIters      int
 	chaosSeed       uint64
 }
@@ -65,7 +65,6 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.cluster, "cluster", false, "with -chaos N: run the chaos-under-cluster soak (supervised multi-process runs) instead of the in-process one")
 	fs.StringVar(&o.transport, "transport", "tcp", "chaos-under-cluster transport: tcp | unix")
 	fs.IntVar(&o.restarts, "restarts", 2, "cluster restart budget per supervised run in the chaos-under-cluster soak")
-	fs.BoolVar(&o.reconnect, "reconnect", true, "cluster: let workers whose links break redial and resume in place")
 	fs.IntVar(&o.chaosIters, "chaos", 0, "run an N-iteration seeded chaos soak over both native backends instead of the figures (writes results/CHAOS.html + .json; exits non-zero on violations)")
 	fs.Uint64Var(&o.chaosSeed, "chaosseed", 42, "chaos soak master seed")
 	return o
@@ -162,7 +161,7 @@ func main() {
 			// Chaos under the cluster: supervised multi-process runs with
 			// ranks killed, flapped, severed and wedged. The soak report is
 			// the recovery-trace artifact.
-			c := experiments.RunClusterChaos(p, o.chaosIters, o.chaosSeed, o.transport, o.restarts, o.reconnect)
+			c := experiments.RunClusterChaos(p, o.chaosIters, o.chaosSeed, o.transport, o.restarts)
 			fmt.Println(c.String())
 			if data, err := c.JSON(); err == nil {
 				writeResult("CHAOS_cluster.json", data)

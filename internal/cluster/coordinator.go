@@ -49,19 +49,18 @@ type Config struct {
 	// Restart, when non-nil, lets RunSupervised retry the whole SPMD
 	// run after a process death (see supervise.go). Run ignores it.
 	Restart *Restart
-	// Heartbeat is the liveness ping interval; a rank silent for four
-	// intervals dies with reason "heartbeat timeout". Zero means 500ms.
-	Heartbeat time.Duration
 	// ReconnectWindow is how long a rank whose link broke may redial
 	// and resume in place before the break is declared a death. Zero
-	// means 3s; negative disables reconnection entirely.
+	// (or less) means 3s.
 	ReconnectWindow time.Duration
 }
 
-// Defaults for the liveness and recovery knobs.
+// The liveness and recovery timings: the coordinator pings every rank
+// each heartbeatEvery, and a rank silent for heartbeatTimeout (four
+// beats) dies with reason "heartbeat timeout".
 const (
-	defaultHeartbeat       = 500 * time.Millisecond
-	heartbeatMissFactor    = 4
+	heartbeatEvery         = 500 * time.Millisecond
+	heartbeatTimeout       = 4 * heartbeatEvery
 	defaultReconnectWindow = 3 * time.Second
 	terminateGrace         = 2 * time.Second
 )
@@ -186,7 +185,7 @@ func (l *rankLink) isDead() bool {
 // the conn's reader reports. The write cannot block for long: the
 // coordinator sends a rank GO, at most one DRAIN and one ACK, a WELCOME
 // per reconnect and a PING per heartbeat, and a rank that stops reading
-// is declared dead after heartbeatMissFactor pings — a few dozen bytes,
+// is declared dead after four missed pings — a few dozen bytes,
 // far below any socket buffer.
 func (l *rankLink) send(kind byte, body []byte) bool {
 	l.mu.Lock()
@@ -226,14 +225,12 @@ type event struct {
 // coord is one run's coordinator state. The fields from start on belong
 // to the state machine (step) and are touched by Run's goroutine only.
 type coord struct {
-	cfg       Config
-	links     []*rankLink
-	evCh      chan event
-	stop      chan struct{}
-	hb        time.Duration
-	hbTimeout time.Duration
-	window    time.Duration // reconnect window; <0 disables
-	wg        sync.WaitGroup
+	cfg    Config
+	links  []*rankLink
+	evCh   chan event
+	stop   chan struct{}
+	window time.Duration // reconnect window
+	wg     sync.WaitGroup
 
 	start       time.Time // GO sent; the timeline's zero
 	res         *Result
@@ -257,7 +254,6 @@ func newCoord(cfg Config) *coord {
 		links:     make([]*rankLink, n),
 		evCh:      make(chan event, n*8+16), // a burst from every rank seldom waits
 		stop:      make(chan struct{}),
-		hb:        cfg.Heartbeat,
 		window:    cfg.ReconnectWindow,
 		res:       &Result{Procs: n, PerProc: cfg.PerProc},
 		reports:   make([]*workerReport, n),
@@ -266,11 +262,7 @@ func newCoord(cfg Config) *coord {
 		downSince: make([]time.Time, n),
 		down:      make([]error, n),
 	}
-	if cd.hb <= 0 {
-		cd.hb = defaultHeartbeat
-	}
-	cd.hbTimeout = heartbeatMissFactor * cd.hb
-	if cd.window == 0 {
+	if cd.window <= 0 {
 		cd.window = defaultReconnectWindow
 	}
 	for rank := range cd.links {
@@ -300,8 +292,6 @@ func (cd *coord) emit(ev event) bool {
 		return false
 	}
 }
-
-func (cd *coord) reconnectOK() bool { return cd.window >= 0 }
 
 // readLoop pumps one connection generation of one rank: pongs feed the
 // liveness state, a BYE is answered with an ACK, other control frames
@@ -346,7 +336,7 @@ func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
 // lastSeen is detected here regardless of whether the ping itself got
 // through — a wedged worker is silent, and silence is the signal.
 func (cd *coord) heartbeat() {
-	t := time.NewTicker(cd.hb)
+	t := time.NewTicker(heartbeatEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -358,7 +348,7 @@ func (cd *coord) heartbeat() {
 				if !l.up.Load() || l.done.Load() {
 					continue
 				}
-				if now-l.lastSeen.Load() > cd.hbTimeout.Nanoseconds() {
+				if now-l.lastSeen.Load() > heartbeatTimeout.Nanoseconds() {
 					cd.emit(event{rank: l.rank, hbTimeout: true})
 					continue
 				}
@@ -515,7 +505,6 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 			fmt.Sprintf("%s=%s", envFaults, cfg.Faults),
 			fmt.Sprintf("%s=%s", envEventLog, boolEnv(cfg.EventLog)),
 			fmt.Sprintf("%s=%d", envAttempt, attempt),
-			fmt.Sprintf("%s=%s", envReconnect, boolEnv(cd.reconnectOK())),
 		)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -643,7 +632,7 @@ func (cd *coord) step(ev event) error {
 			return cd.linkDown(ev.rank, ev.err)
 		}
 	case ev.reHello != nil:
-		if !cd.reconnectOK() || cd.reports[ev.rank] != nil || l.isDead() || !cd.resumeRank(l, ev.reHello) {
+		if cd.reports[ev.rank] != nil || l.isDead() || !cd.resumeRank(l, ev.reHello) {
 			ev.reHello.Close()
 			return nil
 		}
@@ -665,7 +654,7 @@ func (cd *coord) step(ev event) error {
 			return nil
 		}
 		silent := time.Duration(time.Now().UnixNano() - l.lastSeen.Load())
-		if silent < cd.hbTimeout {
+		if silent < heartbeatTimeout {
 			return nil // a frame arrived since the tick
 		}
 		return cd.died(ev.rank, "heartbeat timeout", fmt.Errorf("silent for %v", silent))
@@ -712,8 +701,7 @@ func (cd *coord) died(rank int, reason string, err error) *faults.ProcessDeathEr
 }
 
 // linkDown classifies a break and opens the reconnect window, or
-// returns the death at once when the process has exited or
-// reconnection is off.
+// returns the death at once when the process has exited.
 func (cd *coord) linkDown(rank int, err error) error {
 	if cd.exitSeen[rank] {
 		return cd.died(rank, "exit", cd.exitErrs[rank])
@@ -721,9 +709,6 @@ func (cd *coord) linkDown(rank int, err error) error {
 	reason := "connection closed"
 	if err != nil && err != io.EOF {
 		reason = "connection error"
-	}
-	if !cd.reconnectOK() {
-		return cd.died(rank, reason, err)
 	}
 	cd.downSince[rank] = time.Now()
 	cd.down[rank] = cd.died(rank, reason, err)

@@ -363,7 +363,7 @@ func TestWorkerSendAllocatesOneBuffer(t *testing.T) {
 	// for a 128-entry pivot row and for a registered struct (whose codec
 	// receives the encoder by pointer).
 	tr := &meshTransport{
-		perProc: 2, l: newWLink(0, "unix", "", false),
+		perProc: 2, l: newWLink(0, "unix", ""),
 		peers: []*conn{nil, newConn(discardRWC{})}, drops: make([]atomic.Int64, 2),
 	}
 	for _, v := range []graph.Value{make([]int32, 128), euler.Range{Lo: 1, Hi: 9}} {
@@ -444,7 +444,7 @@ func TestFlushFailureReplaysExactlyOnce(t *testing.T) {
 		// for the link, and the reconnect resends RESULT and REPORT after
 		// reading the WELCOME: the coordinator reads RESULT, REPORT and
 		// BYE on the new link once each, in order.
-		l := newWLink(0, "unix", "", true)
+		l := newWLink(0, "unix", "")
 		l.c = newConn(&cutRWC{limit: 4 + frameHeaderLen + len(result) + 3})
 		if err := l.write(frameResult, result); err != nil {
 			t.Fatal(err)
@@ -585,7 +585,7 @@ func TestAwaitAckedWakesOnEvents(t *testing.T) {
 		}
 	}
 
-	l := newWLink(1, "unix", "", true)
+	l := newWLink(1, "unix", "")
 	ours, theirs := net.Pipe()
 	l.c = newConn(ours)
 	readErr := make(chan error, 1)
@@ -612,12 +612,12 @@ func TestAwaitAckedWakesOnEvents(t *testing.T) {
 		t.Fatalf("the coordinator hung up after the ACK, and the reader ended with %v, want nil", err)
 	}
 
-	l = newWLink(1, "unix", "", true)
+	l = newWLink(1, "unix", "")
 	done = waiting(l)
 	l.failTerminal(io.ErrClosedPipe)
 	returned(done, "a terminal link error")
 
-	l = newWLink(1, "unix", "", true)
+	l = newWLink(1, "unix", "")
 	l.awaitAcked(time.Millisecond) // the cap
 }
 

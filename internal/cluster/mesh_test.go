@@ -130,7 +130,7 @@ func TestPeerSendDropsOnClosedPipe(t *testing.T) {
 	ours, theirs := net.Pipe()
 	theirs.Close()
 	tr := &meshTransport{
-		perProc: 1, l: newWLink(0, "unix", "", false),
+		perProc: 1, l: newWLink(0, "unix", ""),
 		peers: []*conn{nil, newConn(ours)}, drops: make([]atomic.Int64, 2),
 	}
 	done := make(chan error, 1)
@@ -168,7 +168,7 @@ func TestControlLinkRejectsData(t *testing.T) {
 		t.Fatalf("coordinator reported %+v, want the generation failed by a data frame", ev)
 	}
 
-	w := newWLink(1, "unix", "", false)
+	w := newWLink(1, "unix", "")
 	ours, theirs = net.Pipe()
 	defer theirs.Close()
 	w.c = newConn(ours)

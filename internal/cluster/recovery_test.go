@@ -41,7 +41,7 @@ func TestClusterRespawnAfterKill(t *testing.T) {
 				Procs: 3, PerProc: 2, Transport: transport,
 				Spec:    "sumeuler?n=4000&pechunks=4",
 				Faults:  "kill-rank=1:30ms",
-				Restart: &Restart{Max: 2, Backoff: 30 * time.Millisecond},
+				Restart: &Restart{Max: 2},
 			})
 			if res.Restarts != 1 {
 				t.Fatalf("Restarts = %d, want 1 (one kill, one respawn)", res.Restarts)
@@ -115,7 +115,7 @@ func TestClusterRestartBudgetExhausted(t *testing.T) {
 		Procs: 3, PerProc: 1, Transport: "tcp",
 		Spec:     "sumeuler?n=4000&pechunks=4",
 		Faults:   "kill-rank=1:30ms,rank-faults=every",
-		Restart:  &Restart{Max: 1, Backoff: 20 * time.Millisecond},
+		Restart:  &Restart{Max: 1},
 		Deadline: 60 * time.Second,
 	})
 	if err == nil {
@@ -149,10 +149,9 @@ func TestClusterWedgeHeartbeat(t *testing.T) {
 	start := time.Now()
 	_, err := Run(Config{
 		Procs: 3, PerProc: 1, Transport: "tcp",
-		Spec:      "sumeuler?n=4000&pechunks=4",
-		Faults:    "wedge-rank=1:30ms",
-		Heartbeat: 100 * time.Millisecond,
-		Deadline:  60 * time.Second,
+		Spec:     "sumeuler?n=4000&pechunks=4",
+		Faults:   "wedge-rank=1:30ms",
+		Deadline: 60 * time.Second,
 	})
 	if err == nil {
 		t.Fatal("wedged worker, but Run returned no error")
@@ -177,10 +176,9 @@ func TestClusterWedgeSupervisedRecovers(t *testing.T) {
 	// is one-shot, so the respawned attempt completes oracle-equal.
 	res := superviseOK(t, Config{
 		Procs: 3, PerProc: 1, Transport: "tcp",
-		Spec:      "sumeuler?n=4000&pechunks=4",
-		Faults:    "wedge-rank=1:30ms",
-		Heartbeat: 100 * time.Millisecond,
-		Restart:   &Restart{Max: 2, Backoff: 30 * time.Millisecond},
+		Spec:    "sumeuler?n=4000&pechunks=4",
+		Faults:  "wedge-rank=1:30ms",
+		Restart: &Restart{Max: 2},
 	})
 	if res.Restarts != 1 {
 		t.Fatalf("Restarts = %d, want 1", res.Restarts)

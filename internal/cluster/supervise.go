@@ -20,24 +20,20 @@ type Restart struct {
 	// Max is how many restarts may follow the initial attempt (so the
 	// run executes at most Max+1 times).
 	Max int
-	// Backoff is the sleep before the first restart, doubling per
-	// attempt up to backoffCap. Zero means 100ms.
-	Backoff time.Duration
-	// RetryDeadlocks extends the policy to *faults.DeadlockError —
-	// useful under chaos plans whose injected wedges surface as
-	// deadline expiry rather than process death.
-	RetryDeadlocks bool
 }
 
-// backoffCap bounds the doubling restart backoff.
-const backoffCap = 5 * time.Second
+// The sleep before the first restart, doubling per attempt up to
+// backoffCap.
+const (
+	backoffFirst = 100 * time.Millisecond
+	backoffCap   = 5 * time.Second
+)
 
 // Attempt records one failed attempt of a supervised run.
 type Attempt struct {
 	// Attempt is the zero-based index of the failed attempt.
 	Attempt int `json:"attempt"`
-	// Rank is the rank whose death failed the attempt (-1 for a
-	// cluster-wide failure such as a deadline deadlock).
+	// Rank is the rank whose death failed the attempt.
 	Rank int `json:"rank"`
 	// Reason is the structured death reason ("exit", "connection
 	// closed", "heartbeat timeout", ...).
@@ -53,7 +49,7 @@ type Attempt struct {
 // RestartsExhaustedError reports a supervised run that failed every
 // attempt its restart budget allowed. Unwrap exposes the last
 // attempt's error, so errors.As still finds the underlying
-// *faults.ProcessDeathError (or DeadlockError).
+// *faults.ProcessDeathError.
 type RestartsExhaustedError struct {
 	Attempts []Attempt
 	Last     error
@@ -71,23 +67,19 @@ func (e *RestartsExhaustedError) Error() string {
 
 func (e *RestartsExhaustedError) Unwrap() error { return e.Last }
 
-// RunSupervised runs the cluster under cfg.Restart: a failed attempt
-// whose error is retriable (process death; deadlock too when
-// RetryDeadlocks) is retried after an exponential backoff, with the
-// fault seed rotated per attempt so a seed-dependent injected fault
-// does not recur identically. On success the Result carries the
+// RunSupervised runs the cluster under cfg.Restart: an attempt that
+// fails with a process death is retried after an exponential backoff,
+// with the fault seed rotated per attempt so a seed-dependent injected
+// fault does not recur identically. On success the Result carries the
 // restart history and recovery latency; on a spent budget the error is
-// a *RestartsExhaustedError wrapping the last failure. With a nil
-// Restart it is exactly Run.
+// a *RestartsExhaustedError wrapping the last failure. Any other
+// failure (a deadline deadlock, a worker's own error) ends the run at
+// once. With a nil Restart it is exactly Run.
 func RunSupervised(cfg Config) (*Result, error) {
 	if cfg.Restart == nil {
 		return Run(cfg)
 	}
-	pol := *cfg.Restart
-	backoff := pol.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
+	backoff := backoffFirst
 	var attempts []Attempt
 	var firstFail time.Time
 	for attempt := 0; ; attempt++ {
@@ -103,18 +95,18 @@ func RunSupervised(cfg Config) (*Result, error) {
 			}
 			return res, nil
 		}
-		rank, reason, retriable := classifyFailure(err, pol.RetryDeadlocks)
-		if !retriable {
+		var pd *faults.ProcessDeathError
+		if !errors.As(err, &pd) {
 			return res, err
 		}
 		if firstFail.IsZero() {
 			firstFail = began
 		}
 		a := Attempt{
-			Attempt: attempt, Rank: rank, Reason: reason, Err: err.Error(),
+			Attempt: attempt, Rank: pd.Rank, Reason: pd.Reason, Err: err.Error(),
 			WallNS: time.Since(began).Nanoseconds(),
 		}
-		if attempt >= pol.Max {
+		if attempt >= cfg.Restart.Max {
 			attempts = append(attempts, a)
 			return res, &RestartsExhaustedError{Attempts: attempts, Last: err}
 		}
@@ -125,18 +117,4 @@ func RunSupervised(cfg Config) (*Result, error) {
 			backoff = backoffCap
 		}
 	}
-}
-
-// classifyFailure decides whether a failed attempt is worth retrying
-// and extracts its structured identity for the attempt history.
-func classifyFailure(err error, retryDeadlocks bool) (rank int, reason string, retriable bool) {
-	var pd *faults.ProcessDeathError
-	if errors.As(err, &pd) {
-		return pd.Rank, pd.Reason, true
-	}
-	var de *faults.DeadlockError
-	if errors.As(err, &de) {
-		return -1, "deadlock:" + de.Reason, retryDeadlocks
-	}
-	return -1, "", false
 }

@@ -37,9 +37,6 @@ const (
 	// run). Workers use it to rotate the fault seed and to skip the
 	// one-shot rank fault classes on retries.
 	envAttempt = "PARHASK_CLUSTER_ATTEMPT"
-	// envReconnect ("1"/"0") tells the worker whether a broken
-	// coordinator link should be redialled or is terminal.
-	envReconnect = "PARHASK_CLUSTER_RECONNECT"
 )
 
 // killExitCode is the status a kill-rank fault exits with — distinct
@@ -95,9 +92,8 @@ type workerReport struct {
 // while the link is down and the reader owns redial: on a connection
 // error it re-dials with exponential backoff inside redialWindow,
 // re-HELLOs, takes the coordinator's WELCOME, resends every one-shot
-// frame it has sent so far, and only then wakes the writers. With
-// reconnection disabled (or a sever-rank fault) the first break is
-// terminal.
+// frame it has sent so far, and only then wakes the writers. After a
+// sever-rank fault the first break is terminal.
 type wlink struct {
 	rank          int
 	network, addr string
@@ -117,8 +113,8 @@ type wlink struct {
 	wedged atomic.Bool
 }
 
-func newWLink(rank int, network, addr string, reconnect bool) *wlink {
-	l := &wlink{rank: rank, network: network, addr: addr, reconnect: reconnect}
+func newWLink(rank int, network, addr string) *wlink {
+	l := &wlink{rank: rank, network: network, addr: addr, reconnect: true}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -193,7 +189,7 @@ func (l *wlink) write(kind byte, body []byte) error {
 }
 
 // broken marks c dead. The reader owns redial; writers just step
-// aside. With reconnection off the first break is the terminal error.
+// aside. Once severed, the first break is the terminal error.
 func (l *wlink) broken(c *conn, err error) {
 	c.Close()
 	l.mu.Lock()
@@ -247,8 +243,8 @@ func (l *wlink) flap(down time.Duration) {
 // link already down) — it must be retired here, because if no writer
 // has tripped over it yet it is still installed, and trusting l.c
 // would hand the same dead conn straight back. Returns the new conn,
-// or the terminal error once the link is gone for good (reconnection
-// disabled, or the window exhausted).
+// or the terminal error once the link is gone for good (severed, or
+// the window exhausted).
 func (l *wlink) redial(failed *conn, cause error) (*conn, error) {
 	if failed != nil {
 		failed.Close() // a remote break leaves the local fd open
@@ -551,13 +547,12 @@ func workerMain() error {
 			return err
 		}
 	}
-	reconnect := os.Getenv(envReconnect) == "1"
 	peers, err := inheritedPeers(rank, procs)
 	if err != nil {
 		return err
 	}
 
-	l := newWLink(rank, network, os.Getenv(envAddr), reconnect)
+	l := newWLink(rank, network, os.Getenv(envAddr))
 	if err := l.dial(); err != nil {
 		return err
 	}

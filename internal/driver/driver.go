@@ -2,8 +2,10 @@
 // (internal/workloads): cmd/sumeuler, cmd/matmul and cmd/apsp are this
 // driver with their entry fixed, cmd/workloads is it with the entry
 // chosen by -run. The shared flags are declared once, the per-workload
-// flags come from the entry's parameter schema, and run → verify →
-// print exists once per runtime:
+// flags come from the entry's parameter schema, and every command line
+// goes parse → execute (run, then verify) → print. Exec is the same
+// without the print: what a harness calls to run a command line it
+// reports, such as a chaos soak's rows.
 //
 //	sumeuler -n 15000 -cores 8 -rts steal -trace     # simulated GpH (virtual time)
 //	sumeuler -runtime native -eager -trace=html > t.html   # the wall-clock timeline, exported
@@ -24,7 +26,8 @@
 // -cluster N the same program runs as N worker processes over a real
 // -transport, built in every process from the spec string this driver
 // sends, which carries every parameter of the instance. -faults injects
-// a seeded fault plan (internal/faults grammar) and -deadline arms the
+// a seeded fault plan (internal/faults grammar; a clause the backend
+// never fires is a bad command line) and -deadline arms the
 // deadlock watchdog; a failed run prints the structured error and,
 // with -trace, the partial timeline up to the failure. Bare -trace
 // prints the ASCII timeline after the report; -trace=csv|json|html
@@ -69,7 +72,7 @@ func Main(name string) {
 type options struct {
 	runtime, rts, stats, faults, transport        string
 	cores, workers, pes, width, cluster, restarts int
-	eager, profile, reconnect                     bool
+	eager, profile                                bool
 	trace                                         traceFormat
 	deadline                                      time.Duration
 }
@@ -126,13 +129,93 @@ func (r *cli) fail(code int, a ...any) int {
 	return code
 }
 
+// ErrUsage is what an error of Exec wraps when Run would exit 2 on the
+// command line: a flag that does not parse or validate, or a program
+// the workload does not have. Nothing has run.
+var ErrUsage = errors.New("bad command line")
+
+// usageError is a command-line error; said marks one the flag package
+// has printed already, with the usage.
+type usageError struct {
+	err  error
+	said bool
+}
+
+func (e *usageError) Error() string   { return e.err.Error() }
+func (e *usageError) Unwrap() []error { return []error{e.err, ErrUsage} }
+
+func usage(err error) error { return &usageError{err: err} }
+
+// Outcome is one run of a command line. A verified run has its Value;
+// a failed one keeps what it still recorded: a partial timeline, or a
+// cluster's attempt history.
+type Outcome struct {
+	Value graph.Value
+	// Cluster is a -cluster run's result, with its restart and
+	// reconnect history; nil on the other runtimes.
+	Cluster *cluster.Result
+
+	where   string // the runtime, for the headline
+	summary any    // the oracle's printable verdict
+	clock   string
+	stats   any
+	// json is what -stats json prints instead of the text report; nil
+	// on the simulated runtimes, which have no machine-readable report.
+	json  any
+	notes []string
+	trace *trace.Log
+}
+
 // Run is Main without the process: it parses argv, runs the workload,
 // verifies it, prints the report and returns the exit status.
 func Run(name string, argv []string, stdout, stderr io.Writer) int {
-	r, code := parse(name, argv, stdout, stderr)
-	if r == nil {
-		return code
+	r, err := parse(name, argv, stdout, stderr)
+	var out *Outcome
+	if err == nil {
+		out, err = r.execute()
 	}
+	var ue *usageError
+	switch {
+	case err == nil:
+		return r.print(out)
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		if !ue.said {
+			r.fail(2, err)
+		}
+		return 2
+	}
+	r.fail(1, err)
+	switch {
+	case out == nil || out.trace == nil:
+	case r.o.trace.export():
+		if err := r.export(out.trace, fmt.Sprintf("%s (FAILED, partial timeline): %v", r.headline(out.where), err)); err != nil {
+			r.fail(1, err)
+		}
+	case r.o.trace != "":
+		fmt.Fprintln(stdout, "partial timeline of the failed run:")
+		r.timeline(out.trace)
+	}
+	return 1
+}
+
+// Exec is Run without the printing: it parses argv as Run does, runs
+// the job and checks its result against the workload's oracle. It
+// returns the verified outcome, or the error Run exits non-zero on:
+// one that wraps ErrUsage for exit 2, any other for exit 1 (a failed
+// run, or a result the oracle refuses). -h returns flag.ErrHelp.
+func Exec(name string, argv []string) (*Outcome, error) {
+	r, err := parse(name, argv, io.Discard, io.Discard)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute()
+}
+
+// execute runs the job the flags name on its runtime and checks the
+// result against the oracle.
+func (r *cli) execute() (*Outcome, error) {
 	run := r.runSimGpH
 	switch o := &r.o; {
 	case o.runtime == "native":
@@ -144,31 +227,23 @@ func Run(name string, argv []string, stdout, stderr io.Writer) int {
 	case o.rts == "eden":
 		run = r.runSimEden
 	}
-	rep, err := run()
+	out, err := run()
 	if errors.Is(err, workloads.ErrNoForm) {
-		return r.fail(2, err) // the flags asked for a program the workload is not
+		return nil, usage(err) // the flags asked for a program the workload is not
 	}
 	if err != nil {
-		r.fail(1, err)
-		switch tl := rep.trace; {
-		case tl == nil:
-		case r.o.trace.export():
-			if err := r.export(tl, fmt.Sprintf("%s (FAILED, partial timeline): %v", r.headline(rep.where), err)); err != nil {
-				r.fail(1, err)
-			}
-		case r.o.trace != "":
-			fmt.Fprintln(stdout, "partial timeline of the failed run:")
-			r.timeline(tl)
-		}
-		return 1
+		return out, err
 	}
-	return r.finish(rep)
+	if out.summary, err = r.inst.Check(out.Value); err != nil {
+		return nil, fmt.Errorf("RESULT MISMATCH: %w", err)
+	}
+	return out, nil
 }
 
 // parse declares the flags, parses and validates argv — failing fast,
 // before anything is generated or launched — and builds the instance.
-// It returns nil and the exit status when there is nothing to run.
-func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
+// Its error is flag.ErrHelp or wraps ErrUsage.
+func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, error) {
 	r := &cli{prog: name, stdout: stdout, stderr: stderr}
 	byFlag := name == ""
 	if byFlag {
@@ -176,7 +251,7 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 	}
 	e, err := workloads.Lookup(name)
 	if err != nil {
-		return nil, r.fail(2, err)
+		return r, usage(err)
 	}
 	fs := flag.NewFlagSet(r.prog, flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -184,22 +259,26 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 	given := newFlags(fs, e, o, byFlag)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			return nil, 0
+			return r, err
 		}
-		return nil, 2
+		return r, &usageError{err: err, said: true}
 	}
 
 	if o.runtime != "sim" && o.runtime != "native" && o.runtime != "eden" {
-		return nil, r.fail(2, fmt.Sprintf("unknown -runtime %q", o.runtime))
+		return r, usage(fmt.Errorf("unknown -runtime %q", o.runtime))
 	}
 	if o.trace.export() && o.stats == "json" {
-		return nil, r.fail(2, "-trace="+string(o.trace)+" and -stats json both replace the report: pick one")
+		return r, usage(errors.New("-trace=" + string(o.trace) + " and -stats json both replace the report: pick one"))
 	}
 	if err := cluster.CheckFlags(o.runtime, o.cluster, o.transport, o.restarts); err != nil {
-		return nil, r.fail(2, err)
+		return r, usage(err)
 	}
-	if r.inj, err = faults.CLIInjector(o.faults, o.deadline, o.runtime); err != nil {
-		return nil, r.fail(2, err)
+	backend := o.runtime
+	if o.cluster > 0 {
+		backend = "cluster"
+	}
+	if r.inj, err = faults.CLIInjector(o.faults, o.deadline, backend); err != nil {
+		return r, usage(err)
 	}
 	var args workloads.Args
 	for name, v := range given {
@@ -211,9 +290,9 @@ func parse(name string, argv []string, stdout, stderr io.Writer) (*cli, int) {
 		}
 	}
 	if r.inst, err = e.New(args); err != nil {
-		return nil, r.fail(2, err)
+		return r, usage(err)
 	}
-	return r, 0
+	return r, nil
 }
 
 // newFlags declares the shared flags into o, -run when the entry is
@@ -236,7 +315,6 @@ func newFlags(fs *flag.FlagSet, e *workloads.Entry, o *options, byFlag bool) map
 	fs.IntVar(&o.cluster, "cluster", 0, "run -runtime eden as N separate worker OS processes, -pes PEs each (0 = single process)")
 	fs.StringVar(&o.transport, "transport", "tcp", "cluster transport: tcp | unix")
 	fs.IntVar(&o.restarts, "restarts", 0, "cluster restart budget: respawn the workers and retry the run up to N times after a process death (0 = fail on the first death)")
-	fs.BoolVar(&o.reconnect, "reconnect", true, "cluster: let a worker whose link breaks redial and resume in place")
 	fs.BoolVar(&o.eager, "eager", false, "eager black-holing (GpH)")
 	fs.BoolVar(&o.profile, "profile", false, "print the thread-granularity profile (simulated GpH runtimes)")
 	given := map[string]*uint64{}
@@ -297,9 +375,6 @@ func (r *cli) clusterConfig() cluster.Config {
 	if o.restarts > 0 {
 		cfg.Restart = &cluster.Restart{Max: o.restarts}
 	}
-	if !o.reconnect {
-		cfg.ReconnectWindow = -1
-	}
 	return cfg
 }
 
@@ -310,54 +385,59 @@ func blackholing(eager bool) string {
 	return "lazy"
 }
 
-// report is what one run hands to the shared verify-and-print tail. A
-// failed run returns it too, for whatever timeline it still recorded.
-type report struct {
-	where string // the runtime, for the headline
-	value graph.Value
-	clock string
-	stats any
-	// json is what -stats json prints instead of the text report; nil on
-	// the simulated runtimes, which have no machine-readable report.
-	json  any
-	notes []string
-	trace *trace.Log
-}
-
-// finish verifies the result against the oracle and prints the report.
-func (r *cli) finish(rep report) int {
-	summary, err := r.inst.Check(rep.value)
-	if err != nil {
-		return r.fail(1, "RESULT MISMATCH:", err)
-	}
-	if r.o.stats == "json" && rep.json != nil {
-		out, err := json.MarshalIndent(rep.json, "", "  ")
+// print writes the report of a verified run: what -stats json or
+// -trace=FORMAT asks for, or the text report.
+func (r *cli) print(out *Outcome) int {
+	if r.o.stats == "json" && out.json != nil {
+		data, err := json.MarshalIndent(out.json, "", "  ")
 		if err != nil {
 			return r.fail(1, err)
 		}
-		fmt.Fprintln(r.stdout, string(out))
+		fmt.Fprintln(r.stdout, string(data))
 		return 0
 	}
 	if r.o.trace.export() {
-		if rep.trace == nil {
+		if out.trace == nil {
 			return r.fail(1, "the run recorded no timeline")
 		}
-		if err := r.export(rep.trace, r.headline(rep.where)); err != nil {
+		if err := r.export(out.trace, r.headline(out.where)); err != nil {
 			return r.fail(1, err)
 		}
 		return 0
 	}
-	fmt.Fprintln(r.stdout, r.headline(rep.where))
-	fmt.Fprintf(r.stdout, "result   = verified against %s (%v)\n", r.inst.Entry.Oracle, summary)
-	fmt.Fprintf(r.stdout, "runtime  = %s\n", rep.clock)
-	fmt.Fprintf(r.stdout, "stats    = %+v\n", rep.stats)
-	for _, n := range rep.notes {
+	clock := out.clock
+	if r.o.runtime == "native" {
+		clock += r.simulated()
+	}
+	fmt.Fprintln(r.stdout, r.headline(out.where))
+	fmt.Fprintf(r.stdout, "result   = verified against %s (%v)\n", r.inst.Entry.Oracle, out.summary)
+	fmt.Fprintf(r.stdout, "runtime  = %s\n", clock)
+	fmt.Fprintf(r.stdout, "stats    = %+v\n", out.stats)
+	for _, n := range out.notes {
 		fmt.Fprint(r.stdout, n)
 	}
-	if r.o.trace != "" && rep.trace != nil {
-		r.timeline(rep.trace)
+	if r.o.trace != "" && out.trace != nil {
+		r.timeline(out.trace)
 	}
 	return 0
+}
+
+// simulated is the native run's side-by-side: the same program's time
+// on the simulator, or "" where it cannot run there.
+func (r *cli) simulated() string {
+	o := &r.o
+	cfg := gph.WorkStealingConfig(o.cores)
+	cfg.EagerBlackholing = o.eager
+	cfg.ResidentBytes = r.inst.ResidentBytes
+	sim, err := r.inst.Sim("", cfg.Costs)
+	if err != nil {
+		return ""
+	}
+	res, err := gph.Run(cfg, sim)
+	if err != nil {
+		return ""
+	}
+	return fmt.Sprintf("   vs %s (virtual, steal/%d cores)", trace.FmtDur(res.Elapsed), o.cores)
 }
 
 // headline names the instance and the runtime it ran on.
@@ -384,75 +464,60 @@ func (r *cli) export(tl *trace.Log, title string) error {
 }
 
 // runNative runs the GpH program on the real work-stealing runtime.
-func (r *cli) runNative() (report, error) {
-	o, inst := &r.o, r.inst
+func (r *cli) runNative() (*Outcome, error) {
+	o := &r.o
 	cfg := native.NewConfig(o.workers)
 	cfg.EagerBlackholing = o.eager
 	cfg.EventLog = o.trace != ""
 	cfg.Faults = r.inj
 	cfg.Deadline = o.deadline
-	prog, err := inst.GpH()
+	prog, err := r.inst.GpH()
 	if err != nil {
-		return report{}, err
+		return nil, err
 	}
 	res, err := native.Run(cfg, prog)
 	if res == nil {
-		return report{}, err
+		return nil, err
 	}
-	rep := report{
+	out := &Outcome{
 		where: fmt.Sprintf("native runtime, %d workers (%s blackholing)", res.Workers, blackholing(o.eager)),
-		value: res.Value, trace: res.Trace(),
+		Value: res.Value, trace: res.Trace(),
 		clock: fmt.Sprintf("%v (wall clock)", res.Wall()),
 		stats: fmt.Sprintf("%+v (duplicate thunk entries: %d)", res.Stats, res.Stats.DupEntries),
 	}
-	if err != nil {
-		return rep, err
+	if err == nil && o.stats == "json" {
+		out.json = res.Report()
 	}
-	if o.stats == "json" {
-		rep.json = res.Report()
-	}
-	if rep.json != nil || o.trace.export() {
-		return rep, nil // neither prints the side-by-side below
-	}
-	// The same program on the simulator, for the side-by-side.
-	scfg := gph.WorkStealingConfig(o.cores)
-	scfg.EagerBlackholing = o.eager
-	scfg.ResidentBytes = inst.ResidentBytes
-	if sim, err := inst.Sim("", scfg.Costs); err == nil {
-		if sres, err := gph.Run(scfg, sim); err == nil {
-			rep.clock += fmt.Sprintf("   vs %s (virtual, steal/%d cores)", trace.FmtDur(sres.Elapsed), o.cores)
-		}
-	}
-	return rep, nil
+	return out, err
 }
 
 // runCluster runs the Eden program as worker OS processes.
-func (r *cli) runCluster() (report, error) {
+func (r *cli) runCluster() (*Outcome, error) {
 	if err := r.inst.CanEden(); err != nil {
-		return report{}, err
+		return nil, err
 	}
 	cfg := r.clusterConfig()
 	res, err := cluster.RunSupervised(cfg)
-	if err != nil {
-		return report{}, err
+	if res == nil || err != nil {
+		return &Outcome{Cluster: res}, err
 	}
-	rep := report{
+	out := &Outcome{
 		where: fmt.Sprintf("a %d-process Eden cluster (%s), %d PEs per process, GOMAXPROCS %s by rank",
 			res.Procs, cfg.Transport, res.PerProc, strings.Trim(fmt.Sprint(res.GOMAXPROCS), "[]")),
-		value: res.Value, json: res, stats: res.Total,
+		Value: res.Value, Cluster: res, json: res, stats: res.Total,
 		clock: fmt.Sprintf("%v (root wall clock; %v including launch and drain)",
 			time.Duration(res.WallNS), time.Duration(res.CoordNS)),
 		notes: []string{res.RecoverySummary()},
 	}
-	rep.trace, _ = res.TraceLog() // a timeline that does not decode is not worth failing a verified run for
-	return rep, nil
+	out.trace, _ = res.TraceLog() // a timeline that does not decode is not worth failing a verified run for
+	return out, nil
 }
 
 // runEden runs the Eden program on the native distributed-heap backend.
-func (r *cli) runEden() (report, error) {
+func (r *cli) runEden() (*Outcome, error) {
 	prog, err := r.inst.Eden(cost.Model{})
 	if err != nil {
-		return report{}, err
+		return nil, err
 	}
 	cfg := nativeeden.NewConfig(r.o.pes)
 	cfg.EventLog = r.o.trace != ""
@@ -460,17 +525,17 @@ func (r *cli) runEden() (report, error) {
 	cfg.Deadline = r.o.deadline
 	res, err := nativeeden.Run(cfg, prog)
 	if res == nil {
-		return report{}, err
+		return nil, err
 	}
-	rep := report{
+	out := &Outcome{
 		where: fmt.Sprintf("native Eden, %d PEs (distributed heaps, real goroutines)", res.PEs),
-		value: res.Value, stats: res.Stats, trace: res.Trace(),
+		Value: res.Value, stats: res.Stats, trace: res.Trace(),
 		clock: fmt.Sprintf("%v (wall clock)", res.Wall()),
 	}
 	if err == nil && r.o.stats == "json" {
-		rep.json = res.Report()
+		out.json = res.Report()
 	}
-	return rep, err
+	return out, err
 }
 
 // simPEs is the simulated PE count: -pes, else one more than the
@@ -488,19 +553,19 @@ func (r *cli) simPEs() int {
 }
 
 // runSimEden runs the Eden program on the virtual-time Eden simulator.
-func (r *cli) runSimEden() (report, error) {
+func (r *cli) runSimEden() (*Outcome, error) {
 	cfg := eden.NewConfig(r.simPEs(), r.o.cores)
 	prog, err := r.inst.Eden(cfg.Costs)
 	if err != nil {
-		return report{}, err
+		return nil, err
 	}
 	res, err := eden.Run(cfg, prog)
 	if err != nil {
-		return report{}, err
+		return nil, err
 	}
-	return report{
+	return &Outcome{
 		where: fmt.Sprintf("Eden, %d PEs / %d cores", cfg.PEs, r.o.cores),
-		value: res.Value, stats: res.Stats, trace: res.Trace,
+		Value: res.Value, stats: res.Stats, trace: res.Trace,
 		clock: trace.FmtDur(res.Elapsed) + " (virtual)",
 	}, nil
 }
@@ -508,7 +573,7 @@ func (r *cli) runSimEden() (report, error) {
 // runSimGpH runs the cost-charged GpH program on one of the simulated
 // shared-heap configurations or — when -rts names a variant of the
 // workload instead — on the work-stealing configuration.
-func (r *cli) runSimGpH() (report, error) {
+func (r *cli) runSimGpH() (*Outcome, error) {
 	o, inst := &r.o, r.inst
 	mk, variant, kind := gphConfigs[o.rts], "", o.rts
 	if mk == nil {
@@ -519,20 +584,20 @@ func (r *cli) runSimGpH() (report, error) {
 	cfg.ResidentBytes = inst.ResidentBytes
 	prog, err := inst.Sim(variant, cfg.Costs)
 	if err != nil {
-		return report{}, fmt.Errorf("-rts %s: %w", o.rts, err)
+		return nil, fmt.Errorf("-rts %s: %w", o.rts, err)
 	}
 	res, err := gph.Run(cfg, prog)
 	if err != nil {
-		return report{}, err
+		return nil, err
 	}
-	rep := report{
+	out := &Outcome{
 		where: fmt.Sprintf("GpH (%s, %s blackholing), %d cores", kind, blackholing(o.eager), o.cores),
-		value: res.Value, trace: res.Trace,
+		Value: res.Value, trace: res.Trace,
 		clock: trace.FmtDur(res.Elapsed) + " (virtual)",
 		stats: fmt.Sprintf("%+v (duplicate thunk entries: %d)", res.Stats, res.Stats.DupEntries),
 	}
 	if o.profile {
-		rep.notes = append(rep.notes, res.GranularityProfile().String())
+		out.notes = append(out.notes, res.GranularityProfile().String())
 	}
-	return rep, nil
+	return out, nil
 }

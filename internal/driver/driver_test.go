@@ -3,6 +3,7 @@ package driver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"regexp"
@@ -180,6 +181,9 @@ func TestBadCommandLinesExit2(t *testing.T) {
 		{"sumeuler", "-restarts 1", "-restarts needs -cluster"},
 		{"sumeuler", "-faults seed=1", "-faults/-deadline apply only"},
 		{"sumeuler", "-runtime native -faults banana", "faults"},
+		{"sumeuler", "-runtime native -workers 2 -n 300 -faults seed=1,panic-proc=0", "panic-proc never fires on the native backend"},
+		{"sumeuler", "-runtime eden -pes 2 -faults seed=1,kill-rank=0:1ms", "kill-rank never fires on the eden backend"},
+		{"sumeuler", "-runtime eden -cluster 2 -faults seed=1,panic-spark=0", "panic-spark never fires on the cluster backend"},
 		{"sumeuler", "-block 3", "flag provided but not defined"},
 		{"sumeuler", "-trace=bogus", "invalid boolean value \"bogus\" for -trace: want csv, json or html"},
 		{"sumeuler", "-runtime native -trace=json -stats json", "both replace the report"},
@@ -191,6 +195,9 @@ func TestBadCommandLinesExit2(t *testing.T) {
 		code, out, errs := run(c.name, strings.Fields(c.argv)...)
 		if code != 2 || !strings.Contains(errs, c.says) {
 			t.Errorf("%s %s: exit %d, stderr %q, want exit 2 saying %q", c.name, c.argv, code, errs, c.says)
+		}
+		if _, err := Exec(c.name, strings.Fields(c.argv)); !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), c.says) {
+			t.Errorf("%s %s: Exec returned %v, want an ErrUsage saying %q", c.name, c.argv, err, c.says)
 		}
 		if out != "" {
 			t.Errorf("%s %s: a rejected command line printed a report:\n%s", c.name, c.argv, out)
@@ -371,7 +378,7 @@ func TestFlagSurface(t *testing.T) {
 	shared := map[string]string{
 		"cores": "8", "pes": "", "trace": "", "width": "100", "runtime": `"sim"`, "workers": "",
 		"stats": `"text"`, "faults": "", "deadline": "",
-		"cluster": "", "transport": `"tcp"`, "restarts": "", "reconnect": "true",
+		"cluster": "", "transport": `"tcp"`, "restarts": "",
 	}
 	for _, c := range []struct {
 		name, argv string

@@ -8,14 +8,11 @@ import (
 	"strings"
 	"time"
 
-	"parhask/internal/cost"
+	"parhask/internal/driver"
 	"parhask/internal/eden"
 	"parhask/internal/faults"
 	"parhask/internal/graph"
-	"parhask/internal/native"
-	"parhask/internal/nativeeden"
 	"parhask/internal/stats"
-	"parhask/internal/workloads"
 	"parhask/internal/workloads/euler"
 )
 
@@ -32,29 +29,25 @@ const (
 
 // ChaosRow is one soak iteration: which backend ran, under which fault
 // spec (the replay key — feeding the same spec back injects the same
-// fault plan; see RunChaosSoak for which outcomes that pins), and how
-// it ended.
+// fault plan; see RunChaosSoak for which outcomes that pins), the
+// cmd/sumeuler command line that ran it, and how it ended.
 type ChaosRow struct {
-	Iter    int    `json:"iter"`
-	Backend string `json:"backend"` // "native" | "nativeeden"
-	Spec    string `json:"spec"`
-	Outcome string `json:"outcome"`
-	Detail  string `json:"detail,omitempty"`
-	WallNS  int64  `json:"wall_ns"`
-	// N / Chunks pin the workload scale so Repro replays the exact run.
-	N      int `json:"n"`
-	Chunks int `json:"chunks"`
+	Iter    int      `json:"iter"`
+	Backend string   `json:"backend"` // "native" | "nativeeden"
+	Spec    string   `json:"spec"`
+	Args    []string `json:"args"`
+	Outcome string   `json:"outcome"`
+	Detail  string   `json:"detail,omitempty"`
+	WallNS  int64    `json:"wall_ns"`
 }
 
-// Repro is the command line that replays this iteration exactly.
-func (r ChaosRow) Repro() string {
-	if r.Backend == "nativeeden" {
-		return fmt.Sprintf("go run ./cmd/sumeuler -runtime eden -pes %d -n %d -faults %q -deadline %v",
-			chaosEdenPEs, r.N, r.Spec, chaosDeadline)
-	}
-	return fmt.Sprintf("go run ./cmd/sumeuler -runtime native -workers %d -n %d -chunks %d -faults %q -deadline %v",
-		chaosGpHWorkers, r.N, r.Chunks, r.Spec, chaosDeadline)
-}
+// Repro is the command line that ran this iteration.
+func (r ChaosRow) Repro() string { return repro(r.Args) }
+
+// repro is the shell command that runs cmd/sumeuler on args. A soak's
+// args are plain shell words (no spaces, quotes or globs), so they
+// need no quoting.
+func repro(args []string) string { return "go run ./cmd/sumeuler " + strings.Join(args, " ") }
 
 // ChaosSoak is the report of a seeded fault-injection soak over both
 // native backends.
@@ -80,7 +73,8 @@ func splitmix64(x uint64) uint64 {
 
 // chaosSpec derives a deterministic fault plan for one iteration: a
 // panic, a message-drop edge, a message delay, a stalled PE, or a
-// panic+stall combination, each parameterised from the sub-seed.
+// panic+stall combination, each parameterised from the sub-seed, and
+// each a clause the backend fires.
 func chaosSpec(backend string, sub uint64) string {
 	mode := sub % 5
 	arg := (sub >> 8) % 16
@@ -90,12 +84,15 @@ func chaosSpec(backend string, sub uint64) string {
 			return fmt.Sprintf("seed=%d,panic-spark=%d", sub, arg)
 		}
 		return fmt.Sprintf("seed=%d,panic-proc=%d", sub, arg%6)
-	case 1:
-		// Drops only matter where there are messages; on the GpH
-		// backend this degenerates to a clean run, which is itself a
-		// useful control case.
-		return fmt.Sprintf("seed=%d,drop=0.4", sub)
-	case 2:
+	case 1, 2:
+		// Drops and delays only exist where there are messages; the GpH
+		// backend runs a bare seed instead, a clean control case.
+		if backend == "native" {
+			return fmt.Sprintf("seed=%d", sub)
+		}
+		if mode == 1 {
+			return fmt.Sprintf("seed=%d,drop=0.4", sub)
+		}
 		return fmt.Sprintf("seed=%d,delay=200us:0.5", sub)
 	case 3:
 		return fmt.Sprintf("seed=%d,stall=%d:1ms", sub, arg%4)
@@ -109,23 +106,20 @@ func chaosSpec(backend string, sub uint64) string {
 
 // classifyChaos sorts a run error into the soak's outcome classes.
 func classifyChaos(err error) (string, string) {
-	if err == nil {
-		return ChaosOK, ""
-	}
 	var de *faults.DeadlockError
-	if errors.As(err, &de) {
-		if len(de.Blocked) == 0 {
-			return ChaosViolation, "deadlock without diagnostics: " + err.Error()
-		}
-		return ChaosDeadlock, err.Error()
-	}
-	var ip *faults.InjectedPanic
 	var me *eden.ChanMisuseError
 	var se *eden.SendError
 	var pz *graph.PoisonError
 	var ce *euler.CheckError
-	if errors.As(err, &ip) || errors.As(err, &me) || errors.As(err, &se) ||
-		errors.As(err, &pz) || errors.As(err, &ce) {
+	switch {
+	case err == nil:
+		return ChaosOK, ""
+	case errors.As(err, &de) && len(de.Blocked) == 0:
+		return ChaosViolation, "deadlock without diagnostics: " + err.Error()
+	case de != nil:
+		return ChaosDeadlock, err.Error()
+	case faults.IsStructured(err) || errors.As(err, &me) || errors.As(err, &se) ||
+		errors.As(err, &pz) || errors.As(err, &ce):
 		// CheckError is the workload's own integrity oracle tripping on
 		// drop-induced data loss — detected corruption, not a hang or an
 		// anonymous crash.
@@ -134,72 +128,24 @@ func classifyChaos(err error) (string, string) {
 	return ChaosViolation, "unstructured failure: " + err.Error()
 }
 
-// Chaos runs use fixed small backend shapes and one deadline so the
-// Repro command lines (which pin them as flags) replay the same
-// schedule space. The program
-// is the workload table's sumeuler entry at (N, Chunks) — the entry
-// cmd/sumeuler runs — so a row and its Repro line are the same program
-// by construction, Eden chunking included.
+// Chaos runs use fixed small backend shapes and one deadline, so the
+// soak's rows cover one schedule space. Each row is the command line
+// cmd/sumeuler runs (the workload table's sumeuler entry at the soak's
+// scale), run through the same driver, so a row and its Repro line are
+// the same program by construction.
 const (
 	chaosGpHWorkers = 4
 	chaosEdenPEs    = 3
 	chaosDeadline   = 10 * time.Second
 )
 
-// runChaosIter executes one fault-injected sumEuler run on the given
-// backend and classifies the outcome. The spec must parse (callers
-// validate or derive it).
-func runChaosIter(inst *workloads.Instance, backend, spec string) (outcome, detail string, wallNS int64) {
-	plan, err := faults.Parse(spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: chaos spec %q failed to parse: %v", spec, err))
+// chaosArgs is the command line of one iteration on backend.
+func chaosArgs(p Params, backend, spec string) []string {
+	args := fmt.Sprintf("-runtime native -workers %d -n %d -chunks %d", chaosGpHWorkers, p.SumEulerN, p.SumEulerChunks)
+	if backend == "nativeeden" {
+		args = fmt.Sprintf("-runtime eden -pes %d -n %d", chaosEdenPEs, p.SumEulerN)
 	}
-	start := time.Now()
-	var runErr error
-	var value graph.Value
-	if backend == "native" {
-		cfg := native.NewConfig(chaosGpHWorkers)
-		cfg.Faults = faults.NewInjector(plan)
-		cfg.Deadline = chaosDeadline
-		var res *native.Result
-		res, runErr = native.Run(cfg, must(inst.GpH()))
-		if res != nil {
-			value = res.Value
-		}
-	} else {
-		cfg := nativeeden.NewConfig(chaosEdenPEs)
-		cfg.Faults = faults.NewInjector(plan)
-		cfg.Deadline = chaosDeadline
-		var res *nativeeden.Result
-		res, runErr = nativeeden.Run(cfg, must(inst.Eden(cost.Model{})))
-		if res != nil {
-			value = res.Value
-		}
-	}
-	wallNS = time.Since(start).Nanoseconds()
-	outcome, detail = classifyChaos(runErr)
-	if outcome == ChaosOK {
-		if _, err := inst.Check(value); err != nil {
-			outcome, detail = ChaosViolation, err.Error()
-		}
-	}
-	return outcome, detail, wallNS
-}
-
-// chaosInstance is the soak's program: the table's sumeuler entry at
-// p's scale.
-func chaosInstance(p Params) *workloads.Instance {
-	e := must(workloads.Lookup("sumeuler"))
-	return must(e.New(workloads.Args{}.With("n", uint64(p.SumEulerN)).With("chunks", uint64(p.SumEulerChunks))))
-}
-
-// must unwraps what cannot fail here: the table has a sumeuler entry
-// with both forms, and the soak's scale is inside its ranges.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
+	return append(strings.Fields(args), "-faults", spec, "-deadline", chaosDeadline.String())
 }
 
 // RunChaosSoak runs iters seeded fault-injection iterations alternating
@@ -216,16 +162,18 @@ func must[T any](v T, err error) T {
 // to run (TestChaosSoakDeterministic asserts exactly this split).
 func RunChaosSoak(p Params, iters int, seed uint64) *ChaosSoak {
 	s := &ChaosSoak{Iterations: iters, Seed: seed}
-	inst := chaosInstance(p) // one instance: the sieve oracle runs once per soak
 	for i := 0; i < iters; i++ {
 		sub := splitmix64(seed + uint64(i))
 		backend := "native"
 		if i%2 == 1 {
 			backend = "nativeeden"
 		}
-		row := ChaosRow{Iter: i, Backend: backend, Spec: chaosSpec(backend, sub),
-			N: p.SumEulerN, Chunks: p.SumEulerChunks}
-		row.Outcome, row.Detail, row.WallNS = runChaosIter(inst, backend, row.Spec)
+		row := ChaosRow{Iter: i, Backend: backend, Spec: chaosSpec(backend, sub)}
+		row.Args = chaosArgs(p, backend, row.Spec)
+		start := time.Now()
+		_, err := driver.Exec("sumeuler", row.Args)
+		row.WallNS = time.Since(start).Nanoseconds()
+		row.Outcome, row.Detail = classifyChaos(err)
 		switch row.Outcome {
 		case ChaosOK:
 			s.OK++

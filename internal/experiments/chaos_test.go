@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"io"
+	"slices"
 	"strings"
 	"testing"
+
+	"parhask/internal/driver"
 )
 
 func chaosParams() Params {
@@ -78,5 +82,54 @@ func TestChaosSoakHTML(t *testing.T) {
 	}
 	if _, err := s.JSON(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosRowIsItsReproLine: a row's command line, run through the
+// driver, fails as the row did, and its Repro line is that command.
+func TestChaosRowIsItsReproLine(t *testing.T) {
+	// A panic-proc row that is not ok: its plan is indexed by process
+	// spawns, which the program fixes, so it fails the same way on every
+	// schedule.
+	var row ChaosRow
+	for _, r := range RunChaosSoak(chaosParams(), 10, 7).Rows {
+		if strings.Contains(r.Spec, "panic-proc") && r.Outcome != ChaosOK {
+			row = r
+			break
+		}
+	}
+	if row.Args == nil {
+		t.Fatal("seed 7 gave no failing panic-proc row in 10 iterations")
+	}
+	if code := driver.Run("sumeuler", row.Args, io.Discard, io.Discard); code != 1 {
+		t.Errorf("%s: exit %d, want 1", row.Repro(), code)
+	}
+	if _, err := driver.Exec("sumeuler", row.Args); err == nil {
+		t.Errorf("%s: Exec succeeded, want %s", row.Repro(), row.Outcome)
+	} else if class, _ := classifyChaos(err); class != row.Outcome {
+		t.Errorf("%s: Exec failed as %s (%v), the row as %s", row.Repro(), class, err, row.Outcome)
+	}
+	want := append([]string{"go", "run", "./cmd/sumeuler"}, row.Args...)
+	if got := strings.Fields(row.Repro()); !slices.Equal(got, want) {
+		t.Errorf("Repro() %q splits to %q, want %q", row.Repro(), got, want)
+	}
+}
+
+// TestChaosArgsArePlainShellWords: Repro joins a row's args unquoted,
+// which a shell splits back to the args only while each is a plain
+// word.
+func TestChaosArgsArePlainShellWords(t *testing.T) {
+	const plain = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.,:=/+"
+	p := chaosParams()
+	for i := uint64(0); i < 40; i++ {
+		sub := splitmix64(i)
+		_, cspec := clusterChaosSpec(sub)
+		for _, spec := range []string{chaosSpec("native", sub), chaosSpec("nativeeden", sub), cspec} {
+			for _, a := range chaosArgs(p, "nativeeden", spec) {
+				if a == "" || strings.Trim(a, plain) != "" {
+					t.Fatalf("spec %q gives the arg %q, which a shell would not read as itself", spec, a)
+				}
+			}
+		}
 	}
 }

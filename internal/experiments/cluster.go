@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"parhask/internal/cluster"
+	"parhask/internal/driver"
 	"parhask/internal/faults"
-	"parhask/internal/graph"
 )
 
 // Cluster chaos outcome classes. "ok" — the fault never bit (or was
@@ -28,10 +27,11 @@ type ClusterChaosRow struct {
 	Iter int `json:"iter"`
 	// Mode is the fault class this iteration injected:
 	// kill | flap | sever | wedge.
-	Mode    string `json:"mode"`
-	Spec    string `json:"spec"`
-	Outcome string `json:"outcome"`
-	Detail  string `json:"detail,omitempty"`
+	Mode    string   `json:"mode"`
+	Spec    string   `json:"spec"`
+	Args    []string `json:"args"` // the cmd/sumeuler command line that ran it
+	Outcome string   `json:"outcome"`
+	Detail  string   `json:"detail,omitempty"`
 	// Recovery telemetry: full-run restarts, in-place link reconnects,
 	// the attempt history, and the recovery latency (first failure to
 	// recovered result) when a restart happened.
@@ -42,11 +42,8 @@ type ClusterChaosRow struct {
 	WallNS     int64             `json:"wall_ns"`
 }
 
-// Repro is the command line that replays this iteration exactly.
-func (r ClusterChaosRow) Repro(transport string, restarts int, n int) string {
-	return fmt.Sprintf("go run ./cmd/sumeuler -runtime eden -cluster 3 -pes 1 -transport %s -n %d -faults %q -restarts %d -deadline 30s",
-		transport, n, r.Spec, restarts)
-}
+// Repro is the command line that ran this iteration.
+func (r ClusterChaosRow) Repro() string { return repro(r.Args) }
 
 // ClusterChaos is the chaos-under-cluster soak report: iters supervised
 // 3-process sumEuler runs, each with one rank killed, link-flapped,
@@ -90,46 +87,28 @@ func clusterChaosSpec(sub uint64) (mode, spec string) {
 }
 
 // RunClusterChaos runs the chaos-under-cluster soak. Every iteration is
-// a supervised run: kills and wedges recover by respawn (the faults are
-// one-shot, so the retry is clean), flaps recover in place over the
-// reconnection protocol, and severed links burn a restart. The oracle
-// gate is total — a "recovered" run whose result differs from the
-// sequential oracle is a violation, which is exactly the corruption the
-// reconnect's resend protocol exists to prevent.
-func RunClusterChaos(p Params, iters int, seed uint64, transport string, restarts int, reconnect bool) *ClusterChaos {
-	n := p.SumEulerN
-	s := &ClusterChaos{Iterations: iters, Seed: seed, Transport: transport, Budget: restarts, N: n}
-	spec := fmt.Sprintf("sumeuler?n=%d&pechunks=8", n)
-	_, oracle, err := cluster.BuildProgram(spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: cluster chaos spec %q: %v", spec, err))
-	}
+// a supervised run of the driver's command line: kills and wedges
+// recover by respawn (the faults are one-shot, so the retry is clean),
+// flaps recover in place over the reconnection protocol, and severed
+// links burn a restart. The oracle gate is total — a "recovered" run
+// whose result differs from the sequential oracle is a violation,
+// which is exactly the corruption the reconnect's resend protocol
+// exists to prevent.
+func RunClusterChaos(p Params, iters int, seed uint64, transport string, restarts int) *ClusterChaos {
+	s := &ClusterChaos{Iterations: iters, Seed: seed, Transport: transport, Budget: restarts, N: p.SumEulerN}
 	for i := 0; i < iters; i++ {
-		sub := splitmix64(seed + uint64(i))
-		mode, fspec := clusterChaosSpec(sub)
-		row := ClusterChaosRow{Iter: i, Mode: mode, Spec: fspec}
-		cfg := cluster.Config{
-			Procs: 3, PerProc: 1, Transport: transport,
-			Spec: spec, Faults: fspec,
-			Heartbeat: 100 * time.Millisecond,
-			Deadline:  30 * time.Second,
-			Restart:   &cluster.Restart{Max: restarts, Backoff: 50 * time.Millisecond, RetryDeadlocks: true},
-		}
-		if !reconnect {
-			// Without in-place reconnection every link fault burns a
-			// restart instead — the soak still must end oracle-equal.
-			cfg.ReconnectWindow = -1
-		}
+		mode, spec := clusterChaosSpec(splitmix64(seed + uint64(i)))
+		row := ClusterChaosRow{Iter: i, Mode: mode, Spec: spec, Args: append(strings.Fields(fmt.Sprintf(
+			"-runtime eden -cluster 3 -pes 1 -transport %s -n %d -restarts %d -deadline 30s",
+			transport, p.SumEulerN, restarts)), "-faults", spec)}
 		start := time.Now()
-		res, runErr := cluster.RunSupervised(cfg)
+		out, err := driver.Exec("sumeuler", row.Args)
 		row.WallNS = time.Since(start).Nanoseconds()
-		if res != nil {
-			row.Restarts = res.Restarts
-			row.Reconnects = res.Reconnects
-			row.Attempts = res.Attempts
-			row.RecoveryNS = res.RecoveryNS
+		if out != nil && out.Cluster != nil {
+			res := out.Cluster
+			row.Restarts, row.Reconnects, row.Attempts, row.RecoveryNS = res.Restarts, res.Reconnects, res.Attempts, res.RecoveryNS
 		}
-		row.Outcome, row.Detail = classifyClusterChaos(res, runErr, oracle)
+		row.Outcome, row.Detail = classifyClusterChaos(row, err)
 		switch row.Outcome {
 		case ChaosOK:
 			s.OK++
@@ -150,24 +129,15 @@ func RunClusterChaos(p Params, iters int, seed uint64, transport string, restart
 }
 
 // classifyClusterChaos sorts one supervised run into the soak's
-// outcome classes.
-func classifyClusterChaos(res *cluster.Result, err error, oracle func(graph.Value) error) (string, string) {
-	if err == nil {
-		if res == nil {
-			return ChaosViolation, "nil result without an error"
-		}
-		if oerr := oracle(res.Value); oerr != nil {
-			return ChaosViolation, "recovered result fails the oracle: " + oerr.Error()
-		}
-		if res.Restarts > 0 || res.Reconnects > 0 {
-			return ClusterChaosRecovered, ""
-		}
+// outcome classes; err is the driver's, so a result the oracle refuses
+// is an error too.
+func classifyClusterChaos(row ClusterChaosRow, err error) (string, string) {
+	switch {
+	case err == nil && row.Restarts+row.Reconnects > 0:
+		return ClusterChaosRecovered, ""
+	case err == nil:
 		return ChaosOK, ""
-	}
-	var ex *cluster.RestartsExhaustedError
-	var pd *faults.ProcessDeathError
-	var de *faults.DeadlockError
-	if errors.As(err, &ex) || errors.As(err, &pd) || errors.As(err, &de) {
+	case faults.IsStructured(err):
 		return ChaosStructured, err.Error()
 	}
 	return ChaosViolation, "unstructured failure: " + err.Error()
@@ -200,7 +170,7 @@ func (s *ClusterChaos) String() string {
 	if v := s.Violating(); len(v) > 0 {
 		sb.WriteString("violations:\n")
 		for _, r := range v {
-			fmt.Fprintf(&sb, "  iter %d (%s): %s\n    repro: %s\n", r.Iter, r.Mode, r.Detail, r.Repro(s.Transport, s.Budget, s.N))
+			fmt.Fprintf(&sb, "  iter %d (%s): %s\n    repro: %s\n", r.Iter, r.Mode, r.Detail, r.Repro())
 		}
 	} else {
 		sb.WriteString("invariant holds: every run ended oracle-equal (clean or recovered) or failed structurally\n")

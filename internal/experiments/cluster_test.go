@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"slices"
 	"testing"
 
 	"parhask/internal/cluster"
@@ -21,7 +22,7 @@ func TestClusterChaosSmall(t *testing.T) {
 	// their repro commands.
 	p := Quick()
 	p.SumEulerN = 4000
-	s := RunClusterChaos(p, 4, 11, "tcp", 2, true)
+	s := RunClusterChaos(p, 4, 11, "tcp", 2)
 	if len(s.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(s.Rows))
 	}
@@ -37,6 +38,9 @@ func TestClusterChaosSmall(t *testing.T) {
 	for _, r := range s.Rows {
 		if r.Mode == "" || r.Spec == "" || r.WallNS <= 0 {
 			t.Fatalf("row missing telemetry: %+v", r)
+		}
+		if i := slices.Index(r.Args, "-faults"); i < 0 || i+1 == len(r.Args) || r.Args[i+1] != r.Spec {
+			t.Fatalf("row %d ran %q, which does not hold -faults %s", r.Iter, r.Args, r.Spec)
 		}
 	}
 }

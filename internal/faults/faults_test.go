@@ -305,3 +305,35 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// TestCLIInjectorRefusesWhatCannotFire: each backend accepts the
+// clauses its code reads and refuses the rest before anything runs.
+func TestCLIInjectorRefusesWhatCannotFire(t *testing.T) {
+	for _, c := range []struct {
+		backend, spec string
+		ok            bool
+	}{
+		{"native", "seed=1,panic-spark=3,stall=0:1ms", true},
+		{"native", "seed=1", true},
+		{"native", "seed=1,panic-proc=0", false},
+		{"native", "seed=1,drop=0.4", false},
+		{"native", "seed=1,delay=200us:0.5", false},
+		{"native", "seed=1,wedge-rank=0:1ms", false},
+		{"eden", "seed=1,panic-proc=0,drop=0.4,delay=1ms:0.3,stall=1:1ms", true},
+		{"eden", "seed=1,panic-spark=0", false},
+		{"eden", "seed=1,kill-rank=0:1ms", false},
+		{"eden", "seed=1,rank-faults=every", false},
+		{"cluster", "seed=1,panic-proc=0,drop=0.4,stall=0:1ms,kill-rank=0:1ms,sever-rank=1:1ms", true},
+		{"cluster", "flap-rank=1:1ms:2ms,wedge-rank=2:1ms,rank-faults=every", true},
+		{"cluster", "seed=1,panic-spark=0", false},
+		{"sim", "seed=1", false},
+	} {
+		inj, err := CLIInjector(c.spec, 0, c.backend)
+		if c.ok != (err == nil) || c.ok != (inj != nil) {
+			t.Errorf("CLIInjector(%q, %s) = %v, %v; want accepted = %v", c.spec, c.backend, inj, err, c.ok)
+		}
+	}
+	if inj, err := CLIInjector("", 0, "native"); inj != nil || err != nil {
+		t.Errorf("no flags: %v, %v; want no injector", inj, err)
+	}
+}

@@ -2,6 +2,7 @@ package native
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +21,33 @@ func mustPlan(t *testing.T, spec string) *faults.Injector {
 	return faults.NewInjector(p)
 }
 
+// workerSparks is a program that sparks n thunks and forces none of
+// them until workers have run all n, so every spark is converted
+// whatever the schedule. A failure of its job (an injected spark panic)
+// unwinds the wait, and the job's deadline is its only bound.
+func workerSparks(n int) exec.Program {
+	return func(ctx exec.Ctx) graph.Value {
+		var ran atomic.Int64
+		ts := make([]*graph.Thunk, n)
+		for i := range ts {
+			ts[i] = exec.NewThunk(ctx, func(exec.Ctx) graph.Value {
+				ran.Add(1)
+				return int64(i)
+			})
+			ctx.Par(ts[i])
+		}
+		for ran.Load() < int64(n) {
+			ctx.(*Ctx).jobOf().latch.Check()
+			time.Sleep(100 * time.Microsecond)
+		}
+		var sum int64
+		for _, th := range ts {
+			sum += ctx.Force(th).(int64)
+		}
+		return sum
+	}
+}
+
 func TestNativeInjectedSparkPanic(t *testing.T) {
 	// Spark index 3 panics; the run must abort with a structured
 	// *faults.InjectedPanic reachable through errors.As, and peers
@@ -27,9 +55,10 @@ func TestNativeInjectedSparkPanic(t *testing.T) {
 	// awaitRun is the watchdog).
 	cfg := NewConfig(4)
 	cfg.Faults = mustPlan(t, "seed=7,panic-spark=3")
+	cfg.Deadline = 20 * time.Second
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(cfg, euler.Program(1500, 60, 0, true))
+		_, err := Run(cfg, workerSparks(8))
 		done <- err
 	}()
 	err := awaitRun(t, done)
@@ -171,9 +200,10 @@ func TestNativeFaultReplayDeterministic(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cfg := NewConfig(4)
 		cfg.Faults = mustPlan(t, "seed=5,panic-spark=10")
+		cfg.Deadline = 20 * time.Second
 		done := make(chan error, 1)
 		go func() {
-			_, err := Run(cfg, euler.Program(2000, 80, 0, true))
+			_, err := Run(cfg, workerSparks(16))
 			done <- err
 		}()
 		err := awaitRun(t, done)

@@ -137,7 +137,7 @@ func TestPoolJobTraceRings(t *testing.T) {
 		EventLog: true,
 		TraceID:  42,
 		Deadline: 30 * time.Second,
-	}, euler.Program(1500, 24, 0, true))
+	}, workerSparks(24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +155,9 @@ func TestPoolJobTraceRings(t *testing.T) {
 	if len(main) == 0 || main[0].Type != eventlog.TraceMark || main[0].Arg != 42 {
 		t.Fatalf("ring 0 does not start with TraceMark(42): %+v", main[:min(3, len(main))])
 	}
-	// The job's sparks ran on the resident workers, so at least one
-	// worker ring must carry a convert/run bracket (with 24 chunks on 4
-	// workers, "no worker ever converted" means attribution is broken).
+	// The job's sparks ran on the resident workers, so the worker rings
+	// must carry their convert/run brackets ("no worker ever converted"
+	// means attribution is broken).
 	var converted, runBegins int
 	for w := 1; w < res.Events.Workers(); w++ {
 		for _, e := range res.Events.Events(w) {

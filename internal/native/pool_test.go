@@ -88,25 +88,10 @@ func TestPoolJobFaultIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faults.NewInjector(plan)
-	// The program parks its main thread long enough that workers are
-	// guaranteed to convert its sparks, so the injected panic (on the
-	// first conversion) deterministically fires worker-side.
-	prog := func(ctx exec.Ctx) graph.Value {
-		ts := make([]*graph.Thunk, 8)
-		for i := range ts {
-			i := i
-			ts[i] = exec.NewThunk(ctx, func(c exec.Ctx) graph.Value {
-				return int64(i)
-			})
-			ctx.Par(ts[i])
-		}
-		time.Sleep(100 * time.Millisecond)
-		var sum int64
-		for _, th := range ts {
-			sum += ctx.Force(th).(int64)
-		}
-		return sum
-	}
+	// Workers convert the program's sparks before its main thread forces
+	// any, so the injected panic (on the first conversion) fires
+	// worker-side.
+	prog := workerSparks(8)
 	h, err := p.Submit(JobConfig{Deadline: 30 * time.Second, Faults: inj}, prog)
 	if err != nil {
 		t.Fatal(err)
