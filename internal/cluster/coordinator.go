@@ -46,9 +46,10 @@ type Config struct {
 	// peer from a dead cluster — so expiry kills the workers and fails
 	// with a structured *faults.DeadlockError. Zero means a minute.
 	Deadline time.Duration
-	// Restart, when non-nil, lets RunSupervised retry the whole SPMD
-	// run after a process death (see supervise.go). Run ignores it.
-	Restart *Restart
+	// Restarts is how many times RunSupervised may restart the whole
+	// SPMD run after a process death, so the run executes at most
+	// Restarts+1 times (see supervise.go). Run ignores it.
+	Restarts int
 	// ReconnectWindow is how long a rank whose link broke may redial
 	// and resume in place before the break is declared a death. Zero
 	// (or less) means 3s.
@@ -80,8 +81,8 @@ func (cfg *Config) Validate() error {
 	if cfg.Transport != "tcp" && cfg.Transport != "unix" {
 		return fmt.Errorf("cluster: unknown transport %q (want tcp or unix)", cfg.Transport)
 	}
-	if cfg.Restart != nil && cfg.Restart.Max < 0 {
-		return fmt.Errorf("cluster: negative restart budget %d", cfg.Restart.Max)
+	if cfg.Restarts < 0 {
+		return fmt.Errorf("cluster: negative restart budget %d", cfg.Restarts)
 	}
 	if _, err := specInstance(cfg.Spec); err != nil {
 		return err

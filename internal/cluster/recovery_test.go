@@ -39,9 +39,9 @@ func TestClusterRespawnAfterKill(t *testing.T) {
 		t.Run(transport, func(t *testing.T) {
 			res := superviseOK(t, Config{
 				Procs: 3, PerProc: 2, Transport: transport,
-				Spec:    "sumeuler?n=4000&pechunks=4",
-				Faults:  "kill-rank=1:30ms",
-				Restart: &Restart{Max: 2},
+				Spec:     "sumeuler?n=4000&pechunks=4",
+				Faults:   "kill-rank=1:30ms",
+				Restarts: 2,
 			})
 			if res.Restarts != 1 {
 				t.Fatalf("Restarts = %d, want 1 (one kill, one respawn)", res.Restarts)
@@ -115,7 +115,7 @@ func TestClusterRestartBudgetExhausted(t *testing.T) {
 		Procs: 3, PerProc: 1, Transport: "tcp",
 		Spec:     "sumeuler?n=4000&pechunks=4",
 		Faults:   "kill-rank=1:30ms,rank-faults=every",
-		Restart:  &Restart{Max: 1},
+		Restarts: 1,
 		Deadline: 60 * time.Second,
 	})
 	if err == nil {
@@ -176,9 +176,9 @@ func TestClusterWedgeSupervisedRecovers(t *testing.T) {
 	// is one-shot, so the respawned attempt completes oracle-equal.
 	res := superviseOK(t, Config{
 		Procs: 3, PerProc: 1, Transport: "tcp",
-		Spec:    "sumeuler?n=4000&pechunks=4",
-		Faults:  "wedge-rank=1:30ms",
-		Restart: &Restart{Max: 2},
+		Spec:     "sumeuler?n=4000&pechunks=4",
+		Faults:   "wedge-rank=1:30ms",
+		Restarts: 2,
 	})
 	if res.Restarts != 1 {
 		t.Fatalf("Restarts = %d, want 1", res.Restarts)

@@ -9,19 +9,6 @@ import (
 	"parhask/internal/faults"
 )
 
-// Restart is the supervision policy RunSupervised applies when a
-// cluster attempt fails with a process death: respawn the workers and
-// restart the whole SPMD run. Full-run retry is the honest recovery
-// unit here — the runtime's deterministic shadow-root replay means a
-// restarted run recomputes exactly the same result, whereas resurrecting
-// a single rank mid-run would need distributed checkpointing the paper's
-// systems never had.
-type Restart struct {
-	// Max is how many restarts may follow the initial attempt (so the
-	// run executes at most Max+1 times).
-	Max int
-}
-
 // The sleep before the first restart, doubling per attempt up to
 // backoffCap.
 const (
@@ -67,16 +54,22 @@ func (e *RestartsExhaustedError) Error() string {
 
 func (e *RestartsExhaustedError) Unwrap() error { return e.Last }
 
-// RunSupervised runs the cluster under cfg.Restart: an attempt that
-// fails with a process death is retried after an exponential backoff,
+// RunSupervised runs the cluster under the restart budget
+// cfg.Restarts: an attempt that fails with a process death respawns the
+// workers and restarts the whole SPMD run after an exponential backoff,
 // with the fault seed rotated per attempt so a seed-dependent injected
 // fault does not recur identically. On success the Result carries the
 // restart history and recovery latency; on a spent budget the error is
 // a *RestartsExhaustedError wrapping the last failure. Any other
 // failure (a deadline deadlock, a worker's own error) ends the run at
-// once. With a nil Restart it is exactly Run.
+// once. With a zero budget it is exactly Run.
+//
+// Full-run retry is the honest recovery unit here — the runtime's
+// deterministic shadow-root replay means a restarted run recomputes
+// exactly the same result, whereas resurrecting a single rank mid-run
+// would need distributed checkpointing the paper's systems never had.
 func RunSupervised(cfg Config) (*Result, error) {
-	if cfg.Restart == nil {
+	if cfg.Restarts == 0 {
 		return Run(cfg)
 	}
 	backoff := backoffFirst
@@ -106,7 +99,7 @@ func RunSupervised(cfg Config) (*Result, error) {
 			Attempt: attempt, Rank: pd.Rank, Reason: pd.Reason, Err: err.Error(),
 			WallNS: time.Since(began).Nanoseconds(),
 		}
-		if attempt >= cfg.Restart.Max {
+		if attempt >= cfg.Restarts {
 			attempts = append(attempts, a)
 			return res, &RestartsExhaustedError{Attempts: attempts, Last: err}
 		}

@@ -367,15 +367,12 @@ func (o *options) edenPEs() int {
 // build exactly the instance this process verifies against.
 func (r *cli) clusterConfig() cluster.Config {
 	o := &r.o
-	cfg := cluster.Config{
+	return cluster.Config{
 		Procs: o.cluster, PerProc: o.perProc(), Transport: o.transport,
 		Spec:   r.inst.Spec(),
 		Faults: o.faults, EventLog: o.trace != "", Deadline: o.deadline,
+		Restarts: o.restarts,
 	}
-	if o.restarts > 0 {
-		cfg.Restart = &cluster.Restart{Max: o.restarts}
-	}
-	return cfg
 }
 
 func blackholing(eager bool) string {

@@ -40,8 +40,8 @@ type Program func(Ctx) graph.Value
 // that implement it place new thunks in a context-owned allocation
 // region (the native runtime's per-worker arenas) instead of the global
 // heap. Program bodies never call it directly — they call the
-// package-level NewThunk or NewThunkAdapted, which fall back to heap
-// allocation on runtimes (and contexts) without an allocator.
+// package-level NewThunk, which falls back to heap allocation on
+// runtimes (and contexts) without an allocator.
 type ThunkAllocator interface {
 	Ctx
 	// NewThunkAdapted allocates an unevaluated thunk computing
@@ -72,19 +72,10 @@ func Adapt(c graph.Context, payload any) graph.Value {
 // (and on a resident native job's main thread, which owns no arena) it
 // is a plain heap thunk.
 func NewThunk(ctx Ctx, f func(Ctx) graph.Value) *graph.Thunk {
-	return NewThunkAdapted(ctx, Adapt, f)
-}
-
-// NewThunkAdapted is NewThunk for a program's own trampoline: the
-// thunk computes adapt(forcing context, payload). A pointer payload
-// boxes into the `any` without allocating, so a program that keeps its
-// per-node data in a slab builds each node with no heap object beyond
-// the thunk itself.
-func NewThunkAdapted(ctx Ctx, adapt graph.AdaptFn, payload any) *graph.Thunk {
 	if a, ok := ctx.(ThunkAllocator); ok {
-		return a.NewThunkAdapted(adapt, payload)
+		return a.NewThunkAdapted(Adapt, f)
 	}
-	return graph.NewThunkAdapted(adapt, payload)
+	return graph.NewThunkAdapted(Adapt, f)
 }
 
 // Thunk wraps f as a heap thunk whose computation runs under whichever

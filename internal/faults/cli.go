@@ -22,20 +22,33 @@ var fires = map[string][]string{
 
 // CLIInjector builds an injector from a command's -faults/-deadline
 // flag pair, validating fail-fast before any run starts: a non-empty
-// spec must parse and name only clauses the backend ("native", "eden"
-// or "cluster") fires, the deadline must not be negative, and both
-// flags apply only to those backends. Both flags at their defaults
-// yield a nil injector (faults disabled).
+// spec must pass ParseFor, the deadline must not be negative, and both
+// flags apply only to the backends ParseFor knows. Both flags at their
+// defaults yield a nil injector (faults disabled).
 func CLIInjector(spec string, deadline time.Duration, backend string) (*Injector, error) {
 	if spec == "" && deadline == 0 {
 		return nil, nil
 	}
-	kinds, ok := fires[backend]
-	if !ok {
+	if _, ok := fires[backend]; !ok {
 		return nil, fmt.Errorf("faults: -faults/-deadline apply only to -runtime native or eden (got %q)", backend)
 	}
 	if deadline < 0 {
 		return nil, fmt.Errorf("faults: -deadline must not be negative (got %v)", deadline)
+	}
+	plan, err := ParseFor(spec, backend)
+	if plan == nil {
+		return nil, err
+	}
+	return NewInjector(plan), nil
+}
+
+// ParseFor parses spec and refuses a clause the backend ("native",
+// "eden" or "cluster") never fires, so that a plan it admits tests
+// what it names. An empty spec yields a nil plan and no error.
+func ParseFor(spec, backend string) (*Plan, error) {
+	kinds, ok := fires[backend]
+	if !ok {
+		return nil, fmt.Errorf("faults: unknown backend %q", backend)
 	}
 	plan, err := Parse(spec)
 	if plan == nil {
@@ -47,5 +60,5 @@ func CLIInjector(spec string, deadline time.Duration, backend string) (*Injector
 			return nil, fmt.Errorf("faults: %s never fires on the %s backend (it fires %s)", key, backend, strings.Join(kinds, ", "))
 		}
 	}
-	return NewInjector(plan), nil
+	return plan, nil
 }

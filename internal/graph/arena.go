@@ -79,8 +79,7 @@ func (a *Arena) NewPlaceholder() *Thunk {
 // AdaptFn.
 func (a *Arena) NewThunkAdapted(adapt AdaptFn, payload any) *Thunk {
 	t := a.alloc()
-	t.adapt = adapt
-	t.payload = payload
+	t.Init(adapt, payload)
 	return t
 }
 

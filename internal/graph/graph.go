@@ -211,7 +211,17 @@ func NewThunk(fn func(Context) Value) *Thunk {
 // NewThunkAdapted returns an unevaluated thunk computing adapt(ctx,
 // payload) — see AdaptFn.
 func NewThunkAdapted(adapt AdaptFn, payload any) *Thunk {
-	return &Thunk{adapt: adapt, payload: payload}
+	t := new(Thunk)
+	t.Init(adapt, payload)
+	return t
+}
+
+// Init makes t, a zero Thunk no other thread can reach yet, the
+// unevaluated thunk computing adapt(ctx, payload). A program that keeps
+// its thunks inside its own slab entries builds each in place with it,
+// allocating nothing.
+func (t *Thunk) Init(adapt AdaptFn, payload any) {
+	t.adapt, t.payload = adapt, payload
 }
 
 // NewValue returns an already-evaluated thunk holding v.

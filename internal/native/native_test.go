@@ -106,10 +106,12 @@ func TestNativeAPSPBothPoliciesCorrect(t *testing.T) {
 
 // TestNativeAPSPEagerAllocGuard counts what one eager APSP job
 // allocates: with nodes updating their rows in place, an n = 128 job
-// holds n² arena thunks and slab nodes but only 2n rows — about 115 B a
-// node, where closure nodes with boxed row values took about 186 and a
-// fresh row per node about 700. The bound is a byte count, not a time;
-// the lazy policy copies every row and gets none of it.
+// holds n² 72-byte slab entries, each a node with its thunk built in
+// place, but only 2n rows — about 82 B a node, where an arena thunk
+// beside a slab node took about 115, closure nodes with boxed row values
+// about 186 and a fresh row per node about 700. The bound is a byte
+// count, not a time; the lazy policy copies every row and gets none of
+// it.
 func TestNativeAPSPEagerAllocGuard(t *testing.T) {
 	const n = 128
 	res := run(t, Config{Workers: 1, EagerBlackholing: true}, apsp.Program(apsp.RandomGraph(n, 7, 100, 50), 0))
@@ -117,8 +119,8 @@ func TestNativeAPSPEagerAllocGuard(t *testing.T) {
 		t.Fatal("another run overlapped this one; its allocation count is not its own")
 	}
 	t.Logf("%d B a lattice node", res.GC.BytesAlloc/(n*n))
-	if limit := int64(144 * n * n); res.GC.BytesAlloc > limit {
-		t.Fatalf("one eager n=%d APSP job allocated %d bytes, want <= %d (144 B a lattice node)", n, res.GC.BytesAlloc, limit)
+	if limit := int64(96 * n * n); res.GC.BytesAlloc > limit {
+		t.Fatalf("one eager n=%d APSP job allocated %d bytes, want <= %d (96 B a lattice node)", n, res.GC.BytesAlloc, limit)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,8 +216,8 @@ func TestServeTenantFairness(t *testing.T) {
 // TestServeFaultScopedToJob: a request carrying its own fault plan
 // fails with a structured code; concurrent clean jobs and the server
 // survive untouched. First one plan on one shape among clean
-// neighbours, then four plans over all nine request shapes with clean
-// traffic alongside — the only place every plan meets every shape.
+// neighbours, then four plans over every request shape whose backend
+// fires them, with clean traffic alongside.
 func TestServeFaultScopedToJob(t *testing.T) {
 	s := New(smallConfig())
 	defer s.Close()
@@ -260,31 +261,42 @@ func TestServeFaultScopedToJob(t *testing.T) {
 		}
 	}
 
-	// Faults under traffic: every client sends three requests, one of
-	// them faulted. Client c's faulted shape is a bijection of c mod 9
-	// and its plan is c mod 4, so 36 clients are exactly plans × shapes.
-	// Stalls are left out of the plans: a stalled PE sleeps
-	// uninterruptibly, so it would hold its lane past the deadline.
-	plans := []string{
-		"seed=3,panic-spark=0",
-		"seed=5,panic-proc=0",
-		"seed=9,panic-proc=1",
-		"seed=11,delay=5ms:0.5",
+	// Faults under traffic: every plan meets every shape whose backend
+	// fires it, one client each, and every other shape refuses it as a
+	// bad request — a plan that never fires would test nothing. Each
+	// client sends three requests, one of them its faulted one. Stalls
+	// are left out of the plans: a stalled PE sleeps uninterruptibly, so
+	// it would hold its lane past the deadline.
+	plans := []struct{ spec, backend string }{
+		{"seed=3,panic-spark=0", "gph"},
+		{"seed=5,panic-proc=0", "eden"},
+		{"seed=9,panic-proc=1", "eden"},
+		{"seed=11,delay=5ms:0.5", "eden"},
 	}
-	clients := len(plans) * len(mix)
+	var faultedReqs []JobRequest
+	for _, p := range plans {
+		for _, req := range mix {
+			req.Faults, req.DeadlineMS = p.spec, 10_000
+			if backend := cmp.Or(req.Backend, "gph"); backend == p.backend {
+				faultedReqs = append(faultedReqs, req)
+			} else if resp := s.Do(req); resp.OK || resp.Error.Code != CodeBadRequest {
+				t.Errorf("%s/%s with %q, which its backend never fires: %+v, want %s",
+					req.Workload, backend, p.spec, resp.Error, CodeBadRequest)
+			}
+		}
+	}
 	var okCount atomic.Int64
-	for c := 0; c < clients; c++ {
+	for c := range faultedReqs {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for k := 0; k < 3; k++ {
 				req := mix[(c+k)%len(mix)]
-				req.Tenant = []string{"alice", "bob", "carol", "dave"}[c%4]
 				isFaulted := k == c%3
 				if isFaulted {
-					req.Faults = plans[c%len(plans)]
-					req.DeadlineMS = 10_000
+					req = faultedReqs[c]
 				}
+				req.Tenant = []string{"alice", "bob", "carol", "dave"}[c%4]
 				resp := s.Do(req)
 				if resp.OK {
 					okCount.Add(1)

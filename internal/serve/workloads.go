@@ -161,9 +161,13 @@ func buildJob(req JobRequest, pes int) (*builtJob, error) {
 		return nil, badReq("unknown backend %q (want gph or eden)", req.Backend)
 	}
 	if req.Faults != "" {
-		plan, err := faults.Parse(req.Faults)
+		fired := "native" // the gph backend runs on the native pool
+		if b.backend == "eden" {
+			fired = "eden"
+		}
+		plan, err := faults.ParseFor(req.Faults, fired)
 		if err != nil {
-			return nil, fmt.Errorf("%w: faults: %v", ErrBadRequest, err)
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		b.injector = faults.NewInjector(plan)
 	}

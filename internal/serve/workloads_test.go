@@ -107,7 +107,7 @@ func TestOracleCacheBounded(t *testing.T) {
 
 // FuzzJobRequest: no JSON body makes buildJob panic, every rejection is
 // a classified admission error, and everything admitted is inside the
-// service's caps.
+// service's caps, with a fault plan only of clauses its backend fires.
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"workload":"nope"}`,
@@ -123,6 +123,9 @@ func FuzzJobRequest(f *testing.F) {
 		`{"workload":"mandel","width":32,"height":24,"backend":"eden"}`,
 		`{"workload":"sumeuler","n":-5,"chunks":-1,"deadline_ms":-1}`,
 		`{"workload":"mandel","width":8589934592,"height":2147483648}`,
+		`{"workload":"sumeuler","backend":"eden","faults":"seed=1,panic-spark=0"}`,
+		`{"workload":"sumeuler","faults":"panic-proc=0"}`,
+		`{"workload":"sumeuler","faults":"kill-rank=0:1ms"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -152,6 +155,18 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if (b.backend == "eden") != (b.eden != nil) || (b.backend == "gph") != (b.gph != nil) {
 			t.Fatalf("buildJob(%s): backend %q but gph=%v eden=%v", body, b.backend, b.gph != nil, b.eden != nil)
+		}
+		if b.injector != nil {
+			p := b.injector.Plan()
+			unfired := len(p.KillRank)+len(p.SeverRank)+len(p.FlapRank)+len(p.WedgeRank) > 0 || p.RankEvery
+			if b.backend == "gph" {
+				unfired = unfired || len(p.PanicProcs)+len(p.Edges) > 0
+			} else {
+				unfired = unfired || len(p.PanicSparks) > 0
+			}
+			if unfired {
+				t.Fatalf("buildJob(%s) admitted the plan %q, which the %s backend never fires in full", body, p, b.backend)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package apsp
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"parhask/internal/eden"
 	"parhask/internal/eden/edentest"
@@ -130,6 +131,14 @@ func TestSeqProgramMatchesOracle(t *testing.T) {
 	}
 	if !Equal(res.Value.(Graph), want) {
 		t.Fatal("sequential program differs from oracle")
+	}
+}
+
+// TestLatticeNodeSize pins a lattice node at one 72-byte slab entry:
+// its 56-byte thunk and two pointers.
+func TestLatticeNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 72 {
+		t.Fatalf("a lattice node is %d bytes, want 72", got)
 	}
 }
 

@@ -32,7 +32,7 @@ func Program(g Graph, minPlusCost int64) exec.Program {
 		strategies.ParListWHNF(ctx, rows)
 		out := make(Graph, len(rows))
 		for i, t := range rows {
-			out[i] = ctx.Force(t).(*node).row
+			out[i] = *ctx.Force(t).(*[]int32)
 		}
 		return out
 	}
@@ -46,39 +46,40 @@ type stage struct {
 	pivot *graph.Thunk
 }
 
-// node is one lattice node's payload: row i after stage st.k, computed
-// from ri (row i after stage st.k-1). Under eager claims the node is
-// also its thunk's value, with row filled in by the one evaluator;
-// under lazy black-holing each evaluation returns a fresh node holding
-// only row.
+// node is one lattice node, row i after stage st.k: its thunk, built in
+// place, and what the thunk's computation reads — the stage and ri, row
+// i after stage st.k-1. A node is one 72-byte slab entry; its value is
+// a *[]int32. Under eager claims that is a row header its chain shares:
+// the input copy's up to the chain's pivot stage, the fresh row's from
+// there on. Under lazy black-holing each evaluation returns a fresh one.
 type node struct {
-	st  *stage
-	ri  *graph.Thunk
-	row []int32
+	t  graph.Thunk
+	st *stage
+	ri *graph.Thunk
 }
 
 // lattice builds Program's thunk lattice over a per-job copy of g and
-// returns the final rows, whose values are *node. Every node shares one
-// trampoline, evalNode, so a node costs its arena thunk and its slab
-// entry and nothing else.
+// returns the final rows, whose values are *[]int32. Every node shares
+// one trampoline, evalNode, and lives in one slab per job, so building a
+// node allocates nothing.
 //
-// The lattice is built one row chain at a time, in the order it is
-// evaluated: forcing row i after stage k demands row i after stages
-// 0, 1, …, k-1 in turn, so each chain's thunks are consecutive in the
-// arena, its nodes share one slab with the row's input copy, and an
-// evaluation walks memory in order. (Slabs per stage, filled stage by
-// stage, put consecutive evaluations n nodes apart.)
+// The slab is chain-major, in the order the lattice is evaluated:
+// forcing row i after stage k demands row i after stages 0, 1, …, k-1
+// in turn, so each chain's nodes are consecutive and an evaluation walks
+// memory in order. (Slabs per stage, filled stage by stage, put
+// consecutive evaluations n nodes apart.)
 //
 // Each node owns the row it reads unless that row is a pivot: row k
 // after stage k-1 is read by all n nodes of stage k, every other row by
 // exactly one node (the same row at the next stage), and the final rows
 // only by the caller. So when the forcing context claims eagerly — one
-// evaluator per thunk — node (i, k), i ≠ k, updates its row in place,
-// and a job allocates 2n rows instead of n². Node (k, k) copies,
-// because stage k still reads the pivot it was given; under lazy
-// black-holing every node copies, because duplicate evaluators would
-// race on a shared row. The charges are UpdateRow's either way: the
-// simulator models GHC's immutable rows.
+// evaluator per thunk — node (i, k), i ≠ k, updates its row in place
+// and returns the row header it was given, and a job allocates 2n rows
+// instead of n². Node (k, k) copies into a fresh row, because stage k
+// still reads the pivot it was given; under lazy black-holing every
+// node copies, because duplicate evaluators would race on a shared row.
+// The charges are UpdateRow's either way: the simulator models GHC's
+// immutable rows.
 func lattice(ctx exec.Ctx, g Graph, minPlusCost int64) []*graph.Thunk {
 	n := len(g)
 	ctx.Alloc(Bytes(n)) // the input adjacency matrix
@@ -86,18 +87,21 @@ func lattice(ctx exec.Ctx, g Graph, minPlusCost int64) []*graph.Thunk {
 	for k := range stages {
 		stages[k].k, stages[k].cost = k, minPlusCost
 	}
+	inputs := make(Graph, n) // each chain's row header until its pivot stage
+	nodes := make([]node, n*n)
 	rows := make([]*graph.Thunk, n)
 	for i := range rows {
-		chain := make([]node, n+1)
-		chain[0].row = append([]int32(nil), g[i]...)
-		ri := graph.NewValue(&chain[0])
-		for k := range stages {
+		inputs[i] = append([]int32(nil), g[i]...)
+		ri := graph.NewValue(&inputs[i])
+		chain := nodes[i*n : (i+1)*n]
+		for k := range chain {
 			if k == i {
 				stages[k].pivot = ri
 			}
-			nd := &chain[k+1]
+			nd := &chain[k]
 			nd.st, nd.ri = &stages[k], ri
-			ri = exec.NewThunkAdapted(ctx, evalNode, nd)
+			nd.t.Init(evalNode, nd)
+			ri = &nd.t
 		}
 		ctx.Alloc(int64(n) * thunkBuildAlloc)
 		rows[i] = ri
@@ -109,17 +113,14 @@ func lattice(ctx exec.Ctx, g Graph, minPlusCost int64) []*graph.Thunk {
 func evalNode(c graph.Context, payload any) graph.Value {
 	nd := payload.(*node)
 	st := nd.st
-	pk := graph.Force(c, st.pivot).(*node).row
-	r := graph.Force(c, nd.ri).(*node).row
-	if !c.EagerBlackholing() {
-		return &node{row: UpdateRow(c, st.cost, r, pk, st.k)}
+	pk := *graph.Force(c, st.pivot).(*[]int32)
+	r := graph.Force(c, nd.ri).(*[]int32)
+	if c.EagerBlackholing() && nd.ri != st.pivot {
+		updateRow(c, st.cost, *r, *r, pk, st.k)
+		return r
 	}
-	out := r
-	if nd.ri == st.pivot {
-		out = make([]int32, len(r))
-	}
-	nd.row = updateRow(c, st.cost, out, r, pk, st.k)
-	return nd
+	out := UpdateRow(c, st.cost, *r, pk, st.k)
+	return &out
 }
 
 // GpHProgram is Program specialised to the simulated runtime, kept for
