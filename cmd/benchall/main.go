@@ -159,8 +159,8 @@ func main() {
 		exit := 0
 		if o.cluster {
 			// Chaos under the cluster: supervised multi-process runs with
-			// ranks killed, flapped, severed and wedged. The soak report is
-			// the recovery-trace artifact.
+			// ranks killed, severed and wedged, each recovered by a restart.
+			// The soak report is the recovery-trace artifact.
 			c := experiments.RunClusterChaos(p, o.chaosIters, o.chaosSeed, o.transport, o.restarts)
 			fmt.Println(c.String())
 			if data, err := c.JSON(); err == nil {

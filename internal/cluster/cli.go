@@ -39,21 +39,17 @@ func CheckFlags(rtKind string, procs int, transport string, restarts int) error 
 	return nil
 }
 
-// RecoverySummary renders the run's self-healing activity for the
-// CLIs — restarts with their attempt history, in-place reconnects,
-// and the recovery latency. Empty when the run needed none, so callers
-// can print it unconditionally.
+// RecoverySummary renders the run's recovery for the CLIs — restarts
+// with their attempt history and the recovery latency. Empty when the
+// run needed none, so callers can print it unconditionally.
 func (r *Result) RecoverySummary() string {
-	if r.Restarts == 0 && r.Reconnects == 0 {
+	if r.Restarts == 0 {
 		return ""
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "recovery = %d restarts, %d reconnects", r.Restarts, r.Reconnects)
+	fmt.Fprintf(&sb, "recovery = %d restarts", r.Restarts)
 	if r.RecoveryNS > 0 {
 		fmt.Fprintf(&sb, ", recovered in %v", time.Duration(r.RecoveryNS).Round(time.Millisecond))
-	}
-	if r.ReconnectNS > 0 {
-		fmt.Fprintf(&sb, ", links down %v total", time.Duration(r.ReconnectNS).Round(time.Millisecond))
 	}
 	sb.WriteByte('\n')
 	for _, a := range r.Attempts {

@@ -34,7 +34,7 @@ type Config struct {
 	// Spec names the workload (see BuildProgram).
 	Spec string
 	// Faults is an optional faults.Parse spec shipped to every worker;
-	// its kill-rank/sever-rank/flap-rank/wedge-rank clauses are the
+	// its kill-rank/sever-rank/wedge-rank clauses are the
 	// cluster-level fault classes (the targeted worker applies them to
 	// itself).
 	Faults string
@@ -50,20 +50,15 @@ type Config struct {
 	// SPMD run after a process death, so the run executes at most
 	// Restarts+1 times (see supervise.go). Run ignores it.
 	Restarts int
-	// ReconnectWindow is how long a rank whose link broke may redial
-	// and resume in place before the break is declared a death. Zero
-	// (or less) means 3s.
-	ReconnectWindow time.Duration
 }
 
-// The liveness and recovery timings: the coordinator pings every rank
-// each heartbeatEvery, and a rank silent for heartbeatTimeout (four
-// beats) dies with reason "heartbeat timeout".
+// The liveness timings: the coordinator pings every rank each
+// heartbeatEvery, and a rank silent for heartbeatTimeout (four beats)
+// dies with reason "heartbeat timeout".
 const (
-	heartbeatEvery         = 500 * time.Millisecond
-	heartbeatTimeout       = 4 * heartbeatEvery
-	defaultReconnectWindow = 3 * time.Second
-	terminateGrace         = 2 * time.Second
+	heartbeatEvery   = 500 * time.Millisecond
+	heartbeatTimeout = 4 * heartbeatEvery
+	terminateGrace   = 2 * time.Second
 )
 
 // Validate is the fail-fast check the CLIs run on flag parse: it
@@ -112,8 +107,6 @@ type Result struct {
 	// Reports are the per-rank summaries as the workers sent them.
 	Reports []nativeeden.Report
 	// Timeline is the merged per-PE event dump (nil unless EventLog).
-	// Runs that rode out link outages gain a synthetic "coord" lane
-	// whose block events bracket each outage window.
 	Timeline *eventlog.Dump
 	// Restarts counts full-run retries RunSupervised performed before
 	// this (successful) result; Attempts is their history.
@@ -123,11 +116,9 @@ type Result struct {
 	// failure detection to final success. Zero when no restart
 	// happened.
 	RecoveryNS int64
-	// Reconnects counts in-place link recoveries (worker redials
-	// accepted mid-run); ReconnectNS is the total wall time links
-	// spent down before healing.
-	Reconnects  int
-	ReconnectNS int64
+	// Reconnects is always 0: a broken link is a death, recovered only
+	// by a restart; kept in the -stats json key set.
+	Reconnects int
 	// DroppedFrames counts, per destination rank, frames discarded
 	// because the destination was already gone — a lossy run is visible
 	// even when it succeeds (a rank that reported and left may still be
@@ -151,99 +142,71 @@ func pesOf(rank, perProc int) []int {
 	return pes
 }
 
-// rankLink is the coordinator's half of one worker link: the live conn
-// (nil while the rank is down) and what the heartbeat and the state
-// machine know of the rank.
+// rankLink is the coordinator's half of one worker link: the conn
+// (nil once closed) and what the heartbeat and the state machine know
+// of the rank.
 type rankLink struct {
 	rank int
 
-	mu   sync.Mutex
-	c    *conn
-	gen  int // bumped per (re)connect; readers and timers carry it
-	dead bool
+	mu sync.Mutex
+	c  *conn
 
-	up       atomic.Bool  // link currently connected
 	done     atomic.Bool  // rank has reported; frames to it now drop
 	lastSeen atomic.Int64 // unix nanos of the last frame from this rank
-	drops    atomic.Int64 // control frames discarded (dead/done destination)
+	drops    atomic.Int64 // control frames discarded (closed or done destination)
 	rttNS    atomic.Int64 // worst heartbeat round trip
 }
 
-func (l *rankLink) curGen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
-func (l *rankLink) isDead() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dead
-}
-
-// send writes one control frame on the live conn, if there is one, and
+// send writes one control frame on the conn, if it is still open, and
 // reports whether it went out. A failed write is a broken link, which
 // the conn's reader reports. The write cannot block for long: the
-// coordinator sends a rank GO, at most one DRAIN and one ACK, a WELCOME
-// per reconnect and a PING per heartbeat, and a rank that stops reading
-// is declared dead after four missed pings — a few dozen bytes,
-// far below any socket buffer.
+// coordinator sends a rank GO, at most one DRAIN and one ACK, and a
+// PING per heartbeat, and a rank that stops reading is declared dead
+// after four missed pings — a few dozen bytes, far below any socket
+// buffer.
 func (l *rankLink) send(kind byte, body []byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.c != nil && l.c.write(kind, body) == nil
 }
 
-// kill marks the link terminally dead.
-func (l *rankLink) kill() {
+// close closes the conn; later sends fail.
+func (l *rankLink) close() {
 	l.mu.Lock()
-	l.dead = true
 	if l.c != nil {
 		l.c.Close()
 		l.c = nil
 	}
 	l.mu.Unlock()
-	l.up.Store(false)
 }
 
-// event is one occurrence the readers, process waiters, accept loop and
-// timers feed the coordinator's state machine.
+// event is one occurrence the readers, process waiters and heartbeat
+// feed the coordinator's state machine.
 type event struct {
 	rank int
-	gen  int  // connection generation, for ignoring stale reports
 	kind byte // frame kind, 0 for non-frame events
 	body []byte
 	err  error
 
-	exit       bool  // process exit (err is its wait status)
-	readerEnd  bool  // connection reader finished (err says why)
-	graceful   bool  // readerEnd via a clean BYE
-	reHello    *conn // reconnect HELLO accepted by the listener
-	winExpired bool  // reconnect window ran out
-	hbTimeout  bool  // heartbeat staleness observed
+	exit      bool // process exit (err is its wait status)
+	readerEnd bool // connection reader finished (err says why; nil after a BYE)
+	hbTimeout bool // heartbeat staleness observed
 }
 
 // coord is one run's coordinator state. The fields from start on belong
 // to the state machine (step) and are touched by Run's goroutine only.
 type coord struct {
-	cfg    Config
-	links  []*rankLink
-	evCh   chan event
-	stop   chan struct{}
-	window time.Duration // reconnect window
-	wg     sync.WaitGroup
+	cfg   Config
+	links []*rankLink
+	evCh  chan event
+	stop  chan struct{}
+	wg    sync.WaitGroup
 
-	start       time.Time // GO sent; the timeline's zero
-	res         *Result
-	resultIn    bool // rank 0's result arrived, so ranks 1.. are owed a DRAIN
-	reports     []*workerReport
-	nReports    int
-	exited      int
-	exitSeen    []bool
-	exitErrs    []error
-	downSince   []time.Time // zero while the rank's link is up
-	down        []error     // the death an unhealed outage becomes
-	coordEvents []eventlog.DumpEvent
+	start    time.Time // GO sent
+	res      *Result
+	reports  []*workerReport
+	nReports int
+	exited   int
 }
 
 // newCoord sets up one run's coordinator: its links, none connected
@@ -251,20 +214,12 @@ type coord struct {
 func newCoord(cfg Config) *coord {
 	n := cfg.Procs
 	cd := &coord{
-		cfg:       cfg,
-		links:     make([]*rankLink, n),
-		evCh:      make(chan event, n*8+16), // a burst from every rank seldom waits
-		stop:      make(chan struct{}),
-		window:    cfg.ReconnectWindow,
-		res:       &Result{Procs: n, PerProc: cfg.PerProc},
-		reports:   make([]*workerReport, n),
-		exitSeen:  make([]bool, n),
-		exitErrs:  make([]error, n),
-		downSince: make([]time.Time, n),
-		down:      make([]error, n),
-	}
-	if cd.window <= 0 {
-		cd.window = defaultReconnectWindow
+		cfg:     cfg,
+		links:   make([]*rankLink, n),
+		evCh:    make(chan event, n*8+16), // a burst from every rank seldom waits
+		stop:    make(chan struct{}),
+		res:     &Result{Procs: n, PerProc: cfg.PerProc},
+		reports: make([]*workerReport, n),
 	}
 	for rank := range cd.links {
 		cd.links[rank] = &rankLink{rank: rank}
@@ -273,8 +228,7 @@ func newCoord(cfg Config) *coord {
 }
 
 // spawn runs f on a goroutine the run's shutdown waits for, so Run
-// returns with every socket of its links, the listener's included,
-// closed rather than closing.
+// returns with every socket of its links closed rather than closing.
 func (cd *coord) spawn(f func()) {
 	cd.wg.Add(1)
 	go func() {
@@ -294,13 +248,12 @@ func (cd *coord) emit(ev event) bool {
 	}
 }
 
-// readLoop pumps one connection generation of one rank: pongs feed the
+// readLoop pumps one rank's control connection: pongs feed the
 // liveness state, a BYE is answered with an ACK, other control frames
-// go to the state machine, and a broken connection is reported with its
-// generation so a stale reader cannot kill a healed link. Data frames
-// travel between the workers directly; one arriving here is a protocol
-// violation, which fails the generation.
-func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
+// go to the state machine, and the connection's end is reported. Data
+// frames travel between the workers directly; one arriving here is a
+// protocol violation, which ends the connection.
+func (cd *coord) readLoop(l *rankLink, c *conn) {
 	for {
 		// A fresh buffer per frame: a body handed to the state machine
 		// outlives this loop iteration.
@@ -310,7 +263,7 @@ func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
 			err = errDataOnControl(l.rank)
 		}
 		if err != nil {
-			cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, err: err})
+			cd.emit(event{rank: l.rank, readerEnd: true, err: err})
 			return
 		}
 		l.lastSeen.Store(time.Now().UnixNano())
@@ -325,17 +278,18 @@ func (cd *coord) readLoop(l *rankLink, c *conn, gen int) {
 			// The REPORT before it is already on its way to the state
 			// machine, ahead of the exit this ACK lets happen.
 			_ = c.write(frameAck, nil)
-			cd.emit(event{rank: l.rank, gen: gen, readerEnd: true, graceful: true})
+			cd.emit(event{rank: l.rank, readerEnd: true})
 			return
 		default:
-			cd.emit(event{rank: l.rank, gen: gen, kind: kind, body: body})
+			cd.emit(event{rank: l.rank, kind: kind, body: body})
 		}
 	}
 }
 
-// heartbeat pings every live rank and reports staleness. A stale
-// lastSeen is detected here regardless of whether the ping itself got
-// through — a wedged worker is silent, and silence is the signal.
+// heartbeat pings every rank that has not reported and reports
+// staleness. A stale lastSeen is detected here regardless of whether
+// the ping itself got through — a wedged worker is silent, and silence
+// is the signal.
 func (cd *coord) heartbeat() {
 	t := time.NewTicker(heartbeatEvery)
 	defer t.Stop()
@@ -346,7 +300,7 @@ func (cd *coord) heartbeat() {
 		case <-t.C:
 			now := time.Now().UnixNano()
 			for _, l := range cd.links {
-				if !l.up.Load() || l.done.Load() {
+				if l.done.Load() {
 					continue
 				}
 				if now-l.lastSeen.Load() > heartbeatTimeout.Nanoseconds() {
@@ -359,66 +313,11 @@ func (cd *coord) heartbeat() {
 	}
 }
 
-// acceptLoop keeps the listener hot for the whole run so a worker
-// redialling after a link failure finds someone to talk to. Joining
-// HELLOs are handed to the initial gather; reconnect HELLOs go to the
-// state machine.
-type joinConn struct {
-	rank int
-	c    *conn
-	err  error
-}
-
-func (cd *coord) acceptLoop(ln net.Listener, joinCh chan<- joinConn) {
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return // listener closed: run over
-		}
-		cd.spawn(func() { cd.handleHello(nc, joinCh) })
-	}
-}
-
-func (cd *coord) handleHello(nc net.Conn, joinCh chan<- joinConn) {
-	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	c := newConn(nc)
-	kind, body, err := c.read(nil)
-	if err != nil || kind != frameHello {
-		nc.Close()
-		cd.join(joinCh, joinConn{rank: -1, err: fmt.Errorf("cluster: bad hello (kind %d): %v", kind, err)})
-		return
-	}
-	rank, flags, derr := decodeHello(body)
-	if derr != nil || rank < 0 || rank >= cd.cfg.Procs {
-		nc.Close()
-		cd.join(joinCh, joinConn{rank: -1, err: fmt.Errorf("cluster: hello from invalid rank %d: %v", rank, derr)})
-		return
-	}
-	_ = nc.SetReadDeadline(time.Time{})
-	if flags&helloFlagReconnect != 0 {
-		if !cd.emit(event{rank: rank, reHello: c}) {
-			c.Close()
-		}
-		return
-	}
-	cd.join(joinCh, joinConn{rank: rank, c: c})
-}
-
-func (cd *coord) join(joinCh chan<- joinConn, j joinConn) {
-	select {
-	case joinCh <- j:
-	case <-cd.stop:
-		if j.c != nil {
-			j.c.Close()
-		}
-	}
-}
-
 // Run executes one cluster run: link every pair of workers, launch Procs
 // workers re-executing this binary, supervise them, collect rank 0's
 // result, drain, fold.
-// A worker that dies, wedges, or loses its link beyond the reconnect
-// window fails the run with a *faults.ProcessDeathError; deadline
+// A worker that dies, wedges, or loses its control link before its
+// report fails the run with a *faults.ProcessDeathError; deadline
 // expiry with a *faults.DeadlockError. The partial Result (whatever
 // reports arrived) is returned alongside either error. Run is a single
 // attempt — RunSupervised adds the restart policy.
@@ -467,20 +366,10 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	defer func() {
 		close(cd.stop)
 		for _, l := range cd.links {
-			l.kill()
+			l.close()
 		}
 		ln.Close()
 		cd.wg.Wait()
-		for { // close the reconnects the state machine never read
-			select {
-			case ev := <-cd.evCh:
-				if ev.reHello != nil {
-					ev.reHello.Close()
-				}
-			default:
-				return
-			}
-		}
 	}()
 
 	exe, err := os.Executable()
@@ -522,9 +411,7 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	closeMesh(ends)
 	defer terminateAll(cmds, terminateGrace)
 
-	joinCh := make(chan joinConn, cfg.Procs)
-	cd.spawn(func() { cd.acceptLoop(ln, joinCh) })
-	if err := cd.gather(joinCh, deadline); err != nil {
+	if err := cd.gather(ln, deadline); err != nil {
 		return nil, err
 	}
 
@@ -540,9 +427,8 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	now := time.Now().UnixNano()
 	for _, l := range cd.links {
 		l.lastSeen.Store(now)
-		l.up.Store(true)
-		c, gen := l.c, l.gen
-		cd.spawn(func() { cd.readLoop(l, c, gen) })
+		c := l.c
+		cd.spawn(func() { cd.readLoop(l, c) })
 	}
 	cd.spawn(cd.heartbeat)
 	for rank, cmd := range cmds {
@@ -564,7 +450,7 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	}
 	res := cd.res
 	res.CoordNS = time.Since(cd.start).Nanoseconds()
-	foldReports(res, cd.reports, cd.coordEvents)
+	foldReports(res, cd.reports)
 	for rank, l := range cd.links {
 		res.DroppedFrames[rank] += l.drops.Load()
 		if rtt := l.rttNS.Load(); rtt > res.HeartbeatRTTNS {
@@ -585,9 +471,6 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 			if ev.exit {
 				cd.exited++
 			}
-			if ev.reHello != nil {
-				ev.reHello.Close() // every rank has reported: nothing to resume
-			}
 		case <-grace.C:
 			return res, nil
 		}
@@ -595,63 +478,30 @@ func runAttempt(cfg Config, attempt int) (*Result, error) {
 	return res, nil
 }
 
-// step applies one event to the run. A non-nil error ends the run: a
-// death before a rank has reported fails it, but a broken link first
-// gets the reconnect window, and a healed link resumes as if nothing
-// happened.
+// step applies one event to the run. A non-nil error ends the run: an
+// exit, a broken link or a silence before a rank has reported is that
+// rank's death.
 func (cd *coord) step(ev event) error {
 	l := cd.links[ev.rank]
+	reported := cd.reports[ev.rank] != nil
 	switch {
 	case ev.exit:
 		cd.exited++
-		cd.exitSeen[ev.rank], cd.exitErrs[ev.rank] = true, ev.err
-		if cd.reports[ev.rank] == nil && !l.up.Load() {
-			// The process is gone: no reconnect is coming. Report the
-			// first observed cause if the link broke first.
-			if d := cd.down[ev.rank]; d != nil {
-				return d
-			}
+		if !reported {
 			return cd.died(ev.rank, "exit", ev.err)
 		}
 	case ev.readerEnd:
-		if ev.gen != l.curGen() {
-			return nil // a replaced connection's reader winding down
-		}
-		l.mu.Lock()
-		if l.c != nil {
-			l.c.Close()
-			l.c = nil
-		}
-		l.mu.Unlock()
-		l.up.Store(false)
+		l.close()
 		switch {
-		case cd.reports[ev.rank] != nil:
-			// reported already; the exit watcher handles the rest
-		case ev.graceful:
-			return cd.died(ev.rank, "connection closed", nil)
+		case reported:
+			// the exit watcher handles the rest
+		case ev.err == nil || ev.err == io.EOF:
+			return cd.died(ev.rank, "connection closed", ev.err)
 		default:
-			return cd.linkDown(ev.rank, ev.err)
+			return cd.died(ev.rank, "connection error", ev.err)
 		}
-	case ev.reHello != nil:
-		if cd.reports[ev.rank] != nil || l.isDead() || !cd.resumeRank(l, ev.reHello) {
-			ev.reHello.Close()
-			return nil
-		}
-		cd.res.Reconnects++
-		if !cd.downSince[ev.rank].IsZero() {
-			cd.res.ReconnectNS += time.Since(cd.downSince[ev.rank]).Nanoseconds()
-			cd.downSince[ev.rank], cd.down[ev.rank] = time.Time{}, nil
-		}
-		cd.coordEvents = append(cd.coordEvents, eventlog.DumpEvent{
-			T: time.Since(cd.start).Nanoseconds(), Type: "block-end", Arg: int32(ev.rank),
-		})
-	case ev.winExpired:
-		if cd.reports[ev.rank] != nil || l.up.Load() || ev.gen != l.curGen() {
-			return nil // healed (or finished) before the window closed
-		}
-		return cd.down[ev.rank]
 	case ev.hbTimeout:
-		if cd.reports[ev.rank] != nil || !l.up.Load() {
+		if reported {
 			return nil
 		}
 		silent := time.Duration(time.Now().UnixNano() - l.lastSeen.Load())
@@ -660,30 +510,22 @@ func (cd *coord) step(ev event) error {
 		}
 		return cd.died(ev.rank, "heartbeat timeout", fmt.Errorf("silent for %v", silent))
 	case ev.kind == frameResult:
-		if cd.resultIn {
-			return nil // resent after a reconnect
-		}
 		v, err := wire.Decode(ev.body)
 		if err != nil {
 			return fmt.Errorf("cluster: decoding rank 0 result: %w", err)
 		}
-		cd.res.Value, cd.resultIn = v, true
+		cd.res.Value = v
 		// The result is in: drain the other ranks so they unwind and
-		// report. A rank whose link is down gets its DRAIN when it
-		// reconnects (resumeRank).
+		// report. A DRAIN to a rank that has reported, or whose link is
+		// closed, is a drop.
 		for _, o := range cd.links[1:] {
-			if o.done.Load() || o.isDead() {
+			if o.done.Load() || !o.send(frameDrain, nil) {
 				o.drops.Add(1)
-			} else {
-				o.send(frameDrain, nil)
 			}
 		}
 	case ev.kind == frameError:
 		return decodeWorkerError(ev.rank, ev.body)
 	case ev.kind == frameReport:
-		if cd.reports[ev.rank] != nil {
-			return nil // resent after a reconnect
-		}
 		var rep workerReport
 		if err := json.Unmarshal(ev.body, &rep); err != nil {
 			return fmt.Errorf("cluster: rank %d report: %w", ev.rank, err)
@@ -701,28 +543,6 @@ func (cd *coord) died(rank int, reason string, err error) *faults.ProcessDeathEr
 	}
 }
 
-// linkDown classifies a break and opens the reconnect window, or
-// returns the death at once when the process has exited.
-func (cd *coord) linkDown(rank int, err error) error {
-	if cd.exitSeen[rank] {
-		return cd.died(rank, "exit", cd.exitErrs[rank])
-	}
-	reason := "connection closed"
-	if err != nil && err != io.EOF {
-		reason = "connection error"
-	}
-	cd.downSince[rank] = time.Now()
-	cd.down[rank] = cd.died(rank, reason, err)
-	cd.coordEvents = append(cd.coordEvents, eventlog.DumpEvent{
-		T: time.Since(cd.start).Nanoseconds(), Type: "block-begin", Arg: int32(rank),
-	})
-	gen := cd.links[rank].curGen()
-	time.AfterFunc(cd.window, func() {
-		cd.emit(event{rank: rank, gen: gen, winExpired: true})
-	})
-	return nil
-}
-
 // workerProcs is the GOMAXPROCS each of procs workers is started with:
 // its share of the coordinator's own budget, at least 1 and at most
 // perProc. In the paper each Eden PE is a sequential runtime on a core
@@ -737,12 +557,12 @@ func workerProcs(budget, procs, perProc int) int {
 }
 
 // dialMesh links every pair of ranks with one connection of the run's
-// transport. It dials ln and accepts each connection before acceptLoop
-// starts, so nothing can be accepted in between, and tcp and unix share
-// this one path. ends[r][k] is rank r's end of its link to the k-th
-// other rank in rank order, a file its worker inherits as fd 3+k (see
-// inheritedPeers). The sockets themselves are closed; only the files
-// stay open, for the caller to hand over and close.
+// transport. It dials ln and accepts each connection before any worker
+// is launched, so nothing else can be accepted in between, and tcp and
+// unix share this one path. ends[r][k] is rank r's end of its link to
+// the k-th other rank in rank order, a file its worker inherits as fd
+// 3+k (see inheritedPeers). The sockets themselves are closed; only the
+// files stay open, for the caller to hand over and close.
 func dialMesh(ln net.Listener, procs int) ([][]*os.File, error) {
 	ends := make([][]*os.File, procs)
 	for a := 0; a < procs; a++ {
@@ -793,64 +613,41 @@ func closeMesh(ends [][]*os.File) {
 	}
 }
 
-// gather collects the initial joining HELLO of every rank.
-func (cd *coord) gather(joinCh <-chan joinConn, deadline time.Duration) error {
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	joined := 0
-	for joined < cd.cfg.Procs {
-		select {
-		case <-timer.C:
-			return fmt.Errorf("cluster: waiting for workers (%d/%d connected): timeout", joined, cd.cfg.Procs)
-		case j := <-joinCh:
-			if j.err != nil {
-				return j.err
-			}
-			l := cd.links[j.rank]
-			l.mu.Lock()
-			dup := l.c != nil
-			if !dup {
-				l.c = j.c
-				l.gen = 1
-			}
-			l.mu.Unlock()
-			if dup {
-				j.c.Close()
-				return fmt.Errorf("cluster: hello from duplicate rank %d", j.rank)
-			}
-			joined++
+// gather accepts exactly Procs control connections, binds each to
+// the rank its HELLO names, and closes the listener: no rank dials it
+// again. Accepts and HELLO reads share the one deadline.
+func (cd *coord) gather(ln net.Listener, deadline time.Duration) error {
+	defer ln.Close()
+	by := time.Now().Add(deadline)
+	if err := ln.(interface{ SetDeadline(time.Time) error }).SetDeadline(by); err != nil {
+		return fmt.Errorf("cluster: listener deadline: %w", err)
+	}
+	for joined := 0; joined < cd.cfg.Procs; joined++ {
+		nc, err := ln.Accept()
+		if err != nil {
+			return fmt.Errorf("cluster: waiting for workers (%d/%d connected): %w", joined, cd.cfg.Procs, err)
 		}
+		_ = nc.SetReadDeadline(by)
+		c := newConn(nc)
+		kind, body, err := c.read(nil)
+		if err != nil || kind != frameHello {
+			nc.Close()
+			return fmt.Errorf("cluster: bad hello (kind %d): %v", kind, err)
+		}
+		rank, err := decodeHello(body)
+		if err != nil || rank < 0 || rank >= cd.cfg.Procs {
+			nc.Close()
+			return fmt.Errorf("cluster: hello from invalid rank %d: %v", rank, err)
+		}
+		_ = nc.SetReadDeadline(time.Time{})
+		l := cd.links[rank]
+		if l.c != nil {
+			nc.Close()
+			return fmt.Errorf("cluster: hello from duplicate rank %d", rank)
+		}
+		l.c = c
 	}
 	return nil
-}
-
-// resumeRank installs a reconnect HELLO's connection: WELCOME the
-// worker, resend the DRAIN it is owed (a worker that had it already
-// drains twice, which changes nothing), then swap the conn in. It runs
-// on the state machine, so installs are serialised per rank. False
-// means c failed before it was installed.
-func (cd *coord) resumeRank(l *rankLink, c *conn) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.c != nil {
-		// The worker noticed the break before our reader did: replace.
-		l.c.Close()
-		l.c = nil
-	}
-	_ = c.queue(frameWelcome, nil) // sticky: the flush reports it
-	if cd.resultIn && l.rank != 0 {
-		_ = c.queue(frameDrain, nil)
-	}
-	if c.flush() != nil {
-		return false
-	}
-	l.gen++
-	gen := l.gen
-	l.c = c
-	l.lastSeen.Store(time.Now().UnixNano())
-	l.up.Store(true)
-	cd.spawn(func() { cd.readLoop(l, c, gen) })
-	return true
 }
 
 func boolEnv(b bool) string {
@@ -895,9 +692,9 @@ func terminateAll(cmds []*exec.Cmd, grace time.Duration) {
 }
 
 // foldReports merges the per-rank reports into the global view: each
-// rank owns its PE slots, totals sum, timelines concatenate in global
-// PE order, and any recovery events gain a synthetic coordinator lane.
-func foldReports(res *Result, reports []*workerReport, coordEvents []eventlog.DumpEvent) {
+// rank owns its PE slots, totals sum, and timelines concatenate in
+// global PE order.
+func foldReports(res *Result, reports []*workerReport) {
 	res.PerPE = make([]nativeeden.PEStats, res.Procs*res.PerProc)
 	res.Reports = make([]nativeeden.Report, res.Procs)
 	res.GOMAXPROCS = make([]int, res.Procs)
@@ -932,15 +729,12 @@ func foldReports(res *Result, reports []*workerReport, coordEvents []eventlog.Du
 			dumps = append(dumps, rep.Dump)
 		}
 	}
-	res.Timeline = mergeDumps(dumps, coordEvents)
+	res.Timeline = mergeDumps(dumps)
 }
 
 // mergeDumps concatenates per-rank timeline dumps (already in rank
-// order, agents named by global PE) into one cluster-wide dump. When
-// the run rode out link outages, a synthetic "coord" lane carries the
-// recovery brackets (block-begin at the break, block-end at the
-// accepted re-HELLO, Arg = rank).
-func mergeDumps(dumps []*eventlog.Dump, coordEvents []eventlog.DumpEvent) *eventlog.Dump {
+// order, agents named by global PE) into one cluster-wide dump.
+func mergeDumps(dumps []*eventlog.Dump) *eventlog.Dump {
 	if len(dumps) == 0 {
 		return nil
 	}
@@ -952,24 +746,6 @@ func mergeDumps(dumps []*eventlog.Dump, coordEvents []eventlog.DumpEvent) *event
 		if d.WallNS > out.WallNS {
 			out.WallNS = d.WallNS
 		}
-	}
-	if len(coordEvents) > 0 {
-		// Unhealed outages (run failed or finished mid-window) still
-		// close their bracket so the lane renders.
-		open := map[int32]bool{}
-		for _, ev := range coordEvents {
-			if ev.Type == "block-begin" {
-				open[ev.Arg] = true
-			} else {
-				delete(open, ev.Arg)
-			}
-		}
-		last := coordEvents[len(coordEvents)-1].T
-		for rank := range open {
-			coordEvents = append(coordEvents, eventlog.DumpEvent{T: last, Type: "block-end", Arg: rank})
-		}
-		out.Agents = append(out.Agents, "coord")
-		out.Events = append(out.Events, coordEvents)
 	}
 	return out
 }

@@ -18,19 +18,18 @@
 //     merges per-PE timelines, and turns a dead worker or severed link
 //     into a structured *faults.ProcessDeathError instead of a hang.
 //
-// The control protocol is self-healing and carries no sequence numbers:
-// the coordinator pings every worker (framePing/framePong) so a wedged
-// worker is distinguishable from a slow one, and a worker whose
-// connection breaks redials with backoff and re-HELLOs. Each side sends
-// each of its few payload-bearing frames once a run — RESULT or ERROR,
-// REPORT and BYE from a worker, one DRAIN to it — so a reconnect simply
-// resends them: the worker keeps what it has sent and resends it all
-// after the WELCOME, the coordinator resends an owed DRAIN, and each
-// side ignores what it already has.
+// The control protocol carries no sequence numbers and is never
+// redialled: the coordinator pings every worker (framePing/framePong)
+// so a wedged worker is distinguishable from a slow one, each side
+// sends each of its few payload-bearing frames once a run — RESULT or
+// ERROR, REPORT and BYE from a worker, one DRAIN to it — and a link
+// that breaks before its worker's REPORT is that rank's death, exactly
+// as an exit is.
 //
-// RunSupervised adds the outer recovery loop: a rank that actually
-// dies is respawned by restarting the whole SPMD run (deterministic
-// shadow-root replay makes full-run retry the honest recovery unit).
+// RunSupervised is the one recovery path: a rank that dies, wedges or
+// loses its link is recovered by restarting the whole SPMD run
+// (deterministic shadow-root replay makes full-run retry the honest
+// recovery unit).
 package cluster
 
 import (
@@ -46,9 +45,8 @@ import (
 // Frame kinds. Every frame on a cluster connection is
 // [u32 length][u8 kind][body], length covering kind+body.
 const (
-	// frameHello (worker -> coordinator): body = [u32 rank][u8 flags].
-	// First frame on every connection, binding it to a rank;
-	// helloFlagReconnect marks a redial after a link failure.
+	// frameHello (worker -> coordinator): body = [u32 rank]. First
+	// frame on every control connection, binding it to a rank.
 	frameHello byte = 1 + iota
 	// frameGo (coordinator -> worker): empty body; start the run.
 	frameGo
@@ -80,18 +78,10 @@ const (
 	// frameAck (coordinator -> worker): empty body; the answer to BYE,
 	// which the worker waits for before it exits.
 	frameAck
-	// frameWelcome (coordinator -> worker): empty body; the answer to a
-	// reconnect HELLO and the first frame on the new connection, after
-	// which the worker resends its one-shot frames.
-	frameWelcome
 )
 
-// helloFlagReconnect marks a HELLO from a worker redialling after a
-// link failure rather than joining the run.
-const helloFlagReconnect = 1
-
-// helloLen is the fixed HELLO body size: rank, flags.
-const helloLen = 4 + 1
+// helloLen is the fixed HELLO body size: the rank.
+const helloLen = 4
 
 // errDataOnControl is the protocol error a data frame on a control link
 // raises: data has one path, the mesh, and a frame that strays onto the
@@ -108,14 +98,13 @@ const maxFrame = 1 << 30
 const frameHeaderLen = 1
 
 // connBufSize sizes each conn's read and write buffers: big enough
-// that a burst of small frames, or any one ordinary frame with its
-// header, leaves in a single write.
+// that any one ordinary frame, header included, leaves in a single
+// write.
 const connBufSize = 1 << 16
 
 // conn is one framed cluster connection: buffered reads on the caller's
-// goroutine, mutex-serialised buffered writes from any goroutine. Only
-// whole frames enter the write buffer, so a flush by any writer puts
-// only whole frames on the socket. Each side keeps its frame-header
+// goroutine, mutex-serialised writes from any goroutine, each frame
+// buffered whole and flushed at once. Each side keeps its frame-header
 // scratch in the conn, so neither a read nor a write allocates one.
 type conn struct {
 	rw io.ReadWriteCloser
@@ -137,42 +126,20 @@ func newConn(rw io.ReadWriteCloser) *conn {
 func (c *conn) Close() error { return c.rw.Close() }
 
 // write sends one frame, header and body in one socket write; safe for
-// concurrent use.
+// concurrent use. A failed write leaves the conn's error sticky, so
+// every later write fails too.
 func (c *conn) write(kind byte, body []byte) error {
 	c.wm.Lock()
 	defer c.wm.Unlock()
-	if err := c.put(kind, body); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-// queue buffers one frame for a later flush (or an earlier one: any
-// write on this conn flushes what is queued, in order). An error is
-// sticky — every later queue, write or flush on the conn fails too —
-// so a caller batching frames may check only the flush.
-func (c *conn) queue(kind byte, body []byte) error {
-	c.wm.Lock()
-	defer c.wm.Unlock()
-	return c.put(kind, body)
-}
-
-// flush writes out every queued frame.
-func (c *conn) flush() error {
-	c.wm.Lock()
-	defer c.wm.Unlock()
-	return c.bw.Flush()
-}
-
-// put appends one frame to the write buffer; the caller holds wm.
-func (c *conn) put(kind byte, body []byte) error {
 	binary.LittleEndian.PutUint32(c.wh[:4], uint32(frameHeaderLen+len(body)))
 	c.wh[4] = kind
 	if _, err := c.bw.Write(c.wh[:]); err != nil {
 		return err
 	}
-	_, err := c.bw.Write(body)
-	return err
+	if _, err := c.bw.Write(body); err != nil {
+		return err
+	}
+	return c.bw.Flush()
 }
 
 // readStep caps the first allocation for an incoming frame: the length
@@ -236,19 +203,16 @@ func readRest(r io.Reader, b []byte) error {
 }
 
 // encodeHello builds a HELLO body.
-func encodeHello(rank int, flags byte) []byte {
-	b := make([]byte, helloLen)
-	binary.LittleEndian.PutUint32(b[:4], uint32(rank))
-	b[4] = flags
-	return b
+func encodeHello(rank int) []byte {
+	return binary.LittleEndian.AppendUint32(make([]byte, 0, helloLen), uint32(rank))
 }
 
-// decodeHello splits a HELLO body.
-func decodeHello(b []byte) (rank int, flags byte, err error) {
+// decodeHello unpacks a HELLO body.
+func decodeHello(b []byte) (rank int, err error) {
 	if len(b) != helloLen {
-		return 0, 0, fmt.Errorf("cluster: hello body %d bytes, want %d", len(b), helloLen)
+		return 0, fmt.Errorf("cluster: hello body %d bytes, want %d", len(b), helloLen)
 	}
-	return int(int32(binary.LittleEndian.Uint32(b[:4]))), b[4], nil
+	return int(int32(binary.LittleEndian.Uint32(b))), nil
 }
 
 // pingLen is the ping/pong body size: the send-nanos.

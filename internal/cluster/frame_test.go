@@ -125,7 +125,7 @@ func TestDataBodyTooShort(t *testing.T) {
 
 func TestControlBodySizes(t *testing.T) {
 	for _, n := range []int{0, helloLen - 1, helloLen + 1, 9} {
-		if _, _, err := decodeHello(make([]byte, n)); err == nil {
+		if _, err := decodeHello(make([]byte, n)); err == nil {
 			t.Errorf("decodeHello accepted a %d-byte body", n)
 		}
 	}
@@ -134,12 +134,12 @@ func TestControlBodySizes(t *testing.T) {
 			t.Errorf("decodePing accepted a %d-byte body", n)
 		}
 	}
-	if len(encodeHello(3, 0)) != 5 || len(encodePing(1)) != 8 {
-		t.Errorf("hello and ping bodies are %d and %d bytes, want 5 and 8", len(encodeHello(3, 0)), len(encodePing(1)))
+	if len(encodeHello(3)) != 4 || len(encodePing(1)) != 8 {
+		t.Errorf("hello and ping bodies are %d and %d bytes, want 4 and 8", len(encodeHello(3)), len(encodePing(1)))
 	}
-	rank, flags, err := decodeHello(encodeHello(3, helloFlagReconnect))
-	if err != nil || rank != 3 || flags != helloFlagReconnect {
-		t.Errorf("hello round trip: %d %d %v", rank, flags, err)
+	rank, err := decodeHello(encodeHello(3))
+	if err != nil || rank != 3 {
+		t.Errorf("hello round trip: %d %v", rank, err)
 	}
 	nanos, err := decodePing(encodePing(-5))
 	if err != nil || nanos != -5 {
@@ -196,7 +196,7 @@ func TestRouteDropsOnDeadRank(t *testing.T) {
 	cd, _ := newTestCoord(4)
 	defer close(cd.stop)
 	cd.links[1].done.Store(true)
-	cd.links[2].kill()
+	cd.links[2].close()
 	ours, theirs := net.Pipe()
 	cd.links[3].c = newConn(ours)
 	got := pipeReader(newConn(theirs))
@@ -237,7 +237,7 @@ func dataBody(kind nativeeden.MsgKind, chanID int64, src, dst int, payload strin
 // fixedFrames are the well-formed frames the round-trip test and the
 // fuzz corpus share.
 var fixedFrames = []frame{
-	{frameHello, encodeHello(2, helloFlagReconnect)},
+	{frameHello, encodeHello(2)},
 	{frameGo, nil},
 	{frameData, dataBody(3, 42, 1, 4, "payload")},
 	{framePing, encodePing(123456789)},
@@ -248,44 +248,31 @@ var fixedFrames = []frame{
 }
 
 func TestFrameSingleWrite(t *testing.T) {
-	// Header and body leave together: one write per frame, and one write
-	// for a whole batch queued before a flush.
+	// Header and body leave together: one write per frame.
 	w := &countingRWC{}
 	c := newConn(w)
-	if err := c.write(frameData, make([]byte, 512)); err != nil {
-		t.Fatal(err)
-	}
-	if w.writes != 1 {
-		t.Fatalf("one frame took %d writes, want 1", w.writes)
-	}
-	const n = 32
+	const n = 4
 	for i := 0; i < n; i++ {
-		if err := c.queue(frameData, []byte{byte(i)}); err != nil {
+		if err := c.write(frameData, bytes.Repeat([]byte{byte(i)}, 512)); err != nil {
 			t.Fatal(err)
 		}
+		if w.writes != i+1 {
+			t.Fatalf("%d frames took %d writes, want %d", i+1, w.writes, i+1)
+		}
 	}
-	if w.writes != 1 {
-		t.Fatalf("queued frames reached the socket before the flush (%d writes)", w.writes)
-	}
-	if err := c.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.writes != 2 {
-		t.Fatalf("flushing %d queued frames took %d writes, want 1", n, w.writes-1)
-	}
-	// Everything written reads back as 1+n frames, in order.
+	// Everything written reads back as n frames, in order.
 	r := readerOver(w.Bytes())
-	for i := 0; i <= n; i++ {
+	for i := 0; i < n; i++ {
 		kind, body, err := r.read(nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if kind != frameData || (i == 0 && len(body) != 512) || (i > 0 && (len(body) != 1 || body[0] != byte(i-1))) {
+		if kind != frameData || !bytes.Equal(body, bytes.Repeat([]byte{byte(i)}, 512)) {
 			t.Fatalf("frame %d read back as kind %d body %v", i, kind, body)
 		}
 	}
 	if _, _, err := r.read(nil); err != io.EOF {
-		t.Fatalf("after the batch: %v, want EOF", err)
+		t.Fatalf("after the frames: %v, want EOF", err)
 	}
 }
 
@@ -426,7 +413,8 @@ func newTestCoord(procs int) (*coord, *rankLink) {
 // socket cut mid-frame.
 type cutRWC struct {
 	rwc
-	limit int
+	limit  int
+	closed bool
 }
 
 func (c *cutRWC) Write(p []byte) (int, error) {
@@ -437,133 +425,42 @@ func (c *cutRWC) Write(p []byte) (int, error) {
 	return c.rwc.Write(p)
 }
 
-func TestFlushFailureReplaysExactlyOnce(t *testing.T) {
-	result, report := testResult(t), []byte(`{"rank":0}`)
-	t.Run("worker", func(t *testing.T) {
-		// The link breaks mid-REPORT. The caller sees success, BYE waits
-		// for the link, and the reconnect resends RESULT and REPORT after
-		// reading the WELCOME: the coordinator reads RESULT, REPORT and
-		// BYE on the new link once each, in order.
-		l := newWLink(0, "unix", "")
-		l.c = newConn(&cutRWC{limit: 4 + frameHeaderLen + len(result) + 3})
-		if err := l.write(frameResult, result); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.write(frameReport, report); err != nil {
-			t.Fatalf("a send cut mid-frame returned %v, want nil (the reconnect resends it)", err)
-		}
-		bye := make(chan error, 1)
-		go func() { bye <- l.write(frameBye, nil) }()
-
-		ours, theirs := net.Pipe()
-		coord := newConn(theirs)
-		var fs []frame
-		var herr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			kind, body, err := coord.read(nil)
-			if err != nil || kind != frameHello {
-				herr = fmt.Errorf("first frame kind %d, %v; want HELLO", kind, err)
-				return
-			}
-			if rank, flags, err := decodeHello(body); err != nil || rank != 0 || flags != helloFlagReconnect {
-				herr = fmt.Errorf("hello rank %d flags %d, %v", rank, flags, err)
-				return
-			}
-			if herr = coord.write(frameWelcome, nil); herr != nil {
-				return
-			}
-			fs = collect(pipeReader(coord))
-		}()
-		if _, err := l.resume(ours); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-bye; err != nil {
-			t.Fatal(err)
-		}
-		ours.Close()
-		<-done
-		if herr != nil {
-			t.Fatal(herr)
-		}
-		want := []frame{{frameResult, result}, {frameReport, report}, {frameBye, nil}}
-		if len(fs) != len(want) {
-			t.Fatalf("after the reconnect the coordinator read %+v, want RESULT, REPORT, BYE", fs)
-		}
-		for i, f := range fs {
-			if f.kind != want[i].kind || !bytes.Equal(f.body, want[i].body) {
-				t.Fatalf("frame %d is %+v, want %+v", i, f, want[i])
-			}
-		}
-		if l.reconnects != 1 {
-			t.Fatalf("reconnects = %d, want 1", l.reconnects)
-		}
-	})
-	t.Run("coordinator", func(t *testing.T) {
-		// Resent RESULT and REPORT are ignored: each rank reads its DRAIN
-		// once and one report is recorded. A rank that reconnects before
-		// reporting is owed its DRAIN again, right after the WELCOME.
-		cd, _ := newTestCoord(3)
-		defer close(cd.stop)
-		var got [3]<-chan frame
-		for rank := 1; rank < 3; rank++ {
-			ours, theirs := net.Pipe()
-			l := cd.links[rank]
-			l.c, l.gen = newConn(ours), 1
-			l.up.Store(true)
-			got[rank] = pipeReader(newConn(theirs))
-		}
-		for _, ev := range []event{
-			{rank: 0, kind: frameResult, body: result},
-			{rank: 0, kind: frameResult, body: result},
-			{rank: 1, kind: frameReport, body: report},
-			{rank: 1, kind: frameReport, body: report},
-			{rank: 2, gen: 1, readerEnd: true, err: io.ErrUnexpectedEOF},
-		} {
-			if err := cd.step(ev); err != nil {
-				t.Fatalf("step(%+v): %v", ev, err)
-			}
-		}
-		if cd.nReports != 1 || cd.reports[1] == nil {
-			t.Fatalf("%d reports recorded, want rank 1's once", cd.nReports)
-		}
-		ours, theirs := net.Pipe()
-		resumed := pipeReader(newConn(theirs))
-		if err := cd.step(event{rank: 2, reHello: newConn(ours)}); err != nil {
-			t.Fatal(err)
-		}
-		if cd.res.Reconnects != 1 {
-			t.Fatalf("Reconnects = %d, want 1", cd.res.Reconnects)
-		}
-		cd.links[1].kill()
-		cd.links[2].kill()
-		for rank := 1; rank < 3; rank++ {
-			if fs := collect(got[rank]); len(fs) != 1 || fs[0].kind != frameDrain {
-				t.Errorf("rank %d's first link read %+v, want one DRAIN", rank, fs)
-			}
-		}
-		if fs := collect(resumed); len(fs) != 2 || fs[0].kind != frameWelcome || fs[1].kind != frameDrain {
-			t.Errorf("rank 2's new link read %+v, want WELCOME then DRAIN", fs)
-		}
-	})
+func (c *cutRWC) Close() error {
+	c.closed = true
+	return nil
 }
 
-func TestReconnectHelloClosedOnStop(t *testing.T) {
-	// A reconnect HELLO that reaches a coordinator whose state machine
-	// has stopped reading is closed, not dropped: the worker reads EOF.
-	cd := &coord{cfg: Config{Procs: 2, PerProc: 1}, stop: make(chan struct{})}
-	close(cd.stop)
-	ours, theirs := net.Pipe()
-	defer theirs.Close()
-	go cd.handleHello(ours, nil)
-	w := newConn(theirs)
-	if err := w.write(frameHello, encodeHello(1, helloFlagReconnect)); err != nil {
+func TestControlWriteFailureIsTerminal(t *testing.T) {
+	// The link breaks mid-REPORT. That write returns its error and
+	// closes the link; every later write returns the same error and puts
+	// nothing on the socket; the goodbye wait is over at once; and a run
+	// that failed of the same break names the cause once.
+	result, report := testResult(t), []byte(`{"rank":0}`)
+	w := &cutRWC{limit: 4 + frameHeaderLen + len(result) + 3}
+	l := newWLink(0, "unix", "")
+	l.c = newConn(w)
+	if err := l.write(frameResult, result); err != nil {
 		t.Fatal(err)
 	}
-	_ = theirs.SetReadDeadline(time.Now().Add(30 * time.Second))
-	if _, _, err := w.read(nil); err != io.EOF {
-		t.Fatalf("worker's read after a HELLO to a stopped coordinator: %v, want EOF", err)
+	err := l.write(frameReport, report)
+	if err == nil {
+		t.Fatal("a write cut mid-frame returned nil")
+	}
+	if !w.closed {
+		t.Fatal("a failed write left the link open")
+	}
+	for _, kind := range []byte{frameReport, frameBye} {
+		if again := l.write(kind, nil); again != err {
+			t.Fatalf("a write after the break returned %v, want %v", again, err)
+		}
+	}
+	if w.Len() != w.limit {
+		t.Fatalf("%d bytes reached the socket, want the %d before the cut", w.Len(), w.limit)
+	}
+	l.awaitAcked(time.Hour)
+	runErr := fmt.Errorf("cluster: rank 0 lost coordinator: %w", err)
+	if got := reportFailed(0, runErr, l.write(frameError, nil)).Error(); strings.Count(got, err.Error()) != 1 {
+		t.Fatalf("the cause is not named exactly once: %q", got)
 	}
 }
 
@@ -718,7 +615,7 @@ func checkDecode(t *testing.T, fr frame) {
 	t.Helper()
 	switch fr.kind {
 	case frameHello:
-		if _, _, err := decodeHello(fr.body); (err == nil) != (len(fr.body) == helloLen) {
+		if _, err := decodeHello(fr.body); (err == nil) != (len(fr.body) == helloLen) {
 			t.Fatalf("decodeHello(%d bytes): %v", len(fr.body), err)
 		}
 	case framePing, framePong:
@@ -746,48 +643,37 @@ func checkDecode(t *testing.T, fr frame) {
 var frameSink []byte
 
 // BenchmarkFrameWriteRead prices a framed hop over a unix socket pair:
-// burst frames of 512 bytes written (burst1: one write each, as a
-// worker sends to a peer; burst32: queued then flushed once, as a
-// reconnect resends what it kept) and read back.
+// a 512-byte frame written, as a worker sends to a peer, and read back.
 func BenchmarkFrameWriteRead(b *testing.B) {
-	for _, burst := range []int{1, 32} {
-		b.Run(fmt.Sprintf("burst%d", burst), func(b *testing.B) {
-			dir := b.TempDir()
-			ln, err := net.Listen("unix", dir+"/s")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ln.Close()
-			dialled, err := net.Dial("unix", dir+"/s")
-			if err != nil {
-				b.Fatal(err)
-			}
-			accepted, err := ln.Accept()
-			if err != nil {
-				b.Fatal(err)
-			}
-			w, r := newConn(dialled), newConn(accepted)
-			defer w.Close()
-			defer r.Close()
-			body := make([]byte, 512)
-			b.SetBytes(int64(burst * len(body)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < burst; j++ {
-					_ = w.queue(frameData, body)
-				}
-				if err := w.flush(); err != nil {
-					b.Fatal(err)
-				}
-				for j := 0; j < burst; j++ {
-					_, got, err := r.read(nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					frameSink = got
-				}
-			}
-		})
+	dir := b.TempDir()
+	ln, err := net.Listen("unix", dir+"/s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	dialled, err := net.Dial("unix", dir+"/s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	accepted, err := ln.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, r := newConn(dialled), newConn(accepted)
+	defer w.Close()
+	defer r.Close()
+	body := make([]byte, 512)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.write(frameData, body); err != nil {
+			b.Fatal(err)
+		}
+		_, got, err := r.read(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frameSink = got
 	}
 }

@@ -151,21 +151,21 @@ func TestPeerSendDropsOnClosedPipe(t *testing.T) {
 }
 
 func TestControlLinkRejectsData(t *testing.T) {
-	// Data has one path, the mesh. A data frame on a control link fails
-	// that link generation at the coordinator and the run at the worker.
+	// Data has one path, the mesh. A data frame on a control link ends
+	// that connection at the coordinator and the run at the worker.
 	body := dataBody(nativeeden.MsgChanSend, 7, 0, 1, "x")
 
 	cd, l := newTestCoord(4)
 	defer close(cd.stop)
 	ours, theirs := net.Pipe()
 	defer theirs.Close()
-	go cd.readLoop(l, newConn(ours), 1)
+	go cd.readLoop(l, newConn(ours))
 	if err := newConn(theirs).write(frameData, body); err != nil {
 		t.Fatal(err)
 	}
 	ev := <-cd.evCh
-	if !ev.readerEnd || ev.gen != 1 || ev.err == nil || !strings.Contains(ev.err.Error(), "data frame on the control link") {
-		t.Fatalf("coordinator reported %+v, want the generation failed by a data frame", ev)
+	if !ev.readerEnd || ev.err == nil || !strings.Contains(ev.err.Error(), "data frame on the control link") {
+		t.Fatalf("coordinator reported %+v, want the connection failed by a data frame", ev)
 	}
 
 	w := newWLink(1, "unix", "")

@@ -63,47 +63,24 @@ func TestClusterRespawnAfterKill(t *testing.T) {
 	}
 }
 
-func TestClusterReconnectAfterFlap(t *testing.T) {
-	// Rank 1's link drops for 80ms mid-run and the worker redials. The
-	// run must ride it out in place: no restart, at least one accepted
-	// reconnect, oracle-equal result (the worker resends its one-shot
-	// control frames after the WELCOME and the coordinator ignores what
-	// it already has, so no frame was lost or doubled across the outage).
-	for _, transport := range []string{"tcp", "unix"} {
-		t.Run(transport, func(t *testing.T) {
-			res := runOK(t, Config{
-				Procs: 3, PerProc: 2, Transport: transport,
-				Spec:     "sumeuler?n=8000&pechunks=8",
-				Faults:   "flap-rank=1:20ms:80ms",
-				EventLog: true,
-				// Wide window: a loaded -race machine can starve the worker's
-				// redial loop well past the 3s default, and this test is about
-				// the resend protocol, not the scheduler's latency.
-				ReconnectWindow: 20 * time.Second,
-			})
-			if res.Reconnects < 1 {
-				t.Fatalf("Reconnects = %d, want >= 1 after a link flap", res.Reconnects)
-			}
-			if res.Restarts != 0 {
-				t.Fatalf("a flap must heal in place, got %d restarts", res.Restarts)
-			}
-			if res.ReconnectNS <= 0 {
-				t.Fatalf("ReconnectNS = %d, want > 0 (the outage had width)", res.ReconnectNS)
-			}
-			// The merged timeline gains the coordinator's recovery lane
-			// bracketing the outage.
-			if res.Timeline == nil {
-				t.Fatal("EventLog requested but Timeline is nil")
-			}
-			last := len(res.Timeline.Agents) - 1
-			if last < 0 || res.Timeline.Agents[last] != "coord" {
-				t.Fatalf("timeline agents %v missing the coord recovery lane", res.Timeline.Agents)
-			}
-			lane := res.Timeline.Events[last]
-			if len(lane) < 2 || lane[0].Type != "block-begin" || lane[len(lane)-1].Type != "block-end" {
-				t.Fatalf("coord lane %+v does not bracket the outage", lane)
-			}
-		})
+func TestClusterSupervisedSeverRecovers(t *testing.T) {
+	// Rank 1's control link is cut mid-run while its process lives on.
+	// A broken link is a death: the supervisor replays the run, and the
+	// one-shot sever is spent, so the retry completes oracle-equal.
+	res := superviseOK(t, Config{
+		Procs: 3, PerProc: 1, Transport: "tcp",
+		Spec:     "sumeuler?n=4000&pechunks=4",
+		Faults:   "sever-rank=1:20ms",
+		Restarts: 1,
+	})
+	if res.Restarts != 1 || len(res.Attempts) != 1 {
+		t.Fatalf("Restarts = %d, attempts %+v; want one restart", res.Restarts, res.Attempts)
+	}
+	if a := res.Attempts[0]; a.Rank != 1 || !strings.HasPrefix(a.Reason, "connection") {
+		t.Fatalf("attempt blames rank %d for %q, want rank 1 and a connection reason", a.Rank, a.Reason)
+	}
+	if res.Reconnects != 0 {
+		t.Fatalf("Reconnects = %d, want 0: a broken link is never healed in place", res.Reconnects)
 	}
 }
 

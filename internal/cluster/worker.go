@@ -44,16 +44,8 @@ const (
 // death from a crash.
 const killExitCode = 3
 
-// Worker-side reconnection tuning: how long a worker keeps redialling
-// a lost coordinator before giving up, the dial backoff bounds, how long
-// it waits for a WELCOME, and how long it waits for the ACK of its BYE.
-const (
-	redialWindow     = 15 * time.Second
-	redialBackoffMin = 25 * time.Millisecond
-	redialBackoffMax = time.Second
-	welcomeDeadline  = 5 * time.Second
-	byeAckLinger     = 5 * time.Second
-)
+// byeAckLinger is how long a worker waits for the ACK of its BYE.
+const byeAckLinger = 5 * time.Second
 
 // MaybeWorker must be the first call in main() of every binary that
 // can coordinate a cluster: if the process was launched as a cluster
@@ -74,12 +66,11 @@ func MaybeWorker() {
 // connection after its run: its rank's statistics and, when event
 // logging is on, its PEs' timeline dump (agents named by global PE).
 type workerReport struct {
-	Rank       int               `json:"rank"`
-	Report     nativeeden.Report `json:"report"`
-	Dump       *eventlog.Dump    `json:"dump,omitempty"`
-	Err        string            `json:"err,omitempty"`
-	Drained    bool              `json:"drained,omitempty"`
-	Reconnects int               `json:"reconnects,omitempty"`
+	Rank    int               `json:"rank"`
+	Report  nativeeden.Report `json:"report"`
+	Dump    *eventlog.Dump    `json:"dump,omitempty"`
+	Err     string            `json:"err,omitempty"`
+	Drained bool              `json:"drained,omitempty"`
 	// GOMAXPROCS is the rank's runtime.GOMAXPROCS(0): the core share
 	// the coordinator started it with (see workerProcs).
 	GOMAXPROCS int `json:"gomaxprocs"`
@@ -88,25 +79,21 @@ type workerReport struct {
 	Dropped []int64 `json:"dropped,omitempty"`
 }
 
-// wlink is the worker's self-healing coordinator link. Writers block
-// while the link is down and the reader owns redial: on a connection
-// error it re-dials with exponential backoff inside redialWindow,
-// re-HELLOs, takes the coordinator's WELCOME, resends every one-shot
-// frame it has sent so far, and only then wakes the writers. After a
-// sever-rank fault the first break is terminal.
+// wlink is the worker's coordinator link. It is never redialled: the
+// first break, seen by a write or by the reader, is terminal, closes
+// the conn and is what every later write returns. The coordinator
+// reads a break before the REPORT as this rank's death, and a
+// supervised run replays the whole run.
 type wlink struct {
 	rank          int
 	network, addr string
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	c          *conn // nil while down
-	err        error // terminal: the link is gone for good
-	reconnect  bool
-	sent       []oneShot // every one-shot frame sent, in order
-	acked      bool      // the coordinator has answered our BYE
-	holdUntil  time.Time // flap-rank outage: no redial before this
-	reconnects int
+	c *conn // set once, by dial, before any other goroutine uses the link
+
+	mu    sync.Mutex
+	cond  *sync.Cond
+	err   error // terminal: the link is gone
+	acked bool  // the coordinator has answered our BYE
 
 	// wedged simulates a worker whose link servicing died while the
 	// process lives: reads, pongs and sends all stop.
@@ -114,33 +101,24 @@ type wlink struct {
 }
 
 func newWLink(rank int, network, addr string) *wlink {
-	l := &wlink{rank: rank, network: network, addr: addr, reconnect: true}
+	l := &wlink{rank: rank, network: network, addr: addr}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
 
-// dial makes the initial connection and sends the joining HELLO.
+// dial makes the connection and sends the HELLO.
 func (l *wlink) dial() error {
 	nc, err := net.Dial(l.network, l.addr)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d dial %s: %w", l.rank, l.addr, err)
 	}
 	c := newConn(nc)
-	if err := c.write(frameHello, encodeHello(l.rank, 0)); err != nil {
+	if err := c.write(frameHello, encodeHello(l.rank)); err != nil {
 		nc.Close()
 		return fmt.Errorf("cluster: rank %d hello: %w", l.rank, err)
 	}
-	l.mu.Lock()
 	l.c = c
-	l.mu.Unlock()
 	return nil
-}
-
-// current returns the live conn, or nil while the link is down.
-func (l *wlink) current() *conn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c
 }
 
 // stallIfWedged parks the calling goroutine forever once a wedge-rank
@@ -151,184 +129,45 @@ func (l *wlink) stallIfWedged() {
 	}
 }
 
-// oneShot is a frame a worker sends once a run (RESULT or ERROR,
-// REPORT, BYE), kept so a reconnect can resend it.
-type oneShot struct {
-	kind byte
-	body []byte
-}
-
-// write sends one one-shot frame and keeps it. A send that breaks
-// mid-flight is resent by the reader's redial, so the caller sees
-// success; the error is the terminal link error once the link is gone
-// for good. The frame is kept and written under the link lock, so a
-// resume either resends it or installs its conn before it is written:
-// frames reach the coordinator in the order they were sent.
+// write sends one control frame (RESULT or ERROR, REPORT, BYE). A
+// failed write is terminal, and so is a break the reader saw first:
+// either error is returned here and to every later write.
 func (l *wlink) write(kind byte, body []byte) error {
 	l.stallIfWedged()
 	l.mu.Lock()
-	for l.c == nil && l.err == nil {
-		l.cond.Wait()
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
+	err := l.err
+	l.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	c := l.c
-	l.sent = append(l.sent, oneShot{kind, body})
-	werr := c.write(kind, body)
-	l.mu.Unlock()
-	if werr == nil {
-		return nil
+	if err := l.c.write(kind, body); err != nil {
+		return l.failTerminal(err)
 	}
-	l.broken(c, werr)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err // nil when the redial will resend it
+	return nil
 }
 
-// broken marks c dead. The reader owns redial; writers just step
-// aside. Once severed, the first break is the terminal error.
-func (l *wlink) broken(c *conn, err error) {
-	c.Close()
-	l.mu.Lock()
-	if l.c == c {
-		l.c = nil
-	}
-	if !l.reconnect && l.err == nil {
-		l.err = err
-	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
-}
-
-// failTerminal records the link's final error and wakes every waiter.
+// failTerminal records the link's terminal error, keeping the first,
+// closes the conn and wakes every waiter. It returns the terminal
+// error.
 func (l *wlink) failTerminal(err error) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err == nil {
 		l.err = err
+		if l.c != nil {
+			l.c.Close()
+		}
 	}
-	err = l.err
 	l.cond.Broadcast()
-	l.mu.Unlock()
-	return err
+	return l.err
 }
 
-// sever is the sever-rank fault: cut the link and refuse to heal it.
-func (l *wlink) sever() {
-	l.mu.Lock()
-	l.reconnect = false
-	c := l.c
-	l.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
+// sever is the sever-rank fault: cut the link. The reader's failed
+// read makes the break terminal.
+func (l *wlink) sever() { l.c.Close() }
 
-// flap is the flap-rank fault: drop the link now, stay dark for down,
-// then let the normal redial path heal it.
-func (l *wlink) flap(down time.Duration) {
-	l.mu.Lock()
-	l.holdUntil = time.Now().Add(down)
-	c := l.c
-	l.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
-// redial reconnects after a link failure; only the reader calls it.
-// failed is the conn whose read broke (nil when the reader found the
-// link already down) — it must be retired here, because if no writer
-// has tripped over it yet it is still installed, and trusting l.c
-// would hand the same dead conn straight back. Returns the new conn,
-// or the terminal error once the link is gone for good (severed, or
-// the window exhausted).
-func (l *wlink) redial(failed *conn, cause error) (*conn, error) {
-	if failed != nil {
-		failed.Close() // a remote break leaves the local fd open
-	}
-	l.mu.Lock()
-	if l.c == failed && failed != nil {
-		l.c = nil
-	}
-	if !l.reconnect || l.err != nil {
-		l.mu.Unlock()
-		return nil, l.failTerminal(cause)
-	}
-	if l.c != nil {
-		// A writer already failed over to a new conn? It cannot — only
-		// redial installs conns — so a non-nil conn here means the error
-		// raced a fresh install; use it.
-		c := l.c
-		l.mu.Unlock()
-		return c, nil
-	}
-	hold := l.holdUntil
-	l.mu.Unlock()
-	if d := time.Until(hold); d > 0 {
-		time.Sleep(d)
-	}
-	backoff := redialBackoffMin
-	deadline := time.Now().Add(redialWindow)
-	for {
-		nc, derr := net.Dial(l.network, l.addr)
-		if derr == nil {
-			c, rerr := l.resume(nc)
-			if rerr == nil {
-				return c, nil
-			}
-		}
-		l.mu.Lock()
-		healable := l.reconnect && l.err == nil
-		l.mu.Unlock()
-		if !healable || time.Now().After(deadline) {
-			return nil, l.failTerminal(fmt.Errorf("cluster: rank %d could not reconnect: %w", l.rank, cause))
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > redialBackoffMax {
-			backoff = redialBackoffMax
-		}
-	}
-}
-
-// resume performs the reconnect handshake on a freshly-dialled socket:
-// re-HELLO, read the WELCOME, resend every one-shot frame sent so far
-// (the coordinator ignores what it already has), install the conn, wake
-// the writers.
-func (l *wlink) resume(nc net.Conn) (*conn, error) {
-	c := newConn(nc)
-	if err := c.write(frameHello, encodeHello(l.rank, helloFlagReconnect)); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	_ = nc.SetReadDeadline(time.Now().Add(welcomeDeadline))
-	kind, _, err := c.read(nil)
-	if err != nil || kind != frameWelcome {
-		nc.Close()
-		return nil, fmt.Errorf("cluster: rank %d waiting for welcome: kind %d, %v", l.rank, kind, err)
-	}
-	_ = nc.SetReadDeadline(time.Time{})
-	l.mu.Lock()
-	for _, f := range l.sent {
-		_ = c.queue(f.kind, f.body) // sticky: the flush reports it
-	}
-	if werr := c.flush(); werr != nil {
-		l.mu.Unlock()
-		nc.Close()
-		return nil, werr
-	}
-	l.c = c
-	l.reconnects++
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	return c, nil
-}
-
-// finished reports whether the coordinator has acked our goodbye: the
-// link's work is done, and redialling would only hand the coordinator a
-// connection it no longer wants.
+// finished reports whether the coordinator has acked our goodbye: a
+// connection that ends after that is the coordinator hanging up.
 func (l *wlink) finished() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -336,8 +175,8 @@ func (l *wlink) finished() bool {
 }
 
 // awaitAcked lingers after BYE until the coordinator's ACK arrives, the
-// link is gone for good, or the timeout passes. Exiting before the ACK
-// risks the coordinator reading a death instead of a result.
+// link is gone, or the timeout passes. Exiting before the ACK risks the
+// coordinator reading a death instead of a result.
 func (l *wlink) awaitAcked(timeout time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -349,7 +188,7 @@ func (l *wlink) awaitAcked(timeout time.Duration) {
 		l.mu.Unlock()
 	})
 	defer timer.Stop()
-	// The ACK and every terminal-error path broadcast on the cond.
+	// The ACK and the terminal error broadcast on the cond.
 	for !l.acked && l.err == nil && !timedOut {
 		l.cond.Wait()
 	}
@@ -444,32 +283,22 @@ func peerConns(rank int, files []*os.File) ([]*conn, error) {
 }
 
 // readControl drains the control connection for the whole run: drain
-// unwinds the run, pings are echoed, the ACK of our BYE releases
-// awaitAcked, and a broken connection triggers the redial instead of
-// aborting. It returns the error that should fail the run: the link is
-// gone for good, or the coordinator sent a data frame, which has no
-// business on this link. Every frame is read into one buffer for the
-// life of the link: each case below is done with the body before the
-// next read (the redial's welcome is read into a buffer of its own).
+// unwinds the run, pings are echoed, and the ACK of our BYE releases
+// awaitAcked. It returns the error that should fail the run: the link
+// broke before the ACK, or the coordinator sent a data frame, which
+// has no business on this link. Every frame is read into one buffer
+// for the life of the link: each case below is done with the body
+// before the next read.
 func (l *wlink) readControl(drain func()) error {
+	c := l.c
 	var buf []byte
 	for {
-		c := l.current()
-		if c == nil {
-			var rerr error
-			if c, rerr = l.redial(nil, errors.New("connection reset")); rerr != nil {
-				return fmt.Errorf("cluster: rank %d lost coordinator: %w", l.rank, rerr)
-			}
-		}
 		kind, body, err := c.read(buf)
 		if err != nil {
 			if l.finished() {
 				return nil // the coordinator hung up after acking our goodbye
 			}
-			if _, rerr := l.redial(c, err); rerr != nil {
-				return fmt.Errorf("cluster: rank %d lost coordinator: %w", l.rank, rerr)
-			}
-			continue
+			return fmt.Errorf("cluster: rank %d lost coordinator: %w", l.rank, l.failTerminal(err))
 		}
 		buf = body
 		l.stallIfWedged()
@@ -477,7 +306,7 @@ func (l *wlink) readControl(drain func()) error {
 		case frameData:
 			return errDataOnControl(l.rank)
 		case frameDrain:
-			drain() // a DRAIN resent after a reconnect drains again: a no-op
+			drain()
 		case framePing:
 			_ = c.write(framePong, body)
 		case frameAck:
@@ -556,18 +385,16 @@ func workerMain() error {
 	if err := l.dial(); err != nil {
 		return err
 	}
-	c0 := l.current()
-	kind, _, err := c0.read(nil)
+	kind, _, err := l.c.read(nil)
 	if err != nil || kind != frameGo {
 		return fmt.Errorf("cluster: rank %d waiting for go: kind %d, %v", rank, kind, err)
 	}
 
 	// Self-applied cluster faults: kill-rank dies abruptly mid-run,
-	// sever-rank cuts the control link for good, flap-rank cuts it
-	// transiently (the redial heals it), wedge-rank goes silent on every
-	// link without dying. The
-	// one-shot classes fire on the first attempt only unless the plan
-	// says rank-faults=every — a restart budget must be able to win.
+	// sever-rank cuts the control link, wedge-rank goes silent on every
+	// link without dying. The one-shot classes fire on the first
+	// attempt only unless the plan says rank-faults=every — a restart
+	// budget must be able to win.
 	if plan != nil {
 		if attempt > 0 {
 			plan.Seed = seedRotate(plan.Seed, attempt)
@@ -578,10 +405,6 @@ func workerMain() error {
 			}
 			if d, ok := plan.SeverRank[rank]; ok {
 				time.AfterFunc(d, func() { l.sever() })
-			}
-			if r, ok := plan.FlapRank[rank]; ok {
-				down := r.Down
-				time.AfterFunc(r.At, func() { l.flap(down) })
 			}
 			if d, ok := plan.WedgeRank[rank]; ok {
 				time.AfterFunc(d, func() { l.wedged.Store(true) })
@@ -649,9 +472,6 @@ func workerMain() error {
 	for r := range rep.Dropped {
 		rep.Dropped[r] = mesh.drops[r].Load()
 	}
-	l.mu.Lock()
-	rep.Reconnects = l.reconnects
-	l.mu.Unlock()
 	if runErr != nil && !drained {
 		rep.Err = runErr.Error()
 		if werr := l.write(frameError, encodeWorkerError(runErr)); werr != nil {

@@ -151,8 +151,8 @@ func usage(err error) error { return &usageError{err: err} }
 // cluster's attempt history.
 type Outcome struct {
 	Value graph.Value
-	// Cluster is a -cluster run's result, with its restart and
-	// reconnect history; nil on the other runtimes.
+	// Cluster is a -cluster run's result, with its restart history;
+	// nil on the other runtimes.
 	Cluster *cluster.Result
 
 	where   string // the runtime, for the headline

@@ -255,7 +255,7 @@ func TestStatsJSONSchemas(t *testing.T) {
 		{"-n 300 -runtime eden -pes 2 -stats json", &nativeeden.Report{},
 			edenReport + " gc " + keySet("gc", gc)},
 		{"-n 300 -runtime eden -cluster 2 -pes 1 -stats json", &cluster.Result{},
-			"Value WallNS CoordNS Procs PerProc Restarts Attempts RecoveryNS Reconnects ReconnectNS " +
+			"Value WallNS CoordNS Procs PerProc Restarts Attempts RecoveryNS Reconnects " +
 				"DroppedFrames HeartbeatRTTNS GOMAXPROCS Timeline " +
 				"Total Total.messages Total.bytes_sent Total.processes Total.threads_created " +
 				"PerPE PerPE[].msgs_sent PerPE[].msgs_recv PerPE[].bytes_sent PerPE[].bytes_recv PerPE[].threads " +

@@ -12,8 +12,9 @@ import (
 )
 
 // Cluster chaos outcome classes. "ok" — the fault never bit (or was
-// absorbed invisibly); "recovered" — the run failed or lost a link and
-// the supervisor healed it into an oracle-equal result; "structured" —
+// absorbed invisibly); "recovered" — a rank died, wedged or lost its
+// link and the supervisor's restart healed the run into an
+// oracle-equal result; "structured" —
 // the run failed, but with a typed, diagnosable error (the expected
 // outcome when the fault outruns the restart budget); "violation" —
 // a wrong result, an unstructured failure, or a hang.
@@ -26,17 +27,16 @@ const (
 type ClusterChaosRow struct {
 	Iter int `json:"iter"`
 	// Mode is the fault class this iteration injected:
-	// kill | flap | sever | wedge.
+	// kill | sever | wedge.
 	Mode    string   `json:"mode"`
 	Spec    string   `json:"spec"`
 	Args    []string `json:"args"` // the cmd/sumeuler command line that ran it
 	Outcome string   `json:"outcome"`
 	Detail  string   `json:"detail,omitempty"`
-	// Recovery telemetry: full-run restarts, in-place link reconnects,
-	// the attempt history, and the recovery latency (first failure to
-	// recovered result) when a restart happened.
+	// Recovery telemetry: full-run restarts, the attempt history, and
+	// the recovery latency (first failure to recovered result) when a
+	// restart happened.
 	Restarts   int               `json:"restarts,omitempty"`
-	Reconnects int               `json:"reconnects,omitempty"`
 	Attempts   []cluster.Attempt `json:"attempts,omitempty"`
 	RecoveryNS int64             `json:"recovery_ns,omitempty"`
 	WallNS     int64             `json:"wall_ns"`
@@ -46,8 +46,8 @@ type ClusterChaosRow struct {
 func (r ClusterChaosRow) Repro() string { return repro(r.Args) }
 
 // ClusterChaos is the chaos-under-cluster soak report: iters supervised
-// 3-process sumEuler runs, each with one rank killed, link-flapped,
-// severed or wedged at a seed-derived moment, under a restart budget.
+// 3-process sumEuler runs, each with one rank killed, severed or
+// wedged at a seed-derived moment, under a restart budget.
 // The invariant mirrors the in-process soak's, with recovery added:
 // every iteration ends in an oracle-equal result (clean or recovered)
 // or a structured failure; wrong results, unstructured errors and
@@ -73,13 +73,10 @@ type ClusterChaos struct {
 func clusterChaosSpec(sub uint64) (mode, spec string) {
 	rank := int(sub>>16) % 3
 	at := 10 + (sub>>24)%40 // ms
-	switch sub % 4 {
+	switch sub % 3 {
 	case 0:
 		return "kill", fmt.Sprintf("seed=%d,kill-rank=%d:%dms", sub, rank, at)
 	case 1:
-		down := 30 + (sub>>32)%90 // ms
-		return "flap", fmt.Sprintf("seed=%d,flap-rank=%d:%dms:%dms", sub, rank, at, down)
-	case 2:
 		return "sever", fmt.Sprintf("seed=%d,sever-rank=%d:%dms", sub, rank, at)
 	default:
 		return "wedge", fmt.Sprintf("seed=%d,wedge-rank=%d:%dms", sub, rank, at)
@@ -87,13 +84,10 @@ func clusterChaosSpec(sub uint64) (mode, spec string) {
 }
 
 // RunClusterChaos runs the chaos-under-cluster soak. Every iteration is
-// a supervised run of the driver's command line: kills and wedges
-// recover by respawn (the faults are one-shot, so the retry is clean),
-// flaps recover in place over the reconnection protocol, and severed
-// links burn a restart. The oracle gate is total — a "recovered" run
-// whose result differs from the sequential oracle is a violation,
-// which is exactly the corruption the reconnect's resend protocol
-// exists to prevent.
+// a supervised run of the driver's command line: kills, severed links
+// and wedges all recover by respawn (the faults are one-shot, so the
+// retry is clean). The oracle gate is total — a "recovered" run whose
+// result differs from the sequential oracle is a violation.
 func RunClusterChaos(p Params, iters int, seed uint64, transport string, restarts int) *ClusterChaos {
 	s := &ClusterChaos{Iterations: iters, Seed: seed, Transport: transport, Budget: restarts, N: p.SumEulerN}
 	for i := 0; i < iters; i++ {
@@ -106,7 +100,7 @@ func RunClusterChaos(p Params, iters int, seed uint64, transport string, restart
 		row.WallNS = time.Since(start).Nanoseconds()
 		if out != nil && out.Cluster != nil {
 			res := out.Cluster
-			row.Restarts, row.Reconnects, row.Attempts, row.RecoveryNS = res.Restarts, res.Reconnects, res.Attempts, res.RecoveryNS
+			row.Restarts, row.Attempts, row.RecoveryNS = res.Restarts, res.Attempts, res.RecoveryNS
 		}
 		row.Outcome, row.Detail = classifyClusterChaos(row, err)
 		switch row.Outcome {
@@ -133,7 +127,7 @@ func RunClusterChaos(p Params, iters int, seed uint64, transport string, restart
 // is an error too.
 func classifyClusterChaos(row ClusterChaosRow, err error) (string, string) {
 	switch {
-	case err == nil && row.Restarts+row.Reconnects > 0:
+	case err == nil && row.Restarts > 0:
 		return ClusterChaosRecovered, ""
 	case err == nil:
 		return ChaosOK, ""

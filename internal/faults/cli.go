@@ -17,7 +17,7 @@ import (
 var fires = map[string][]string{
 	"native":  {"panic-spark", "stall"},
 	"eden":    {"panic-proc", "drop", "delay", "stall"},
-	"cluster": {"panic-proc", "drop", "delay", "stall", "kill-rank", "sever-rank", "flap-rank", "wedge-rank", "rank-faults"},
+	"cluster": {"panic-proc", "drop", "delay", "stall", "kill-rank", "sever-rank", "wedge-rank", "rank-faults"},
 }
 
 // CLIInjector builds an injector from a command's -faults/-deadline

@@ -86,29 +86,16 @@ type Plan struct {
 	// worker severs its coordinator link (closes the connection),
 	// simulating a network partition; the orphaned worker then exits.
 	SeverRank map[int]time.Duration
-	// FlapRank maps a cluster worker rank to a transient link outage:
-	// the worker drops its coordinator connection at At, stays dark for
-	// Down, then redials. Unlike SeverRank the failure is recoverable —
-	// a reconnect-capable cluster should ride it out in place.
-	FlapRank map[int]FlapRule
 	// WedgeRank maps a cluster worker rank to a delay after which the
 	// worker stops servicing its link entirely (no reads, no pongs, no
 	// sends) while the process stays alive — the failure mode only a
 	// liveness heartbeat can tell apart from a slow worker.
 	WedgeRank map[int]time.Duration
-	// RankEvery makes the one-shot rank fault classes (kill/sever/flap/
+	// RankEvery makes the one-shot rank fault classes (kill/sever/
 	// wedge) re-fire on every supervised restart attempt instead of only
 	// the first. The default (one-shot) is what lets a restart budget
 	// recover a run; RankEvery exists to test budget exhaustion.
 	RankEvery bool
-}
-
-// FlapRule describes one transient link outage for a cluster rank.
-type FlapRule struct {
-	// At is how long after the run starts the link drops.
-	At time.Duration
-	// Down is how long the link stays down before the worker redials.
-	Down time.Duration
 }
 
 // Empty reports whether the plan injects nothing.
@@ -118,8 +105,7 @@ func (p *Plan) Empty() bool {
 	}
 	return len(p.PanicSparks) == 0 && len(p.PanicProcs) == 0 &&
 		len(p.Edges) == 0 && len(p.Stall) == 0 &&
-		len(p.KillRank) == 0 && len(p.SeverRank) == 0 &&
-		len(p.FlapRank) == 0 && len(p.WedgeRank) == 0
+		len(p.KillRank) == 0 && len(p.SeverRank) == 0 && len(p.WedgeRank) == 0
 }
 
 // String renders the plan in the -faults spec grammar; Parse(p.String())
@@ -156,15 +142,6 @@ func (p *Plan) String() string {
 	}
 	for _, id := range sortedIntKeys(p.SeverRank) {
 		parts = append(parts, fmt.Sprintf("sever-rank=%d:%s", id, p.SeverRank[id]))
-	}
-	flapIDs := make([]int, 0, len(p.FlapRank))
-	for id := range p.FlapRank {
-		flapIDs = append(flapIDs, id)
-	}
-	sort.Ints(flapIDs)
-	for _, id := range flapIDs {
-		r := p.FlapRank[id]
-		parts = append(parts, fmt.Sprintf("flap-rank=%d:%s:%s", id, r.At, r.Down))
 	}
 	for _, id := range sortedIntKeys(p.WedgeRank) {
 		parts = append(parts, fmt.Sprintf("wedge-rank=%d:%s", id, p.WedgeRank[id]))
@@ -233,8 +210,6 @@ func formatEdge(src, dst int) string {
 //	                  (os.Exit) DUR after its run starts
 //	sever-rank=R:DUR  cluster mode: rank R severs its coordinator link
 //	                  DUR after its run starts, then exits
-//	flap-rank=R:AT:DOWN  cluster mode: rank R drops its link AT after
-//	                  the run starts, stays down for DOWN, then redials
 //	wedge-rank=R:DUR  cluster mode: rank R stops servicing its link
 //	                  (no reads, pongs or sends) DUR after the run
 //	                  starts while the process lives on
@@ -370,27 +345,6 @@ func Parse(spec string) (*Plan, error) {
 				p.WedgeRank = make(map[int]time.Duration)
 			}
 			p.WedgeRank[id] = dur
-		case "flap-rank":
-			fields := strings.Split(val, ":")
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("faults: flap-rank %q must be RANK:AT:DOWN", val)
-			}
-			id, err := strconv.Atoi(fields[0])
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("faults: bad flap-rank rank %q", fields[0])
-			}
-			at, err := time.ParseDuration(fields[1])
-			if err != nil || at <= 0 {
-				return nil, fmt.Errorf("faults: bad flap-rank onset %q", fields[1])
-			}
-			down, err := time.ParseDuration(fields[2])
-			if err != nil || down <= 0 {
-				return nil, fmt.Errorf("faults: bad flap-rank outage %q", fields[2])
-			}
-			if p.FlapRank == nil {
-				p.FlapRank = make(map[int]FlapRule)
-			}
-			p.FlapRank[id] = FlapRule{At: at, Down: down}
 		case "rank-faults":
 			switch val {
 			case "every":

@@ -20,10 +20,8 @@ func TestParseRoundTrip(t *testing.T) {
 		"kill-rank=1:150ms",
 		"sever-rank=2:1s",
 		"seed=6,kill-rank=0:10ms,kill-rank=2:20ms,sever-rank=1:30ms",
-		"flap-rank=1:40ms:150ms",
 		"wedge-rank=2:25ms",
 		"seed=4,kill-rank=1:10ms,rank-faults=every",
-		"seed=8,flap-rank=0:5ms:50ms,flap-rank=2:1ms:2ms,wedge-rank=1:3ms",
 		"seed=0,drop=0.1", // an absent seed parses as 1, so seed 0 must print
 	}
 	for _, spec := range specs {
@@ -70,9 +68,6 @@ func FuzzParse(f *testing.F) {
 			for _, d := range m {
 				durs = append(durs, d)
 			}
-		}
-		for _, r := range p.FlapRank {
-			durs = append(durs, r.At, r.Down)
 		}
 		for _, d := range durs {
 			if d <= 0 {
@@ -124,14 +119,13 @@ func TestParseErrors(t *testing.T) {
 		"sever-rank=2",          // missing duration
 		"sever-rank=a:5ms",      // bad rank
 		"sever-rank=0:-1ms",     // non-positive duration
-		"flap-rank=1:5ms",       // missing outage
-		"flap-rank=x:5ms:5ms",   // bad rank
-		"flap-rank=1:0s:5ms",    // non-positive onset
-		"flap-rank=1:5ms:0s",    // non-positive outage
 		"wedge-rank=1",          // missing duration
 		"wedge-rank=b:1ms",      // bad rank
 		"wedge-rank=1:-2ms",     // non-positive duration
 		"rank-faults=sometimes", // unknown mode
+		// flap-rank is no clause: a broken control link is a rank death.
+		"flap-rank=1:40ms:150ms",
+		"seed=8,flap-rank=0:5ms:50ms,flap-rank=2:1ms:2ms,wedge-rank=1:3ms",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -324,7 +318,8 @@ func TestCLIInjectorRefusesWhatCannotFire(t *testing.T) {
 		{"eden", "seed=1,kill-rank=0:1ms", false},
 		{"eden", "seed=1,rank-faults=every", false},
 		{"cluster", "seed=1,panic-proc=0,drop=0.4,stall=0:1ms,kill-rank=0:1ms,sever-rank=1:1ms", true},
-		{"cluster", "flap-rank=1:1ms:2ms,wedge-rank=2:1ms,rank-faults=every", true},
+		{"cluster", "wedge-rank=2:1ms,rank-faults=every", true},
+		{"cluster", "flap-rank=1:1ms:2ms", false},
 		{"cluster", "seed=1,panic-spark=0", false},
 		{"sim", "seed=1", false},
 	} {

@@ -172,9 +172,9 @@ func (r *RTS) Deliver(kind MsgKind, chanID int64, src, dst int, payload []byte) 
 		}
 	}()
 	if r.latch.Failed() {
-		// The run already failed or drained: late frames (a reconnect
-		// replay, stragglers routed before the coordinator saw the
-		// report) are discarded, never re-resolved into a dead heap.
+		// The run already failed or drained: late frames (a peer's send
+		// still in flight when this rank's run ended) are discarded,
+		// never re-resolved into a dead heap.
 		return nil
 	}
 	if dst < 0 || dst >= len(r.pes) || r.pes[dst] == nil {

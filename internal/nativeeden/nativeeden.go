@@ -433,9 +433,9 @@ func (r *RTS) run(main pe.Program, traceID int32) (*Result, error) {
 		}
 		// The WaitGroup barrier orders every PE-thread write before this,
 		// but in cluster mode Deliver runs on the transport reader — a
-		// late frame (reconnect replay, a straggler routed before the
-		// coordinator saw our report) can still touch ctr and the arena.
-		// The PE lock covers that writer.
+		// late frame (a peer's send still in flight when our run ended)
+		// can still touch ctr and the arena. The PE lock covers that
+		// writer.
 		p.mu.Lock()
 		ps := p.ctr
 		ps.ArenaChunks, ps.ArenaThunks = p.arena.Stats()

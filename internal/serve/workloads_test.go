@@ -158,7 +158,7 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if b.injector != nil {
 			p := b.injector.Plan()
-			unfired := len(p.KillRank)+len(p.SeverRank)+len(p.FlapRank)+len(p.WedgeRank) > 0 || p.RankEvery
+			unfired := len(p.KillRank)+len(p.SeverRank)+len(p.WedgeRank) > 0 || p.RankEvery
 			if b.backend == "gph" {
 				unfired = unfired || len(p.PanicProcs)+len(p.Edges) > 0
 			} else {
