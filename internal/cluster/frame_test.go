@@ -431,37 +431,39 @@ func (c *cutRWC) Close() error {
 }
 
 func TestControlWriteFailureIsTerminal(t *testing.T) {
-	// The link breaks mid-REPORT. That write returns its error and
+	// A worker's link breaks mid-REPORT. That write returns its error and
 	// closes the link; every later write returns the same error and puts
 	// nothing on the socket; the goodbye wait is over at once; and a run
 	// that failed of the same break names the cause once.
-	result, report := testResult(t), []byte(`{"rank":0}`)
-	w := &cutRWC{limit: 4 + frameHeaderLen + len(result) + 3}
-	l := newWLink(0, "unix", "")
-	l.c = newConn(w)
-	if err := l.write(frameResult, result); err != nil {
-		t.Fatal(err)
-	}
-	err := l.write(frameReport, report)
-	if err == nil {
-		t.Fatal("a write cut mid-frame returned nil")
-	}
-	if !w.closed {
-		t.Fatal("a failed write left the link open")
-	}
-	for _, kind := range []byte{frameReport, frameBye} {
-		if again := l.write(kind, nil); again != err {
-			t.Fatalf("a write after the break returned %v, want %v", again, err)
+	t.Run("worker", func(t *testing.T) {
+		result, report := testResult(t), []byte(`{"rank":0}`)
+		w := &cutRWC{limit: 4 + frameHeaderLen + len(result) + 3}
+		l := newWLink(0, "unix", "")
+		l.c = newConn(w)
+		if err := l.write(frameResult, result); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if w.Len() != w.limit {
-		t.Fatalf("%d bytes reached the socket, want the %d before the cut", w.Len(), w.limit)
-	}
-	l.awaitAcked(time.Hour)
-	runErr := fmt.Errorf("cluster: rank 0 lost coordinator: %w", err)
-	if got := reportFailed(0, runErr, l.write(frameError, nil)).Error(); strings.Count(got, err.Error()) != 1 {
-		t.Fatalf("the cause is not named exactly once: %q", got)
-	}
+		err := l.write(frameReport, report)
+		if err == nil {
+			t.Fatal("a write cut mid-frame returned nil")
+		}
+		if !w.closed {
+			t.Fatal("a failed write left the link open")
+		}
+		for _, kind := range []byte{frameReport, frameBye} {
+			if again := l.write(kind, nil); again != err {
+				t.Fatalf("a write after the break returned %v, want %v", again, err)
+			}
+		}
+		if w.Len() != w.limit {
+			t.Fatalf("%d bytes reached the socket, want the %d before the cut", w.Len(), w.limit)
+		}
+		l.awaitAcked(time.Hour)
+		runErr := fmt.Errorf("cluster: rank 0 lost coordinator: %w", err)
+		if got := reportFailed(0, runErr, l.write(frameError, nil)).Error(); strings.Count(got, err.Error()) != 1 {
+			t.Fatalf("the cause is not named exactly once: %q", got)
+		}
+	})
 }
 
 func TestAwaitAckedWakesOnEvents(t *testing.T) {

@@ -150,15 +150,19 @@ func TestNativeDeadlineReturnsDeadlockError(t *testing.T) {
 }
 
 func TestNativeFailedRunKeepsEventlog(t *testing.T) {
-	// Satellite: the event rings of a failed run are flushed so
-	// tracedump can render the partial timeline post-mortem.
+	// The event rings of a failed run are flushed so tracedump can
+	// render the partial timeline post-mortem. workerSparks waits for a
+	// worker to convert every spark, so spark 0 runs — and panics — even
+	// on one CPU, where main would otherwise evaluate a chunked program's
+	// sparks itself and the run would succeed.
 	cfg := NewConfig(2)
 	cfg.EventLog = true
 	cfg.Faults = mustPlan(t, "seed=3,panic-spark=0")
+	cfg.Deadline = 20 * time.Second
 	done := make(chan error, 1)
 	var res *Result
 	go func() {
-		r, err := Run(cfg, euler.Program(1500, 60, 0, true))
+		r, err := Run(cfg, workerSparks(16))
 		res = r
 		done <- err
 	}()
