@@ -6,16 +6,19 @@
 //	benchall -quick      # scaled-down parameters (seconds, for smoke tests)
 //	benchall -matmul 1008 -matmulblock 72   # paper-size matrices
 //	benchall -quick -gogc 50,100,200,400,off    # + the §IV-A.1 allocation-area sweep (native, wall clock)
-//	benchall -quick -chaos 500                  # seeded chaos soak (exit 1 on violations)
-//	benchall -quick -cluster -chaos 8           # chaos under the cluster: supervised recovery soak
+//	benchall -quick -chaos 500                  # seeded chaos soak of the in-process backends (exit 1 on violations)
+//	benchall -quick -cluster -chaos 8           # the same soak on the cluster: supervised recovery
 //
-// A soak row is a cmd/sumeuler command line, run through the driver
+// Both soaks are experiments.RunChaos over a backend list. A soak row
+// is a cmd/sumeuler command line, run through the driver
 // (driver.Exec); its repro line is that command.
 //
 // Output is text: runtime tables, ASCII timeline traces and speedup
 // tables/charts, each followed by a shape check against the paper's
-// qualitative claims. The only files written are the soak reports
-// (results/CHAOS.html, results/CHAOS.json, results/CHAOS_cluster.json).
+// qualitative claims. The only files written are the soak reports,
+// under results/ in the working directory: CHAOS.html and CHAOS.json
+// for the in-process soak (regenerated by CI, not committed), and
+// CHAOS_cluster.json for the cluster soak.
 // Wall-clock results have one writer, and it is not this command: see
 // `go run ./benchmark` (BENCHMARK.json, benchmark/README.md). The native
 // GOGC sweep kept here prints a table and a shape line and waits for its
@@ -42,8 +45,6 @@ type options struct {
 	models, latency bool
 	gogc            string
 	cluster         bool
-	transport       string
-	restarts        int
 	chaosIters      int
 	chaosSeed       uint64
 }
@@ -62,9 +63,7 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.models, "models", false, "also run the beyond-the-paper runtime-organisation comparison")
 	fs.BoolVar(&o.latency, "latency", false, "also run the shared-memory-to-cluster latency study")
 	fs.StringVar(&o.gogc, "gogc", "", "comma-separated GOGC settings for the native allocation-area sweep, e.g. 50,100,200,400,off (prints a table; writes no file)")
-	fs.BoolVar(&o.cluster, "cluster", false, "with -chaos N: run the chaos-under-cluster soak (supervised multi-process runs) instead of the in-process one")
-	fs.StringVar(&o.transport, "transport", "tcp", "chaos-under-cluster transport: tcp | unix")
-	fs.IntVar(&o.restarts, "restarts", 2, "cluster restart budget per supervised run in the chaos-under-cluster soak")
+	fs.BoolVar(&o.cluster, "cluster", false, "with -chaos N: soak the multi-process cluster (3 processes over tcp, restart budget 2; writes results/CHAOS_cluster.json) instead of the in-process backends")
 	fs.IntVar(&o.chaosIters, "chaos", 0, "run an N-iteration seeded chaos soak over both native backends instead of the figures (writes results/CHAOS.html + .json; exits non-zero on violations)")
 	fs.Uint64Var(&o.chaosSeed, "chaosseed", 42, "chaos soak master seed")
 	return o
@@ -116,15 +115,8 @@ func (o *options) validate() (experiments.Params, []int, error) {
 	if o.chaosIters < 0 {
 		return p, nil, errors.New("-chaos must be non-negative")
 	}
-	if o.cluster {
-		if o.chaosIters == 0 {
-			return p, nil, errors.New("-cluster modifies -chaos N; the cluster's wall-clock rows are `go run ./benchmark --workload cluster_ring`")
-		}
-		// The soak spawns real processes, so a bad transport must die
-		// before the first one does.
-		if err := cluster.CheckFlags("eden", 1, o.transport, o.restarts); err != nil {
-			return p, nil, err
-		}
+	if o.cluster && o.chaosIters == 0 {
+		return p, nil, errors.New("-cluster modifies -chaos N; the cluster's wall-clock rows are `go run ./benchmark --workload cluster_ring`")
 	}
 	return p, gogcSettings, nil
 }
@@ -156,31 +148,25 @@ func main() {
 	// A chaos soak runs standalone (no figures). Its exit code is its
 	// verdict, so CI can use it as a hard gate.
 	if o.chaosIters > 0 {
-		exit := 0
+		// The cluster soak runs supervised multi-process runs with ranks
+		// killed, severed and wedged, each recovered by a restart; its
+		// JSON report is the recovery-trace artifact.
+		backends, name := experiments.InProcessBackends, "CHAOS"
 		if o.cluster {
-			// Chaos under the cluster: supervised multi-process runs with
-			// ranks killed, severed and wedged, each recovered by a restart.
-			// The soak report is the recovery-trace artifact.
-			c := experiments.RunClusterChaos(p, o.chaosIters, o.chaosSeed, o.transport, o.restarts)
-			fmt.Println(c.String())
-			if data, err := c.JSON(); err == nil {
-				writeResult("CHAOS_cluster.json", data)
-			}
-			if c.Violations > 0 {
-				exit = 1
-			}
-		} else {
-			s := experiments.RunChaosSoak(p, o.chaosIters, o.chaosSeed)
-			fmt.Println(s.String())
-			writeResult("CHAOS.html", s.HTML())
-			if data, err := s.JSON(); err == nil {
-				writeResult("CHAOS.json", data)
-			}
-			if s.Violations > 0 {
-				exit = 1
-			}
+			backends, name = experiments.ClusterBackends, "CHAOS_cluster"
 		}
-		os.Exit(exit)
+		s := experiments.RunChaos(p, backends, o.chaosIters, o.chaosSeed)
+		fmt.Println(s.String())
+		if !o.cluster {
+			writeResult("CHAOS.html", s.HTML())
+		}
+		if data, err := s.JSON(); err == nil {
+			writeResult(name+".json", data)
+		}
+		if s.Violations > 0 {
+			os.Exit(1)
+		}
+		os.Exit(0)
 	}
 
 	want := func(n int) bool { return o.fig == 0 || o.fig == n }

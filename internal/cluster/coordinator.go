@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,9 +47,9 @@ type Config struct {
 	// peer from a dead cluster — so expiry kills the workers and fails
 	// with a structured *faults.DeadlockError. Zero means a minute.
 	Deadline time.Duration
-	// Restarts is how many times RunSupervised may restart the whole
-	// SPMD run after a process death, so the run executes at most
-	// Restarts+1 times (see supervise.go). Run ignores it.
+	// Restarts is how many times Run may restart the whole SPMD run
+	// after a process death, so the run executes at most Restarts+1
+	// times (see supervise.go); 0 is a single attempt.
 	Restarts int
 }
 
@@ -59,6 +60,10 @@ const (
 	heartbeatEvery   = 500 * time.Millisecond
 	heartbeatTimeout = 4 * heartbeatEvery
 	terminateGrace   = 2 * time.Second
+	// exitWait bounds how long a rank's link end waits for its exit
+	// before the death is named (see rankEnded), and so how much later a
+	// severed link whose worker does not give up is reported.
+	exitWait = 250 * time.Millisecond
 )
 
 // Validate is the fail-fast check the CLIs run on flag parse: it
@@ -108,7 +113,7 @@ type Result struct {
 	Reports []nativeeden.Report
 	// Timeline is the merged per-PE event dump (nil unless EventLog).
 	Timeline *eventlog.Dump
-	// Restarts counts full-run retries RunSupervised performed before
+	// Restarts counts full-run retries Run performed before
 	// this (successful) result; Attempts is their history.
 	Restarts int
 	Attempts []Attempt
@@ -313,18 +318,9 @@ func (cd *coord) heartbeat() {
 	}
 }
 
-// Run executes one cluster run: link every pair of workers, launch Procs
-// workers re-executing this binary, supervise them, collect rank 0's
-// result, drain, fold.
-// A worker that dies, wedges, or loses its control link before its
-// report fails the run with a *faults.ProcessDeathError; deadline
-// expiry with a *faults.DeadlockError. The partial Result (whatever
-// reports arrived) is returned alongside either error. Run is a single
-// attempt — RunSupervised adds the restart policy.
-func Run(cfg Config) (*Result, error) {
-	return runAttempt(cfg, 0)
-}
-
+// runAttempt is one attempt of Run: attempt is its index, which the
+// workers use to rotate the fault seed and to skip one-shot rank
+// faults after the first.
 func runAttempt(cfg Config, attempt int) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -488,17 +484,12 @@ func (cd *coord) step(ev event) error {
 	case ev.exit:
 		cd.exited++
 		if !reported {
-			return cd.died(ev.rank, "exit", ev.err)
+			return cd.rankEnded(ev)
 		}
 	case ev.readerEnd:
 		l.close()
-		switch {
-		case reported:
-			// the exit watcher handles the rest
-		case ev.err == nil || ev.err == io.EOF:
-			return cd.died(ev.rank, "connection closed", ev.err)
-		default:
-			return cd.died(ev.rank, "connection error", ev.err)
+		if !reported {
+			return cd.rankEnded(ev)
 		}
 	case ev.hbTimeout:
 		if reported {
@@ -535,6 +526,52 @@ func (cd *coord) step(ev event) error {
 		l.done.Store(true)
 	}
 	return nil
+}
+
+// rankEnded names the death of a rank whose process exit or link end
+// (ev) came before its report. A killed or crashed worker's link
+// closes as it exits, and the link's EOF usually reaches the state
+// machine first, so a link's end waits up to exitWait for the exit.
+// The exit status says what ended the rank: failExitCode is a worker
+// that gave up once its link broke, a "connection" death like a link
+// whose process outlives exitWait; any other status is the process's
+// own end, an "exit" death.
+func (cd *coord) rankEnded(ev event) error {
+	link := ev
+	if ev.readerEnd {
+		ev = cd.awaitExit(ev.rank)
+	}
+	switch {
+	case ev.exit && !gaveUp(ev.err):
+		return cd.died(link.rank, "exit", ev.err)
+	case link.readerEnd && link.err != nil && link.err != io.EOF:
+		return cd.died(link.rank, "connection error", link.err)
+	}
+	return cd.died(link.rank, "connection closed", link.err)
+}
+
+// awaitExit waits up to exitWait for rank's exit event and returns it,
+// or the zero event if the process is still running. Every other event
+// is dropped: the run ends with this rank's death either way.
+func (cd *coord) awaitExit(rank int) event {
+	t := time.NewTimer(exitWait)
+	defer t.Stop()
+	for {
+		select {
+		case ev := <-cd.evCh:
+			if ev.exit && ev.rank == rank {
+				return ev
+			}
+		case <-t.C:
+			return event{}
+		}
+	}
+}
+
+// gaveUp reports whether a worker's wait status is failExitCode.
+func gaveUp(exit error) bool {
+	var ee *exec.ExitError
+	return errors.As(exit, &ee) && ee.ExitCode() == failExitCode
 }
 
 func (cd *coord) died(rank int, reason string, err error) *faults.ProcessDeathError {

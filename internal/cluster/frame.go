@@ -26,10 +26,10 @@
 // that breaks before its worker's REPORT is that rank's death, exactly
 // as an exit is.
 //
-// RunSupervised is the one recovery path: a rank that dies, wedges or
-// loses its link is recovered by restarting the whole SPMD run
-// (deterministic shadow-root replay makes full-run retry the honest
-// recovery unit).
+// Run's restart budget is the one recovery path: a rank that dies,
+// wedges or loses its link is recovered by restarting the whole SPMD
+// run (deterministic shadow-root replay makes full-run retry the
+// honest recovery unit).
 package cluster
 
 import (

@@ -9,7 +9,7 @@ import (
 	"parhask/internal/faults"
 )
 
-// superviseOK runs cfg under RunSupervised and gates the result on the
+// superviseOK runs cfg under Run and gates the result on the
 // workload's oracle — the recovery tests all demand oracle-equal
 // results, not merely "something came back".
 func superviseOK(t *testing.T, cfg Config) *Result {
@@ -17,9 +17,9 @@ func superviseOK(t *testing.T, cfg Config) *Result {
 	if cfg.Deadline == 0 {
 		cfg.Deadline = 60 * time.Second
 	}
-	res, err := RunSupervised(cfg)
+	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("RunSupervised: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	_, oracle, err := BuildProgram(cfg.Spec)
 	if err != nil {
@@ -84,11 +84,40 @@ func TestClusterSupervisedSeverRecovers(t *testing.T) {
 	}
 }
 
+func TestClusterDeathReasonFollowsFault(t *testing.T) {
+	// A killed rank's link closes as its process exits, so its EOF can
+	// reach the coordinator before the exit does. The death must still
+	// read as what the fault did: a kill is an exit with the fault's
+	// status, a sever a connection death, whichever event comes first.
+	for _, tc := range []struct{ name, fault, reason string }{
+		{"kill", "kill-rank=1:30ms", "exit"},
+		{"sever", "sever-rank=1:30ms", "connection"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := superviseOK(t, Config{
+				Procs: 3, PerProc: 1, Transport: "tcp",
+				Spec:     "sumeuler?n=4000&pechunks=4",
+				Faults:   tc.fault,
+				Restarts: 1,
+			})
+			if len(res.Attempts) != 1 {
+				t.Fatalf("attempt history %+v, want one failed attempt", res.Attempts)
+			}
+			if a := res.Attempts[0]; a.Rank != 1 || !strings.HasPrefix(a.Reason, tc.reason) {
+				t.Fatalf("%s: attempt blames rank %d for %q (%s), want rank 1 and %q", tc.fault, a.Rank, a.Reason, a.Err, tc.reason)
+			}
+			if tc.reason == "exit" && !strings.Contains(res.Attempts[0].Err, "exit status 3") {
+				t.Fatalf("%s: death %q does not carry the kill's wait status", tc.fault, res.Attempts[0].Err)
+			}
+		})
+	}
+}
+
 func TestClusterRestartBudgetExhausted(t *testing.T) {
 	// rank-faults=every makes the kill recur on every attempt, so a
 	// budget of one restart must fail with the full attempt history and
 	// still expose the underlying structured death.
-	_, err := RunSupervised(Config{
+	_, err := Run(Config{
 		Procs: 3, PerProc: 1, Transport: "tcp",
 		Spec:     "sumeuler?n=4000&pechunks=4",
 		Faults:   "kill-rank=1:30ms,rank-faults=every",

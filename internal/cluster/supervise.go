@@ -54,23 +54,30 @@ func (e *RestartsExhaustedError) Error() string {
 
 func (e *RestartsExhaustedError) Unwrap() error { return e.Last }
 
-// RunSupervised runs the cluster under the restart budget
-// cfg.Restarts: an attempt that fails with a process death respawns the
-// workers and restarts the whole SPMD run after an exponential backoff,
-// with the fault seed rotated per attempt so a seed-dependent injected
-// fault does not recur identically. On success the Result carries the
-// restart history and recovery latency; on a spent budget the error is
-// a *RestartsExhaustedError wrapping the last failure. Any other
-// failure (a deadline deadlock, a worker's own error) ends the run at
-// once. With a zero budget it is exactly Run.
+// Run executes the cluster run cfg describes under its restart budget
+// cfg.Restarts. One attempt links every pair of workers, launches Procs
+// workers re-executing this binary, supervises them, collects rank 0's
+// result, drains and folds (see runAttempt). An attempt that fails with
+// a process death — a worker that dies, wedges, or loses its control
+// link before its report — respawns the workers and restarts the whole
+// SPMD run after an exponential backoff, with the fault seed rotated
+// per attempt so a seed-dependent injected fault does not recur
+// identically. On success the Result carries the restart history and
+// recovery latency; on a spent budget the error is a
+// *RestartsExhaustedError wrapping the last failure. Any other failure
+// (a deadline deadlock, a worker's own error) ends the run at once.
+// With a zero budget Run makes exactly one attempt and returns its
+// Result and error as they are: a *faults.ProcessDeathError for a
+// death, a *faults.DeadlockError for deadline expiry, with the partial
+// Result (whatever reports arrived).
 //
 // Full-run retry is the honest recovery unit here — the runtime's
 // deterministic shadow-root replay means a restarted run recomputes
 // exactly the same result, whereas resurrecting a single rank mid-run
 // would need distributed checkpointing the paper's systems never had.
-func RunSupervised(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) {
 	if cfg.Restarts == 0 {
-		return Run(cfg)
+		return runAttempt(cfg, 0)
 	}
 	backoff := backoffFirst
 	var attempts []Attempt

@@ -39,10 +39,15 @@ const (
 	envAttempt = "PARHASK_CLUSTER_ATTEMPT"
 )
 
-// killExitCode is the status a kill-rank fault exits with — distinct
-// from both success and ordinary failure so tests can tell an injected
-// death from a crash.
-const killExitCode = 3
+// The worker's exit statuses besides success: failExitCode when
+// workerMain fails (once the run has started, almost always a broken
+// control link: a run's own failures travel as ERROR frames), and
+// killExitCode for a kill-rank fault — distinct so tests can tell an
+// injected death from a crash.
+const (
+	failExitCode = 1
+	killExitCode = 3
+)
 
 // byeAckLinger is how long a worker waits for the ACK of its BYE.
 const byeAckLinger = 5 * time.Second
@@ -57,7 +62,7 @@ func MaybeWorker() {
 	}
 	if err := workerMain(); err != nil {
 		fmt.Fprintf(os.Stderr, "cluster worker: %v\n", err)
-		os.Exit(1)
+		os.Exit(failExitCode)
 	}
 	os.Exit(0)
 }

@@ -494,7 +494,7 @@ func (r *cli) runCluster() (*Outcome, error) {
 		return nil, err
 	}
 	cfg := r.clusterConfig()
-	res, err := cluster.RunSupervised(cfg)
+	res, err := cluster.Run(cfg)
 	if res == nil || err != nil {
 		return &Outcome{Cluster: res}, err
 	}
