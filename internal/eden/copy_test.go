@@ -2,6 +2,7 @@ package eden_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"parhask/internal/eden"
@@ -50,4 +51,51 @@ func TestConsTailSizedAndCopied(t *testing.T) {
 	if _, err := eden.CopyChecked(open); !errors.As(err, &ue) {
 		t.Fatalf("CopyChecked of a cell with an unevaluated tail: err = %v, want *eden.UnevaluatedError", err)
 	}
+}
+
+// FuzzCloneRows: a row copy of any ragged shape equals its source, nil
+// and empty rows included; every row's capacity is its length, so an
+// append to one row cannot reach the next in the shared backing; and
+// the copy shares nothing with its source. Each shape byte is one row:
+// 0xFF a nil row, else a row of b%17 elements (0 an empty, non-nil one).
+func FuzzCloneRows(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{}, true)
+	f.Add([]byte{3, 0, 0xFF, 16, 1}, false)
+	f.Add([]byte{0xFF, 0xFF}, false)
+	f.Add([]byte{0, 0, 0}, false)
+	f.Add([]byte{8, 8, 8, 8, 8, 8, 8, 8}, false)
+	f.Fuzz(func(t *testing.T, shape []byte, nilOuter bool) {
+		build := func() [][]int32 {
+			if nilOuter && len(shape) == 0 {
+				return nil
+			}
+			rows := make([][]int32, len(shape))
+			for i, b := range shape {
+				if b == 0xFF {
+					continue
+				}
+				rows[i] = make([]int32, int(b)%17)
+				for j := range rows[i] {
+					rows[i][j] = int32(i<<8 | j)
+				}
+			}
+			return rows
+		}
+		src := build()
+		got := eden.CloneRows(src)
+		if !reflect.DeepEqual(got, src) {
+			t.Fatalf("copy differs from its source:\n got %#v\nwant %#v", got, src)
+		}
+		for i, r := range got {
+			if cap(r) != len(r) {
+				t.Fatalf("row %d: cap %d, len %d; an append would write into the next row", i, cap(r), len(r))
+			}
+			_ = append(r, -1)
+		}
+		edentest.Scramble(reflect.ValueOf(src))
+		if want := build(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("copy changed when the source was mutated or a row appended to:\n got %#v\nwant %#v", got, want)
+		}
+	})
 }

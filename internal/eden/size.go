@@ -3,6 +3,7 @@ package eden
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"parhask/internal/graph"
 )
@@ -304,15 +305,30 @@ func CloneSlice[S ~[]E, E any](s S) S {
 	return out
 }
 
-// CloneRows returns a copy of a slice of such rows, each row cloned with
-// CloneSlice.
+// CloneRows returns a copy of a slice of such rows in two allocations,
+// however many rows it has: the row headers, and one backing array that
+// holds every row's elements end to end. slices.Concat zeroes that
+// array before it copies the rows in. Each row of the copy has its
+// capacity capped at its length, so an append to one row reallocates
+// instead of overwriting the next. Nil stays nil and empty stays empty,
+// for the outer slice and for each row. A row of the copy that outlives
+// the others keeps the whole backing array alive.
 func CloneRows[S ~[]R, R ~[]E, E any](rows S) S {
 	if rows == nil {
 		return nil
 	}
+	flat := slices.Concat([]R(rows)...)
+	if flat == nil {
+		flat = R{} // every row is nil or empty; an empty one must stay non-nil
+	}
 	out := make(S, len(rows))
+	off := 0
 	for i, r := range rows {
-		out[i] = CloneSlice(r)
+		if r != nil {
+			end := off + len(r)
+			out[i] = flat[off:end:end]
+			off = end
+		}
 	}
 	return out
 }

@@ -205,18 +205,22 @@ func TestCopyForSendRefusals(t *testing.T) {
 	}
 }
 
-// The copy's allocation shape: one backing array per row plus a
-// constant (outer slice, the boxed struct), never one per element.
+// The copy's allocation shape: a constant (the row headers, the one
+// backing array, the boxed struct), never one per row or per element.
+// The tall, narrow block fails a copy that allocates per row.
 func TestCopyForSendBlockAllocs(t *testing.T) {
-	const rows = 96
-	var block graph.Value = testBlock{M: newTestMat(rows, rows)}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := eden.CopyChecked(block); err != nil {
-			t.Fatal(err)
+	const maxAllocs = 4
+	for _, shape := range []struct{ rows, cols int }{{96, 96}, {384, 8}} {
+		var block graph.Value = testBlock{M: newTestMat(shape.rows, shape.cols)}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := eden.CopyChecked(block); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Fatalf("copying a %dx%d block in a struct took %.0f allocations, want at most %d",
+				shape.rows, shape.cols, allocs, maxAllocs)
 		}
-	})
-	if allocs > rows+4 {
-		t.Fatalf("copying a %dx%d block in a struct took %.0f allocations, want at most %d", rows, rows, allocs, rows+4)
 	}
 }
 
@@ -225,9 +229,11 @@ var copySink graph.Value
 // BenchmarkCopyForSend prices the in-process send's deep copy on the
 // benchmark's two payload shapes (a 128-element row, a 96x96 block), on
 // the APSP ring's pivot packet, and on a list of boxed scalars. Each
-// message type copies itself, so what is priced is one allocation and
-// one move a row: the leaf moves were never the cost, a per-value walk
-// over structs and elements was.
+// message type copies itself, so what is priced is the allocations and
+// the moves: a flat row is one allocation, and a block of rows is two
+// (the row headers and one backing array for every element, which
+// eden.CloneRows zeroes before it copies the rows in) plus the boxed
+// struct, however many rows it has.
 func BenchmarkCopyForSend(b *testing.B) {
 	boxed := make([]graph.Value, 128)
 	for i := range boxed {

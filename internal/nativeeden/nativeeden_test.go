@@ -151,6 +151,26 @@ func TestCannonOracleNative(t *testing.T) {
 	}
 }
 
+// The bytes-shipped columns are comparable across backends (DESIGN.md
+// §8): Cannon sends the same messages, charged the same bytes (a stream
+// close included), on the simulator and on native Eden at any PE count.
+func TestCannonTrafficMatchesSimulator(t *testing.T) {
+	const n, q = 48, 4
+	a, b := matmul.Random(n, 31), matmul.Random(n, 32)
+	cfg := eden.NewConfig(q*q+1, 8)
+	sim, err := eden.Run(cfg, matmul.EdenCannonProgram(a, b, q, cfg.Costs.MulAdd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pes := range []int{1, 3, q*q + 1} {
+		res := runN(t, NewConfig(pes), matmul.EdenCannonProgram(a, b, q, 0))
+		if res.Stats.Messages != int64(sim.Stats.Messages) || res.Stats.BytesSent != sim.Stats.BytesSent {
+			t.Fatalf("pes=%d: native Eden sent %d messages, %d bytes; the simulator %d messages, %d bytes",
+				pes, res.Stats.Messages, res.Stats.BytesSent, sim.Stats.Messages, sim.Stats.BytesSent)
+		}
+	}
+}
+
 func TestAPSPRingOracleNative(t *testing.T) {
 	g := apsp.RandomGraph(30, 13, 9, 30)
 	want := apsp.FloydWarshall(g)

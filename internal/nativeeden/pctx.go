@@ -400,15 +400,16 @@ const (
 )
 
 // msgKinds gives each kind's operation name, for errors, and the bytes
-// it is charged beyond its payload: a stream element's Cons cell, and a
-// close's Nil, which packs as one word like the simulator's.
+// it is charged beyond its payload. A stream element and a close are
+// both charged one stream cell's eden.ConsOverhead, as the simulator's
+// StreamSend and StreamClose charge them.
 var msgKinds = [...]struct {
 	op    string
 	extra int64
 }{
 	MsgChanSend:    {"Send", 0},
 	MsgStreamSend:  {"StreamSend", eden.ConsOverhead},
-	MsgStreamClose: {"StreamClose", 16},
+	MsgStreamClose: {"StreamClose", eden.ConsOverhead},
 }
 
 // send is the one sending path of every Eden message. It reduces v to

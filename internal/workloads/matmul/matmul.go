@@ -143,11 +143,14 @@ func MulRange(ctx Ctx, mulAddCost int64, a, b Mat, r0, r1, c0, c1 int) Mat {
 	return out
 }
 
-// Block extracts the block rows [r0,r1) × cols [c0,c1) as a fresh matrix.
+// Block returns the block rows [r0,r1) × cols [c0,c1) of m as a view
+// that shares m's elements: each row is a slice of m's row with its
+// capacity capped at the block's width, so an append to a block row
+// reallocates instead of writing into m. Sending the view copies it.
 func Block(m Mat, r0, r1, c0, c1 int) Mat {
-	out := New(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out[i-r0], m[i][c0:c1])
+	out := make(Mat, r1-r0)
+	for i := range out {
+		out[i] = m[r0+i][c0:c1:c1]
 	}
 	return out
 }

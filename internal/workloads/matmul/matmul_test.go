@@ -9,6 +9,7 @@ import (
 	"parhask/internal/eden/edentest"
 	"parhask/internal/gph"
 	"parhask/internal/graph"
+	"parhask/internal/nativeeden"
 	"parhask/internal/sim"
 )
 
@@ -213,6 +214,38 @@ func TestEdenCannonCorrect(t *testing.T) {
 	// closes, inputs and results.
 	if res.Stats.Messages < 2*q*q*(q-1) {
 		t.Fatalf("messages = %d, want >= %d", res.Stats.Messages, 2*q*q*(q-1))
+	}
+}
+
+// Cannon's root hands each node Block views of a and b, which the
+// simulator passes by reference. Every backend must leave both inputs
+// bit-identical, so a node that wrote its A or B block in place would
+// fail here.
+func TestCannonLeavesInputsUntouched(t *testing.T) {
+	const n, q = 24, 3
+	a, b := Random(n, 21), Random(n, 22)
+	a0, b0 := eden.CloneRows(a), eden.CloneRows(b)
+	want := MulOracle(a, b)
+	check := func(backend string, got graph.Value) {
+		t.Helper()
+		if !Equal(got.(Mat), want, 1e-9) {
+			t.Fatalf("%s: Cannon product incorrect", backend)
+		}
+		identical(t, backend+": input a", a, a0)
+		identical(t, backend+": input b", b, b0)
+	}
+	cfg := eden.NewConfig(q*q+1, 8)
+	sim, err := eden.Run(cfg, EdenCannonProgram(a, b, q, cfg.Costs.MulAdd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("simulator", sim.Value)
+	for _, pes := range []int{1, 3} {
+		res, err := nativeeden.Run(nativeeden.NewConfig(pes), EdenCannonProgram(a, b, q, 0))
+		if err != nil {
+			t.Fatalf("native Eden on %d PEs: %v", pes, err)
+		}
+		check(fmt.Sprintf("native Eden on %d PEs", pes), res.Value)
 	}
 }
 

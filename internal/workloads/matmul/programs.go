@@ -120,7 +120,11 @@ func (bm blockMsg) DeepCopy() (graph.Value, error) { return blockMsg{M: eden.Clo
 // algorithm: each node starts with skew-aligned blocks A(i,(j+i) mod q)
 // and B((i+j) mod q, j), and in q rounds multiplies its current blocks
 // into its accumulator, shifting A left and B up between rounds.
-// Communication is thereby reduced to a minimum (§V).
+// Communication is thereby reduced to a minimum (§V). Each node's
+// input blocks are Block views of a and b, so the send's deep copy is
+// the only copy of an input block. A node never writes its A or B
+// blocks (MulAddInto writes only the accumulator), which keeps the views
+// safe on the simulator, where a message is passed by reference.
 func EdenCannonProgram(a, b Mat, q int, mulAddCost int64) pe.Program {
 	n := len(a)
 	if q <= 0 || n%q != 0 {
